@@ -626,6 +626,22 @@ let emit_pipeline_baseline () =
 let compare_floor_s = 1e-3
 let compare_tolerance = 0.30
 
+(* Counters that repeat exactly from run to run of the baseline
+   emitters (checked across repeated [micro] runs), so [compare]
+   requires equality rather than a tolerance. *)
+let exact_counters =
+  [
+    "mapper.tasks_mapped";
+    "mapper.packing_attempts";
+    "mapper.packing_wins";
+    "mapper.avail_reorders";
+    "alloc.increments";
+    "alloc.cache.hits";
+    "alloc.cache.rescales";
+    "alloc.cache.misses";
+    "online.remapped";
+  ]
+
 let load_json path =
   let contents =
     let ic = open_in path in
@@ -677,11 +693,6 @@ let run_compare ref_path cur_path =
   in
   check_section "phases";
   check_section "large_phases";
-  (* Cache-effectiveness gate: a build whose allocation cache never
-     hits has silently fallen back to scratch allocation — that can
-     hide inside the 30% wall-clock tolerance on fast runners, so the
-     counters are checked directly. Only active when the reference
-     profile itself exercised the cache. *)
   let counter key doc =
     match Jsonx.member "counters" doc with
     | Some (Jsonx.Obj kvs) -> (
@@ -690,6 +701,29 @@ let run_compare ref_path cur_path =
       | Some _ | None -> None)
     | Some _ | None -> None
   in
+  (* Exact work gate: these counters depend only on the code and the
+     fixed baseline workloads, never on timing, so any difference from
+     the reference means the build maps, allocates or remaps differently.
+     A counter the reference predates is skipped. *)
+  List.iter
+    (fun key ->
+      match (counter key ref_doc, counter key cur_doc) with
+      | None, _ -> ()
+      | Some r, Some c when r = c ->
+        Printf.printf "ok   counters/%s: %d\n" key c
+      | Some r, Some c ->
+        incr failures;
+        Printf.printf "FAIL counters/%s: %d, reference %d\n" key c r
+      | Some r, None ->
+        incr failures;
+        Printf.printf "FAIL counters/%s: missing from %s (reference %d)\n"
+          key cur_path r)
+    exact_counters;
+  (* Cache-effectiveness gate: a build whose allocation cache never
+     hits has silently fallen back to scratch allocation — that can
+     hide inside the 30% wall-clock tolerance on fast runners, so the
+     counters are checked directly. Only active when the reference
+     profile itself exercised the cache. *)
   let served doc =
     match
       (counter "alloc.cache.hits" doc, counter "alloc.cache.rescales" doc)
@@ -727,11 +761,12 @@ let run_compare ref_path cur_path =
         ref_resizes)
   | _ -> ());
   if !failures > 0 then begin
-    Printf.printf "%d phase(s) regressed beyond %.0f%%\n" !failures
-      (100. *. compare_tolerance);
+    Printf.printf "%d check(s) failed\n" !failures;
     exit 1
   end;
-  Printf.printf "no phase regressed beyond %.0f%%\n" (100. *. compare_tolerance)
+  Printf.printf
+    "no phase regressed beyond %.0f%%, work counters identical\n"
+    (100. *. compare_tolerance)
 
 let run_micro () =
   let open Bechamel in

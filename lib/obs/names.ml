@@ -34,7 +34,8 @@ let counters =
       "cached trajectories replayed under a moved beta (same cap)" );
     ("alloc.cache.misses", "cache lookups that fell back to a scratch run");
     ("mapper.tasks_mapped", "task placements committed by the list mapper");
-    ("mapper.packing_attempts", "shrunk-allocation candidates evaluated");
+    ( "mapper.packing_attempts",
+      "shrunk widths considered, including those the start bound ruled out" );
     ("mapper.packing_wins", "packing candidates that beat the full allocation");
     ("mapper.ready_peak", "high-water mark of the ready-task queue");
     ( "mapper.avail_reorders",

@@ -50,13 +50,20 @@ type app_state = {
   pending : int array;                  (* unmapped predecessor count *)
 }
 
-(* One placement candidate on a given cluster. *)
+(* One placement candidate on a given cluster: the window
+   [order.(lo) .. order.(lo + width - 1)] of a processor array. Losing
+   candidates never materialise their processor set; only the winner is
+   copied out, by [candidate_procs]. *)
 type candidate = {
-  procs : int array;
+  order : int array;
+  lo : int;
+  width : int;
   cluster : int;
   start : float;
   finish : float;
 }
+
+let candidate_procs c = Array.sub c.order c.lo c.width
 
 let better_candidate a b =
   (* Earliest finish, then earliest start, then widest allocation. *)
@@ -67,7 +74,7 @@ let better_candidate a b =
     else if ca.finish < cb.finish -. Floatx.eps then Some ca
     else if cb.start < ca.start -. Floatx.eps then Some cb
     else if ca.start < cb.start -. Floatx.eps then Some ca
-    else if Array.length cb.procs > Array.length ca.procs then Some cb
+    else if cb.width > ca.width then Some cb
     else Some ca
 
 let make_state (ptg, alloc) =
@@ -108,10 +115,11 @@ let bottom_levels ref_cluster ptg alloc =
    with a per-task Array.sort — and [proc_avail] is the availability
    array shared with it. Everything that does not depend on the
    candidate width p' (per-predecessor route bandwidths, the aggregate
-   NIC sums, sorted predecessor processor sets) is computed once per
-   task or once per task×cluster and reused across all packing
-   candidates; the resulting placements are bit-identical to the
-   original search. *)
+   NIC sums) is computed once per task or once per task×cluster and
+   reused across all packing candidates, and the packing loop stops as
+   soon as a start-time lower bound proves that no narrower width can
+   win (DESIGN.md section 10); the resulting placements are
+   bit-identical to the exhaustive search. *)
 let place_task platform ref_cluster avail_idx proc_avail state v ~packing
     ~floor ~virtual_floor =
   let ptg = state.ptg in
@@ -145,19 +153,24 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
     let p_finish = Array.map (fun (pu, _) -> pu.Schedule.finish) preds in
     let p_bytes = Array.map (fun (_, bytes) -> bytes) preds in
     let p_cluster = Array.map (fun (pu, _) -> pu.Schedule.cluster) preds in
-    let p_src =
-      Array.map
-        (fun (pu, _) -> max 1 (Array.length pu.Schedule.procs))
-        preds
+    let p_width =
+      Array.map (fun (pu, _) -> Array.length pu.Schedule.procs) preds
     in
-    let p_sorted =
-      Array.map
-        (fun (pu, _) ->
-          let s = Array.copy pu.Schedule.procs in
-          Array.sort compare s;
-          s)
-        preds
+    (* Sorted predecessor processor sets, built on the first in-place
+       test that needs one: most placements never reach that test. *)
+    let p_sorted = Array.make np None in
+    let sorted_pred i =
+      match p_sorted.(i) with
+      | Some s -> s
+      | None ->
+        let s = Array.copy (fst preds.(i)).Schedule.procs in
+        Array.sort compare s;
+        p_sorted.(i) <- Some s;
+        s
     in
+    (* Every candidate start is at least the latest predecessor
+       finish: a transfer cost is never negative. *)
+    let p_finish_max = Array.fold_left Float.max 0. p_finish in
     (* Per-cluster scratch, overwritten for each k. *)
     let p_route = Array.make (max 1 np) 0. in
     let best = ref None in
@@ -200,12 +213,12 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
         else
           let rate =
             Float.min
-              (float_of_int (min p_src.(i) p') *. nic)
+              (float_of_int (min (max 1 p_width.(i)) p') *. nic)
               p_route.(i)
           in
           latency +. (p_bytes.(i) /. rate)
       in
-      let candidate_for p' =
+      let candidate_for p' exec =
         (* All incoming transfers funnel through the p' destination
            NICs; when several predecessors send data, their aggregate
            bounds the data-ready time too. *)
@@ -241,30 +254,23 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
           done;
           !lo
         in
-        let procs = Array.sub order (fits_until - p') p' in
+        let lo = fits_until - p' in
         (* The in-place rule may cancel transfers from predecessors that
            ran on exactly the chosen processors; when no predecessor ran
            on this cluster with this width, nothing can be cancelled and
            the pessimistic bound is already exact. *)
         let may_cancel = ref false in
         for i = 0 to np - 1 do
-          if
-            p_bytes.(i) > 0. && p_cluster.(i) = k
-            && Array.length p_sorted.(i) = p'
-          then may_cancel := true
+          if p_bytes.(i) > 0. && p_cluster.(i) = k && p_width.(i) = p' then
+            may_cancel := true
         done;
         let data_ready =
           if not !may_cancel then data_ready0
           else begin
-            let chosen =
-              let s = Array.copy procs in
-              Array.sort compare s;
-              s
-            in
+            let chosen = Array.sub order lo p' in
+            Array.sort compare chosen;
             let in_place i =
-              p_cluster.(i) = k
-              && Array.length p_sorted.(i) = p'
-              && p_sorted.(i) = chosen
+              p_cluster.(i) = k && p_width.(i) = p' && sorted_pred i = chosen
             in
             let total = ref 0. and last = ref 0. and senders = ref 0 in
             for i = 0 to np - 1 do
@@ -290,33 +296,52 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
             Float.max aggregate !acc
           end
         in
-        (* [procs] is an availability-sorted window, so its availability
+        (* The window is availability-sorted, so its availability
            maximum is its last element's. *)
         let avail = Float.max 0. proc_avail.(order.(fits_until - 1)) in
         let start = Float.max floor (Float.max data_ready avail) in
-        let finish =
-          start +. Task.time task ~gflops:c.P.gflops ~procs:p'
-        in
-        { procs; cluster = k; start; finish }
+        { order; lo; width = p'; cluster = k; start; finish = start +. exec }
       in
-      let full = candidate_for needed in
+      let exec p' = Task.time task ~gflops:c.P.gflops ~procs:p' in
+      let full = candidate_for needed (exec needed) in
       best := better_candidate !best (Some full);
-      if packing && needed > 1 then
+      if packing && needed > 1 then begin
         (* The allocation may shrink only if the task then starts
            strictly earlier and finishes no later than with its original
-           allocation (Section 5). *)
-        Obs.with_span "mapper.packing" @@ fun () ->
-        for p' = needed - 1 downto 1 do
-          Obs.incr c_packing_attempts;
-          let cand = candidate_for p' in
-          if
-            cand.start < full.start -. Floatx.eps
-            && cand.finish <= full.finish +. Floatx.eps
-          then begin
-            Obs.incr c_packing_wins;
-            best := better_candidate !best (Some cand)
-          end
-        done
+           allocation (Section 5). No candidate starts before [lb], and
+           [exec] does not increase with the width, so a width whose
+           [lb + exec] already misses the full allocation's finish rules
+           out every narrower one too. Widths ruled out by the bound are
+           still counted as attempts. *)
+        let lb =
+          Float.max floor
+            (Float.max p_finish_max (Float.max 0. proc_avail.(order.(0))))
+        in
+        if lb >= full.start -. Floatx.eps then
+          Obs.incr ~by:(needed - 1) c_packing_attempts
+        else
+          Obs.with_span "mapper.packing" @@ fun () ->
+          let p' = ref (needed - 1) in
+          while !p' >= 1 do
+            let e = exec !p' in
+            if lb +. e > full.finish +. Floatx.eps then begin
+              Obs.incr ~by:!p' c_packing_attempts;
+              p' := 0
+            end
+            else begin
+              Obs.incr c_packing_attempts;
+              let cand = candidate_for !p' e in
+              if
+                cand.start < full.start -. Floatx.eps
+                && cand.finish <= full.finish +. Floatx.eps
+              then begin
+                Obs.incr c_packing_wins;
+                best := better_candidate !best (Some cand)
+              end;
+              decr p'
+            end
+          done
+      end
       end
     done;
     match !best with
@@ -324,12 +349,13 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
       (* Only reachable when a fault mask leaves no live processor. *)
       invalid_arg "List_mapper.run: no live cluster can host a task"
     | Some c ->
-      Avail_index.update avail_idx c.procs c.finish;
-      Obs.incr ~by:(Array.length c.procs) c_avail_reorders;
+      let procs = candidate_procs c in
+      Avail_index.update avail_idx procs c.finish;
+      Obs.incr ~by:c.width c_avail_reorders;
       {
         Schedule.node = v;
         cluster = c.cluster;
-        procs = c.procs;
+        procs;
         start = c.start;
         finish = c.finish;
       }
@@ -416,7 +442,14 @@ let place_task_backfill platform ref_cluster timeline subsets state v ~floor
       | Some (start, procs) ->
         Obs.incr c_backfill_slots;
         let cand =
-          { procs; cluster = k; start; finish = start +. exec }
+          {
+            order = procs;
+            lo = 0;
+            width = Array.length procs;
+            cluster = k;
+            start;
+            finish = start +. exec;
+          }
         in
         best := better_candidate !best (Some cand))
       end
@@ -427,15 +460,16 @@ let place_task_backfill platform ref_cluster timeline subsets state v ~floor
          reachable when a fault mask leaves no live processor. *)
       invalid_arg "List_mapper.run: no live cluster can host a task"
     | Some cand ->
+      let procs = candidate_procs cand in
       Array.iter
         (fun p ->
           Mcs_util.Timeline.reserve timeline ~proc:p ~start:cand.start
             ~finish:cand.finish)
-        cand.procs;
+        procs;
       {
         Schedule.node = v;
         cluster = cand.cluster;
-        procs = cand.procs;
+        procs;
         start = cand.start;
         finish = cand.finish;
       }
@@ -457,7 +491,8 @@ let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
         invalid_arg "List_mapper.run: release length differs from apps";
       Array.iter
         (fun t ->
-          if t < 0. then invalid_arg "List_mapper.run: negative release")
+          if not (Float.is_finite t) || t < 0. then
+            invalid_arg "List_mapper.run: negative or non-finite release")
         r;
       Array.copy r
   in
@@ -528,9 +563,11 @@ let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
     | Some a ->
       if Array.length a <> P.total_procs platform then
         invalid_arg "List_mapper.run: avail length differs from platform";
+      (* Finite availabilities are what the packing bound relies on. *)
       Array.iter
         (fun t ->
-          if t < 0. then invalid_arg "List_mapper.run: negative avail")
+          if not (Float.is_finite t) || t < 0. then
+            invalid_arg "List_mapper.run: negative or non-finite avail")
         a;
       Array.copy a
   in

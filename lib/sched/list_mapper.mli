@@ -73,6 +73,7 @@ val run :
     died later). [task_floor.(i).(v)] is an extra per-task start floor
     (retry backoff), max'd with [release.(i)].
     @raise Invalid_argument on an empty list, an allocation array of
-    the wrong length, a negative/ill-sized [release], ill-sized
-    [pinned]/[avail]/[up]/[task_floor], or when [up] leaves no live
-    cluster able to host some task. *)
+    the wrong length, an ill-sized [release] or [avail] or one with a
+    negative or non-finite (NaN, infinite) entry, ill-sized
+    [pinned]/[up]/[task_floor], or when [up] leaves no live cluster able
+    to host some task. *)

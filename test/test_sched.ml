@@ -635,6 +635,34 @@ let test_mapper_packing_shrinks_delayed_task () =
   Alcotest.(check bool) "no packing: delayed" true
     ((seq_pl without_packing).Schedule.start > 0.)
 
+(* Maps [apps] on a 4-processor toy cluster with the recorder on and
+   returns the schedules, the packing counters and the number of
+   [mapper.packing] spans entered. *)
+let packing_run ?avail apps =
+  let platform = toy_platform ~procs:4 () in
+  let r = Reference_cluster.of_platform platform in
+  Obs.enable ();
+  let schedules =
+    Fun.protect
+      ~finally:(fun () -> Obs.disable ())
+      (fun () -> List_mapper.run ?avail platform r apps)
+  in
+  let spans =
+    List.length
+      (List.filter (fun s -> s.Obs.name = "mapper.packing") (Obs.spans ()))
+  in
+  ( schedules,
+    Obs.value (Obs.counter "mapper.packing_attempts"),
+    Obs.value (Obs.counter "mapper.packing_wins"),
+    spans )
+
+let check_exact = Alcotest.(check (float 0.))
+
+let check_placement name ~procs ~start ~finish pl =
+  Alcotest.(check (array int)) (name ^ " procs") procs pl.Schedule.procs;
+  check_exact (name ^ " start") start pl.Schedule.start;
+  check_exact (name ^ " finish") finish pl.Schedule.finish
+
 let test_mapper_packing_wins_observed () =
   (* Same fixture as above, instrumented: the successful shrink must be
      visible in the observability counters, and a packed placement only
@@ -655,18 +683,22 @@ let test_mapper_packing_wins_observed () =
       ~options:{ List_mapper.default_options with packing = false }
       platform r apps
   in
-  Obs.enable ();
-  let with_packing =
-    Fun.protect
-      ~finally:(fun () -> Obs.disable ())
-      (fun () -> List_mapper.run platform r apps)
-  in
-  let wins = Obs.value (Obs.counter "mapper.packing_wins") in
-  Alcotest.(check bool) "packing win counted" true (wins > 0);
-  Alcotest.(check bool) "attempts cover wins" true
-    (Obs.value (Obs.counter "mapper.packing_attempts") >= wins);
+  let with_packing, attempts, wins, spans = packing_run apps in
+  (* Counts, makespans and placements as recorded from the exhaustive
+     search that priced every width. The blocker's widths are all ruled
+     out by the start bound (all processors idle at 0), so only the
+     shrunk task enters the packing loop; both widths still count. *)
+  Alcotest.(check int) "attempts" 3 attempts;
+  Alcotest.(check int) "wins" 1 wins;
+  Alcotest.(check int) "packing loops entered" 1 spans;
+  let makespan i = (List.nth with_packing i).Schedule.makespan in
+  check_exact "blocker makespan" 16. (makespan 0);
+  check_exact "packed makespan" 5. (makespan 1);
+  check_placement "blocker" ~procs:[| 1; 2; 3 |] ~start:0. ~finish:16.
+    (Schedule.placement (List.nth with_packing 0) 0);
   let packed = Schedule.placement (List.nth with_packing 1) 0 in
   let unpacked = Schedule.placement (List.nth without_packing 1) 0 in
+  check_placement "packed" ~procs:[| 0 |] ~start:0. ~finish:5. packed;
   Alcotest.(check bool) "shrunk below the translated allocation" true
     (Array.length packed.Schedule.procs
     < Reference_cluster.translate r platform ~cluster:0 2);
@@ -674,6 +706,44 @@ let test_mapper_packing_wins_observed () =
     (packed.Schedule.start < unpacked.Schedule.start);
   Alcotest.(check bool) "finishes no later" true
     (packed.Schedule.finish <= unpacked.Schedule.finish +. 1e-9)
+
+let test_mapper_packing_bound_rules_out_all () =
+  (* A chain on the whole idle cluster: each task starts at its
+     predecessor's finish whatever its width, so the start bound alone
+     rules out every narrower width and the loop is never entered. The
+     three ruled-out widths per task still count as attempts. *)
+  let ptg = chain [ 10.; 10. ] in
+  let schedules, attempts, wins, spans =
+    packing_run [ (ptg, Array.make (Ptg.node_count ptg) 4) ]
+  in
+  Alcotest.(check int) "attempts" 6 attempts;
+  Alcotest.(check int) "wins" 0 wins;
+  Alcotest.(check int) "packing loops entered" 0 spans;
+  let sched = List.hd schedules in
+  check_exact "makespan" 5. sched.Schedule.makespan;
+  check_placement "first" ~procs:[| 0; 1; 2; 3 |] ~start:0. ~finish:2.5
+    (Schedule.placement sched 0);
+  check_placement "second" ~procs:[| 0; 1; 2; 3 |] ~start:2.5 ~finish:5.
+    (Schedule.placement sched 1)
+
+let test_mapper_packing_bound_stops_partway () =
+  (* A 40 s task allocated 4 processors, one of which is busy until 12:
+     the full width runs [12, 22]. Widths 3 and 2 start at 1 and win
+     (3 finishes first); width 1 needs 40 s from the bound 0, past 22, so
+     the loop stops there — the skipped width still counts. *)
+  let ptg = chain [ 40. ] in
+  let schedules, attempts, wins, spans =
+    packing_run ~avail:[| 0.; 1.; 1.; 12. |]
+      [ (ptg, Array.make (Ptg.node_count ptg) 4) ]
+  in
+  Alcotest.(check int) "attempts" 3 attempts;
+  Alcotest.(check int) "wins" 2 wins;
+  Alcotest.(check int) "packing loops entered" 1 spans;
+  let sched = List.hd schedules in
+  check_exact "makespan" 14.333333333333332 sched.Schedule.makespan;
+  check_placement "task" ~procs:[| 0; 1; 2 |] ~start:1.
+    ~finish:14.333333333333332
+    (Schedule.placement sched 0)
 
 let test_mapper_backfill_best_fit_ties () =
   (* Four single-task applications on a 4-processor cluster. Placement
@@ -777,7 +847,24 @@ let test_mapper_rejects_bad_input () =
     (try
        ignore (List_mapper.run platform r [ (ptg, [| 0 |]) ]);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  let rejects ?release ?avail () =
+    try
+      ignore (List_mapper.run ?release ?avail platform r [ (ptg, [| 1 |]) ]);
+      false
+    with Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (name, bad) ->
+      Alcotest.(check bool) ("release " ^ name) true
+        (rejects ~release:[| bad |] ());
+      Alcotest.(check bool) ("avail " ^ name) true
+        (rejects ~avail:[| 0.; bad; 0.; 0. |] ()))
+    [
+      ("nan", Float.nan);
+      ("+inf", Float.infinity);
+      ("-inf", Float.neg_infinity);
+    ]
 
 let qcheck_mapper_schedules_valid =
   QCheck.Test.make
@@ -814,6 +901,29 @@ let qcheck_packing_never_hurts_makespan =
       (* Packing is a local heuristic: allow limited degradation but
          catch systematic regressions. *)
       global on <= global off *. 1.25 +. 1e-6)
+
+(* The packing loop's early exit relies on this holding exactly in
+   floating point, not just over the reals. *)
+let qcheck_task_time_monotone =
+  QCheck.Test.make
+    ~name:"Task.time never increases with the width (exact floats)"
+    ~count:100
+    QCheck.(
+      triple (int_range 0 100_000)
+        (oneof [ oneofl [ 1e-3; 1.; 3.; 1e4 ]; float_range 0.01 100. ])
+        (oneof [ oneofl [ 0.; 1. ]; float_range 0. 1. ]))
+    (fun (seed, gflops, alpha) ->
+      let rng = Prng.create ~seed in
+      List.for_all
+        (fun class_ ->
+          let task = { (Task.random rng ~class_) with Task.alpha } in
+          let ok = ref true in
+          for p = 1 to 1023 do
+            let wide = Task.time task ~gflops ~procs:(p + 1) in
+            if wide > Task.time task ~gflops ~procs:p then ok := false
+          done;
+          !ok)
+        Task.[ Class_stencil; Class_sort; Class_matmul; Class_mixed ])
 
 (* ---------- Schedule validation itself ---------- *)
 
@@ -995,6 +1105,10 @@ let suite =
           test_mapper_packing_shrinks_delayed_task;
         Alcotest.test_case "packing wins observed" `Quick
           test_mapper_packing_wins_observed;
+        Alcotest.test_case "packing bound rules out all widths" `Quick
+          test_mapper_packing_bound_rules_out_all;
+        Alcotest.test_case "packing bound stops partway" `Quick
+          test_mapper_packing_bound_stops_partway;
         Alcotest.test_case "backfill best-fit ties" `Quick
           test_mapper_backfill_best_fit_ties;
         Alcotest.test_case "prefers faster cluster" `Quick
@@ -1005,6 +1119,7 @@ let suite =
           test_mapper_rejects_bad_input;
         QCheck_alcotest.to_alcotest qcheck_mapper_schedules_valid;
         QCheck_alcotest.to_alcotest qcheck_packing_never_hurts_makespan;
+        QCheck_alcotest.to_alcotest qcheck_task_time_monotone;
       ] );
     ( "sched.schedule",
       [
