@@ -169,7 +169,7 @@ let run_online () =
       ~header:
         [
           "apps"; "events"; "events/s"; "reschedules"; "remap/resched";
-          "alloc h/r/m"; "wall"; "wall/resched";
+          "unchanged/remapped"; "alloc h/r/m"; "wall"; "wall/resched";
         ]
   in
   let peak_rate = ref 0. in
@@ -204,6 +204,14 @@ let run_online () =
           (List.hd runs) (List.tl runs)
       in
       let s = r.Mcs_online.Engine.stats in
+      (* The remap-ceiling counter is only computed while tracing: one
+         more, traced run reads it. *)
+      let unchanged =
+        Mcs_obs.Obs.enable ();
+        ignore (Mcs_online.Engine.run ~policy platform apps);
+        Mcs_obs.Obs.disable ();
+        Mcs_obs.Obs.value (Mcs_obs.Obs.counter "online.remap_unchanged")
+      in
       let ev = s.Mcs_online.Engine.events_processed in
       let resched = s.Mcs_online.Engine.reschedules in
       let rate = float_of_int ev /. wall in
@@ -217,6 +225,7 @@ let run_online () =
           Printf.sprintf "%.1f"
             (float_of_int s.Mcs_online.Engine.remapped_tasks
             /. float_of_int (max 1 resched));
+          Printf.sprintf "%d/%d" unchanged s.Mcs_online.Engine.remapped_tasks;
           Printf.sprintf "%d/%d/%d" s.Mcs_online.Engine.alloc_hits
             s.Mcs_online.Engine.alloc_rescales s.Mcs_online.Engine.alloc_misses;
           Printf.sprintf "%.1f ms" (wall *. 1e3);
@@ -627,8 +636,9 @@ let compare_floor_s = 1e-3
 let compare_tolerance = 0.30
 
 (* Counters that repeat exactly from run to run of the baseline
-   emitters (checked across repeated [micro] runs), so [compare]
-   requires equality rather than a tolerance. *)
+   emitters (checked across repeated [micro] and [serve] runs), so
+   [compare] requires equality rather than a tolerance. The engine's
+   counters pin the handled-event stream. *)
 let exact_counters =
   [
     "mapper.tasks_mapped";
@@ -640,6 +650,13 @@ let exact_counters =
     "alloc.cache.rescales";
     "alloc.cache.misses";
     "online.remapped";
+    "online.events";
+    "online.reschedules";
+    "online.kills";
+    "online.retries";
+    "online.resizes";
+    "online.fault_events";
+    "mapper.release";
   ]
 
 let load_json path =

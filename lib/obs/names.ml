@@ -15,7 +15,7 @@ let phases =
     ("check.analyze", "invariant analyzer pass over one schedule set");
     ("sim.replay", "discrete-event replay of a schedule set");
     ("online.run", "one full online-engine run in virtual time");
-    ("online.event", "handling of one non-stale online event");
+    ("online.event", "handling of one online event");
     ("online.reschedule", "one rescheduling generation (beta + remap)");
     ("online.fault", "handling of one fault event (outage/recovery/failure)");
     ("online.resize", "one malleable resize opportunity (grow/shrink/skip)");
@@ -41,9 +41,12 @@ let counters =
     ( "mapper.avail_reorders",
       "processor entries repositioned in the availability index" );
     ("mapper.backfill_slots", "reservation holes found by Timeline.find_slot");
-    ("online.events", "non-stale events handled by the online engine");
+    ("online.events", "events handled by the online engine");
     ("online.reschedules", "rescheduling generations across engine runs");
     ("online.remapped", "placements recomputed by online reschedules");
+    ( "online.remap_unchanged",
+      "remapped placements identical to the previous generation's \
+       (counted while tracing only)" );
     ("online.kills", "running attempts killed by processor outages");
     ("online.retries", "transient task failures (each costs one retry)");
     ("online.fault_events", "outage/recovery events processed");

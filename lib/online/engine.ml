@@ -16,6 +16,7 @@ module Obs = Mcs_obs.Obs
 let c_events = Obs.counter "online.events"
 let c_reschedules = Obs.counter "online.reschedules"
 let c_remapped = Obs.counter "online.remapped"
+let c_remap_unchanged = Obs.counter "online.remap_unchanged"
 let c_kills = Obs.counter "online.kills"
 let c_retries = Obs.counter "online.retries"
 let c_fault_events = Obs.counter "online.fault_events"
@@ -96,8 +97,9 @@ let will_fail s app v =
 
 (* Announce the future of every active application under the current
    schedule generation: one finish event per still-running or
-   not-yet-started real task, one departure per application. Events of
-   earlier generations become stale and are dropped on pop. *)
+   not-yet-started real task, one departure per application. Callers
+   open the generation first ({!Event_queue.next_generation}), so the
+   queue holds no other announcement. *)
 let announce s =
   let state = s.st in
   List.iter
@@ -141,20 +143,18 @@ let announce s =
                 else
                   Event_queue.Task_finish { app = app.State.index; node = v }
               in
-              Event_queue.push s.q ~time:pl.Schedule.finish
-                ~version:state.State.version kind
+              Event_queue.push s.q ~time:pl.Schedule.finish kind
             end;
             if v = exit && not doomed then
               Event_queue.push s.q
                 ~time:(Float.max pl.Schedule.finish state.State.now)
-                ~version:state.State.version
                 (Event_queue.Departure app.State.index))
         app.State.placements)
     (State.active state)
 
 (* A blackout (no live processor) cannot remap anything: revoke every
-   unstarted placement and bump the generation so their events go
-   stale; the recovery event will trigger the real reschedule. *)
+   unstarted placement and open a new generation so their announcements
+   are dropped; the recovery event will trigger the real reschedule. *)
 let blackout s =
   let state = s.st in
   List.iter
@@ -167,14 +167,14 @@ let blackout s =
           | Some _ | None -> ())
         app.State.placements)
     (State.active state);
-  state.State.version <- state.State.version + 1;
+  Event_queue.next_generation s.q;
   announce s
 
 (* Arm the next legal resize opportunity of every running real task:
    one [Resize] event per task at its next grid point, announced under
-   the current generation so any later reschedule re-plans it (the old
-   event goes stale). An opportunity is not a commitment — the trigger
-   is re-evaluated when the point is reached. *)
+   the current generation so any later reschedule re-plans it (the new
+   generation drops the old event). An opportunity is not a commitment —
+   the trigger is re-evaluated when the point is reached. *)
 let plan_resizes s =
   match (policy s).Policy.malleability with
   | None -> ()
@@ -194,11 +194,33 @@ let plan_resizes s =
                   ~now:state.State.now
               in
               if at < pl.Schedule.finish -. Floatx.eps then
-                Event_queue.push s.q ~time:at ~version:state.State.version
+                Event_queue.push s.q ~time:at
                   (Event_queue.Resize { app = app.State.index; node = v })
             | Some _ | None -> ())
           app.State.placements)
       (State.active state)
+
+let same_placement (a : Schedule.placement) (b : Schedule.placement) =
+  a.Schedule.cluster = b.Schedule.cluster
+  && a.Schedule.procs = b.Schedule.procs
+  && Float.equal a.Schedule.start b.Schedule.start
+  && Float.equal a.Schedule.finish b.Schedule.finish
+
+(* Remapped (unpinned) placements that came out exactly as the previous
+   generation planned them: the ceiling of what replaying that
+   generation's decisions could save. *)
+let remap_unchanged active schedules pinned =
+  let n = ref 0 in
+  List.iteri
+    (fun j (app, sched) ->
+      Array.iteri
+        (fun v pl ->
+          match (pinned.(j).(v), app.State.placements.(v)) with
+          | None, Some old when same_placement old pl -> incr n
+          | (Some _ | None), _ -> ())
+        sched.Schedule.placements)
+    (List.combine active schedules);
+  !n
 
 let reschedule s ~trigger =
   Obs.with_span "online.reschedule" @@ fun () ->
@@ -314,6 +336,9 @@ let reschedule s ~trigger =
             acc per_app)
         0 pinned
     in
+    (* Counted only while tracing, so untraced runs pay nothing. *)
+    if Obs.enabled () then
+      Obs.incr ~by:(remap_unchanged active schedules pinned) c_remap_unchanged;
     let total = ref 0 in
     List.iter2
       (fun app sched ->
@@ -350,7 +375,7 @@ let reschedule s ~trigger =
              procedure = (policy s).Policy.config.Pipeline.procedure;
              apps = snap_apps;
            }));
-    state.State.version <- state.State.version + 1;
+    Event_queue.next_generation s.q;
     state.State.reschedules <- state.State.reschedules + 1;
     state.State.remapped_tasks <- state.State.remapped_tasks + remapped;
     Obs.incr c_reschedules;
@@ -372,14 +397,6 @@ let reschedule s ~trigger =
            remapped;
            pinned = frozen;
          })
-
-let stale s ev =
-  match ev.Event_queue.kind with
-  | Event_queue.Arrival _ | Event_queue.Proc_down _ | Event_queue.Proc_up _ ->
-    false
-  | Event_queue.Task_finish _ | Event_queue.Task_failed _
-  | Event_queue.Departure _ | Event_queue.Resize _ ->
-    ev.Event_queue.version <> s.st.State.version
 
 (* Execute one resize opportunity of task [node] of application [i]
    under model [m]. The target width is decided here, at the grid point
@@ -412,8 +429,7 @@ let try_resize s m i node =
           ~now:state.State.now
       in
       if at < pl.Schedule.finish -. Floatx.eps then
-        Event_queue.push s.q ~time:at ~version:state.State.version
-          (Event_queue.Resize { app = i; node });
+        Event_queue.push s.q ~time:at (Event_queue.Resize { app = i; node });
       false
     in
     let width = Array.length pl.Schedule.procs in
@@ -705,7 +721,7 @@ let create ?log ?check ?faults ?kernel ~policy platform apps =
   in
   Array.iter
     (fun app ->
-      Event_queue.push s.q ~time:app.State.release ~version:0
+      Event_queue.push s.q ~time:app.State.release
         (Event_queue.Arrival app.State.index))
     s.st.State.apps;
   (match faults with
@@ -713,9 +729,9 @@ let create ?log ?check ?faults ?kernel ~policy platform apps =
   | Some sc ->
     List.iter
       (fun o ->
-        Event_queue.push s.q ~time:o.Fault.down_at ~version:0
+        Event_queue.push s.q ~time:o.Fault.down_at
           (Event_queue.Proc_down o.Fault.procs);
-        Event_queue.push s.q ~time:o.Fault.up_at ~version:0
+        Event_queue.push s.q ~time:o.Fault.up_at
           (Event_queue.Proc_up o.Fault.procs))
       sc.Fault.outages);
   s
@@ -726,7 +742,7 @@ let submit s ptg ~release ~at =
   if at < s.st.State.now then
     invalid_arg "Engine.submit: admission in the processed past";
   let app = State.add_app s.st ptg ~release in
-  Event_queue.push s.q ~time:at ~version:0 (Event_queue.Arrival app.State.index);
+  Event_queue.push s.q ~time:at (Event_queue.Arrival app.State.index);
   app.State.index
 
 let now s = s.st.State.now
@@ -847,29 +863,25 @@ let advance ?upto s =
     | Some ev when not (bounded ev.Event_queue.time) -> ()
     | Some _ ->
       let ev = Option.get (Event_queue.pop s.q) in
-      if stale s ev then loop ()
-      else begin
-        state.State.now <- ev.Event_queue.time;
-        let trigger = ref None in
-        handle s ev trigger;
-        (* Drain every simultaneous event before rescheduling once, so β
-           is recomputed over the post-batch set of active applications
-           (the queue orders finishes before failures, departures,
-           arrivals, outages and recoveries at equal times). *)
-        let rec drain_batch () =
-          match Event_queue.peek s.q with
-          | Some e when e.Event_queue.time <= state.State.now +. Floatx.eps ->
-            let e = Option.get (Event_queue.pop s.q) in
-            if not (stale s e) then handle s e trigger;
-            drain_batch ()
-          | Some _ | None -> ()
-        in
-        drain_batch ();
-        (match !trigger with
-        | Some trigger -> reschedule s ~trigger
-        | None -> ());
-        loop ()
-      end
+      state.State.now <- ev.Event_queue.time;
+      let trigger = ref None in
+      handle s ev trigger;
+      (* Drain every simultaneous event before rescheduling once, so β
+         is recomputed over the post-batch set of active applications
+         (the queue orders finishes before failures, departures,
+         arrivals, outages and recoveries at equal times). *)
+      let rec drain_batch () =
+        match Event_queue.peek s.q with
+        | Some e when e.Event_queue.time <= state.State.now +. Floatx.eps ->
+          handle s (Option.get (Event_queue.pop s.q)) trigger;
+          drain_batch ()
+        | Some _ | None -> ()
+      in
+      drain_batch ();
+      (match !trigger with
+      | Some trigger -> reschedule s ~trigger
+      | None -> ());
+      loop ()
   in
   loop ()
 

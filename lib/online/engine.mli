@@ -80,8 +80,9 @@
     observationally identical to running with no scenario at all. *)
 
 type stats = {
-  events_processed : int;  (** non-stale events handled by the loop *)
-  events_pushed : int;     (** total queue insertions, stale included *)
+  events_processed : int;  (** events handled by the loop *)
+  events_pushed : int;
+      (** total queue insertions, revoked announcements included *)
   reschedules : int;
   remapped_tasks : int;    (** placements recomputed over the whole run *)
   kills : int;             (** attempts killed by processor outages *)
@@ -200,7 +201,10 @@ val in_service : session -> int
     queued) — the load measure behind the serving layer's shedding. *)
 
 val pending_events : session -> int
-(** Queued events, stale announcements included. *)
+(** Queued events: every pending arrival, outage and recovery plus the
+    current schedule generation's announcements. A reschedule drops the
+    previous generation's at once, so the count stays bounded by the
+    live work. *)
 
 type snapshot
 (** A deep, self-contained copy of a session's whole mutable world:

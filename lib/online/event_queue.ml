@@ -9,7 +9,6 @@ type kind =
 
 type event = {
   time : float;
-  version : int;
   kind : kind;
 }
 
@@ -32,54 +31,88 @@ let kind_rank = function
    on push order, which stops being canonical once fault events are
    interleaved with announcements. App index (then node) is the
    deterministic tiebreak; processor events use their first (lowest)
-   processor id. The sequence number remains as the final resort —
-   e.g. two same-task announcements from different schedule
-   generations — where earlier pushes are stale first. *)
-let kind_key = function
-  | Arrival a | Departure a -> (a, -1)
-  | Task_finish { app; node } | Task_failed { app; node }
-  | Resize { app; node } ->
-    (app, node)
-  | Proc_down ps | Proc_up ps ->
-    ((if Array.length ps = 0 then -1 else ps.(0)), -2)
+   processor id. The sequence number remains as the final resort. The
+   key is two ints rather than a pair so that comparing never
+   allocates. *)
+let key_major = function
+  | Arrival a | Departure a -> a
+  | Task_finish { app; _ } | Task_failed { app; _ } | Resize { app; _ } -> app
+  | Proc_down ps | Proc_up ps -> if Array.length ps = 0 then -1 else ps.(0)
+
+let key_minor = function
+  | Arrival _ | Departure _ -> -1
+  | Task_finish { node; _ } | Task_failed { node; _ } | Resize { node; _ } ->
+    node
+  | Proc_down _ | Proc_up _ -> -2
 
 let entry_cmp a b =
   let c = Float.compare a.ev.time b.ev.time in
   if c <> 0 then c
-  else begin
-    let c = compare (kind_rank a.ev.kind) (kind_rank b.ev.kind) in
+  else
+    let c = Int.compare (kind_rank a.ev.kind) (kind_rank b.ev.kind) in
     if c <> 0 then c
-    else begin
-      let c = compare (kind_key a.ev.kind) (kind_key b.ev.kind) in
-      if c <> 0 then c else compare a.seq b.seq
-    end
-  end
+    else
+      let c = Int.compare (key_major a.ev.kind) (key_major b.ev.kind) in
+      if c <> 0 then c
+      else
+        let c = Int.compare (key_minor a.ev.kind) (key_minor b.ev.kind) in
+        if c <> 0 then c else Int.compare a.seq b.seq
 
+(* [fixed] holds the events no reschedule revokes; [current] holds the
+   announcements of the live schedule generation only. *)
 type t = {
-  heap : entry Mcs_util.Heap.t;
+  fixed : entry Mcs_util.Heap.t;
+  current : entry Mcs_util.Heap.t;
   mutable next_seq : int;
 }
 
-let create () = { heap = Mcs_util.Heap.create ~cmp:entry_cmp; next_seq = 0 }
+let create () =
+  {
+    fixed = Mcs_util.Heap.create ~cmp:entry_cmp;
+    current = Mcs_util.Heap.create ~cmp:entry_cmp;
+    next_seq = 0;
+  }
 
 (* Entries are immutable records, so sharing them across the copied
-   heap is safe; preserving [next_seq] keeps the insertion-sequence
+   heaps is safe; preserving [next_seq] keeps the insertion-sequence
    tiebreak — and hence every future pop order — bit-identical between
    the copy and the original. *)
-let copy t = { heap = Mcs_util.Heap.copy t.heap; next_seq = t.next_seq }
+let copy t =
+  {
+    fixed = Mcs_util.Heap.copy t.fixed;
+    current = Mcs_util.Heap.copy t.current;
+    next_seq = t.next_seq;
+  }
 
-let push t ~time ~version kind =
+let push t ~time kind =
   if not (Float.is_finite time) || time < 0. then
     invalid_arg "Event_queue.push: ill-formed time";
-  Mcs_util.Heap.push t.heap { ev = { time; version; kind }; seq = t.next_seq };
+  let heap =
+    match kind with
+    | Arrival _ | Proc_down _ | Proc_up _ -> t.fixed
+    | Task_finish _ | Task_failed _ | Departure _ | Resize _ -> t.current
+  in
+  Mcs_util.Heap.push heap { ev = { time; kind }; seq = t.next_seq };
   t.next_seq <- t.next_seq + 1
 
-let pop t = Option.map (fun e -> e.ev) (Mcs_util.Heap.pop t.heap)
+let next_generation t = Mcs_util.Heap.clear t.current
 
-let peek t = Option.map (fun e -> e.ev) (Mcs_util.Heap.peek t.heap)
+(* The heap whose top is the overall minimum. [entry_cmp] is a total
+   order (sequence numbers are unique), so always taking the smaller
+   top pops exactly the order one merged heap would. *)
+let front t =
+  match (Mcs_util.Heap.peek t.fixed, Mcs_util.Heap.peek t.current) with
+  | Some f, Some c when entry_cmp c f < 0 -> t.current
+  | None, Some _ -> t.current
+  | _, _ -> t.fixed
 
-let is_empty t = Mcs_util.Heap.is_empty t.heap
+let pop t = Option.map (fun e -> e.ev) (Mcs_util.Heap.pop (front t))
 
-let length t = Mcs_util.Heap.length t.heap
+let peek t = Option.map (fun e -> e.ev) (Mcs_util.Heap.peek (front t))
+
+let is_empty t =
+  Mcs_util.Heap.is_empty t.fixed && Mcs_util.Heap.is_empty t.current
+
+let length t = Mcs_util.Heap.length t.fixed + Mcs_util.Heap.length t.current
 
 let pushed t = t.next_seq

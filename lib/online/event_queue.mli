@@ -1,32 +1,31 @@
-(** Deterministic event queue of the online engine.
+(** Deterministic, generation-scoped event queue of the online engine.
 
-    Six event kinds drive the engine: an application {e arrival}, the
+    Seven event kinds drive the engine: an application {e arrival}, the
     {e finish} of one real task, the {e transient failure} of one real
     task at its end, an application {e departure} (the finish of its
-    virtual exit node, i.e. its completion), and processor
-    {e outage}/{e recovery} events from the fault process. Events are
-    totally ordered by (time, kind, app/node content key, insertion
-    sequence) so that a run is reproducible regardless of heap
-    internals: at equal times, task finishes are observed before
-    transient failures, then departures, then arrivals, then outages,
-    then recoveries — an arrival-triggered rescheduling thus sees every
-    simultaneous completion as already done, and an outage kills no task
-    that completed at that very instant. Malleability {e resize} points
-    sort after everything else at their instant, so a resize decision
-    sees the post-batch world and never races the resized task's own
-    finish. Within one kind the content key
+    virtual exit node, i.e. its completion), processor
+    {e outage}/{e recovery} events from the fault process, and
+    malleability {e resize} points. Events are totally ordered by
+    (time, kind, app/node content key, insertion sequence) so that a run
+    is reproducible regardless of heap internals: at equal times, task
+    finishes are observed before transient failures, then departures,
+    then arrivals, then outages, then recoveries — an arrival-triggered
+    rescheduling thus sees every simultaneous completion as already
+    done, and an outage kills no task that completed at that very
+    instant. Resize points sort after everything else at their instant,
+    so a resize decision sees the post-batch world and never races the
+    resized task's own finish. Within one kind the content key
     (application index, then node; first processor id for fault events)
     breaks ties, so the pop order is canonical even when fault events
     collide with announcements; the insertion sequence is only the final
-    resort (same task announced under two schedule generations: the
-    earlier push is the stale one).
+    resort.
 
     Task-finish, task-failed, departure and resize events are
-    invalidated by rescheduling (the engine re-announces the future of every active
-    application after each β recomputation). Instead of searching the
-    queue, events carry the schedule {e version} they were announced
-    under; the engine drops, on pop, any finish/failure/departure whose
-    version is stale. *)
+    {e announcements} of the current schedule generation: every
+    reschedule rewrites the future and re-announces it. The queue keeps
+    them apart from the events no reschedule revokes (arrivals, outages,
+    recoveries), and {!next_generation} drops them all at once. Nothing
+    revoked is ever popped or counted. *)
 
 type kind =
   | Arrival of int  (** application index *)
@@ -43,7 +42,6 @@ type kind =
 
 type event = {
   time : float;
-  version : int;  (** schedule generation the event was announced under *)
   kind : kind;
 }
 
@@ -54,18 +52,22 @@ val create : unit -> t
 
 val copy : t -> t
 (** Self-contained clone: same pending events, same insertion sequence.
-    Pushes and pops on either queue never affect the other, and — the
-    snapshot/restore contract — the clone pops the exact sequence the
-    original would, tiebreaks included. *)
+    Pushes, pops and generation changes on either queue never affect the
+    other, and — the snapshot/restore contract — the clone pops the
+    exact sequence the original would, tiebreaks included. *)
 
-val push : t -> time:float -> version:int -> kind -> unit
-(** @raise Invalid_argument on a negative or non-finite time. *)
+val push : t -> time:float -> kind -> unit
+(** Queue one event. An announcement (finish, failure, departure,
+    resize) belongs to the current generation.
+    @raise Invalid_argument on a negative or non-finite time. *)
+
+val next_generation : t -> unit
+(** Open a new schedule generation: drop every pending announcement.
+    Arrivals, outages and recoveries stay queued. *)
 
 val pop : t -> event option
 (** Remove and return the next event in (time, kind, content key,
-    insertion) order, or [None] when the queue is empty. Staleness is
-    the caller's concern: popped events still carry their announcement
-    version. *)
+    insertion) order, or [None] when the queue is empty. *)
 
 val peek : t -> event option
 (** The event {!pop} would return, without removing it. *)
@@ -74,8 +76,9 @@ val is_empty : t -> bool
 (** Whether no event is pending. *)
 
 val length : t -> int
-(** Number of pending events (stale ones included until popped). *)
+(** Number of pending events: the current generation's announcements
+    plus every queued arrival, outage and recovery. *)
 
 val pushed : t -> int
-(** Total number of events ever pushed — the event-throughput counter
-    reported by the benchmarks. *)
+(** Total number of events ever pushed, dropped announcements included —
+    the event-throughput counter reported by the benchmarks. *)

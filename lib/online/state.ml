@@ -28,7 +28,6 @@ type t = {
   ref_cluster : Mcs_sched.Reference_cluster.t;
   mutable apps : app array;
   mutable now : float;
-  mutable version : int;
   mutable reschedules : int;
   mutable remapped_tasks : int;
   mutable active_apps : int;
@@ -75,7 +74,6 @@ let create platform apps =
     ref_cluster = Mcs_sched.Reference_cluster.of_platform platform;
     apps;
     now = 0.;
-    version = 0;
     reschedules = 0;
     remapped_tasks = 0;
     active_apps = 0;
@@ -133,7 +131,6 @@ let copy t =
     ref_cluster = t.ref_cluster;
     apps;
     now = t.now;
-    version = t.version;
     reschedules = t.reschedules;
     remapped_tasks = t.remapped_tasks;
     active_apps = !active;

@@ -55,7 +55,6 @@ type t = {
   ref_cluster : Mcs_sched.Reference_cluster.t;
   mutable apps : app array;  (** in submission order; grows on {!add_app} *)
   mutable now : float;
-  mutable version : int;  (** schedule generation, bumped per reschedule *)
   mutable reschedules : int;
   mutable remapped_tasks : int;  (** placements recomputed, cumulative *)
   mutable active_apps : int;  (** arrived, not completed — O(1) gauge *)

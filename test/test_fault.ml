@@ -24,7 +24,7 @@ module Avail_index = Mcs_util.Avail_index
 
 let test_event_queue_order () =
   let q = Event_queue.create () in
-  let push k = Event_queue.push q ~time:5. ~version:0 k in
+  let push k = Event_queue.push q ~time:5. k in
   (* Scrambled insertion order on purpose. *)
   push (Event_queue.Arrival 2);
   push (Event_queue.Proc_up [| 3 |]);
@@ -34,7 +34,7 @@ let test_event_queue_order () =
   push (Event_queue.Task_finish { app = 0; node = 7 });
   push (Event_queue.Proc_down [| 1; 2 |]);
   push (Event_queue.Arrival 0);
-  Event_queue.push q ~time:4. ~version:3 (Event_queue.Departure 9);
+  Event_queue.push q ~time:4. (Event_queue.Departure 9);
   let expected =
     [
       Event_queue.Departure 9;
@@ -58,19 +58,32 @@ let test_event_queue_order () =
   Alcotest.(check bool) "drained" true (Event_queue.is_empty q)
 
 let test_event_queue_insertion_tie () =
-  (* Same time, kind and content key: insertion sequence decides, so the
-     stale announcement (pushed first, lower version) pops first. *)
+  (* Same time, kind and content key (outages sharing their first
+     processor): insertion sequence decides. *)
   let q = Event_queue.create () in
+  let pop_kind () = (Option.get (Event_queue.pop q)).Event_queue.kind in
+  Event_queue.push q ~time:2. (Event_queue.Proc_down [| 1; 5 |]);
+  Event_queue.push q ~time:2. (Event_queue.Proc_down [| 1; 2 |]);
+  Alcotest.(check bool) "earlier push first" true
+    (pop_kind () = Event_queue.Proc_down [| 1; 5 |]);
+  Alcotest.(check bool) "later push second" true
+    (pop_kind () = Event_queue.Proc_down [| 1; 2 |]);
+  (* A generation bump drops the earlier announcement of a task;
+     arrivals and outages survive it. *)
   let kind = Event_queue.Task_finish { app = 0; node = 1 } in
-  Event_queue.push q ~time:2. ~version:1 kind;
-  Event_queue.push q ~time:2. ~version:2 kind;
-  let a = Option.get (Event_queue.pop q) in
-  let b = Option.get (Event_queue.pop q) in
-  Alcotest.(check int) "earlier push first" 1 a.Event_queue.version;
-  Alcotest.(check int) "later push second" 2 b.Event_queue.version;
+  Event_queue.push q ~time:2. kind;
+  Event_queue.push q ~time:2. (Event_queue.Arrival 3);
+  Event_queue.push q ~time:2. (Event_queue.Proc_up [| 4 |]);
+  Event_queue.next_generation q;
+  Event_queue.push q ~time:2. kind;
+  Alcotest.(check int) "earlier announcement dropped" 3 (Event_queue.length q);
+  Alcotest.(check bool) "re-announcement, arrival, recovery" true
+    (List.init 3 (fun _ -> pop_kind ())
+    = [ kind; Event_queue.Arrival 3; Event_queue.Proc_up [| 4 |] ]);
+  Alcotest.(check bool) "drained" true (Event_queue.is_empty q);
   Alcotest.(check bool) "rejects non-finite time" true
     (try
-       Event_queue.push q ~time:Float.nan ~version:0 kind;
+       Event_queue.push q ~time:Float.nan kind;
        false
      with Invalid_argument _ -> true)
 

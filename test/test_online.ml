@@ -633,6 +633,219 @@ let test_policy_flags_and_kernel_registry () =
        false
      with Invalid_argument _ -> true)
 
+(* ---------- Generation-scoped event queue ---------- *)
+
+module Heap = Mcs_util.Heap
+module Malleability = Mcs_sched.Malleability
+
+(* Reference model: one heap of generation-stamped entries whose stale
+   announcements are filtered at pop time. The two-heap queue must pop
+   exactly its live sequence. *)
+type ref_entry = {
+  r_time : float;
+  r_kind : Event_queue.kind;
+  r_gen : int;
+  r_seq : int;
+}
+
+type ref_queue = {
+  entries : ref_entry Heap.t;
+  mutable live_gen : int;
+  mutable next_seq : int;
+}
+
+let ref_rank = function
+  | Event_queue.Task_finish _ -> 0
+  | Event_queue.Task_failed _ -> 1
+  | Event_queue.Departure _ -> 2
+  | Event_queue.Arrival _ -> 3
+  | Event_queue.Proc_down _ -> 4
+  | Event_queue.Proc_up _ -> 5
+  | Event_queue.Resize _ -> 6
+
+let ref_key = function
+  | Event_queue.Arrival a | Event_queue.Departure a -> (a, -1)
+  | Event_queue.Task_finish { app; node }
+  | Event_queue.Task_failed { app; node }
+  | Event_queue.Resize { app; node } ->
+    (app, node)
+  | Event_queue.Proc_down ps | Event_queue.Proc_up ps ->
+    ((if Array.length ps = 0 then -1 else ps.(0)), -2)
+
+let ref_cmp a b =
+  compare
+    (a.r_time, ref_rank a.r_kind, ref_key a.r_kind, a.r_seq)
+    (b.r_time, ref_rank b.r_kind, ref_key b.r_kind, b.r_seq)
+
+let ref_stale m e =
+  match e.r_kind with
+  | Event_queue.Arrival _ | Event_queue.Proc_down _ | Event_queue.Proc_up _ ->
+    false
+  | Event_queue.Task_finish _ | Event_queue.Task_failed _
+  | Event_queue.Departure _ | Event_queue.Resize _ ->
+    e.r_gen <> m.live_gen
+
+let rec ref_pop m =
+  match Heap.pop m.entries with
+  | None -> None
+  | Some e when ref_stale m e -> ref_pop m
+  | Some e -> Some (e.r_time, e.r_kind)
+
+let ref_live m =
+  List.length
+    (List.filter (fun e -> not (ref_stale m e)) (Heap.to_list m.entries))
+
+type queue_op = Push of float * Event_queue.kind | Bump | Pop | Copy
+
+(* Few apps, nodes, processors and instants, so that equal times and
+   equal content keys collide often. *)
+let gen_queue_op =
+  let open QCheck.Gen in
+  let small = int_range 0 2 in
+  let task f = map2 f small small in
+  let procs =
+    map2 (fun p wide -> if wide then [| p; p + 1 |] else [| p |]) small bool
+  in
+  let kind =
+    oneof
+      [
+        map (fun a -> Event_queue.Arrival a) small;
+        task (fun app node -> Event_queue.Task_finish { app; node });
+        task (fun app node -> Event_queue.Task_failed { app; node });
+        map (fun a -> Event_queue.Departure a) small;
+        map (fun ps -> Event_queue.Proc_down ps) procs;
+        map (fun ps -> Event_queue.Proc_up ps) procs;
+        task (fun app node -> Event_queue.Resize { app; node });
+      ]
+  in
+  frequency
+    [
+      (6, map2 (fun t k -> Push (float_of_int t /. 2., k)) (int_range 0 4) kind);
+      (1, return Bump);
+      (4, return Pop);
+      (1, return Copy);
+    ]
+
+let show_queue_op = function
+  | Push (t, k) ->
+    let a, b = ref_key k in
+    Printf.sprintf "push %g kind%d(%d,%d)" t (ref_rank k) a b
+  | Bump -> "bump"
+  | Pop -> "pop"
+  | Copy -> "copy"
+
+let qcheck_queue_matches_reference =
+  QCheck.Test.make ~name:"queue pops the live sequence of a stamped heap"
+    ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
+       QCheck.Gen.(list_size (int_range 0 80) gen_queue_op))
+    (fun ops ->
+      let q = ref (Event_queue.create ()) in
+      let m =
+        ref { entries = Heap.create ~cmp:ref_cmp; live_gen = 0; next_seq = 0 }
+      in
+      let view e = (e.Event_queue.time, e.Event_queue.kind) in
+      let step = function
+        | Push (time, kind) ->
+          Event_queue.push !q ~time kind;
+          let r = !m in
+          Heap.push r.entries
+            { r_time = time; r_kind = kind; r_gen = r.live_gen; r_seq = r.next_seq };
+          r.next_seq <- r.next_seq + 1;
+          true
+        | Bump ->
+          Event_queue.next_generation !q;
+          let r = !m in
+          r.live_gen <- r.live_gen + 1;
+          true
+        | Pop ->
+          let peeked = Option.map view (Event_queue.peek !q) in
+          let popped = Option.map view (Event_queue.pop !q) in
+          peeked = popped && popped = ref_pop !m
+        | Copy ->
+          (* Continue on the copy and disturb the original: the copy
+             must not notice. *)
+          let original = !q in
+          q := Event_queue.copy original;
+          m := { !m with entries = Heap.copy !m.entries };
+          Event_queue.push original ~time:0.
+            (Event_queue.Task_finish { app = 9; node = 9 });
+          ignore (Event_queue.pop original);
+          Event_queue.next_generation original;
+          true
+      in
+      let agrees () =
+        let live = ref_live !m in
+        Event_queue.length !q = live
+        && Event_queue.is_empty !q = (live = 0)
+        && Event_queue.pushed !q = !m.next_seq
+      in
+      let rec drain () =
+        match (Option.map view (Event_queue.pop !q), ref_pop !m) with
+        | None, None -> true
+        | a, b -> a = b && drain ()
+      in
+      List.for_all (fun op -> step op && agrees ()) ops && drain ())
+
+let test_pending_events_bounded () =
+  (* Every pending event is an unfired arrival, outage or recovery, or
+     an announcement of the current generation: at most one finish (or
+     failure) and one resize point per task, plus one departure, of each
+     active application. *)
+  let platform = Grid5000.rennes () in
+  let apps = workload 8 77 ~mean:20. in
+  let faults = fault_scenario_for platform 5 in
+  let policy =
+    Policy.make
+      ~malleability:
+        {
+          Malleability.default with
+          Malleability.quantum = 15.;
+          grow_active_below = 3;
+          shrink_active_above = 3;
+        }
+      (Strategy.Weighted (Strategy.Work, 0.7))
+  in
+  let nodes =
+    Array.of_list (List.map (fun (ptg, _) -> Ptg.node_count ptg) apps)
+  in
+  let active = Array.make (Array.length nodes) false in
+  let log = function
+    | Log.Arrival { app; _ } -> active.(app) <- true
+    | Log.Departure { app; _ } -> active.(app) <- false
+    | _ -> ()
+  in
+  let s = Engine.create ~log ~faults ~policy platform apps in
+  let unfired upto =
+    List.fold_left
+      (fun n o ->
+        n
+        + Bool.to_int (o.Mcs_fault.Fault.down_at >= upto)
+        + Bool.to_int (o.Mcs_fault.Fault.up_at >= upto))
+      0 faults.Mcs_fault.Fault.outages
+  in
+  let upto = ref 0. in
+  while Engine.in_service s > 0 && !upto < 1e5 do
+    upto := !upto +. 5.;
+    Engine.advance ~upto:!upto s;
+    let announced = ref 0 in
+    Array.iteri
+      (fun i on -> if on then announced := !announced + (2 * nodes.(i)) + 1)
+      active;
+    let bound =
+      Engine.in_service s - Engine.active_count s + unfired !upto + !announced
+    in
+    if Engine.pending_events s > bound then
+      Alcotest.failf "at t=%g: %d pending events exceed the bound %d" !upto
+        (Engine.pending_events s) bound
+  done;
+  let stats = (Engine.result s).Engine.stats in
+  Alcotest.(check bool)
+    "faults and resizes exercised" true
+    ((stats.Engine.kills > 0 || stats.Engine.task_failures > 0)
+    && stats.Engine.resizes > 0)
+
 let suite =
   [
     ( "online.engine",
@@ -674,5 +887,11 @@ let suite =
           test_audit_restored_session;
         Alcotest.test_case "policy flags & kernel registry" `Quick
           test_policy_flags_and_kernel_registry;
+      ] );
+    ( "online.queue",
+      [
+        QCheck_alcotest.to_alcotest qcheck_queue_matches_reference;
+        Alcotest.test_case "pending events bounded by live work" `Quick
+          test_pending_events_bounded;
       ] );
   ]
