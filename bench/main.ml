@@ -334,11 +334,19 @@ let run_serve () =
       ~header:
         [
           "shards"; "mode"; "subs/s"; "events/s"; "p50 resp"; "p99 resp";
-          "peak active"; "wall";
+          "peak active"; "minor GCs"; "wall";
         ]
   in
+  (* Minor collections and minor words per row, from [Gc.quick_stat]
+     deltas. In OCaml 5.1 both are process-wide, so they include every
+     shard domain: each of those collections is a stop-the-world barrier
+     across all of them, a cost no Obs span can see. *)
   let row ~shards ~mode ~label =
+    let gc0 = Gc.quick_stat () in
     let r = Service.run_stream (serve_config ~shards ~mode) platform apps in
+    let gc1 = Gc.quick_stat () in
+    let minors = gc1.Gc.minor_collections - gc0.Gc.minor_collections in
+    let minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words in
     if r.Service.admitted <> count then begin
       Printf.eprintf "serve: %d of %d admitted\n" r.Service.admitted count;
       exit 1
@@ -354,13 +362,16 @@ let run_serve () =
         Printf.sprintf "%.0f s" (p 0.50);
         Printf.sprintf "%.0f s" (p 0.99);
         string_of_int r.Service.peak_active;
+        string_of_int minors;
         Printf.sprintf "%.1f s" r.Service.wall_s;
       ];
-    r
+    (r, minors, minor_words)
   in
   ignore (row ~shards:1 ~mode:Service.Domains ~label:"domains");
   ignore (row ~shards:2 ~mode:Service.Domains ~label:"domains");
-  let r4 = row ~shards:4 ~mode:Service.Domains ~label:"domains" in
+  let r4, minors4, minor_words4 =
+    row ~shards:4 ~mode:Service.Domains ~label:"domains"
+  in
   Mcs_util.Table.print table;
   (* Baseline profile in the inline fallback: spans stay on the calling
      domain, so serve.run/pickup/step appear with meaningful self
@@ -416,6 +427,8 @@ let run_serve () =
               ("p50_response_s", Jsonx.Num (p 0.50));
               ("p99_response_s", Jsonx.Num (p 0.99));
               ("peak_active", Jsonx.Num (float_of_int r4.Service.peak_active));
+              ("minor_collections", Jsonx.Num (float_of_int minors4));
+              ("minor_words", Jsonx.Num minor_words4);
             ] );
       ]
   in

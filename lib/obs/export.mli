@@ -28,7 +28,7 @@ type row = {
   calls : int;      (** number of completed spans with this name *)
   total_s : float;  (** summed inclusive duration, seconds *)
   self_s : float;   (** summed self time, seconds *)
-  alloc_w : float;  (** summed allocation words (inclusive) *)
+  alloc_w : float;  (** summed minor-heap allocation words (inclusive) *)
 }
 
 val profile_rows : unit -> row list

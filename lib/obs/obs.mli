@@ -29,7 +29,10 @@ type span = {
   start_s : float;  (** seconds since {!enable} *)
   dur_s : float;    (** inclusive wall-clock duration, seconds *)
   self_s : float;   (** [dur_s] minus the duration of direct children *)
-  alloc_w : float;  (** words allocated during the span, children included *)
+  alloc_w : float;
+      (** minor-heap words allocated during the span, children included
+          ([Gc.minor_words] delta: blocks allocated directly in the
+          major heap, such as arrays above 256 words, are not counted) *)
 }
 
 type counter

@@ -50,33 +50,6 @@ type app_state = {
   pending : int array;                  (* unmapped predecessor count *)
 }
 
-(* One placement candidate on a given cluster: the window
-   [order.(lo) .. order.(lo + width - 1)] of a processor array. Losing
-   candidates never materialise their processor set; only the winner is
-   copied out, by [candidate_procs]. *)
-type candidate = {
-  order : int array;
-  lo : int;
-  width : int;
-  cluster : int;
-  start : float;
-  finish : float;
-}
-
-let candidate_procs c = Array.sub c.order c.lo c.width
-
-let better_candidate a b =
-  (* Earliest finish, then earliest start, then widest allocation. *)
-  match (a, b) with
-  | None, c | c, None -> c
-  | Some ca, Some cb ->
-    if cb.finish < ca.finish -. Floatx.eps then Some cb
-    else if ca.finish < cb.finish -. Floatx.eps then Some ca
-    else if cb.start < ca.start -. Floatx.eps then Some cb
-    else if ca.start < cb.start -. Floatx.eps then Some ca
-    else if cb.width > ca.width then Some cb
-    else Some ca
-
 let make_state (ptg, alloc) =
   let dag = ptg.Ptg.dag in
   let n = Dag.node_count dag in
@@ -105,77 +78,338 @@ let bottom_levels ref_cluster ptg alloc =
         ~procs:alloc.(v))
     ~edge_weight:(fun _ -> 0.)
 
-(* Map one task and return its placement. [floor] bounds the start of
+(* Per-run placement scratch. [place_task] prices every ready task on
+   every cluster, and the mapper runs on every reschedule: allocating
+   that working set per (task, cluster) fills minor heaps, and with
+   shard domains each minor collection stops them all (DESIGN.md
+   sections 10 and 12). Created by each [run] call, so concurrent runs
+   on other domains never share it. *)
+type scratch = {
+  nc : int;                            (* cluster count *)
+  route : float array;                 (* [src * nc + dst] -> bandwidth *)
+  nic : float;
+  latency : float;
+  (* Predecessors of the task being placed, in [Dag.preds] order. *)
+  mutable p_finish : float array;
+  mutable p_bytes : float array;
+  mutable p_cluster : int array;
+  mutable p_procs : int array array;
+  mutable p_in_place : bool array;
+  stamp : int array;                   (* processor -> in-place test tag *)
+  mutable tag : int;
+  mutable agg_senders : int;
+  (* The best candidate so far: the window
+     [b_order.(b_lo) .. b_order.(b_lo + b_width - 1)] of cluster
+     [b_cluster], with [b_cluster < 0] while there is none. Losing
+     candidates never materialise their processor set. *)
+  mutable b_order : int array;
+  mutable b_lo : int;
+  mutable b_width : int;
+  mutable b_cluster : int;
+  f : float array;                     (* indexed by the [f_*] slots *)
+}
+
+(* Float slots of [scratch.f]: the candidate being priced, the best
+   one, the per-task inputs of the pricing, and the Global_fcfs
+   no-backfilling bound (the latest start of a real task so far). *)
+let f_start = 0
+let f_finish = 1
+let f_best_start = 2
+let f_best_finish = 3
+let f_exec = 4
+let f_ready = 5
+let f_floor = 6
+let f_virtual_floor = 7
+let f_pred_finish = 8
+let f_agg_total = 9
+let f_agg_last = 10
+let f_fcfs = 11
+
+let create_scratch platform =
+  let nc = P.cluster_count platform in
+  let route = Array.make (nc * nc) 0. in
+  for src = 0 to nc - 1 do
+    for dst = 0 to nc - 1 do
+      route.((src * nc) + dst) <-
+        Redistribution.route_bandwidth platform ~src_cluster:src
+          ~dst_cluster:dst
+    done
+  done;
+  {
+    nc;
+    route;
+    nic = P.nic_bandwidth platform;
+    latency = P.latency platform;
+    p_finish = [||];
+    p_bytes = [||];
+    p_cluster = [||];
+    p_procs = [||];
+    p_in_place = [||];
+    stamp = Array.make (P.total_procs platform) (-1);
+    tag = 0;
+    agg_senders = 0;
+    b_order = [||];
+    b_lo = 0;
+    b_width = 0;
+    b_cluster = -1;
+    f = Array.make 12 0.;
+  }
+
+(* Load the predecessors of [v] (all placed, by readiness) into the
+   scratch, growing its arrays to the largest in-degree seen, and
+   return their count. Also sum what depends on neither cluster nor
+   width: the latest predecessor finish, and the aggregate-NIC totals
+   over the predecessors that send data. *)
+let load_preds s state v =
+  let ptg = state.ptg in
+  let preds = Dag.preds ptg.Ptg.dag v in
+  let np = Array.length preds in
+  if np > Array.length s.p_finish then begin
+    let cap = max np (2 * Array.length s.p_finish) in
+    s.p_finish <- Array.make cap 0.;
+    s.p_bytes <- Array.make cap 0.;
+    s.p_cluster <- Array.make cap 0;
+    s.p_procs <- Array.make cap [||];
+    s.p_in_place <- Array.make cap false
+  end;
+  for i = 0 to np - 1 do
+    let u, e = preds.(i) in
+    let pu =
+      match state.placements.(u) with
+      | Some p -> p
+      | None -> assert false (* guaranteed by readiness *)
+    in
+    s.p_finish.(i) <- pu.Schedule.finish;
+    s.p_bytes.(i) <- ptg.Ptg.edge_bytes.(e);
+    s.p_cluster.(i) <- pu.Schedule.cluster;
+    s.p_procs.(i) <- pu.Schedule.procs
+  done;
+  let finish = ref 0. in
+  let total = ref 0. and last = ref 0. and senders = ref 0 in
+  for i = 0 to np - 1 do
+    finish := Float.max !finish s.p_finish.(i);
+    if s.p_bytes.(i) > 0. then begin
+      total := !total +. s.p_bytes.(i);
+      last := Float.max !last s.p_finish.(i);
+      incr senders
+    end
+  done;
+  s.f.(f_pred_finish) <- !finish;
+  s.f.(f_agg_total) <- !total;
+  s.f.(f_agg_last) <- !last;
+  s.agg_senders <- !senders;
+  np
+
+(* Offer the candidate in [f_start]/[f_finish] — the window
+   [order.(lo) .. order.(lo + width - 1)] of cluster [k] — against the
+   best so far. Earliest finish, then earliest start, then widest
+   allocation; on a full tie the earlier offer stays. *)
+let offer s order k lo width =
+  let f = s.f in
+  let wins =
+    s.b_cluster < 0
+    ||
+    let cf = f.(f_finish) and bf = f.(f_best_finish) in
+    if cf < bf -. Floatx.eps then true
+    else if bf < cf -. Floatx.eps then false
+    else
+      let cs = f.(f_start) and bs = f.(f_best_start) in
+      if cs < bs -. Floatx.eps then true
+      else if bs < cs -. Floatx.eps then false
+      else width > s.b_width
+  in
+  if wins then begin
+    s.b_order <- order;
+    s.b_lo <- lo;
+    s.b_width <- width;
+    s.b_cluster <- k;
+    f.(f_best_start) <- f.(f_start);
+    f.(f_best_finish) <- f.(f_finish)
+  end
+
+(* Redistribution cost of predecessor [i] towards [p'] processors of
+   cluster [k]: latency + bytes over the NIC/route-limited rate. *)
+let[@inline] cost s k i p' =
+  let bytes = s.p_bytes.(i) in
+  if bytes <= 0. then 0.
+  else
+    let rate =
+      Float.min
+        (float_of_int (min (max 1 (Array.length s.p_procs.(i))) p') *. s.nic)
+        s.route.((s.p_cluster.(i) * s.nc) + k)
+    in
+    s.latency +. (bytes /. rate)
+
+(* Whether predecessor [i] ran on exactly the window
+   [order.(lo) .. order.(lo + p' - 1)] of cluster [k]. The window holds
+   distinct ids, so it equals the predecessor's set iff every
+   predecessor processor is found in it once: each one found consumes
+   its tag. *)
+let in_place s order k lo p' i =
+  s.p_cluster.(i) = k
+  && Array.length s.p_procs.(i) = p'
+  && begin
+    s.tag <- s.tag + 1;
+    let tag = s.tag in
+    for j = lo to lo + p' - 1 do
+      s.stamp.(order.(j)) <- tag
+    done;
+    let procs = s.p_procs.(i) in
+    let found = ref true in
+    for j = 0 to p' - 1 do
+      let q = procs.(j) in
+      if s.stamp.(q) = tag then s.stamp.(q) <- -1 else found := false
+    done;
+    !found
+  end
+
+(* All incoming transfers funnel through the p' destination NICs; when
+   several predecessors send data ([total] bytes, the last of them
+   finishing at [last]), their aggregate bounds the data-ready time
+   too. *)
+let[@inline] aggregate s ~senders ~last ~total p' =
+  if senders <= 1 then 0.
+  else last +. s.latency +. (total /. (float_of_int p' *. s.nic))
+
+(* Earliest data-ready time with [p'] processors of cluster [k],
+   pessimistically assuming every incoming transfer is paid, into
+   [f_ready]. *)
+let data_ready s k np p' =
+  let f = s.f in
+  let aggregate =
+    aggregate s ~senders:s.agg_senders ~last:f.(f_agg_last)
+      ~total:f.(f_agg_total) p'
+  in
+  let acc = ref 0. in
+  for i = 0 to np - 1 do
+    acc := Float.max !acc (s.p_finish.(i) +. cost s k i p')
+  done;
+  f.(f_ready) <- Float.max aggregate !acc
+
+(* Price [p'] processors of cluster [k] for a task running [f_exec]
+   seconds: write its start and finish to [f_start]/[f_finish] and
+   return the start [lo] of its window in [order], the cluster's
+   processors in (availability, id) order. *)
+let price s proc_avail order k np p' =
+  let f = s.f in
+  let floor = f.(f_floor) in
+  data_ready s k np p';
+  let data_ready0 = f.(f_ready) in
+  let start0 =
+    Float.max floor (Float.max data_ready0 proc_avail.(order.(p' - 1)))
+  in
+  (* Best fit: among the processors available by start0, take the
+     latest-available ones, leaving the most idle processors free for
+     tasks that are ready now (this is what lets a small PTG slip in
+     beside a large one, Figure 1). [order] is sorted by availability,
+     so the boundary is a binary search. *)
+  let fits_until =
+    let bound = start0 +. Floatx.eps in
+    let lo = ref p' and hi = ref (Array.length order) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if proc_avail.(order.(mid)) <= bound then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  let lo = fits_until - p' in
+  (* The in-place rule may cancel transfers from predecessors that ran
+     on exactly the chosen processors; when no predecessor ran on this
+     cluster with this width, nothing can be cancelled and the
+     pessimistic bound is already exact. *)
+  let may_cancel = ref false in
+  for i = 0 to np - 1 do
+    if
+      s.p_bytes.(i) > 0. && s.p_cluster.(i) = k
+      && Array.length s.p_procs.(i) = p'
+    then may_cancel := true
+  done;
+  let data_ready =
+    if not !may_cancel then data_ready0
+    else begin
+      for i = 0 to np - 1 do
+        s.p_in_place.(i) <- s.p_bytes.(i) > 0. && in_place s order k lo p' i
+      done;
+      let total = ref 0. and last = ref 0. and senders = ref 0 in
+      for i = 0 to np - 1 do
+        if s.p_bytes.(i) > 0. && not s.p_in_place.(i) then begin
+          total := !total +. s.p_bytes.(i);
+          last := Float.max !last s.p_finish.(i);
+          incr senders
+        end
+      done;
+      let aggregate =
+        aggregate s ~senders:!senders ~last:!last ~total:!total p'
+      in
+      let acc = ref 0. in
+      for i = 0 to np - 1 do
+        let ci = if s.p_in_place.(i) then 0. else cost s k i p' in
+        acc := Float.max !acc (s.p_finish.(i) +. ci)
+      done;
+      Float.max aggregate !acc
+    end
+  in
+  (* The window is availability-sorted, so its availability maximum is
+     its last element's. *)
+  let avail = Float.max 0. proc_avail.(order.(fits_until - 1)) in
+  let start = Float.max floor (Float.max data_ready avail) in
+  f.(f_start) <- start;
+  f.(f_finish) <- start +. f.(f_exec);
+  lo
+
+(* Count [n] into a counter without allocating [Some n] when the
+   recorder is off. *)
+let add c n = if Obs.enabled () then Obs.incr ~by:n c
+
+(* Commit the best candidate: copy its processors out and return its
+   placement. Only reachable with no candidate when a fault mask leaves
+   no live processor (allocations are capped to fit a cluster). *)
+let best_placement s v =
+  if s.b_cluster < 0 then
+    invalid_arg "List_mapper.run: no live cluster can host a task";
+  {
+    Schedule.node = v;
+    cluster = s.b_cluster;
+    procs = Array.sub s.b_order s.b_lo s.b_width;
+    start = s.f.(f_best_start);
+    finish = s.f.(f_best_finish);
+  }
+
+(* Virtual entry/exit: no processors, no duration; starts as soon as all
+   predecessors are done. *)
+let virtual_placement s v np =
+  let start = ref s.f.(f_virtual_floor) in
+  for i = 0 to np - 1 do
+    start := Float.max !start s.p_finish.(i)
+  done;
+  let start = !start in
+  { Schedule.node = v; cluster = 0; procs = [||]; start; finish = start }
+
+(* Map one task and return its placement. [f_floor] bounds the start of
    real tasks (submission time, plus the FCFS no-backfilling bound in
-   Global_fcfs mode); [virtual_floor] bounds virtual entry/exit nodes
+   Global_fcfs mode); [f_virtual_floor] bounds virtual entry/exit nodes
    (submission time only — the queue does not apply to them).
 
    [avail_idx] keeps each cluster's processors permanently sorted by
    (availability, id) — the order the former implementation re-derived
    with a per-task Array.sort — and [proc_avail] is the availability
    array shared with it. Everything that does not depend on the
-   candidate width p' (per-predecessor route bandwidths, the aggregate
-   NIC sums) is computed once per task or once per task×cluster and
-   reused across all packing candidates, and the packing loop stops as
-   soon as a start-time lower bound proves that no narrower width can
-   win (DESIGN.md section 10); the resulting placements are
-   bit-identical to the exhaustive search. *)
-let place_task platform ref_cluster avail_idx proc_avail state v ~packing
-    ~floor ~virtual_floor =
+   candidate width p' (route bandwidths, the aggregate NIC sums) is
+   computed once per run or once per task and reused across all
+   clusters and packing candidates, and the packing loop stops as soon
+   as a start-time lower bound proves that no narrower width can win
+   (DESIGN.md section 10); the resulting placements are bit-identical
+   to the exhaustive search. *)
+let place_task s platform ref_cluster avail_idx proc_avail state v ~packing =
   let ptg = state.ptg in
-  let dag = ptg.Ptg.dag in
-  let preds =
-    Array.map
-      (fun (u, e) ->
-        let pu =
-          match state.placements.(u) with
-          | Some p -> p
-          | None -> assert false (* guaranteed by readiness *)
-        in
-        (pu, ptg.Ptg.edge_bytes.(e)))
-      (Dag.preds dag v)
-  in
-  if Ptg.is_virtual ptg v then begin
-    (* Virtual entry/exit: no processors, no duration; starts as soon as
-       all predecessors are done. *)
-    let start =
-      Array.fold_left (fun acc (pu, _) -> Float.max acc pu.Schedule.finish)
-        virtual_floor preds
-    in
-    { Schedule.node = v; cluster = 0; procs = [||]; start; finish = start }
-  end
+  let np = load_preds s state v in
+  if Ptg.is_virtual ptg v then virtual_placement s v np
   else begin
     let task = ptg.Ptg.tasks.(v) in
-    let np = Array.length preds in
-    let nic = P.nic_bandwidth platform in
-    let latency = P.latency platform in
-    (* Cluster-independent predecessor data. *)
-    let p_finish = Array.map (fun (pu, _) -> pu.Schedule.finish) preds in
-    let p_bytes = Array.map (fun (_, bytes) -> bytes) preds in
-    let p_cluster = Array.map (fun (pu, _) -> pu.Schedule.cluster) preds in
-    let p_width =
-      Array.map (fun (pu, _) -> Array.length pu.Schedule.procs) preds
-    in
-    (* Sorted predecessor processor sets, built on the first in-place
-       test that needs one: most placements never reach that test. *)
-    let p_sorted = Array.make np None in
-    let sorted_pred i =
-      match p_sorted.(i) with
-      | Some s -> s
-      | None ->
-        let s = Array.copy (fst preds.(i)).Schedule.procs in
-        Array.sort compare s;
-        p_sorted.(i) <- Some s;
-        s
-    in
-    (* Every candidate start is at least the latest predecessor
-       finish: a transfer cost is never negative. *)
-    let p_finish_max = Array.fold_left Float.max 0. p_finish in
-    (* Per-cluster scratch, overwritten for each k. *)
-    let p_route = Array.make (max 1 np) 0. in
-    let best = ref None in
-    for k = 0 to P.cluster_count platform - 1 do
-      let c = P.cluster platform k in
+    let f = s.f in
+    let floor = f.(f_floor) in
+    s.b_cluster <- -1;
+    for k = 0 to s.nc - 1 do
       (* Processors of cluster k ordered by (availability, id) — a
          read-only view maintained incrementally across commits. Under a
          fault mask the view holds the live processors only; a width is
@@ -183,182 +417,68 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
          candidate at all. *)
       let order = Avail_index.sorted avail_idx k in
       if Array.length order > 0 then begin
-      let needed =
-        min
-          (Array.length order)
-          (Reference_cluster.translate ref_cluster platform ~cluster:k
-             state.alloc.(v))
-      in
-      (* Hoisted per-cluster predecessor sums: route bandwidths and the
-         aggregate-NIC totals of the no-exemption case do not depend on
-         the candidate width. *)
-      let agg_total = ref 0. and agg_last = ref 0. and agg_senders = ref 0 in
-      for i = 0 to np - 1 do
-        p_route.(i) <-
-          Redistribution.route_bandwidth platform
-            ~src_cluster:p_cluster.(i) ~dst_cluster:k;
-        if p_bytes.(i) > 0. then begin
-          agg_total := !agg_total +. p_bytes.(i);
-          agg_last := Float.max !agg_last p_finish.(i);
-          incr agg_senders
-        end
-      done;
-      let agg_total = !agg_total
-      and agg_last = !agg_last
-      and agg_senders = !agg_senders in
-      (* Redistribution cost of predecessor [i] towards p' processors of
-         cluster k: latency + bytes over the NIC/route-limited rate. *)
-      let cost i p' =
-        if p_bytes.(i) <= 0. then 0.
-        else
-          let rate =
-            Float.min
-              (float_of_int (min (max 1 p_width.(i)) p') *. nic)
-              p_route.(i)
+        let gflops = (P.cluster platform k).P.gflops in
+        let needed =
+          min (Array.length order)
+            (Reference_cluster.translate ref_cluster platform ~cluster:k
+               state.alloc.(v))
+        in
+        Task.time_into task ~gflops ~procs:needed f f_exec;
+        let lo = price s proc_avail order k np needed in
+        offer s order k lo needed;
+        if packing && needed > 1 then begin
+          (* The allocation may shrink only if the task then starts
+             strictly earlier and finishes no later than with its
+             original allocation (Section 5). No candidate starts before
+             [lb] (a transfer cost is never negative), and the execution
+             time does not increase with the width, so a width whose
+             [lb + exec] already misses the full allocation's finish
+             rules out every narrower one too. Widths ruled out by the
+             bound are still counted as attempts. *)
+          let full_start = f.(f_start) and full_finish = f.(f_finish) in
+          let lb =
+            Float.max floor
+              (Float.max f.(f_pred_finish)
+                 (Float.max 0. proc_avail.(order.(0))))
           in
-          latency +. (p_bytes.(i) /. rate)
-      in
-      let candidate_for p' exec =
-        (* All incoming transfers funnel through the p' destination
-           NICs; when several predecessors send data, their aggregate
-           bounds the data-ready time too. *)
-        let aggregate0 =
-          if agg_senders <= 1 then 0.
-          else agg_last +. latency +. (agg_total /. (float_of_int p' *. nic))
-        in
-        (* Earliest possible start with p' processors, pessimistically
-           assuming every incoming transfer is paid. *)
-        let data_ready0 =
-          let acc = ref 0. in
-          for i = 0 to np - 1 do
-            acc := Float.max !acc (p_finish.(i) +. cost i p')
-          done;
-          Float.max aggregate0 !acc
-        in
-        let start0 =
-          Float.max floor
-            (Float.max data_ready0 proc_avail.(order.(p' - 1)))
-        in
-        (* Best fit: among the processors available by start0, take the
-           latest-available ones, leaving the most idle processors free
-           for tasks that are ready now (this is what lets a small PTG
-           slip in beside a large one, Figure 1). [order] is sorted by
-           availability, so the boundary is a binary search. *)
-        let fits_until =
-          let bound = start0 +. Floatx.eps in
-          let lo = ref p' and hi = ref (Array.length order) in
-          while !lo < !hi do
-            let mid = (!lo + !hi) / 2 in
-            if proc_avail.(order.(mid)) <= bound then lo := mid + 1
-            else hi := mid
-          done;
-          !lo
-        in
-        let lo = fits_until - p' in
-        (* The in-place rule may cancel transfers from predecessors that
-           ran on exactly the chosen processors; when no predecessor ran
-           on this cluster with this width, nothing can be cancelled and
-           the pessimistic bound is already exact. *)
-        let may_cancel = ref false in
-        for i = 0 to np - 1 do
-          if p_bytes.(i) > 0. && p_cluster.(i) = k && p_width.(i) = p' then
-            may_cancel := true
-        done;
-        let data_ready =
-          if not !may_cancel then data_ready0
+          if lb >= full_start -. Floatx.eps then
+            add c_packing_attempts (needed - 1)
           else begin
-            let chosen = Array.sub order lo p' in
-            Array.sort compare chosen;
-            let in_place i =
-              p_cluster.(i) = k && p_width.(i) = p' && sorted_pred i = chosen
-            in
-            let total = ref 0. and last = ref 0. and senders = ref 0 in
-            for i = 0 to np - 1 do
-              if p_bytes.(i) > 0. && not (in_place i) then begin
-                total := !total +. p_bytes.(i);
-                last := Float.max !last p_finish.(i);
-                incr senders
-              end
-            done;
-            let aggregate =
-              if !senders <= 1 then 0.
-              else
-                !last +. latency
-                +. (!total /. (float_of_int p' *. nic))
-            in
-            let acc = ref 0. in
-            for i = 0 to np - 1 do
-              let ci =
-                if p_bytes.(i) > 0. && in_place i then 0. else cost i p'
-              in
-              acc := Float.max !acc (p_finish.(i) +. ci)
-            done;
-            Float.max aggregate !acc
+            Obs.enter "mapper.packing";
+            match
+              let p' = ref (needed - 1) in
+              while !p' >= 1 do
+                Task.time_into task ~gflops ~procs:!p' f f_exec;
+                if lb +. f.(f_exec) > full_finish +. Floatx.eps then begin
+                  add c_packing_attempts !p';
+                  p' := 0
+                end
+                else begin
+                  Obs.incr c_packing_attempts;
+                  let lo = price s proc_avail order k np !p' in
+                  if
+                    f.(f_start) < full_start -. Floatx.eps
+                    && f.(f_finish) <= full_finish +. Floatx.eps
+                  then begin
+                    Obs.incr c_packing_wins;
+                    offer s order k lo !p'
+                  end;
+                  decr p'
+                end
+              done
+            with
+            | () -> Obs.leave ()
+            | exception e ->
+              Obs.leave ();
+              raise e
           end
-        in
-        (* The window is availability-sorted, so its availability
-           maximum is its last element's. *)
-        let avail = Float.max 0. proc_avail.(order.(fits_until - 1)) in
-        let start = Float.max floor (Float.max data_ready avail) in
-        { order; lo; width = p'; cluster = k; start; finish = start +. exec }
-      in
-      let exec p' = Task.time task ~gflops:c.P.gflops ~procs:p' in
-      let full = candidate_for needed (exec needed) in
-      best := better_candidate !best (Some full);
-      if packing && needed > 1 then begin
-        (* The allocation may shrink only if the task then starts
-           strictly earlier and finishes no later than with its original
-           allocation (Section 5). No candidate starts before [lb], and
-           [exec] does not increase with the width, so a width whose
-           [lb + exec] already misses the full allocation's finish rules
-           out every narrower one too. Widths ruled out by the bound are
-           still counted as attempts. *)
-        let lb =
-          Float.max floor
-            (Float.max p_finish_max (Float.max 0. proc_avail.(order.(0))))
-        in
-        if lb >= full.start -. Floatx.eps then
-          Obs.incr ~by:(needed - 1) c_packing_attempts
-        else
-          Obs.with_span "mapper.packing" @@ fun () ->
-          let p' = ref (needed - 1) in
-          while !p' >= 1 do
-            let e = exec !p' in
-            if lb +. e > full.finish +. Floatx.eps then begin
-              Obs.incr ~by:!p' c_packing_attempts;
-              p' := 0
-            end
-            else begin
-              Obs.incr c_packing_attempts;
-              let cand = candidate_for !p' e in
-              if
-                cand.start < full.start -. Floatx.eps
-                && cand.finish <= full.finish +. Floatx.eps
-              then begin
-                Obs.incr c_packing_wins;
-                best := better_candidate !best (Some cand)
-              end;
-              decr p'
-            end
-          done
-      end
+        end
       end
     done;
-    match !best with
-    | None ->
-      (* Only reachable when a fault mask leaves no live processor. *)
-      invalid_arg "List_mapper.run: no live cluster can host a task"
-    | Some c ->
-      let procs = candidate_procs c in
-      Avail_index.update avail_idx procs c.finish;
-      Obs.incr ~by:c.width c_avail_reorders;
-      {
-        Schedule.node = v;
-        cluster = c.cluster;
-        procs;
-        start = c.start;
-        finish = c.finish;
-      }
+    let pl = best_placement s v in
+    Avail_index.update avail_idx pl.Schedule.procs pl.Schedule.finish;
+    add c_avail_reorders s.b_width;
+    pl
   end
 
 (* Conservative-backfilling placement: earliest hole in the reservation
@@ -366,32 +486,15 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
    every cluster. Existing reservations never move, so no earlier-queued
    task can be delayed — the defining property of conservative
    backfilling. *)
-let place_task_backfill platform ref_cluster timeline subsets state v ~floor
-    ~virtual_floor =
+let place_task_backfill s platform ref_cluster timeline subsets state v =
   let ptg = state.ptg in
-  let dag = ptg.Ptg.dag in
-  let preds =
-    Array.map
-      (fun (u, e) ->
-        let pu =
-          match state.placements.(u) with
-          | Some p -> p
-          | None -> assert false
-        in
-        (pu, ptg.Ptg.edge_bytes.(e)))
-      (Dag.preds dag v)
-  in
-  if Ptg.is_virtual ptg v then begin
-    let start =
-      Array.fold_left (fun acc (pu, _) -> Float.max acc pu.Schedule.finish)
-        virtual_floor preds
-    in
-    { Schedule.node = v; cluster = 0; procs = [||]; start; finish = start }
-  end
+  let np = load_preds s state v in
+  if Ptg.is_virtual ptg v then virtual_placement s v np
   else begin
     let task = ptg.Ptg.tasks.(v) in
-    let best = ref None in
-    for k = 0 to P.cluster_count platform - 1 do
+    let floor = s.f.(f_floor) in
+    s.b_cluster <- -1;
+    for k = 0 to s.nc - 1 do
       let c = P.cluster platform k in
       (* Live processors of cluster k; a fault mask may shrink or empty
          the subset, capping the width exactly as in [place_task]. *)
@@ -404,36 +507,8 @@ let place_task_backfill platform ref_cluster timeline subsets state v ~floor
              state.alloc.(v))
       in
       let exec = Task.time task ~gflops:c.P.gflops ~procs:needed in
-      (* Pessimistic data-ready time: per-predecessor transfer cost plus
-         the aggregate bound through the destination NICs. *)
-      let per_pred =
-        Array.fold_left
-          (fun acc (pu, bytes) ->
-            let cost =
-              Redistribution.transfer_time platform
-                ~src_cluster:pu.Schedule.cluster ~dst_cluster:k
-                ~src_procs:(max 1 (Array.length pu.Schedule.procs))
-                ~dst_procs:needed ~bytes
-            in
-            Float.max acc (pu.Schedule.finish +. cost))
-          0. preds
-      in
-      let aggregate =
-        let total = ref 0. and last = ref 0. and senders = ref 0 in
-        Array.iter
-          (fun (pu, bytes) ->
-            if bytes > 0. then begin
-              total := !total +. bytes;
-              last := Float.max !last pu.Schedule.finish;
-              incr senders
-            end)
-          preds;
-        if !senders <= 1 then 0.
-        else
-          !last +. P.latency platform
-          +. (!total /. (float_of_int needed *. P.nic_bandwidth platform))
-      in
-      let after = Float.max floor (Float.max per_pred aggregate) in
+      data_ready s k np needed;
+      let after = Float.max floor s.f.(f_ready) in
       (match
          Mcs_util.Timeline.find_slot ~procs_subset:subset timeline
            ~count:needed ~duration:exec ~after
@@ -441,38 +516,18 @@ let place_task_backfill platform ref_cluster timeline subsets state v ~floor
       | None -> ()
       | Some (start, procs) ->
         Obs.incr c_backfill_slots;
-        let cand =
-          {
-            order = procs;
-            lo = 0;
-            width = Array.length procs;
-            cluster = k;
-            start;
-            finish = start +. exec;
-          }
-        in
-        best := better_candidate !best (Some cand))
+        s.f.(f_start) <- start;
+        s.f.(f_finish) <- start +. exec;
+        offer s procs k 0 (Array.length procs))
       end
     done;
-    match !best with
-    | None ->
-      (* Allocations are capped to fit a cluster, so this is only
-         reachable when a fault mask leaves no live processor. *)
-      invalid_arg "List_mapper.run: no live cluster can host a task"
-    | Some cand ->
-      let procs = candidate_procs cand in
-      Array.iter
-        (fun p ->
-          Mcs_util.Timeline.reserve timeline ~proc:p ~start:cand.start
-            ~finish:cand.finish)
-        procs;
-      {
-        Schedule.node = v;
-        cluster = cand.cluster;
-        procs;
-        start = cand.start;
-        finish = cand.finish;
-      }
+    let pl = best_placement s v in
+    Array.iter
+      (fun p ->
+        Mcs_util.Timeline.reserve timeline ~proc:p ~start:pl.Schedule.start
+          ~finish:pl.Schedule.finish)
+      pl.Schedule.procs;
+    pl
   end
 
 let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
@@ -598,31 +653,23 @@ let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
          proc_avail;
        t)
   in
-  let floor = ref 0. in
-  (* [with_span] (not bare enter/leave) so that a raising placement —
-     e.g. an ill-formed allocation surfacing as Invalid_argument — still
-     closes the span and leaves the profile stack balanced. *)
-  let commit i v =
-    Obs.with_span "mapper.place" @@ fun () ->
+  let s = create_scratch platform in
+  let place i v =
     let state = states.(i) in
+    let f = s.f in
+    f.(f_virtual_floor) <- release.(i);
     let pl =
       match options.ordering with
       | Global_backfill ->
-        place_task_backfill platform ref_cluster (Lazy.force timeline) groups
-          state v
-          ~floor:(Float.max release.(i) (node_floor i v))
-          ~virtual_floor:release.(i)
+        f.(f_floor) <- Float.max release.(i) (node_floor i v);
+        place_task_backfill s platform ref_cluster (Lazy.force timeline)
+          groups state v
       | Ready_tasks | Global_fcfs ->
-        let fcfs_floor =
-          match options.ordering with
-          | Global_fcfs -> !floor
-          | Ready_tasks | Global_backfill -> 0.
-        in
-        place_task platform ref_cluster avail_idx proc_avail state v
+        (* [f_fcfs] only moves in Global_fcfs mode. *)
+        f.(f_floor) <-
+          Float.max release.(i) (Float.max f.(f_fcfs) (node_floor i v));
+        place_task s platform ref_cluster avail_idx proc_avail state v
           ~packing:options.packing
-          ~floor:
-            (Float.max release.(i) (Float.max fcfs_floor (node_floor i v)))
-          ~virtual_floor:release.(i)
     in
     state.placements.(v) <- Some pl;
     if not (Ptg.is_virtual state.ptg v) then Obs.incr c_tasks_mapped;
@@ -631,9 +678,20 @@ let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
       (* No backfilling: later queue entries may not start earlier than
          this task did. Virtual tasks are bookkeeping, not queue jobs. *)
       if not (Ptg.is_virtual state.ptg v) then
-        floor := Float.max !floor pl.Schedule.start
-    | Ready_tasks | Global_backfill -> ());
-    pl
+        f.(f_fcfs) <- Float.max f.(f_fcfs) pl.Schedule.start
+    | Ready_tasks | Global_backfill -> ())
+  in
+  (* Bare enter/leave rather than a closure per task; the handler still
+     closes the span when a placement raises (e.g. an ill-formed
+     allocation surfacing as Invalid_argument), so the profile stack
+     stays balanced. *)
+  let commit i v =
+    Obs.enter "mapper.place";
+    match place i v with
+    | () -> Obs.leave ()
+    | exception e ->
+      Obs.leave ();
+      raise e
   in
   (match options.ordering with
   | Ready_tasks ->
@@ -654,20 +712,17 @@ let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
           if state.pending.(v) = 0 && not (is_pinned i v) then push i v
         done)
       states;
-    let rec drain () =
-      match Mcs_util.Heap.pop heap with
-      | None -> ()
-      | Some { app = i; node = v; _ } ->
-        ignore (commit i v);
-        let state = states.(i) in
-        Array.iter
-          (fun (w, _e) ->
-            state.pending.(w) <- state.pending.(w) - 1;
-            if state.pending.(w) = 0 && not (is_pinned i w) then push i w)
-          (Dag.succs state.ptg.Ptg.dag v);
-        drain ()
-    in
-    drain ()
+    while not (Mcs_util.Heap.is_empty heap) do
+      let { app = i; node = v; _ } = Mcs_util.Heap.pop_exn heap in
+      commit i v;
+      let state = states.(i) in
+      let succs = Dag.succs state.ptg.Ptg.dag v in
+      for j = 0 to Array.length succs - 1 do
+        let w, _e = succs.(j) in
+        state.pending.(w) <- state.pending.(w) - 1;
+        if state.pending.(w) = 0 && not (is_pinned i w) then push i w
+      done
+    done
   | Global_fcfs | Global_backfill ->
     (* Single static list over all applications, sorted by bottom level.
        Within a PTG the bottom-level order is precedence-compatible
@@ -688,7 +743,7 @@ let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
         done)
       states;
     let sorted = List.sort entry_cmp !all in
-    List.iter (fun { app = i; node = v; _ } -> ignore (commit i v)) sorted);
+    List.iter (fun { app = i; node = v; _ } -> commit i v) sorted);
   Array.to_list
     (Array.map
        (fun state ->

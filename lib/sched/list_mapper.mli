@@ -25,7 +25,14 @@
     finish times, and redistribution estimates). When [packing] is on
     and a task is delayed by processor availability, its allocation is
     reduced if and only if the reduction makes it start strictly earlier
-    and finish no later than with its original allocation. *)
+    and finish no later than with its original allocation.
+
+    Each {!run} call owns its working state: the availability index,
+    the ready list and a placement scratch reused by every (task,
+    cluster, width) pricing (DESIGN.md section 10). Nothing is shared
+    between calls, so shard domains and [Parmap] workers may map
+    concurrently. Pricing a candidate allocates nothing; a run
+    allocates the placements it returns and per-node bookkeeping. *)
 
 type ordering = Ready_tasks | Global_fcfs | Global_backfill
 

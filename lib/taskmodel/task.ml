@@ -29,7 +29,9 @@ let make ~data ~complexity ~alpha =
   | Matmul -> ());
   { data; complexity; alpha }
 
-let flops t =
+(* [flops] and [seq_time] are inlined into [time] and [time_into], so
+   pricing a width boxes no intermediate float. *)
+let[@inline] flops t =
   match t.complexity with
   | Stencil a -> a *. t.data
   | Sort a -> if t.data <= 1. then 0. else a *. t.data *. (log t.data /. log 2.)
@@ -37,14 +39,21 @@ let flops t =
 
 let bytes t = 8. *. t.data
 
-let seq_time t ~gflops =
+let[@inline] seq_time t ~gflops =
   if gflops <= 0. then invalid_arg "Task.seq_time: non-positive speed";
   flops t /. (gflops *. 1e9)
 
-let time t ~gflops ~procs =
-  if procs < 1 then invalid_arg "Task.time: needs at least one processor";
+let[@inline] amdahl t ~gflops ~procs =
   let seq = seq_time t ~gflops in
   seq *. (t.alpha +. ((1. -. t.alpha) /. float_of_int procs))
+
+let time t ~gflops ~procs =
+  if procs < 1 then invalid_arg "Task.time: needs at least one processor";
+  amdahl t ~gflops ~procs
+
+let time_into t ~gflops ~procs dst i =
+  if procs < 1 then invalid_arg "Task.time_into: needs at least one processor";
+  dst.(i) <- amdahl t ~gflops ~procs
 
 let speedup t ~procs =
   if procs < 1 then invalid_arg "Task.speedup: needs at least one processor";

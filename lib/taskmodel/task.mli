@@ -58,6 +58,14 @@ val time : t -> gflops:float -> procs:int -> float
 (** Amdahl execution time on [procs] processors of speed [gflops]:
     [seq·(α + (1−α)/p)]. @raise Invalid_argument if [procs < 1]. *)
 
+val time_into :
+  t -> gflops:float -> procs:int -> float array -> int -> unit
+(** [time_into t ~gflops ~procs dst i] stores [time t ~gflops ~procs]
+    in [dst.(i)] — the same expression on the same floats, so the value
+    is bit-identical — without boxing a float result: the variant for
+    pricing loops that call it once per candidate width.
+    @raise Invalid_argument if [procs < 1]. *)
+
 val speedup : t -> procs:int -> float
 (** [seq_time/time] on any speed (speed cancels out). *)
 

@@ -2,8 +2,11 @@ type t = {
   avail : float array;          (* shared with the caller *)
   group_of : int array;         (* id -> group, -1 when unindexed *)
   views : int array array;      (* per group, sorted by (avail, id) *)
+  by_id : int array array;      (* per group, sorted by id *)
   mark : bool array;            (* scratch: membership of the update set *)
+  repaired : bool array;        (* scratch: groups already repaired *)
   buf : int array;              (* scratch: one group's survivors *)
+  members : int array;          (* scratch: one group's marked ids *)
 }
 
 let key_le avail a b =
@@ -36,6 +39,17 @@ let create ~avail ~groups =
         v)
       groups
   in
+  (* Callers usually pass id-sorted groups (the mapper does), so the
+     sort is mostly skipped. *)
+  let by_id ids =
+    let v = Array.copy ids in
+    let sorted = ref true in
+    for i = 1 to Array.length v - 1 do
+      if v.(i - 1) > v.(i) then sorted := false
+    done;
+    if not !sorted then Array.sort Int.compare v;
+    v
+  in
   let max_len =
     Array.fold_left (fun acc ids -> max acc (Array.length ids)) 0 groups
   in
@@ -43,8 +57,11 @@ let create ~avail ~groups =
     avail;
     group_of;
     views;
+    by_id = Array.map by_id groups;
     mark = Array.make n false;
+    repaired = Array.make (Array.length groups) false;
     buf = Array.make (max 1 max_len) 0;
+    members = Array.make (max 1 max_len) 0;
   }
 
 let group_count t = Array.length t.views
@@ -53,10 +70,22 @@ let sorted t g = t.views.(g)
 
 let avail t id = t.avail.(id)
 
-(* Repair one group's view after the marked ids [members] (sorted by id,
-   all sharing the just-written availability) changed key: compact the
-   survivors, then merge the two sorted runs back in place. *)
-let repair t g members =
+(* Repair one group's view after its marked ids changed key, all to
+   the same just-written availability: collect them in id order (hence
+   also in (avail, id) order) from the id-sorted copy, compact the
+   survivors, then merge the two sorted runs back in place. Collecting
+   through the marks also drops duplicated ids. *)
+let repair t g =
+  let by_id = t.by_id.(g) in
+  let m = ref 0 in
+  for k = 0 to Array.length by_id - 1 do
+    let id = by_id.(k) in
+    if t.mark.(id) then begin
+      t.members.(!m) <- id;
+      incr m
+    end
+  done;
+  let m = !m in
   let view = t.views.(g) in
   let n = Array.length view in
   let kept = ref 0 in
@@ -69,65 +98,47 @@ let repair t g members =
   done;
   let kept = !kept in
   let i = ref 0 and j = ref 0 in
-  let m = Array.length members in
   for w = 0 to n - 1 do
-    if !i < kept && (!j >= m || key_le t.avail t.buf.(!i) members.(!j))
+    if !i < kept && (!j >= m || key_le t.avail t.buf.(!i) t.members.(!j))
     then begin
       view.(w) <- t.buf.(!i);
       incr i
     end
     else begin
-      view.(w) <- members.(!j);
+      view.(w) <- t.members.(!j);
       incr j
     end
   done
 
 let update t ids v =
-  if Array.length ids > 0 then begin
+  let n = Array.length ids in
+  if n > 0 then begin
     if not (Float.is_finite v) then
       invalid_arg "Avail_index.update: non-finite availability";
-    Array.iter
-      (fun id ->
-        if id < 0 || id >= Array.length t.group_of || t.group_of.(id) < 0
-        then invalid_arg "Avail_index.update: id not indexed")
-      ids;
-    (* Sort by (group, id): the repair below hands each group its
-       members as one contiguous, id-sorted, duplicate-free run. A
-       duplicated id or a group split across two runs would both feed
-       [repair] a member set inconsistent with the marks and corrupt
-       the merged view — the rollback equivalence property pins this. *)
-    let ids = Array.copy ids in
-    Array.sort
-      (fun a b ->
-        let c = compare t.group_of.(a) t.group_of.(b) in
-        if c <> 0 then c else compare a b)
-      ids;
-    let n = Array.length ids in
-    let uniq = ref 0 in
-    for i = 0 to n - 1 do
-      if !uniq = 0 || ids.(!uniq - 1) <> ids.(i) then begin
-        ids.(!uniq) <- ids.(i);
-        incr uniq
+    for k = 0 to n - 1 do
+      let id = ids.(k) in
+      if id < 0 || id >= Array.length t.group_of || t.group_of.(id) < 0 then
+        invalid_arg "Avail_index.update: id not indexed"
+    done;
+    for k = 0 to n - 1 do
+      let id = ids.(k) in
+      t.avail.(id) <- v;
+      t.mark.(id) <- true
+    done;
+    (* Each affected group is repaired once, whatever the order of [ids]
+       and however many groups they span. *)
+    for k = 0 to n - 1 do
+      let g = t.group_of.(ids.(k)) in
+      if not t.repaired.(g) then begin
+        t.repaired.(g) <- true;
+        repair t g
       end
     done;
-    let ids = Array.sub ids 0 !uniq in
-    let n = Array.length ids in
-    Array.iter
-      (fun id ->
-        t.avail.(id) <- v;
-        t.mark.(id) <- true)
-      ids;
-    let i = ref 0 in
-    while !i < n do
-      let g = t.group_of.(ids.(!i)) in
-      let j = ref !i in
-      while !j < n && t.group_of.(ids.(!j)) = g do
-        incr j
-      done;
-      repair t g (Array.sub ids !i (!j - !i));
-      i := !j
-    done;
-    Array.iter (fun id -> t.mark.(id) <- false) ids
+    for k = 0 to n - 1 do
+      let id = ids.(k) in
+      t.mark.(id) <- false;
+      t.repaired.(t.group_of.(id)) <- false
+    done
   end
 
 (* Rolling a commit back is the same repair with a key that moves the

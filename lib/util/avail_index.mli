@@ -9,7 +9,13 @@
 
     The index shares the caller's availability array: {!update} writes
     both the array and the sorted views, so reads through the original
-    array stay coherent. *)
+    array stay coherent.
+
+    An index owns its scratch buffers (an id-sorted copy of every group,
+    membership marks, survivor and member buffers), allocated once by
+    {!create}: {!update} and {!release} allocate nothing. The scratch
+    makes an index single-owner mutable state — never share one across
+    domains. *)
 
 type t
 
@@ -34,9 +40,9 @@ val avail : t -> int -> float
 val update : t -> int array -> float -> unit
 (** [update t ids v] sets the availability of every id in [ids] to [v]
     and repairs the sorted views. Ids may span several groups (each
-    affected group is repaired with a single merge pass) and may
-    contain duplicates (deduplicated before the repair). Safe to call
-    with an empty array (no-op).
+    affected group is repaired with a single merge pass), come in any
+    order and contain duplicates. Safe to call with an empty array
+    (no-op).
 
     {b Mirror contract with {!Timeline}.} The mapper pairs every
     [update] with a {!Timeline.reserve} and every {!release} with a

@@ -13,14 +13,22 @@ let is_empty t = t.size = 0
    engine's event queue stores immutable entries, so sharing is safe). *)
 let copy t = { cmp = t.cmp; data = Array.copy t.data; size = t.size }
 
+(* The doubled buffer is built from the old one, not with
+   [Array.make (2 * cap) x]: above 256 words OCaml 5's [caml_make_vect]
+   first empties the minor heap whenever [x] is young (the runtime's
+   [force_minor_make_vect] counter), and with several domains running
+   every minor collection is a stop-the-world barrier. [Array.append]
+   and [Array.fill] only record the young pointers. The new slots are
+   then seeded with [x], which is live. *)
 let grow t x =
   let cap = Array.length t.data in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 16 else 2 * cap in
-    let nd = Array.make ncap x in
-    Array.blit t.data 0 nd 0 t.size;
-    t.data <- nd
-  end
+  if t.size = cap then
+    if cap = 0 then t.data <- Array.make 16 x
+    else begin
+      let nd = Array.append t.data t.data in
+      Array.fill nd cap cap x;
+      t.data <- nd
+    end
 
 let rec sift_up t i =
   if i > 0 then begin
@@ -60,26 +68,21 @@ let shrink t =
   else if 4 * t.size <= Array.length t.data then
     t.data <- Array.sub t.data 0 t.size
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      (* Overwrite the vacated slot with a still-live element so the
-         array does not keep the popped value reachable forever. *)
-      t.data.(t.size) <- t.data.(0);
-      sift_down t 0
-    end;
-    shrink t;
-    Some top
-  end
-
 let pop_exn t =
-  match pop t with
-  | Some x -> x
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
+  if t.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
+  let top = t.data.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.data.(0) <- t.data.(t.size);
+    (* Overwrite the vacated slot with a still-live element so the
+       array does not keep the popped value reachable forever. *)
+    t.data.(t.size) <- t.data.(0);
+    sift_down t 0
+  end;
+  shrink t;
+  top
+
+let pop t = if t.size = 0 then None else Some (pop_exn t)
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 

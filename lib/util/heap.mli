@@ -22,7 +22,8 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
-(** Insert an element; O(log n). *)
+(** Insert an element; O(log n) amortised. Doubling the buffer copies
+    the old one and never forces a minor collection. *)
 
 val pop : 'a t -> 'a option
 (** Remove and return the minimum element, or [None] when empty. The
@@ -30,7 +31,8 @@ val pop : 'a t -> 'a option
     collectable as soon as the caller is done with it. *)
 
 val pop_exn : 'a t -> 'a
-(** Like {!pop}. @raise Invalid_argument when the heap is empty. *)
+(** Like {!pop}, without allocating the option.
+    @raise Invalid_argument when the heap is empty. *)
 
 val peek : 'a t -> 'a option
 (** Return the minimum element without removing it. *)

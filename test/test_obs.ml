@@ -85,6 +85,21 @@ let test_disabled_probes_allocation_free () =
     (Printf.sprintf "allocated %.0f minor words over 10k probes" dw)
     true (dw < 1_000.)
 
+(* A span's allocation is the exact minor-heap word count: 1,000 cons
+   cells are 3,000 words. [Gc.counters] under-reports minor words on
+   OCaml 5.1, so the recorder must not read it. *)
+let test_span_alloc_words () =
+  Obs.enable ();
+  Obs.with_span "alloc" (fun () ->
+      ignore (Sys.opaque_identity (List.init 1000 Fun.id)));
+  Obs.disable ();
+  match Obs.spans () with
+  | [ s ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f words reported" s.Obs.alloc_w)
+      true (s.Obs.alloc_w >= 3000.)
+  | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans)
+
 (* Scheduling with the recorder disabled must leave it empty: the
    instrumented pipeline records only when explicitly enabled. *)
 let test_mapper_disabled_no_spans () =
@@ -208,6 +223,8 @@ let suite =
           test_disabled_records_nothing;
         Alcotest.test_case "disabled probes allocation-free" `Quick
           test_disabled_probes_allocation_free;
+        Alcotest.test_case "span allocation words" `Quick
+          test_span_alloc_words;
         Alcotest.test_case "mapper silent when disabled" `Quick
           test_mapper_disabled_no_spans;
         Alcotest.test_case "mapper phases when enabled" `Quick

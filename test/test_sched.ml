@@ -903,7 +903,8 @@ let qcheck_packing_never_hurts_makespan =
       global on <= global off *. 1.25 +. 1e-6)
 
 (* The packing loop's early exit relies on this holding exactly in
-   floating point, not just over the reals. *)
+   floating point, not just over the reals. The mapper prices widths
+   with [Task.time_into], which must store exactly [Task.time]. *)
 let qcheck_task_time_monotone =
   QCheck.Test.make
     ~name:"Task.time never increases with the width (exact floats)"
@@ -918,12 +919,58 @@ let qcheck_task_time_monotone =
         (fun class_ ->
           let task = { (Task.random rng ~class_) with Task.alpha } in
           let ok = ref true in
+          let into = [| 0. |] in
           for p = 1 to 1023 do
             let wide = Task.time task ~gflops ~procs:(p + 1) in
-            if wide > Task.time task ~gflops ~procs:p then ok := false
+            if wide > Task.time task ~gflops ~procs:p then ok := false;
+            Task.time_into task ~gflops ~procs:(p + 1) into 0;
+            if Int64.bits_of_float into.(0) <> Int64.bits_of_float wide then
+              ok := false
           done;
           !ok)
         Task.[ Class_stencil; Class_sort; Class_matmul; Class_mixed ])
+
+(* The mapper runs on every reschedule, and in the serving layer's
+   multi-domain mode each minor collection it triggers is a
+   stop-the-world barrier across all shard domains: pin its allocation
+   rate in minor words per DAG node per run (dune's default profile). *)
+let test_mapper_allocation_budget () =
+  let platform = Grid5000.rennes () in
+  let rng = Prng.create ~seed:3 in
+  let ptgs =
+    List.init 8 (fun _ ->
+        Mcs_ptg.Random_gen.generate rng Mcs_ptg.Random_gen.default)
+  in
+  let prepared =
+    Pipeline.prepare ~strategy:Strategy.Equal_share platform ptgs
+  in
+  let apps =
+    List.mapi
+      (fun i ptg -> (ptg, prepared.Pipeline.allocations.(i).Allocation.procs))
+      ptgs
+  in
+  let release = Array.init 8 (fun i -> 7. *. float_of_int i) in
+  let ref_cluster = Reference_cluster.of_platform platform in
+  let nodes =
+    List.fold_left
+      (fun acc ptg -> acc + Mcs_dag.Dag.node_count ptg.Ptg.dag)
+      0 ptgs
+  in
+  let run () = ignore (List_mapper.run ~release platform ref_cluster apps) in
+  Obs.disable ();
+  run ();
+  let runs = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    run ()
+  done;
+  let per_node =
+    (Gc.minor_words () -. w0) /. float_of_int (runs * nodes)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per node per run (budget 200)"
+       per_node)
+    true (per_node <= 200.)
 
 (* ---------- Schedule validation itself ---------- *)
 
@@ -1120,6 +1167,8 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_mapper_schedules_valid;
         QCheck_alcotest.to_alcotest qcheck_packing_never_hurts_makespan;
         QCheck_alcotest.to_alcotest qcheck_task_time_monotone;
+        Alcotest.test_case "allocation budget" `Quick
+          test_mapper_allocation_budget;
       ] );
     ( "sched.schedule",
       [

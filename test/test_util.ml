@@ -127,6 +127,20 @@ let test_heap_pop_releases_elements () =
   Alcotest.(check (list int)) "order preserved" [ 2; 3; 4 ]
     (List.init 3 (fun _ -> !(Heap.pop_exn h)))
 
+let test_heap_growth_no_forced_minor () =
+  (* Growing the buffer must not force a minor collection, which
+     [Array.make] above 256 words seeded with a young value does. *)
+  let h = Heap.create ~cmp:(fun a b -> compare !a !b) in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for i = 1 to 1000 do
+    Heap.push h (ref i)
+  done;
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "minor collections while pushing" 0 (after - before);
+  Alcotest.(check (list int)) "order" [ 1; 2; 3 ]
+    (List.init 3 (fun _ -> !(Heap.pop_exn h)))
+
 (* ---------- Availability index ---------- *)
 
 let test_avail_index_basic () =
@@ -180,7 +194,8 @@ let qcheck_avail_index_matches_resort =
                     (float_range 0. 50.)))
     (fun ops ->
       let avail = Array.make 20 0. in
-      let groups = [| Array.init 10 Fun.id; Array.init 10 (fun i -> 10 + i) |] in
+      (* The second group is not listed in id order. *)
+      let groups = [| Array.init 10 Fun.id; Array.init 10 (fun i -> 19 - i) |] in
       let idx = Avail_index.create ~avail ~groups in
       let reference g =
         let v = Array.copy groups.(g) in
@@ -242,6 +257,8 @@ let suite =
         Alcotest.test_case "to_list" `Quick test_heap_to_list;
         Alcotest.test_case "pop releases elements" `Quick
           test_heap_pop_releases_elements;
+        Alcotest.test_case "growth forces no minor collection" `Quick
+          test_heap_growth_no_forced_minor;
         QCheck_alcotest.to_alcotest qcheck_heap_sorts;
         QCheck_alcotest.to_alcotest qcheck_heap_interleaved;
       ] );
