@@ -1,9 +1,29 @@
-type flow = { id : int; route : int array; cap : float }
+(* An all-float record is stored flat, so writing the rate allocates
+   nothing; a [mutable rate : float] field of [flow] would box it. *)
+type rate = { mutable bytes_per_s : float }
 
-type t = {
+type 'a flow = {
+  route : int array;
+  cap : float;
+  data : 'a;
+  rate : rate;
+  mutable index : int;  (* position in [active]; -1 once removed *)
+}
+
+(* [count], [remaining] and [share] are per-link scratch for [update]:
+   [count] is all zero between calls, and only the links listed in
+   [touched] hold meaningful [remaining] and [share] values during one.
+   [unfrozen] and [freeze] hold indices into [active]. *)
+type 'a t = {
   capacities : float array;
-  mutable next_id : int;
-  mutable flows : flow list;
+  remaining : float array;
+  count : int array;
+  share : float array;
+  touched : int array;
+  mutable active : 'a flow array;  (* oldest first, valid in [0, size) *)
+  mutable size : int;
+  mutable unfrozen : int array;
+  mutable freeze : int array;
 }
 
 let max_rate = 1e18
@@ -13,92 +33,150 @@ let create ~capacities =
     (fun c ->
       if c <= 0. then invalid_arg "Flow_network.create: non-positive capacity")
     capacities;
-  { capacities = Array.copy capacities; next_id = 0; flows = [] }
+  let nl = Array.length capacities in
+  {
+    capacities = Array.copy capacities;
+    remaining = Array.make nl 0.;
+    count = Array.make nl 0;
+    share = Array.make nl 0.;
+    touched = Array.make nl 0;
+    active = [||];
+    size = 0;
+    unfrozen = [||];
+    freeze = [||];
+  }
 
 let link_count t = Array.length t.capacities
-let flow_id f = f.id
+let rate f = f.rate.bytes_per_s
+let data f = f.data
 
-let add_flow t ?(cap = max_rate) route =
+let add_flow t ?(cap = max_rate) route data =
   if cap <= 0. then invalid_arg "Flow_network.add_flow: non-positive cap";
   List.iter
     (fun l ->
       if l < 0 || l >= link_count t then
         invalid_arg (Printf.sprintf "Flow_network.add_flow: link %d" l))
     route;
-  let route = Array.of_list (List.sort_uniq compare route) in
-  let f = { id = t.next_id; route; cap } in
-  t.next_id <- t.next_id + 1;
-  t.flows <- f :: t.flows;
+  let route = Array.of_list (List.sort_uniq Int.compare route) in
+  let f = { route; cap; data; rate = { bytes_per_s = 0. }; index = t.size } in
+  if t.size = Array.length t.active then begin
+    let n = max 8 (2 * t.size) in
+    let active = Array.make n f in
+    Array.blit t.active 0 active 0 t.size;
+    t.active <- active;
+    t.unfrozen <- Array.make n 0;
+    t.freeze <- Array.make n 0
+  end;
+  t.active.(t.size) <- f;
+  t.size <- t.size + 1;
   f
 
 let remove_flow t f =
-  if not (List.memq f t.flows) then
+  let i = f.index in
+  if i < 0 || i >= t.size || t.active.(i) != f then
     invalid_arg "Flow_network.remove_flow: flow not active";
-  t.flows <- List.filter (fun g -> g != f) t.flows
+  for k = i to t.size - 2 do
+    let g = t.active.(k + 1) in
+    t.active.(k) <- g;
+    g.index <- k
+  done;
+  t.size <- t.size - 1;
+  f.index <- -1
 
-let active_flows t = t.flows
+let iter t fn =
+  for i = t.size - 1 downto 0 do
+    fn t.active.(i)
+  done
 
 (* Progressive filling with per-flow caps: repeatedly find the smallest
    binding constraint — either a link's equal share or a flow's cap —
    freeze the flows it binds at that rate, and subtract the frozen
    bandwidth from their links. This yields the max-min fair allocation
-   under rate bounds. *)
-let rates t =
-  let nl = link_count t in
-  let remaining = Array.copy t.capacities in
-  let result = Hashtbl.create 16 in
-  let unfrozen = ref t.flows in
-  let continue = ref true in
-  while !continue && !unfrozen <> [] do
-    let count = Array.make nl 0 in
-    List.iter
-      (fun f -> Array.iter (fun l -> count.(l) <- count.(l) + 1) f.route)
-      !unfrozen;
-    (* Smallest link share among links carrying unfrozen flows. *)
+   under rate bounds.
+
+   Only the links some active flow crosses are visited. A round decides
+   its whole binding set against the shares at its start, then freezes
+   that set newest flow first, subtracting from each link in that order
+   and decrementing its unfrozen count. Every float is the same
+   operation on the same operands, in the same order, as the textbook
+   formulation that recounts every link each round (kept in the tests
+   as the reference). *)
+let update t =
+  let nt = ref 0 in
+  for k = 0 to t.size - 1 do
+    let i = t.size - 1 - k in
+    t.unfrozen.(k) <- i;
+    let route = t.active.(i).route in
+    for j = 0 to Array.length route - 1 do
+      let l = route.(j) in
+      if t.count.(l) = 0 then begin
+        t.touched.(!nt) <- l;
+        incr nt;
+        t.remaining.(l) <- t.capacities.(l)
+      end;
+      t.count.(l) <- t.count.(l) + 1
+    done
+  done;
+  let nu = ref t.size in
+  while !nu > 0 do
     let link_share = ref Float.infinity in
-    for l = 0 to nl - 1 do
-      if count.(l) > 0 then
-        link_share :=
-          Float.min !link_share (remaining.(l) /. float_of_int count.(l))
+    for k = 0 to !nt - 1 do
+      let l = t.touched.(k) in
+      if t.count.(l) > 0 then begin
+        let s = t.remaining.(l) /. float_of_int t.count.(l) in
+        t.share.(l) <- s;
+        link_share := Float.min !link_share s
+      end
     done;
-    (* Smallest cap among unfrozen flows. *)
-    let cap_bound =
-      List.fold_left (fun acc f -> Float.min acc f.cap) Float.infinity
-        !unfrozen
-    in
-    let bound = Float.min !link_share cap_bound in
+    let cap_bound = ref Float.infinity in
+    for k = 0 to !nu - 1 do
+      cap_bound := Float.min !cap_bound t.active.(t.unfrozen.(k)).cap
+    done;
+    let bound = Float.min !link_share !cap_bound in
     if bound >= max_rate then begin
       (* Nothing binds: the remaining flows are unbounded. *)
-      List.iter (fun f -> Hashtbl.replace result f.id max_rate) !unfrozen;
-      continue := false
+      for k = 0 to !nu - 1 do
+        t.active.(t.unfrozen.(k)).rate.bytes_per_s <- max_rate
+      done;
+      nu := 0
     end
     else begin
       let tol = 1e-12 *. Float.max 1. bound in
-      let binds f =
-        f.cap <= bound +. tol
-        || Array.exists
-             (fun l ->
-               count.(l) > 0
-               && remaining.(l) /. float_of_int count.(l) <= bound +. tol)
-             f.route
-      in
-      let freeze, keep = List.partition binds !unfrozen in
+      let limit = bound +. tol in
+      let nf = ref 0 and nk = ref 0 in
+      for k = 0 to !nu - 1 do
+        let i = t.unfrozen.(k) in
+        let f = t.active.(i) in
+        let binds = ref (f.cap <= limit) in
+        let j = ref 0 in
+        while (not !binds) && !j < Array.length f.route do
+          if t.share.(f.route.(!j)) <= limit then binds := true;
+          incr j
+        done;
+        if !binds then begin
+          t.freeze.(!nf) <- i;
+          incr nf
+        end
+        else begin
+          t.unfrozen.(!nk) <- i;
+          incr nk
+        end
+      done;
       (* At least one flow realises the bound, so we always progress. *)
-      assert (freeze <> []);
-      List.iter
-        (fun f ->
-          let r = Float.min bound f.cap in
-          Hashtbl.replace result f.id r;
-          Array.iter
-            (fun l -> remaining.(l) <- Float.max 0. (remaining.(l) -. r))
-            f.route)
-        freeze;
-      unfrozen := keep
+      assert (!nf > 0);
+      for k = 0 to !nf - 1 do
+        let f = t.active.(t.freeze.(k)) in
+        let r = Float.min bound f.cap in
+        f.rate.bytes_per_s <- r;
+        for j = 0 to Array.length f.route - 1 do
+          let l = f.route.(j) in
+          t.remaining.(l) <- Float.max 0. (t.remaining.(l) -. r);
+          t.count.(l) <- t.count.(l) - 1
+        done
+      done;
+      nu := !nk
     end
   done;
-  List.map (fun f -> (f, Hashtbl.find result f.id)) t.flows
-
-let rate t f =
-  match List.assq_opt f (rates t) with
-  | Some r -> r
-  | None -> invalid_arg "Flow_network.rate: flow not active"
+  for k = 0 to !nt - 1 do
+    t.count.(t.touched.(k)) <- 0
+  done

@@ -6,42 +6,53 @@
     contended link, splitting its remaining capacity equally among its
     unfrozen flows — which yields the max-min fair allocation.
 
-    The module only computes rates; timing is the engine's business. *)
+    The module only computes rates; timing is the engine's business.
+    A network holds its active flows in insertion order, each with a
+    caller payload of type ['a] and the rate the last {!update}
+    assigned it. *)
 
-type t
+type 'a t
 
-val create : capacities:float array -> t
-(** One network with [Array.length capacities] links.
+val create : capacities:float array -> 'a t
+(** One network with [Array.length capacities] links and no flows.
     @raise Invalid_argument on a non-positive capacity. *)
 
-val link_count : t -> int
+val link_count : 'a t -> int
 
-type flow
-(** Handle on an active flow. *)
+type 'a flow
+(** Handle on a flow, carrying its payload and its current rate. *)
 
-val flow_id : flow -> int
-
-val add_flow : t -> ?cap:float -> int list -> flow
-(** Register a flow traversing the given links (duplicates ignored),
-    optionally bounded by a per-flow rate cap — used to model the
-    aggregate NIC capacity of the endpoints, independent of fabric
-    contention. An empty route with no cap means the flow is only
-    bounded by [max_rate].
+val add_flow : 'a t -> ?cap:float -> int list -> 'a -> 'a flow
+(** [add_flow t ?cap route data] registers a flow traversing the given
+    links (duplicates ignored), optionally bounded by a per-flow rate
+    cap — used to model the aggregate NIC capacity of the endpoints,
+    independent of fabric contention. An empty route with no cap means
+    the flow is only bounded by [max_rate]. Its rate is 0 until the next
+    {!update}.
     @raise Invalid_argument on an unknown link id or non-positive cap. *)
 
-val remove_flow : t -> flow -> unit
-(** Unregister. Removing twice is an error.
+val remove_flow : 'a t -> 'a flow -> unit
+(** Unregister; the other flows keep their insertion order. Removing
+    twice is an error. Rates are not recomputed until the next
+    {!update}.
     @raise Invalid_argument if the flow is not active. *)
 
-val active_flows : t -> flow list
+val update : 'a t -> unit
+(** Assign every active flow its max-min fair rate, bytes/s. Flows
+    bounded by nothing get [max_rate]. Only links crossed by an active
+    flow are visited, and the call allocates nothing. Rates are
+    bit-for-bit those of the textbook progressive filling that recounts
+    every link each round. *)
 
-val rates : t -> (flow * float) list
-(** Max-min fair rate of every active flow, bytes/s. Flows with an empty
-    route get [max_rate]. *)
+val rate : 'a flow -> float
+(** Rate assigned by the last {!update} that saw the flow (0 before). *)
 
-val rate : t -> flow -> float
-(** Rate of one flow (computes the global allocation; prefer {!rates}
-    when querying many). *)
+val data : 'a flow -> 'a
+(** The payload given to {!add_flow}. *)
+
+val iter : 'a t -> ('a flow -> unit) -> unit
+(** Visit the active flows, newest first. The callback must not add or
+    remove flows. *)
 
 val max_rate : float
 (** Rate cap for flows with an empty route (1e18 — effectively

@@ -17,20 +17,131 @@ type flow_state = {
   f_app : int;
   f_node : int;  (* destination node whose dependency this flow carries *)
   route : int list;  (* fabric links plus both task-endpoint NIC groups *)
-  mutable remaining : float;
-  mutable rate : float;
+  mutable remaining : float;  (* bytes left to send at [last_update] *)
   mutable last_update : float;
-  mutable version : int;
-  mutable handle : Flow_network.flow option;  (* Some once activated *)
+  mutable slot : int;  (* queue position of its completion; -1 when none *)
 }
 
 type event =
   | Task_finish of int * int
   | Flow_activate of flow_state
-  | Flow_finish of flow_state * int  (* flow, version at prediction time *)
+  | Flow_finish of flow_state Flow_network.flow
   | App_release of int
 
-let bytes_eps = 1e-3 (* a flow is done when less than this many bytes remain *)
+(* The event queue: a binary min-heap on (time, seq) over parallel
+   arrays. Every insertion takes the next seq, so same-time events pop
+   in insertion order. A flow owns at most one slot, its predicted
+   completion: a new prediction re-keys that slot with the next seq and
+   sifts it up or down. The queue thus holds exactly the live entries,
+   with the keys, of a queue that appended every prediction and skipped
+   superseded ones when popped, and pops them in the same order. *)
+type queue = {
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable events : event array;
+  mutable size : int;
+  mutable last_seq : int;
+}
+
+let filler = App_release (-1)
+
+let earlier q i j =
+  let c = Float.compare q.times.(i) q.times.(j) in
+  c < 0 || (c = 0 && q.seqs.(i) < q.seqs.(j))
+
+let note_slot q i =
+  match q.events.(i) with
+  | Flow_finish h -> (Flow_network.data h).slot <- i
+  | Task_finish _ | Flow_activate _ | App_release _ -> ()
+
+let move q ~src ~dst =
+  q.times.(dst) <- q.times.(src);
+  q.seqs.(dst) <- q.seqs.(src);
+  q.events.(dst) <- q.events.(src);
+  note_slot q dst
+
+let swap q i j =
+  let time = q.times.(i) and seq = q.seqs.(i) and ev = q.events.(i) in
+  move q ~src:j ~dst:i;
+  q.times.(j) <- time;
+  q.seqs.(j) <- seq;
+  q.events.(j) <- ev;
+  note_slot q j
+
+let rec sift_up q i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if earlier q i parent then begin
+      swap q i parent;
+      sift_up q parent
+    end
+  end
+
+let rec sift_down q i =
+  let l = (2 * i) + 1 in
+  if l < q.size then begin
+    let c = if l + 1 < q.size && earlier q (l + 1) l then l + 1 else l in
+    if earlier q c i then begin
+      swap q i c;
+      sift_down q c
+    end
+  end
+
+let push q time ev =
+  if q.size = Array.length q.times then begin
+    let n = max 64 (2 * q.size) in
+    let grow a x =
+      let b = Array.make n x in
+      Array.blit a 0 b 0 q.size;
+      b
+    in
+    q.times <- grow q.times 0.;
+    q.seqs <- grow q.seqs 0;
+    q.events <- grow q.events filler
+  end;
+  let i = q.size in
+  q.size <- i + 1;
+  q.last_seq <- q.last_seq + 1;
+  q.times.(i) <- time;
+  q.seqs.(i) <- q.last_seq;
+  q.events.(i) <- ev;
+  note_slot q i;
+  sift_up q i
+
+(* Queue flow [h]'s completion at [time], re-keying its slot if it has
+   one. *)
+let predict q time h =
+  let i = (Flow_network.data h).slot in
+  if i < 0 then push q time (Flow_finish h)
+  else begin
+    q.last_seq <- q.last_seq + 1;
+    q.times.(i) <- time;
+    q.seqs.(i) <- q.last_seq;
+    if i > 0 && earlier q i ((i - 1) / 2) then sift_up q i else sift_down q i
+  end
+
+(* Remove the earliest event, which the caller has read from slot 0. *)
+let drop_min q =
+  (match q.events.(0) with
+  | Flow_finish h -> (Flow_network.data h).slot <- -1
+  | Task_finish _ | Flow_activate _ | App_release _ -> ());
+  q.size <- q.size - 1;
+  if q.size > 0 then begin
+    move q ~src:q.size ~dst:0;
+    sift_down q 0
+  end
+
+(* The mapper's planned order on one processor: start, finish, then
+   application and node — the order [compare] gives these tuples. *)
+let by_plan (s1, f1, i1, v1) (s2, f2, i2, v2) =
+  let c = Float.compare s1 s2 in
+  if c <> 0 then c
+  else
+    let c = Float.compare f1 f2 in
+    if c <> 0 then c
+    else
+      let c = Int.compare i1 i2 in
+      if c <> 0 then c else Int.compare v1 v2
 
 let run ?release platform schedules =
   if schedules = [] then invalid_arg "Replay.run: no schedules";
@@ -43,56 +154,55 @@ let run ?release platform schedules =
       if Array.length r <> napps then
         invalid_arg "Replay.run: release length differs from schedules";
       Array.iter
-        (fun t -> if t < 0. then invalid_arg "Replay.run: negative release")
+        (fun t ->
+          if not (Float.is_finite t) || t < 0. then
+            invalid_arg "Replay.run: negative or non-finite release")
         r;
       Array.copy r
   in
   let topology = Topology.of_platform platform in
   let latency = Topology.latency topology in
+  let dag i = schedules.(i).Schedule.ptg.Ptg.dag in
+  let node_count i = Dag.node_count (dag i) in
 
   (* Links: the topology's fabrics and backbone, plus one "NIC group"
      link per task placement holding processors (capacity |procs|·nic),
      so that concurrent transfers in or out of one data-parallel task
      share its aggregate NIC capacity. *)
   let fabric_links = Topology.capacities topology in
-  let endpoint_base = Array.length fabric_links in
-  let endpoint_ids = Hashtbl.create 64 in
+  let endpoint = Array.init napps (fun i -> Array.make (node_count i) (-1)) in
   let endpoint_caps = ref [] in
-  let endpoint_count = ref 0 in
+  let link_count = ref (Array.length fabric_links) in
   Array.iteri
     (fun i sched ->
       Array.iter
         (fun pl ->
           let n = Array.length pl.Schedule.procs in
           if n > 0 then begin
-            Hashtbl.replace endpoint_ids (i, pl.Schedule.node)
-              (endpoint_base + !endpoint_count);
+            endpoint.(i).(pl.Schedule.node) <- !link_count;
             endpoint_caps :=
               (float_of_int n *. P.nic_bandwidth platform) :: !endpoint_caps;
-            incr endpoint_count
+            incr link_count
           end)
         sched.Schedule.placements)
     schedules;
   let capacities =
-    Array.append fabric_links
-      (Array.of_list (List.rev !endpoint_caps))
+    Array.append fabric_links (Array.of_list (List.rev !endpoint_caps))
   in
   let network = Flow_network.create ~capacities in
-  let endpoint i v = Hashtbl.find endpoint_ids (i, v) in
 
   (* Per-application state. *)
-  let node_count i = Dag.node_count schedules.(i).Schedule.ptg.Ptg.dag in
-  let deps = Array.init napps (fun i ->
-      let dag = schedules.(i).Schedule.ptg.Ptg.dag in
-      Array.init (node_count i) (fun v -> Dag.in_degree dag v))
+  let deps =
+    Array.init napps (fun i ->
+        Array.init (node_count i) (fun v -> Dag.in_degree (dag i) v))
   in
   let started = Array.init napps (fun i -> Array.make (node_count i) false) in
   let finished = Array.init napps (fun i -> Array.make (node_count i) false) in
   let start_times = Array.init napps (fun i -> Array.make (node_count i) nan) in
   let finish_times = Array.init napps (fun i -> Array.make (node_count i) nan) in
 
-  (* Per-processor FIFO queues following the schedule's per-processor
-     order (the mapper's planned start times). *)
+  (* Per-processor FIFO queues of (application, node) following the
+     schedule's per-processor order (the mapper's planned start times). *)
   let total_procs = P.total_procs platform in
   let queue_build = Array.make total_procs [] in
   Array.iteri
@@ -111,59 +221,50 @@ let run ?release platform schedules =
     Array.map
       (fun l ->
         Array.of_list
-          (List.map (fun (_, _, i, v) -> (i, v)) (List.sort compare l)))
+          (List.map (fun (_, _, i, v) -> (i, v)) (List.sort by_plan l)))
       queue_build
   in
   let head = Array.make total_procs 0 in
-
-  (* Event queue with lazy deletion for flow predictions. *)
-  let heap =
-    Mcs_util.Heap.create
-      ~cmp:(fun (t1, s1, _) (t2, s2, _) ->
-        let c = Float.compare t1 t2 in
-        if c <> 0 then c else compare s1 s2)
-  in
-  let seq = ref 0 in
-  let push time ev =
-    incr seq;
-    Mcs_util.Heap.push heap (time, !seq, ev)
+  let at_head p i v =
+    head.(p) < Array.length queues.(p)
+    &&
+    let qi, qv = queues.(p).(head.(p)) in
+    qi = i && qv = v
   in
 
+  let q =
+    { times = [||]; seqs = [||]; events = [||]; size = 0; last_seq = 0 }
+  in
   let flows_created = ref 0 in
   let events_processed = ref 0 in
 
-  (* Flow-rate bookkeeping: advance transferred bytes to [now], assign
-     the fresh max-min rates and push updated completion predictions. *)
-  let active : (int, flow_state) Hashtbl.t = Hashtbl.create 32 in
+  (* Flow-rate bookkeeping: advance transferred bytes to [now] at the
+     old rates, assign the fresh max-min rates and re-predict every
+     completion, newest flow first. *)
   let recompute now =
-    Hashtbl.iter
-      (fun _ fs ->
+    Flow_network.iter network (fun h ->
+        let fs = Flow_network.data h in
         fs.remaining <-
-          Float.max 0. (fs.remaining -. (fs.rate *. (now -. fs.last_update)));
-        fs.last_update <- now)
-      active;
-    List.iter
-      (fun (handle, rate) ->
-        let fs = Hashtbl.find active (Flow_network.flow_id handle) in
-        fs.rate <- rate;
-        fs.version <- fs.version + 1;
+          Float.max 0.
+            (fs.remaining -. (Flow_network.rate h *. (now -. fs.last_update)));
+        fs.last_update <- now);
+    Flow_network.update network;
+    Flow_network.iter network (fun h ->
+        let fs = Flow_network.data h in
+        let rate = Flow_network.rate h in
         let eta =
           if rate >= Flow_network.max_rate then 0. else fs.remaining /. rate
         in
-        push (now +. eta) (Flow_finish (fs, fs.version)))
-      (Flow_network.rates network)
+        predict q (now +. eta) h)
   in
 
   let rec task_ready i v =
     (* All dependencies in, and at the head of each processor FIFO. *)
     deps.(i).(v) = 0
     && (not started.(i).(v))
-    &&
-    let pl = schedules.(i).Schedule.placements.(v) in
-    Array.for_all
-      (fun p ->
-        head.(p) < Array.length queues.(p) && queues.(p).(head.(p)) = (i, v))
-      pl.Schedule.procs
+    && Array.for_all
+         (fun p -> at_head p i v)
+         schedules.(i).Schedule.placements.(v).Schedule.procs
 
   and try_start now i v =
     if task_ready i v then begin
@@ -171,7 +272,7 @@ let run ?release platform schedules =
       start_times.(i).(v) <- now;
       let pl = schedules.(i).Schedule.placements.(v) in
       let duration = pl.Schedule.finish -. pl.Schedule.start in
-      push (now +. duration) (Task_finish (i, v))
+      push q (now +. duration) (Task_finish (i, v))
     end
 
   and dep_done now i v =
@@ -188,7 +289,7 @@ let run ?release platform schedules =
     (* Release processors and wake the next tasks in their FIFOs. *)
     Array.iter
       (fun p ->
-        assert (queues.(p).(head.(p)) = (i, v));
+        assert (at_head p i v);
         head.(p) <- head.(p) + 1;
         if head.(p) < Array.length queues.(p) then begin
           let ni, nv = queues.(p).(head.(p)) in
@@ -213,17 +314,15 @@ let run ?release platform schedules =
               f_app = i;
               f_node = w;
               route =
-                endpoint i v :: endpoint i w
+                endpoint.(i).(v) :: endpoint.(i).(w)
                 :: Topology.route topology ~src_cluster:pl.Schedule.cluster
                      ~dst_cluster:pw.Schedule.cluster;
               remaining = bytes;
-              rate = 0.;
               last_update = now;
-              version = 0;
-              handle = None;
+              slot = -1;
             }
           in
-          push (now +. latency) (Flow_activate fs)
+          push q (now +. latency) (Flow_activate fs)
         end)
       (Dag.succs ptg.Ptg.dag v)
   in
@@ -236,7 +335,7 @@ let run ?release platform schedules =
       for v = 0 to node_count i - 1 do
         if deps.(i).(v) = 0 then deps.(i).(v) <- 1
       done;
-      push release.(i) (App_release i)
+      push q release.(i) (App_release i)
     end
   done;
 
@@ -247,44 +346,29 @@ let run ?release platform schedules =
     done
   done;
 
-  let rec loop () =
-    match Mcs_util.Heap.pop heap with
-    | None -> ()
-    | Some (now, _, ev) ->
-      incr events_processed;
-      (match ev with
-      | Task_finish (i, v) -> finish_task now i v
-      | App_release i ->
-        for v = 0 to node_count i - 1 do
-          if deps.(i).(v) = 1 && Dag.in_degree schedules.(i).Schedule.ptg.Ptg.dag v = 0
-          then dep_done now i v
-        done
-      | Flow_activate fs ->
-        let handle = Flow_network.add_flow network fs.route in
-        fs.handle <- Some handle;
-        fs.last_update <- now;
-        Hashtbl.replace active (Flow_network.flow_id handle) fs;
-        recompute now
-      | Flow_finish (fs, version) ->
-        if version = fs.version then begin
-          fs.remaining <-
-            Float.max 0.
-              (fs.remaining -. (fs.rate *. (now -. fs.last_update)));
-          fs.last_update <- now;
-          if fs.remaining <= bytes_eps then begin
-            (match fs.handle with
-            | Some handle ->
-              Flow_network.remove_flow network handle;
-              Hashtbl.remove active (Flow_network.flow_id handle)
-            | None -> assert false);
-            fs.version <- fs.version + 1;
-            recompute now;
-            dep_done now fs.f_app fs.f_node
-          end
-        end);
-      loop ()
-  in
-  loop ();
+  while q.size > 0 do
+    let now = q.times.(0) and ev = q.events.(0) in
+    drop_min q;
+    incr events_processed;
+    match ev with
+    | Task_finish (i, v) -> finish_task now i v
+    | App_release i ->
+      for v = 0 to node_count i - 1 do
+        if deps.(i).(v) = 1 && Dag.in_degree (dag i) v = 0 then
+          dep_done now i v
+      done
+    | Flow_activate fs ->
+      ignore (Flow_network.add_flow network fs.route fs);
+      fs.last_update <- now;
+      recompute now
+    | Flow_finish h ->
+      (* Its one queued prediction is its completion: every recompute
+         since re-keyed it, so no bytes are left to wait for. *)
+      Flow_network.remove_flow network h;
+      recompute now;
+      let fs = Flow_network.data h in
+      dep_done now fs.f_app fs.f_node
+  done;
 
   (* Every task must have completed. *)
   for i = 0 to napps - 1 do

@@ -15,7 +15,12 @@
       at the max-min fair rate of their route.
 
     Computation durations reuse the schedule's Amdahl times; only
-    communication timing is re-evaluated. *)
+    communication timing is re-evaluated.
+
+    A flow completes when its predicted completion fires: every
+    recomputation of the rates re-predicts it, so that time is exact in
+    the model and no residue of unsent bytes is compared against a
+    tolerance. *)
 
 type result = {
   makespans : float array;       (** per application: exit-node finish *)
@@ -24,6 +29,9 @@ type result = {
   start_times : float array array;   (** per application, per node *)
   flows_created : int;
   events_processed : int;
+      (** events acted on: one finish per task, an activation and a
+          completion per flow, and one release per application
+          submitted after 0 *)
 }
 
 val run :
@@ -32,5 +40,7 @@ val run :
 (** Simulate the concurrent execution of the given schedules. [release]
     gives per-application submission times: no task of application [i]
     runs before [release.(i)] (default: all 0, as in the paper).
-    @raise Invalid_argument on an empty list or an ill-formed
-    [release]. *)
+    Each call keeps all its state to itself, so replays may run
+    concurrently on several domains.
+    @raise Invalid_argument on an empty list, a [release] whose length
+    differs from the list, or a negative or non-finite release time. *)

@@ -14,54 +14,57 @@ let check_float = Alcotest.(check (float 1e-6))
 
 let test_single_flow_full_capacity () =
   let net = Flow_network.create ~capacities:[| 100. |] in
-  let f = Flow_network.add_flow net [ 0 ] in
-  check_float "gets everything" 100. (Flow_network.rate net f)
+  let f = Flow_network.add_flow net [ 0 ] () in
+  Flow_network.update net;
+  check_float "gets everything" 100. (Flow_network.rate f)
 
 let test_fair_share () =
   let net = Flow_network.create ~capacities:[| 100. |] in
-  let f1 = Flow_network.add_flow net [ 0 ] in
-  let f2 = Flow_network.add_flow net [ 0 ] in
-  check_float "half" 50. (Flow_network.rate net f1);
-  check_float "half" 50. (Flow_network.rate net f2);
+  let f1 = Flow_network.add_flow net [ 0 ] () in
+  let f2 = Flow_network.add_flow net [ 0 ] () in
+  Flow_network.update net;
+  check_float "half" 50. (Flow_network.rate f1);
+  check_float "half" 50. (Flow_network.rate f2);
   Flow_network.remove_flow net f1;
-  check_float "back to full" 100. (Flow_network.rate net f2)
+  Flow_network.update net;
+  check_float "back to full" 100. (Flow_network.rate f2)
 
 let test_max_min_classic () =
   (* Classic example: link0 cap 10 shared by f1 f2; link1 cap 100 used by
      f2 f3. f1 = 5, f2 = 5, f3 = 95. *)
   let net = Flow_network.create ~capacities:[| 10.; 100. |] in
-  let f1 = Flow_network.add_flow net [ 0 ] in
-  let f2 = Flow_network.add_flow net [ 0; 1 ] in
-  let f3 = Flow_network.add_flow net [ 1 ] in
-  let rates = Flow_network.rates net in
-  let rate f = List.assq f rates in
-  check_float "f1" 5. (rate f1);
-  check_float "f2" 5. (rate f2);
-  check_float "f3" 95. (rate f3)
+  let f1 = Flow_network.add_flow net [ 0 ] () in
+  let f2 = Flow_network.add_flow net [ 0; 1 ] () in
+  let f3 = Flow_network.add_flow net [ 1 ] () in
+  Flow_network.update net;
+  check_float "f1" 5. (Flow_network.rate f1);
+  check_float "f2" 5. (Flow_network.rate f2);
+  check_float "f3" 95. (Flow_network.rate f3)
 
 let test_bottleneck_propagation () =
   (* Three flows over a narrow link and one over a wide one. *)
   let net = Flow_network.create ~capacities:[| 30.; 1000. |] in
-  let fs = List.init 3 (fun _ -> Flow_network.add_flow net [ 0; 1 ]) in
-  let big = Flow_network.add_flow net [ 1 ] in
-  let rates = Flow_network.rates net in
-  List.iter (fun f -> check_float "narrow share" 10. (List.assq f rates)) fs;
-  check_float "big gets the rest" 970. (List.assq big rates)
+  let fs = List.init 3 (fun _ -> Flow_network.add_flow net [ 0; 1 ] ()) in
+  let big = Flow_network.add_flow net [ 1 ] () in
+  Flow_network.update net;
+  List.iter (fun f -> check_float "narrow share" 10. (Flow_network.rate f)) fs;
+  check_float "big gets the rest" 970. (Flow_network.rate big)
 
 let test_empty_route_unbounded () =
   let net = Flow_network.create ~capacities:[| 10. |] in
-  let f = Flow_network.add_flow net [] in
+  let f = Flow_network.add_flow net [] () in
+  Flow_network.update net;
   Alcotest.(check bool) "unbounded" true
-    (Flow_network.rate net f >= Flow_network.max_rate)
+    (Flow_network.rate f >= Flow_network.max_rate)
 
 let test_flow_network_validation () =
   let net = Flow_network.create ~capacities:[| 10. |] in
   Alcotest.(check bool) "bad link" true
     (try
-       ignore (Flow_network.add_flow net [ 3 ]);
+       ignore (Flow_network.add_flow net [ 3 ] ());
        false
      with Invalid_argument _ -> true);
-  let f = Flow_network.add_flow net [ 0 ] in
+  let f = Flow_network.add_flow net [ 0 ] () in
   Flow_network.remove_flow net f;
   Alcotest.(check bool) "double remove" true
     (try
@@ -76,28 +79,31 @@ let test_flow_network_validation () =
 
 let test_per_flow_cap () =
   let net = Flow_network.create ~capacities:[| 100. |] in
-  let capped = Flow_network.add_flow net ~cap:10. [ 0 ] in
-  let free = Flow_network.add_flow net [ 0 ] in
-  let rates = Flow_network.rates net in
-  check_float "capped at 10" 10. (List.assq capped rates);
-  check_float "the rest goes to the other" 90. (List.assq free rates)
+  let capped = Flow_network.add_flow net ~cap:10. [ 0 ] () in
+  let free = Flow_network.add_flow net [ 0 ] () in
+  Flow_network.update net;
+  check_float "capped at 10" 10. (Flow_network.rate capped);
+  check_float "the rest goes to the other" 90. (Flow_network.rate free)
 
 let test_cap_only_flow () =
   let net = Flow_network.create ~capacities:[| 100. |] in
-  let f = Flow_network.add_flow net ~cap:7. [] in
-  check_float "cap binds with empty route" 7. (Flow_network.rate net f);
+  let f = Flow_network.add_flow net ~cap:7. [] () in
+  Flow_network.update net;
+  check_float "cap binds with empty route" 7. (Flow_network.rate f);
   Alcotest.(check bool) "non-positive cap rejected" true
     (try
-       ignore (Flow_network.add_flow net ~cap:0. [ 0 ]);
+       ignore (Flow_network.add_flow net ~cap:0. [ 0 ] ());
        false
      with Invalid_argument _ -> true)
 
 let test_caps_below_fair_share () =
   (* Three flows capped at 20 on a 100-capacity link: no contention. *)
   let net = Flow_network.create ~capacities:[| 100. |] in
-  let fs = List.init 3 (fun _ -> Flow_network.add_flow net ~cap:20. [ 0 ]) in
-  let rates = Flow_network.rates net in
-  List.iter (fun f -> check_float "at cap" 20. (List.assq f rates)) fs
+  let fs =
+    List.init 3 (fun _ -> Flow_network.add_flow net ~cap:20. [ 0 ] ())
+  in
+  Flow_network.update net;
+  List.iter (fun f -> check_float "at cap" 20. (Flow_network.rate f)) fs
 
 let qcheck_work_conservation =
   QCheck.Test.make
@@ -113,17 +119,160 @@ let qcheck_work_conservation =
             | 1 -> [ 1 ]
             | _ -> [ 0; 1 ])
       in
-      let flows = List.map (fun route -> Flow_network.add_flow net route) routes in
-      let rates = Flow_network.rates net in
+      let flows =
+        List.map (fun route -> Flow_network.add_flow net route ()) routes
+      in
+      Flow_network.update net;
       let load = [| 0.; 0. |] in
       List.iter2
         (fun f route ->
-          let r = List.assq f rates in
+          let r = Flow_network.rate f in
           List.iter (fun l -> load.(l) <- load.(l) +. r) route)
         flows routes;
       load.(0) <= 50. +. 1e-6
       && load.(1) <= 80. +. 1e-6
       && (load.(0) >= 50. -. 1e-6 || load.(1) >= 80. -. 1e-6))
+
+(* The list-based progressive filling [Flow_network.update] replaced,
+   kept as the reference: it recounts every link each round and scans
+   all of them. [flows] is newest first, the order the network kept. *)
+type ref_flow = { id : int; route : int array; cap : float }
+
+let reference_rates capacities flows =
+  let max_rate = Flow_network.max_rate in
+  let nl = Array.length capacities in
+  let remaining = Array.copy capacities in
+  let result = Hashtbl.create 16 in
+  let unfrozen = ref flows in
+  let continue = ref true in
+  while !continue && !unfrozen <> [] do
+    let count = Array.make nl 0 in
+    List.iter
+      (fun f -> Array.iter (fun l -> count.(l) <- count.(l) + 1) f.route)
+      !unfrozen;
+    (* Smallest link share among links carrying unfrozen flows. *)
+    let link_share = ref Float.infinity in
+    for l = 0 to nl - 1 do
+      if count.(l) > 0 then
+        link_share :=
+          Float.min !link_share (remaining.(l) /. float_of_int count.(l))
+    done;
+    (* Smallest cap among unfrozen flows. *)
+    let cap_bound =
+      List.fold_left (fun acc f -> Float.min acc f.cap) Float.infinity
+        !unfrozen
+    in
+    let bound = Float.min !link_share cap_bound in
+    if bound >= max_rate then begin
+      (* Nothing binds: the remaining flows are unbounded. *)
+      List.iter (fun f -> Hashtbl.replace result f.id max_rate) !unfrozen;
+      continue := false
+    end
+    else begin
+      let tol = 1e-12 *. Float.max 1. bound in
+      let binds f =
+        f.cap <= bound +. tol
+        || Array.exists
+             (fun l ->
+               count.(l) > 0
+               && remaining.(l) /. float_of_int count.(l) <= bound +. tol)
+             f.route
+      in
+      let freeze, keep = List.partition binds !unfrozen in
+      (* At least one flow realises the bound, so we always progress. *)
+      assert (freeze <> []);
+      List.iter
+        (fun f ->
+          let r = Float.min bound f.cap in
+          Hashtbl.replace result f.id r;
+          Array.iter
+            (fun l -> remaining.(l) <- Float.max 0. (remaining.(l) -. r))
+            f.route)
+        freeze;
+      unfrozen := keep
+    end
+  done;
+  List.map (fun f -> (f, Hashtbl.find result f.id)) flows
+
+(* Tie-prone random networks: capacities and caps from a few values,
+   some a few 1e-13 apart so that shares land inside the freeze
+   tolerance without being equal, duplicate links in routes, empty
+   routes, and adds interleaved with removes. After every step each
+   active flow's rate must equal the reference bit for bit. *)
+let qcheck_update_matches_reference =
+  QCheck.Test.make ~name:"update matches the reference bit for bit"
+    ~count:300 QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let nl = 1 + Prng.int rng 6 in
+      let capacities =
+        Array.init nl (fun _ ->
+            Prng.choose rng
+              [| 10.; 25.; 30.; 60.; 60. *. (1. +. 8e-13); 100.; 1e3 |])
+      in
+      let net = Flow_network.create ~capacities in
+      let active = ref [] (* (handle, reference flow), newest first *) in
+      let ok = ref true in
+      for step = 0 to Prng.int rng 40 do
+        (if !active <> [] && Prng.bernoulli rng ~p:0.3 then begin
+           let victim = List.nth !active (Prng.int rng (List.length !active)) in
+           Flow_network.remove_flow net (fst victim);
+           active := List.filter (fun a -> a != victim) !active
+         end
+         else
+           let route = List.init (Prng.int rng 5) (fun _ -> Prng.int rng nl) in
+           let cap =
+             if Prng.bernoulli rng ~p:0.3 then
+               Some
+                 (Prng.choose rng
+                    [| 5.; 7.5; 10.; 12.5; 30. *. (1. +. 5e-13); 40. |])
+             else None
+           in
+           let handle = Flow_network.add_flow net ?cap route () in
+           let reference =
+             {
+               id = step;
+               route = Array.of_list (List.sort_uniq compare route);
+               cap = Option.value cap ~default:Flow_network.max_rate;
+             }
+           in
+           active := (handle, reference) :: !active);
+        Flow_network.update net;
+        let expected = reference_rates capacities (List.map snd !active) in
+        List.iter2
+          (fun (handle, _) (_, r) ->
+            if
+              Int64.bits_of_float (Flow_network.rate handle)
+              <> Int64.bits_of_float r
+            then ok := false)
+          !active expected
+      done;
+      !ok)
+
+let test_iter_newest_first () =
+  let net = Flow_network.create ~capacities:[| 10. |] in
+  let fs = List.map (fun x -> Flow_network.add_flow net [ 0 ] x) [ 1; 2; 3; 4 ] in
+  Flow_network.remove_flow net (List.nth fs 1);
+  let seen = ref [] in
+  Flow_network.iter net (fun f -> seen := Flow_network.data f :: !seen);
+  Alcotest.(check (list int)) "insertion order, newest first" [ 4; 3; 1 ]
+    (List.rev !seen)
+
+let test_update_allocates_nothing () =
+  let net = Flow_network.create ~capacities:[| 30.; 50.; 80.; 1e3 |] in
+  List.iteri
+    (fun i route ->
+      ignore (Flow_network.add_flow net ~cap:(float_of_int (10 + i)) route ()))
+    [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 0; 3 ]; [ 1 ]; []; [ 3 ] ];
+  Flow_network.update net;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Flow_network.update net
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "no minor words (%.0f)" words)
+    true (words = 0.)
 
 (* ---------- Topology ---------- *)
 
@@ -312,6 +461,143 @@ let qcheck_replay_close_to_estimate =
         schedules
         (Array.to_list result.Replay.makespans))
 
+let test_replay_late_transfer_completes () =
+  (* A 1 GB transfer released at 1e5 s over 1.25e9 B/s NICs: half an ulp
+     of the clock times the rate exceeds 1e-3 bytes, so a completion
+     that re-derived the bytes left could find some still unsent. *)
+  let platform =
+    Platform.make ~name:"toy" ~nic_bandwidth:1.25e9
+      [ { Platform.cluster_name = "c0"; procs = 2; gflops = 1.; switch = 0 } ]
+  in
+  let release = 1e5 in
+  let latency = Platform.latency platform in
+  for k = 0 to 19 do
+    let bytes = 1e9 +. (float_of_int k *. 12345.678) in
+    let tasks = [| seconds_task 2.; seconds_task 1. |] in
+    let ptg = Builder.build ~id:0 ~name:"t" ~tasks ~edges:[ (0, 1, bytes) ] in
+    let placements =
+      [|
+        { Schedule.node = 0; cluster = 0; procs = [| 0 |]; start = 0.;
+          finish = 2. };
+        { Schedule.node = 1; cluster = 0; procs = [| 1 |]; start = 10.;
+          finish = 11. };
+      |]
+    in
+    let result =
+      Replay.run ~release:[| release |] platform
+        [ Schedule.make ~ptg ~placements ]
+    in
+    check_float
+      (Printf.sprintf "%.0f bytes: start after transfer" bytes)
+      (release +. 2. +. latency +. (bytes /. 1.25e9))
+      result.Replay.start_times.(0).(1)
+  done
+
+let test_replay_rejects_non_finite_release () =
+  let platform = toy_platform () in
+  let ptg =
+    Builder.build ~id:0 ~name:"s" ~tasks:[| seconds_task 1. |] ~edges:[]
+  in
+  let sched =
+    Schedule.make ~ptg
+      ~placements:
+        [| { Schedule.node = 0; cluster = 0; procs = [| 0 |]; start = 0.;
+             finish = 1. } |]
+  in
+  List.iter
+    (fun r ->
+      Alcotest.check_raises (Printf.sprintf "release %h" r)
+        (Invalid_argument "Replay.run: negative or non-finite release")
+        (fun () -> ignore (Replay.run ~release:[| r |] platform [ sched ])))
+    [ nan; infinity; neg_infinity; -1. ]
+
+(* Hex-float digest of every time the replay reports. *)
+let replay_digest r =
+  let b = Buffer.create 4096 in
+  let add x = Buffer.add_string b (Printf.sprintf "%h;" x) in
+  Array.iter add r.Replay.makespans;
+  Array.iter (Array.iter add) r.Replay.start_times;
+  Array.iter (Array.iter add) r.Replay.finish_times;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Four applications per case, drawn from seed 17; the WPS-width runs
+   submit them at 0, 3, 6 and 9 s. *)
+let pinned_cases =
+  let module W = Mcs_experiments.Workload in
+  List.concat_map
+    (fun (site, platform) ->
+      List.concat_map
+        (fun (fname, family) ->
+          List.map
+            (fun (sname, strategy, release) ->
+              (Printf.sprintf "%s/%s/%s" site fname sname, platform, family,
+               strategy, release))
+            [
+              ("ES", Strategy.Equal_share, None);
+              ("WPS-width", Strategy.Weighted (Width, 0.5),
+               Some [| 0.; 3.; 6.; 9. |]);
+            ])
+        [
+          ("random", W.Random_mixed_scenarios);
+          ("fft", W.Fft_ptgs);
+          ("strassen", W.Strassen_ptgs);
+        ])
+    [ ("rennes", Grid5000.rennes ()); ("sophia", Grid5000.sophia ()) ]
+
+let run_pinned (_, platform, family, strategy, release) =
+  let ptgs =
+    Mcs_experiments.Workload.draw (Prng.create ~seed:17) family ~count:4
+  in
+  let schedules =
+    Pipeline.schedule_concurrent ?release ~strategy platform ptgs
+  in
+  (ptgs, release, Replay.run ?release platform schedules)
+
+(* Digests of the replay's output on [pinned_cases], recorded before the
+   solver and the event queue were rewritten. *)
+let pinned_digests =
+  [
+    "ddea056708be4fe87507f293a26874b6";
+    "10c9ad5ad41c98a1acaef72b942e5ccd";
+    "fff10b14787ca5ee366ae2c49aa9e624";
+    "883927b02fcfd14161127dd16b7b0d5c";
+    "eb2313d9cbaf3e4b4f96d27e91a1d3c3";
+    "5be1f33d53be7137284e8e37534dcae8";
+    "c870b07779d6a4f3ae176dc685fc1830";
+    "9b9d03eae276c5da929d7b9a208243e8";
+    "2ef474a72fb22c57d6a305ee342121e1";
+    "213c729e55c972582e20b05df9ac2fce";
+    "05435310123f63786dbd3cc1c1628432";
+    "fea0bb9ccec55fa93bb21fb5c82a8967";
+  ]
+
+let test_replay_pinned_output () =
+  List.iter2
+    (fun ((name, _, _, _, _) as case) expected ->
+      let _, _, r = run_pinned case in
+      Alcotest.(check string) name expected (replay_digest r))
+    pinned_cases pinned_digests
+
+let test_replay_event_accounting () =
+  List.iter
+    (fun ((name, _, _, _, _) as case) ->
+      let ptgs, release, r = run_pinned case in
+      let nodes =
+        List.fold_left
+          (fun acc ptg -> acc + Mcs_dag.Dag.node_count ptg.Mcs_ptg.Ptg.dag)
+          0 ptgs
+      in
+      let released_later =
+        match release with
+        | None -> 0
+        | Some rel ->
+          Array.fold_left (fun acc t -> if t > 0. then acc + 1 else acc) 0 rel
+      in
+      Alcotest.(check int) name
+        (nodes + (2 * r.Replay.flows_created) + released_later)
+        r.Replay.events_processed)
+    pinned_cases
+
 let suite =
   [
     ( "sim.flow_network",
@@ -328,6 +614,10 @@ let suite =
         Alcotest.test_case "caps below fair share" `Quick
           test_caps_below_fair_share;
         QCheck_alcotest.to_alcotest qcheck_work_conservation;
+        QCheck_alcotest.to_alcotest qcheck_update_matches_reference;
+        Alcotest.test_case "iter newest first" `Quick test_iter_newest_first;
+        Alcotest.test_case "update allocates nothing" `Quick
+          test_update_allocates_nothing;
       ] );
     ( "sim.topology",
       [
@@ -345,6 +635,13 @@ let suite =
           test_replay_on_pipeline_output;
         Alcotest.test_case "deterministic" `Quick test_replay_deterministic;
         Alcotest.test_case "rejects empty" `Quick test_replay_rejects_empty;
+        Alcotest.test_case "late transfer completes" `Quick
+          test_replay_late_transfer_completes;
+        Alcotest.test_case "rejects non-finite release" `Quick
+          test_replay_rejects_non_finite_release;
+        Alcotest.test_case "pinned output" `Quick test_replay_pinned_output;
+        Alcotest.test_case "event accounting" `Quick
+          test_replay_event_accounting;
         QCheck_alcotest.to_alcotest qcheck_replay_close_to_estimate;
       ] );
   ]
