@@ -12,25 +12,6 @@ module Policy = Mcs_online.Policy
 module Log = Mcs_online.Log
 module Fault = Mcs_fault.Fault
 
-let parse_strategy = function
-  | "S" -> Ok Strategy.Selfish
-  | "ES" -> Ok Strategy.Equal_share
-  | "PS-cp" -> Ok (Strategy.Proportional Strategy.Cp)
-  | "PS-width" -> Ok (Strategy.Proportional Strategy.Width)
-  | "PS-work" -> Ok (Strategy.Proportional Strategy.Work)
-  | "WPS-cp" -> Ok (Strategy.Weighted (Strategy.Cp, Strategy.paper_mu Strategy.Cp))
-  | "WPS-width" ->
-    Ok (Strategy.Weighted (Strategy.Width, Strategy.paper_mu Strategy.Width))
-  | "WPS-work" ->
-    Ok (Strategy.Weighted (Strategy.Work, Strategy.paper_mu Strategy.Work))
-  | s -> Error ("unknown strategy " ^ s)
-
-let parse_family = function
-  | "random" -> Ok Workload.Random_mixed_scenarios
-  | "fft" -> Ok Workload.Fft_ptgs
-  | "strassen" -> Ok Workload.Strassen_ptgs
-  | s -> Error ("unknown family " ^ s)
-
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -51,14 +32,14 @@ let run site strategy family count seed mean_interarrival static finish_resched
       exit 2
   in
   let strategy =
-    match parse_strategy strategy with
+    match Strategy.of_short_name strategy with
     | Ok s -> s
     | Error m ->
       prerr_endline m;
       exit 2
   in
   let family =
-    match parse_family family with
+    match Workload.family_of_string family with
     | Ok f -> f
     | Error m ->
       prerr_endline m;

@@ -18,25 +18,6 @@ module Admission = Mcs_serve.Admission
 module Router = Mcs_serve.Router
 module Stats = Mcs_serve.Stats
 
-let parse_strategy = function
-  | "S" -> Ok Strategy.Selfish
-  | "ES" -> Ok Strategy.Equal_share
-  | "PS-cp" -> Ok (Strategy.Proportional Strategy.Cp)
-  | "PS-width" -> Ok (Strategy.Proportional Strategy.Width)
-  | "PS-work" -> Ok (Strategy.Proportional Strategy.Work)
-  | "WPS-cp" -> Ok (Strategy.Weighted (Strategy.Cp, Strategy.paper_mu Strategy.Cp))
-  | "WPS-width" ->
-    Ok (Strategy.Weighted (Strategy.Width, Strategy.paper_mu Strategy.Width))
-  | "WPS-work" ->
-    Ok (Strategy.Weighted (Strategy.Work, Strategy.paper_mu Strategy.Work))
-  | s -> Error ("unknown strategy " ^ s)
-
-let parse_family = function
-  | "random" -> Ok Workload.Random_mixed_scenarios
-  | "fft" -> Ok Workload.Fft_ptgs
-  | "strassen" -> Ok Workload.Strassen_ptgs
-  | s -> Error ("unknown family " ^ s)
-
 let die msg =
   prerr_endline msg;
   exit 2
@@ -52,9 +33,9 @@ let run site shards inline count seed mean_interarrival family strategy
     | None -> die ("unknown site: " ^ site ^ " (lille|nancy|rennes|sophia|grid)")
   in
   let strategy =
-    match parse_strategy strategy with Ok s -> s | Error m -> die m
+    match Strategy.of_short_name strategy with Ok s -> s | Error m -> die m
   in
-  let family = match parse_family family with Ok f -> f | Error m -> die m in
+  let family = match Workload.family_of_string family with Ok f -> f | Error m -> die m in
   let router =
     match Router.choice_of_string router with Ok r -> r | Error m -> die m
   in

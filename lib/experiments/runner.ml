@@ -1,4 +1,6 @@
 module Pipeline = Mcs_sched.Pipeline
+module Allocation = Mcs_sched.Allocation
+module Alloc_arena = Mcs_sched.Alloc_arena
 module Schedule = Mcs_sched.Schedule
 module Strategy = Mcs_sched.Strategy
 module Metrics = Mcs_metrics.Metrics
@@ -21,20 +23,31 @@ let simulated_makespans ?release platform schedules =
   let sim = Mcs_sim.Replay.run ?release platform schedules in
   sim.Mcs_sim.Replay.makespans
 
-let makespan_alone ?config ?(timing = Simulated) platform ptg =
-  let sched = Pipeline.schedule_alone ?config platform ptg in
+let own_makespan ?config ?cache ?arena ~timing platform ptg =
+  let sched = Pipeline.schedule_alone ?config ?cache ?arena platform ptg in
   match timing with
   | Estimated -> sched.Schedule.makespan
   | Simulated -> (simulated_makespans platform [ sched ]).(0)
+
+let makespan_alone ?config ?(timing = Simulated) platform ptg =
+  own_makespan ?config ~timing platform ptg
 
 let evaluate ?config ?(timing = Simulated) ?release ?(check = true) platform
     ptgs strategies =
   if ptgs = [] then invalid_arg "Runner.evaluate: no applications";
   Obs.with_span "runner.evaluate" @@ fun () ->
+  (* One trajectory cache per PTG, shared by the baseline and every
+     strategy: each allocates the same PTG under another β, so later
+     requests replay what earlier ones recorded. *)
+  let caches = List.map (fun _ -> Allocation.cache_create ()) ptgs in
+  let arena = Alloc_arena.create () in
   let own =
     Obs.with_span "runner.baselines" @@ fun () ->
     Array.of_list
-      (List.map (fun ptg -> makespan_alone ?config ~timing platform ptg) ptgs)
+      (List.map2
+         (fun ptg cache ->
+           own_makespan ?config ~cache ~arena ~timing platform ptg)
+         ptgs caches)
   in
   let response completions =
     match release with
@@ -57,8 +70,8 @@ let evaluate ?config ?(timing = Simulated) ?release ?(check = true) platform
         else None
       in
       let schedules =
-        Pipeline.schedule_concurrent ?config ?release ?check:checker ~strategy
-          platform ptgs
+        Pipeline.schedule_concurrent ?config ?release ?check:checker ~caches
+          ~arena ~strategy platform ptgs
       in
       let makespans =
         response

@@ -36,7 +36,10 @@ val evaluate :
   Mcs_sched.Strategy.t list ->
   run_metrics list
 (** Evaluate every strategy on the scenario (default timing:
-    [Simulated]). The M_own baselines are computed once. With
+    [Simulated]). The M_own baselines are computed once. Every
+    allocation of a PTG — its baseline and one per strategy — goes
+    through the same trajectory cache, so later β values replay what
+    earlier ones recorded; results are those of scratch allocation. With
     [release], applications are submitted at the given times and each
     per-application makespan is its response time (completion −
     submission).

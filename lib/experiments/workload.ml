@@ -17,6 +17,12 @@ let family_name = function
   | Fft_ptgs -> "FFT"
   | Strassen_ptgs -> "Strassen"
 
+let family_of_string = function
+  | "random" -> Ok Random_mixed_scenarios
+  | "fft" -> Ok Fft_ptgs
+  | "strassen" -> Ok Strassen_ptgs
+  | s -> Error ("unknown family " ^ s)
+
 let paper_counts = [ 2; 4; 6; 8; 10 ]
 
 let random_params rng class_ =

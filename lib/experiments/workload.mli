@@ -15,6 +15,11 @@ type family =
 
 val family_name : family -> string
 
+val family_of_string : string -> (family, string) result
+(** The command-line spelling of the scenario families: ["random"]
+    ([Random_mixed_scenarios]), ["fft"] and ["strassen"]. [Error]
+    carries ["unknown family <name>"]. *)
+
 val draw : Mcs_prng.Prng.t -> family -> count:int -> Mcs_ptg.Ptg.t list
 (** [draw rng family ~count] samples [count] applications, ids
     [0 .. count-1]. *)

@@ -3,7 +3,6 @@ module Schedule = Mcs_sched.Schedule
 module Pipeline = Mcs_sched.Pipeline
 module List_mapper = Mcs_sched.List_mapper
 module Allocation = Mcs_sched.Allocation
-module Strategy = Mcs_sched.Strategy
 module Reference_cluster = Mcs_sched.Reference_cluster
 module Malleability = Mcs_sched.Malleability
 module Task = Mcs_taskmodel.Task
@@ -236,53 +235,25 @@ let reschedule s ~trigger =
     let degraded = s.fault_on && not (State.all_up state) in
     let ref_cluster =
       if degraded then
-        Some
-          (Reference_cluster.degrade state.State.ref_cluster
-             ~power:(State.up_power state))
-      else None
+        Reference_cluster.degrade state.State.ref_cluster
+          ~power:(State.up_power state)
+      else state.State.ref_cluster
     in
     let up_counts = if degraded then Some (State.up_counts state) else None in
     let prepared =
-      if (policy s).Policy.alloc_cache then (
-        (* Incremental path: identical betas (degradation preserves the
-           reference speed), allocations served from each application's
-           trajectory cache on the engine's shared arena. Bit-identical
-           to [Pipeline.prepare] by construction — the differential
-           tests run both and compare. *)
-        Obs.with_span "pipeline.allocation" @@ fun () ->
-        let rc =
-          match ref_cluster with
-          | Some r -> r
-          | None -> state.State.ref_cluster
-        in
-        let betas =
-          Strategy.betas (policy s).Policy.strategy
-            ~ref_speed:rc.Reference_cluster.speed ptgs
-        in
-        let allocations =
-          Array.of_list
-            (List.mapi
-               (fun j app ->
-                 Allocation.allocate_cached
-                   ~procedure:(policy s).Policy.config.Pipeline.procedure
-                   ?up_counts ~cache:app.State.alloc_cache
-                   ~arena:state.State.arena rc s.platform ~beta:betas.(j)
-                   app.State.ptg)
-               active)
-        in
-        { Pipeline.betas; allocations })
-      else
-        Pipeline.prepare ~config:(policy s).Policy.config ?ref_cluster ?up_counts
-          ~strategy:(policy s).Policy.strategy s.platform ptgs
+      Pipeline.prepare ~config:(policy s).Policy.config ~ref_cluster
+        ?up_counts
+        ~caches:(List.map (fun app -> app.State.alloc_cache) active)
+        ~arena:state.State.arena ~strategy:(policy s).Policy.strategy
+        s.platform ptgs
     in
     List.iteri
       (fun j app ->
         app.State.beta <- prepared.Pipeline.betas.(j);
-        (* Remember the generation's reference allocation per app: the
-           mid-run audit replays the ALLOC rules against it. Copied —
-           the cache owns the array on its exact-hit path. *)
+        (* The generation's reference allocation, for the mid-run audit
+           of the ALLOC rules. *)
         app.State.last_alloc <-
-          Array.copy prepared.Pipeline.allocations.(j).Allocation.procs)
+          prepared.Pipeline.allocations.(j).Allocation.procs)
       active;
     let inputs =
       List.mapi
@@ -322,11 +293,7 @@ let reschedule s ~trigger =
     in
     let schedules =
       List_mapper.run ~options:(policy s).Policy.config.Pipeline.mapper ~release
-        ~pinned ~avail ?up ?task_floor s.platform
-        (match ref_cluster with
-        | Some r -> r
-        | None -> state.State.ref_cluster)
-        inputs
+        ~pinned ~avail ?up ?task_floor s.platform ref_cluster inputs
     in
     let frozen =
       Array.fold_left
@@ -503,10 +470,6 @@ let try_resize s m i node =
           app.State.placements.(node) <-
             Some
               { pl with Schedule.procs; start = state.State.now; finish };
-          (* The cached trajectory suffix that priced [node] at its
-             nominal width is stale for this application from here on;
-             its prefix survives and replays bit-identically. *)
-          Allocation.cache_trim app.State.alloc_cache ~node;
           state.State.resizes <- state.State.resizes + 1;
           Obs.incr c_resizes;
           s.emit

@@ -12,19 +12,24 @@ type t = {
   config : Mcs_sched.Pipeline.config;
   reschedule_on_departure : bool;
   reschedule_on_task_finish : bool;
-  alloc_cache : bool;
   faults : fault_policy;
   malleability : Mcs_sched.Malleability.t option;
 }
 
 let make ?(config = Mcs_sched.Pipeline.default_config)
-    ?(faults = default_faults) ?(alloc_cache = true)
+    ?(faults = default_faults)
     ?(reschedule_on_departure = true) ?(reschedule_on_task_finish = false)
     ?malleability strategy =
   if faults.max_retries < 0 then
     invalid_arg "Policy.make: negative max_retries";
-  if Float.is_nan faults.backoff_base || faults.backoff_base < 0. then
-    invalid_arg "Policy.make: ill-formed backoff_base";
+  (* The longest default backoff, base·2^(max_retries−1), must be a
+     finite delay; NaN fails the comparison. *)
+  if
+    not
+      (faults.backoff_base >= 0.
+      && Float.is_finite
+           (Float.ldexp faults.backoff_base (faults.max_retries - 1)))
+  then invalid_arg "Policy.make: ill-formed backoff_base";
   (* Validate the trigger combination here, once: task-finish triggers
      subsume departures (a departure is the finish of the exit task),
      so reacting to every finish while ignoring the completions that
@@ -41,11 +46,10 @@ let make ?(config = Mcs_sched.Pipeline.default_config)
     config;
     reschedule_on_departure;
     reschedule_on_task_finish;
-    alloc_cache;
     faults;
     malleability;
   }
 
-let static ?config ?faults ?alloc_cache ?malleability strategy =
-  make ?config ?faults ?alloc_cache ~reschedule_on_departure:false
+let static ?config ?faults ?malleability strategy =
+  make ?config ?faults ~reschedule_on_departure:false
     ~reschedule_on_task_finish:false ?malleability strategy

@@ -43,11 +43,6 @@ type t = {
   config : Mcs_sched.Pipeline.config;
   reschedule_on_departure : bool;
   reschedule_on_task_finish : bool;
-  alloc_cache : bool;
-      (** serve allocations from the per-application trajectory cache
-          ({!Mcs_sched.Allocation.allocate_cached}). Bit-identical to
-          the scratch path by construction; the switch exists so the
-          differential tests can run both and compare. On by default. *)
   faults : fault_policy;
   malleability : Mcs_sched.Malleability.t option;
       (** when [Some m], running tasks become {e malleable}: the engine
@@ -61,27 +56,27 @@ type t = {
 val make :
   ?config:Mcs_sched.Pipeline.config ->
   ?faults:fault_policy ->
-  ?alloc_cache:bool ->
   ?reschedule_on_departure:bool ->
   ?reschedule_on_task_finish:bool ->
   ?malleability:Mcs_sched.Malleability.t ->
   Mcs_sched.Strategy.t -> t
-(** Dynamic-β policy. [alloc_cache] and [reschedule_on_departure]
-    default to [true], [reschedule_on_task_finish] to [false] — the
-    historical hardwired combination. Trigger combinations are
+(** Dynamic-β policy. [reschedule_on_departure] defaults to [true],
+    [reschedule_on_task_finish] to [false] — the historical hardwired
+    combination. Trigger combinations are
     validated here, once: rescheduling on every task finish while
     ignoring departures is rejected (a departure {e is} the finish of
     the exit task, so the finer trigger subsumes the coarser one).
     [malleability] (default [None], i.e. moldable tasks) is validated
     with {!Mcs_sched.Malleability.validate}.
     @raise Invalid_argument on a negative [max_retries], an ill-formed
-    [backoff_base], an ill-formed malleability model, or
+    [backoff_base] (negative, NaN, or so large that the longest
+    backoff [backoff_base·2^(max_retries−1)] is not finite), an
+    ill-formed malleability model, or
     [reschedule_on_task_finish] without [reschedule_on_departure]. *)
 
 val static :
   ?config:Mcs_sched.Pipeline.config ->
   ?faults:fault_policy ->
-  ?alloc_cache:bool ->
   ?malleability:Mcs_sched.Malleability.t ->
   Mcs_sched.Strategy.t -> t
 (** Arrival-only rescheduling —

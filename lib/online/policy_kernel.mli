@@ -39,8 +39,8 @@ val trigger_label : trigger -> string
 type t = {
   name : string;  (** registry/reporting name; counters intern on it *)
   policy : Policy.t;
-      (** strategy, mapper config, allocation-cache switch and fault
-          budget — everything the kernel does not override by closure *)
+      (** strategy, mapper config, fault budget and malleability model
+          — everything the kernel does not override by closure *)
   reschedules_on : trigger -> bool;
       (** which event kinds force a β recomputation (see the contract
           above for the four mandatory kinds) *)

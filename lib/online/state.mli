@@ -43,11 +43,15 @@ type app = {
   mutable last_alloc : int array;
       (** reference allocation of the last reschedule that covered this
           application ([[||]] before the first) — what the mid-run
-          {!Engine.audit} hands the ALLOC rules *)
+          {!Engine.audit} hands the ALLOC rules. Owned by the state:
+          {!Mcs_sched.Pipeline.prepare} returns a fresh array each
+          generation *)
   alloc_cache : Mcs_sched.Allocation.cache;
-      (** per-application allocation-trajectory cache; consulted only
-          when the policy's [alloc_cache] switch is on, cleared on
-          departure *)
+      (** per-application allocation-trajectory cache, passed to
+          {!Mcs_sched.Pipeline.prepare} on every reschedule that
+          covers the application; released on departure. Kills,
+          outages and resizes leave it alone: an allocation is a
+          function of the PTG, β and the cap, never of placements *)
 }
 
 type t = {

@@ -7,11 +7,6 @@
 type t = {
   mutable bl : float array;  (* bottom levels, one slot per DAG node *)
   mutable tl : float array;  (* top levels *)
-  mutable usage : int array;  (* per-level allocated reference procs *)
-  mutable exec : float array;  (* per-node execution time estimate *)
-  mutable procs : int array;  (* per-node allocation being built *)
-  mutable seq : float array;  (* per-node sequential time on the ref speed *)
-  mutable alpha : float array;  (* per-node Amdahl serial fraction *)
   mutable gain : float array;  (* per-node gain of one more processor *)
   mutable dirty : Bytes.t;  (* level-repair scratch, all-zero between uses *)
 }
@@ -20,38 +15,22 @@ let create () =
   {
     bl = [||];
     tl = [||];
-    usage = [||];
-    exec = [||];
-    procs = [||];
-    seq = [||];
-    alpha = [||];
     gain = [||];
     dirty = Bytes.empty;
   }
 
 let grow_floats a n = if Array.length a >= n then a else Array.make n 0.
-let grow_ints a n = if Array.length a >= n then a else Array.make n 0
 
 (* The buffers are only ever read on indices the caller re-initialises,
    so growth never needs to preserve contents. *)
-let reserve t ~nodes ~levels =
+let reserve t ~nodes =
   t.bl <- grow_floats t.bl nodes;
   t.tl <- grow_floats t.tl nodes;
-  t.exec <- grow_floats t.exec nodes;
-  t.procs <- grow_ints t.procs nodes;
-  t.usage <- grow_ints t.usage levels;
-  t.seq <- grow_floats t.seq nodes;
-  t.alpha <- grow_floats t.alpha nodes;
   t.gain <- grow_floats t.gain nodes;
   if Bytes.length t.dirty < nodes then t.dirty <- Bytes.make nodes '\000'
 
 let bl t = t.bl
 let tl t = t.tl
-let usage t = t.usage
-let exec t = t.exec
-let procs t = t.procs
-let seq t = t.seq
-let alpha t = t.alpha
 let gain t = t.gain
 let dirty t = t.dirty
 

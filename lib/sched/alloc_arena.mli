@@ -1,58 +1,39 @@
 (** Reusable scratch for the SCRAP(-MAX) allocation loop.
 
-    {!Allocation.allocate} is the hot path of online rescheduling: it
-    runs once per active application per generation, and every
-    iteration of its inner loop walks bottom/top levels and per-level
-    usage arrays sized by the PTG. An arena owns those buffers and
-    reuses them across calls, so steady-state reschedules allocate
-    O(changed applications) instead of O(active) · O(nodes) scratch
-    words.
+    Every scheduler allocates through {!Pipeline.prepare}, whose live
+    loop steps (cache misses, forks and extensions of
+    {!Allocation.allocate_cached}) repair bottom and top levels and
+    re-price gains in per-node arrays sized by the PTG. An arena owns
+    those buffers and reuses them across calls, so steady-state
+    allocation performs no per-call scratch allocation of its own (the
+    loop state a trajectory extends lives in its cache entry).
 
     An arena is single-owner mutable state: it must never be shared
     across domains. The online engine embeds one per
     {!Mcs_online.State.t}, and the serving layer therefore gets one per
-    shard for free (each shard's engine lives on its own domain). Pure
-    offline callers can keep using {!Allocation.allocate}, which spins
-    up a private arena per call. *)
+    shard for free (each shard's engine lives on its own domain); the
+    offline evaluation ({!Mcs_experiments.Runner.evaluate}) uses one
+    per scenario, and {!Pipeline.prepare} creates a fresh one when the
+    caller passes none. The scratch {!Allocation.allocate} (the test
+    oracle) spins up a private arena per call. *)
 
 type t
 (** A set of growable scratch buffers. Buffers grow monotonically to
-    the largest PTG seen and are re-initialised by each allocation
-    call; an arena holds no allocation state between calls. *)
+    the largest PTG seen and are re-initialised by each live loop run;
+    an arena holds no allocation state between calls. *)
 
 val create : unit -> t
 (** Fresh arena with empty buffers (they are sized on first use). *)
 
-val reserve : t -> nodes:int -> levels:int -> unit
-(** Ensure every buffer can hold [nodes] node slots and [levels]
-    precedence-level slots. Growth discards contents (callers
-    re-initialise the prefix they use). *)
+val reserve : t -> nodes:int -> unit
+(** Ensure every buffer can hold [nodes] node slots. Growth discards
+    contents (callers re-initialise the prefix they use). *)
 
 val bl : t -> float array
 (** Bottom-level buffer (≥ [nodes] slots after {!reserve}). *)
 
 val tl : t -> float array
 (** Top-level buffer (≥ [nodes] slots after {!reserve}). *)
-
-val usage : t -> int array
-(** Per-precedence-level usage buffer (≥ [levels] slots). *)
-
-val exec : t -> float array
-(** Per-node execution-time buffer (≥ [nodes] slots). *)
-
-val procs : t -> int array
-(** Per-node allocation buffer (≥ [nodes] slots). *)
-
-val seq : t -> float array
-(** Per-node sequential-time buffer (≥ [nodes] slots): the task's
-    execution time on one reference processor, precomputed once per
-    allocation call so the inner loop prices candidate increments with
-    two float operations instead of re-deriving the task's flop count
-    (a [pow]/[log] per call) every time. *)
-
-val alpha : t -> float array
-(** Per-node Amdahl serial-fraction buffer (≥ [nodes] slots),
-    precomputed alongside {!seq}. *)
 
 val gain : t -> float array
 (** Per-node buffer for the gain of granting one more processor

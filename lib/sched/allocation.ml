@@ -240,33 +240,39 @@ let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
 let no_state (_ : float) (_ : float) = ()
 let no_inc (_ : int) ~req:(_ : int) ~ceil:(_ : int) = ()
 
+(* NaN fails both comparisons, so it is rejected too. *)
 let check_beta beta =
-  if beta <= 0. || beta > 1. then
+  if not (beta > 0. && beta <= 1.) then
     invalid_arg (Printf.sprintf "Allocation.allocate: beta = %g" beta)
 
-let allocate_into ?(procedure = Scrap_max) ?up_counts ~arena ref_cluster
-    platform ~beta ptg =
+(* The loop's starting state: one processor per node. *)
+let initial_state ~seq ~alpha ptg levels ~depth n =
+  let procs = Array.make n 1 in
+  let usage = Array.make depth 0 in
+  let exec = Array.make n 0. in
+  for v = 0 to n - 1 do
+    if not (Ptg.is_virtual ptg v) then
+      usage.(levels.(v)) <- usage.(levels.(v)) + 1;
+    exec.(v) <- exec_at ~seq ~alpha v ~procs:1
+  done;
+  (procs, usage, exec)
+
+let allocate ?(procedure = Scrap_max) ?up_counts ref_cluster platform ~beta
+    ptg =
   check_beta beta;
   Obs.with_span "alloc.scrap" @@ fun () ->
   Obs.incr c_calls;
   let dag = ptg.Ptg.dag in
   let n = Dag.node_count dag in
   let levels = Dag.depth_levels dag in
-  let depth = max 1 (Dag.depth dag) in
-  Alloc_arena.reserve arena ~nodes:n ~levels:depth;
-  let procs = Alloc_arena.procs arena in
-  let usage = Alloc_arena.usage arena in
-  let exec = Alloc_arena.exec arena in
-  let seq = Alloc_arena.seq arena in
-  let alpha = Alloc_arena.alpha arena in
+  let arena = Alloc_arena.create () in
+  Alloc_arena.reserve arena ~nodes:n;
+  let seq = Array.make n 0. in
+  let alpha = Array.make n 0. in
   fill_seq_alpha ~gflops:ref_cluster.Reference_cluster.speed ptg ~seq ~alpha n;
-  Array.fill procs 0 n 1;
-  Array.fill usage 0 depth 0;
-  for v = 0 to n - 1 do
-    if not (Ptg.is_virtual ptg v) then
-      usage.(levels.(v)) <- usage.(levels.(v)) + 1;
-    exec.(v) <- exec_at ~seq ~alpha v ~procs:1
-  done;
+  let procs, usage, exec =
+    initial_state ~seq ~alpha ptg levels ~depth:(max 1 (Dag.depth dag)) n
+  in
   let cap = Reference_cluster.max_allocation ?up_counts ref_cluster platform in
   let budget = budget_of ref_cluster ~beta in
   let beta_power = beta *. float_of_int ref_cluster.Reference_cluster.procs in
@@ -278,15 +284,11 @@ let allocate_into ?(procedure = Scrap_max) ?up_counts ~arena ref_cluster
       (initial_area exec procs n)
   in
   {
-    procs = Array.sub procs 0 n;
+    procs;
     iterations = steps;
     critical_path = cp;
     average_area = area /. beta_power;
   }
-
-let allocate ?procedure ?up_counts ref_cluster platform ~beta ptg =
-  allocate_into ?procedure ?up_counts ~arena:(Alloc_arena.create ())
-    ref_cluster platform ~beta ptg
 
 (* ---------------- Allocation cache ----------------
 
@@ -566,16 +568,9 @@ let entry_create ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
   let dag = ptg.Ptg.dag in
   let n = Dag.node_count dag in
   let levels = Dag.depth_levels dag in
-  let depth = max 1 (Dag.depth dag) in
-  Alloc_arena.reserve arena ~nodes:n ~levels:depth;
-  let procs = Array.make n 1 in
-  let usage = Array.make depth 0 in
-  let exec = Array.make n 0. in
-  for v = 0 to n - 1 do
-    if not (Ptg.is_virtual ptg v) then
-      usage.(levels.(v)) <- usage.(levels.(v)) + 1;
-    exec.(v) <- exec_at ~seq ~alpha v ~procs:1
-  done;
+  let procs, usage, exec =
+    initial_state ~seq ~alpha ptg levels ~depth:(max 1 (Dag.depth dag)) n
+  in
   let e =
     {
       e_cap = cap;
@@ -683,11 +678,10 @@ let allocate_cached ?(procedure = Scrap_max) ?up_counts ~cache ~arena
   bind_guards cache ~procedure
     ~speed:ref_cluster.Reference_cluster.speed ptg;
   let n = Dag.node_count ptg.Ptg.dag in
-  (* Reserve for every path, not just [entry_create]: a warm cache in
-     front of a fresh arena (a restored engine's State.copy pairs
-     copied caches with new scratch) can take the extend/fork paths on
-     its very first call, and those use the arena's buffers directly. *)
-  Alloc_arena.reserve arena ~nodes:n ~levels:(max 1 (Dag.depth ptg.Ptg.dag));
+  (* Reserve here, for every path: a warm cache in front of a fresh
+     arena (a restored engine's State.copy pairs copied caches with new
+     scratch) can take the extend/fork paths on its very first call. *)
+  Alloc_arena.reserve arena ~nodes:n;
   if Array.length cache.bound_seq < n then begin
     cache.bound_seq <- Array.make n 0.;
     cache.bound_alpha <- Array.make n 0.;
@@ -766,54 +760,3 @@ let allocate_cached ?(procedure = Scrap_max) ?up_counts ~cache ~arena
     | _ :: rest -> find best rest
   in
   find None cache.entries
-
-(* Rebuild an entry's frontier at trajectory prefix [at] — the same
-   arithmetic as [fork]'s prefix replay, in place — and drop everything
-   past it. The truncated states are exactly what a scratch run visits,
-   so later requests replay the surviving prefix and extend live:
-   results stay bit-identical to scratch, only the memoized suffix is
-   re-derived. *)
-let entry_trim cache e ~at ptg =
-  let n = Array.length e.e_procs in
-  let levels = e.e_levels in
-  Array.fill e.e_usage 0 (Array.length e.e_usage) 0;
-  for v = 0 to n - 1 do
-    e.e_procs.(v) <- 1;
-    if not (Ptg.is_virtual ptg v) then
-      e.e_usage.(levels.(v)) <- e.e_usage.(levels.(v)) + 1
-  done;
-  for i = 0 to at - 1 do
-    let v = e.e_incs.(i) in
-    e.e_procs.(v) <- e.e_procs.(v) + 1;
-    e.e_usage.(levels.(v)) <- e.e_usage.(levels.(v)) + 1
-  done;
-  for v = 0 to n - 1 do
-    e.e_exec.(v) <-
-      exec_at ~seq:cache.bound_seq ~alpha:cache.bound_alpha v
-        ~procs:e.e_procs.(v)
-  done;
-  e.e_len <- at;
-  e.e_closed <- false;
-  e.e_closed_ceil <- max_int;
-  e.e_budget <- -1;
-  e.e_bpower <- Float.nan;
-  e.e_res <-
-    { procs = [||]; iterations = 0; critical_path = 0.; average_area = 0. }
-
-let cache_trim cache ~node =
-  match cache.bound_ptg with
-  | None -> ()
-  | Some ptg ->
-    List.iter
-      (fun e ->
-        let stop = ref (-1) in
-        (try
-           for i = 0 to e.e_len - 1 do
-             if e.e_incs.(i) = node then begin
-               stop := i;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !stop >= 0 then entry_trim cache e ~at:!stop ptg)
-      cache.entries

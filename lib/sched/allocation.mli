@@ -20,30 +20,26 @@
 
     {2 Incremental allocation}
 
-    Online rescheduling runs this procedure once per active application
-    per generation, which made it the dominant cost of the engine
-    (DESIGN.md §14). Two mechanisms remove that cost without changing a
-    single allocation:
-
-    - {b arenas} ({!Alloc_arena.t}): {!allocate_into} reuses
-      caller-owned scratch buffers across calls, so the loop itself
-      performs no per-call buffer allocation;
-    - {b caching} ({!allocate_cached}): the increment trajectory of the
-      loop depends on β only through the {e integer} per-level budget
-      [⌊β·procs⌋] (and the allocation cap), while β proper only decides
-      {e where along that trajectory} the CPA stop criterion fires. A
-      per-application cache records trajectories keyed by cap, each step
-      annotated with the {e budget interval} under which its choice is
-      provably what a scratch run would choose (the usage the choice
-      consumed at its level, up to the smallest budget that would have
-      unblocked a better candidate). A request replays the recorded
-      stop tests and interval checks — bit-identical to a scratch run
-      by construction, at O(nodes + steps) instead of
-      O(steps · (nodes + edges)) — and a request whose budget escapes
-      some step's interval {e forks}: the validated prefix is copied in
-      O(nodes + steps) and only the divergent tail runs live. Online
-      budgets drift a few processors per generation, so forks diverge
-      deep and tails stay short. *)
+    Every scheduler in this repository allocates through
+    {!Pipeline.prepare}, which serves each request from a
+    per-application trajectory cache ({!allocate_cached}) on a reusable
+    scratch arena ({!Alloc_arena.t}). The increment trajectory of the
+    loop depends on β only through the {e integer} per-level budget
+    [⌊β·procs⌋] (and the allocation cap), while β proper only decides
+    {e where along that trajectory} the CPA stop criterion fires. A
+    cache records trajectories keyed by cap, each step annotated with
+    the {e budget interval} under which its choice is provably what a
+    scratch run would choose (the usage the choice consumed at its
+    level, up to the smallest budget that would have unblocked a better
+    candidate). A request replays the recorded stop tests and interval
+    checks — bit-identical to a scratch run by construction, at
+    O(nodes + steps) instead of O(steps · (nodes + edges)) — and a
+    request whose budget escapes some step's interval {e forks}: the
+    validated prefix is copied in O(nodes + steps) and only the
+    divergent tail runs live. The online engine's budgets drift a few
+    processors per generation and the offline evaluation runs every β
+    strategy on the same PTGs, so forks diverge deep and tails stay
+    short. {!allocate} is the scratch run the cache must reproduce. *)
 
 type procedure = Scrap | Scrap_max
 (** Which resource constraint bounds the increment loop: the global
@@ -73,25 +69,11 @@ val allocate :
     {!Reference_cluster.max_allocation} so every task fits in at least
     one real cluster — against the surviving processors only when
     [up_counts] is given (degraded platform; see
-    {!Mcs_platform.Platform.up_counts}). Pure: allocates its own
-    scratch; offline callers and one-shot uses should prefer it.
-    @raise Invalid_argument unless [0 < beta <= 1]. *)
-
-val allocate_into :
-  ?procedure:procedure ->
-  ?up_counts:int array ->
-  arena:Alloc_arena.t ->
-  Reference_cluster.t ->
-  Mcs_platform.Platform.t ->
-  beta:float ->
-  Mcs_ptg.Ptg.t ->
-  result
-(** Exactly {!allocate}, but running the loop on the arena's reusable
-    scratch buffers instead of fresh arrays — same result, field for
-    field, with no per-call buffer allocation beyond the returned
-    [procs]. The arena is single-owner state: never share one across
-    domains (each serving shard owns its own through its engine).
-    @raise Invalid_argument unless [0 < beta <= 1]. *)
+    {!Mcs_platform.Platform.up_counts}). A scratch run on private
+    buffers: the reference {!allocate_cached} is tested against, and
+    the right call for a one-off allocation of a PTG no cache will see
+    again. Schedulers allocate through {!Pipeline.prepare} instead.
+    @raise Invalid_argument unless [0 < beta <= 1] (NaN included). *)
 
 type cache
 (** Per-application allocation cache: materialised increment
@@ -120,7 +102,9 @@ type stats = {
     current contents). *)
 
 val cache_create : unit -> cache
-(** Fresh empty cache. One per application per engine. *)
+(** Fresh empty cache. One per application: the online engine keeps
+    one per submitted application, the offline evaluation one per PTG
+    per scenario. *)
 
 val cache_clear : cache -> unit
 (** Drop every entry (the caller wants the memory back). Statistics and
@@ -142,19 +126,6 @@ val cache_copy : cache -> cache
     snapshot-restored engine keeps allocating the same PTG values.
     Serving the same request sequence to the copy and the original
     yields bit-identical results — the snapshot/restore bar. *)
-
-val cache_trim : cache -> node:int -> unit
-(** Invalidate the trajectory {e suffix} that involves [node]: in every
-    entry, drop all recorded steps from the first increment of [node]
-    onwards and rebuild the frontier at that prefix. The prefix is
-    untouched (it never priced [node] beyond its initial processor), so
-    later requests replay it and re-derive the dropped tail live —
-    results stay bit-identical to scratch runs, by the same argument as
-    {!cache_copy}. Used by the online engine when a malleability resize
-    re-prices [node]'s remaining work at a new width: only this
-    application's cache is touched (per-application scoping is by
-    construction), and only the suffix is lost. No-op on an unbound or
-    empty cache, or when no trajectory increments [node]. *)
 
 val cache_stats : cache -> stats
 (** Lifetime hit/rescale/miss counts. *)
@@ -178,11 +149,13 @@ val allocate_cached :
     at a fraction of the cost whenever a recorded trajectory's budget
     intervals cover the request, and at the cost of only the divergent
     tail otherwise. The returned [procs] array is owned by the cache on
-    the exact-hit path and must not be mutated by the caller (the
-    engine's shrink-on-retry derives a copy). Updates the
-    [alloc.cache.*] observability counters.
-    @raise Invalid_argument unless [0 < beta <= 1], or if the cache is
-    reused with a different PTG, procedure or reference speed. *)
+    the exact-hit path and must not be mutated; {!Pipeline.prepare},
+    the one caller outside the tests, hands its callers a copy. The
+    arena is single-owner scratch: never share one across domains.
+    Updates the [alloc.cache.*] observability counters.
+    @raise Invalid_argument unless [0 < beta <= 1] (NaN included), or
+    if the cache is reused with a different PTG, procedure or
+    reference speed. *)
 
 val budget_of : Reference_cluster.t -> beta:float -> int
 (** [max 1 ⌊β·procs⌋] — the per-level reference-processor budget of

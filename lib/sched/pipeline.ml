@@ -11,8 +11,8 @@ type prepared = {
   allocations : Allocation.result array;
 }
 
-let prepare ?(config = default_config) ?ref_cluster ?up_counts ~strategy
-    platform ptgs =
+let prepare ?(config = default_config) ?ref_cluster ?up_counts ?caches
+    ?(arena = Alloc_arena.create ()) ~strategy platform ptgs =
   Mcs_obs.Obs.with_span "pipeline.allocation" @@ fun () ->
   let ref_cluster =
     match ref_cluster with
@@ -22,21 +22,35 @@ let prepare ?(config = default_config) ?ref_cluster ?up_counts ~strategy
   let betas =
     Strategy.betas strategy ~ref_speed:ref_cluster.Reference_cluster.speed ptgs
   in
+  let caches =
+    match caches with
+    | None -> List.map (fun _ -> Allocation.cache_create ()) ptgs
+    | Some cs ->
+      if List.compare_lengths cs ptgs <> 0 then
+        invalid_arg "Pipeline.prepare: one cache per PTG";
+      cs
+  in
   let allocations =
     Array.of_list
       (List.mapi
-         (fun i ptg ->
-           Allocation.allocate ~procedure:config.procedure ?up_counts
-             ref_cluster platform ~beta:betas.(i) ptg)
-         ptgs)
+         (fun i (ptg, cache) ->
+           let r =
+             Allocation.allocate_cached ~procedure:config.procedure ?up_counts
+               ~cache ~arena ref_cluster platform ~beta:betas.(i) ptg
+           in
+           (* The cache keeps the array it returns on an exact hit. *)
+           { r with Allocation.procs = Array.copy r.Allocation.procs })
+         (List.combine ptgs caches))
   in
   { betas; allocations }
 
-let schedule_concurrent ?(config = default_config) ?release ?check ~strategy
-    platform ptgs =
+let schedule_concurrent ?(config = default_config) ?release ?check ?caches
+    ?arena ~strategy platform ptgs =
   Mcs_obs.Obs.with_span "pipeline.schedule" @@ fun () ->
   let ref_cluster = Reference_cluster.of_platform platform in
-  let prepared = prepare ~config ~strategy platform ptgs in
+  let prepared =
+    prepare ~config ~ref_cluster ?caches ?arena ~strategy platform ptgs
+  in
   let apps =
     List.mapi
       (fun i ptg -> (ptg, prepared.allocations.(i).Allocation.procs))
@@ -48,9 +62,10 @@ let schedule_concurrent ?(config = default_config) ?release ?check ~strategy
   (match check with Some f -> f ~prepared schedules | None -> ());
   schedules
 
-let schedule_alone ?(config = default_config) platform ptg =
+let schedule_alone ?(config = default_config) ?cache ?arena platform ptg =
   match
-    schedule_concurrent ~config ~strategy:Strategy.Selfish platform [ ptg ]
+    schedule_concurrent ~config ?caches:(Option.map (fun c -> [ c ]) cache)
+      ?arena ~strategy:Strategy.Selfish platform [ ptg ]
   with
   | [ s ] -> s
   | _ -> assert false

@@ -20,27 +20,46 @@ val prepare :
   ?config:config ->
   ?ref_cluster:Reference_cluster.t ->
   ?up_counts:int array ->
+  ?caches:Allocation.cache list ->
+  ?arena:Alloc_arena.t ->
   strategy:Strategy.t ->
   Mcs_platform.Platform.t ->
   Mcs_ptg.Ptg.t list ->
   prepared
-(** Run the allocation step only. [ref_cluster] overrides the reference
-    cluster derived from the full platform — the online engine passes a
-    {!Reference_cluster.degrade}d one during an outage so β shares are
-    taken of the surviving aggregate power; [up_counts] likewise caps
-    per-task allocations to what still fits in some live cluster. *)
+(** Run the allocation step only — the one allocation path of every
+    scheduler here, offline and online. Each PTG is allocated through
+    {!Allocation.allocate_cached}: with [caches] (one per PTG, in list
+    order) the trajectories they hold are replayed and extended, so a
+    caller that allocates the same PTGs again under other β values —
+    the online engine every generation, the offline evaluation once
+    per strategy — pays only for what it has not seen; without them
+    each PTG gets a one-shot cache. [arena] (default: a fresh one) is
+    the loop's scratch. Neither changes a result: allocations are
+    bit-identical to {!Allocation.allocate}'s. The returned [procs]
+    arrays belong to the caller.
+
+    [ref_cluster] overrides the reference cluster derived from the full
+    platform — the online engine passes a {!Reference_cluster.degrade}d
+    one during an outage so β shares are taken of the surviving
+    aggregate power; [up_counts] likewise caps per-task allocations to
+    what still fits in some live cluster.
+    @raise Invalid_argument if [caches] and the PTG list differ in
+    length, or as {!Allocation.allocate_cached} does. *)
 
 val schedule_concurrent :
   ?config:config ->
   ?release:float array ->
   ?check:(prepared:prepared -> Schedule.t list -> unit) ->
+  ?caches:Allocation.cache list ->
+  ?arena:Alloc_arena.t ->
   strategy:Strategy.t ->
   Mcs_platform.Platform.t ->
   Mcs_ptg.Ptg.t list ->
   Schedule.t list
-(** Allocate each PTG under its strategy-determined β, then map all of
-    them concurrently. Schedules are returned in input order.
-    [release] gives per-application submission times (default all 0).
+(** Allocate each PTG under its strategy-determined β ({!prepare},
+    which takes [caches] and [arena]), then map all of them
+    concurrently. Schedules are returned in input order. [release]
+    gives per-application submission times (default all 0).
 
     [check] is called once with the allocation step's output and the
     final schedules, before they are returned — a seam for the
@@ -50,8 +69,11 @@ val schedule_concurrent :
 
 val schedule_alone :
   ?config:config ->
+  ?cache:Allocation.cache ->
+  ?arena:Alloc_arena.t ->
   Mcs_platform.Platform.t ->
   Mcs_ptg.Ptg.t ->
   Schedule.t
 (** Dedicated-platform schedule (β = 1, no competitor) — the M_own
-    baseline of the slowdown metric. *)
+    baseline of the slowdown metric. [cache] and [arena] as in
+    {!prepare}. *)

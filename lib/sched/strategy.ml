@@ -16,11 +16,11 @@ let short_name = function
   | Proportional m -> "PS-" ^ metric_name m
   | Weighted (m, _) -> "WPS-" ^ metric_name m
 
+let paper_mu = function Work -> 0.7 | Cp -> 0.5 | Width -> 0.5
+
 let name = function
   | Weighted (m, mu) -> Printf.sprintf "WPS-%s(%.1f)" (metric_name m) mu
   | s -> short_name s
-
-let paper_mu = function Work -> 0.7 | Cp -> 0.5 | Width -> 0.5
 
 let paper_eight =
   [
@@ -33,6 +33,12 @@ let paper_eight =
     Weighted (Width, paper_mu Width);
     Weighted (Work, paper_mu Work);
   ]
+
+(* [paper_eight] holds every short name once, with the paper's µ. *)
+let of_short_name s =
+  match List.find_opt (fun t -> short_name t = s) paper_eight with
+  | Some t -> Ok t
+  | None -> Error ("unknown strategy " ^ s)
 
 let paper_six =
   [
@@ -70,7 +76,8 @@ let betas strategy ~ref_speed ptgs =
     | Equal_share -> equal
     | Proportional m -> proportional m
     | Weighted (m, mu) ->
-      if mu < 0. || mu > 1. then invalid_arg "Strategy.betas: mu outside [0, 1]";
+      if not (mu >= 0. && mu <= 1.) then
+        invalid_arg "Strategy.betas: mu outside [0, 1]";
       let ps = proportional m in
       Array.map2 (fun e p -> (mu *. e) +. ((1. -. mu) *. p)) equal ps
   in

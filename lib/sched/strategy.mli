@@ -25,6 +25,11 @@ val name : t -> string
 val short_name : t -> string
 (** Without the µ value: "WPS-work". *)
 
+val of_short_name : string -> (t, string) result
+(** Inverse of {!short_name}, with {!paper_mu} weights for the WPS
+    strategies: ["WPS-work"] is [Weighted (Work, 0.7)]. [Error] carries
+    ["unknown strategy <name>"]. *)
+
 val paper_mu : metric -> float
 (** The µ values retained in Section 7: work → 0.7, cp → 0.5,
     width → 0.5 (0.3 was preferred for FFT graphs; 0.5 is the random-PTG
@@ -47,4 +52,5 @@ val betas :
 (** Resource constraints for a set of concurrent applications, in list
     order. All values lie in (0, 1]; a zero Σγ (degenerate) falls back
     to equal share.
-    @raise Invalid_argument on an empty list or µ outside [0, 1]. *)
+    @raise Invalid_argument on an empty list or µ outside [0, 1]
+    (NaN included). *)

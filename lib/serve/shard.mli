@@ -27,7 +27,7 @@
 
     Ownership extends below the session: the engine state inside it
     carries an {!Mcs_sched.Alloc_arena.t} and one allocation cache per
-    application ({!Mcs_sched.Allocation.allocate_cached}), both
+    application (both passed to {!Mcs_sched.Pipeline.prepare}), both
     single-owner mutable scratch. Because the shard alone steps its
     session, that scratch is confined to the shard's domain for free —
     no shard ever allocates against another shard's arena, and a

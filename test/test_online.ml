@@ -228,107 +228,6 @@ let test_replayable () =
         (m >= release.(i) -. 1e-9))
     sim.Mcs_sim.Replay.makespans
 
-(* ---------- Allocation cache transparency ---------- *)
-
-(* The cache switch must be observationally invisible: identical
-   schedules (bit for bit), betas, completions, responses, executions
-   and engine statistics — only the alloc_* cache counters may (and
-   must) differ. *)
-let exact_placements_equal a b =
-  a.Schedule.node = b.Schedule.node
-  && a.Schedule.cluster = b.Schedule.cluster
-  && a.Schedule.procs = b.Schedule.procs
-  && Float.equal a.Schedule.start b.Schedule.start
-  && Float.equal a.Schedule.finish b.Schedule.finish
-
-let check_cache_transparent msg (off : Engine.result) (on_ : Engine.result) =
-  List.iteri
-    (fun i (e, g) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: app %d schedules bit-identical" msg i)
-        true
-        (Array.for_all2 exact_placements_equal e.Schedule.placements
-           g.Schedule.placements))
-    (List.combine off.Engine.schedules on_.Engine.schedules);
-  Alcotest.(check bool)
-    (msg ^ ": betas bit-identical") true
-    (Array.for_all2 Float.equal off.Engine.betas on_.Engine.betas);
-  Alcotest.(check bool)
-    (msg ^ ": completions bit-identical") true
-    (Array.for_all2 Float.equal off.Engine.completions on_.Engine.completions);
-  Alcotest.(check bool)
-    (msg ^ ": responses bit-identical") true
-    (Array.for_all2 Float.equal off.Engine.responses on_.Engine.responses);
-  Alcotest.(check bool)
-    (msg ^ ": executions identical") true
-    (off.Engine.executions = on_.Engine.executions);
-  let s0 = off.Engine.stats and s1 = on_.Engine.stats in
-  Alcotest.(check int) (msg ^ ": events") s0.Engine.events_processed
-    s1.Engine.events_processed;
-  Alcotest.(check int) (msg ^ ": reschedules") s0.Engine.reschedules
-    s1.Engine.reschedules;
-  Alcotest.(check int) (msg ^ ": remapped") s0.Engine.remapped_tasks
-    s1.Engine.remapped_tasks;
-  Alcotest.(check int) (msg ^ ": kills") s0.Engine.kills s1.Engine.kills;
-  Alcotest.(check int) (msg ^ ": failures") s0.Engine.task_failures
-    s1.Engine.task_failures;
-  (* And the switch actually routed through the cache. *)
-  Alcotest.(check int)
-    (msg ^ ": scratch path counts no cache outcomes") 0
-    (s0.Engine.alloc_hits + s0.Engine.alloc_rescales + s0.Engine.alloc_misses);
-  Alcotest.(check bool)
-    (msg ^ ": cached path observed requests") true
-    (s1.Engine.alloc_hits + s1.Engine.alloc_rescales + s1.Engine.alloc_misses
-    > 0)
-
-let test_alloc_cache_transparent () =
-  let platform = Grid5000.rennes () in
-  let apps = workload 8 4242 ~mean:25. in
-  let strategy = Strategy.Weighted (Strategy.Work, 0.7) in
-  let off =
-    Engine.run ~policy:(Policy.make ~alloc_cache:false strategy) platform apps
-  in
-  let on_ =
-    Engine.run ~policy:(Policy.make ~alloc_cache:true strategy) platform apps
-  in
-  check_cache_transparent "poisson" off on_
-
-let test_alloc_cache_transparent_faults () =
-  (* Outages degrade the cap and kill attempts, transient failures with
-     shrink_on_retry mutate allocations after the fact — every cache
-     invalidation path fires on this stream. *)
-  let platform = Grid5000.rennes () in
-  let apps = workload 6 77 ~mean:20. in
-  let scenario =
-    Mcs_fault.Fault.generate ~seed:5 platform
-      {
-        Mcs_fault.Fault.default with
-        Mcs_fault.Fault.mttf = 300.;
-        mttr = 60.;
-        task_fail_p = 0.15;
-        horizon = 1500.;
-      }
-  in
-  let faults =
-    { Policy.default_faults with Policy.shrink_on_retry = true }
-  in
-  let strategy = Strategy.Weighted (Strategy.Work, 0.7) in
-  let off =
-    Engine.run ~faults:scenario
-      ~policy:(Policy.make ~faults ~alloc_cache:false strategy)
-      platform apps
-  in
-  let on_ =
-    Engine.run ~faults:scenario
-      ~policy:(Policy.make ~faults ~alloc_cache:true strategy)
-      platform apps
-  in
-  Alcotest.(check bool)
-    "scenario exercises faults" true
-    (off.Engine.stats.Engine.kills > 0
-    || off.Engine.stats.Engine.task_failures > 0);
-  check_cache_transparent "faults" off on_
-
 (* ---------- Policy kernel, snapshot/restore, speculation ---------- *)
 
 let makespan (r : Engine.result) =
@@ -543,7 +442,7 @@ let test_departure_scoped_invalidation () =
      one fresh miss per survivor here. *)
   let platform = Grid5000.rennes () in
   let apps = workload 5 13 ~mean:1. in
-  let policy = Policy.make ~alloc_cache:true Strategy.Selfish in
+  let policy = Policy.make Strategy.Selfish in
   let first_departure = ref infinity in
   let log = function
     | Log.Departure { time; _ } ->
@@ -615,6 +514,23 @@ let test_policy_flags_and_kernel_registry () =
       ignore
         (Policy.make ~reschedule_on_departure:false
            ~reschedule_on_task_finish:true Strategy.Equal_share));
+  (* The longest default backoff, base·2^(max_retries−1), must be
+     finite: an infinite one never lets the task restart. *)
+  List.iter
+    (fun backoff_base ->
+      Alcotest.check_raises
+        (Printf.sprintf "backoff_base %g rejected" backoff_base)
+        (Invalid_argument "Policy.make: ill-formed backoff_base")
+        (fun () ->
+          ignore
+            (Policy.make
+               ~faults:{ Policy.default_faults with Policy.backoff_base }
+               Strategy.Equal_share)))
+    [ Float.nan; -1.; Float.infinity; 1e308 ];
+  ignore
+    (Policy.make
+       ~faults:{ Policy.default_faults with Policy.backoff_base = 0. }
+       Strategy.Equal_share);
   let p = Policy.static Strategy.Equal_share in
   Alcotest.(check bool)
     "static disables both triggers" false
@@ -863,10 +779,6 @@ let suite =
         Alcotest.test_case "event log ordering + JSON" `Quick
           test_event_log_ordering;
         Alcotest.test_case "replayable through lib/sim" `Quick test_replayable;
-        Alcotest.test_case "alloc cache transparent (poisson)" `Quick
-          test_alloc_cache_transparent;
-        Alcotest.test_case "alloc cache transparent (faults)" `Quick
-          test_alloc_cache_transparent_faults;
       ] );
     ( "online.kernel",
       [

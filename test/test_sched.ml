@@ -149,7 +149,7 @@ let test_allocation_beta_validation () =
            ignore (Allocation.allocate r p ~beta ptg);
            false
          with Invalid_argument _ -> true))
-    [ 0.; -0.5; 1.5 ]
+    [ 0.; -0.5; 1.5; Float.nan ]
 
 let test_scrap_vs_scrap_max () =
   (* SCRAP has no per-level cap: on a wide level it may pack allocation
@@ -411,6 +411,67 @@ let qcheck_cache_differential =
                cached.Allocation.procs)
         betas)
 
+(* One cache serving the request mix an online engine produces across
+   outages: β values, allocation caps from surviving-processor counts
+   and reference clusters shrunk by [Reference_cluster.degrade], drawn
+   independently. The same β under another reference size means another
+   budget and stop power, which is what an exact hit must be keyed on.
+   Midway the cache is deep-copied, and the copy and the original each
+   serve the rest of the stream. Every result must be bit-identical to
+   a scratch run. *)
+let qcheck_cache_request_mix =
+  let p = Grid5000.lille () in
+  let full = Reference_cluster.of_platform p in
+  let sizes = Array.init (Platform.cluster_count p) (fun k ->
+      (Platform.cluster p k).Platform.procs)
+  in
+  let caps =
+    [|
+      None;
+      Some (Array.map (fun n -> n / 2) sizes);
+      Some (Array.mapi (fun k n -> if k = 0 then 0 else n) sizes);
+      Some (Array.map (fun n -> min n 3) sizes);
+    |]
+  in
+  let request =
+    QCheck.(
+      triple
+        (oneofl [ 0.1; 0.2; 0.33; 0.5; 0.75; 1.0 ])
+        (int_range 0 (Array.length caps - 1))
+        (oneofl [ 1.0; 0.8; 0.5; 0.3 ]))
+  in
+  QCheck.Test.make ~name:"one cache ≡ scratch over mixed degraded requests"
+    ~count:40
+    QCheck.(pair (int_range 0 5000) (list_of_size (Gen.int_range 2 14) request))
+    (fun (seed, requests) ->
+      let ptg = random_ptg seed in
+      let arena = Alloc_arena.create () in
+      let serve cache (beta, cap, share) =
+        let up_counts = caps.(cap) in
+        let r =
+          Reference_cluster.degrade full
+            ~power:(share *. Platform.total_power p)
+        in
+        let cached =
+          Allocation.allocate_cached ?up_counts ~cache ~arena r p ~beta ptg
+        in
+        let scratch = Allocation.allocate ?up_counts r p ~beta ptg in
+        cached.Allocation.procs = scratch.Allocation.procs
+        && cached.Allocation.iterations = scratch.Allocation.iterations
+        && Float.equal cached.Allocation.critical_path
+             scratch.Allocation.critical_path
+        && Float.equal cached.Allocation.average_area
+             scratch.Allocation.average_area
+      in
+      let half = List.length requests / 2 in
+      let first = List.filteri (fun i _ -> i < half) requests in
+      let rest = List.filteri (fun i _ -> i >= half) requests in
+      let cache = Allocation.cache_create () in
+      List.for_all (serve cache) first
+      &&
+      let copy = Allocation.cache_copy cache in
+      List.for_all (serve copy) rest && List.for_all (serve cache) rest)
+
 (* ---------- Strategy ---------- *)
 
 let sample_ptgs () = [ random_ptg 1; random_ptg 2; random_ptg ~tasks:50 3 ]
@@ -474,13 +535,41 @@ let test_strategy_validation () =
        ignore (Strategy.betas Strategy.Selfish ~ref_speed:1. []);
        false
      with Invalid_argument _ -> true);
-  Alcotest.(check bool) "mu out of range" true
-    (try
-       ignore
-         (Strategy.betas (Strategy.Weighted (Strategy.Work, 1.5)) ~ref_speed:1.
-            (sample_ptgs ()));
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun mu ->
+      Alcotest.(check bool)
+        (Printf.sprintf "mu = %g rejected" mu)
+        true
+        (try
+           ignore
+             (Strategy.betas (Strategy.Weighted (Strategy.Work, mu))
+                ~ref_speed:1. (sample_ptgs ()));
+           false
+         with Invalid_argument _ -> true))
+    [ -0.1; 1.5; Float.nan ]
+
+let test_strategy_short_names () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Strategy.short_name s ^ " round-trips")
+        true
+        (Strategy.of_short_name (Strategy.short_name s) = Ok s))
+    Strategy.paper_eight;
+  Alcotest.(check bool) "unknown strategy" true
+    (Strategy.of_short_name "WPS-depth" = Error "unknown strategy WPS-depth");
+  let module W = Mcs_experiments.Workload in
+  List.iter
+    (fun (name, family) ->
+      Alcotest.(check bool) (name ^ " parses") true
+        (W.family_of_string name = Ok family))
+    [
+      ("random", W.Random_mixed_scenarios);
+      ("fft", W.Fft_ptgs);
+      ("strassen", W.Strassen_ptgs);
+    ];
+  Alcotest.(check bool) "unknown family" true
+    (W.family_of_string "FFT" = Error "unknown family FFT")
 
 let test_strategy_names () =
   Alcotest.(check string) "S" "S" (Strategy.name Strategy.Selfish);
@@ -1119,6 +1208,7 @@ let suite =
         Alcotest.test_case "release & copy" `Quick
           test_cache_release_and_copy;
         QCheck_alcotest.to_alcotest qcheck_cache_differential;
+        QCheck_alcotest.to_alcotest qcheck_cache_request_mix;
       ] );
     ( "sched.strategy",
       [
@@ -1133,6 +1223,8 @@ let suite =
         Alcotest.test_case "work ordering" `Quick
           test_strategy_work_gamma_orders;
         Alcotest.test_case "validation" `Quick test_strategy_validation;
+        Alcotest.test_case "short names parse back" `Quick
+          test_strategy_short_names;
         Alcotest.test_case "names" `Quick test_strategy_names;
         QCheck_alcotest.to_alcotest qcheck_betas_in_range;
       ] );
