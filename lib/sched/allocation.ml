@@ -292,11 +292,12 @@ let allocate ?(procedure = Scrap_max) ?up_counts ref_cluster platform ~beta
 
 (* ---------------- Allocation cache ----------------
 
-   One cache per (application × engine). An entry materialises one
-   increment trajectory under one allocation cap: the node chosen at
-   every step plus the critical path and raw area of every visited
-   state, together with the frontier loop state so the trajectory can
-   be extended when a β wants to stop later than any β seen so far.
+   One cache per application: per engine application online, per PTG
+   in an offline evaluation. An entry materialises one increment
+   trajectory under one allocation cap: the node chosen at every step
+   plus the critical path and raw area of every visited state, together
+   with the frontier loop state so the trajectory can be extended when
+   a β wants to stop later than any β seen so far.
 
    β enters the loop twice, and the entry captures both channels:
 
