@@ -16,11 +16,11 @@ let short_name = function
   | Proportional m -> "PS-" ^ metric_name m
   | Weighted (m, _) -> "WPS-" ^ metric_name m
 
-let paper_mu = function Work -> 0.7 | Cp -> 0.5 | Width -> 0.5
-
 let name = function
   | Weighted (m, mu) -> Printf.sprintf "WPS-%s(%.1f)" (metric_name m) mu
   | s -> short_name s
+
+let paper_mu = function Work -> 0.7 | Cp -> 0.5 | Width -> 0.5
 
 let paper_eight =
   [
