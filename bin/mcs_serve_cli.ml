@@ -35,7 +35,9 @@ let run site shards inline count seed mean_interarrival family strategy
   let strategy =
     match Strategy.of_short_name strategy with Ok s -> s | Error m -> die m
   in
-  let family = match Workload.family_of_string family with Ok f -> f | Error m -> die m in
+  let family =
+    match Workload.family_of_string family with Ok f -> f | Error m -> die m
+  in
   let router =
     match Router.choice_of_string router with Ok r -> r | Error m -> die m
   in
