@@ -119,13 +119,16 @@ let faults platform =
       horizon = 1500.;
     }
 
+(* The registry policy [name] over [base]. *)
+let registry name ~base = Policy_kernel.of_name name ~base
+
 (* The engine's log, the run's completions and its resize count. With
    [split], the run stops before that virtual time, is snapshotted and
    finishes on a restored session that inherits the log sink. *)
-let engine_run ?faults ?split ~policy platform apps =
+let engine_run ?faults ?split ?kernel ~policy platform apps =
   let events = ref [] in
   let log e = events := e :: !events in
-  let s = Engine.create ~log ?faults ~policy platform apps in
+  let s = Engine.create ~log ?faults ?kernel ~policy platform apps in
   let s =
     match split with
     | None -> s
@@ -193,20 +196,121 @@ let test_engine () =
       Alcotest.(check string) name expected got)
     engine_cases
 
+(* --- policy registry, swap and what-if ----------------------------- *)
+
+(* Every registry name over one faulted + malleable scenario: each run
+   kills, retries and resizes, so the trigger set, the backoff and the
+   shrink all reach the log. *)
+let registry_cases =
+  [
+    ("default", "6c639022166b41cfc88a004dd3c85ff5");
+    ("static", "8322a2b7a3e3a9f49fe4880560547948");
+    ("eager", "7cee3e34ec9b6bd5a26ae3b7f39d4f39");
+    ("linear-backoff", "5fca8c994ebfe08a19feacac0444c899");
+    ("shrink-retry", "1605e92c24fa88d8711146d5635e906a");
+  ]
+
+let test_registry () =
+  let rennes = Grid5000.rennes () in
+  let apps = workload 4 77 ~mean:20. in
+  let faults =
+    Fault.generate ~seed:5 rennes
+      {
+        Fault.default with
+        Fault.mttf = 1200.;
+        mttr = 60.;
+        task_fail_p = 0.15;
+        horizon = 800.;
+      }
+  in
+  let base = Policy.make ~malleability:malleable wps_work in
+  let digests =
+    List.map
+      (fun (name, expected) ->
+        let kernel = registry name ~base in
+        let got, st = engine_run ~faults ~kernel ~policy:base rennes apps in
+        Alcotest.(check bool)
+          (name ^ ": run kills, retries and resizes")
+          true
+          (st.Engine.kills > 0 && st.Engine.task_failures > 0
+          && st.Engine.resizes > 0);
+        Alcotest.(check string) name expected got;
+        got)
+      registry_cases
+  in
+  Alcotest.(check int)
+    "registry digests pairwise distinct" (List.length digests)
+    (List.length (List.sort_uniq compare digests))
+
+let reschedule_triggers events =
+  List.filter_map
+    (function Log.Reschedule { trigger; _ } -> Some trigger | _ -> None)
+    events
+
+(* [static] up to t = 80, then [eager] with an immediate remap. *)
+let test_swap () =
+  let rennes = Grid5000.rennes () in
+  let base = Policy.make wps_work in
+  let events = ref [] in
+  let log e = events := e :: !events in
+  let s =
+    Engine.create ~log ~kernel:(registry "static" ~base) ~policy:base rennes
+      (workload 6 42 ~mean:25.)
+  in
+  Engine.advance ~upto:80. s;
+  Engine.set_kernel ~reschedule:true s (registry "eager" ~base);
+  Engine.advance s;
+  let r = Engine.result s in
+  let triggers = reschedule_triggers !events in
+  Alcotest.(check bool)
+    "the swap remaps, then task finishes reschedule" true
+    (List.mem "policy_swap" triggers && List.mem "task_finish" triggers);
+  Alcotest.(check string) "static -> eager swap"
+    "215fa974aa4ae501dbf4ba6b0a8abe6e"
+    (digest_of
+       (fun b () ->
+         List.iter (render_event b) (List.rev !events);
+         Array.iter (add_float b) r.Engine.completions)
+       [ () ])
+
+(* A what-if from [static] to [default] part-way through a contended
+   stream: the adoption, both clone makespans and the live run's
+   completions. *)
+let test_what_if () =
+  let rennes = Grid5000.rennes () in
+  let base = Policy.make wps_work in
+  let s =
+    Engine.create ~kernel:(registry "static" ~base) ~policy:base rennes
+      (workload 6 11 ~mean:20.)
+  in
+  Engine.advance ~upto:30. s;
+  let sp = Engine.what_if s (registry "default" ~base) in
+  Engine.advance s;
+  let r = Engine.result s in
+  Alcotest.(check bool) "default adopted" true sp.Engine.adopted;
+  Alcotest.(check string) "static -> default what-if"
+    "e02e13ce2c55e96b6448c796894d590f"
+    (digest_of
+       (fun b () ->
+         add_tag b (string_of_bool sp.Engine.adopted);
+         add_float b sp.Engine.baseline_makespan;
+         add_float b sp.Engine.candidate_makespan;
+         Array.iter (add_float b) r.Engine.completions)
+       [ () ])
+
 (* --- serve --------------------------------------------------------- *)
 
-let serve_digest ~shards ~mode =
-  let platform = Grid5000.grid () in
-  let cfg =
-    {
-      Service.default_config with
-      Service.shards;
-      mode;
-      policy = Policy.make Strategy.Equal_share;
-      capture_logs = true;
-    }
-  in
-  let r = Service.run_stream cfg platform (workload 24 5 ~mean:2.) in
+let serve_config ~shards ~mode =
+  {
+    Service.default_config with
+    Service.shards;
+    mode;
+    policy = Policy.make Strategy.Equal_share;
+    capture_logs = true;
+  }
+
+let serve_digest cfg =
+  let r = Service.run_stream cfg (Grid5000.grid ()) (workload 24 5 ~mean:2.) in
   digest_of
     (fun b (id, e) ->
       add_int b id;
@@ -227,9 +331,13 @@ let test_serve () =
           Alcotest.(check string)
             (Printf.sprintf "%d shard(s), %s" shards mname)
             expected
-            (serve_digest ~shards ~mode))
+            (serve_digest (serve_config ~shards ~mode)))
         [ ("inline", Service.Inline); ("domains", Service.Domains) ])
-    serve_cases
+    serve_cases;
+  Alcotest.(check string) "2 shard(s), inline, eager"
+    "9790fd9c36afac616e0094785eed1f51"
+    (serve_digest
+       { (serve_config ~shards:2 ~mode:Service.Inline) with kernel = "eager" })
 
 (* --- offline evaluation -------------------------------------------- *)
 
@@ -265,6 +373,9 @@ let suite =
     ( "golden",
       [
         Alcotest.test_case "engine event logs" `Quick test_engine;
+        Alcotest.test_case "policy registry" `Quick test_registry;
+        Alcotest.test_case "policy swap" `Quick test_swap;
+        Alcotest.test_case "what-if" `Quick test_what_if;
         Alcotest.test_case "serve merged logs" `Quick test_serve;
         Alcotest.test_case "Runner.evaluate metrics" `Quick test_evaluate;
       ] );
