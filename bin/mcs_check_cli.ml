@@ -43,36 +43,18 @@ let run rules site strict files =
     exit 0
   end;
   let platform =
-    match site with
-    | None -> None
-    | Some name -> (
-      match Mcs_platform.Grid5000.by_name name with
-      | Some p -> Some p
-      | None ->
-        prerr_endline
-          ("unknown site: " ^ name ^ " (lille|nancy|rennes|sophia)");
-        exit 2)
+    Option.map (fun name -> Cli.ok (Mcs_platform.Grid5000.by_name name)) site
   in
-  if files = [] then begin
-    prerr_endline "no trace files given (try --rules for the rule list)";
-    exit 2
-  end;
+  if files = [] then
+    Cli.die "no trace files given (try --rules for the rule list)";
   let errors = ref 0 and warnings = ref 0 in
   List.iter
     (fun path ->
-      let contents =
-        match read_file path with
-        | Ok c -> c
-        | Error msg ->
-          prerr_endline msg;
-          exit 2
-      in
+      let contents = Cli.ok (read_file path) in
       let doc =
         match parse path contents with
         | Ok doc -> doc
-        | Error msg ->
-          Printf.eprintf "%s: %s\n" path msg;
-          exit 2
+        | Error msg -> Cli.die (path ^ ": " ^ msg)
       in
       let diags = Check.lint_trace ?platform doc in
       List.iter
@@ -97,9 +79,10 @@ let site =
   Arg.(value & opt (some string) None
        & info [ "site" ]
            ~doc:
-             "Grid'5000 subset the trace was scheduled on (lille, nancy, \
-              rennes or sophia); enables the cluster-membership, \
-              redistribution and packing rules")
+             ("Grid'5000 platform the trace was scheduled on ("
+             ^ String.concat ", " Mcs_platform.Grid5000.names
+             ^ "); enables the cluster-membership, redistribution and \
+                packing rules"))
 
 let strict =
   Arg.(value & flag

@@ -1,43 +1,31 @@
 (* Experiment CLI: regenerate any table/figure of the paper (and the
-   repo's extra experiments) by id. See DESIGN.md section 5 for the
-   index. *)
+   repo's extra experiments) by id or alias, from the registry in
+   Mcs_experiments.Artefact. See DESIGN.md section 5 for the index. *)
 
 open Cmdliner
-module E = Mcs_experiments
-
-let print_tables tables = List.iter Mcs_util.Table.print tables
+module Artefact = Mcs_experiments.Artefact
 
 let run_experiment id runs profile profile_format =
   Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
   let runs = if runs <= 0 then None else Some runs in
-  match String.lowercase_ascii id with
-  | "table1" | "t1" -> Mcs_util.Table.print (E.Table1.table ())
-  | "fig1" | "f1" -> print_tables (E.Fig_ready_vs_global.tables ?runs ())
-  | "fig2" | "f2" -> print_tables (E.Fig_mu_sweep.figure2 ?runs ())
-  | "fig3" | "f3" -> print_tables (E.Fig_strategies.figure3 ?runs ())
-  | "fig4" | "f4" -> print_tables (E.Fig_strategies.figure4 ?runs ())
-  | "fig5" | "f5" -> print_tables (E.Fig_strategies.figure5 ?runs ())
-  | "x1" | "constraint" -> Mcs_util.Table.print (E.Exp_constraint.table ?runs ())
-  | "x2" | "packing" -> Mcs_util.Table.print (E.Exp_ablation.packing_table ?runs ())
-  | "x3" | "scrap" -> Mcs_util.Table.print (E.Exp_ablation.procedure_table ?runs ())
-  | "x4" | "validation" -> Mcs_util.Table.print (E.Exp_validation.table ?runs ())
-  | "x5" | "arrivals" -> Mcs_util.Table.print (E.Exp_arrivals.table ?runs ())
-  | "x6" | "single" -> Mcs_util.Table.print (E.Exp_single_ptg.table ?runs ())
-  | "x7" | "online" -> Mcs_util.Table.print (E.Exp_online.table ?runs ())
-  | "x8" | "faults" -> Mcs_util.Table.print (E.Exp_faults.table ?runs ())
-  | "x9" | "malleable" -> Mcs_util.Table.print (E.Exp_malleable.table ?runs ())
-  | other ->
-    prerr_endline
-      ("unknown experiment " ^ other
-     ^ " (table1 fig1 fig2 fig3 fig4 fig5 x1 x2 x3 x4 x5 x6 x7 x8 x9)");
-    exit 2
+  let id = String.lowercase_ascii id in
+  match Artefact.find id with
+  | Some a -> List.iter Mcs_util.Table.print (a.Artefact.tables ?runs ())
+  | None ->
+    Cli.die
+      (Printf.sprintf "unknown experiment %s (%s)" id
+         (String.concat " " (List.map (fun a -> a.Artefact.id) Artefact.all)))
 
 let id =
   Arg.(value & pos 0 string "table1"
        & info [] ~docv:"EXPERIMENT"
-           ~doc:"table1, fig1..fig5, x1 (constraint), x2 (packing), x3 \
-                 (scrap), x4 (validation), x5 (arrivals), x6 (single), x7 \
-                 (online), x8 (faults), x9 (malleable)")
+           ~doc:
+             (String.concat ", "
+                (List.map
+                   (fun a ->
+                     Printf.sprintf "%s (%s)" a.Artefact.id
+                       (String.concat ", " a.Artefact.aliases))
+                   Artefact.all)))
 
 let runs =
   Arg.(value & opt int 0

@@ -19,34 +19,16 @@ let write_file path contents =
   Printf.eprintf "wrote %s\n" path
 
 let run site strategy family count seed mean_interarrival static finish_resched
-    kernel_name checkpoint swap_at swap_to what_if what_if_at csv json gantt
+    policy_name checkpoint swap_at swap_to what_if what_if_at csv json gantt
     check faults mttf mttr task_fail_p granularity horizon max_retries backoff
     shrink malleable resize_quantum redist_cost min_width shrink_above
     grow_below profile profile_format =
   Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
-  let platform =
-    match Mcs_platform.Grid5000.by_name site with
-    | Some p -> p
-    | None ->
-      prerr_endline ("unknown site: " ^ site ^ " (lille|nancy|rennes|sophia)");
-      exit 2
-  in
-  let strategy =
-    match Strategy.of_short_name strategy with
-    | Ok s -> s
-    | Error m ->
-      prerr_endline m;
-      exit 2
-  in
-  let family =
-    match Workload.family_of_string family with
-    | Ok f -> f
-    | Error m ->
-      prerr_endline m;
-      exit 2
-  in
+  let platform = Cli.ok (Mcs_platform.Grid5000.by_name site) in
+  let strategy = Cli.ok (Strategy.of_short_name strategy) in
+  let family = Cli.ok (Workload.family_of_string family) in
   let rng = Mcs_prng.Prng.create ~seed in
-  let ptgs = Workload.draw rng family ~count in
+  let ptgs = Cli.checked (fun () -> Workload.draw rng family ~count) in
   let release = Array.make count 0. in
   let clock = ref 0. in
   List.iteri
@@ -65,21 +47,21 @@ let run site strategy family count seed mean_interarrival static finish_resched
         | "proc" -> Fault.Proc
         | "cluster" -> Fault.Cluster
         | g ->
-          prerr_endline ("unknown fault granularity: " ^ g ^ " (proc|cluster)");
-          exit 2
+          Cli.die ("unknown fault granularity: " ^ g ^ " (proc|cluster)")
       in
       let config =
         { Fault.mttf; mttr; task_fail_p; granularity; horizon }
       in
-      match Fault.generate ~seed platform config with
-      | s -> Some s
-      | exception Invalid_argument m ->
-        prerr_endline m;
-        exit 2
+      Some (Cli.checked (fun () -> Fault.generate ~seed platform config))
     end
   in
   let fault_policy =
-    { Policy.max_retries; backoff_base = backoff; shrink_on_retry = shrink }
+    {
+      Policy.default_faults with
+      Policy.max_retries;
+      backoff_base = backoff;
+      shrink_on_retry = shrink;
+    }
   in
   let malleability =
     if not malleable then None
@@ -94,25 +76,14 @@ let run site strategy family count seed mean_interarrival static finish_resched
           grow_active_below = grow_below;
         }
   in
-  let policy =
-    match
-      Policy.make ~faults:fault_policy ?malleability
-        ~reschedule_on_departure:(not static)
-        ~reschedule_on_task_finish:finish_resched strategy
-    with
-    | p -> p
-    | exception Invalid_argument m ->
-      prerr_endline m;
-      exit 2
+  let base =
+    Cli.checked (fun () ->
+        Policy.make ~faults:fault_policy ?malleability
+          ~reschedule_on_departure:(not static)
+          ~reschedule_on_task_finish:finish_resched strategy)
   in
-  let kernel_of name =
-    match Mcs_online.Policy_kernel.of_name name ~base:policy with
-    | k -> k
-    | exception Invalid_argument m ->
-      prerr_endline m;
-      exit 2
-  in
-  let kernel = kernel_of kernel_name in
+  let policy_of name = Cli.checked (fun () -> Policy.of_name name ~base) in
+  let policy = policy_of policy_name in
   let log e = print_endline (Log.to_json e) in
   (* With --check, every reschedule generation is audited by the
      invariant analyzer; violations are reported and fail the run. *)
@@ -129,48 +100,56 @@ let run site strategy family count seed mean_interarrival static finish_resched
      each applied once its virtual time is reached: a checkpoint (the
      session is snapshotted, dropped, and the run continues on the
      restored copy — output identical to an uninterrupted run, which CI
-     diffs), a policy swap ([set_kernel] with an immediate remap), and
-     a what-if speculation (adopt the candidate kernel only if the
-     cloned trial improves the makespan). *)
+     diffs), a policy swap ([set_policy] with an immediate remap), and
+     a what-if speculation (adopt the candidate policy only if the
+     cloned trial improves the makespan). Names and times are checked
+     here, before the first event is logged. *)
+  let at flag t =
+    if not (Float.is_finite t) then
+      Cli.die (Printf.sprintf "%s: not a finite virtual time: %g" flag t);
+    t
+  in
   let actions =
     List.sort (fun (a, _) (b, _) -> Float.compare a b)
-      ((match checkpoint with Some t -> [ (t, `Checkpoint) ] | None -> [])
-      @ (match swap_at with Some t -> [ (t, `Swap) ] | None -> [])
+      ((match checkpoint with
+       | Some t -> [ (at "--checkpoint" t, `Checkpoint) ]
+       | None -> [])
+      @ (match swap_at with
+        | Some t -> [ (at "--swap-at" t, `Swap (policy_of swap_to)) ]
+        | None -> [])
       @
-      match what_if with Some n -> [ (what_if_at, `What_if n) ] | None -> [])
+      match what_if with
+      | Some n -> [ (at "--what-if-at" what_if_at, `What_if (policy_of n)) ]
+      | None -> [])
   in
   let r =
-    match
-      let session =
-        ref
-          (Engine.create ~log ?check:check_sink ?faults:fault_scenario ~kernel
-             ~policy platform apps)
-      in
-      List.iter
-        (fun (time, action) ->
-          Engine.advance ~upto:time !session;
-          match action with
-          | `Checkpoint ->
-            let snap = Engine.snapshot !session in
-            session := Engine.restore ~log ?check:check_sink snap;
-            Printf.eprintf "checkpoint/restore at t=%g\n" time
-          | `Swap ->
-            Engine.set_kernel ~reschedule:true !session (kernel_of swap_to);
-            Printf.eprintf "policy swap to %s at t=%g\n" swap_to time
-          | `What_if name ->
-            let sp = Engine.what_if !session (kernel_of name) in
-            Printf.eprintf
-              "what-if %s at t=%g: baseline=%.17g candidate=%.17g %s\n" name
-              time sp.Engine.baseline_makespan sp.Engine.candidate_makespan
-              (if sp.Engine.adopted then "adopted" else "kept incumbent"))
-        actions;
-      Engine.advance !session;
-      Engine.result !session
-    with
-    | r -> r
-    | exception Invalid_argument m ->
-      prerr_endline m;
-      exit 2
+    Cli.checked @@ fun () ->
+    let session =
+      ref
+        (Engine.create ~log ?check:check_sink ?faults:fault_scenario ~policy
+           platform apps)
+    in
+    List.iter
+      (fun (time, action) ->
+        Engine.advance ~upto:time !session;
+        match action with
+        | `Checkpoint ->
+          let snap = Engine.snapshot !session in
+          session := Engine.restore ~log ?check:check_sink snap;
+          Printf.eprintf "checkpoint/restore at t=%g\n" time
+        | `Swap p ->
+          Engine.set_policy ~reschedule:true !session p;
+          Printf.eprintf "policy swap to %s at t=%g\n" p.Policy.name time
+        | `What_if p ->
+          let sp = Engine.what_if !session p in
+          Printf.eprintf
+            "what-if %s at t=%g: baseline=%.17g candidate=%.17g %s\n"
+            p.Policy.name time sp.Engine.baseline_makespan
+            sp.Engine.candidate_makespan
+            (if sp.Engine.adopted then "adopted" else "kept incumbent"))
+      actions;
+    Engine.advance !session;
+    Engine.result !session
   in
   if !violations > 0 then begin
     Printf.eprintf "invariant check: %d errors\n" !violations;
@@ -230,7 +209,8 @@ let run site strategy family count seed mean_interarrival static finish_resched
 
 let site =
   Arg.(value & opt string "rennes"
-       & info [ "site" ] ~doc:"lille, nancy, rennes or sophia")
+       & info [ "site" ]
+           ~doc:(String.concat ", " Mcs_platform.Grid5000.names))
 
 let strategy =
   Arg.(value & opt string "WPS-work"
@@ -263,12 +243,12 @@ let finish_resched =
              "reschedule on every task finish as well as on departures \
               (rejected when combined with --static)")
 
-let kernel_name =
+let policy_name =
   Arg.(value & opt string "default"
        & info [ "policy" ]
            ~doc:
-             (Printf.sprintf "policy kernel governing the engine: %s"
-                (String.concat ", " Mcs_online.Policy_kernel.names)))
+             (Printf.sprintf "named policy over the trigger and fault flags: %s"
+                (String.concat ", " Policy.names)))
 
 let checkpoint =
   Arg.(value & opt (some float) None
@@ -282,18 +262,18 @@ let swap_at =
   Arg.(value & opt (some float) None
        & info [ "swap-at" ]
            ~doc:
-             "swap the active policy kernel to --swap-to at this virtual \
-              time (with an immediate remap, logged as 'policy_swap')")
+             "swap the active policy to --swap-to at this virtual time \
+              (with an immediate remap, logged as 'policy_swap')")
 
 let swap_to =
   Arg.(value & opt string "eager"
-       & info [ "swap-to" ] ~doc:"kernel name --swap-at switches to")
+       & info [ "swap-to" ] ~doc:"policy name --swap-at switches to")
 
 let what_if =
   Arg.(value & opt (some string) None
        & info [ "what-if" ]
            ~doc:
-             "speculatively try this kernel at --what-if-at on a cloned \
+             "speculatively try this policy at --what-if-at on a cloned \
               session and adopt it only if it improves the makespan")
 
 let what_if_at =
@@ -365,7 +345,9 @@ let max_retries =
 let backoff =
   Arg.(value & opt float 5.
        & info [ "backoff" ]
-           ~doc:"retry backoff base, seconds (retry k waits base*2^(k-1))")
+           ~doc:
+             "retry backoff base, seconds (retry k waits base*2^(k-1), or \
+              base*k under --policy linear-backoff)")
 
 let shrink =
   Arg.(value & flag
@@ -416,7 +398,7 @@ let cmd =
     (Cmd.info "mcs_online" ~doc)
     Term.(
       const run $ site $ strategy $ family $ count $ seed $ mean_interarrival
-      $ static $ finish_resched $ kernel_name $ checkpoint $ swap_at
+      $ static $ finish_resched $ policy_name $ checkpoint $ swap_at
       $ swap_to $ what_if $ what_if_at $ csv $ json $ gantt $ check $ faults
       $ mttf $ mttr $ task_fail_p $ granularity $ horizon $ max_retries
       $ backoff $ shrink $ malleable $ resize_quantum $ redist_cost

@@ -16,29 +16,11 @@ let write_file path contents =
 
 let run site strategy family count seed csv json check profile profile_format =
   Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
-  let platform =
-    match Mcs_platform.Grid5000.by_name site with
-    | Some p -> p
-    | None ->
-      prerr_endline ("unknown site: " ^ site ^ " (lille|nancy|rennes|sophia)");
-      exit 2
-  in
-  let strategy =
-    match Strategy.of_short_name strategy with
-    | Ok s -> s
-    | Error m ->
-      prerr_endline m;
-      exit 2
-  in
-  let family =
-    match Workload.family_of_string family with
-    | Ok f -> f
-    | Error m ->
-      prerr_endline m;
-      exit 2
-  in
+  let platform = Cli.ok (Mcs_platform.Grid5000.by_name site) in
+  let strategy = Cli.ok (Strategy.of_short_name strategy) in
+  let family = Cli.ok (Workload.family_of_string family) in
   let rng = Mcs_prng.Prng.create ~seed in
-  let ptgs = Workload.draw rng family ~count in
+  let ptgs = Cli.checked (fun () -> Workload.draw rng family ~count) in
   let prepared = Pipeline.prepare ~strategy platform ptgs in
   let schedules = Pipeline.schedule_concurrent ~strategy platform ptgs in
   (match Schedule.validate ~platform schedules with
@@ -87,7 +69,8 @@ let run site strategy family count seed csv json check profile profile_format =
 
 let site =
   Arg.(value & opt string "rennes"
-       & info [ "site" ] ~doc:"lille, nancy, rennes or sophia")
+       & info [ "site" ]
+           ~doc:(String.concat ", " Mcs_platform.Grid5000.names))
 
 let strategy =
   Arg.(value & opt string "WPS-width"

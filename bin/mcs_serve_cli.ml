@@ -18,29 +18,15 @@ module Admission = Mcs_serve.Admission
 module Router = Mcs_serve.Router
 module Stats = Mcs_serve.Stats
 
-let die msg =
-  prerr_endline msg;
-  exit 2
-
 let run site shards inline count seed mean_interarrival family strategy
-    dynamic finish_resched kernel checkpoint_every kill_shard kill_after
+    dynamic finish_resched policy_name checkpoint_every kill_shard kill_after
     router window capacity reject shed_above rate check faults mttf mttr
     task_fail_p malleable resize_quantum log_path profile profile_format =
   Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
-  let platform =
-    match Mcs_platform.Grid5000.by_name site with
-    | Some p -> p
-    | None -> die ("unknown site: " ^ site ^ " (lille|nancy|rennes|sophia|grid)")
-  in
-  let strategy =
-    match Strategy.of_short_name strategy with Ok s -> s | Error m -> die m
-  in
-  let family =
-    match Workload.family_of_string family with Ok f -> f | Error m -> die m
-  in
-  let router =
-    match Router.choice_of_string router with Ok r -> r | Error m -> die m
-  in
+  let platform = Cli.ok (Mcs_platform.Grid5000.by_name site) in
+  let strategy = Cli.ok (Strategy.of_short_name strategy) in
+  let family = Cli.ok (Workload.family_of_string family) in
+  let router = Cli.ok (Router.choice_of_string router) in
   let malleability =
     if not malleable then None
     else
@@ -51,15 +37,12 @@ let run site shards inline count seed mean_interarrival family strategy
         }
   in
   let policy =
-    match
-      if finish_resched then
-        Policy.make ?malleability ~reschedule_on_departure:true
-          ~reschedule_on_task_finish:true strategy
-      else if dynamic then Policy.make ?malleability strategy
-      else Policy.static ?malleability strategy
-    with
-    | p -> p
-    | exception Invalid_argument m -> die m
+    Cli.checked (fun () ->
+        Policy.of_name policy_name
+          ~base:
+            (Policy.make ?malleability
+               ~reschedule_on_departure:(dynamic || finish_resched)
+               ~reschedule_on_task_finish:finish_resched strategy))
   in
   let admission =
     {
@@ -76,7 +59,6 @@ let run site shards inline count seed mean_interarrival family strategy
       router;
       admission;
       policy;
-      kernel;
       checkpoint_every;
       kill =
         (match kill_shard with
@@ -92,7 +74,7 @@ let run site shards inline count seed mean_interarrival family strategy
     }
   in
   let rng = Mcs_prng.Prng.create ~seed in
-  let ptgs = Workload.draw rng family ~count in
+  let ptgs = Cli.checked (fun () -> Workload.draw rng family ~count) in
   let clock = ref 0. in
   let apps =
     List.mapi
@@ -104,9 +86,7 @@ let run site shards inline count seed mean_interarrival family strategy
       ptgs
   in
   let report =
-    match Service.run_stream ~rate config platform apps with
-    | r -> r
-    | exception Invalid_argument m -> die m
+    Cli.checked (fun () -> Service.run_stream ~rate config platform apps)
   in
   let join fmt l = String.concat "," (List.map fmt l) in
   Array.iter
@@ -174,7 +154,9 @@ let run site shards inline count seed mean_interarrival family strategy
 let site =
   Arg.(value & opt string "grid"
        & info [ "site" ]
-           ~doc:"lille, nancy, rennes, sophia, or grid (all four federated)")
+           ~doc:
+             (String.concat ", " Mcs_platform.Grid5000.names
+             ^ " (grid: all four sites federated)"))
 
 let shards =
   Arg.(value & opt int 4 & info [ "shards" ] ~doc:"platform partitions")
@@ -220,12 +202,13 @@ let finish_resched =
               (implies the dynamic departure policy; the most reactive — \
               and most expensive — built-in policy)")
 
-let kernel =
+let policy_name =
   Arg.(value & opt string "default"
        & info [ "policy" ]
            ~doc:
-             (Printf.sprintf "policy kernel governing each shard's engine: %s"
-                (String.concat ", " Mcs_online.Policy_kernel.names)))
+             (Printf.sprintf
+                "named policy over the trigger flags, for every shard: %s"
+                (String.concat ", " Policy.names)))
 
 let checkpoint_every =
   Arg.(value & opt int 0
@@ -341,7 +324,7 @@ let cmd =
     (Cmd.info "mcs_serve" ~doc)
     Term.(
       const run $ site $ shards $ inline $ count $ seed $ mean_interarrival
-      $ family $ strategy $ dynamic $ finish_resched $ kernel
+      $ family $ strategy $ dynamic $ finish_resched $ policy_name
       $ checkpoint_every $ kill_shard $ kill_after $ router $ window
       $ capacity $ reject $ shed_above $ rate $ check $ faults $ mttf $ mttr
       $ task_fail_p $ malleable $ resize_quantum $ log_path $ Obs_cli.profile

@@ -48,8 +48,10 @@ type result = {
 type session = {
   st : State.t;
   q : Event_queue.t;
-  mutable kernel : Policy_kernel.t;
+  mutable policy : Policy.t;
       (** the one active policy object; swappable mid-run *)
+  mutable policy_counters : Obs.counter * Obs.counter;
+      (** [policy.<name>.reschedules] and [.remapped] of [policy] *)
   platform : P.t;
   faults : Fault.scenario option;
   fault_on : bool;
@@ -58,13 +60,17 @@ type session = {
   mutable processed : int;
 }
 
-let policy s = s.kernel.Policy_kernel.policy
+(* Per-policy counters are interned by policy name, so two policies of
+   the same name share them: an A/B swap reports how much each named
+   policy did, whichever instance was live. *)
+let counters_of (p : Policy.t) =
+  ( Obs.counter (Printf.sprintf "policy.%s.reschedules" p.Policy.name),
+    Obs.counter (Printf.sprintf "policy.%s.remapped" p.Policy.name) )
 
-(* Trigger merging for a batch of simultaneous events: every event
-   kind asks the active kernel whether it forces a reschedule (arrivals
-   and fault events do under every kernel this repo ships — see the
-   {!Policy_kernel} contract). The label of the merged batch is its
-   strongest cause. *)
+(* Trigger merging for a batch of simultaneous events: arrivals,
+   failures, outages, recoveries and resizes always force a reschedule;
+   departures and task finishes do per the policy's flags. The label of
+   the merged batch is its strongest cause. *)
 let trigger_rank = function
   | "resize" -> 6
   | "proc_down" -> 5
@@ -88,7 +94,7 @@ let will_fail s app v =
   | Some sc
     when sc.Fault.config.Fault.task_fail_p > 0.
          && app.State.failures.(v)
-            < (policy s).Policy.faults.Policy.max_retries
+            < s.policy.Policy.faults.Policy.max_retries
     ->
     Fault.roll_failure sc ~app:app.State.index ~node:v
       ~attempt:app.State.failures.(v)
@@ -175,7 +181,7 @@ let blackout s =
    generation drops the old event). An opportunity is not a commitment —
    the trigger is re-evaluated when the point is reached. *)
 let plan_resizes s =
-  match (policy s).Policy.malleability with
+  match s.policy.Policy.malleability with
   | None -> ()
   | Some m ->
     let state = s.st in
@@ -241,10 +247,10 @@ let reschedule s ~trigger =
     in
     let up_counts = if degraded then Some (State.up_counts state) else None in
     let prepared =
-      Pipeline.prepare ~config:(policy s).Policy.config ~ref_cluster
+      Pipeline.prepare ~config:s.policy.Policy.config ~ref_cluster
         ?up_counts
         ~caches:(List.map (fun app -> app.State.alloc_cache) active)
-        ~arena:state.State.arena ~strategy:(policy s).Policy.strategy
+        ~arena:state.State.arena ~strategy:s.policy.Policy.strategy
         s.platform ptgs
     in
     List.iteri
@@ -260,20 +266,16 @@ let reschedule s ~trigger =
         (fun j app ->
           let procs = prepared.Pipeline.allocations.(j).Allocation.procs in
           let procs =
-            if Policy_kernel.shrinks s.kernel then
-              (* Shrink retried tasks per the kernel (the default
-                 halves the allocation per transient failure: smaller
-                 retries pack earlier on a degraded platform).
-                 Allocations of pinned tasks are ignored by the
-                 mapper, so shrinking them is inert. Deliberately not
-                 gated on fault mode: a custom kernel may shrink on
-                 signals of its own, and the registry kernels are the
-                 identity at zero failures, so fault-free runs stay
-                 bit-identical either way. *)
+            if s.policy.Policy.faults.Policy.shrink_on_retry then
+              (* Halve a retried task's allocation per transient
+                 failure: smaller retries pack earlier on a degraded
+                 platform. Allocations of pinned tasks are ignored by
+                 the mapper, so shrinking them is inert, and at zero
+                 failures this is the identity. *)
               Array.mapi
                 (fun v p ->
-                  Policy_kernel.shrink s.kernel ~failures:app.State.failures.(v)
-                    ~procs:p)
+                  let failures = app.State.failures.(v) in
+                  if failures > 0 then max 1 (p asr min failures 30) else p)
                 procs
             else procs
           in
@@ -292,7 +294,7 @@ let reschedule s ~trigger =
       else None
     in
     let schedules =
-      List_mapper.run ~options:(policy s).Policy.config.Pipeline.mapper ~release
+      List_mapper.run ~options:s.policy.Policy.config.Pipeline.mapper ~release
         ~pinned ~avail ?up ?task_floor s.platform ref_cluster inputs
     in
     let frozen =
@@ -338,8 +340,8 @@ let reschedule s ~trigger =
         (Mcs_check.Online_check.analyze s.platform
            {
              Mcs_check.Online_check.now = state.State.now;
-             strategy = (policy s).Policy.strategy;
-             procedure = (policy s).Policy.config.Pipeline.procedure;
+             strategy = s.policy.Policy.strategy;
+             procedure = s.policy.Policy.config.Pipeline.procedure;
              apps = snap_apps;
            }));
     Event_queue.next_generation s.q;
@@ -347,10 +349,11 @@ let reschedule s ~trigger =
     state.State.remapped_tasks <- state.State.remapped_tasks + remapped;
     Obs.incr c_reschedules;
     Obs.incr ~by:remapped c_remapped;
-    (* Per-kernel attribution: an A/B swap reads these to compare how
+    (* Per-policy attribution: an A/B swap reads these to compare how
        much work each policy object triggered. *)
-    Obs.incr s.kernel.Policy_kernel.c_reschedules;
-    Obs.incr ~by:remapped s.kernel.Policy_kernel.c_remapped;
+    let c_policy_reschedules, c_policy_remapped = s.policy_counters in
+    Obs.incr c_policy_reschedules;
+    Obs.incr ~by:remapped c_policy_remapped;
     if s.fault_on then State.commit_started state;
     announce s;
     plan_resizes s;
@@ -430,8 +433,8 @@ let try_resize s m i node =
         done;
         let cap = width + !nfree in
         let target =
-          Policy_kernel.resize_target s.kernel m
-            ~active:state.State.active_apps ~width ~cap
+          Malleability.target_width m ~active:state.State.active_apps ~width
+            ~cap
         in
         let target = max 1 (min target cap) in
         if target = width then renew ()
@@ -518,14 +521,13 @@ let handle s ev trigger =
            name = app.State.ptg.Ptg.name;
            tasks = Ptg.task_count app.State.ptg;
          });
-    if Policy_kernel.wants s.kernel Policy_kernel.Arrival then
-      trigger := merge_trigger !trigger "arrival"
+    trigger := merge_trigger !trigger "arrival"
   | Event_queue.Task_finish { app = i; node } ->
     let app = state.State.apps.(i) in
     State.record_execution state app node (placement_of s "finish" i node)
       ~finish:ev.Event_queue.time ~outcome:Fault_check.Completed;
     s.emit (Log.Task_finish { time = ev.Event_queue.time; app = i; node });
-    if Policy_kernel.wants s.kernel Policy_kernel.Task_finish then
+    if s.policy.Policy.reschedule_on_task_finish then
       trigger := merge_trigger !trigger "task_finish"
   | Event_queue.Task_failed { app = i; node } ->
     Obs.enter "online.fault";
@@ -567,13 +569,13 @@ let handle s ev trigger =
       app.State.placements;
     let k = app.State.failures.(node) in
     app.State.retry_at.(node) <-
-      ev.Event_queue.time +. Policy_kernel.backoff s.kernel ~failures:k;
+      ev.Event_queue.time
+      +. Policy.retry_delay s.policy.Policy.faults ~failures:k;
     s.emit
       (Log.Task_failed
          { time = ev.Event_queue.time; app = i; node; failures = k });
     Obs.leave ();
-    if Policy_kernel.wants s.kernel Policy_kernel.Task_failed then
-      trigger := merge_trigger !trigger "task_failed"
+    trigger := merge_trigger !trigger "task_failed"
   | Event_queue.Proc_down procs ->
     Obs.enter "online.fault";
     state.State.fault_events <- state.State.fault_events + 1;
@@ -619,8 +621,7 @@ let handle s ev trigger =
             app.State.placements)
       state.State.apps;
     Obs.leave ();
-    if Policy_kernel.wants s.kernel Policy_kernel.Proc_down then
-      trigger := merge_trigger !trigger "proc_down"
+    trigger := merge_trigger !trigger "proc_down"
   | Event_queue.Proc_up procs ->
     Obs.enter "online.fault";
     state.State.fault_events <- state.State.fault_events + 1;
@@ -628,8 +629,7 @@ let handle s ev trigger =
     Array.iter (fun p -> state.State.proc_up.(p) <- true) procs;
     s.emit (Log.Proc_up { time = ev.Event_queue.time; procs });
     Obs.leave ();
-    if Policy_kernel.wants s.kernel Policy_kernel.Proc_up then
-      trigger := merge_trigger !trigger "proc_up"
+    trigger := merge_trigger !trigger "proc_up"
   | Event_queue.Departure i ->
     let app = state.State.apps.(i) in
     if Array.exists Option.is_none app.State.placements then
@@ -649,31 +649,29 @@ let handle s ev trigger =
            app = i;
            response = ev.Event_queue.time -. app.State.release;
          });
-    if Policy_kernel.wants s.kernel Policy_kernel.Departure then
+    if s.policy.Policy.reschedule_on_departure then
       trigger := merge_trigger !trigger "departure"
   | Event_queue.Resize { app = i; node } -> (
-    match (policy s).Policy.malleability with
+    match s.policy.Policy.malleability with
     | None -> ()
     | Some m ->
       Obs.enter "online.resize";
       if try_resize s m i node then
-        (* Mandatory, kernel-independent: the resized segment must be
+        (* Mandatory, policy-independent: the resized segment must be
            committed and re-announced and its successors re-priced, or
            the stale finish events of the old width would fire. *)
         trigger := merge_trigger !trigger "resize";
       Obs.leave ()));
   Obs.leave ()
 
-let create ?log ?check ?faults ?kernel ~policy platform apps =
+let create ?log ?check ?faults ~policy platform apps =
   (match faults with Some sc -> Fault.validate sc.Fault.config | None -> ());
-  let kernel =
-    match kernel with Some k -> k | None -> Policy_kernel.default policy
-  in
   let s =
     {
       st = State.create platform apps;
       q = Event_queue.create ();
-      kernel;
+      policy;
+      policy_counters = counters_of policy;
       platform;
       faults;
       fault_on = faults <> None;
@@ -714,8 +712,7 @@ let active_count s = s.st.State.active_apps
 let peak_active s = s.st.State.peak_active
 let app_count s = Array.length s.st.State.apps
 let in_service s = Array.length s.st.State.apps - s.st.State.completed_apps
-let kernel s = s.kernel
-let kernel_name s = s.kernel.Policy_kernel.name
+let policy s = s.policy
 
 let app_completed s i =
   if i < 0 || i >= Array.length s.st.State.apps then
@@ -726,40 +723,41 @@ let alloc_cache_stats s = State.alloc_cache_stats s.st
 
 let force_reschedule = reschedule
 
-let set_kernel ?(reschedule = false) s k =
-  (* A kernel carrying a different allocation procedure invalidates
+let set_policy ?(reschedule = false) s p =
+  (* A policy carrying a different allocation procedure invalidates
      every cached trajectory (each cache binds to the procedure that
      recorded it): release them all here rather than trip the bind
      guard on the next allocation. β/strategy changes need nothing —
      the budget is part of the replay key. *)
   if
-    (policy s).Policy.config.Pipeline.procedure
-    <> k.Policy_kernel.policy.Policy.config.Pipeline.procedure
+    s.policy.Policy.config.Pipeline.procedure
+    <> p.Policy.config.Pipeline.procedure
   then
     Array.iter
       (fun app -> Allocation.cache_release app.State.alloc_cache)
       s.st.State.apps;
-  s.kernel <- k;
+  s.policy <- p;
+  s.policy_counters <- counters_of p;
   if reschedule then force_reschedule s ~trigger:"policy_swap"
 
 type snapshot = {
   snap_state : State.t;
   snap_queue : Event_queue.t;
-  snap_kernel : Policy_kernel.t;
+  snap_policy : Policy.t;
   snap_faults : Fault.scenario option;
   snap_processed : int;
 }
 
 (* Both directions deep-copy, so one snapshot value can seed any number
-   of restores and is never aliased by a live session. The kernel and
-   fault scenario are shared: the kernel is an immutable record of
-   closures, and the scenario is immutable with pre-rolled (pure)
-   failure outcomes — there is no mutable PRNG stream to clone. *)
+   of restores and is never aliased by a live session. The policy and
+   fault scenario are shared: the policy is an immutable record, and
+   the scenario is immutable with pre-rolled (pure) failure outcomes —
+   there is no mutable PRNG stream to clone. *)
 let snapshot s =
   {
     snap_state = State.copy s.st;
     snap_queue = Event_queue.copy s.q;
-    snap_kernel = s.kernel;
+    snap_policy = s.policy;
     snap_faults = s.faults;
     snap_processed = s.processed;
   }
@@ -768,7 +766,8 @@ let restore ?log ?check snap =
   {
     st = State.copy snap.snap_state;
     q = Event_queue.copy snap.snap_queue;
-    kernel = snap.snap_kernel;
+    policy = snap.snap_policy;
+    policy_counters = counters_of snap.snap_policy;
     platform = snap.snap_state.State.platform;
     faults = snap.snap_faults;
     fault_on = snap.snap_faults <> None;
@@ -810,8 +809,8 @@ let audit s =
       Mcs_check.Online_check.analyze s.platform
         {
           Mcs_check.Online_check.now = state.State.now;
-          strategy = (policy s).Policy.strategy;
-          procedure = (policy s).Policy.config.Pipeline.procedure;
+          strategy = s.policy.Policy.strategy;
+          procedure = s.policy.Policy.config.Pipeline.procedure;
           apps = snap_apps;
         }
     end
@@ -861,7 +860,7 @@ let makespan st =
       else Float.max acc app.State.completion)
     0. st.State.apps
 
-(* Speculative A/B: clone twice, race the incumbent kernel against the
+(* Speculative A/B: clone twice, race the incumbent policy against the
    candidate over everything already queued, and adopt the candidate on
    the live session only if it strictly improves the makespan. The
    clones are silent (no log, no checker) and fully isolated, so the
@@ -871,12 +870,12 @@ let what_if s candidate =
   let baseline = restore (snapshot s) in
   advance baseline;
   let trial = restore (snapshot s) in
-  set_kernel ~reschedule:true trial candidate;
+  set_policy ~reschedule:true trial candidate;
   advance trial;
   let baseline_makespan = makespan baseline.st in
   let candidate_makespan = makespan trial.st in
   let adopted = candidate_makespan +. Floatx.eps < baseline_makespan in
-  if adopted then set_kernel ~reschedule:true s candidate;
+  if adopted then set_policy ~reschedule:true s candidate;
   { adopted; baseline_makespan; candidate_makespan }
 
 let result s =
@@ -889,12 +888,12 @@ let result s =
     let ptgs = Array.map (fun app -> app.State.ptg) state.State.apps in
     let down = Fault.down_intervals sc ~procs:(P.total_procs s.platform) in
     f
-      (Fault_check.check ~max_retries:(policy s).Policy.faults.Policy.max_retries
+      (Fault_check.check ~max_retries:s.policy.Policy.faults.Policy.max_retries
          ~down s.platform ~ptgs executions)
   | (Some _ | None), _ -> ());
   (* Malleable runs additionally audit the resize chains (MAL001-003),
      fault scenario or not. *)
-  (match ((policy s).Policy.malleability, s.check) with
+  (match (s.policy.Policy.malleability, s.check) with
   | Some m, Some f ->
     let ptgs = Array.map (fun app -> app.State.ptg) state.State.apps in
     f (Mcs_check.Mal_check.check m s.platform ~ptgs executions)
@@ -926,8 +925,8 @@ let result s =
       };
   }
 
-let run ?log ?check ?faults ?kernel ~policy platform apps =
+let run ?log ?check ?faults ~policy platform apps =
   if apps = [] then invalid_arg "State.create: no applications";
-  let s = create ?log ?check ?faults ?kernel ~policy platform apps in
+  let s = create ?log ?check ?faults ~policy platform apps in
   advance s;
   result s

@@ -35,8 +35,8 @@
       the recovered capacity (a full mask schedules exactly as the
       fault-free engine);
     - a {e transient failure} costs the attempt's full duration, counts
-      one retry, and delays the task's restart by exponential backoff
-      per {!Policy.t}'s [faults] policy. After [max_retries] failures
+      one retry, and delays the task's restart by the backoff of
+      {!Policy.t}'s [faults] policy ({!Policy.retry_delay}). After [max_retries] failures
       the next attempt is carried through (bounded retry: the run
       always terminates). Outcomes are pre-rolled per attempt from the
       scenario seed, so they are independent of scheduling order.
@@ -46,10 +46,10 @@
     points of a {!Mcs_sched.Malleability} model: after every
     reschedule each running real task's next grid point is armed as a
     resize opportunity; when reached, the target width is decided by
-    the active kernel ({!Policy_kernel.resize_target} — by default the
-    model's thresholds: shrink under an arrival spike, grow when the
-    system drains) and clamped to the processors idle in the task's
-    cluster at that instant. A resize closes the current segment as a
+    the model's thresholds ({!Mcs_sched.Malleability.target_width}:
+    shrink under an arrival spike, grow when the system drains) and
+    clamped to the processors idle in the task's cluster at that
+    instant. A resize closes the current segment as a
     {!Mcs_check.Fault_check.Resized} execution record, releases its
     remaining ledger reservation, charges a redistribution overhead
     proportional to the processors moved, re-prices the remaining work
@@ -72,7 +72,8 @@
     through the fluid network model ({!Mcs_sim.Replay}) for simulated
     timings, exactly like offline schedules.
 
-    With {!Policy.static} and every arrival at time 0 the engine
+    With both trigger flags of {!Policy.t} off (the ["static"] registry
+    policy) and every arrival at time 0 the engine
     reschedules exactly once over the full set, and its schedules
     coincide, placement for placement, with
     {!Mcs_sched.Pipeline.schedule_concurrent}. Running with an
@@ -117,7 +118,6 @@ val create :
   ?log:(Log.event -> unit) ->
   ?check:(Mcs_check.Diagnostic.t list -> unit) ->
   ?faults:Mcs_fault.Fault.scenario ->
-  ?kernel:Policy_kernel.t ->
   policy:Policy.t ->
   Mcs_platform.Platform.t ->
   (Mcs_ptg.Ptg.t * float) list ->
@@ -125,28 +125,22 @@ val create :
 (** Fresh session over an initial (possibly empty) submission list:
     arrival events are queued for every listed application, outage and
     recovery events for the fault scenario, and nothing is processed
-    yet. The session's active kernel is [kernel] when given (its
-    embedded policy then governs every decision — the [policy] argument
-    is ignored in that case) and {!Policy_kernel.default}[ policy]
-    otherwise, which reproduces the pre-kernel engine bit for bit.
+    yet. [policy] is the session's active policy.
     @raise Invalid_argument on an ill-formed release time or fault
     scenario. *)
 
-val kernel : session -> Policy_kernel.t
-(** The active policy kernel. *)
+val policy : session -> Policy.t
+(** The active policy. *)
 
-val kernel_name : session -> string
-(** [Policy_kernel.name (kernel s)] — for reports and logs. *)
-
-val set_kernel : ?reschedule:bool -> session -> Policy_kernel.t -> unit
-(** Swap the active kernel at the session's current virtual time — the
-    engine consults the new kernel for every subsequent trigger,
-    backoff, shrink and allocation decision. If the new kernel's
-    allocation {e procedure} differs, every application's trajectory
-    cache is released first (trajectories are procedure-bound).
-    [reschedule] (default [false]) additionally forces an immediate
-    recomputation under the new kernel, logged with trigger
-    ["policy_swap"] — the live half of an adopted {!what_if}. *)
+val set_policy : ?reschedule:bool -> session -> Policy.t -> unit
+(** Swap the active policy at the session's current virtual time — the
+    engine reads the new policy for every subsequent trigger, backoff,
+    shrink and allocation decision. If the new policy's allocation
+    {e procedure} differs, every application's trajectory cache is
+    released first (trajectories are procedure-bound). [reschedule]
+    (default [false]) additionally forces an immediate recomputation
+    under the new policy, logged with trigger ["policy_swap"] — the
+    live half of an adopted {!what_if}. *)
 
 val app_completed : session -> int -> bool
 (** Whether application [i] has completed — lets a serving shard
@@ -210,11 +204,11 @@ type snapshot
 (** A deep, self-contained copy of a session's whole mutable world:
     state (placements, fault bookkeeping, per-application allocation
     caches, ledger, liveness mask), event queue (insertion sequence
-    included) and active kernel. Immutable structure is shared — PTGs
-    (the caches bind to them by physical equality), the kernel (a
-    record of closures) and the fault scenario (outage list plus a
-    {e pure} pre-rolled failure function of the seed; there is no
-    mutable PRNG stream to capture).
+    included) and active policy. Immutable structure is shared — PTGs
+    (the caches bind to them by physical equality), the policy and the
+    fault scenario (outage list plus a {e pure} pre-rolled failure
+    function of the seed; there is no mutable PRNG stream to
+    capture).
 
     {b Bit-identity bar.} [restore (snapshot s)] continued to
     quiescence replays the exact event log the uninterrupted [s] would
@@ -246,22 +240,22 @@ val audit : session -> Mcs_check.Diagnostic.t list
     active application has revoked placements (mid-blackout there is no
     generation to audit). Meaningful on any quiescent-between-events
     session; the snapshot/restore tests audit restored sessions with
-    it. Most useful under the default kernel, whose trigger set keeps β
+    it. Most useful with [reschedule_on_departure] on, which keeps β
     current whenever the active set changes. *)
 
 type speculation = {
-  adopted : bool;  (** the candidate won and is now the live kernel *)
-  baseline_makespan : float;  (** incumbent kernel, clone run *)
-  candidate_makespan : float;  (** candidate kernel, clone run *)
+  adopted : bool;  (** the candidate won and is now the live policy *)
+  baseline_makespan : float;  (** incumbent policy, clone run *)
+  candidate_makespan : float;  (** candidate policy, clone run *)
 }
 
-val what_if : session -> Policy_kernel.t -> speculation
+val what_if : session -> Policy.t -> speculation
 (** Speculative rescheduling: clone the session twice
-    ({!snapshot}/{!restore}), run the incumbent kernel and the
+    ({!snapshot}/{!restore}), run the incumbent policy and the
     candidate (the latter with an immediate ["policy_swap"] remap) to
     quiescence over everything currently queued, and compare makespans
     (latest completion). The candidate is adopted on the live session —
-    {!set_kernel} with an immediate remap — {e only} if it strictly
+    {!set_policy} with an immediate remap — {e only} if it strictly
     improves the makespan; otherwise the live session is left exactly
     as it was. The clones are silent and isolated: no log, no checker,
     no effect on the live run beyond the adoption decision. *)
@@ -270,7 +264,6 @@ val run :
   ?log:(Log.event -> unit) ->
   ?check:(Mcs_check.Diagnostic.t list -> unit) ->
   ?faults:Mcs_fault.Fault.scenario ->
-  ?kernel:Policy_kernel.t ->
   policy:Policy.t ->
   Mcs_platform.Platform.t ->
   (Mcs_ptg.Ptg.t * float) list ->

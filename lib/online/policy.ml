@@ -1,13 +1,22 @@
+type backoff = Exponential | Linear
+
 type fault_policy = {
   max_retries : int;
   backoff_base : float;
+  backoff : backoff;
   shrink_on_retry : bool;
 }
 
 let default_faults =
-  { max_retries = 3; backoff_base = 5.; shrink_on_retry = false }
+  {
+    max_retries = 3;
+    backoff_base = 5.;
+    backoff = Exponential;
+    shrink_on_retry = false;
+  }
 
 type t = {
+  name : string;
   strategy : Mcs_sched.Strategy.t;
   config : Mcs_sched.Pipeline.config;
   reschedule_on_departure : bool;
@@ -22,8 +31,9 @@ let make ?(config = Mcs_sched.Pipeline.default_config)
     ?malleability strategy =
   if faults.max_retries < 0 then
     invalid_arg "Policy.make: negative max_retries";
-  (* The longest default backoff, base·2^(max_retries−1), must be a
-     finite delay; NaN fails the comparison. *)
+  (* The longest exponential backoff, base·2^(max_retries−1), must be a
+     finite delay (it bounds the linear one); NaN fails the
+     comparison. *)
   if
     not
       (faults.backoff_base >= 0.
@@ -42,6 +52,7 @@ let make ?(config = Mcs_sched.Pipeline.default_config)
   | Some m -> Mcs_sched.Malleability.validate m
   | None -> ());
   {
+    name = "default";
     strategy;
     config;
     reschedule_on_departure;
@@ -50,6 +61,39 @@ let make ?(config = Mcs_sched.Pipeline.default_config)
     malleability;
   }
 
-let static ?config ?faults ?malleability strategy =
-  make ?config ?faults ~reschedule_on_departure:false
-    ~reschedule_on_task_finish:false ?malleability strategy
+let retry_delay f ~failures =
+  match f.backoff with
+  | Exponential -> f.backoff_base *. Float.pow 2. (float_of_int (failures - 1))
+  | Linear -> f.backoff_base *. float_of_int failures
+
+(* The registry behind the CLIs' [--policy NAME]. Every entry keeps the
+   caller's strategy, mapper options and fault budget; the name
+   overrides one group of fields. Every override keeps [make]'s
+   invariants, so the result needs no re-validation. *)
+let names = [ "default"; "static"; "eager"; "linear-backoff"; "shrink-retry" ]
+
+let of_name name ~base =
+  match name with
+  | "default" -> { base with name }
+  | "static" ->
+    {
+      base with
+      name;
+      reschedule_on_departure = false;
+      reschedule_on_task_finish = false;
+    }
+  | "eager" ->
+    {
+      base with
+      name;
+      reschedule_on_departure = true;
+      reschedule_on_task_finish = true;
+    }
+  | "linear-backoff" ->
+    { base with name; faults = { base.faults with backoff = Linear } }
+  | "shrink-retry" ->
+    { base with name; faults = { base.faults with shrink_on_retry = true } }
+  | _ ->
+    invalid_arg
+      (Printf.sprintf "Policy.of_name: unknown policy %S (expected %s)" name
+         (String.concat ", " names))

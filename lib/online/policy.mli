@@ -1,9 +1,12 @@
-(** Rescheduling policy of the online engine.
+(** Rescheduling policy of the online engine — the one policy object a
+    session holds, swappable mid-run ({!Engine.set_policy}).
 
     Every arrival recomputes β over the currently-active applications
     and remaps their unstarted tasks — that part is not optional, it is
-    the point of the engine. The policy decides what else triggers a
-    recomputation:
+    the point of the engine. So are transient failures, processor
+    outages and recoveries (the killed or failed work must be remapped)
+    and resizes (successors must re-price). The policy decides what
+    else triggers a recomputation:
 
     - [reschedule_on_departure] — when an application completes, its β
       share is redistributed among the survivors and their unstarted
@@ -23,22 +26,34 @@
     {e transient} failure consumes one retry: after [max_retries]
     transient failures the next attempt is carried through (bounded
     retry — the run always terminates; an operator would eventually
-    blacklist the task or succeed). Each retry waits an exponential
-    backoff ([backoff_base × 2^(failures-1)]) before the task may start
-    again, and [shrink_on_retry] halves the task's allocation per
-    failure (floor 1) — reusing the packing idea: a smaller allocation
-    restarts earlier on a degraded platform. *)
+    blacklist the task or succeed). Each retry waits a backoff
+    ({!retry_delay}) before the task may start again, and
+    [shrink_on_retry] halves the task's allocation per failure (floor
+    1) — reusing the packing idea: a smaller allocation restarts
+    earlier on a degraded platform.
+
+    [name] labels the policy in reports: the engine counts each
+    policy's work under [policy.<name>.reschedules] and
+    [policy.<name>.remapped], so an A/B swap reports how much each
+    policy did. {!make} names its result ["default"]; {!of_name} names
+    a registry policy after itself. *)
+
+type backoff =
+  | Exponential  (** retry [k] waits [base·2^(k-1)] *)
+  | Linear  (** retry [k] waits [base·k] *)
 
 type fault_policy = {
   max_retries : int;       (** transient failures tolerated per task *)
-  backoff_base : float;    (** seconds; retry [k] waits [base·2^(k-1)] *)
+  backoff_base : float;    (** seconds *)
+  backoff : backoff;
   shrink_on_retry : bool;  (** halve the allocation per failure *)
 }
 
 val default_faults : fault_policy
-(** 3 retries, 5 s backoff base, no shrinking. *)
+(** 3 retries, 5 s exponential backoff base, no shrinking. *)
 
 type t = {
+  name : string;
   strategy : Mcs_sched.Strategy.t;
   config : Mcs_sched.Pipeline.config;
   reschedule_on_departure : bool;
@@ -47,10 +62,10 @@ type t = {
   malleability : Mcs_sched.Malleability.t option;
       (** when [Some m], running tasks become {e malleable}: the engine
           may preempt them at [m]'s legal resize points and continue
-          them at a different width, charging the redistribution cost
-          and re-pricing the remaining work (see {!Engine}). [None]
-          (the default) is the paper's moldable model and is
-          bit-identical to the pre-malleability engine. *)
+          them at {!Mcs_sched.Malleability.target_width}, charging the
+          redistribution cost and re-pricing the remaining work (see
+          {!Engine}). [None] (the default) is the paper's moldable
+          model and is bit-identical to the pre-malleability engine. *)
 }
 
 val make :
@@ -60,9 +75,9 @@ val make :
   ?reschedule_on_task_finish:bool ->
   ?malleability:Mcs_sched.Malleability.t ->
   Mcs_sched.Strategy.t -> t
-(** Dynamic-β policy. [reschedule_on_departure] defaults to [true],
-    [reschedule_on_task_finish] to [false] — the historical hardwired
-    combination. Trigger combinations are
+(** Dynamic-β policy named ["default"]. [reschedule_on_departure]
+    defaults to [true], [reschedule_on_task_finish] to [false] — the
+    historical hardwired combination. Trigger combinations are
     validated here, once: rescheduling on every task finish while
     ignoring departures is rejected (a departure {e is} the finish of
     the exit task, so the finer trigger subsumes the coarser one).
@@ -70,14 +85,22 @@ val make :
     with {!Mcs_sched.Malleability.validate}.
     @raise Invalid_argument on a negative [max_retries], an ill-formed
     [backoff_base] (negative, NaN, or so large that the longest
-    backoff [backoff_base·2^(max_retries−1)] is not finite), an
-    ill-formed malleability model, or
+    exponential backoff [backoff_base·2^(max_retries−1)] is not
+    finite), an ill-formed malleability model, or
     [reschedule_on_task_finish] without [reschedule_on_departure]. *)
 
-val static :
-  ?config:Mcs_sched.Pipeline.config ->
-  ?faults:fault_policy ->
-  ?malleability:Mcs_sched.Malleability.t ->
-  Mcs_sched.Strategy.t -> t
-(** Arrival-only rescheduling —
-    [make ~reschedule_on_departure:false ~reschedule_on_task_finish:false]. *)
+val retry_delay : fault_policy -> failures:int -> float
+(** Seconds a task waits before retry number [failures] (≥ 1). *)
+
+val names : string list
+(** Registry names accepted by {!of_name} — what the CLIs advertise for
+    [--policy]. *)
+
+val of_name : string -> base:t -> t
+(** The registry policy [name] over [base], named [name]. Strategy,
+    mapper options, fault budget and malleability carry over from
+    [base]; the name overrides at most one group of fields:
+    ["default"] (none: [base]'s own flags), ["static"] (both trigger
+    flags off), ["eager"] (both on), ["linear-backoff"] ([backoff] is
+    [Linear]) and ["shrink-retry"] ([shrink_on_retry] on).
+    @raise Invalid_argument on an unknown name. *)

@@ -120,8 +120,7 @@ val proc_avail : t -> float array
 val alloc_cache_stats : t -> int * int * int
 (** Summed [(hits, rescales, misses)] of every application's allocation
     cache (lifetime counts — they survive the departure-time
-    {!Mcs_sched.Allocation.cache_clear}). All zero when the engine runs
-    with the cache disabled. *)
+    {!Mcs_sched.Allocation.cache_release}). *)
 
 val up_counts : t -> int array
 (** Live processors per cluster under the current [proc_up] mask. *)

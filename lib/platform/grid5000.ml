@@ -31,12 +31,20 @@ let grid () =
       c "Azur" 74 3.258 3; c "Helios" 56 3.675 3; c "Sol" 50 4.389 3;
     ]
 
+let sites =
+  [
+    ("lille", lille);
+    ("nancy", nancy);
+    ("rennes", rennes);
+    ("sophia", sophia);
+    ("grid", grid);
+  ]
+
+let names = List.map fst sites
+
 let by_name s =
-  let s = String.lowercase_ascii s in
-  match s with
-  | "lille" -> Some (lille ())
-  | "nancy" -> Some (nancy ())
-  | "rennes" -> Some (rennes ())
-  | "sophia" -> Some (sophia ())
-  | "grid" -> Some (grid ())
-  | _ -> None
+  match List.assoc_opt (String.lowercase_ascii s) sites with
+  | Some make -> Ok (make ())
+  | None ->
+    Error
+      (Printf.sprintf "unknown site: %s (%s)" s (String.concat "|" names))

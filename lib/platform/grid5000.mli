@@ -30,5 +30,9 @@ val grid : unit -> Platform.t
     target of the sharded serving engine ({!Mcs_serve}), whose cluster
     set partitions into four or more shards. *)
 
-val by_name : string -> Platform.t option
-(** Case-insensitive lookup among the four sites plus ["grid"]. *)
+val names : string list
+(** The names {!by_name} accepts: the four sites, then ["grid"]. *)
+
+val by_name : string -> (Platform.t, string) result
+(** Case-insensitive lookup among {!names}. The error is the CLIs'
+    message: ["unknown site: mars (lille|nancy|rennes|sophia|grid)"]. *)

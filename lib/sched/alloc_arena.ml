@@ -34,4 +34,3 @@ let tl t = t.tl
 let gain t = t.gain
 let dirty t = t.dirty
 
-let capacity t = Array.length t.bl

@@ -47,5 +47,3 @@ val dirty : t -> Bytes.t
     carries an invariant {e between} uses: all-zero, which the repair
     functions restore before returning. *)
 
-val capacity : t -> int
-(** Current node capacity (0 for a fresh arena) — exposed for tests. *)

@@ -386,14 +386,11 @@ let cache_create () =
     bound_alpha = [||];
   }
 
-let cache_clear cache = cache.entries <- []
-
 (* Full release: entries and the PTG/procedure/speed binding both go.
-   [cache_clear] keeps the binding on purpose (same application, the
-   memory is merely wanted back); a departed application's cache must
-   also drop the binding so the PTG itself becomes collectable — and so
-   that invalidation is scoped by construction: only the departing
-   application's cache is touched, never a neighbour's. *)
+   A departed application's cache must drop the binding so the PTG
+   itself becomes collectable — and so that invalidation is scoped by
+   construction: only the departing application's cache is touched,
+   never a neighbour's. *)
 let cache_release cache =
   cache.entries <- [];
   cache.bound_ptg <- None;

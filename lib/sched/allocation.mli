@@ -98,7 +98,7 @@ type stats = {
                        when one exists, fully from scratch otherwise *)
 }
 (** Cumulative outcome counts of {!allocate_cached} calls. Survives
-    {!cache_clear} (the counts describe the cache's lifetime, not its
+    {!cache_release} (the counts describe the cache's lifetime, not its
     current contents). *)
 
 val cache_create : unit -> cache
@@ -106,13 +106,8 @@ val cache_create : unit -> cache
     one per submitted application, the offline evaluation one per PTG
     per scenario. *)
 
-val cache_clear : cache -> unit
-(** Drop every entry (the caller wants the memory back). Statistics and
-    the PTG binding are kept; the next call is a miss that re-records
-    into the same binding. *)
-
 val cache_release : cache -> unit
-(** {!cache_clear} plus drop the PTG/procedure/speed binding — the
+(** Drop every entry and the PTG/procedure/speed binding — the
     departed application's memory is fully released (the bound PTG
     becomes collectable) and the cache may later be re-bound to a
     different PTG. Scoped by construction: caches are per-application,

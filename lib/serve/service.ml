@@ -16,7 +16,6 @@ type config = {
   router : Router.choice;
   admission : Admission.t;
   policy : Policy.t;
-  kernel : string;
   checkpoint_every : int;
   kill : (int * int) option;
   capture_logs : bool;
@@ -31,8 +30,9 @@ let default_config =
     mode = Domains;
     router = Router.Least_work;
     admission = Admission.default;
-    policy = Policy.static (Mcs_sched.Strategy.Weighted (Mcs_sched.Strategy.Work, 0.7));
-    kernel = "default";
+    policy =
+      Policy.make ~reschedule_on_departure:false
+        (Mcs_sched.Strategy.Weighted (Mcs_sched.Strategy.Work, 0.7));
     checkpoint_every = 0;
     kill = None;
     capture_logs = false;
@@ -102,7 +102,6 @@ let create config platform =
         in
         Shard.make ~index:k ~platform:sub ~clusters
           ~admission:config.admission ~policy:config.policy
-          ~kernel_name:config.kernel
           ~checkpoint_every:config.checkpoint_every ~crash_after
           ~capture_log:config.capture_logs ~check:config.check ~faults)
       parts

@@ -38,11 +38,7 @@ type config = {
   mode : mode;
   router : Router.choice;
   admission : Admission.t;
-  policy : Mcs_online.Policy.t;
-  kernel : string;
-      (** policy-kernel registry name over [policy]
-          ({!Mcs_online.Policy_kernel.of_name}); ["default"] runs the
-          policy as-is *)
+  policy : Mcs_online.Policy.t;  (** every shard's engine policy *)
   checkpoint_every : int;
       (** [> 0]: checkpoint every shard every that-many injections
           (plus once at creation) — engine snapshot + bookkeeping +
@@ -63,9 +59,10 @@ type config = {
 
 val default_config : config
 (** 4 shards, [Domains], [Least_work] routing, {!Admission.default},
-    {!Mcs_online.Policy.static} scheduling (arrival-only reschedules —
-    the serving default; dynamic policies are opt-in), ["default"]
-    kernel, no checkpoints, no kill, no logs, no checker, no faults. *)
+    arrival-only rescheduling ({!Mcs_online.Policy.make} with
+    [reschedule_on_departure] off — the serving default; dynamic
+    policies are opt-in), no checkpoints, no kill, no logs, no checker,
+    no faults. *)
 
 type outcome =
   | Admitted of int  (** accepted, routed to the returned shard *)

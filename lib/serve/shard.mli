@@ -64,7 +64,6 @@ val make :
   clusters:int array ->
   admission:Admission.t ->
   policy:Mcs_online.Policy.t ->
-  kernel_name:string ->
   checkpoint_every:int ->
   crash_after:int option ->
   capture_log:bool ->
@@ -72,15 +71,13 @@ val make :
   faults:Mcs_fault.Fault.scenario option ->
   t
 (** A fresh shard over its sub-platform, mailbox capacity and fault
-    scenario per the arguments. The engine runs under
-    {!Mcs_online.Policy_kernel.of_name}[ kernel_name ~base:policy]
-    (["default"] reproduces the plain policy). [checkpoint_every > 0]
+    scenario per the arguments, its engine under [policy].
+    [checkpoint_every > 0]
     checkpoints the shard every that-many injections (plus once at
     creation); [crash_after = Some n] scripts a crash of the serving
     loop after at least [n] injections (see {!restore_crashed}). Peers
     must be installed with {!set_peers} before any pickup can shed.
-    @raise Invalid_argument on a negative [checkpoint_every] or an
-    unknown kernel name. *)
+    @raise Invalid_argument on a negative [checkpoint_every]. *)
 
 val set_peers : t -> t array -> unit
 (** Install the full shard array (self included) — hand-off targets. *)

@@ -119,16 +119,13 @@ let faults platform =
       horizon = 1500.;
     }
 
-(* The registry policy [name] over [base]. *)
-let registry name ~base = Policy_kernel.of_name name ~base
-
 (* The engine's log, the run's completions and its resize count. With
    [split], the run stops before that virtual time, is snapshotted and
    finishes on a restored session that inherits the log sink. *)
-let engine_run ?faults ?split ?kernel ~policy platform apps =
+let engine_run ?faults ?split ~policy platform apps =
   let events = ref [] in
   let log e = events := e :: !events in
-  let s = Engine.create ~log ?faults ?kernel ~policy platform apps in
+  let s = Engine.create ~log ?faults ~policy platform apps in
   let s =
     match split with
     | None -> s
@@ -227,8 +224,8 @@ let test_registry () =
   let digests =
     List.map
       (fun (name, expected) ->
-        let kernel = registry name ~base in
-        let got, st = engine_run ~faults ~kernel ~policy:base rennes apps in
+        let policy = Policy.of_name name ~base in
+        let got, st = engine_run ~faults ~policy rennes apps in
         Alcotest.(check bool)
           (name ^ ": run kills, retries and resizes")
           true
@@ -254,11 +251,11 @@ let test_swap () =
   let events = ref [] in
   let log e = events := e :: !events in
   let s =
-    Engine.create ~log ~kernel:(registry "static" ~base) ~policy:base rennes
+    Engine.create ~log ~policy:(Policy.of_name "static" ~base) rennes
       (workload 6 42 ~mean:25.)
   in
   Engine.advance ~upto:80. s;
-  Engine.set_kernel ~reschedule:true s (registry "eager" ~base);
+  Engine.set_policy ~reschedule:true s (Policy.of_name "eager" ~base);
   Engine.advance s;
   let r = Engine.result s in
   let triggers = reschedule_triggers !events in
@@ -280,11 +277,11 @@ let test_what_if () =
   let rennes = Grid5000.rennes () in
   let base = Policy.make wps_work in
   let s =
-    Engine.create ~kernel:(registry "static" ~base) ~policy:base rennes
+    Engine.create ~policy:(Policy.of_name "static" ~base) rennes
       (workload 6 11 ~mean:20.)
   in
   Engine.advance ~upto:30. s;
-  let sp = Engine.what_if s (registry "default" ~base) in
+  let sp = Engine.what_if s (Policy.of_name "default" ~base) in
   Engine.advance s;
   let r = Engine.result s in
   Alcotest.(check bool) "default adopted" true sp.Engine.adopted;
@@ -336,8 +333,9 @@ let test_serve () =
     serve_cases;
   Alcotest.(check string) "2 shard(s), inline, eager"
     "9790fd9c36afac616e0094785eed1f51"
-    (serve_digest
-       { (serve_config ~shards:2 ~mode:Service.Inline) with kernel = "eager" })
+    (let cfg = serve_config ~shards:2 ~mode:Service.Inline in
+     serve_digest
+       { cfg with policy = Policy.of_name "eager" ~base:cfg.Service.policy })
 
 (* --- offline evaluation -------------------------------------------- *)
 

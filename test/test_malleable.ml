@@ -1,6 +1,6 @@
 (* Malleable execution: the resize model, the engine's grow/shrink
-   path, the off-switch bit-identity guarantee, and the shrink-kernel
-   gating regression (shrink must follow the kernel, not fault mode). *)
+   path, the off-switch bit-identity guarantee, and the fault-free
+   bit identity of the shrink-retry policy. *)
 
 module Grid5000 = Mcs_platform.Grid5000
 module Platform = Mcs_platform.Platform
@@ -42,25 +42,19 @@ let fault_scenario_for platform seed =
     }
 
 (* One full run to quiescence: the JSONL log plus the result. *)
-let run_logged ?faults ?check ~kernel platform apps =
+let run_logged ?faults ?check ~policy platform apps =
   let logs = ref [] in
   let log e = logs := Log.to_json e :: !logs in
-  let s =
-    Engine.create ~log ?faults ?check ~kernel
-      ~policy:kernel.Policy_kernel.policy platform apps
-  in
+  let s = Engine.create ~log ?faults ?check ~policy platform apps in
   Engine.advance s;
   (List.rev !logs, Engine.result s)
 
 (* Same run interrupted at [split]: snapshot, abandon, finish on the
    restore. *)
-let run_split ?faults ?check ~kernel ~split platform apps =
+let run_split ?faults ?check ~policy ~split platform apps =
   let logs = ref [] in
   let log e = logs := Log.to_json e :: !logs in
-  let s =
-    Engine.create ~log ?faults ?check ~kernel
-      ~policy:kernel.Policy_kernel.policy platform apps
-  in
+  let s = Engine.create ~log ?faults ?check ~policy platform apps in
   Engine.advance ~upto:split s;
   let s' = Engine.restore ~log ?check (Engine.snapshot s) in
   Engine.advance s';
@@ -152,17 +146,16 @@ let declined_model =
     grow_active_below = 0;
   }
 
-let kernel_with ?malleability strategy =
-  Policy_kernel.default (Policy.make ?malleability strategy)
-
 let test_disabled_is_bit_identical () =
   let platform = Grid5000.rennes () in
   let strategy = Strategy.Weighted (Strategy.Work, 0.7) in
   let apps = workload 6 42 ~mean:25. in
-  let off = run_logged ~kernel:(kernel_with strategy) platform apps in
+  let off = run_logged ~policy:(Policy.make strategy) platform apps in
   List.iter
     (fun (name, m) ->
-      let on_ = run_logged ~kernel:(kernel_with ~malleability:m strategy) platform apps in
+      let on_ =
+        run_logged ~policy:(Policy.make ~malleability:m strategy) platform apps
+      in
       Alcotest.(check bool)
         (name ^ " model leaves the run bit-identical")
         true (same_outcome off on_);
@@ -175,14 +168,14 @@ let test_disabled_is_bit_identical_faults () =
   let strategy = Strategy.Weighted (Strategy.Work, 0.7) in
   let apps = workload 6 77 ~mean:20. in
   let faults = fault_scenario_for platform 5 in
-  let off = run_logged ~faults ~kernel:(kernel_with strategy) platform apps in
+  let off = run_logged ~faults ~policy:(Policy.make strategy) platform apps in
   Alcotest.(check bool)
     "scenario exercises faults" true
     ((snd off).Engine.stats.Engine.kills > 0
     || (snd off).Engine.stats.Engine.task_failures > 0);
   let on_ =
     run_logged ~faults
-      ~kernel:(kernel_with ~malleability:inert_model strategy)
+      ~policy:(Policy.make ~malleability:inert_model strategy)
       platform apps
   in
   Alcotest.(check bool)
@@ -195,16 +188,16 @@ let test_disabled_is_bit_identical_snapshot () =
   let platform = Grid5000.rennes () in
   let strategy = Strategy.Weighted (Strategy.Work, 0.7) in
   let apps = workload 6 21 ~mean:25. in
-  let off = run_logged ~kernel:(kernel_with strategy) platform apps in
+  let off = run_logged ~policy:(Policy.make strategy) platform apps in
   List.iter
     (fun split ->
       Alcotest.(check bool) "split off-run identical" true
         (same_outcome off
-           (run_split ~kernel:(kernel_with strategy) ~split platform apps));
+           (run_split ~policy:(Policy.make strategy) ~split platform apps));
       Alcotest.(check bool) "split inert-model run identical" true
         (same_outcome off
            (run_split
-              ~kernel:(kernel_with ~malleability:inert_model strategy)
+              ~policy:(Policy.make ~malleability:inert_model strategy)
               ~split platform apps)))
     [ 40.; 90. ]
 
@@ -248,11 +241,11 @@ let test_grow_on_drain_beats_moldable () =
     errors := !errors + List.length (Mcs_check.Diagnostic.errors ds)
   in
   let moldable =
-    run_logged ~check ~kernel:(kernel_with Strategy.Equal_share) platform apps
+    run_logged ~check ~policy:(Policy.make Strategy.Equal_share) platform apps
   in
   let malleable =
     run_logged ~check
-      ~kernel:(kernel_with ~malleability:grow_model Strategy.Equal_share)
+      ~policy:(Policy.make ~malleability:grow_model Strategy.Equal_share)
       platform apps
   in
   let makespan (_, r) =
@@ -315,7 +308,7 @@ let test_shrink_on_spike () =
   in
   let _, r =
     run_logged ~check
-      ~kernel:(kernel_with ~malleability:model Strategy.Equal_share)
+      ~policy:(Policy.make ~malleability:model Strategy.Equal_share)
       platform apps
   in
   Alcotest.(check bool) "spike shrinks the running task" true
@@ -334,8 +327,8 @@ let test_malleable_snapshot_restore () =
      opportunities survive the round-trip. *)
   let platform = drain_platform () in
   let apps = drain_apps () in
-  let kernel = kernel_with ~malleability:grow_model Strategy.Equal_share in
-  let plain = run_logged ~kernel platform apps in
+  let policy = Policy.make ~malleability:grow_model Strategy.Equal_share in
+  let plain = run_logged ~policy platform apps in
   Alcotest.(check bool) "run resizes" true
     ((snd plain).Engine.stats.Engine.resizes > 0);
   List.iter
@@ -343,7 +336,7 @@ let test_malleable_snapshot_restore () =
       Alcotest.(check bool)
         (Printf.sprintf "malleable split at %g is bit-identical" split)
         true
-        (same_outcome plain (run_split ~kernel ~split platform apps)))
+        (same_outcome plain (run_split ~policy ~split platform apps)))
     [ 5.; 15.; 35.; 100. ]
 
 let test_malleable_faulted_checker_clean () =
@@ -365,8 +358,8 @@ let test_malleable_faulted_checker_clean () =
   let check ds = errors := Mcs_check.Diagnostic.errors ds @ !errors in
   let _, r =
     run_logged ~faults ~check
-      ~kernel:
-        (kernel_with ~malleability:model
+      ~policy:
+        (Policy.make ~malleability:model
            (Strategy.Weighted (Strategy.Work, 0.7)))
       platform apps
   in
@@ -374,61 +367,19 @@ let test_malleable_faulted_checker_clean () =
     (r.Engine.stats.Engine.kills > 0 || r.Engine.stats.Engine.task_failures > 0);
   Alcotest.(check int) "no checker errors" 0 (List.length !errors)
 
-let test_custom_resize_kernel () =
-  (* The kernel closure overrides the model's thresholds: a kernel that
-     always grows to the cap beats the default trigger to it. *)
-  let platform = drain_platform () in
-  let apps = drain_apps () in
-  let widths = ref [] in
-  let base = Policy.make ~malleability:grow_model Strategy.Equal_share in
-  let kernel =
-    Policy_kernel.make ~name:"grow-to-cap"
-      ~resize:(fun ~active:_ ~width ~cap ->
-        if cap > width then cap else width)
-      base
-  in
-  let log = function
-    | Log.Task_resized { to_width; _ } -> widths := to_width :: !widths
-    | _ -> ()
-  in
-  let s = Engine.create ~log ~kernel ~policy:base platform apps in
-  Engine.advance s;
-  let r = Engine.result s in
-  Alcotest.(check bool) "kernel resizes" true
-    (r.Engine.stats.Engine.resizes > 0);
-  (* The default doubling trigger would pass through width 2·w < 16;
-     grow-to-cap jumps straight to every idle processor. *)
-  Alcotest.(check bool) "first resize grabs the whole idle pool" true
-    (match List.rev !widths with w :: _ -> w > 8 | [] -> false)
+(* ---------- Shrink on retry, fault-free ---------- *)
 
-(* ---------- Shrink-kernel gating (satellite: bugfix) ---------- *)
-
-let test_shrink_kernel_without_fault_mode () =
-  (* Regression: the engine applied a kernel's shrink closure only under
-     fault injection. A custom kernel shrinking on its own signal (here:
-     unconditionally) must take effect in a fault-free run too. *)
+let test_shrink_retry_fault_free () =
+  (* The engine halves retried allocations whether or not it runs a
+     fault scenario; the halving is the identity at zero failures, so
+     a fault-free run cannot observe it. *)
   let platform = Grid5000.rennes () in
   let apps = workload 5 42 ~mean:25. in
   let policy = Policy.make (Strategy.Weighted (Strategy.Work, 0.7)) in
-  let plain = run_logged ~kernel:(Policy_kernel.default policy) platform apps in
-  let halving =
-    run_logged
-      ~kernel:
-        (Policy_kernel.make ~name:"always-halve"
-           ~shrink:(fun ~failures:_ ~procs -> max 1 (procs / 2))
-           policy)
-      platform apps
-  in
-  Alcotest.(check bool)
-    "unconditional shrink changes a fault-free run" false
-    (same_outcome plain halving);
-  (* And the reason the fix is safe: the registry's shrink-retry kernel
-     is the identity at zero failures, so it never was (and still is
-     not) observable without faults. *)
+  let plain = run_logged ~policy platform apps in
   let registry =
-    run_logged
-      ~kernel:(Policy_kernel.of_name "shrink-retry" ~base:policy)
-      platform apps
+    run_logged ~policy:(Policy.of_name "shrink-retry" ~base:policy) platform
+      apps
   in
   Alcotest.(check bool)
     "shrink-retry is bit-identical fault-free" true
@@ -455,9 +406,7 @@ let suite =
           test_malleable_snapshot_restore;
         Alcotest.test_case "malleable + faults checker-clean" `Quick
           test_malleable_faulted_checker_clean;
-        Alcotest.test_case "custom resize kernel" `Quick
-          test_custom_resize_kernel;
-        Alcotest.test_case "shrink kernel acts without fault mode" `Quick
-          test_shrink_kernel_without_fault_mode;
+        Alcotest.test_case "shrink-retry bit-identical fault-free" `Quick
+          test_shrink_retry_fault_free;
       ] );
   ]

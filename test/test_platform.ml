@@ -59,9 +59,18 @@ let test_proc_numbering () =
 
 let test_by_name () =
   (match Grid5000.by_name "RENNES" with
-  | Some p -> Alcotest.(check string) "case-insensitive" "Rennes" (Platform.name p)
-  | None -> Alcotest.fail "rennes not found");
-  Alcotest.(check bool) "unknown site" true (Grid5000.by_name "mars" = None)
+  | Ok p ->
+    Alcotest.(check string) "case-insensitive" "Rennes" (Platform.name p)
+  | Error m -> Alcotest.fail m);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " resolves") true
+        (Result.is_ok (Grid5000.by_name name)))
+    Grid5000.names;
+  Alcotest.(check (result reject string))
+    "unknown site names every accepted one"
+    (Error "unknown site: mars (lille|nancy|rennes|sophia|grid)")
+    (Result.map ignore (Grid5000.by_name "mars"))
 
 let test_make_validation () =
   let c name procs gflops switch =

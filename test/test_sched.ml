@@ -288,11 +288,13 @@ let test_cache_entry_bound () =
   Alcotest.(check bool)
     "entry count within MRU bound" true
     (Allocation.cache_entry_count cache <= 8);
-  Allocation.cache_clear cache;
-  Alcotest.(check int) "clear empties" 0 (Allocation.cache_entry_count cache);
+  Allocation.cache_release cache;
+  Alcotest.(check int)
+    "release empties" 0
+    (Allocation.cache_entry_count cache);
   let s = Allocation.cache_stats cache in
   Alcotest.(check bool)
-    "stats survive clear" true
+    "stats survive release" true
     (s.Allocation.hits + s.Allocation.rescales + s.Allocation.misses = 25)
 
 let test_cache_binding_guards () =
