@@ -1,8 +1,9 @@
 (* Benchmark & reproduction harness.
 
    - `dune exec bench/main.exe` runs everything: Table 1, Figures 1-5,
-     the extra experiments X1-X6 (see DESIGN.md section 5) and the
-     bechamel microbenchmarks of the kernels behind each figure.
+     the extra experiments X1-X9 (see DESIGN.md section 5), the online
+     and serve throughput artefacts and the bechamel microbenchmarks of
+     the kernels behind each figure.
    - `dune exec bench/main.exe -- fig3` runs a single artefact: an id
      of the experiment registry (Mcs_experiments.Artefact: table1,
      fig1..fig5, x1..x9) or online, serve, micro.

@@ -31,20 +31,15 @@ let grid () =
       c "Azur" 74 3.258 3; c "Helios" 56 3.675 3; c "Sol" 50 4.389 3;
     ]
 
-let sites =
-  [
-    ("lille", lille);
-    ("nancy", nancy);
-    ("rennes", rennes);
-    ("sophia", sophia);
-    ("grid", grid);
-  ]
-
-let names = List.map fst sites
+let names = [ "lille"; "nancy"; "rennes"; "sophia"; "grid" ]
 
 let by_name s =
-  match List.assoc_opt (String.lowercase_ascii s) sites with
-  | Some make -> Ok (make ())
-  | None ->
+  match String.lowercase_ascii s with
+  | "lille" -> Ok (lille ())
+  | "nancy" -> Ok (nancy ())
+  | "rennes" -> Ok (rennes ())
+  | "sophia" -> Ok (sophia ())
+  | "grid" -> Ok (grid ())
+  | _ ->
     Error
       (Printf.sprintf "unknown site: %s (%s)" s (String.concat "|" names))

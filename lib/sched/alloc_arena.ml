@@ -33,4 +33,3 @@ let bl t = t.bl
 let tl t = t.tl
 let gain t = t.gain
 let dirty t = t.dirty
-

@@ -46,4 +46,3 @@ val dirty : t -> Bytes.t
     [top_levels_update] (≥ [nodes] bytes). Unlike the other buffers it
     carries an invariant {e between} uses: all-zero, which the repair
     functions restore before returning. *)
-

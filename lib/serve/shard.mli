@@ -72,11 +72,11 @@ val make :
   t
 (** A fresh shard over its sub-platform, mailbox capacity and fault
     scenario per the arguments, its engine under [policy].
-    [checkpoint_every > 0]
-    checkpoints the shard every that-many injections (plus once at
-    creation); [crash_after = Some n] scripts a crash of the serving
-    loop after at least [n] injections (see {!restore_crashed}). Peers
-    must be installed with {!set_peers} before any pickup can shed.
+    [checkpoint_every > 0] checkpoints the shard every that-many
+    injections (plus once at creation); [crash_after = Some n] scripts
+    a crash of the serving loop after at least [n] injections (see
+    {!restore_crashed}). Peers must be installed with {!set_peers}
+    before any pickup can shed.
     @raise Invalid_argument on a negative [checkpoint_every]. *)
 
 val set_peers : t -> t array -> unit
