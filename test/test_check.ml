@@ -123,6 +123,91 @@ let test_pinned_moved () =
     [ "online-pin-stability" ]
     (Online_check.analyze platform snap)
 
+(* --- one forged placement per mapping rule, run through both entry
+       points: the live analyzer and the linter over the JSON export --- *)
+
+(* Two independent tasks on Lille's first cluster, on its first and
+   last processors over [0, 10], between a virtual entry at 0 and a
+   virtual exit at 10. [forge] rewrites the first task's placement
+   (clean when the identity); [entry] the entry's. *)
+let forged ?(entry = Fun.id) forge =
+  let platform = Grid5000.lille () in
+  let ptg =
+    Mcs_ptg.Builder.build ~id:0 ~name:"par2"
+      ~tasks:[| task (); task () |]
+      ~edges:[]
+  in
+  let last = Mcs_platform.Platform.first_proc platform 1 - 1 in
+  let at v procs start finish =
+    { Schedule.node = v; cluster = 0; procs; start; finish }
+  in
+  let first_real = ref true in
+  let placements =
+    Array.init (Ptg.node_count ptg) (fun v ->
+        if v = Ptg.entry ptg then entry (at v [||] 0. 0.)
+        else if Ptg.is_virtual ptg v then at v [||] 10. 10.
+        else if !first_real then begin
+          first_real := false;
+          forge (at v [| 0 |] 0. 10.)
+        end
+        else at v [| last |] 0. 10.)
+  in
+  (platform, Schedule.make ~ptg ~placements)
+
+let check_both_paths what ?release ?alloc rule (platform, sched) =
+  let one x = Option.map (fun x -> [| x |]) x in
+  check_ids (what ^ " (analyze)") rule
+    (Check.analyze ?release:(one release) ?allocations:(one alloc) platform
+       [ sched ]);
+  let json =
+    Trace.to_json ?release:(one release) ?alloc:(one alloc) [ sched ]
+  in
+  match Trace.of_json json with
+  | Error m -> Alcotest.failf "%s: export does not parse: %s" what m
+  | Ok doc ->
+    check_ids (what ^ " (lint)") rule (Check.lint_trace ~platform doc)
+
+let test_forged_clean () =
+  check_both_paths "unforged schedule" [] (forged Fun.id)
+
+let test_forged_structure () =
+  check_both_paths "finish before start" [ "map-structure" ]
+    (forged (fun pl -> { pl with Schedule.start = 10.; finish = 5. }))
+
+let test_forged_virtual () =
+  check_both_paths "real task without processors" [ "map-virtual" ]
+    (forged (fun pl -> { pl with Schedule.procs = [||] }));
+  check_both_paths "virtual task holding a processor" [ "map-virtual" ]
+    (forged ~entry:(fun pl -> { pl with Schedule.procs = [| 1 |] }) Fun.id)
+
+let test_forged_cluster () =
+  let platform = Grid5000.lille () in
+  let foreign = Mcs_platform.Platform.first_proc platform 1 in
+  check_both_paths "processor outside its cluster" [ "map-cluster" ]
+    (forged (fun pl -> { pl with Schedule.procs = [| foreign |] }));
+  (* Over a positive window a repeated processor also double-books
+     itself (MAP004); an instantaneous task isolates MAP003. *)
+  check_both_paths "processor listed twice" [ "map-cluster" ]
+    (forged (fun pl ->
+         { pl with Schedule.procs = [| 0; 0 |]; start = 5.; finish = 5. }))
+
+let test_forged_packing () =
+  let platform, sched = forged Fun.id in
+  let limit =
+    Reference_cluster.translate
+      (Reference_cluster.of_platform platform)
+      platform ~cluster:0 1
+  in
+  let alloc = Array.make (Ptg.node_count sched.Schedule.ptg) 1 in
+  check_both_paths "more processors than the allocation translates to"
+    ~alloc [ "map-packing" ]
+    (forged (fun pl ->
+         { pl with Schedule.procs = Array.init (limit + 1) Fun.id }))
+
+let test_forged_release () =
+  check_both_paths "start before the release" ~release:5. [ "map-release" ]
+    (forged Fun.id)
+
 (* --- the committed fixture files drive the same rules through the
        trace parser, as mcs_check does in CI --- *)
 
@@ -355,6 +440,12 @@ let suite =
         Alcotest.test_case "precedence fixture" `Quick test_precedence;
         Alcotest.test_case "level-share fixture" `Quick test_level_share;
         Alcotest.test_case "pinned fixture" `Quick test_pinned_moved;
+        Alcotest.test_case "forged schedule clean" `Quick test_forged_clean;
+        Alcotest.test_case "forged MAP001 times" `Quick test_forged_structure;
+        Alcotest.test_case "forged MAP002 virtual" `Quick test_forged_virtual;
+        Alcotest.test_case "forged MAP003 cluster" `Quick test_forged_cluster;
+        Alcotest.test_case "forged MAP006 packing" `Quick test_forged_packing;
+        Alcotest.test_case "forged MAP007 release" `Quick test_forged_release;
         Alcotest.test_case "fixture files via trace lint" `Quick
           test_fixture_files;
       ] );
