@@ -182,15 +182,8 @@ let run_online () =
         List.init count (fun id ->
             Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
       in
-      let clock = ref 0. in
-      let apps =
-        List.mapi
-          (fun i ptg ->
-            if i > 0 then
-              clock := !clock +. Mcs_prng.Prng.exponential rng ~mean:30.;
-            (ptg, !clock))
-          ptgs
-      in
+      let release = E.Workload.releases rng ~count ~mean:30. in
+      let apps = List.mapi (fun i ptg -> (ptg, release.(i))) ptgs in
       (* Best of three runs: the engine is deterministic, so the spread
          is scheduler/cache noise and the minimum wall is the honest
          cost — it is also what keeps the CI floor below stable. *)
@@ -244,15 +237,8 @@ let run_online () =
      List.init count (fun id ->
          Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
    in
-   let clock = ref 0. in
-   let apps =
-     List.mapi
-       (fun i ptg ->
-         if i > 0 then
-           clock := !clock +. Mcs_prng.Prng.exponential rng ~mean:30.;
-         (ptg, !clock))
-       ptgs
-   in
+   let release = E.Workload.releases rng ~count ~mean:30. in
+   let apps = List.mapi (fun i ptg -> (ptg, release.(i))) ptgs in
    let policy =
      Mcs_online.Policy.make
        ~malleability:
@@ -307,12 +293,8 @@ let serve_workload count seed =
     List.init count (fun id ->
         Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
   in
-  let clock = ref 0. in
-  List.mapi
-    (fun i ptg ->
-      if i > 0 then clock := !clock +. Mcs_prng.Prng.exponential rng ~mean:1.;
-      (ptg, !clock))
-    ptgs
+  let release = E.Workload.releases rng ~count ~mean:1. in
+  List.mapi (fun i ptg -> (ptg, release.(i))) ptgs
 
 let serve_config ~shards ~mode =
   {

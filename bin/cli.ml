@@ -11,3 +11,16 @@ let ok = function Ok x -> x | Error m -> die m
 (* [checked f] is [f ()], or exit 2 with the message of the
    [Invalid_argument] it raised. *)
 let checked f = try f () with Invalid_argument m -> die m
+
+(* Exit 1 with the first error when the invariant analyzer rejects the
+   schedules a scheduling CLI produced: that is a bug, not bad input. *)
+let validated ?release platform schedules =
+  match
+    Mcs_check.Diagnostic.errors
+      (Mcs_check.Check.analyze ?release platform schedules)
+  with
+  | [] -> ()
+  | d :: _ ->
+    prerr_endline
+      ("internal error, invalid schedule: " ^ Mcs_check.Diagnostic.to_string d);
+    exit 1

@@ -29,15 +29,7 @@ let run site strategy family count seed mean_interarrival static finish_resched
   let family = Cli.ok (Workload.family_of_string family) in
   let rng = Mcs_prng.Prng.create ~seed in
   let ptgs = Cli.checked (fun () -> Workload.draw rng family ~count) in
-  let release = Array.make count 0. in
-  let clock = ref 0. in
-  List.iteri
-    (fun i _ ->
-      if i > 0 then begin
-        clock := !clock +. Mcs_prng.Prng.exponential rng ~mean:mean_interarrival;
-        release.(i) <- !clock
-      end)
-    ptgs;
+  let release = Workload.releases rng ~count ~mean:mean_interarrival in
   let apps = List.mapi (fun i ptg -> (ptg, release.(i))) ptgs in
   let fault_scenario =
     if not faults then None
@@ -155,11 +147,7 @@ let run site strategy family count seed mean_interarrival static finish_resched
     Printf.eprintf "invariant check: %d errors\n" !violations;
     exit 1
   end;
-  (match Schedule.validate ~platform r.Engine.schedules with
-  | Ok () -> ()
-  | Error v ->
-    prerr_endline ("internal error, invalid schedule: " ^ v.Schedule.message);
-    exit 1);
+  Cli.validated ~release platform r.Engine.schedules;
   let join fmt a =
     String.concat "," (Array.to_list (Array.map fmt a))
   in

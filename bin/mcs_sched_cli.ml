@@ -21,13 +21,15 @@ let run site strategy family count seed csv json check profile profile_format =
   let family = Cli.ok (Workload.family_of_string family) in
   let rng = Mcs_prng.Prng.create ~seed in
   let ptgs = Cli.checked (fun () -> Workload.draw rng family ~count) in
-  let prepared = Pipeline.prepare ~strategy platform ptgs in
-  let schedules = Pipeline.schedule_concurrent ~strategy platform ptgs in
-  (match Schedule.validate ~platform schedules with
-  | Ok () -> ()
-  | Error v ->
-    prerr_endline ("internal error, invalid schedule: " ^ v.Schedule.message);
-    exit 1);
+  (* The scheduler's own allocation step, handed over through the
+     check seam rather than recomputed. *)
+  let prepared = ref None in
+  let schedules =
+    Pipeline.schedule_concurrent ~strategy
+      ~check:(fun ~prepared:p _ -> prepared := Some p)
+      platform ptgs
+  in
+  let prepared = Option.get !prepared in
   (if check then begin
      let diags =
        Mcs_check.Check.analyze_prepared ~strategy prepared platform schedules
@@ -37,7 +39,8 @@ let run site strategy family count seed csv json check profile profile_format =
        (Mcs_check.Diagnostic.sort diags);
      Printf.eprintf "invariant check: %s\n" (Mcs_check.Diagnostic.summary diags);
      if Mcs_check.Diagnostic.has_errors diags then exit 1
-   end);
+   end
+   else Cli.validated platform schedules);
   let sim = Mcs_sim.Replay.run platform schedules in
   Printf.printf "%s, %d %s applications, strategy %s\n\n" site count
     (Workload.family_name family) (Strategy.name strategy);

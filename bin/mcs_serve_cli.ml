@@ -75,16 +75,8 @@ let run site shards inline count seed mean_interarrival family strategy
   in
   let rng = Mcs_prng.Prng.create ~seed in
   let ptgs = Cli.checked (fun () -> Workload.draw rng family ~count) in
-  let clock = ref 0. in
-  let apps =
-    List.mapi
-      (fun i ptg ->
-        if i > 0 then
-          clock :=
-            !clock +. Mcs_prng.Prng.exponential rng ~mean:mean_interarrival;
-        (ptg, !clock))
-      ptgs
-  in
+  let release = Workload.releases rng ~count ~mean:mean_interarrival in
+  let apps = List.mapi (fun i ptg -> (ptg, release.(i))) ptgs in
   let report =
     Cli.checked (fun () -> Service.run_stream ~rate config platform apps)
   in

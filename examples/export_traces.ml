@@ -10,7 +10,6 @@
    `dune exec examples/export_traces.exe examples/traces` and are
    linted in CI with `mcs_check --site lille`. *)
 
-module Schedule = Mcs_sched.Schedule
 module Strategy = Mcs_sched.Strategy
 module Pipeline = Mcs_sched.Pipeline
 module Allocation = Mcs_sched.Allocation
@@ -38,9 +37,6 @@ let () =
   let strategy = Strategy.Weighted (Strategy.Width, 0.5) in
   let prepared = Pipeline.prepare ~strategy platform ptgs in
   let schedules = Pipeline.schedule_concurrent ~strategy platform ptgs in
-  (match Schedule.validate ~platform schedules with
-  | Ok () -> print_endline "schedules: valid"
-  | Error v -> failwith v.Schedule.message);
   (match
      Mcs_check.Check.analyze_prepared ~strategy prepared platform schedules
    with

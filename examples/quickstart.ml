@@ -41,9 +41,12 @@ let () =
   in
 
   (* 4. Inspect the result: validity, Gantt chart, simulated makespans. *)
-  (match Schedule.validate ~platform schedules with
-  | Ok () -> print_endline "schedules: valid"
-  | Error v -> print_endline ("schedules: INVALID - " ^ v.Schedule.message));
+  (match
+     Mcs_check.Diagnostic.errors (Mcs_check.Check.analyze platform schedules)
+   with
+  | [] -> print_endline "schedules: valid"
+  | d :: _ ->
+    print_endline ("schedules: INVALID - " ^ Mcs_check.Diagnostic.to_string d));
   print_newline ();
   print_string (Schedule.gantt ~platform schedules);
   print_newline ();

@@ -21,12 +21,7 @@ let () =
           { Mcs_ptg.Random_gen.default with tasks = 10 + (10 * (id mod 3)) })
   in
   (* Poisson arrivals with a 40-second mean inter-arrival. *)
-  let release = Array.make count 0. in
-  let clock = ref 0. in
-  for i = 1 to count - 1 do
-    clock := !clock +. Mcs_prng.Prng.exponential rng ~mean:40.;
-    release.(i) <- !clock
-  done;
+  let release = Mcs_experiments.Workload.releases rng ~count ~mean:40. in
 
   Printf.printf "Submissions on %s:\n"
     (Mcs_platform.Platform.name platform);

@@ -12,6 +12,12 @@ let c_diagnostics = Obs.counter "check.diagnostics"
 
 exception Violation of Diagnostic.t list
 
+let () =
+  Printexc.register_printer (function
+    | Violation errors ->
+      Some (String.concat "\n" (List.map Diagnostic.to_string errors))
+    | _ -> None)
+
 let check_length name count = function
   | None -> ()
   | Some arr ->

@@ -47,29 +47,99 @@ let check_overlap ~emit intervals =
       | _ -> cur := Some (iv.proc, iv.finish, iv.app, iv.node))
     sorted
 
-(* Lower bound on the redistribution delay the mapper charged for the
-   edge [u -> v]; mirrors List_mapper's [cost_of] with its in-place
-   exemption, without the aggregate-NIC bound (one-sided soundness). *)
-let transfer_lower_bound platform (pu : Schedule.placement)
-    (pv : Schedule.placement) ~bytes =
-  if bytes <= 0. then 0.
-  else if
-    pu.Schedule.cluster = pv.Schedule.cluster
-    && Redistribution.same_procs pu.Schedule.procs pv.Schedule.procs
-  then 0.
-  else
-    Redistribution.transfer_time platform ~src_cluster:pu.Schedule.cluster
-      ~dst_cluster:pv.Schedule.cluster
-      ~src_procs:(max 1 (Array.length pu.Schedule.procs))
-      ~dst_procs:(max 1 (Array.length pv.Schedule.procs))
-      ~bytes
+let check_placement ~emit ?platform ~app ~virt ~release
+    (pl : Schedule.placement) =
+  let { Schedule.node; cluster; procs; start; finish } = pl in
+  let finite = Float.is_finite start && Float.is_finite finish in
+  (* MAP001: finite, ordered times. *)
+  if not finite then
+    emit
+      (Diagnostic.error ~app ~node Rule.Map_structure
+         "non-finite times %g..%g" start finish)
+  else if not (finish >=. start) then
+    emit
+      (Diagnostic.error ~app ~node ~window:(start, finish) Rule.Map_structure
+         "finishes at %g before starting at %g" finish start);
+  (* MAP002: virtual tasks are free and instantaneous. *)
+  if virt then begin
+    if Array.length procs > 0 then
+      emit
+        (Diagnostic.error ~app ~node Rule.Map_virtual
+           "virtual task holds %d processors" (Array.length procs));
+    if finite && not (approx_eq start finish) then
+      emit
+        (Diagnostic.error ~app ~node ~window:(start, finish) Rule.Map_virtual
+           "virtual task takes %g seconds" (finish -. start))
+  end
+  else if Array.length procs = 0 then
+    emit
+      (Diagnostic.error ~app ~node Rule.Map_virtual
+         "real task holds no processor")
+  else begin
+    (* MAP003: one real cluster, distinct in-range processors. *)
+    let sorted = Array.copy procs in
+    Array.sort compare sorted;
+    for i = 1 to Array.length sorted - 1 do
+      if sorted.(i) = sorted.(i - 1) then
+        emit
+          (Diagnostic.error ~app ~node ~proc:sorted.(i) Rule.Map_cluster
+             "processor listed twice")
+    done;
+    match platform with
+    | None ->
+      Array.iter
+        (fun p ->
+          if p < 0 then
+            emit
+              (Diagnostic.error ~app ~node ~proc:p Rule.Map_cluster
+                 "negative processor id"))
+        procs
+    | Some pf ->
+      if cluster < 0 || cluster >= P.cluster_count pf then
+        emit
+          (Diagnostic.error ~app ~node Rule.Map_cluster
+             "cluster %d does not exist on %s" cluster (P.name pf))
+      else
+        Array.iter
+          (fun p ->
+            if p < 0 || p >= P.total_procs pf then
+              emit
+                (Diagnostic.error ~app ~node ~proc:p Rule.Map_cluster
+                   "processor id outside 0..%d" (P.total_procs pf - 1))
+            else if P.cluster_of_proc pf p <> cluster then
+              emit
+                (Diagnostic.error ~app ~node ~proc:p Rule.Map_cluster
+                   "processor belongs to cluster %d, task is on %d"
+                   (P.cluster_of_proc pf p) cluster))
+          procs
+  end;
+  (* MAP007: nothing before the submission date. *)
+  if Float.is_finite start && not (start >=. release) then
+    emit
+      (Diagnostic.error ~app ~node ~window:(release, start) Rule.Map_release
+         "starts at %g before the release at %g" start release)
+
+let check_packing ~emit platform ref_cluster ~app ~alloc
+    (pl : Schedule.placement) =
+  let { Schedule.node; cluster; procs; _ } = pl in
+  (* A missing cluster is MAP003's and an allocation below one
+     processor ALLOC001's: neither has a translation to compare. *)
+  if cluster >= 0 && cluster < P.cluster_count platform && alloc >= 1 then begin
+    let limit =
+      Reference_cluster.translate ref_cluster platform ~cluster alloc
+    in
+    if Array.length procs > limit then
+      emit
+        (Diagnostic.error ~app ~node Rule.Map_packing
+           "holds %d processors, allocation translates to %d"
+           (Array.length procs) limit)
+  end
 
 let check_one ~emit ?alloc ~release ~is_pinned platform ref_cluster ~app
     (s : Schedule.t) =
   let ptg = s.Schedule.ptg in
   let dag = ptg.Ptg.dag in
   let n = Dag.node_count dag in
-  let total_procs = P.total_procs platform in
   if Array.length s.Schedule.placements <> n then
     emit
       (Diagnostic.error ~app Rule.Map_structure
@@ -77,93 +147,31 @@ let check_one ~emit ?alloc ~release ~is_pinned platform ref_cluster ~app
          (Array.length s.Schedule.placements)
          n)
   else begin
+    let alloc =
+      match alloc with
+      | Some a when Array.length a = n -> Some a
+      | Some _ | None -> None
+    in
     Array.iteri
-      (fun v pl ->
-        let { Schedule.node; cluster; procs; start; finish } = pl in
-        (* MAP001: labels, finite ordered times. *)
-        if node <> v then
-          emit
-            (Diagnostic.error ~app ~node:v Rule.Map_structure
-               "placement at index %d is labeled node %d" v node);
-        if not (Float.is_finite start && Float.is_finite finish) then
-          emit
-            (Diagnostic.error ~app ~node:v Rule.Map_structure
-               "non-finite times %g..%g" start finish)
-        else if not (finish >=. start) then
-          emit
-            (Diagnostic.error ~app ~node:v ~window:(start, finish)
-               Rule.Map_structure "finishes at %g before starting at %g"
-               finish start);
-        (* MAP002: virtual tasks are free and instantaneous. *)
-        if Ptg.is_virtual ptg v then begin
-          if Array.length procs > 0 then
+      (fun v (pl : Schedule.placement) ->
+        (* MAP001: placements are indexed by DAG node. *)
+        let pl =
+          if pl.Schedule.node = v then pl
+          else begin
             emit
-              (Diagnostic.error ~app ~node:v Rule.Map_virtual
-                 "virtual task holds %d processors" (Array.length procs));
-          if not (approx_eq start finish) then
-            emit
-              (Diagnostic.error ~app ~node:v ~window:(start, finish)
-                 Rule.Map_virtual "virtual task takes %g seconds"
-                 (finish -. start))
-        end
-        else if Array.length procs = 0 then
-          emit
-            (Diagnostic.error ~app ~node:v Rule.Map_virtual
-               "real task holds no processor")
-        else begin
-          (* MAP003: one real cluster, distinct in-range processors. *)
-          if cluster < 0 || cluster >= P.cluster_count platform then
-            emit
-              (Diagnostic.error ~app ~node:v Rule.Map_cluster
-                 "cluster %d does not exist" cluster)
-          else
-            Array.iter
-              (fun p ->
-                if p < 0 || p >= total_procs then
-                  emit
-                    (Diagnostic.error ~app ~node:v ~proc:p Rule.Map_cluster
-                       "processor id outside 0..%d" (total_procs - 1))
-                else if P.cluster_of_proc platform p <> cluster then
-                  emit
-                    (Diagnostic.error ~app ~node:v ~proc:p Rule.Map_cluster
-                       "processor belongs to cluster %d, task is on %d"
-                       (P.cluster_of_proc platform p)
-                       cluster))
-              procs;
-          let sorted = Array.copy procs in
-          Array.sort compare sorted;
-          for i = 1 to Array.length sorted - 1 do
-            if sorted.(i) = sorted.(i - 1) then
-              emit
-                (Diagnostic.error ~app ~node:v ~proc:sorted.(i)
-                   Rule.Map_cluster "processor listed twice")
-          done;
-          (* MAP006: mapping never enlarged the allocation. Pinned
-             placements may carry an allocation from an earlier β
-             generation, so they are exempt. *)
-          match alloc with
-          | Some alloc
-            when Array.length alloc = n
-                 && (not (is_pinned v))
-                 && cluster >= 0
-                 && cluster < P.cluster_count platform ->
-            let limit =
-              Reference_cluster.translate ref_cluster platform ~cluster
-                alloc.(v)
-            in
-            if Array.length procs > limit then
-              emit
-                (Diagnostic.error ~app ~node:v Rule.Map_packing
-                   "holds %d processors, allocation translates to %d"
-                   (Array.length procs) limit)
-          | _ -> ()
-        end;
-        (* MAP007: nothing before the submission date. *)
-        if not (start >=. release) then
-          emit
-            (Diagnostic.error ~app ~node:v ~window:(release, start)
-               Rule.Map_release "starts at %g before the release at %g" start
-               release))
+              (Diagnostic.error ~app ~node:v Rule.Map_structure
+                 "placement at index %d is labeled node %d" v pl.Schedule.node);
+            { pl with Schedule.node = v }
+          end
+        in
+        let virt = Ptg.is_virtual ptg v in
+        check_placement ~emit ~platform ~app ~virt ~release pl;
+        (* MAP006: pinned placements may carry an allocation from an
+           earlier β generation, so they are exempt. *)
+        match alloc with
+        | Some alloc when not (virt || is_pinned v) ->
+          check_packing ~emit platform ref_cluster ~app ~alloc:alloc.(v) pl
+        | Some _ | None -> ())
       s.Schedule.placements;
     (* MAP001: the makespan is the exit finish time. *)
     let exit_finish = s.Schedule.placements.(Ptg.exit ptg).Schedule.finish in
@@ -181,8 +189,9 @@ let check_one ~emit ?alloc ~release ~is_pinned platform ref_cluster ~app
           let cost =
             if Ptg.is_virtual ptg v || Ptg.is_virtual ptg u then 0.
             else
-              transfer_lower_bound platform pu pv
-                ~bytes:ptg.Ptg.edge_bytes.(e)
+              Redistribution.estimate platform ~src_cluster:pu.Schedule.cluster
+                ~src_procs:pu.Schedule.procs ~dst_cluster:pv.Schedule.cluster
+                ~dst_procs:pv.Schedule.procs ~bytes:ptg.Ptg.edge_bytes.(e)
           in
           let ready = pu.Schedule.finish +. cost in
           if not (pv.Schedule.start >=. ready) then

@@ -1,4 +1,5 @@
 module Trace = Mcs_sched.Trace
+module Schedule = Mcs_sched.Schedule
 module P = Mcs_platform.Platform
 module Redistribution = Mcs_taskmodel.Redistribution
 module Reference_cluster = Mcs_sched.Reference_cluster
@@ -20,100 +21,40 @@ let row_map ~emit ~app (rows : Trace.row array) =
     rows;
   tbl
 
-let check_row ~emit ~app ?platform ~release (r : Trace.row) =
-  let { Trace.node; virt; cluster; procs; start; finish; preds = _ } = r in
-  if not (Float.is_finite start && Float.is_finite finish) then
-    emit
-      (Diagnostic.error ~app ~node Rule.Map_structure
-         "non-finite times %g..%g" start finish)
-  else if not (finish >=. start) then
-    emit
-      (Diagnostic.error ~app ~node ~window:(start, finish) Rule.Map_structure
-         "finishes at %g before starting at %g" finish start);
-  if virt then begin
-    if Array.length procs > 0 then
-      emit
-        (Diagnostic.error ~app ~node Rule.Map_virtual
-           "virtual task holds %d processors" (Array.length procs));
-    if Float.is_finite start && Float.is_finite finish
-       && not (approx_eq start finish)
-    then
-      emit
-        (Diagnostic.error ~app ~node ~window:(start, finish) Rule.Map_virtual
-           "virtual task takes %g seconds" (finish -. start))
-  end
-  else if Array.length procs = 0 then
-    emit (Diagnostic.error ~app ~node Rule.Map_virtual "real task holds no processor")
-  else begin
-    let sorted = Array.copy procs in
-    Array.sort compare sorted;
-    for i = 1 to Array.length sorted - 1 do
-      if sorted.(i) = sorted.(i - 1) then
-        emit
-          (Diagnostic.error ~app ~node ~proc:sorted.(i) Rule.Map_cluster
-             "processor listed twice")
-    done;
-    match platform with
-    | None ->
-      Array.iter
-        (fun p ->
-          if p < 0 then
-            emit
-              (Diagnostic.error ~app ~node ~proc:p Rule.Map_cluster
-                 "negative processor id"))
-        procs
-    | Some pf ->
-      if cluster < 0 || cluster >= P.cluster_count pf then
-        emit
-          (Diagnostic.error ~app ~node Rule.Map_cluster
-             "cluster %d does not exist on %s" cluster (P.name pf))
-      else
-        Array.iter
-          (fun p ->
-            if p < 0 || p >= P.total_procs pf then
-              emit
-                (Diagnostic.error ~app ~node ~proc:p Rule.Map_cluster
-                   "processor id outside 0..%d" (P.total_procs pf - 1))
-            else if P.cluster_of_proc pf p <> cluster then
-              emit
-                (Diagnostic.error ~app ~node ~proc:p Rule.Map_cluster
-                   "processor belongs to cluster %d, task is on %d"
-                   (P.cluster_of_proc pf p) cluster))
-          procs
-  end;
-  if Float.is_finite start && not (start >=. release) then
-    emit
-      (Diagnostic.error ~app ~node ~window:(release, start) Rule.Map_release
-         "starts at %g before the release at %g" start release)
+let placement_of (r : Trace.row) =
+  {
+    Schedule.node = r.Trace.node;
+    cluster = r.Trace.cluster;
+    procs = r.Trace.procs;
+    start = r.Trace.start;
+    finish = r.Trace.finish;
+  }
 
+let known_cluster pf c = c >= 0 && c < P.cluster_count pf
+
+(* MAP005's delay: the redistribution estimate when a platform is
+   given, zero without one. A missing cluster is MAP003's, so its edges
+   cost nothing rather than cascade. *)
 let precedence_cost ?platform (ru : Trace.row) (rv : Trace.row) ~bytes =
-  if bytes <= 0. || ru.Trace.virt || rv.Trace.virt then 0.
-  else
-    match platform with
-    | None -> 0.
-    | Some pf ->
-      if
-        ru.Trace.cluster = rv.Trace.cluster
-        && Redistribution.same_procs ru.Trace.procs rv.Trace.procs
-      then 0.
-      else if
-        ru.Trace.cluster < 0
-        || ru.Trace.cluster >= P.cluster_count pf
-        || rv.Trace.cluster < 0
-        || rv.Trace.cluster >= P.cluster_count pf
-      then 0. (* Map_cluster already fired; avoid a cascade *)
-      else
-        Redistribution.transfer_time pf ~src_cluster:ru.Trace.cluster
-          ~dst_cluster:rv.Trace.cluster
-          ~src_procs:(max 1 (Array.length ru.Trace.procs))
-          ~dst_procs:(max 1 (Array.length rv.Trace.procs))
-          ~bytes
+  match platform with
+  | Some pf
+    when not (ru.Trace.virt || rv.Trace.virt)
+         && known_cluster pf ru.Trace.cluster
+         && known_cluster pf rv.Trace.cluster ->
+    Redistribution.estimate pf ~src_cluster:ru.Trace.cluster
+      ~src_procs:ru.Trace.procs ~dst_cluster:rv.Trace.cluster
+      ~dst_procs:rv.Trace.procs ~bytes
+  | Some _ | None -> 0.
 
 let check_app ~emit ?platform ?ref_cluster (a : Trace.app) =
   let app = a.Trace.app in
   let rows = a.Trace.rows in
   let tbl = row_map ~emit ~app rows in
-  Array.iter (check_row ~emit ~app ?platform ~release:a.Trace.release) rows;
+  Array.iter
+    (fun (r : Trace.row) ->
+      Sched_check.check_placement ~emit ?platform ~app ~virt:r.Trace.virt
+        ~release:a.Trace.release (placement_of r))
+    rows;
   (* MAP001: the recorded makespan is the last finish. *)
   (match a.Trace.makespan with
   | Some m when Array.length rows > 0 ->
@@ -207,20 +148,9 @@ let check_app ~emit ?platform ?ref_cluster (a : Trace.app) =
             (not r.Trace.virt)
             && (not (List.mem r.Trace.node pinned_nodes))
             && r.Trace.node < n
-            && r.Trace.cluster >= 0
-            && r.Trace.cluster < P.cluster_count pf
-          then begin
-            let limit =
-              Reference_cluster.translate rc pf ~cluster:r.Trace.cluster
-                alloc.(r.Trace.node)
-            in
-            if Array.length r.Trace.procs > limit then
-              emit
-                (Diagnostic.error ~app ~node:r.Trace.node Rule.Map_packing
-                   "holds %d processors, allocation translates to %d"
-                   (Array.length r.Trace.procs)
-                   limit)
-          end)
+          then
+            Sched_check.check_packing ~emit pf rc ~app
+              ~alloc:alloc.(r.Trace.node) (placement_of r))
         rows
     end
   | _ -> ());

@@ -32,13 +32,9 @@ let compute ?runs ?(counts = Workload.paper_counts) ?(seed = 411)
             let rng =
               Prng.create ~seed:(seed + (count * 31) + List.length ptgs)
             in
-            let release = Array.make count 0. in
-            let clock = ref 0. in
-            for i = 1 to count - 1 do
-              clock :=
-                !clock +. Prng.exponential rng ~mean:mean_interarrival;
-              release.(i) <- !clock
-            done;
+            let release =
+              Workload.releases rng ~count ~mean:mean_interarrival
+            in
             let results = Runner.evaluate ~release platform ptgs strategies in
             let best =
               List.fold_left

@@ -46,15 +46,6 @@ let levels =
 
 let strategies = Strategy.paper_eight
 
-let draw_release rng count ~mean_interarrival =
-  let release = Array.make count 0. in
-  let clock = ref 0. in
-  for i = 1 to count - 1 do
-    clock := !clock +. Prng.exponential rng ~mean:mean_interarrival;
-    release.(i) <- !clock
-  done;
-  release
-
 (* One scenario under every (strategy, level) pair. Makespans are the
    engine's own virtual times: the fluid replay knows nothing of
    outages, so estimated timing is the consistent yardstick across
@@ -119,7 +110,7 @@ let compute ?runs ?(count = 6) ?(seed = 523) ?(mean_interarrival = 30.) () =
     Mcs_util.Parmap.map
       (fun (i, (platform, ptgs)) ->
         let rng = Prng.create ~seed:(seed + (count * 31) + List.length ptgs) in
-        let release = draw_release rng count ~mean_interarrival in
+        let release = Workload.releases rng ~count ~mean:mean_interarrival in
         scenario_metrics platform ptgs ~release
           ~fault_seed:(seed + (257 * i) + 1))
       (List.mapi

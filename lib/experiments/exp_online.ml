@@ -27,17 +27,6 @@ let strategies =
 
 let modes = [ Offline; Online ]
 
-(* Same arrival stream as Exp_arrivals (seed formula included) so the
-   offline columns are directly comparable across the two tables. *)
-let draw_release rng count ~mean_interarrival =
-  let release = Array.make count 0. in
-  let clock = ref 0. in
-  for i = 1 to count - 1 do
-    clock := !clock +. Prng.exponential rng ~mean:mean_interarrival;
-    release.(i) <- !clock
-  done;
-  release
-
 let scenario_metrics platform ptgs ~release =
   let own =
     Array.of_list
@@ -103,10 +92,15 @@ let compute ?runs ?(counts = Workload.paper_counts) ?(seed = 411)
       let per_scenario =
         Mcs_util.Parmap.map
           (fun (platform, ptgs) ->
+            (* Same arrival stream as Exp_arrivals (seed formula
+               included) so the offline columns are directly comparable
+               across the two tables. *)
             let rng =
               Prng.create ~seed:(seed + (count * 31) + List.length ptgs)
             in
-            let release = draw_release rng count ~mean_interarrival in
+            let release =
+              Workload.releases rng ~count ~mean:mean_interarrival
+            in
             scenario_metrics platform ptgs ~release)
           (Sweep.scenarios ~family:Workload.Random_mixed_scenarios ~count
              ~runs ~seed)

@@ -32,8 +32,7 @@ let own_makespan ?config ?cache ?arena ~timing platform ptg =
 let makespan_alone ?config ?(timing = Simulated) platform ptg =
   own_makespan ?config ~timing platform ptg
 
-let evaluate ?config ?(timing = Simulated) ?release ?(check = true) platform
-    ptgs strategies =
+let evaluate ?config ?(timing = Simulated) ?release platform ptgs strategies =
   if ptgs = [] then invalid_arg "Runner.evaluate: no applications";
   Obs.with_span "runner.evaluate" @@ fun () ->
   (* One trajectory cache per PTG, shared by the baseline and every
@@ -58,20 +57,16 @@ let evaluate ?config ?(timing = Simulated) ?release ?(check = true) platform
     (fun strategy ->
       (* Fail fast on broken invariants: experiment numbers computed
          from an illegal schedule are worse than no numbers. *)
-      let checker =
-        if check then
-          let procedure =
-            (Option.value config ~default:Pipeline.default_config)
-              .Pipeline.procedure
-          in
-          Some
-            (Mcs_check.Check.pipeline_hook ~procedure ?release ~strategy
-               platform)
-        else None
+      let procedure =
+        (Option.value config ~default:Pipeline.default_config)
+          .Pipeline.procedure
       in
       let schedules =
-        Pipeline.schedule_concurrent ?config ?release ?check:checker ~caches
-          ~arena ~strategy platform ptgs
+        Pipeline.schedule_concurrent ?config ?release
+          ~check:
+            (Mcs_check.Check.pipeline_hook ~procedure ?release ~strategy
+               platform)
+          ~caches ~arena ~strategy platform ptgs
       in
       let makespans =
         response

@@ -30,7 +30,6 @@ val evaluate :
   ?config:Mcs_sched.Pipeline.config ->
   ?timing:timing ->
   ?release:float array ->
-  ?check:bool ->
   Mcs_platform.Platform.t ->
   Mcs_ptg.Ptg.t list ->
   Mcs_sched.Strategy.t list ->
@@ -44,7 +43,7 @@ val evaluate :
     per-application makespan is its response time (completion −
     submission).
 
-    [check] (default [true]) runs the invariant analyzer over every
-    produced schedule set and raises {!Mcs_check.Check.Violation} on
-    any error-severity diagnostic — metrics are never computed from an
-    illegal schedule. *)
+    The invariant analyzer audits every produced schedule set and
+    raises {!Mcs_check.Check.Violation} on any error-severity
+    diagnostic — metrics are never computed from an illegal
+    schedule. *)

@@ -54,3 +54,10 @@ let draw rng family ~count =
         let points = Prng.choose rng [| 4; 8; 16 |] in
         Mcs_ptg.Fft.generate ~id ~points rng
       | Strassen_ptgs -> Mcs_ptg.Strassen.generate ~id rng)
+
+let releases rng ~count ~mean =
+  let release = Array.make count 0. in
+  for i = 1 to count - 1 do
+    release.(i) <- release.(i - 1) +. Prng.exponential rng ~mean
+  done;
+  release

@@ -24,5 +24,10 @@ val draw : Mcs_prng.Prng.t -> family -> count:int -> Mcs_ptg.Ptg.t list
 (** [draw rng family ~count] samples [count] applications, ids
     [0 .. count-1]. *)
 
+val releases : Mcs_prng.Prng.t -> count:int -> mean:float -> float array
+(** A Poisson submission stream: [count] release times, the first 0 and
+    each later one an exponential gap of mean [mean] after the previous
+    one, drawn in order from [rng]. *)
+
 val paper_counts : int list
 (** [[2; 4; 6; 8; 10]] concurrent applications. *)

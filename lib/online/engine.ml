@@ -227,6 +227,30 @@ let remap_unchanged active schedules pinned =
     (List.combine active schedules);
   !n
 
+(* The invariant analyzer's verdict on the active applications, each
+   with the placements pinned going into its generation and the
+   schedule that generation produced. *)
+let online_check s apps =
+  Mcs_check.Online_check.analyze s.platform
+    {
+      Mcs_check.Online_check.now = s.st.State.now;
+      strategy = s.policy.Policy.strategy;
+      procedure = s.policy.Policy.config.Pipeline.procedure;
+      apps =
+        List.map
+          (fun (app, pinned, schedule) ->
+            {
+              Mcs_check.Online_check.index = app.State.index;
+              ptg = app.State.ptg;
+              release = app.State.release;
+              beta = app.State.beta;
+              alloc = app.State.last_alloc;
+              pinned;
+              schedule;
+            })
+          apps;
+    }
+
 let reschedule s ~trigger =
   Obs.with_span "online.reschedule" @@ fun () ->
   let state = s.st in
@@ -322,28 +346,11 @@ let reschedule s ~trigger =
     (match s.check with
     | None -> ()
     | Some f ->
-      let snap_apps =
-        List.mapi
-          (fun j (app, sched) ->
-            {
-              Mcs_check.Online_check.index = app.State.index;
-              ptg = app.State.ptg;
-              release = app.State.release;
-              beta = app.State.beta;
-              alloc = prepared.Pipeline.allocations.(j).Allocation.procs;
-              pinned = pinned.(j);
-              schedule = sched;
-            })
-          (List.combine active schedules)
-      in
       f
-        (Mcs_check.Online_check.analyze s.platform
-           {
-             Mcs_check.Online_check.now = state.State.now;
-             strategy = s.policy.Policy.strategy;
-             procedure = s.policy.Policy.config.Pipeline.procedure;
-             apps = snap_apps;
-           }));
+        (online_check s
+           (List.mapi
+              (fun j (app, sched) -> (app, pinned.(j), sched))
+              (List.combine active schedules))));
     Event_queue.next_generation s.q;
     state.State.reschedules <- state.State.reschedules + 1;
     state.State.remapped_tasks <- state.State.remapped_tasks + remapped;
@@ -710,7 +717,6 @@ let now s = s.st.State.now
 let pending_events s = Event_queue.length s.q
 let active_count s = s.st.State.active_apps
 let peak_active s = s.st.State.peak_active
-let app_count s = Array.length s.st.State.apps
 let in_service s = Array.length s.st.State.apps - s.st.State.completed_apps
 let policy s = s.policy
 
@@ -789,31 +795,15 @@ let audit s =
        has revoked placements: there is no generation to audit, and
        auditing a subset would make the β-sum rules fire spuriously. *)
     if not (List.for_all auditable active) then []
-    else begin
-      let snap_apps =
-        List.map
-          (fun app ->
-            {
-              Mcs_check.Online_check.index = app.State.index;
-              ptg = app.State.ptg;
-              release = app.State.release;
-              beta = app.State.beta;
-              alloc = app.State.last_alloc;
-              pinned = State.pinned_of state app;
-              schedule =
-                Schedule.make ~ptg:app.State.ptg
-                  ~placements:(Array.map Option.get app.State.placements);
-            })
-          active
-      in
-      Mcs_check.Online_check.analyze s.platform
-        {
-          Mcs_check.Online_check.now = state.State.now;
-          strategy = s.policy.Policy.strategy;
-          procedure = s.policy.Policy.config.Pipeline.procedure;
-          apps = snap_apps;
-        }
-    end
+    else
+      online_check s
+        (List.map
+           (fun app ->
+             ( app,
+               State.pinned_of state app,
+               Schedule.make ~ptg:app.State.ptg
+                 ~placements:(Array.map Option.get app.State.placements) ))
+           active)
 
 let advance ?upto s =
   Obs.with_span "online.run" @@ fun () ->

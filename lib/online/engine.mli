@@ -187,9 +187,6 @@ val peak_active : session -> int
 (** High-water mark of {!active_count} over the session's lifetime —
     the per-shard concurrency gauge reported by the serving layer. *)
 
-val app_count : session -> int
-(** Applications submitted so far. *)
-
 val in_service : session -> int
 (** Applications submitted and not yet completed (arrived or still
     queued) — the load measure behind the serving layer's shedding. *)

@@ -133,15 +133,10 @@ let schedule ?(options = default_options) platform ptg =
               Array.fold_left
                 (fun acc (pu, bytes) ->
                   let cost =
-                    if
-                      bytes > 0. && pu.Schedule.cluster = k
-                      && Redistribution.same_procs pu.Schedule.procs chosen
-                    then 0.
-                    else
-                      Redistribution.transfer_time platform
-                        ~src_cluster:pu.Schedule.cluster ~dst_cluster:k
-                        ~src_procs:(max 1 (Array.length pu.Schedule.procs))
-                        ~dst_procs:p ~bytes
+                    Redistribution.estimate platform
+                      ~src_cluster:pu.Schedule.cluster
+                      ~src_procs:pu.Schedule.procs ~dst_cluster:k
+                      ~dst_procs:chosen ~bytes
                   in
                   Float.max acc (pu.Schedule.finish +. cost))
                 0. preds

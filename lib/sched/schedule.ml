@@ -75,115 +75,6 @@ let used_power_avg t ~platform =
     !acc /. t.makespan
   end
 
-type violation = { message : string }
-
-let fail fmt = Printf.ksprintf (fun message -> Error { message }) fmt
-
-let validate_one ~platform sched =
-  let ptg = sched.ptg in
-  let dag = ptg.Ptg.dag in
-  let n = Dag.node_count dag in
-  let rec check_node v =
-    if v >= n then Ok ()
-    else begin
-      let pl = sched.placements.(v) in
-      if pl.node <> v then fail "%s node %d: placement mislabeled" ptg.Ptg.name v
-      else if pl.finish < pl.start -. Mcs_util.Floatx.eps then
-        fail "%s node %d: finish %g before start %g" ptg.Ptg.name v pl.finish
-          pl.start
-      else if Ptg.is_virtual ptg v && Array.length pl.procs > 0 then
-        fail "%s node %d: virtual task holds processors" ptg.Ptg.name v
-      else if (not (Ptg.is_virtual ptg v)) && Array.length pl.procs = 0 then
-        fail "%s node %d: real task without processors" ptg.Ptg.name v
-      else begin
-        let sorted = Array.copy pl.procs in
-        Array.sort compare sorted;
-        let dup = ref false in
-        for i = 1 to Array.length sorted - 1 do
-          if sorted.(i) = sorted.(i - 1) then dup := true
-        done;
-        if !dup then fail "%s node %d: duplicate processor" ptg.Ptg.name v
-        else begin
-          let wrong_cluster =
-            Array.exists
-              (fun p -> P.cluster_of_proc platform p <> pl.cluster)
-              pl.procs
-          in
-          if wrong_cluster then
-            fail "%s node %d: processor outside cluster %d" ptg.Ptg.name v
-              pl.cluster
-          else begin
-            let bad_pred = ref None in
-            Array.iter
-              (fun (u, _e) ->
-                let pu = sched.placements.(u) in
-                if pl.start +. Mcs_util.Floatx.eps < pu.finish then
-                  bad_pred := Some u)
-              (Dag.preds dag v);
-            match !bad_pred with
-            | Some u ->
-              fail "%s node %d starts at %g before predecessor %d ends at %g"
-                ptg.Ptg.name v pl.start u sched.placements.(u).finish
-            | None -> check_node (v + 1)
-          end
-        end
-      end
-    end
-  in
-  check_node 0
-
-let validate ~platform schedules =
-  let rec all = function
-    | [] -> Ok ()
-    | s :: rest -> (
-      match validate_one ~platform s with
-      | Error _ as e -> e
-      | Ok () -> all rest)
-  in
-  match all schedules with
-  | Error _ as e -> e
-  | Ok () ->
-    (* Per-processor time-overlap check across every application. *)
-    let per_proc = Hashtbl.create 256 in
-    List.iteri
-      (fun si sched ->
-        Array.iter
-          (fun pl ->
-            Array.iter
-              (fun p ->
-                let prev =
-                  Option.value (Hashtbl.find_opt per_proc p) ~default:[]
-                in
-                Hashtbl.replace per_proc p
-                  ((pl.start, pl.finish, si, pl.node) :: prev))
-              pl.procs)
-          sched.placements)
-      schedules;
-    let result = ref (Ok ()) in
-    Hashtbl.iter
-      (fun p intervals ->
-        match !result with
-        | Error _ -> ()
-        | Ok () ->
-          let sorted =
-            List.sort (fun (s1, _, _, _) (s2, _, _, _) -> compare s1 s2)
-              intervals
-          in
-          let rec scan = function
-            | (s1, f1, a1, v1) :: ((s2, _, a2, v2) :: _ as rest) ->
-              if s2 +. Mcs_util.Floatx.eps < f1 then
-                result :=
-                  fail
-                    "processor %d double-booked: app %d node %d [%g, %g] \
-                     overlaps app %d node %d starting %g"
-                    p a1 v1 s1 f1 a2 v2 s2
-              else scan rest
-            | [ _ ] | [] -> ()
-          in
-          scan sorted)
-      per_proc;
-    !result
-
 let gantt ~platform ?(width = 78) schedules =
   let horizon =
     List.fold_left (fun acc s -> Float.max acc s.makespan) 0. schedules

@@ -2,9 +2,8 @@
 
     A placement fixes, for each DAG node, the cluster, the exact
     processor set, and the start/finish times. Virtual entry/exit nodes
-    occupy no processor. Validation checks the properties every correct
-    concurrent schedule must have, and is exercised heavily by the test
-    suite. *)
+    occupy no processor. The invariant analyzer ([Mcs_check]) checks
+    the properties every correct concurrent schedule must have. *)
 
 type placement = {
   node : int;
@@ -47,21 +46,6 @@ val used_power_avg : t -> platform:Mcs_platform.Platform.t -> float
 (** Average processing power used over the schedule's span, in GFlop/s:
     Σ (duration × Σ proc speeds) / makespan. Compared against
     [β × total power] in the constraint-audit experiment. *)
-
-type violation = {
-  message : string;
-}
-
-val validate :
-  platform:Mcs_platform.Platform.t -> t list -> (unit, violation) Result.t
-(** Check a set of concurrent schedules:
-    - every non-virtual node has at least one processor, all within its
-      declared (single) cluster, without duplicates;
-    - [start + eps >= ] every predecessor's [finish] (redistribution
-      latencies may only push starts later);
-    - [finish >= start];
-    - no processor runs two placements (of any application) at
-      overlapping times. *)
 
 val gantt :
   platform:Mcs_platform.Platform.t -> ?width:int -> t list -> string

@@ -285,14 +285,8 @@ let test_online_clean () =
       let platform = Grid5000.lille () in
       let rng = Prng.create ~seed:11 in
       let ptgs = Workload.draw rng Workload.Random_mixed_scenarios ~count:5 in
-      let clock = ref 0. in
-      let apps =
-        List.mapi
-          (fun i ptg ->
-            if i > 0 then clock := !clock +. Prng.exponential rng ~mean:40.;
-            (ptg, !clock))
-          ptgs
-      in
+      let release = Workload.releases rng ~count:5 ~mean:40. in
+      let apps = List.mapi (fun i ptg -> (ptg, release.(i))) ptgs in
       let generations = ref 0 in
       let check diags =
         incr generations;
@@ -421,15 +415,21 @@ let test_rule_registry () =
     (List.length (List.sort_uniq compare codes))
 
 let test_runner_fail_fast () =
-  (* Runner.evaluate re-raises analyzer errors; with check off it
-     happily computes metrics for the same inputs. *)
+  (* Runner.evaluate audits each strategy's schedules before scoring
+     them (a violation raises); real schedules pass. *)
+  let module Obs = Mcs_obs.Obs in
   let platform = Grid5000.lille () in
   let rng = Prng.create ~seed:5 in
   let ptgs = Workload.draw rng Workload.Fft_ptgs ~count:2 in
+  Obs.enable ();
   let metrics =
-    Mcs_experiments.Runner.evaluate platform ptgs [ Strategy.Equal_share ]
+    Mcs_experiments.Runner.evaluate platform ptgs
+      [ Strategy.Equal_share; Strategy.Selfish ]
   in
-  Alcotest.(check int) "one strategy evaluated" 1 (List.length metrics)
+  Obs.disable ();
+  Alcotest.(check int) "both strategies evaluated" 2 (List.length metrics);
+  Alcotest.(check int) "one analysis per strategy" 2
+    (Obs.value (Obs.counter "check.analyses"))
 
 let suite =
   [

@@ -215,13 +215,11 @@ let apps_of n seed ~mean =
     List.init n (fun id ->
         Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
   in
-  let arrivals = Prng.create ~seed:(seed + 1) in
-  let clock = ref 0. in
-  List.mapi
-    (fun i ptg ->
-      if i > 0 then clock := !clock +. Prng.exponential arrivals ~mean;
-      (ptg, !clock))
-    ptgs
+  let release =
+    Mcs_experiments.Workload.releases (Prng.create ~seed:(seed + 1))
+      ~count:n ~mean
+  in
+  List.mapi (fun i ptg -> (ptg, release.(i))) ptgs
 
 let run_logged ?faults ?policy platform apps =
   let policy =

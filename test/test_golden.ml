@@ -97,14 +97,10 @@ let workload n seed ~mean =
     List.init n (fun id ->
         Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
   in
-  let clock = ref 0. in
-  let gaps = Prng.create ~seed:(seed + 1) in
-  List.map
-    (fun ptg ->
-      let r = !clock in
-      clock := !clock +. Prng.exponential gaps ~mean;
-      (ptg, r))
-    ptgs
+  let release =
+    Workload.releases (Prng.create ~seed:(seed + 1)) ~count:n ~mean
+  in
+  List.mapi (fun i ptg -> (ptg, release.(i))) ptgs
 
 let wps_work = Strategy.Weighted (Strategy.Work, 0.7)
 let malleable = { Malleability.default with Malleability.quantum = 10. }

@@ -66,9 +66,7 @@ let test_full_pipeline_all_families_valid () =
               ~strategy:(Strategy.Weighted (Strategy.Work, 0.7))
               platform ptgs
           in
-          (match Mcs_sched.Schedule.validate ~platform schedules with
-          | Ok () -> ()
-          | Error v -> Alcotest.fail v.Mcs_sched.Schedule.message);
+          Mcs_check.Check.(fail_on_error (analyze platform schedules));
           let sim = Mcs_sim.Replay.run platform schedules in
           Array.iter
             (fun m ->

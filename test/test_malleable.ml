@@ -18,18 +18,12 @@ let random_ptgs n seed =
   List.init n (fun id ->
       Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
 
-let poisson_releases n seed ~mean =
-  let rng = Prng.create ~seed in
-  let clock = ref 0. in
-  List.init n (fun i ->
-      if i = 0 then 0.
-      else begin
-        clock := !clock +. Prng.exponential rng ~mean;
-        !clock
-      end)
-
 let workload n seed ~mean =
-  List.combine (random_ptgs n seed) (poisson_releases n (seed + 1) ~mean)
+  let release =
+    Mcs_experiments.Workload.releases (Prng.create ~seed:(seed + 1)) ~count:n
+      ~mean
+  in
+  List.mapi (fun i ptg -> (ptg, release.(i))) (random_ptgs n seed)
 
 let fault_scenario_for platform seed =
   Mcs_fault.Fault.generate ~seed platform
@@ -272,9 +266,8 @@ let test_grow_on_drain_beats_moldable () =
     (List.length resized_lines);
   (* Final schedules remain structurally valid (precedence, clusters,
      cross-application processor exclusivity). *)
-  match Schedule.validate ~platform (snd malleable).Engine.schedules with
-  | Ok () -> ()
-  | Error v -> Alcotest.fail v.Schedule.message
+  Mcs_check.Check.(
+    fail_on_error (analyze platform (snd malleable).Engine.schedules))
 
 let test_shrink_on_spike () =
   (* The mirror scenario: a lone wide application is joined by a burst

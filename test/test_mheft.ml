@@ -24,9 +24,7 @@ let test_valid_schedules () =
   for seed = 0 to 4 do
     let ptg = random_ptg seed in
     let sched = Mheft.schedule platform ptg in
-    match Schedule.validate ~platform [ sched ] with
-    | Ok () -> ()
-    | Error v -> Alcotest.fail v.Schedule.message
+    Mcs_check.Check.(fail_on_error (analyze platform [ sched ]))
   done
 
 let test_heft_one_proc_each () =
@@ -38,9 +36,7 @@ let test_heft_one_proc_each () =
       Alcotest.(check bool) "at most one processor" true
         (Array.length pl.Schedule.procs <= 1))
     sched.Schedule.placements;
-  match Schedule.validate ~platform [ sched ] with
-  | Ok () -> ()
-  | Error v -> Alcotest.fail v.Schedule.message
+  Mcs_check.Check.(fail_on_error (analyze platform [ sched ]))
 
 let test_mheft_beats_heft_on_parallel_tasks () =
   (* A single highly parallel task: M-HEFT allocates many processors,

@@ -14,18 +14,12 @@ let random_ptgs n seed =
   List.init n (fun id ->
       Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
 
-let poisson_releases n seed ~mean =
-  let rng = Prng.create ~seed in
-  let clock = ref 0. in
-  List.init n (fun i ->
-      if i = 0 then 0.
-      else begin
-        clock := !clock +. Prng.exponential rng ~mean;
-        !clock
-      end)
-
 let workload n seed ~mean =
-  List.combine (random_ptgs n seed) (poisson_releases n (seed + 1) ~mean)
+  let release =
+    Mcs_experiments.Workload.releases (Prng.create ~seed:(seed + 1)) ~count:n
+      ~mean
+  in
+  List.mapi (fun i ptg -> (ptg, release.(i))) (random_ptgs n seed)
 
 let placements_equal a b =
   a.Schedule.node = b.Schedule.node
@@ -79,9 +73,7 @@ let test_conservation () =
           Alcotest.(check int) "placement labels its node" v pl.Schedule.node)
         sched.Schedule.placements)
     r.Engine.schedules;
-  (match Schedule.validate ~platform r.Engine.schedules with
-  | Ok () -> ()
-  | Error v -> Alcotest.fail v.Schedule.message);
+  Mcs_check.Check.(fail_on_error (analyze platform r.Engine.schedules));
   (* Starts respect submissions; completions are consistent. *)
   List.iteri
     (fun i ((_, release), sched) ->
@@ -170,9 +162,7 @@ let test_departure_frees_resources () =
   in
   let policy = Policy.make Strategy.Equal_share in
   let r = Engine.run ~log ~policy platform apps in
-  (match Schedule.validate ~platform r.Engine.schedules with
-  | Ok () -> ()
-  | Error v -> Alcotest.fail v.Schedule.message);
+  Mcs_check.Check.(fail_on_error (analyze platform r.Engine.schedules));
   (* Some reschedule saw a singleton active set (after departures) with
      β = 1 while the full set gave 1/3. *)
   let shares = List.concat_map (List.map snd) !betas_seen in

@@ -158,9 +158,7 @@ let qcheck_backfill_schedules_valid =
         Pipeline.schedule_concurrent ~config ~strategy:Strategy.Equal_share
           platform ptgs
       in
-      match Schedule.validate ~platform schedules with
-      | Ok () -> true
-      | Error _ -> false)
+      not Mcs_check.(Diagnostic.has_errors (Check.analyze platform schedules)))
 
 let suite =
   [

@@ -41,9 +41,7 @@ let test_mapper_respects_release () =
            .Schedule.start
         >= release.(i) -. 1e-9))
     schedules;
-  match Schedule.validate ~platform schedules with
-  | Ok () -> ()
-  | Error v -> Alcotest.fail v.Schedule.message
+  Mcs_check.Check.(fail_on_error (analyze ~release platform schedules))
 
 let test_mapper_release_validation () =
   let platform = Grid5000.lille () in

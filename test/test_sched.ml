@@ -624,9 +624,7 @@ let schedule_random ?(options = List_mapper.default_options) ?(napps = 3)
 let test_mapper_valid_schedules () =
   let platform = Grid5000.rennes () in
   let schedules = schedule_random ~platform 7 in
-  match Schedule.validate ~platform schedules with
-  | Ok () -> ()
-  | Error v -> Alcotest.fail v.Schedule.message
+  Mcs_check.Check.(fail_on_error (analyze platform schedules))
 
 let test_mapper_deterministic () =
   let platform = Grid5000.nancy () in
@@ -653,9 +651,7 @@ let test_mapper_backfill_valid_and_fills_holes () =
       ~options:{ List_mapper.default_options with ordering = Global_backfill }
       11
   in
-  (match Schedule.validate ~platform schedules with
-  | Ok () -> ()
-  | Error v -> Alcotest.fail v.Schedule.message);
+  Mcs_check.Check.(fail_on_error (analyze platform schedules));
   (* Backfilling must beat plain FCFS's global makespan here (packing
      off on both sides: batch reservations are rigid). *)
   let fcfs =
@@ -965,9 +961,7 @@ let qcheck_mapper_schedules_valid =
     (fun (seed, platform_idx) ->
       let platform = List.nth (Grid5000.all ()) platform_idx in
       let schedules = schedule_random ~platform ~napps:4 seed in
-      match Schedule.validate ~platform schedules with
-      | Ok () -> true
-      | Error _ -> false)
+      not Mcs_check.(Diagnostic.has_errors (Check.analyze platform schedules)))
 
 let qcheck_packing_never_hurts_makespan =
   QCheck.Test.make
@@ -1065,6 +1059,10 @@ let test_mapper_allocation_budget () =
 
 (* ---------- Schedule validation itself ---------- *)
 
+let check_rules what expected platform schedules =
+  Alcotest.(check (list string)) what expected
+    Mcs_check.(Diagnostic.rule_ids (Check.analyze platform schedules))
+
 let test_validate_catches_overlap () =
   let platform = toy_platform ~procs:2 () in
   let mk_sched start =
@@ -1077,12 +1075,10 @@ let test_validate_catches_overlap () =
     in
     Schedule.make ~ptg ~placements
   in
-  (match Schedule.validate ~platform [ mk_sched 0.; mk_sched 2. ] with
-  | Ok () -> Alcotest.fail "overlap not caught"
-  | Error _ -> ());
-  match Schedule.validate ~platform [ mk_sched 0.; mk_sched 5. ] with
-  | Ok () -> ()
-  | Error v -> Alcotest.fail ("back-to-back flagged: " ^ v.Schedule.message)
+  check_rules "overlap caught" [ "map-overlap" ] platform
+    [ mk_sched 0.; mk_sched 2. ];
+  check_rules "back-to-back not flagged" [] platform
+    [ mk_sched 0.; mk_sched 5. ]
 
 let test_validate_catches_precedence () =
   let platform = toy_platform ~procs:2 () in
@@ -1093,9 +1089,8 @@ let test_validate_catches_precedence () =
       { Schedule.node = 1; cluster = 0; procs = [| 1 |]; start = 1.; finish = 3. };
     |]
   in
-  match Schedule.validate ~platform [ Schedule.make ~ptg ~placements ] with
-  | Ok () -> Alcotest.fail "precedence violation not caught"
-  | Error _ -> ()
+  check_rules "precedence violation caught" [ "map-precedence" ] platform
+    [ Schedule.make ~ptg ~placements ]
 
 let test_validate_catches_empty_procs () =
   let platform = toy_platform () in
@@ -1103,9 +1098,9 @@ let test_validate_catches_empty_procs () =
   let placements =
     [| { Schedule.node = 0; cluster = 0; procs = [||]; start = 0.; finish = 2. } |]
   in
-  match Schedule.validate ~platform [ Schedule.make ~ptg ~placements ] with
-  | Ok () -> Alcotest.fail "real task without processors not caught"
-  | Error _ -> ()
+  check_rules "real task without processors caught" [ "map-virtual" ]
+    platform
+    [ Schedule.make ~ptg ~placements ]
 
 let test_cluster_busy_and_efficiency () =
   let platform = two_cluster_platform () in
@@ -1149,9 +1144,7 @@ let test_pipeline_end_to_end () =
     Pipeline.schedule_concurrent ~strategy:Strategy.Equal_share platform ptgs
   in
   Alcotest.(check int) "one schedule per app" 4 (List.length schedules);
-  (match Schedule.validate ~platform schedules with
-  | Ok () -> ()
-  | Error v -> Alcotest.fail v.Schedule.message);
+  Mcs_check.Check.(fail_on_error (analyze platform schedules));
   let prepared =
     Pipeline.prepare ~strategy:Strategy.Equal_share platform ptgs
   in

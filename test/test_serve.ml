@@ -19,14 +19,11 @@ let random_ptgs n seed =
       Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
 
 let workload n seed ~mean =
-  let rng = Prng.create ~seed:(seed + 1) in
-  let clock = ref 0. in
-  List.map
-    (fun ptg ->
-      let r = !clock in
-      clock := !clock +. Prng.exponential rng ~mean;
-      (ptg, r))
-    (random_ptgs n seed)
+  let release =
+    Mcs_experiments.Workload.releases (Prng.create ~seed:(seed + 1)) ~count:n
+      ~mean
+  in
+  List.mapi (fun i ptg -> (ptg, release.(i))) (random_ptgs n seed)
 
 let policy = Policy.make Strategy.Equal_share
 
