@@ -202,7 +202,11 @@ let test_forged_packing () =
   check_both_paths "more processors than the allocation translates to"
     ~alloc [ "map-packing" ]
     (forged (fun pl ->
-         { pl with Schedule.procs = Array.init (limit + 1) Fun.id }))
+         { pl with Schedule.procs = Array.init (limit + 1) Fun.id }));
+  (* An allocation below one processor has no translation: ALLOC001
+     reports it, and MAP006 must not raise on it. *)
+  check_both_paths "zero allocation" ~alloc:(Array.map (fun _ -> 0) alloc)
+    [ "alloc-bounds" ] (platform, sched)
 
 let test_forged_release () =
   check_both_paths "start before the release" ~release:5. [ "map-release" ]
