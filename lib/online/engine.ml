@@ -58,6 +58,8 @@ type session = {
   emit : Log.event -> unit;
   check : (Mcs_check.Diagnostic.t list -> unit) option;
   mutable processed : int;
+  mapper : List_mapper.session Lazy.t;
+      (** built on the first reschedule; a cache, never copied *)
 }
 
 (* Per-policy counters are interned by policy name, so two policies of
@@ -303,7 +305,7 @@ let reschedule s ~trigger =
                 procs
             else procs
           in
-          (app.State.ptg, procs))
+          (app.State.index, app.State.ptg, procs))
         active
     in
     let pinned =
@@ -318,8 +320,9 @@ let reschedule s ~trigger =
       else None
     in
     let schedules =
-      List_mapper.run ~options:s.policy.Policy.config.Pipeline.mapper ~release
-        ~pinned ~avail ?up ?task_floor s.platform ref_cluster inputs
+      List_mapper.map ~options:s.policy.Policy.config.Pipeline.mapper ~release
+        ~pinned ~avail ?up ?task_floor (Lazy.force s.mapper) ref_cluster
+        inputs
     in
     let frozen =
       Array.fold_left
@@ -647,6 +650,7 @@ let handle s ev trigger =
     (* The application will never be allocated again: free its cached
        trajectories (the lifetime statistics survive the clear). *)
     Allocation.cache_release app.State.alloc_cache;
+    if Lazy.is_val s.mapper then List_mapper.forget (Lazy.force s.mapper) i;
     state.State.active_apps <- state.State.active_apps - 1;
     state.State.completed_apps <- state.State.completed_apps + 1;
     s.emit
@@ -685,6 +689,7 @@ let create ?log ?check ?faults ~policy platform apps =
       emit = (match log with Some f -> f | None -> fun _ -> ());
       check;
       processed = 0;
+      mapper = lazy (List_mapper.session platform);
     }
   in
   Array.iter
@@ -780,6 +785,7 @@ let restore ?log ?check snap =
     emit = (match log with Some f -> f | None -> fun _ -> ());
     check;
     processed = snap.snap_processed;
+    mapper = lazy (List_mapper.session snap.snap_state.State.platform);
   }
 
 let audit s =

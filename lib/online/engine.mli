@@ -16,7 +16,11 @@
     their estimated finish ({!Mcs_sched.List_mapper.run}'s [pinned] /
     [avail] extension). Departures free processors, so with
     [reschedule_on_departure] the survivors' unstarted tasks backfill
-    onto the released share.
+    onto the released share. Each session maps through one
+    {!Mcs_sched.List_mapper.session}, built on its first reschedule, so
+    a reschedule reuses the previous generation's ranks, bottom levels,
+    availability index and scratch; a departure drops that
+    application's share of it.
 
     {b Fault injection} ([?faults]) interprets a {!Mcs_fault.Fault}
     scenario:
@@ -211,7 +215,8 @@ type snapshot
     quiescence replays the exact event log the uninterrupted [s] would
     have produced — float for float, tiebreak for tiebreak, fault
     scenarios included. The snapshot/restore qcheck property and the CI
-    checkpoint job enforce this. *)
+    checkpoint job enforce this. The mapper session is a cache and is
+    not captured: a restored session starts with a fresh one. *)
 
 val snapshot : session -> snapshot
 (** Capture the session mid-run. O(state); the session is untouched and

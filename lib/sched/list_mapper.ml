@@ -41,49 +41,46 @@ let entry_cmp a b =
     if c <> 0 then c else compare a.topo_rank b.topo_rank
   end
 
+(* One application's memo entry, kept by a session under the caller's
+   id. [topo_rank] is a function of the DAG alone; [bl] of the DAG, the
+   allocation and the reference speed, and is recomputed only when
+   [alloc] or [speed] differ from the map's. [placements] and [pending]
+   are per-map state, reset by every map. *)
 type app_state = {
   ptg : Ptg.t;
-  alloc : int array;                    (* reference processors per node *)
+  alloc : int array;                    (* the allocation of [bl] *)
+  mutable speed : float;                (* the reference speed of [bl] *)
   bl : float array;                     (* bottom levels (priorities) *)
   topo_rank : int array;
   placements : Schedule.placement option array;
   pending : int array;                  (* unmapped predecessor count *)
+  mutable map_id : int;                 (* the last map that used it *)
 }
 
-let make_state (ptg, alloc) =
-  let dag = ptg.Ptg.dag in
-  let n = Dag.node_count dag in
-  if Array.length alloc <> n then
-    invalid_arg "List_mapper.run: allocation length differs from node count";
-  Array.iter
-    (fun a -> if a < 1 then invalid_arg "List_mapper.run: allocation < 1")
-    alloc;
-  let topo = Dag.topological_order dag in
+let new_state ptg =
+  let n = Dag.node_count ptg.Ptg.dag in
   let topo_rank = Array.make n 0 in
-  Array.iteri (fun rank v -> topo_rank.(v) <- rank) topo;
-  let pending = Array.init n (fun v -> Dag.in_degree dag v) in
+  Array.iteri
+    (fun rank v -> topo_rank.(v) <- rank)
+    (Dag.topological_order ptg.Ptg.dag);
   {
     ptg;
-    alloc;
-    bl = [||]; (* filled by caller once the reference cluster is known *)
+    alloc = Array.make n 0;
+    speed = Float.nan;
+    bl = Array.make n 0.;
     topo_rank;
     placements = Array.make n None;
-    pending;
+    pending = Array.make n 0;
+    map_id = -1;
   }
 
-let bottom_levels ref_cluster ptg alloc =
-  Dag.bottom_levels ptg.Ptg.dag
-    ~node_weight:(fun v ->
-      Reference_cluster.exec_time ref_cluster ptg.Ptg.tasks.(v)
-        ~procs:alloc.(v))
-    ~edge_weight:(fun _ -> 0.)
-
-(* Per-run placement scratch. [place_task] prices every ready task on
-   every cluster, and the mapper runs on every reschedule: allocating
-   that working set per (task, cluster) fills minor heaps, and with
-   shard domains each minor collection stops them all (DESIGN.md
-   sections 10 and 12). Created by each [run] call, so concurrent runs
-   on other domains never share it. *)
+(* Placement scratch. [place_task] prices every ready task on every
+   cluster, and the mapper runs on every reschedule: allocating that
+   working set per (task, cluster) fills minor heaps, and with shard
+   domains each minor collection stops them all (DESIGN.md sections 10
+   and 12). A session owns one, so concurrent sessions on other domains
+   never share it; every map resets [f_fcfs], the only field it reads
+   before writing. *)
 type scratch = {
   nc : int;                            (* cluster count *)
   route : float array;                 (* [src * nc + dst] -> bandwidth *)
@@ -530,10 +527,97 @@ let place_task_backfill s platform ref_cluster timeline subsets state v =
     pl
   end
 
-let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
-    platform ref_cluster apps =
-  if apps = [] then invalid_arg "List_mapper.run: no applications";
-  Obs.with_span "mapper.run" @@ fun () ->
+(* A session keeps what one map leaves for the next: the scratch and
+   the ready heap, the availability array with the index and groups
+   built over it for the mask in [live], and the memo. *)
+type session = {
+  platform : P.t;
+  scratch : scratch;
+  heap : entry Mcs_util.Heap.t;
+  avail : float array;                  (* shared with [index] *)
+  live : bool array;                    (* the mask [groups] were built for *)
+  mutable groups : int array array;     (* live processors per cluster *)
+  mutable index : Avail_index.t;
+  memo : (int, app_state) Hashtbl.t;
+  mutable maps : int;                   (* map calls so far *)
+}
+
+(* Per-cluster live processors. New placements land on live processors
+   exclusively; pinned history (including completed work on processors
+   that died later) is untouched. *)
+let live_groups platform live =
+  Array.init (P.cluster_count platform) (fun k ->
+      let base = P.first_proc platform k in
+      let all = Array.init (P.cluster platform k).P.procs (fun i -> base + i) in
+      if Array.for_all (fun p -> live.(p)) all then all
+      else Array.of_list (List.filter (fun p -> live.(p)) (Array.to_list all)))
+
+let session platform =
+  let total = P.total_procs platform in
+  let avail = Array.make total 0. in
+  let live = Array.make total true in
+  let groups = live_groups platform live in
+  {
+    platform;
+    scratch = create_scratch platform;
+    heap = Mcs_util.Heap.create ~cmp:entry_cmp;
+    avail;
+    live;
+    groups;
+    index = Avail_index.create ~avail ~groups;
+    memo = Hashtbl.create 16;
+    maps = 0;
+  }
+
+let forget session id = Hashtbl.remove session.memo id
+
+(* The memo entry of application [id] for this map, its bottom levels
+   brought up to date. An entry stays valid while [id] maps to the same
+   PTG (physical equality). *)
+let prepare session ref_cluster (id, ptg, alloc) =
+  let dag = ptg.Ptg.dag in
+  let n = Dag.node_count dag in
+  if Array.length alloc <> n then
+    invalid_arg "List_mapper.run: allocation length differs from node count";
+  Array.iter
+    (fun a -> if a < 1 then invalid_arg "List_mapper.run: allocation < 1")
+    alloc;
+  let state =
+    match Hashtbl.find session.memo id with
+    | state when state.map_id = session.maps ->
+      invalid_arg "List_mapper.map: duplicate application id"
+    | state when state.ptg == ptg -> state
+    | _ | (exception Not_found) ->
+      let state = new_state ptg in
+      Hashtbl.replace session.memo id state;
+      state
+  in
+  state.map_id <- session.maps;
+  let speed = ref_cluster.Reference_cluster.speed in
+  let same = ref (state.speed = speed) in
+  for v = 0 to n - 1 do
+    if state.alloc.(v) <> alloc.(v) then same := false
+  done;
+  if not !same then begin
+    Array.blit alloc 0 state.alloc 0 n;
+    state.speed <- speed;
+    Dag.bottom_levels_into dag
+      ~node_weight:(fun v ->
+        Reference_cluster.exec_time ref_cluster ptg.Ptg.tasks.(v)
+          ~procs:alloc.(v))
+      ~edge_weight:(fun _ -> 0.)
+      state.bl
+  end;
+  Array.fill state.placements 0 n None;
+  for v = 0 to n - 1 do
+    state.pending.(v) <- Dag.in_degree dag v
+  done;
+  state
+
+let map_body ~options ?release ?pinned ?avail ?up ?task_floor session
+    ref_cluster apps =
+  let platform = session.platform in
+  session.maps <- session.maps + 1;
   (match up with
   | Some u when Array.length u <> P.total_procs platform ->
     invalid_arg "List_mapper.run: up length differs from platform"
@@ -553,12 +637,7 @@ let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
   in
   let states =
     Obs.with_span "mapper.prepare" @@ fun () ->
-    Array.of_list
-      (List.map
-         (fun (ptg, alloc) ->
-           let s = make_state (ptg, alloc) in
-           { s with bl = bottom_levels ref_cluster ptg alloc })
-         apps)
+    Array.of_list (List.map (prepare session ref_cluster) apps)
   in
   (* Per-task start floors (retry backoff under fault recovery): max'd
      with the application release time and the FCFS bound below. *)
@@ -573,7 +652,7 @@ let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
           invalid_arg "List_mapper.run: task_floor node count differs from DAG";
         Array.iter
           (fun t ->
-            if Float.is_nan t || t < 0. then
+            if not (Float.is_finite t) || t < 0. then
               invalid_arg "List_mapper.run: ill-formed task floor")
           f.(i))
       states);
@@ -612,35 +691,37 @@ let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
     | None -> false
     | Some pin -> pin.(i).(v) <> None
   in
-  let proc_avail =
-    match avail with
-    | None -> Array.make (P.total_procs platform) 0.
-    | Some a ->
-      if Array.length a <> P.total_procs platform then
-        invalid_arg "List_mapper.run: avail length differs from platform";
-      (* Finite availabilities are what the packing bound relies on. *)
-      Array.iter
-        (fun t ->
-          if not (Float.is_finite t) || t < 0. then
-            invalid_arg "List_mapper.run: negative or non-finite avail")
-        a;
-      Array.copy a
-  in
-  (* Per-cluster live processors: everything without a mask, survivors
-     only under one. New placements land on live processors exclusively;
-     pinned history (including completed work on processors that died
-     later) is untouched. *)
-  let groups =
-    Array.init (P.cluster_count platform) (fun k ->
-        let c = P.cluster platform k in
-        let base = P.first_proc platform k in
-        let all = Array.init c.P.procs (fun i -> base + i) in
-        match up with
-        | None -> all
-        | Some u ->
-          Array.of_list (List.filter (fun p -> u.(p)) (Array.to_list all)))
-  in
-  let avail_idx = Avail_index.create ~avail:proc_avail ~groups in
+  let proc_avail = session.avail in
+  (match avail with
+  | None -> Array.fill proc_avail 0 (Array.length proc_avail) 0.
+  | Some a ->
+    if Array.length a <> Array.length proc_avail then
+      invalid_arg "List_mapper.run: avail length differs from platform";
+    (* Finite availabilities are what the packing bound and the index's
+       sort rely on. *)
+    Array.iter
+      (fun t ->
+        if not (Float.is_finite t) || t < 0. then
+          invalid_arg "List_mapper.run: negative or non-finite avail")
+      a;
+    Array.blit a 0 proc_avail 0 (Array.length a));
+  (* The groups and the index follow the mask: rebuilt when it differs
+     from the one they were built for, re-sorted from the new profile
+     otherwise. *)
+  let changed = ref false in
+  for p = 0 to Array.length session.live - 1 do
+    let live = match up with None -> true | Some u -> u.(p) in
+    if live <> session.live.(p) then begin
+      session.live.(p) <- live;
+      changed := true
+    end
+  done;
+  if !changed then begin
+    session.groups <- live_groups platform session.live;
+    session.index <- Avail_index.create ~avail:proc_avail ~groups:session.groups
+  end
+  else Avail_index.reset session.index;
+  let groups = session.groups and avail_idx = session.index in
   let timeline =
     lazy
       (let t = Mcs_util.Timeline.create ~procs:(P.total_procs platform) in
@@ -653,7 +734,11 @@ let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
          proc_avail;
        t)
   in
-  let s = create_scratch platform in
+  let s = session.scratch in
+  (* What a map reads before writing: the Global_fcfs bound, and a heap
+     that a raising map may have left non-empty. *)
+  s.f.(f_fcfs) <- 0.;
+  Mcs_util.Heap.clear session.heap;
   let place i v =
     let state = states.(i) in
     let f = s.f in
@@ -695,7 +780,7 @@ let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
   in
   (match options.ordering with
   | Ready_tasks ->
-    let heap = Mcs_util.Heap.create ~cmp:entry_cmp in
+    let heap = session.heap in
     let push i v =
       Mcs_util.Heap.push heap
         {
@@ -757,3 +842,20 @@ let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
          in
          Schedule.make ~ptg:state.ptg ~placements)
        states)
+
+let map ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
+    session ref_cluster apps =
+  if apps = [] then invalid_arg "List_mapper.run: no applications";
+  Obs.with_span "mapper.run" @@ fun () ->
+  map_body ~options ?release ?pinned ?avail ?up ?task_floor session
+    ref_cluster apps
+
+(* A fresh session per call, created inside the span as the per-run
+   state it replaces was. *)
+let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
+    platform ref_cluster apps =
+  if apps = [] then invalid_arg "List_mapper.run: no applications";
+  Obs.with_span "mapper.run" @@ fun () ->
+  map_body ~options ?release ?pinned ?avail ?up ?task_floor (session platform)
+    ref_cluster
+    (List.mapi (fun i (ptg, alloc) -> (i, ptg, alloc)) apps)

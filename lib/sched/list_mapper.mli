@@ -27,11 +27,15 @@
     reduced if and only if the reduction makes it start strictly earlier
     and finish no later than with its original allocation.
 
-    Each {!run} call owns its working state: the availability index,
-    the ready list and a placement scratch reused by every (task,
-    cluster, width) pricing (DESIGN.md section 10). Nothing is shared
-    between calls, so shard domains and [Parmap] workers may map
-    concurrently. Pricing a candidate allocates nothing; a run
+    The working state lives in a {!session}: the availability index,
+    the ready heap, a placement scratch reused by every (task, cluster,
+    width) pricing, and a memo of each application's topological ranks
+    and bottom levels (DESIGN.md section 10). A session has one owner:
+    the online engine keeps one for its whole life, so a reschedule
+    reuses what the previous generation built, and never shares it
+    across domains. {!run} still owns its own state, on a fresh session
+    per call, so shard domains and [Parmap] workers may run it
+    concurrently. Pricing a candidate allocates nothing; a map
     allocates the placements it returns and per-node bookkeeping. *)
 
 type ordering = Ready_tasks | Global_fcfs | Global_backfill
@@ -82,5 +86,41 @@ val run :
     @raise Invalid_argument on an empty list, an allocation array of
     the wrong length, an ill-sized [release] or [avail] or one with a
     negative or non-finite (NaN, infinite) entry, ill-sized
-    [pinned]/[up]/[task_floor], or when [up] leaves no live cluster able
-    to host some task. *)
+    [pinned]/[up]/[task_floor], a negative or non-finite (NaN, infinite)
+    [task_floor] entry, or when [up] leaves no live cluster able to host
+    some task. *)
+
+type session
+(** A mapper's working state kept from one map to the next, bound to
+    one platform. Single-owner mutable state: never share one across
+    domains. It is a cache only: a fresh session maps exactly as a warm
+    one. *)
+
+val session : Mcs_platform.Platform.t -> session
+(** A fresh session for the platform. *)
+
+val map :
+  ?options:options ->
+  ?release:float array ->
+  ?pinned:Schedule.placement option array array ->
+  ?avail:float array ->
+  ?up:bool array ->
+  ?task_floor:float array array ->
+  session ->
+  Reference_cluster.t ->
+  (int * Mcs_ptg.Ptg.t * int array) list ->
+  Schedule.t list
+(** [map session ref apps] is {!run} on the session's platform, each
+    application given with an id of the caller's choosing, and gives
+    the same schedules. The session keeps per id the topological ranks
+    of its PTG, valid while the id maps to the same PTG (physical
+    equality), and its bottom levels, recomputed only when the
+    allocation or the reference speed differs from the previous map's.
+    The cluster groups and the availability index are rebuilt only when
+    the [up] mask changes. A map that raises leaves the session usable.
+    @raise Invalid_argument as {!run}, or on an id given twice. *)
+
+val forget : session -> int -> unit
+(** [forget session id] drops the memo of application [id] (a no-op for
+    an unknown id), so the memory a session holds follows the caller's
+    live applications. *)

@@ -13,6 +13,45 @@ let key_le avail a b =
   let c = Float.compare avail.(a) avail.(b) in
   if c <> 0 then c < 0 else a <= b
 
+(* Stable bottom-up merge sort of [view] by availability, ping-ponging
+   between [view] and [tmp]. [view] starts id-sorted and a run's left
+   element wins ties, so the result is the (avail, id) order. With no
+   NaN, [<=] orders exactly as [Float.compare] does, -0. and +0.
+   included. *)
+let sort_view (avail : float array) view tmp =
+  let n = Array.length view in
+  let src = ref view and dst = ref tmp and width = ref 1 in
+  while !width < n do
+    let s = !src and d = !dst and w = !width in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min (!lo + w) n and hi = min (!lo + (2 * w)) n in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || avail.(s.(!i)) <= avail.(s.(!j))) then begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * w
+  done;
+  if !src != view then Array.blit !src 0 view 0 n
+
+let reset t =
+  Array.iteri
+    (fun g view ->
+      Array.blit t.by_id.(g) 0 view 0 (Array.length view);
+      sort_view t.avail view t.buf)
+    t.views
+
 let create ~avail ~groups =
   let n = Array.length avail in
   let group_of = Array.make n (-1) in
@@ -27,18 +66,6 @@ let create ~avail ~groups =
           group_of.(id) <- g)
         ids)
     groups;
-  let views =
-    Array.map
-      (fun ids ->
-        let v = Array.copy ids in
-        Array.sort
-          (fun p q ->
-            let c = Float.compare avail.(p) avail.(q) in
-            if c <> 0 then c else compare p q)
-          v;
-        v)
-      groups
-  in
   (* Callers usually pass id-sorted groups (the mapper does), so the
      sort is mostly skipped. *)
   let by_id ids =
@@ -53,16 +80,20 @@ let create ~avail ~groups =
   let max_len =
     Array.fold_left (fun acc ids -> max acc (Array.length ids)) 0 groups
   in
-  {
-    avail;
-    group_of;
-    views;
-    by_id = Array.map by_id groups;
-    mark = Array.make n false;
-    repaired = Array.make (Array.length groups) false;
-    buf = Array.make (max 1 max_len) 0;
-    members = Array.make (max 1 max_len) 0;
-  }
+  let t =
+    {
+      avail;
+      group_of;
+      views = Array.map Array.copy groups;
+      by_id = Array.map by_id groups;
+      mark = Array.make n false;
+      repaired = Array.make (Array.length groups) false;
+      buf = Array.make (max 1 max_len) 0;
+      members = Array.make (max 1 max_len) 0;
+    }
+  in
+  reset t;
+  t
 
 let group_count t = Array.length t.views
 

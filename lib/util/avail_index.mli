@@ -13,9 +13,9 @@
 
     An index owns its scratch buffers (an id-sorted copy of every group,
     membership marks, survivor and member buffers), allocated once by
-    {!create}: {!update} and {!release} allocate nothing. The scratch
-    makes an index single-owner mutable state — never share one across
-    domains. *)
+    {!create}: {!update}, {!release} and {!reset} allocate nothing. The
+    scratch makes an index single-owner mutable state — never share one
+    across domains. *)
 
 type t
 
@@ -23,9 +23,17 @@ val create : avail:float array -> groups:int array array -> t
 (** [create ~avail ~groups] builds an index over the ids appearing in
     [groups], keyed by [(avail.(id), id)]. Groups must be disjoint and
     every id must be a valid index into [avail]; the [avail] array is
-    shared, not copied.
+    shared, not copied, and must hold no NaN.
     @raise Invalid_argument if an id is out of range or appears in two
     groups. *)
+
+val reset : t -> unit
+(** [reset t] re-sorts every view from the shared [avail] array, after
+    the caller rewrote any of its entries directly. The result is the
+    view {!create} would build over the same array and groups (the
+    [(avail, id)] order is unique), so a long-lived index can follow a
+    new availability profile without being rebuilt. The array must hold
+    no NaN. *)
 
 val group_count : t -> int
 

@@ -951,7 +951,44 @@ let test_mapper_rejects_bad_input () =
       ("nan", Float.nan);
       ("+inf", Float.infinity);
       ("-inf", Float.neg_infinity);
-    ]
+    ];
+  (* A floor on one node of a two-PTG run, under every ordering: an
+     infinite one used to reach the availability index (Ready_tasks,
+     Global_fcfs) or an infinite makespan (Global_backfill). *)
+  let apps = [ (chain [ 1.; 2. ], [| 1; 1 |]); (chain ~id:1 [ 3. ], [| 1 |]) ] in
+  List.iter
+    (fun ordering ->
+      List.iter
+        (fun (name, bad) ->
+          let task_floor =
+            Array.of_list
+              (List.mapi
+                 (fun i (ptg, _) ->
+                   Array.init (Mcs_dag.Dag.node_count ptg.Ptg.dag) (fun v ->
+                       if i = 0 && v = 1 then bad else 0.))
+                 apps)
+          in
+          Alcotest.check_raises ("task_floor " ^ name)
+            (Invalid_argument "List_mapper.run: ill-formed task floor")
+            (fun () ->
+              ignore
+                (List_mapper.run
+                   ~options:{ List_mapper.default_options with ordering }
+                   ~task_floor platform r apps)))
+        [
+          ("nan", Float.nan);
+          ("+inf", Float.infinity);
+          ("-inf", Float.neg_infinity);
+          ("negative", -1.);
+        ])
+    List_mapper.[ Ready_tasks; Global_fcfs; Global_backfill ];
+  (* A session keys its memo by application id. *)
+  Alcotest.check_raises "duplicate id"
+    (Invalid_argument "List_mapper.map: duplicate application id")
+    (fun () ->
+      ignore
+        (List_mapper.map (List_mapper.session platform) r
+           [ (3, ptg, [| 1 |]); (3, ptg, [| 1 |]) ]))
 
 let qcheck_mapper_schedules_valid =
   QCheck.Test.make
@@ -1015,6 +1052,192 @@ let qcheck_task_time_monotone =
           !ok)
         Task.[ Class_stencil; Class_sort; Class_matmul; Class_mixed ])
 
+(* A session is a cache: on one session, a sequence of maps in which
+   ids arrive and depart, allocations change or stay, the reference
+   cluster is degraded or rebuilt at another speed, masks move (a whole
+   cluster down, or every processor, which raises), and profiles, pinned
+   prefixes, floors, orderings and packing vary, gives each map the
+   placements of a fresh run on the same inputs, bit for bit. *)
+let session_platform =
+  Platform.make ~name:"trio"
+    [
+      { Platform.cluster_name = "a"; procs = 6; gflops = 1.; switch = 0 };
+      { Platform.cluster_name = "b"; procs = 4; gflops = 2.; switch = 0 };
+      { Platform.cluster_name = "c"; procs = 5; gflops = 1.5; switch = 1 };
+    ]
+
+let render_schedules schedules =
+  String.concat ";"
+    (List.map
+       (fun sched ->
+         String.concat ","
+           (Array.to_list
+              (Array.map
+                 (fun pl ->
+                   Printf.sprintf "%d:%s@%h-%h" pl.Schedule.cluster
+                     (String.concat " "
+                        (Array.to_list
+                           (Array.map string_of_int pl.Schedule.procs)))
+                     pl.Schedule.start pl.Schedule.finish)
+                 sched.Schedule.placements)))
+       schedules)
+
+let outcome f =
+  match f () with
+  | schedules -> Ok (render_schedules schedules)
+  | exception Invalid_argument msg -> Error msg
+
+let qcheck_session_matches_fresh_run =
+  QCheck.Test.make ~name:"a reused session maps exactly like a fresh run"
+    ~count:60 QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let platform = session_platform in
+      let total = Platform.total_procs platform in
+      let base = Reference_cluster.of_platform platform in
+      let session = List_mapper.session platform in
+      let random_alloc ptg =
+        Array.init (Mcs_dag.Dag.node_count ptg.Ptg.dag) (fun _ ->
+            Prng.int_in rng ~lo:1 ~hi:5)
+      in
+      let arrive live id =
+        let ptg = random_ptg ~tasks:(Prng.int_in rng ~lo:2 ~hi:9) (Prng.int rng 1_000_000) in
+        (id, (ptg, random_alloc ptg)) :: List.remove_assoc id live
+      in
+      let steps = Prng.int_in rng ~lo:5 ~hi:20 in
+      let blackout = Prng.int rng steps in
+      let next = ref 0 in
+      let fresh_id () =
+        incr next;
+        !next
+      in
+      let live = ref [] in
+      let ok = ref true in
+      for step = 0 to steps - 1 do
+        (* Departures, arrivals (sometimes a new PTG under a live id),
+           and allocations that change, stay, or come back as an equal
+           copy. *)
+        List.iter
+          (fun (id, _) ->
+            if Prng.bernoulli rng ~p:0.2 then begin
+              List_mapper.forget session id;
+              live := List.remove_assoc id !live
+            end)
+          !live;
+        for _ = 1 to Prng.int rng 3 do
+          live := arrive !live (fresh_id ())
+        done;
+        (match !live with
+        | (id, _) :: _ when Prng.bernoulli rng ~p:0.1 -> live := arrive !live id
+        | [] -> live := arrive !live (fresh_id ())
+        | _ -> ());
+        live :=
+          List.map
+            (fun (id, (ptg, alloc)) ->
+              let u = Prng.float rng 1. in
+              if u < 0.3 then (id, (ptg, random_alloc ptg))
+              else if u < 0.5 then (id, (ptg, Array.copy alloc))
+              else (id, (ptg, alloc)))
+            !live;
+        let apps = List.map snd !live in
+        let ids = List.map (fun (id, (ptg, alloc)) -> (id, ptg, alloc)) !live in
+        let ref_cluster =
+          match Prng.int rng 3 with
+          | 0 -> base
+          | 1 ->
+            Reference_cluster.degrade base
+              ~power:(Prng.uniform rng ~lo:2. ~hi:(Platform.total_power platform))
+          | _ ->
+            Reference_cluster.make
+              ~speed:(base.Reference_cluster.speed *. Prng.uniform rng ~lo:0.5 ~hi:2.)
+              ~procs:base.Reference_cluster.procs
+        in
+        let options =
+          {
+            List_mapper.ordering =
+              (if step = blackout then List_mapper.Ready_tasks
+               else
+                 Prng.choose rng
+                   List_mapper.[| Ready_tasks; Global_fcfs; Global_backfill |]);
+            packing = Prng.bool rng;
+          }
+        in
+        let up =
+          if step = blackout then Some (Array.make total false)
+          else if Prng.bool rng then None
+          else begin
+            let u = Array.init total (fun _ -> Prng.bernoulli rng ~p:0.8) in
+            if Prng.bool rng then begin
+              let k = Prng.int rng (Platform.cluster_count platform) in
+              let first = Platform.first_proc platform k in
+              for p = first to first + (Platform.cluster platform k).Platform.procs - 1 do
+                u.(p) <- false
+              done
+            end;
+            Some u
+          end
+        in
+        let avail =
+          if Prng.bool rng then None
+          else
+            Some
+              (Array.init total (fun _ ->
+                   if Prng.bool rng then Prng.choose rng [| 0.; 5.; 12. |]
+                   else Prng.uniform rng ~lo:0. ~hi:30.))
+        in
+        let napps = List.length apps in
+        let release =
+          if Prng.bool rng then None
+          else Some (Array.init napps (fun _ -> Prng.uniform rng ~lo:0. ~hi:10.))
+        in
+        let task_floor =
+          if Prng.bernoulli rng ~p:0.3 then
+            Some
+              (Array.of_list
+                 (List.map
+                    (fun (ptg, _) ->
+                      Array.init (Mcs_dag.Dag.node_count ptg.Ptg.dag) (fun _ ->
+                          if Prng.bernoulli rng ~p:0.3 then
+                            Prng.uniform rng ~lo:0. ~hi:20.
+                          else 0.))
+                    apps))
+          else None
+        in
+        (* A pinned prefix: the placements of a fresh unmasked run that
+           start before a cutoff, which is predecessor-closed. *)
+        let pinned =
+          if step = blackout || Prng.bool rng then None
+          else begin
+            let schedules = List_mapper.run ~options ?avail platform ref_cluster apps in
+            let horizon =
+              List.fold_left (fun acc s -> Float.max acc s.Schedule.makespan) 0. schedules
+            in
+            let cutoff = Prng.uniform rng ~lo:0. ~hi:(horizon /. 2.) in
+            Some
+              (Array.of_list
+                 (List.map
+                    (fun sched ->
+                      Array.map
+                        (fun pl -> if pl.Schedule.start < cutoff then Some pl else None)
+                        sched.Schedule.placements)
+                    schedules))
+          end
+        in
+        let warm =
+          outcome (fun () ->
+              List_mapper.map ~options ?release ?pinned ?avail ?up ?task_floor
+                session ref_cluster ids)
+        in
+        let fresh =
+          outcome (fun () ->
+              List_mapper.run ~options ?release ?pinned ?avail ?up ?task_floor
+                platform ref_cluster apps)
+        in
+        if warm <> fresh then ok := false;
+        if step = blackout && Result.is_ok fresh then ok := false
+      done;
+      !ok)
+
 (* The mapper runs on every reschedule, and in the serving layer's
    multi-domain mode each minor collection it triggers is a
    stop-the-world barrier across all shard domains: pin its allocation
@@ -1041,21 +1264,34 @@ let test_mapper_allocation_budget () =
       (fun acc ptg -> acc + Mcs_dag.Dag.node_count ptg.Ptg.dag)
       0 ptgs
   in
-  let run () = ignore (List_mapper.run ~release platform ref_cluster apps) in
-  Obs.disable ();
-  run ();
-  let runs = 20 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to runs do
-    run ()
-  done;
-  let per_node =
+  let per_node run =
+    run ();
+    let runs = 20 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to runs do
+      run ()
+    done;
     (Gc.minor_words () -. w0) /. float_of_int (runs * nodes)
   in
+  Obs.disable ();
+  let fresh =
+    per_node (fun () ->
+        ignore (List_mapper.run ~release platform ref_cluster apps))
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "%.0f minor words per node per run (budget 200)"
-       per_node)
-    true (per_node <= 200.)
+    (Printf.sprintf "%.0f minor words per node per run (budget 200)" fresh)
+    true (fresh <= 200.);
+  (* A warm session keeps its memo, index and scratch: a session that
+     rebuilt them on every map would miss this budget. *)
+  let session = List_mapper.session platform in
+  let ids = List.mapi (fun i (ptg, alloc) -> (i, ptg, alloc)) apps in
+  let warm =
+    per_node (fun () ->
+        ignore (List_mapper.map ~release session ref_cluster ids))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per node per warm map (budget 45)" warm)
+    true (warm <= 45.)
 
 (* ---------- Schedule validation itself ---------- *)
 
@@ -1254,6 +1490,7 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_mapper_schedules_valid;
         QCheck_alcotest.to_alcotest qcheck_packing_never_hurts_makespan;
         QCheck_alcotest.to_alcotest qcheck_task_time_monotone;
+        QCheck_alcotest.to_alcotest qcheck_session_matches_fresh_run;
         Alcotest.test_case "allocation budget" `Quick
           test_mapper_allocation_budget;
       ] );

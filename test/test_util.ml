@@ -186,12 +186,16 @@ let test_avail_index_rejects_bad_ids () =
   Alcotest.(check bool) "unindexed id" true
     (raises (fun () -> Avail_index.update idx [| 1 |] 1.))
 
+(* Operations 0 and 1 update one or two ids through the index;
+   operation 2 rewrites the shared array behind its back, with equal
+   keys and both zeros among the values, then resets it. *)
 let qcheck_avail_index_matches_resort =
   QCheck.Test.make
     ~name:"avail index view equals a full (avail, id) re-sort after updates"
     ~count:150
-    QCheck.(list (pair (pair (int_range 0 19) (int_range 0 19))
-                    (float_range 0. 50.)))
+    QCheck.(list (triple (int_range 0 2)
+                    (pair (int_range 0 19) (int_range 0 19))
+                    (oneof [ oneofl [ 0.; -0.; 7. ]; float_range 0. 50. ])))
     (fun ops ->
       let avail = Array.make 20 0. in
       (* The second group is not listed in id order. *)
@@ -207,8 +211,14 @@ let qcheck_avail_index_matches_resort =
         v
       in
       List.for_all
-        (fun ((a, b), v) ->
-          Avail_index.update idx (if a = b then [| a |] else [| a; b |]) v;
+        (fun (op, (a, b), v) ->
+          if op < 2 then
+            Avail_index.update idx (if a = b then [| a |] else [| a; b |]) v
+          else begin
+            avail.(a) <- v;
+            avail.(b) <- (if v = 0. then -.v else v);
+            Avail_index.reset idx
+          end;
           Avail_index.sorted idx 0 = reference 0
           && Avail_index.sorted idx 1 = reference 1)
         ops)
