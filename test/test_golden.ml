@@ -333,6 +333,126 @@ let test_serve () =
      serve_digest
        { cfg with policy = Policy.of_name "eager" ~base:cfg.Service.policy })
 
+(* --- mapper orderings ---------------------------------------------- *)
+
+let render_placement b (pl : Mcs_sched.Schedule.placement) =
+  add_int b pl.node;
+  add_int b pl.cluster;
+  Array.iter (add_int b) pl.procs;
+  add_float b pl.start;
+  add_float b pl.finish
+
+let placements_digest schedules =
+  digest_of
+    (fun b (s : Mcs_sched.Schedule.t) ->
+      Array.iter (render_placement b) s.placements)
+    schedules
+
+(* One 4-application rennes scenario, allocated under equal shares and
+   submitted 6 s apart. *)
+let mapper_scenario () =
+  let platform = Grid5000.rennes () in
+  let rng = Prng.create ~seed:31 in
+  let ptgs =
+    List.init 4 (fun id ->
+        Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
+  in
+  let prepared =
+    Mcs_sched.Pipeline.prepare ~strategy:Strategy.Equal_share platform ptgs
+  in
+  let apps =
+    List.mapi
+      (fun i ptg ->
+        let a = prepared.Mcs_sched.Pipeline.allocations.(i) in
+        (ptg, a.Mcs_sched.Allocation.procs))
+      ptgs
+  in
+  (platform, apps, Array.init 4 (fun i -> 6. *. float_of_int i))
+
+let ordering_name = function
+  | Mcs_sched.List_mapper.Ready_tasks -> "ready tasks"
+  | Global_fcfs -> "global fcfs"
+  | Global_backfill -> "global backfill"
+
+(* Each ordering with packing on and off, over the scenario alone.
+   Global_backfill never packs, so its two digests agree. *)
+let ordering_cases =
+  [
+    (Mcs_sched.List_mapper.Ready_tasks, true, "22ff19ecd945eebf34fe67e6d913e60b");
+    (Ready_tasks, false, "719971198b17429a32fe45af786294ad");
+    (Global_fcfs, true, "44dc69c7fd1bb05f752152d97d28e2c2");
+    (Global_fcfs, false, "488460221b4afe6f2b4be3d1976a76e3");
+    (Global_backfill, true, "507165150d219f4118769814c308bcbf");
+    (Global_backfill, false, "507165150d219f4118769814c308bcbf");
+  ]
+
+(* The same scenario as a partial reschedule: the prefix of a fresh
+   Ready_tasks run that starts before t = 60 s is pinned, each processor
+   is busy until a drawn time or its last pinned finish, and the upper
+   half of Paravent is down. *)
+let reschedule_cases =
+  [
+    (Mcs_sched.List_mapper.Ready_tasks, "ce50a571c745a922d66cc3d422f4d391");
+    (Global_fcfs, "11cb931adeeb5dadb0a775f0755fc1ab");
+  ]
+
+let test_orderings () =
+  let module M = Mcs_sched.List_mapper in
+  let platform, apps, release = mapper_scenario () in
+  let ref_cluster = Mcs_sched.Reference_cluster.of_platform platform in
+  let run ?pinned ?avail ?up ordering packing =
+    placements_digest
+      (M.run ~options:{ M.ordering; packing } ~release ?pinned ?avail ?up
+         platform ref_cluster apps)
+  in
+  List.iter
+    (fun (ordering, packing, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s, packing %b" (ordering_name ordering) packing)
+        expected (run ordering packing))
+    ordering_cases;
+  let fresh = M.run ~release platform ref_cluster apps in
+  let pinned =
+    Array.of_list
+      (List.map
+         (fun (s : Mcs_sched.Schedule.t) ->
+           Array.map
+             (fun (pl : Mcs_sched.Schedule.placement) ->
+               if pl.start < 60. then Some pl else None)
+             s.placements)
+         fresh)
+  in
+  let count keep =
+    Array.fold_left
+      (Array.fold_left (fun n pl -> if keep pl then n + 1 else n))
+      0 pinned
+  in
+  Alcotest.(check bool) "the prefix pins some nodes, not all" true
+    (count Option.is_some > 0 && count Option.is_none > 0);
+  let rng = Prng.create ~seed:9 in
+  let total = Mcs_platform.Platform.total_procs platform in
+  let avail = Array.init total (fun _ -> Prng.uniform rng ~lo:0. ~hi:40.) in
+  Array.iter
+    (Array.iter (function
+      | None -> ()
+      | Some (pl : Mcs_sched.Schedule.placement) ->
+        Array.iter
+          (fun p -> avail.(p) <- Float.max avail.(p) pl.finish)
+          pl.procs))
+    pinned;
+  let base = Mcs_platform.Platform.first_proc platform 1 in
+  let width = (Mcs_platform.Platform.cluster platform 1).procs in
+  let up =
+    Array.init total (fun p -> p < base + (width / 2) || p >= base + width)
+  in
+  List.iter
+    (fun (ordering, expected) ->
+      Alcotest.(check string)
+        (ordering_name ordering ^ ", pinned prefix, profile and mask")
+        expected
+        (run ~pinned ~avail ~up ordering true))
+    reschedule_cases
+
 (* --- offline evaluation -------------------------------------------- *)
 
 let evaluate_digest family =
@@ -371,6 +491,7 @@ let suite =
         Alcotest.test_case "policy swap" `Quick test_swap;
         Alcotest.test_case "what-if" `Quick test_what_if;
         Alcotest.test_case "serve merged logs" `Quick test_serve;
+        Alcotest.test_case "mapper orderings" `Quick test_orderings;
         Alcotest.test_case "Runner.evaluate metrics" `Quick test_evaluate;
       ] );
   ]
