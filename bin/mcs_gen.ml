@@ -6,6 +6,7 @@ open Cmdliner
 let generate kind tasks width regularity density jump points seed summary =
   let rng = Mcs_prng.Prng.create ~seed in
   let ptg =
+    Cli.checked @@ fun () ->
     match kind with
     | "random" ->
       Mcs_ptg.Random_gen.generate rng
@@ -19,9 +20,7 @@ let generate kind tasks width regularity density jump points seed summary =
         }
     | "fft" -> Mcs_ptg.Fft.generate ~points rng
     | "strassen" -> Mcs_ptg.Strassen.generate rng
-    | other ->
-      prerr_endline ("unknown kind: " ^ other ^ " (random|fft|strassen)");
-      exit 2
+    | other -> Cli.die ("unknown kind: " ^ other ^ " (random|fft|strassen)")
   in
   if summary then begin
     Format.printf "%a@." Mcs_ptg.Ptg.pp ptg;

@@ -7,6 +7,8 @@ type t = {
   dag : Dag.t;
   tasks : Task.t array;
   edge_bytes : float array;
+  entry : int;
+  exit : int;
 }
 
 let create ~id ~name ~dag ~tasks ~edge_bytes =
@@ -22,13 +24,12 @@ let create ~id ~name ~dag ~tasks ~edge_bytes =
   Array.iter
     (fun b -> if b < 0. then invalid_arg "Ptg.create: negative edge volume")
     edge_bytes;
-  (match (Dag.sources dag, Dag.sinks dag) with
-  | [ _ ], [ _ ] -> ()
+  match (Dag.sources dag, Dag.sinks dag) with
+  | [ entry ], [ exit ] -> { id; name; dag; tasks; edge_bytes; entry; exit }
   | srcs, snks ->
     invalid_arg
       (Printf.sprintf "Ptg.create %s: %d sources and %d sinks (need 1 and 1)"
-         name (List.length srcs) (List.length snks)));
-  { id; name; dag; tasks; edge_bytes }
+         name (List.length srcs) (List.length snks))
 
 let with_id t id = { t with id }
 
@@ -43,15 +44,9 @@ let task_count t =
   done;
   !count
 
-let entry t =
-  match Dag.sources t.dag with
-  | [ v ] -> v
-  | _ -> assert false (* enforced by [create] *)
+let entry t = t.entry
 
-let exit t =
-  match Dag.sinks t.dag with
-  | [ v ] -> v
-  | _ -> assert false
+let exit t = t.exit
 
 let work t =
   Mcs_util.Floatx.sum (Array.map Task.flops t.tasks)

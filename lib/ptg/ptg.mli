@@ -12,6 +12,8 @@ type t = private {
   dag : Mcs_dag.Dag.t;
   tasks : Mcs_taskmodel.Task.t array;  (** per node *)
   edge_bytes : float array;            (** per edge id, bytes *)
+  entry : int;                         (** the single source node *)
+  exit : int;                          (** the single sink node *)
 }
 
 val create :
@@ -35,10 +37,10 @@ val node_count : t -> int
 (** Number of DAG nodes, virtual entry/exit included. *)
 
 val entry : t -> int
-(** The single source node. *)
+(** The single source node, found by {!create}: O(1). *)
 
 val exit : t -> int
-(** The single sink node. *)
+(** The single sink node, found by {!create}: O(1). *)
 
 val is_virtual : t -> int -> bool
 (** True for the zero-cost entry/exit nodes added by generators. *)

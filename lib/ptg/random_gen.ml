@@ -23,7 +23,7 @@ let default =
 let validate p =
   if p.tasks < 1 then invalid_arg "Random_gen: tasks < 1";
   let check01 label x =
-    if x <= 0. || x > 1. then
+    if not (x > 0. && x <= 1.) then
       invalid_arg (Printf.sprintf "Random_gen: %s outside (0, 1]" label)
   in
   check01 "width" p.width;

@@ -42,33 +42,45 @@ let entry_cmp a b =
   end
 
 (* One application's memo entry, kept by a session under the caller's
-   id. [topo_rank] is a function of the DAG alone; [bl] of the DAG, the
-   allocation and the reference speed, and is recomputed only when
-   [alloc] or [speed] differ from the map's. [placements] and [pending]
-   are per-map state, reset by every map. *)
+   id. [topo_rank] is a function of the DAG alone and [seq] of the PTG
+   and the session's platform, so both hold as long as the entry does;
+   [bl] is a function of the DAG, the allocation and the reference
+   speed, and is recomputed only when [alloc] or [speed] differ from
+   the map's. [placements] and [pending] are per-map state, reset by
+   every map. *)
 type app_state = {
   ptg : Ptg.t;
   alloc : int array;                    (* the allocation of [bl] *)
   mutable speed : float;                (* the reference speed of [bl] *)
   bl : float array;                     (* bottom levels (priorities) *)
   topo_rank : int array;
+  seq : float array;                    (* [v * nc + k] -> sequential time *)
   placements : Schedule.placement option array;
   pending : int array;                  (* unmapped predecessor count *)
   mutable map_id : int;                 (* the last map that used it *)
 }
 
-let new_state ptg =
+let new_state platform ptg =
   let n = Dag.node_count ptg.Ptg.dag in
+  let nc = P.cluster_count platform in
   let topo_rank = Array.make n 0 in
   Array.iteri
     (fun rank v -> topo_rank.(v) <- rank)
     (Dag.topological_order ptg.Ptg.dag);
+  let seq = Array.make (n * nc) 0. in
+  for k = 0 to nc - 1 do
+    let gflops = (P.cluster platform k).P.gflops in
+    for v = 0 to n - 1 do
+      seq.((v * nc) + k) <- Task.seq_time ptg.Ptg.tasks.(v) ~gflops
+    done
+  done;
   {
     ptg;
     alloc = Array.make n 0;
     speed = Float.nan;
     bl = Array.make n 0.;
     topo_rank;
+    seq;
     placements = Array.make n None;
     pending = Array.make n 0;
     map_id = -1;
@@ -358,9 +370,9 @@ let price s proc_avail order k np p' =
    recorder is off. *)
 let add c n = if Obs.enabled () then Obs.incr ~by:n c
 
-(* Commit the best candidate: copy its processors out and return its
-   placement. Only reachable with no candidate when a fault mask leaves
-   no live processor (allocations are capped to fit a cluster). *)
+(* The best candidate's placement, its processors copied out of the
+   window. Only reachable with no candidate when a fault mask leaves no
+   live processor (allocations are capped to fit a cluster). *)
 let best_placement s v =
   if s.b_cluster < 0 then
     invalid_arg "List_mapper.run: no live cluster can host a task";
@@ -391,12 +403,14 @@ let virtual_placement s v np =
    (availability, id) — the order the former implementation re-derived
    with a per-task Array.sort — and [proc_avail] is the availability
    array shared with it. Everything that does not depend on the
-   candidate width p' (route bandwidths, the aggregate NIC sums) is
-   computed once per run or once per task and reused across all
-   clusters and packing candidates, and the packing loop stops as soon
-   as a start-time lower bound proves that no narrower width can win
-   (DESIGN.md section 10); the resulting placements are bit-identical
-   to the exhaustive search. *)
+   candidate width p' (route bandwidths, the aggregate NIC sums, the
+   task's sequential time on each cluster) is computed once per session,
+   entry or task and reused across all clusters and packing candidates,
+   and the packing loop stops as soon as a start-time lower bound
+   proves that no narrower width can win (DESIGN.md section 10); the
+   resulting placements are bit-identical to the exhaustive search.
+   The winner is a window of its cluster's view, and committing it
+   moves that window alone. *)
 let place_task s platform ref_cluster avail_idx proc_avail state v ~packing =
   let ptg = state.ptg in
   let np = load_preds s state v in
@@ -414,13 +428,13 @@ let place_task s platform ref_cluster avail_idx proc_avail state v ~packing =
          candidate at all. *)
       let order = Avail_index.sorted avail_idx k in
       if Array.length order > 0 then begin
-        let gflops = (P.cluster platform k).P.gflops in
+        let seq = (v * s.nc) + k in
         let needed =
           min (Array.length order)
             (Reference_cluster.translate ref_cluster platform ~cluster:k
                state.alloc.(v))
         in
-        Task.time_into task ~gflops ~procs:needed f f_exec;
+        Task.time_of_seq_into task ~procs:needed state.seq seq f f_exec;
         let lo = price s proc_avail order k np needed in
         offer s order k lo needed;
         if packing && needed > 1 then begin
@@ -445,7 +459,7 @@ let place_task s platform ref_cluster avail_idx proc_avail state v ~packing =
             match
               let p' = ref (needed - 1) in
               while !p' >= 1 do
-                Task.time_into task ~gflops ~procs:!p' f f_exec;
+                Task.time_of_seq_into task ~procs:!p' state.seq seq f f_exec;
                 if lb +. f.(f_exec) > full_finish +. Floatx.eps then begin
                   add c_packing_attempts !p';
                   p' := 0
@@ -473,7 +487,9 @@ let place_task s platform ref_cluster avail_idx proc_avail state v ~packing =
       end
     done;
     let pl = best_placement s v in
-    Avail_index.update avail_idx pl.Schedule.procs pl.Schedule.finish;
+    (* The window's availabilities are at most the task's start. *)
+    Avail_index.commit avail_idx s.b_cluster ~lo:s.b_lo ~width:s.b_width
+      pl.Schedule.finish;
     add c_avail_reorders s.b_width;
     pl
   end
@@ -492,7 +508,6 @@ let place_task_backfill s platform ref_cluster timeline subsets state v =
     let floor = s.f.(f_floor) in
     s.b_cluster <- -1;
     for k = 0 to s.nc - 1 do
-      let c = P.cluster platform k in
       (* Live processors of cluster k; a fault mask may shrink or empty
          the subset, capping the width exactly as in [place_task]. *)
       let subset = subsets.(k) in
@@ -503,7 +518,9 @@ let place_task_backfill s platform ref_cluster timeline subsets state v =
           (Reference_cluster.translate ref_cluster platform ~cluster:k
              state.alloc.(v))
       in
-      let exec = Task.time task ~gflops:c.P.gflops ~procs:needed in
+      Task.time_of_seq_into task ~procs:needed state.seq ((v * s.nc) + k)
+        s.f f_exec;
+      let exec = s.f.(f_exec) in
       data_ready s k np needed;
       let after = Float.max floor s.f.(f_ready) in
       (match
@@ -588,7 +605,7 @@ let prepare session ref_cluster (id, ptg, alloc) =
       invalid_arg "List_mapper.map: duplicate application id"
     | state when state.ptg == ptg -> state
     | _ | (exception Not_found) ->
-      let state = new_state ptg in
+      let state = new_state session.platform ptg in
       Hashtbl.replace session.memo id state;
       state
   in

@@ -29,8 +29,9 @@ let make ~data ~complexity ~alpha =
   | Matmul -> ());
   { data; complexity; alpha }
 
-(* [flops] and [seq_time] are inlined into [time] and [time_into], so
-   pricing a width boxes no intermediate float. *)
+(* [flops], [seq_time] and [amdahl] are inlined into [time], and
+   [amdahl] into [time_of_seq_into], so pricing a width boxes no
+   intermediate float. *)
 let[@inline] flops t =
   match t.complexity with
   | Stencil a -> a *. t.data
@@ -43,17 +44,19 @@ let[@inline] seq_time t ~gflops =
   if gflops <= 0. then invalid_arg "Task.seq_time: non-positive speed";
   flops t /. (gflops *. 1e9)
 
-let[@inline] amdahl t ~gflops ~procs =
-  let seq = seq_time t ~gflops in
+(* Amdahl's law: the one expression every execution time here
+   evaluates. *)
+let[@inline] amdahl t seq procs =
   seq *. (t.alpha +. ((1. -. t.alpha) /. float_of_int procs))
 
 let time t ~gflops ~procs =
   if procs < 1 then invalid_arg "Task.time: needs at least one processor";
-  amdahl t ~gflops ~procs
+  amdahl t (seq_time t ~gflops) procs
 
-let time_into t ~gflops ~procs dst i =
-  if procs < 1 then invalid_arg "Task.time_into: needs at least one processor";
-  dst.(i) <- amdahl t ~gflops ~procs
+let time_of_seq_into t ~procs seq i dst j =
+  if procs < 1 then
+    invalid_arg "Task.time_of_seq_into: needs at least one processor";
+  dst.(j) <- amdahl t seq.(i) procs
 
 let speedup t ~procs =
   if procs < 1 then invalid_arg "Task.speedup: needs at least one processor";

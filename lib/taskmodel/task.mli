@@ -58,12 +58,15 @@ val time : t -> gflops:float -> procs:int -> float
 (** Amdahl execution time on [procs] processors of speed [gflops]:
     [seq·(α + (1−α)/p)]. @raise Invalid_argument if [procs < 1]. *)
 
-val time_into :
-  t -> gflops:float -> procs:int -> float array -> int -> unit
-(** [time_into t ~gflops ~procs dst i] stores [time t ~gflops ~procs]
-    in [dst.(i)] — the same expression on the same floats, so the value
-    is bit-identical — without boxing a float result: the variant for
-    pricing loops that call it once per candidate width.
+val time_of_seq_into :
+  t -> procs:int -> float array -> int -> float array -> int -> unit
+(** [time_of_seq_into t ~procs seq i dst j] stores in [dst.(j)] the
+    Amdahl time on [procs] processors of [t] taking [seq.(i)] seconds
+    on one. It evaluates {!time}'s expression, so with
+    [seq.(i) = seq_time t ~gflops] it stores [time t ~gflops ~procs]
+    bit for bit. It is the variant for pricing loops that time many
+    widths of one task: the sequential time is derived once, and
+    neither the input nor the result is a boxed float.
     @raise Invalid_argument if [procs < 1]. *)
 
 val speedup : t -> procs:int -> float

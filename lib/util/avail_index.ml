@@ -1,17 +1,9 @@
 type t = {
   avail : float array;          (* shared with the caller *)
-  group_of : int array;         (* id -> group, -1 when unindexed *)
   views : int array array;      (* per group, sorted by (avail, id) *)
   by_id : int array array;      (* per group, sorted by id *)
-  mark : bool array;            (* scratch: membership of the update set *)
-  repaired : bool array;        (* scratch: groups already repaired *)
-  buf : int array;              (* scratch: one group's survivors *)
-  members : int array;          (* scratch: one group's marked ids *)
+  buf : int array;              (* scratch, one group long *)
 }
-
-let key_le avail a b =
-  let c = Float.compare avail.(a) avail.(b) in
-  if c <> 0 then c < 0 else a <= b
 
 (* Stable bottom-up merge sort of [view] by availability, ping-ponging
    between [view] and [tmp]. [view] starts id-sorted and a run's left
@@ -54,17 +46,13 @@ let reset t =
 
 let create ~avail ~groups =
   let n = Array.length avail in
-  let group_of = Array.make n (-1) in
-  Array.iteri
-    (fun g ids ->
-      Array.iter
-        (fun id ->
-          if id < 0 || id >= n then
-            invalid_arg "Avail_index.create: id out of range";
-          if group_of.(id) >= 0 then
-            invalid_arg "Avail_index.create: id in two groups";
-          group_of.(id) <- g)
-        ids)
+  let seen = Array.make n false in
+  Array.iter
+    (Array.iter (fun id ->
+         if id < 0 || id >= n then
+           invalid_arg "Avail_index.create: id out of range";
+         if seen.(id) then invalid_arg "Avail_index.create: id in two groups";
+         seen.(id) <- true))
     groups;
   (* Callers usually pass id-sorted groups (the mapper does), so the
      sort is mostly skipped. *)
@@ -83,13 +71,9 @@ let create ~avail ~groups =
   let t =
     {
       avail;
-      group_of;
       views = Array.map Array.copy groups;
       by_id = Array.map by_id groups;
-      mark = Array.make n false;
-      repaired = Array.make (Array.length groups) false;
       buf = Array.make (max 1 max_len) 0;
-      members = Array.make (max 1 max_len) 0;
     }
   in
   reset t;
@@ -101,77 +85,56 @@ let sorted t g = t.views.(g)
 
 let avail t id = t.avail.(id)
 
-(* Repair one group's view after its marked ids changed key, all to
-   the same just-written availability: collect them in id order (hence
-   also in (avail, id) order) from the id-sorted copy, compact the
-   survivors, then merge the two sorted runs back in place. Collecting
-   through the marks also drops duplicated ids. *)
-let repair t g =
-  let by_id = t.by_id.(g) in
-  let m = ref 0 in
-  for k = 0 to Array.length by_id - 1 do
-    let id = by_id.(k) in
-    if t.mark.(id) then begin
-      t.members.(!m) <- id;
-      incr m
-    end
-  done;
-  let m = !m in
+(* The window's ids all take the key [v], no earlier than any of their
+   own, so every view position before the window keeps its id. After
+   the window come, in view order, the survivors below [v], those at
+   exactly [v] and those above it. The committed ids, sorted by id,
+   belong after the first run and interleaved by id with the second;
+   the third does not move. *)
+let commit t g ~lo ~width v =
   let view = t.views.(g) in
   let n = Array.length view in
-  let kept = ref 0 in
-  for i = 0 to n - 1 do
-    let id = view.(i) in
-    if not t.mark.(id) then begin
-      t.buf.(!kept) <- id;
-      incr kept
-    end
-  done;
-  let kept = !kept in
-  let i = ref 0 and j = ref 0 in
-  for w = 0 to n - 1 do
-    if !i < kept && (!j >= m || key_le t.avail t.buf.(!i) t.members.(!j))
-    then begin
-      view.(w) <- t.buf.(!i);
-      incr i
-    end
-    else begin
-      view.(w) <- t.members.(!j);
-      incr j
-    end
-  done
-
-let update t ids v =
-  let n = Array.length ids in
-  if n > 0 then begin
-    if not (Float.is_finite v) then
-      invalid_arg "Avail_index.update: non-finite availability";
-    for k = 0 to n - 1 do
-      let id = ids.(k) in
-      if id < 0 || id >= Array.length t.group_of || t.group_of.(id) < 0 then
-        invalid_arg "Avail_index.update: id not indexed"
+  if lo < 0 || width < 0 || lo + width > n then
+    invalid_arg "Avail_index.commit: window outside the view";
+  if not (Float.is_finite v) then
+    invalid_arg "Avail_index.commit: non-finite availability";
+  if width > 0 then begin
+    let avail = t.avail and w = t.buf in
+    let hi = lo + width in
+    if v < avail.(view.(hi - 1)) then
+      invalid_arg "Avail_index.commit: availability below the window's";
+    (* The window's ids into [w] in id order, by insertion. *)
+    for i = 0 to width - 1 do
+      let id = view.(lo + i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && w.(!j) > id do
+        w.(!j + 1) <- w.(!j);
+        decr j
+      done;
+      w.(!j + 1) <- id;
+      avail.(id) <- v
     done;
-    for k = 0 to n - 1 do
-      let id = ids.(k) in
-      t.avail.(id) <- v;
-      t.mark.(id) <- true
+    (* Survivors below [v] shift left over the window. *)
+    let dst = ref lo and src = ref hi in
+    while !src < n && avail.(view.(!src)) < v do
+      view.(!dst) <- view.(!src);
+      incr dst;
+      incr src
     done;
-    (* Each affected group is repaired once, whatever the order of [ids]
-       and however many groups they span. *)
-    for k = 0 to n - 1 do
-      let g = t.group_of.(ids.(k)) in
-      if not t.repaired.(g) then begin
-        t.repaired.(g) <- true;
-        repair t g
+    (* Merge [w] with the survivors at [v]. [src - dst] counts the
+       committed ids still in [w], so the merge never overwrites a
+       survivor it has not read, and stops with the tail in place. *)
+    let i = ref 0 in
+    while !i < width do
+      let s = !src in
+      if s < n && avail.(view.(s)) = v && view.(s) < w.(!i) then begin
+        view.(!dst) <- view.(s);
+        src := s + 1
       end
-    done;
-    for k = 0 to n - 1 do
-      let id = ids.(k) in
-      t.mark.(id) <- false;
-      t.repaired.(t.group_of.(id)) <- false
+      else begin
+        view.(!dst) <- w.(!i);
+        incr i
+      end;
+      incr dst
     done
   end
-
-(* Rolling a commit back is the same repair with a key that moves the
-   other way; the mark/compact/merge pass never assumed keys only grow. *)
-let release = update

@@ -4,18 +4,19 @@
     time for every task it places. Re-sorting a cluster's processor
     array per task costs O(P log P) per task×cluster; this index keeps,
     for each group (cluster), a permanently sorted view keyed by
-    [(avail, id)] and repairs it in O(P + m) when a commit moves [m]
-    processors — the only thing a commit can do.
+    [(avail, id)]. A placement takes a contiguous window of one view and
+    makes it available at its finish, no earlier than any id in the
+    window: {!commit} moves that window alone, past the ids it
+    overtakes.
 
-    The index shares the caller's availability array: {!update} writes
-    both the array and the sorted views, so reads through the original
+    The index shares the caller's availability array: {!commit} writes
+    both the array and the sorted view, so reads through the original
     array stay coherent.
 
-    An index owns its scratch buffers (an id-sorted copy of every group,
-    membership marks, survivor and member buffers), allocated once by
-    {!create}: {!update}, {!release} and {!reset} allocate nothing. The
-    scratch makes an index single-owner mutable state — never share one
-    across domains. *)
+    An index owns its scratch buffers (an id-sorted copy of every group
+    and one group-long buffer), allocated once by {!create}: {!commit}
+    and {!reset} allocate nothing. The scratch makes an index
+    single-owner mutable state — never share one across domains. *)
 
 type t
 
@@ -40,35 +41,24 @@ val group_count : t -> int
 val sorted : t -> int -> int array
 (** [sorted t g] is group [g]'s ids in increasing [(avail, id)] order.
     The returned array is the index's internal state: treat it as
-    read-only, and as invalidated by the next {!update}. *)
+    read-only, and note that {!commit} and {!reset} rewrite it in
+    place. *)
 
 val avail : t -> int -> float
 (** Current availability of one id. *)
 
-val update : t -> int array -> float -> unit
-(** [update t ids v] sets the availability of every id in [ids] to [v]
-    and repairs the sorted views. Ids may span several groups (each
-    affected group is repaired with a single merge pass), come in any
-    order and contain duplicates. Safe to call with an empty array
-    (no-op).
+val commit : t -> int -> lo:int -> width:int -> float -> unit
+(** [commit t g ~lo ~width v] sets the availability of the ids at
+    positions [lo .. lo + width - 1] of [sorted t g] to [v], which must
+    be no earlier than the last (latest) of them, and restores the
+    [(avail, id)] order: the view is then the one {!reset} would
+    compute. A [width] of 0 changes nothing.
 
-    {b Mirror contract with {!Timeline}.} The mapper pairs every
-    [update] with a {!Timeline.reserve} and every {!release} with a
-    {!Timeline.release}. [Timeline] {e ignores} zero-length intervals,
-    so a zero-length commit must not move the index either: the caller
-    skips the [update] (or re-writes the unchanged availability, which
-    leaves the views identical). The interleaved reserve/release
-    equivalence property in [test_timeline.ml] pins the two structures
-    to the same horizon under that discipline.
-    @raise Invalid_argument on an id outside every group or a
-    non-finite [v] (the mirror of [Timeline]'s rejection of ill-formed
-    intervals). *)
-
-val release : t -> int array -> float -> unit
-(** [release t ids v] rolls the availability of [ids] back to [v] —
-    the rollback counterpart of a commit, used when fault recovery
-    revokes placements. The repair pass is direction-agnostic, so this
-    is exactly {!update}; the distinct name marks intent at call sites
-    and pins the rollback contract: after [release t ids v] the index is
-    indistinguishable from one freshly built with those availabilities
-    (property-tested). *)
+    The ids before the window keep their positions. The commit sorts
+    the window's ids by insertion, shifts left the survivors after it
+    whose availability is below [v], and merges the window with the
+    survivors at exactly [v] by id: O(w + i + s + e) for a window of
+    [w] ids, [i] insertion shifts, [s] survivors passed and [e] ties at
+    [v] read, whatever the group's size.
+    @raise Invalid_argument on a non-finite [v], a window outside the
+    view, or a [v] below the window's last availability. *)

@@ -1,8 +1,8 @@
 (* Fault injection & recovery: seeded generator determinism, the pure
    transient-failure draws, the engine's kill/requeue/retry handling
    under outages, the FAULT001-003 execution audit, the event queue's
-   canonical equal-time ordering, and the release (rollback) paths of
-   Timeline and Avail_index. *)
+   canonical equal-time ordering, and Timeline's release (rollback)
+   path. *)
 
 module Grid5000 = Mcs_platform.Grid5000
 module Platform = Mcs_platform.Platform
@@ -18,7 +18,6 @@ module Strategy = Mcs_sched.Strategy
 module Task = Mcs_taskmodel.Task
 module Ptg = Mcs_ptg.Ptg
 module Timeline = Mcs_util.Timeline
-module Avail_index = Mcs_util.Avail_index
 
 (* --- event queue: canonical order at equal timestamps --- *)
 
@@ -414,7 +413,7 @@ let test_fault_rules () =
     [ "fault-conservation" ]
     (ids [ exec ~finish:(full /. 2.) Fault_check.Completed ])
 
-(* --- release rollback ≡ fresh build (Timeline, Avail_index) --- *)
+(* --- Timeline release rollback ≡ fresh build --- *)
 
 let test_timeline_release_replace () =
   let rng = Prng.create ~seed:9 in
@@ -466,45 +465,6 @@ let test_timeline_release_replace () =
     same "release then replace ≡ fresh build" tl (fresh all)
   done
 
-let test_avail_index_release () =
-  let rng = Prng.create ~seed:17 in
-  for _trial = 1 to 25 do
-    let n = 4 + Prng.int rng 8 in
-    let cut = 1 + Prng.int rng (n - 1) in
-    let groups =
-      [|
-        Array.init cut Fun.id; Array.init (n - cut) (fun i -> cut + i);
-      |]
-    in
-    let avail = Array.make n 0. in
-    let idx = Avail_index.create ~avail ~groups in
-    let journal = ref [] in
-    for _ = 1 to 8 do
-      let count = 1 + Prng.int rng 3 in
-      let ids =
-        Array.of_list (Prng.pick_distinct rng n ~count)
-      in
-      let before = Array.map (fun id -> (id, avail.(id))) ids in
-      Avail_index.update idx ids (Prng.uniform rng ~lo:0. ~hi:50.);
-      journal := before :: !journal
-    done;
-    (* Roll every commit back in reverse order; the index must be
-       indistinguishable from a freshly built all-zero one. *)
-    List.iter
-      (fun before ->
-        Array.iter
-          (fun (id, v) -> Avail_index.release idx [| id |] v)
-          before)
-      !journal;
-    let fresh = Avail_index.create ~avail:(Array.make n 0.) ~groups in
-    for g = 0 to Avail_index.group_count idx - 1 do
-      Alcotest.(check (array int))
-        "release in reverse ≡ fresh index"
-        (Avail_index.sorted fresh g) (Avail_index.sorted idx g)
-    done;
-    Array.iter (fun v -> Alcotest.(check (float 0.)) "avail reset" 0. v) avail
-  done
-
 let suite =
   [
     ( "fault",
@@ -530,7 +490,5 @@ let suite =
         Alcotest.test_case "FAULT001-003 adversarial" `Quick test_fault_rules;
         Alcotest.test_case "timeline release-then-replace" `Quick
           test_timeline_release_replace;
-        Alcotest.test_case "avail index release rollback" `Quick
-          test_avail_index_release;
       ] );
   ]

@@ -188,7 +188,13 @@ let test_random_validate_params () =
   Alcotest.(check bool) "density" true
     (raises { Random_gen.default with density = 1.5 });
   Alcotest.(check bool) "jump" true
-    (raises { Random_gen.default with jump = 0 })
+    (raises { Random_gen.default with jump = 0 });
+  Alcotest.(check bool) "NaN width" true
+    (raises { Random_gen.default with width = Float.nan });
+  Alcotest.(check bool) "NaN regularity" true
+    (raises { Random_gen.default with regularity = Float.nan });
+  Alcotest.(check bool) "NaN density" true
+    (raises { Random_gen.default with density = Float.nan })
 
 let test_paper_grid_size () =
   Alcotest.(check int) "108 combinations" 108

@@ -1026,7 +1026,8 @@ let qcheck_packing_never_hurts_makespan =
 
 (* The packing loop's early exit relies on this holding exactly in
    floating point, not just over the reals. The mapper prices widths
-   with [Task.time_into], which must store exactly [Task.time]. *)
+   with [Task.time_of_seq_into] from a stored [Task.seq_time], which
+   must store exactly [Task.time]. *)
 let qcheck_task_time_monotone =
   QCheck.Test.make
     ~name:"Task.time never increases with the width (exact floats)"
@@ -1041,11 +1042,11 @@ let qcheck_task_time_monotone =
         (fun class_ ->
           let task = { (Task.random rng ~class_) with Task.alpha } in
           let ok = ref true in
-          let into = [| 0. |] in
+          let seq = [| Task.seq_time task ~gflops |] and into = [| 0. |] in
           for p = 1 to 1023 do
             let wide = Task.time task ~gflops ~procs:(p + 1) in
             if wide > Task.time task ~gflops ~procs:p then ok := false;
-            Task.time_into task ~gflops ~procs:(p + 1) into 0;
+            Task.time_of_seq_into task ~procs:(p + 1) seq 0 into 0;
             if Int64.bits_of_float into.(0) <> Int64.bits_of_float wide then
               ok := false
           done;

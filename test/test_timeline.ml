@@ -167,150 +167,6 @@ let qcheck_find_slot_is_free_and_earliest =
             List.length free < count)
           (Timeline.next_candidates t ~after:0.))
 
-(* ---------- Avail_index ↔ Timeline mirror contract ---------- *)
-
-(* The mapper pairs every Avail_index.update with a Timeline.reserve and
-   every Avail_index.release with a Timeline.release. The two structures
-   must agree on each processor's horizon (the end of its last busy
-   interval) under any interleaving of commits and rollbacks — including
-   zero-length commits, which Timeline ignores and the index therefore
-   must not move past. *)
-
-let view_is_sorted idx g =
-  let view = Avail_index.sorted idx g in
-  let ok = ref true in
-  for i = 1 to Array.length view - 1 do
-    let a = view.(i - 1) and b = view.(i) in
-    let ka = (Avail_index.avail idx a, a) and kb = (Avail_index.avail idx b, b) in
-    if compare ka kb >= 0 then ok := false
-  done;
-  !ok
-
-let qcheck_avail_index_mirrors_timeline =
-  QCheck.Test.make
-    ~name:"Avail_index and Timeline agree on every horizon" ~count:300
-    QCheck.(pair (int_range 0 10_000) (int_range 5 60))
-    (fun (seed, steps) ->
-      let rng = Mcs_prng.Prng.create ~seed in
-      let procs = 6 in
-      let tl = Timeline.create ~procs in
-      let avail = Array.make procs 0. in
-      let idx =
-        Avail_index.create ~avail ~groups:[| [| 0; 1; 2 |]; [| 3; 4; 5 |] |]
-      in
-      (* Per-proc stack of committed intervals: rollbacks revoke the most
-         recent commit, exactly the engine's placement discipline. *)
-      let stacks = Array.make procs [] in
-      let ok = ref true in
-      for _ = 1 to steps do
-        let p = Mcs_prng.Prng.int rng procs in
-        if Mcs_prng.Prng.int rng 4 < 3 || stacks.(p) = [] then begin
-          (* Commit: reserve [horizon, horizon + len) on a random set of
-             processors sharing the horizon — duplicates included to
-             exercise the index's dedup. One draw in six is zero-length:
-             Timeline drops it, so the caller skips the index update. *)
-          let len =
-            if Mcs_prng.Prng.int rng 6 = 0 then 0.
-            else Mcs_prng.Prng.uniform rng ~lo:0.5 ~hi:5.
-          in
-          let group = Array.to_list (if p < 3 then [| 0; 1; 2 |] else [| 3; 4; 5 |]) in
-          let members =
-            List.filter
-              (fun q -> q = p || (avail.(q) = avail.(p) && Mcs_prng.Prng.int rng 2 = 0))
-              group
-          in
-          let start = avail.(p) in
-          if len > 0. then begin
-            List.iter
-              (fun q ->
-                Timeline.reserve tl ~proc:q ~start ~finish:(start +. len);
-                stacks.(q) <- (start, start +. len) :: stacks.(q))
-              members;
-            let ids = Array.of_list (members @ members) in
-            Avail_index.update idx ids (start +. len)
-          end
-        end
-        else begin
-          (* Rollback the latest commit of p alone. *)
-          match stacks.(p) with
-          | (s, f) :: rest ->
-            Timeline.release tl ~proc:p ~start:s ~finish:f;
-            stacks.(p) <- rest;
-            Avail_index.release idx [| p |] s
-          | [] -> ()
-        end;
-        (* Horizon agreement plus view integrity after every step. *)
-        for q = 0 to procs - 1 do
-          let horizon =
-            List.fold_left
-              (fun acc (_, f) -> Float.max acc f)
-              0.
-              (Timeline.busy_intervals tl ~proc:q)
-          in
-          if not (Float.equal horizon (Avail_index.avail idx q)) then
-            ok := false;
-          if
-            not
-              (Timeline.is_free tl ~proc:q ~start:(Avail_index.avail idx q)
-                 ~finish:(Avail_index.avail idx q +. 1e6))
-          then ok := false
-        done;
-        if not (view_is_sorted idx 0 && view_is_sorted idx 1) then ok := false
-      done;
-      !ok)
-
-let test_avail_index_update_edge_cases () =
-  let avail = [| 0.; 1.; 2.; 3.; 4.; 5. |] in
-  let idx =
-    Avail_index.create ~avail ~groups:[| [| 0; 1; 2 |]; [| 3; 4; 5 |] |]
-  in
-  (* Duplicates collapse to one move. *)
-  Avail_index.update idx [| 1; 1; 1 |] 10.;
-  Alcotest.(check (float 0.)) "dup ids applied once" 10.
-    (Avail_index.avail idx 1);
-  Alcotest.(check (array int)) "group 0 reordered" [| 0; 2; 1 |]
-    (Avail_index.sorted idx 0);
-  (* One update spanning both groups — with interleaved, unsorted,
-     duplicated ids — repairs each group independently. *)
-  Avail_index.update idx [| 5; 0; 5; 2; 3 |] 0.5;
-  Alcotest.(check (array int)) "group 0 after cross-group update"
-    [| 0; 2; 1 |]
-    (Avail_index.sorted idx 0);
-  Alcotest.(check (array int)) "group 1 after cross-group update"
-    [| 3; 5; 4 |]
-    (Avail_index.sorted idx 1);
-  (* Empty update is a no-op; non-finite availabilities are rejected
-     like Timeline rejects ill-formed intervals. *)
-  Avail_index.update idx [||] Float.nan;
-  let raises v =
-    try
-      Avail_index.update idx [| 0 |] v;
-      false
-    with Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "nan rejected" true (raises Float.nan);
-  Alcotest.(check bool) "infinity rejected" true (raises Float.infinity);
-  Alcotest.(check bool) "unindexed id rejected" true
-    (try
-       Avail_index.update idx [| 17 |] 1.;
-       false
-     with Invalid_argument _ -> true)
-
-let test_avail_index_release_equals_fresh () =
-  (* After any release, the index is indistinguishable from one freshly
-     built over the same availabilities. *)
-  let avail = [| 3.; 1.; 4.; 1.; 5. |] in
-  let idx = Avail_index.create ~avail ~groups:[| [| 0; 1; 2; 3; 4 |] |] in
-  Avail_index.update idx [| 0; 2 |] 9.;
-  Avail_index.release idx [| 2; 0; 2 |] 2.;
-  let fresh =
-    Avail_index.create ~avail:(Array.copy avail)
-      ~groups:[| [| 0; 1; 2; 3; 4 |] |]
-  in
-  Alcotest.(check (array int)) "released view = fresh view"
-    (Avail_index.sorted fresh 0)
-    (Avail_index.sorted idx 0)
-
 let suite =
   [
     ( "util.timeline",
@@ -328,10 +184,5 @@ let suite =
         Alcotest.test_case "subset & count" `Quick
           test_find_slot_subset_and_count;
         QCheck_alcotest.to_alcotest qcheck_find_slot_is_free_and_earliest;
-        QCheck_alcotest.to_alcotest qcheck_avail_index_mirrors_timeline;
-        Alcotest.test_case "avail index update edge cases" `Quick
-          test_avail_index_update_edge_cases;
-        Alcotest.test_case "avail index release = fresh build" `Quick
-          test_avail_index_release_equals_fresh;
       ] );
   ]

@@ -152,17 +152,22 @@ let test_avail_index_basic () =
     (Avail_index.sorted idx 0);
   Alcotest.(check (array int)) "group 1 sorted" [| 3; 5; 4 |]
     (Avail_index.sorted idx 1);
-  Avail_index.update idx [| 1; 2 |] 7.;
-  Alcotest.(check (array int)) "after update, id breaks the tie"
+  Avail_index.commit idx 0 ~lo:0 ~width:2 7.;
+  Alcotest.(check (array int)) "after a commit, id breaks the tie"
     [| 0; 1; 2 |]
     (Avail_index.sorted idx 0);
   check_float "shared array updated" 7. avail.(1);
   check_float "avail accessor" 7. (Avail_index.avail idx 2);
-  (* Cross-group update in one call. *)
-  Avail_index.update idx [| 0; 4 |] 0.5;
-  Alcotest.(check (array int)) "group 0 repaired" [| 0; 1; 2 |]
+  (* A commit moves its own group only. *)
+  Avail_index.commit idx 1 ~lo:0 ~width:1 4.5;
+  Alcotest.(check (array int)) "group 1 after a commit" [| 5; 3; 4 |]
+    (Avail_index.sorted idx 1);
+  Alcotest.(check (array int)) "group 0 untouched" [| 0; 1; 2 |]
     (Avail_index.sorted idx 0);
-  Alcotest.(check (array int)) "group 1 repaired" [| 3; 4; 5 |]
+  (* Ids 3 and 4 stay below and at the new key 5: 3 is passed, 4 ties
+     and precedes 5 by id. *)
+  Avail_index.commit idx 1 ~lo:0 ~width:1 5.;
+  Alcotest.(check (array int)) "passed and tied" [| 3; 4; 5 |]
     (Avail_index.sorted idx 1)
 
 let test_avail_index_rejects_bad_ids () =
@@ -180,21 +185,67 @@ let test_avail_index_rejects_bad_ids () =
          ignore
            (Avail_index.create ~avail:[| 0.; 0. |]
               ~groups:[| [| 0 |]; [| 0 |] |])));
-  let idx =
-    Avail_index.create ~avail:[| 0.; 0. |] ~groups:[| [| 0 |] |]
+  let avail = [| 1.; 2.; 3. |] in
+  let idx = Avail_index.create ~avail ~groups:[| [| 0; 1; 2 |] |] in
+  let rejects name ~lo ~width v =
+    Alcotest.(check bool) name true
+      (raises (fun () -> Avail_index.commit idx 0 ~lo ~width v))
   in
-  Alcotest.(check bool) "unindexed id" true
-    (raises (fun () -> Avail_index.update idx [| 1 |] 1.))
+  rejects "nan" ~lo:0 ~width:1 Float.nan;
+  rejects "infinity" ~lo:0 ~width:1 Float.infinity;
+  rejects "negative infinity" ~lo:0 ~width:0 Float.neg_infinity;
+  rejects "negative lo" ~lo:(-1) ~width:1 5.;
+  rejects "negative width" ~lo:1 ~width:(-1) 5.;
+  rejects "window past the view" ~lo:2 ~width:2 5.;
+  rejects "below the window's last availability" ~lo:0 ~width:2 1.5;
+  Alcotest.(check bool) "unknown group" true
+    (raises (fun () -> Avail_index.commit idx 1 ~lo:0 ~width:0 5.));
+  Alcotest.(check (array int)) "rejected commits change nothing"
+    [| 0; 1; 2 |] (Avail_index.sorted idx 0);
+  Alcotest.(check (array (float 0.))) "nor the shared array"
+    [| 1.; 2.; 3. |] avail
 
-(* Operations 0 and 1 update one or two ids through the index;
-   operation 2 rewrites the shared array behind its back, with equal
-   keys and both zeros among the values, then resets it. *)
+let test_avail_index_commit_edge_cases () =
+  let avail = [| 4.; 1.; 3.; 2.; 3.; 0. |] in
+  let idx = Avail_index.create ~avail ~groups:[| Array.init 6 Fun.id |] in
+  let view () = Avail_index.sorted idx 0 in
+  Alcotest.(check (array int)) "built" [| 5; 1; 3; 2; 4; 0 |] (view ());
+  (* A window out of id order lands in id order, past the survivor
+     below the new key and merged with the two at it. *)
+  Avail_index.commit idx 0 ~lo:0 ~width:2 3.;
+  Alcotest.(check (array int)) "sorted, passed, merged" [| 3; 1; 2; 4; 5; 0 |]
+    (view ());
+  Avail_index.commit idx 0 ~lo:6 ~width:0 1.;
+  Alcotest.(check (array int)) "an empty window is a no-op"
+    [| 3; 1; 2; 4; 5; 0 |] (view ());
+  Avail_index.commit idx 0 ~lo:5 ~width:1 4.;
+  Alcotest.(check (array int)) "an unchanged key moves nothing"
+    [| 3; 1; 2; 4; 5; 0 |] (view ());
+  Avail_index.commit idx 0 ~lo:1 ~width:4 3.;
+  Alcotest.(check (array int)) "a window of ties stays put"
+    [| 3; 1; 2; 4; 5; 0 |] (view ());
+  (* -0. and +0. are one key: a commit at +0. over ids at -0. ties with
+     them, so id order decides. *)
+  let avail = [| -0.; 0.; -0.; 1. |] in
+  let idx = Avail_index.create ~avail ~groups:[| [| 0; 1; 2; 3 |] |] in
+  Avail_index.commit idx 0 ~lo:0 ~width:1 0.;
+  Alcotest.(check (array int)) "both zeros tie" [| 0; 1; 2; 3 |]
+    (Avail_index.sorted idx 0);
+  Avail_index.commit idx 0 ~lo:1 ~width:2 (-0.);
+  Alcotest.(check (array int)) "a commit at -0. over +0." [| 0; 1; 2; 3 |]
+    (Avail_index.sorted idx 0)
+
+(* Operation 3 rewrites the shared array behind the index's back, with
+   equal keys and both zeros among the values, then resets it, which
+   also leaves windows out of id order. The others commit a window of
+   group [a mod 2] at [v] past its last availability (operation 0), at
+   the availability of a survivor after it, so that it ties (1), or at
+   exactly its last availability, a zero taking the sign of [v] (2). *)
 let qcheck_avail_index_matches_resort =
   QCheck.Test.make
-    ~name:"avail index view equals a full (avail, id) re-sort after updates"
-    ~count:150
-    QCheck.(list (triple (int_range 0 2)
-                    (pair (int_range 0 19) (int_range 0 19))
+    ~name:"avail index view equals a full (avail, id) re-sort after commits"
+    ~count:200
+    QCheck.(list (quad (int_range 0 3) (int_range 0 19) (int_range 0 19)
                     (oneof [ oneofl [ 0.; -0.; 7. ]; float_range 0. 50. ])))
     (fun ops ->
       let avail = Array.make 20 0. in
@@ -211,9 +262,23 @@ let qcheck_avail_index_matches_resort =
         v
       in
       List.for_all
-        (fun (op, (a, b), v) ->
-          if op < 2 then
-            Avail_index.update idx (if a = b then [| a |] else [| a; b |]) v
+        (fun (op, a, b, v) ->
+          if op < 3 then begin
+            let g = a mod 2 in
+            let view = Avail_index.sorted idx g in
+            let n = Array.length view in
+            let lo = a / 2 in
+            let width = 1 + (b mod (n - lo)) in
+            let hi = lo + width in
+            let last = avail.(view.(hi - 1)) in
+            let v =
+              match op with
+              | 0 -> last +. v
+              | 1 -> if hi < n then avail.(view.(hi + (b mod (n - hi)))) else last
+              | _ -> if last = 0. then Float.copy_sign 0. v else last
+            in
+            Avail_index.commit idx g ~lo ~width v
+          end
           else begin
             avail.(a) <- v;
             avail.(b) <- (if v = 0. then -.v else v);
@@ -278,6 +343,8 @@ let suite =
           test_avail_index_basic;
         Alcotest.test_case "input validation" `Quick
           test_avail_index_rejects_bad_ids;
+        Alcotest.test_case "commit edge cases" `Quick
+          test_avail_index_commit_edge_cases;
         QCheck_alcotest.to_alcotest qcheck_avail_index_matches_resort;
       ] );
     ( "util.table",
