@@ -428,13 +428,13 @@ let place_task s platform ref_cluster avail_idx proc_avail state v ~packing =
          candidate at all. *)
       let order = Avail_index.sorted avail_idx k in
       if Array.length order > 0 then begin
-        let seq = (v * s.nc) + k in
+        let slot = (v * s.nc) + k in
         let needed =
           min (Array.length order)
             (Reference_cluster.translate ref_cluster platform ~cluster:k
                state.alloc.(v))
         in
-        Task.time_of_seq_into task ~procs:needed state.seq seq f f_exec;
+        Task.time_of_seq_into task ~procs:needed state.seq slot f f_exec;
         let lo = price s proc_avail order k np needed in
         offer s order k lo needed;
         if packing && needed > 1 then begin
@@ -459,7 +459,7 @@ let place_task s platform ref_cluster avail_idx proc_avail state v ~packing =
             match
               let p' = ref (needed - 1) in
               while !p' >= 1 do
-                Task.time_of_seq_into task ~procs:!p' state.seq seq f f_exec;
+                Task.time_of_seq_into task ~procs:!p' state.seq slot f f_exec;
                 if lb +. f.(f_exec) > full_finish +. Floatx.eps then begin
                   add c_packing_attempts !p';
                   p' := 0

@@ -29,14 +29,15 @@
 
     The working state lives in a {!session}: the availability index,
     the ready heap, a placement scratch reused by every (task, cluster,
-    width) pricing, and a memo of each application's topological ranks
-    and bottom levels (DESIGN.md section 10). A session has one owner:
-    the online engine keeps one for its whole life, so a reschedule
-    reuses what the previous generation built, and never shares it
-    across domains. {!run} still owns its own state, on a fresh session
-    per call, so shard domains and [Parmap] workers may run it
-    concurrently. Pricing a candidate allocates nothing; a map
-    allocates the placements it returns and per-node bookkeeping. *)
+    width) pricing, and a memo of each application's topological ranks,
+    sequential times per cluster and bottom levels (DESIGN.md section
+    10). A session has one owner: the online engine keeps one for its
+    whole life, so a reschedule reuses what the previous generation
+    built, and never shares it across domains. {!run} still owns its
+    own state, on a fresh session per call, so shard domains and
+    [Parmap] workers may run it concurrently. Pricing a candidate
+    allocates nothing; a map allocates the placements it returns and
+    per-node bookkeeping. *)
 
 type ordering = Ready_tasks | Global_fcfs | Global_backfill
 
@@ -113,8 +114,9 @@ val map :
 (** [map session ref apps] is {!run} on the session's platform, each
     application given with an id of the caller's choosing, and gives
     the same schedules. The session keeps per id the topological ranks
-    of its PTG, valid while the id maps to the same PTG (physical
-    equality), and its bottom levels, recomputed only when the
+    of its PTG and its tasks' sequential times on each cluster, valid
+    while the id maps to the same PTG (physical equality), and its
+    bottom levels, recomputed only when the
     allocation or the reference speed differs from the previous map's.
     The cluster groups and the availability index are rebuilt only when
     the [up] mask changes. A map that raises leaves the session usable.

@@ -15,6 +15,8 @@ module Fault = Mcs_fault.Fault
 module Runner = Mcs_experiments.Runner
 module Workload = Mcs_experiments.Workload
 module Service = Mcs_serve.Service
+module List_mapper = Mcs_sched.List_mapper
+module Schedule = Mcs_sched.Schedule
 open Mcs_online
 
 let md5 b = Digest.to_hex (Digest.string (Buffer.contents b))
@@ -335,7 +337,7 @@ let test_serve () =
 
 (* --- mapper orderings ---------------------------------------------- *)
 
-let render_placement b (pl : Mcs_sched.Schedule.placement) =
+let render_placement b (pl : Schedule.placement) =
   add_int b pl.node;
   add_int b pl.cluster;
   Array.iter (add_int b) pl.procs;
@@ -344,8 +346,7 @@ let render_placement b (pl : Mcs_sched.Schedule.placement) =
 
 let placements_digest schedules =
   digest_of
-    (fun b (s : Mcs_sched.Schedule.t) ->
-      Array.iter (render_placement b) s.placements)
+    (fun b (s : Schedule.t) -> Array.iter (render_placement b) s.placements)
     schedules
 
 (* One 4-application rennes scenario, allocated under equal shares and
@@ -370,7 +371,7 @@ let mapper_scenario () =
   (platform, apps, Array.init 4 (fun i -> 6. *. float_of_int i))
 
 let ordering_name = function
-  | Mcs_sched.List_mapper.Ready_tasks -> "ready tasks"
+  | List_mapper.Ready_tasks -> "ready tasks"
   | Global_fcfs -> "global fcfs"
   | Global_backfill -> "global backfill"
 
@@ -378,7 +379,7 @@ let ordering_name = function
    Global_backfill never packs, so its two digests agree. *)
 let ordering_cases =
   [
-    (Mcs_sched.List_mapper.Ready_tasks, true, "22ff19ecd945eebf34fe67e6d913e60b");
+    (List_mapper.Ready_tasks, true, "22ff19ecd945eebf34fe67e6d913e60b");
     (Ready_tasks, false, "719971198b17429a32fe45af786294ad");
     (Global_fcfs, true, "44dc69c7fd1bb05f752152d97d28e2c2");
     (Global_fcfs, false, "488460221b4afe6f2b4be3d1976a76e3");
@@ -392,18 +393,17 @@ let ordering_cases =
    half of Paravent is down. *)
 let reschedule_cases =
   [
-    (Mcs_sched.List_mapper.Ready_tasks, "ce50a571c745a922d66cc3d422f4d391");
+    (List_mapper.Ready_tasks, "ce50a571c745a922d66cc3d422f4d391");
     (Global_fcfs, "11cb931adeeb5dadb0a775f0755fc1ab");
   ]
 
 let test_orderings () =
-  let module M = Mcs_sched.List_mapper in
   let platform, apps, release = mapper_scenario () in
   let ref_cluster = Mcs_sched.Reference_cluster.of_platform platform in
   let run ?pinned ?avail ?up ordering packing =
     placements_digest
-      (M.run ~options:{ M.ordering; packing } ~release ?pinned ?avail ?up
-         platform ref_cluster apps)
+      (List_mapper.run ~options:{ List_mapper.ordering; packing } ~release
+         ?pinned ?avail ?up platform ref_cluster apps)
   in
   List.iter
     (fun (ordering, packing, expected) ->
@@ -411,13 +411,13 @@ let test_orderings () =
         (Printf.sprintf "%s, packing %b" (ordering_name ordering) packing)
         expected (run ordering packing))
     ordering_cases;
-  let fresh = M.run ~release platform ref_cluster apps in
+  let fresh = List_mapper.run ~release platform ref_cluster apps in
   let pinned =
     Array.of_list
       (List.map
-         (fun (s : Mcs_sched.Schedule.t) ->
+         (fun (s : Schedule.t) ->
            Array.map
-             (fun (pl : Mcs_sched.Schedule.placement) ->
+             (fun (pl : Schedule.placement) ->
                if pl.start < 60. then Some pl else None)
              s.placements)
          fresh)
@@ -435,7 +435,7 @@ let test_orderings () =
   Array.iter
     (Array.iter (function
       | None -> ()
-      | Some (pl : Mcs_sched.Schedule.placement) ->
+      | Some (pl : Schedule.placement) ->
         Array.iter
           (fun p -> avail.(p) <- Float.max avail.(p) pl.finish)
           pl.procs))

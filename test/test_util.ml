@@ -274,7 +274,8 @@ let qcheck_avail_index_matches_resort =
             let v =
               match op with
               | 0 -> last +. v
-              | 1 -> if hi < n then avail.(view.(hi + (b mod (n - hi)))) else last
+              | 1 ->
+                if hi < n then avail.(view.(hi + (b mod (n - hi)))) else last
               | _ -> if last = 0. then Float.copy_sign 0. v else last
             in
             Avail_index.commit idx g ~lo ~width v
