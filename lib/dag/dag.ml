@@ -26,26 +26,26 @@ let compute_topo n succ pred =
   for v = 0 to n - 1 do
     indeg.(v) <- Array.length pred.(v)
   done;
-  let frontier = Mcs_util.Heap.create ~cmp:compare in
+  (* The frontier pops the lowest node id first: its key is constant
+     and the id is its first tie. *)
+  let frontier = Mcs_util.Heap.create ~dummy:() in
+  let add v = Mcs_util.Heap.push frontier 0. v 0 0 0 () in
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then Mcs_util.Heap.push frontier v
+    if indeg.(v) = 0 then add v
   done;
   let order = Array.make n 0 in
   let filled = ref 0 in
-  let rec drain () =
-    match Mcs_util.Heap.pop frontier with
-    | None -> ()
-    | Some v ->
-      order.(!filled) <- v;
-      incr filled;
-      Array.iter
-        (fun (w, _e) ->
-          indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then Mcs_util.Heap.push frontier w)
-        succ.(v);
-      drain ()
-  in
-  drain ();
+  while not (Mcs_util.Heap.is_empty frontier) do
+    let v = Mcs_util.Heap.min_int frontier 0 in
+    Mcs_util.Heap.drop_min frontier;
+    order.(!filled) <- v;
+    incr filled;
+    Array.iter
+      (fun (w, _e) ->
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then add w)
+      succ.(v)
+  done;
   if !filled < n then begin
     (* Find a cycle among the remaining nodes: walk predecessors that are
        still constrained until a node repeats. *)

@@ -60,6 +60,9 @@ type session = {
   mutable processed : int;
   mapper : List_mapper.session Lazy.t;
       (** built on the first reschedule; a cache, never copied *)
+  avail : float array;
+      (** per-processor availability, refilled by every reschedule and
+          resize opportunity; scratch, never copied *)
 }
 
 (* Per-policy counters are interned by policy name, so two policies of
@@ -87,10 +90,16 @@ let merge_trigger cur cand =
   | None -> Some cand
   | Some t -> if trigger_rank cand > trigger_rank t then Some cand else cur
 
+let may_fail s =
+  match s.faults with
+  | Some sc -> sc.Fault.config.Fault.task_fail_p > 0.
+  | None -> false
+
 (* Under fault injection each attempt's outcome is pre-rolled — the
    roll is a pure function of (seed, app, node, attempt), so
    re-announcing the same attempt after an unrelated reschedule rolls
-   the same verdict. *)
+   the same verdict, and the state memoises it per attempt. The retry
+   budget is tested outside the memo: a policy swap can move it. *)
 let will_fail s app v =
   match s.faults with
   | Some sc
@@ -98,8 +107,16 @@ let will_fail s app v =
          && app.State.failures.(v)
             < s.policy.Policy.faults.Policy.max_retries
     ->
-    Fault.roll_failure sc ~app:app.State.index ~node:v
-      ~attempt:app.State.failures.(v)
+    let attempt = app.State.failures.(v) in
+    if Array.length app.State.verdicts = 0 then
+      app.State.verdicts <- Array.make (Array.length app.State.failures) (-1);
+    let memo = app.State.verdicts.(v) in
+    if memo >= 0 && memo asr 1 = attempt then memo land 1 = 1
+    else begin
+      let fails = Fault.roll_failure sc ~app:app.State.index ~node:v ~attempt in
+      app.State.verdicts.(v) <- (2 * attempt) + Bool.to_int fails;
+      fails
+    end
   | Some _ | None -> false
 
 (* Announce the future of every active application under the current
@@ -109,54 +126,50 @@ let will_fail s app v =
    queue holds no other announcement. *)
 let announce s =
   let state = s.st in
+  let now = state.State.now in
   List.iter
     (fun app ->
-      let exit = Ptg.exit app.State.ptg in
+      let ptg = app.State.ptg and pls = app.State.placements in
+      let exit = Ptg.exit ptg in
       (* Pre-roll first: a generation in which some attempt is doomed
          to fail must not announce the departure — the app cannot
          complete on this schedule, and the failure's mandatory
          reschedule will announce the real one. Without this, a task
          failing exactly at the announced exit finish would race its
          own application's departure in the same batch. *)
-      let fail_flags =
-        Array.mapi
-          (fun v pl ->
-            match pl with
-            | Some pl
-              when (not (Ptg.is_virtual app.State.ptg v))
-                   && pl.Schedule.finish > state.State.now ->
-              will_fail s app v
-            | Some _ | None -> false)
-          app.State.placements
-      in
-      let doomed = Array.exists Fun.id fail_flags in
+      let doomed = ref false in
+      if may_fail s then
+        for v = 0 to Array.length pls - 1 do
+          match pls.(v) with
+          | Some pl
+            when (not !doomed)
+                 && (not (Ptg.is_virtual ptg v))
+                 && pl.Schedule.finish > now ->
+            doomed := will_fail s app v
+          | Some _ | None -> ()
+        done;
       (* A PTG with a unique sink reuses that real task as its exit
          node: it must still get its own finish/failure event (it does
          real work, records an execution attempt and can fail
          transiently) — the departure is announced in addition, and
          the queue's kind order delivers the finish first. *)
-      Array.iteri
-        (fun v pl ->
-          match pl with
-          | None -> ()
-          | Some pl ->
-            if
-              (not (Ptg.is_virtual app.State.ptg v))
-              && pl.Schedule.finish > state.State.now
-            then begin
-              let kind =
-                if fail_flags.(v) then
-                  Event_queue.Task_failed { app = app.State.index; node = v }
-                else
-                  Event_queue.Task_finish { app = app.State.index; node = v }
-              in
-              Event_queue.push s.q ~time:pl.Schedule.finish kind
-            end;
-            if v = exit && not doomed then
-              Event_queue.push s.q
-                ~time:(Float.max pl.Schedule.finish state.State.now)
-                (Event_queue.Departure app.State.index))
-        app.State.placements)
+      for v = 0 to Array.length pls - 1 do
+        match pls.(v) with
+        | None -> ()
+        | Some pl ->
+          if (not (Ptg.is_virtual ptg v)) && pl.Schedule.finish > now then begin
+            let kind =
+              if will_fail s app v then
+                Event_queue.Task_failed { app = app.State.index; node = v }
+              else Event_queue.Task_finish { app = app.State.index; node = v }
+            in
+            Event_queue.push s.q ~time:pl.Schedule.finish kind
+          end;
+          if v = exit && not !doomed then
+            Event_queue.push s.q
+              ~time:(Float.max pl.Schedule.finish now)
+              (Event_queue.Departure app.State.index)
+      done)
     (State.active state)
 
 (* A blackout (no live processor) cannot remap anything: revoke every
@@ -215,19 +228,57 @@ let same_placement (a : Schedule.placement) (b : Schedule.placement) =
 
 (* Remapped (unpinned) placements that came out exactly as the previous
    generation planned them: the ceiling of what replaying that
-   generation's decisions could save. *)
-let remap_unchanged active schedules pinned =
+   generation's decisions could save. [prior] holds each application's
+   placements as they were before the reschedule pinned them. *)
+let remap_unchanged now active prior =
   let n = ref 0 in
-  List.iteri
-    (fun j (app, sched) ->
+  List.iter2
+    (fun app prior ->
       Array.iteri
-        (fun v pl ->
-          match (pinned.(j).(v), app.State.placements.(v)) with
-          | None, Some old when same_placement old pl -> incr n
+        (fun v old ->
+          match (old, app.State.placements.(v)) with
+          | Some old, Some pl
+            when old.Schedule.start > now +. Floatx.eps
+                 && same_placement old pl ->
+            incr n
           | (Some _ | None), _ -> ())
-        sched.Schedule.placements)
-    (List.combine active schedules);
+        prior)
+    active prior;
   !n
+
+(* Raise the availability of a running placement's processors to its
+   finish. [avail] starts at now and the placement finishes after now,
+   so a plain comparison takes the max without a NaN or a signed zero
+   to weigh. *)
+let occupy avail (pl : Schedule.placement) =
+  let finish = pl.Schedule.finish and procs = pl.Schedule.procs in
+  for k = 0 to Array.length procs - 1 do
+    let p = procs.(k) in
+    if finish > avail.(p) then avail.(p) <- finish
+  done
+
+(* Pin in place, in one pass over the active applications' placement
+   arrays: a started placement (start ≤ now + ε) stays, every other one
+   is revoked, and [s.avail] gets, per processor, the max of now and
+   the finishes of the running work. Returns the number kept. The
+   arrays are then the mapper's pinned input and its output. *)
+let pin s active =
+  let now = s.st.State.now and avail = s.avail in
+  Array.fill avail 0 (Array.length avail) now;
+  let frozen = ref 0 in
+  List.iter
+    (fun app ->
+      let pls = app.State.placements in
+      for v = 0 to Array.length pls - 1 do
+        match pls.(v) with
+        | None -> ()
+        | Some pl when pl.Schedule.start <= now +. Floatx.eps ->
+          incr frozen;
+          if pl.Schedule.finish > now then occupy avail pl
+        | Some _ -> pls.(v) <- None
+      done)
+    active;
+  !frozen
 
 (* The invariant analyzer's verdict on the active applications, each
    with the placements pinned going into its generation and the
@@ -308,41 +359,43 @@ let reschedule s ~trigger =
           (app.State.index, app.State.ptg, procs))
         active
     in
+    (* The old placements are copied only for a reader that needs them:
+       the unchanged-placement count (only while tracing, so untraced
+       runs pay nothing) and the checker's pinned snapshot. *)
+    let prior =
+      if Obs.enabled () then
+        List.map (fun app -> Array.copy app.State.placements) active
+      else []
+    in
+    let frozen = pin s active in
     let pinned =
-      Array.of_list (List.map (fun app -> State.pinned_of state app) active)
+      match s.check with
+      | None -> []
+      | Some _ -> List.map (fun app -> Array.copy app.State.placements) active
     in
     let release = Array.make (List.length active) state.State.now in
-    let avail = State.proc_avail state in
     let up = if degraded then Some state.State.proc_up else None in
     let task_floor =
       if s.fault_on then
         Some (Array.of_list (List.map (fun app -> app.State.retry_at) active))
       else None
     in
-    let schedules =
-      List_mapper.map ~options:s.policy.Policy.config.Pipeline.mapper ~release
-        ~pinned ~avail ?up ?task_floor (Lazy.force s.mapper) ref_cluster
-        inputs
-    in
-    let frozen =
-      Array.fold_left
-        (fun acc per_app ->
-          Array.fold_left
-            (fun acc pl -> if pl = None then acc else acc + 1)
-            acc per_app)
-        0 pinned
-    in
-    (* Counted only while tracing, so untraced runs pay nothing. *)
+    (* A map that raises may leave the arrays partly filled; the engine
+       cannot go on from there, and lets the exception end the run. *)
+    List_mapper.map ~options:s.policy.Policy.config.Pipeline.mapper ~release
+      ~avail:s.avail ?up ?task_floor (Lazy.force s.mapper) ref_cluster inputs
+      ~placements:
+        (Array.of_list (List.map (fun app -> app.State.placements) active));
     if Obs.enabled () then
-      Obs.incr ~by:(remap_unchanged active schedules pinned) c_remap_unchanged;
-    let total = ref 0 in
-    List.iter2
-      (fun app sched ->
-        total := !total + Array.length sched.Schedule.placements;
-        app.State.placements <-
-          Array.map Option.some sched.Schedule.placements)
-      active schedules;
-    let remapped = !total - frozen in
+      Obs.incr
+        ~by:(remap_unchanged state.State.now active prior)
+        c_remap_unchanged;
+    let total =
+      List.fold_left
+        (fun acc app -> acc + Array.length app.State.placements)
+        0 active
+    in
+    let remapped = total - frozen in
     (* Hand the invariant analyzer a snapshot of what this reschedule
        decided: it re-verifies the pinning, β and mapping rules and
        reports to the caller's sink. *)
@@ -351,9 +404,13 @@ let reschedule s ~trigger =
     | Some f ->
       f
         (online_check s
-           (List.mapi
-              (fun j (app, sched) -> (app, pinned.(j), sched))
-              (List.combine active schedules))));
+           (List.map2
+              (fun app pinned ->
+                ( app,
+                  pinned,
+                  Schedule.make ~ptg:app.State.ptg
+                    ~placements:(Array.map Option.get app.State.placements) ))
+              active pinned)));
     Event_queue.next_generation s.q;
     state.State.reschedules <- state.State.reschedules + 1;
     state.State.remapped_tasks <- state.State.remapped_tasks + remapped;
@@ -428,18 +485,32 @@ let try_resize s m i node =
       let remaining = 1. -. app.State.progress.(node) -. done_here in
       if remaining <= Floatx.eps then renew ()
       else begin
-        let avail = State.proc_avail state in
         let base = P.first_proc s.platform pl.Schedule.cluster in
-        let free = ref [] and nfree = ref 0 in
-        for k = cl.P.procs - 1 downto 0 do
-          let p = base + k in
-          if
-            avail.(p) <= state.State.now +. Floatx.eps
-            && ((not s.fault_on) || state.State.proc_up.(p))
-          then begin
-            free := p :: !free;
-            incr nfree
-          end
+        let now = state.State.now in
+        (* A processor of the cluster is idle iff no running placement
+           on it finishes after now + ε. A placement's processors all
+           lie in its cluster. *)
+        let avail = s.avail in
+        Array.fill avail base cl.P.procs now;
+        List.iter
+          (fun app ->
+            Array.iter
+              (function
+                | Some (q : Schedule.placement)
+                  when q.cluster = pl.Schedule.cluster
+                       && q.start <= now +. Floatx.eps
+                       && q.finish > now ->
+                  occupy avail q
+                | Some _ | None -> ())
+              app.State.placements)
+          (State.active state);
+        let free p =
+          avail.(p) <= now +. Floatx.eps
+          && ((not s.fault_on) || state.State.proc_up.(p))
+        in
+        let nfree = ref 0 in
+        for p = base to base + cl.P.procs - 1 do
+          if free p then incr nfree
         done;
         let cap = width + !nfree in
         let target =
@@ -458,11 +529,17 @@ let try_resize s m i node =
               Array.sub sorted 0 target
             end
             else begin
+              (* Grow takes the lowest idle processor ids. *)
               let procs = Array.make target 0 in
               Array.blit pl.Schedule.procs 0 procs 0 width;
-              List.iteri
-                (fun k p -> if k < target - width then procs.(width + k) <- p)
-                !free;
+              let k = ref width and p = ref base in
+              while !k < target do
+                if free !p then begin
+                  procs.(!k) <- !p;
+                  incr k
+                end;
+                incr p
+              done;
               procs
             end
           in
@@ -647,9 +724,11 @@ let handle s ev trigger =
         (Printf.sprintf "Engine: departure of app %d with unplaced tasks" i);
     app.State.status <- State.Completed;
     app.State.completion <- ev.Event_queue.time;
-    (* The application will never be allocated again: free its cached
-       trajectories (the lifetime statistics survive the clear). *)
+    (* The application will never be allocated or announced again:
+       free its cached trajectories (the lifetime statistics survive
+       the clear) and its memoised failure verdicts. *)
     Allocation.cache_release app.State.alloc_cache;
+    app.State.verdicts <- [||];
     if Lazy.is_val s.mapper then List_mapper.forget (Lazy.force s.mapper) i;
     state.State.active_apps <- state.State.active_apps - 1;
     state.State.completed_apps <- state.State.completed_apps + 1;
@@ -690,6 +769,7 @@ let create ?log ?check ?faults ~policy platform apps =
       check;
       processed = 0;
       mapper = lazy (List_mapper.session platform);
+      avail = Array.make (P.total_procs platform) 0.;
     }
   in
   Array.iter
@@ -786,6 +866,7 @@ let restore ?log ?check snap =
     check;
     processed = snap.snap_processed;
     mapper = lazy (List_mapper.session snap.snap_state.State.platform);
+    avail = Array.make (P.total_procs snap.snap_state.State.platform) 0.;
   }
 
 let audit s =

@@ -19,8 +19,13 @@
     onto the released share. Each session maps through one
     {!Mcs_sched.List_mapper.session}, built on its first reschedule, so
     a reschedule reuses the previous generation's ranks, bottom levels,
-    availability index and scratch; a departure drops that
-    application's share of it.
+    availability index, ready-heap buffers and scratch; a departure
+    drops that application's share of it. A reschedule pins in place:
+    one pass over the active applications' placement arrays revokes
+    the unstarted placements and fills the session's availability
+    buffer, and {!Mcs_sched.List_mapper.map} then writes the new
+    placements into those same arrays. A map that raises leaves them
+    partly filled, and the exception ends the run.
 
     {b Fault injection} ([?faults]) interprets a {!Mcs_fault.Fault}
     scenario:
@@ -43,7 +48,8 @@
       {!Policy.t}'s [faults] policy ({!Policy.retry_delay}). After [max_retries] failures
       the next attempt is carried through (bounded retry: the run
       always terminates). Outcomes are pre-rolled per attempt from the
-      scenario seed, so they are independent of scheduling order.
+      scenario seed, so they are independent of scheduling order; the
+      state memoises each attempt's verdict.
 
     {b Malleable execution} ({!Policy.t}'s [malleability]) lets the
     engine change the width of a {e running} task at the legal resize
@@ -203,9 +209,10 @@ val pending_events : session -> int
 
 type snapshot
 (** A deep, self-contained copy of a session's whole mutable world:
-    state (placements, fault bookkeeping, per-application allocation
-    caches, ledger, liveness mask), event queue (insertion sequence
-    included) and active policy. Immutable structure is shared — PTGs
+    state (placements, fault bookkeeping and memoised failure verdicts,
+    per-application allocation caches, ledger, liveness mask), event
+    queue (announcement buffers and insertion sequence included) and
+    active policy. Immutable structure is shared — PTGs
     (the caches bind to them by physical equality), the policy and the
     fault scenario (outage list plus a {e pure} pre-rolled failure
     function of the seed; there is no mutable PRNG stream to
@@ -215,8 +222,9 @@ type snapshot
     quiescence replays the exact event log the uninterrupted [s] would
     have produced — float for float, tiebreak for tiebreak, fault
     scenarios included. The snapshot/restore qcheck property and the CI
-    checkpoint job enforce this. The mapper session is a cache and is
-    not captured: a restored session starts with a fresh one. *)
+    checkpoint job enforce this. The mapper session and the
+    availability buffer are caches and are not captured: a restored
+    session starts with fresh ones. *)
 
 val snapshot : session -> snapshot
 (** Capture the session mid-run. O(state); the session is untouched and

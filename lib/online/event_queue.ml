@@ -1,3 +1,5 @@
+module Heap = Mcs_util.Heap
+
 type kind =
   | Arrival of int
   | Task_finish of { app : int; node : int }
@@ -10,11 +12,6 @@ type kind =
 type event = {
   time : float;
   kind : kind;
-}
-
-type entry = {
-  ev : event;
-  seq : int;
 }
 
 let kind_rank = function
@@ -32,8 +29,7 @@ let kind_rank = function
    interleaved with announcements. App index (then node) is the
    deterministic tiebreak; processor events use their first (lowest)
    processor id. The sequence number remains as the final resort. The
-   key is two ints rather than a pair so that comparing never
-   allocates. *)
+   key is two ints, so the heap stores it unboxed. *)
 let key_major = function
   | Arrival a | Departure a -> a
   | Task_finish { app; _ } | Task_failed { app; _ } | Resize { app; _ } -> app
@@ -45,42 +41,31 @@ let key_minor = function
     node
   | Proc_down _ | Proc_up _ -> -2
 
-let entry_cmp a b =
-  let c = Float.compare a.ev.time b.ev.time in
-  if c <> 0 then c
-  else
-    let c = Int.compare (kind_rank a.ev.kind) (kind_rank b.ev.kind) in
-    if c <> 0 then c
-    else
-      let c = Int.compare (key_major a.ev.kind) (key_major b.ev.kind) in
-      if c <> 0 then c
-      else
-        let c = Int.compare (key_minor a.ev.kind) (key_minor b.ev.kind) in
-        if c <> 0 then c else Int.compare a.seq b.seq
+(* A slot of either heap is keyed by (time, kind rank, content key,
+   insertion sequence) and holds the kind the caller pushed: the event
+   record is built only when it is peeked or popped. Sequence numbers
+   are unique, so the order is total. *)
+let dummy = Departure (-1)
 
 (* [fixed] holds the events no reschedule revokes; [current] holds the
    announcements of the live schedule generation only. *)
 type t = {
-  fixed : entry Mcs_util.Heap.t;
-  current : entry Mcs_util.Heap.t;
+  fixed : kind Heap.t;
+  current : kind Heap.t;
   mutable next_seq : int;
 }
 
 let create () =
-  {
-    fixed = Mcs_util.Heap.create ~cmp:entry_cmp;
-    current = Mcs_util.Heap.create ~cmp:entry_cmp;
-    next_seq = 0;
-  }
+  { fixed = Heap.create ~dummy; current = Heap.create ~dummy; next_seq = 0 }
 
-(* Entries are immutable records, so sharing them across the copied
-   heaps is safe; preserving [next_seq] keeps the insertion-sequence
-   tiebreak — and hence every future pop order — bit-identical between
-   the copy and the original. *)
+(* Kinds are immutable, so sharing them across the copied heaps is
+   safe; preserving [next_seq] keeps the insertion-sequence tiebreak —
+   and hence every future pop order — bit-identical between the copy
+   and the original. *)
 let copy t =
   {
-    fixed = Mcs_util.Heap.copy t.fixed;
-    current = Mcs_util.Heap.copy t.current;
+    fixed = Heap.copy t.fixed;
+    current = Heap.copy t.current;
     next_seq = t.next_seq;
   }
 
@@ -92,27 +77,40 @@ let push t ~time kind =
     | Arrival _ | Proc_down _ | Proc_up _ -> t.fixed
     | Task_finish _ | Task_failed _ | Departure _ | Resize _ -> t.current
   in
-  Mcs_util.Heap.push heap { ev = { time; kind }; seq = t.next_seq };
+  Heap.push heap time (kind_rank kind) (key_major kind) (key_minor kind)
+    t.next_seq kind;
   t.next_seq <- t.next_seq + 1
 
-let next_generation t = Mcs_util.Heap.clear t.current
+(* The buffers stay for the next generation's announcements. *)
+let next_generation t = Heap.clear t.current
 
-(* The heap whose top is the overall minimum. [entry_cmp] is a total
-   order (sequence numbers are unique), so always taking the smaller
-   top pops exactly the order one merged heap would. *)
+(* The heap whose minimum is the overall minimum. The order is total,
+   so always taking the smaller minimum pops exactly the order one
+   merged heap would. *)
 let front t =
-  match (Mcs_util.Heap.peek t.fixed, Mcs_util.Heap.peek t.current) with
-  | Some f, Some c when entry_cmp c f < 0 -> t.current
-  | None, Some _ -> t.current
-  | _, _ -> t.fixed
+  if Heap.is_empty t.current then t.fixed
+  else if Heap.is_empty t.fixed || Heap.min_before t.current t.fixed then
+    t.current
+  else t.fixed
 
-let pop t = Option.map (fun e -> e.ev) (Mcs_util.Heap.pop (front t))
+let peek t =
+  let h = front t in
+  if Heap.is_empty h then None
+  else Some { time = Heap.min_key h; kind = Heap.min_value h }
 
-let peek t = Option.map (fun e -> e.ev) (Mcs_util.Heap.peek (front t))
+(* A pop that empties a heap frees its buffers: an engine whose queue
+   has drained keeps none, and a warm one regrows them on its next
+   reschedule. *)
+let pop t =
+  let h = front t in
+  if Heap.is_empty h then None
+  else begin
+    let ev = { time = Heap.min_key h; kind = Heap.min_value h } in
+    Heap.drop_min h;
+    if Heap.is_empty h then Heap.release h;
+    Some ev
+  end
 
-let is_empty t =
-  Mcs_util.Heap.is_empty t.fixed && Mcs_util.Heap.is_empty t.current
-
-let length t = Mcs_util.Heap.length t.fixed + Mcs_util.Heap.length t.current
-
+let is_empty t = Heap.is_empty t.fixed && Heap.is_empty t.current
+let length t = Heap.length t.fixed + Heap.length t.current
 let pushed t = t.next_seq

@@ -25,7 +25,15 @@
     reschedule rewrites the future and re-announces it. The queue keeps
     them apart from the events no reschedule revokes (arrivals, outages,
     recoveries), and {!next_generation} drops them all at once. Nothing
-    revoked is ever popped or counted. *)
+    revoked is ever popped or counted.
+
+    Each side is one {!Mcs_util.Heap} whose slots hold the ordering key
+    in scalar buffers and the pushed kind as the value; the event record
+    is built only by {!peek} and {!pop}. Most announcements are dropped
+    unpopped, so the kind the caller built is the only allocation an
+    announcement costs. The buffers survive {!next_generation}, so a
+    warm generation allocates nothing else, and a pop that empties a
+    side frees its buffers, so a drained queue keeps none. *)
 
 type kind =
   | Arrival of int  (** application index *)
@@ -51,7 +59,8 @@ val create : unit -> t
 (** Fresh empty queue with the insertion sequence at zero. *)
 
 val copy : t -> t
-(** Self-contained clone: same pending events, same insertion sequence.
+(** Self-contained clone: same pending events, same insertion sequence,
+    buffers of the same sizes.
     Pushes, pops and generation changes on either queue never affect the
     other, and — the snapshot/restore contract — the clone pops the
     exact sequence the original would, tiebreaks included. *)
@@ -62,12 +71,14 @@ val push : t -> time:float -> kind -> unit
     @raise Invalid_argument on a negative or non-finite time. *)
 
 val next_generation : t -> unit
-(** Open a new schedule generation: drop every pending announcement.
-    Arrivals, outages and recoveries stay queued. *)
+(** Open a new schedule generation: drop every pending announcement,
+    keeping the buffers. Arrivals, outages and recoveries stay queued. *)
 
 val pop : t -> event option
 (** Remove and return the next event in (time, kind, content key,
-    insertion) order, or [None] when the queue is empty. *)
+    insertion) order, or [None] when the queue is empty. A pop that
+    empties the announcements or the fixed events frees that side's
+    buffers. *)
 
 val peek : t -> event option
 (** The event {!pop} would return, without removing it. *)

@@ -19,6 +19,7 @@ type app = {
   committed : bool array;
   progress : float array;
   seg_overhead : float array;
+  mutable verdicts : int array;
   mutable last_alloc : int array;
   alloc_cache : Mcs_sched.Allocation.cache;
 }
@@ -60,6 +61,7 @@ let make_app index ptg release =
     committed = Array.make n false;
     progress = Array.make n 0.;
     seg_overhead = Array.make n 0.;
+    verdicts = [||];
     last_alloc = [||];
     alloc_cache = Mcs_sched.Allocation.cache_create ();
   }
@@ -106,6 +108,7 @@ let copy_app (a : app) =
     committed = Array.copy a.committed;
     progress = Array.copy a.progress;
     seg_overhead = Array.copy a.seg_overhead;
+    verdicts = Array.copy a.verdicts;
     last_alloc = Array.copy a.last_alloc;
     alloc_cache = Mcs_sched.Allocation.cache_copy a.alloc_cache;
   }
@@ -170,25 +173,6 @@ let pinned_of t app =
       | Some p when p.Schedule.start <= t.now +. Floatx.eps -> Some p
       | Some _ | None -> None)
     app.placements
-
-let proc_avail t =
-  let avail = Array.make (P.total_procs t.platform) t.now in
-  Array.iter
-    (fun app ->
-      if app.status = Active then
-        Array.iter
-          (fun pl ->
-            match pl with
-            | Some pl
-              when pl.Schedule.start <= t.now +. Floatx.eps
-                   && pl.Schedule.finish > t.now ->
-              Array.iter
-                (fun p -> avail.(p) <- Float.max avail.(p) pl.Schedule.finish)
-                pl.Schedule.procs
-            | Some _ | None -> ())
-          app.placements)
-    t.apps;
-  avail
 
 let alloc_cache_stats t =
   Array.fold_left

@@ -40,6 +40,14 @@ type app = {
           {e current} segment, seconds — 0 unless the segment follows a
           resize; the current segment makes work progress only after
           [start + seg_overhead] *)
+  mutable verdicts : int array;
+      (** the engine's memo of each node's transient-failure verdict
+          under fault injection: [2 * attempt + 1] if that attempt is
+          rolled to fail, [2 * attempt] if it completes, [-1] before
+          the first roll; [[||]] until the engine rolls one and again
+          once the application departs. A pure
+          function of the scenario seed, the application, the node and
+          the attempt, so a copy or a cold memo rolls the same *)
   mutable last_alloc : int array;
       (** reference allocation of the last reschedule that covered this
           application ([[||]] before the first) — what the mid-run
@@ -107,15 +115,10 @@ val active : t -> app list
     order — the set β is recomputed over. *)
 
 val pinned_of : t -> app -> Mcs_sched.Schedule.placement option array
-(** Placements of [app] that have started (start ≤ now): the frozen
-    part handed to {!Mcs_sched.List_mapper.run} as [pinned]. All-[None]
-    for an application that has never been scheduled. *)
-
-val proc_avail : t -> float array
-(** Per-processor availability: [max now (finish of running work)] —
-    the [avail] profile for partial rescheduling. Processors without
-    running work are free from [now] (mapping into the past is
-    impossible either way). *)
+(** A fresh array of the placements of [app] that have started
+    (start ≤ now): the frozen part {!Engine.audit} hands the checker.
+    All-[None] for an application that has never been scheduled. The
+    engine's reschedule pins in place instead. *)
 
 val alloc_cache_stats : t -> int * int * int
 (** Summed [(hits, rescales, misses)] of every application's allocation

@@ -23,31 +23,13 @@ type options = {
 
 let default_options = { ordering = Ready_tasks; packing = true }
 
-(* Priority-queue entries: higher bottom level first; ties broken by
-   application index then topological rank so that the order is total,
-   deterministic, and precedence-compatible. *)
-type entry = {
-  priority : float;
-  app : int;
-  topo_rank : int;
-  node : int;
-}
-
-let entry_cmp a b =
-  if a.priority > b.priority then -1
-  else if a.priority < b.priority then 1
-  else begin
-    let c = compare a.app b.app in
-    if c <> 0 then c else compare a.topo_rank b.topo_rank
-  end
-
 (* One application's memo entry, kept by a session under the caller's
    id. [topo_rank] is a function of the DAG alone and [seq] of the PTG
    and the session's platform, so both hold as long as the entry does;
    [bl] is a function of the DAG, the allocation and the reference
    speed, and is recomputed only when [alloc] or [speed] differ from
-   the map's. [placements] and [pending] are per-map state, reset by
-   every map. *)
+   the map's. [pending] is per-map state, reset by every map; the
+   placements are the caller's. *)
 type app_state = {
   ptg : Ptg.t;
   alloc : int array;                    (* the allocation of [bl] *)
@@ -55,7 +37,6 @@ type app_state = {
   bl : float array;                     (* bottom levels (priorities) *)
   topo_rank : int array;
   seq : float array;                    (* [v * nc + k] -> sequential time *)
-  placements : Schedule.placement option array;
   pending : int array;                  (* unmapped predecessor count *)
   mutable map_id : int;                 (* the last map that used it *)
 }
@@ -81,7 +62,6 @@ let new_state platform ptg =
     bl = Array.make n 0.;
     topo_rank;
     seq;
-    placements = Array.make n None;
     pending = Array.make n 0;
     map_id = -1;
   }
@@ -169,8 +149,7 @@ let create_scratch platform =
    return their count. Also sum what depends on neither cluster nor
    width: the latest predecessor finish, and the aggregate-NIC totals
    over the predecessors that send data. *)
-let load_preds s state v =
-  let ptg = state.ptg in
+let load_preds s ptg placements v =
   let preds = Dag.preds ptg.Ptg.dag v in
   let np = Array.length preds in
   if np > Array.length s.p_finish then begin
@@ -184,7 +163,7 @@ let load_preds s state v =
   for i = 0 to np - 1 do
     let u, e = preds.(i) in
     let pu =
-      match state.placements.(u) with
+      match placements.(u) with
       | Some p -> p
       | None -> assert false (* guaranteed by readiness *)
     in
@@ -411,9 +390,10 @@ let virtual_placement s v np =
    resulting placements are bit-identical to the exhaustive search.
    The winner is a window of its cluster's view, and committing it
    moves that window alone. *)
-let place_task s platform ref_cluster avail_idx proc_avail state v ~packing =
+let place_task s platform ref_cluster avail_idx proc_avail state placements v
+    ~packing =
   let ptg = state.ptg in
-  let np = load_preds s state v in
+  let np = load_preds s ptg placements v in
   if Ptg.is_virtual ptg v then virtual_placement s v np
   else begin
     let task = ptg.Ptg.tasks.(v) in
@@ -499,9 +479,10 @@ let place_task s platform ref_cluster avail_idx proc_avail state v ~packing =
    every cluster. Existing reservations never move, so no earlier-queued
    task can be delayed — the defining property of conservative
    backfilling. *)
-let place_task_backfill s platform ref_cluster timeline subsets state v =
+let place_task_backfill s platform ref_cluster timeline subsets state
+    placements v =
   let ptg = state.ptg in
-  let np = load_preds s state v in
+  let np = load_preds s ptg placements v in
   if Ptg.is_virtual ptg v then virtual_placement s v np
   else begin
     let task = ptg.Ptg.tasks.(v) in
@@ -545,12 +526,12 @@ let place_task_backfill s platform ref_cluster timeline subsets state v =
   end
 
 (* A session keeps what one map leaves for the next: the scratch and
-   the ready heap, the availability array with the index and groups
+   the ready heap's buffers, the availability array with the index and groups
    built over it for the mask in [live], and the memo. *)
 type session = {
   platform : P.t;
   scratch : scratch;
-  heap : entry Mcs_util.Heap.t;
+  heap : unit Mcs_util.Heap.t;          (* see [map_body] *)
   avail : float array;                  (* shared with [index] *)
   live : bool array;                    (* the mask [groups] were built for *)
   mutable groups : int array array;     (* live processors per cluster *)
@@ -577,7 +558,7 @@ let session platform =
   {
     platform;
     scratch = create_scratch platform;
-    heap = Mcs_util.Heap.create ~cmp:entry_cmp;
+    heap = Mcs_util.Heap.create ~dummy:();
     avail;
     live;
     groups;
@@ -586,7 +567,11 @@ let session platform =
     maps = 0;
   }
 
-let forget session id = Hashtbl.remove session.memo id
+(* With no application left, the ready heap's buffers go too: an idle
+   session keeps nothing sized by past load. *)
+let forget session id =
+  Hashtbl.remove session.memo id;
+  if Hashtbl.length session.memo = 0 then Mcs_util.Heap.release session.heap
 
 (* The memo entry of application [id] for this map, its bottom levels
    brought up to date. An entry stays valid while [id] maps to the same
@@ -625,14 +610,16 @@ let prepare session ref_cluster (id, ptg, alloc) =
       ~edge_weight:(fun _ -> 0.)
       state.bl
   end;
-  Array.fill state.placements 0 n None;
   for v = 0 to n - 1 do
     state.pending.(v) <- Dag.in_degree dag v
   done;
   state
 
-let map_body ~options ?release ?pinned ?avail ?up ?task_floor session
-    ref_cluster apps =
+(* Every map writes its placements into the caller's [placements]:
+   [placements.(i).(v) = Some pl] on entry pins node [v] of application
+   [i], and every [None] is filled. *)
+let map_body ~options ?release ?avail ?up ?task_floor session ref_cluster
+    apps placements =
   let platform = session.platform in
   session.maps <- session.maps + 1;
   (match up with
@@ -679,35 +666,30 @@ let map_body ~options ?release ?pinned ?avail ?up ?task_floor session
   (* Freeze pinned placements: they count as already mapped (successors'
      pending counts drop) but are never (re)placed, and their processor
      occupancy is carried by [avail] rather than re-reserved here. *)
-  (match pinned with
-  | None -> ()
-  | Some pin ->
-    if Array.length pin <> Array.length states then
-      invalid_arg "List_mapper.run: pinned length differs from apps";
-    Array.iteri
-      (fun i state ->
-        let dag = state.ptg.Ptg.dag in
-        let n = Dag.node_count dag in
-        if Array.length pin.(i) <> n then
-          invalid_arg "List_mapper.run: pinned node count differs from DAG";
-        Array.iteri
-          (fun v pl ->
-            match pl with
-            | None -> ()
-            | Some pl ->
-              if pl.Schedule.node <> v then
-                invalid_arg "List_mapper.run: pinned placement mislabeled";
-              state.placements.(v) <- Some pl;
-              Array.iter
-                (fun (w, _e) -> state.pending.(w) <- state.pending.(w) - 1)
-                (Dag.succs dag v))
-          pin.(i))
-      states);
-  let is_pinned i v =
-    match pinned with
-    | None -> false
-    | Some pin -> pin.(i).(v) <> None
-  in
+  if Array.length placements <> Array.length states then
+    invalid_arg "List_mapper.run: pinned length differs from apps";
+  Array.iteri
+    (fun i state ->
+      let dag = state.ptg.Ptg.dag and pls = placements.(i) in
+      if Array.length pls <> Dag.node_count dag then
+        invalid_arg "List_mapper.run: pinned node count differs from DAG";
+      for v = 0 to Array.length pls - 1 do
+        match pls.(v) with
+        | None -> ()
+        | Some pl ->
+          if pl.Schedule.node <> v then
+            invalid_arg "List_mapper.run: pinned placement mislabeled";
+          let succs = Dag.succs dag v in
+          for j = 0 to Array.length succs - 1 do
+            let w, _e = succs.(j) in
+            state.pending.(w) <- state.pending.(w) - 1
+          done
+      done)
+    states;
+  (* Only a pinned node is placed before it becomes ready: a node is
+     placed once popped, and it is pushed when its last predecessor is
+     placed. So wherever this is asked, [Some] means pinned. *)
+  let is_pinned i v = placements.(i).(v) <> None in
   let proc_avail = session.avail in
   (match avail with
   | None -> Array.fill proc_avail 0 (Array.length proc_avail) 0.
@@ -755,7 +737,8 @@ let map_body ~options ?release ?pinned ?avail ?up ?task_floor session
   (* What a map reads before writing: the Global_fcfs bound, and a heap
      that a raising map may have left non-empty. *)
   s.f.(f_fcfs) <- 0.;
-  Mcs_util.Heap.clear session.heap;
+  let heap = session.heap in
+  Mcs_util.Heap.clear heap;
   let place i v =
     let state = states.(i) in
     let f = s.f in
@@ -765,15 +748,15 @@ let map_body ~options ?release ?pinned ?avail ?up ?task_floor session
       | Global_backfill ->
         f.(f_floor) <- Float.max release.(i) (node_floor i v);
         place_task_backfill s platform ref_cluster (Lazy.force timeline)
-          groups state v
+          groups state placements.(i) v
       | Ready_tasks | Global_fcfs ->
         (* [f_fcfs] only moves in Global_fcfs mode. *)
         f.(f_floor) <-
           Float.max release.(i) (Float.max f.(f_fcfs) (node_floor i v));
-        place_task s platform ref_cluster avail_idx proc_avail state v
-          ~packing:options.packing
+        place_task s platform ref_cluster avail_idx proc_avail state
+          placements.(i) v ~packing:options.packing
     in
-    state.placements.(v) <- Some pl;
+    placements.(i).(v) <- Some pl;
     if not (Ptg.is_virtual state.ptg v) then Obs.incr c_tasks_mapped;
     (match options.ordering with
     | Global_fcfs ->
@@ -795,28 +778,31 @@ let map_body ~options ?release ?pinned ?avail ?up ?task_floor session
       Obs.leave ();
       raise e
   in
-  (match options.ordering with
-  | Ready_tasks ->
-    let heap = session.heap in
-    let push i v =
-      Mcs_util.Heap.push heap
-        {
-          priority = states.(i).bl.(v);
-          app = i;
-          topo_rank = states.(i).topo_rank.(v);
-          node = v;
-        };
-      Obs.record_max c_ready_peak (Mcs_util.Heap.length heap)
-    in
-    Array.iteri
-      (fun i state ->
-        for v = 0 to Dag.node_count state.ptg.Ptg.dag - 1 do
-          if state.pending.(v) = 0 && not (is_pinned i v) then push i v
-        done)
-      states;
-    while not (Mcs_util.Heap.is_empty heap) do
-      let { app = i; node = v; _ } = Mcs_util.Heap.pop_exn heap in
-      commit i v;
+  (* The ready heap pops the highest bottom level first (its key is the
+     negated priority, which negation keeps exact), then the lowest
+     application index, then the lowest topological rank: a total,
+     deterministic and precedence-compatible order. Ready_tasks seeds
+     it with the ready nodes and pushes each successor as it becomes
+     ready. The global orderings push every unpinned node up front: one
+     static list over all applications. *)
+  let global = options.ordering <> Ready_tasks in
+  let push i v =
+    let state = states.(i) in
+    Mcs_util.Heap.push heap (-.state.bl.(v)) i state.topo_rank.(v) v 0 ();
+    if not global then Obs.record_max c_ready_peak (Mcs_util.Heap.length heap)
+  in
+  Array.iteri
+    (fun i state ->
+      for v = 0 to Dag.node_count state.ptg.Ptg.dag - 1 do
+        if (global || state.pending.(v) = 0) && not (is_pinned i v) then
+          push i v
+      done)
+    states;
+  while not (Mcs_util.Heap.is_empty heap) do
+    let i = Mcs_util.Heap.min_int heap 0 and v = Mcs_util.Heap.min_int heap 2 in
+    Mcs_util.Heap.drop_min heap;
+    commit i v;
+    if not global then begin
       let state = states.(i) in
       let succs = Dag.succs state.ptg.Ptg.dag v in
       for j = 0 to Array.length succs - 1 do
@@ -824,55 +810,40 @@ let map_body ~options ?release ?pinned ?avail ?up ?task_floor session
         state.pending.(w) <- state.pending.(w) - 1;
         if state.pending.(w) = 0 && not (is_pinned i w) then push i w
       done
-    done
-  | Global_fcfs | Global_backfill ->
-    (* Single static list over all applications, sorted by bottom level.
-       Within a PTG the bottom-level order is precedence-compatible
-       (ties resolved by topological rank). *)
-    let all = ref [] in
-    Array.iteri
-      (fun i state ->
-        for v = 0 to Dag.node_count state.ptg.Ptg.dag - 1 do
-          if not (is_pinned i v) then
-            all :=
-              {
-                priority = state.bl.(v);
-                app = i;
-                topo_rank = state.topo_rank.(v);
-                node = v;
-              }
-              :: !all
-        done)
-      states;
-    let sorted = List.sort entry_cmp !all in
-    List.iter (fun { app = i; node = v; _ } -> commit i v) sorted);
-  Array.to_list
-    (Array.map
-       (fun state ->
-         let placements =
-           Array.map
-             (fun pl ->
-               match pl with
-               | Some p -> p
-               | None -> assert false (* every node gets mapped *))
-             state.placements
-         in
-         Schedule.make ~ptg:state.ptg ~placements)
-       states)
+    end
+  done
 
-let map ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
-    session ref_cluster apps =
+let map ?(options = default_options) ?release ?avail ?up ?task_floor session
+    ref_cluster apps ~placements =
   if apps = [] then invalid_arg "List_mapper.run: no applications";
   Obs.with_span "mapper.run" @@ fun () ->
-  map_body ~options ?release ?pinned ?avail ?up ?task_floor session
-    ref_cluster apps
+  map_body ~options ?release ?avail ?up ?task_floor session ref_cluster apps
+    placements
 
 (* A fresh session per call, created inside the span as the per-run
-   state it replaces was. *)
+   state it replaces was, writing into fresh placement arrays. *)
 let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
     platform ref_cluster apps =
   if apps = [] then invalid_arg "List_mapper.run: no applications";
   Obs.with_span "mapper.run" @@ fun () ->
-  map_body ~options ?release ?pinned ?avail ?up ?task_floor (session platform)
+  let placements =
+    match pinned with
+    | Some pin -> Array.map Array.copy pin
+    | None ->
+      Array.of_list
+        (List.map (fun (ptg, _) -> Array.make (Ptg.node_count ptg) None) apps)
+  in
+  map_body ~options ?release ?avail ?up ?task_floor (session platform)
     ref_cluster
     (List.mapi (fun i (ptg, alloc) -> (i, ptg, alloc)) apps)
+    placements;
+  List.mapi
+    (fun i (ptg, _) ->
+      let placements =
+        Array.map
+          (function
+            | Some p -> p | None -> assert false (* every node gets mapped *))
+          placements.(i)
+      in
+      Schedule.make ~ptg ~placements)
+    apps

@@ -28,16 +28,16 @@
     and finish no later than with its original allocation.
 
     The working state lives in a {!session}: the availability index,
-    the ready heap, a placement scratch reused by every (task, cluster,
-    width) pricing, and a memo of each application's topological ranks,
-    sequential times per cluster and bottom levels (DESIGN.md section
-    10). A session has one owner: the online engine keeps one for its
-    whole life, so a reschedule reuses what the previous generation
-    built, and never shares it across domains. {!run} still owns its
-    own state, on a fresh session per call, so shard domains and
-    [Parmap] workers may run it concurrently. Pricing a candidate
-    allocates nothing; a map allocates the placements it returns and
-    per-node bookkeeping. *)
+    the ready heap's scalar buffers, a placement scratch reused by every
+    (task, cluster, width) pricing, and a memo of each application's
+    topological ranks, sequential times per cluster and bottom levels
+    (DESIGN.md section 10). A session has one owner: the online engine
+    keeps one for its whole life, so a reschedule reuses what the
+    previous generation built, and never shares it across domains.
+    {!run} still owns its own state, on a fresh session per call, so
+    shard domains and [Parmap] workers may run it concurrently. Pricing
+    a candidate allocates nothing, and the ready heap keeps its buffers
+    from map to map; a map allocates the placements it writes. *)
 
 type ordering = Ready_tasks | Global_fcfs | Global_backfill
 
@@ -103,26 +103,33 @@ val session : Mcs_platform.Platform.t -> session
 val map :
   ?options:options ->
   ?release:float array ->
-  ?pinned:Schedule.placement option array array ->
   ?avail:float array ->
   ?up:bool array ->
   ?task_floor:float array array ->
   session ->
   Reference_cluster.t ->
   (int * Mcs_ptg.Ptg.t * int array) list ->
-  Schedule.t list
-(** [map session ref apps] is {!run} on the session's platform, each
-    application given with an id of the caller's choosing, and gives
-    the same schedules. The session keeps per id the topological ranks
-    of its PTG and its tasks' sequential times on each cluster, valid
+  placements:Schedule.placement option array array ->
+  unit
+(** [map session ref apps ~placements] is {!run} on the session's
+    platform, each application given with an id of the caller's
+    choosing, with its output written in place. On entry
+    [placements.(i)] is application [i]'s [pinned] array: a [Some] entry
+    is frozen and shared as it is, never re-wrapped. The map fills every
+    [None] with the placement {!run} would return, so on return every
+    entry is [Some]. The session keeps per id the topological ranks of
+    its PTG and its tasks' sequential times on each cluster, valid
     while the id maps to the same PTG (physical equality), and its
-    bottom levels, recomputed only when the
-    allocation or the reference speed differs from the previous map's.
-    The cluster groups and the availability index are rebuilt only when
-    the [up] mask changes. A map that raises leaves the session usable.
-    @raise Invalid_argument as {!run}, or on an id given twice. *)
+    bottom levels, recomputed only when the allocation or the reference
+    speed differs from the previous map's. The cluster groups and the
+    availability index are rebuilt only when the [up] mask changes. A
+    map that raises leaves the session usable, but may leave
+    [placements] partly filled.
+    @raise Invalid_argument as {!run} (with [placements] as [pinned]),
+    or on an id given twice. *)
 
 val forget : session -> int -> unit
 (** [forget session id] drops the memo of application [id] (a no-op for
     an unknown id), so the memory a session holds follows the caller's
-    live applications. *)
+    live applications. Forgetting the last one also frees the ready
+    heap's buffers. *)

@@ -1,102 +1,155 @@
+(* Slot [i] is the key [keys.(i)], the ties [ints.(4i) .. ints.(4i + 3)]
+   and the value [vals.(i)]. The buffers hold [capacity + 1] slots: the
+   last one is a register that holds the slot being sifted, so that
+   every comparison and every move is between two slots and sifting
+   moves a hole instead of swapping. Slots outside [0, size) hold
+   [dummy] as their value, so the heap never keeps a removed value
+   alive. *)
 type 'a t = {
-  cmp : 'a -> 'a -> int;
-  mutable data : 'a array;
+  dummy : 'a;
+  mutable keys : float array;
+  mutable ints : int array;
+  mutable vals : 'a array;
   mutable size : int;
 }
 
-let create ~cmp = { cmp; data = [||]; size = 0 }
+let create ~dummy = { dummy; keys = [||]; ints = [||]; vals = [||]; size = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
-(* The backing array is copied but the elements are shared — callers
-   that store mutable elements must deep-copy them themselves (the
-   engine's event queue stores immutable entries, so sharing is safe). *)
-let copy t = { cmp = t.cmp; data = Array.copy t.data; size = t.size }
+let copy t =
+  {
+    dummy = t.dummy;
+    keys = Array.copy t.keys;
+    ints = Array.copy t.ints;
+    vals = Array.copy t.vals;
+    size = t.size;
+  }
 
-(* The doubled buffer is built from the old one, not with
-   [Array.make (2 * cap) x]: above 256 words OCaml 5's [caml_make_vect]
-   first empties the minor heap whenever [x] is young (the runtime's
-   [force_minor_make_vect] counter), and with several domains running
-   every minor collection is a stop-the-world barrier. [Array.append]
-   and [Array.fill] only record the young pointers. The new slots are
-   then seeded with [x], which is live. *)
-let grow t x =
-  let cap = Array.length t.data in
-  if t.size = cap then
-    if cap = 0 then t.data <- Array.make 16 x
+(* Whether slot [i] of ([ka], [ia]) sorts strictly before slot [j] of
+   ([kb], [ib]). Keys that compare neither lower nor higher (equal, or
+   a NaN) tie, and the ints decide. *)
+let[@inline] lt (ka : float array) (ia : int array) i (kb : float array)
+    (ib : int array) j =
+  let x = ka.(i) and y = kb.(j) in
+  x < y
+  || (not (x > y))
+     &&
+     let oi = 4 * i and oj = 4 * j in
+     let p = ia.(oi) and q = ib.(oj) in
+     if p <> q then p < q
+     else
+       let p = ia.(oi + 1) and q = ib.(oj + 1) in
+       if p <> q then p < q
+       else
+         let p = ia.(oi + 2) and q = ib.(oj + 2) in
+         if p <> q then p < q else ia.(oi + 3) < ib.(oj + 3)
+
+let[@inline] before t i j = lt t.keys t.ints i t.keys t.ints j
+
+let[@inline] move t src dst =
+  t.keys.(dst) <- t.keys.(src);
+  let s = 4 * src and d = 4 * dst in
+  t.ints.(d) <- t.ints.(s);
+  t.ints.(d + 1) <- t.ints.(s + 1);
+  t.ints.(d + 2) <- t.ints.(s + 2);
+  t.ints.(d + 3) <- t.ints.(s + 3);
+  t.vals.(dst) <- t.vals.(src)
+
+(* The value buffer is doubled with [Array.append], not
+   [Array.make (2 * cap) dummy]: above 256 words OCaml 5's
+   [caml_make_vect] first empties the minor heap whenever its seed is
+   young, and with several domains running every minor collection is a
+   stop-the-world barrier. [Array.append] and [Array.fill] only record
+   the young pointers. The scalar buffers have no such cost. *)
+let grow t =
+  let slots = Array.length t.keys in
+  let n = if slots = 0 then 16 else 2 * slots in
+  let keys = Array.make n 0. and ints = Array.make (4 * n) 0 in
+  Array.blit t.keys 0 keys 0 t.size;
+  Array.blit t.ints 0 ints 0 (4 * t.size);
+  let vals =
+    if slots = 0 then Array.make n t.dummy
     else begin
-      let nd = Array.append t.data t.data in
-      Array.fill nd cap cap x;
-      t.data <- nd
+      let v = Array.append t.vals t.vals in
+      Array.fill v t.size (n - t.size) t.dummy;
+      v
     end
+  in
+  t.keys <- keys;
+  t.ints <- ints;
+  t.vals <- vals
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.cmp t.data.(i) t.data.(parent) < 0 then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.cmp t.data.(l) t.data.(!smallest) < 0 then smallest := l;
-  if r < t.size && t.cmp t.data.(r) t.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
-
-let push t x =
-  grow t x;
-  t.data.(t.size) <- x;
+let push t key a b c d v =
+  if t.size + 1 >= Array.length t.keys then grow t;
+  let r = Array.length t.keys - 1 in
+  t.keys.(r) <- key;
+  let o = 4 * r in
+  t.ints.(o) <- a;
+  t.ints.(o + 1) <- b;
+  t.ints.(o + 2) <- c;
+  t.ints.(o + 3) <- d;
+  t.vals.(r) <- v;
+  let i = ref t.size in
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  while !i > 0 && before t r ((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    move t p !i;
+    i := p
+  done;
+  move t r !i;
+  t.vals.(r) <- t.dummy
 
-(* Slots in [size, cap) may still reference elements that left the heap:
-   [grow] seeds them with whatever was being pushed, and [pop] parks a
-   then-live element there. Dropping the trailing region once occupancy
-   falls below a quarter keeps those strays from pinning popped values. *)
-let shrink t =
-  if t.size = 0 then t.data <- [||]
-  else if 4 * t.size <= Array.length t.data then
-    t.data <- Array.sub t.data 0 t.size
+let empty name = invalid_arg ("Heap." ^ name ^ ": empty heap")
 
-let pop_exn t =
-  if t.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
-  let top = t.data.(0) in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.data.(0) <- t.data.(t.size);
-    (* Overwrite the vacated slot with a still-live element so the
-       array does not keep the popped value reachable forever. *)
-    t.data.(t.size) <- t.data.(0);
-    sift_down t 0
+let min_key t =
+  if t.size = 0 then empty "min_key";
+  t.keys.(0)
+
+let min_int t j =
+  if t.size = 0 then empty "min_int";
+  if j < 0 || j > 3 then invalid_arg "Heap.min_int: no such int";
+  t.ints.(j)
+
+let min_value t =
+  if t.size = 0 then empty "min_value";
+  t.vals.(0)
+
+let min_before a b =
+  if a.size = 0 || b.size = 0 then empty "min_before";
+  lt a.keys a.ints 0 b.keys b.ints 0
+
+let drop_min t =
+  if t.size = 0 then empty "drop_min";
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let r = Array.length t.keys - 1 in
+    move t n r;
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let c = if l + 1 < n && before t (l + 1) l then l + 1 else l in
+        if before t c r then begin
+          move t c !i;
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    move t r !i;
+    t.vals.(r) <- t.dummy
   end;
-  shrink t;
-  top
-
-let pop t = if t.size = 0 then None else Some (pop_exn t)
-
-let peek t = if t.size = 0 then None else Some t.data.(0)
+  t.vals.(n) <- t.dummy
 
 let clear t =
-  t.size <- 0;
-  t.data <- [||]
+  Array.fill t.vals 0 t.size t.dummy;
+  t.size <- 0
 
-let to_list t =
-  let rec loop i acc =
-    if i < 0 then acc else loop (i - 1) (t.data.(i) :: acc)
-  in
-  loop (t.size - 1) []
-
-let of_list ~cmp l =
-  let t = create ~cmp in
-  List.iter (push t) l;
-  t
+let release t =
+  t.keys <- [||];
+  t.ints <- [||];
+  t.vals <- [||];
+  t.size <- 0

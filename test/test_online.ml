@@ -548,23 +548,16 @@ let test_policy_flags_and_kernel_registry () =
 
 (* ---------- Generation-scoped event queue ---------- *)
 
-module Heap = Mcs_util.Heap
 module Malleability = Mcs_sched.Malleability
 
-(* Reference model: one heap of generation-stamped entries whose stale
-   announcements are filtered at pop time. The two-heap queue must pop
-   exactly its live sequence. *)
+(* Reference model: one ordered set of generation-stamped entries whose
+   stale announcements are filtered at pop time. The two-heap queue
+   must pop exactly its live sequence. *)
 type ref_entry = {
   r_time : float;
   r_kind : Event_queue.kind;
   r_gen : int;
   r_seq : int;
-}
-
-type ref_queue = {
-  entries : ref_entry Heap.t;
-  mutable live_gen : int;
-  mutable next_seq : int;
 }
 
 let ref_rank = function
@@ -590,6 +583,18 @@ let ref_cmp a b =
     (a.r_time, ref_rank a.r_kind, ref_key a.r_kind, a.r_seq)
     (b.r_time, ref_rank b.r_kind, ref_key b.r_kind, b.r_seq)
 
+module Ref_set = Set.Make (struct
+  type t = ref_entry
+
+  let compare = ref_cmp
+end)
+
+type ref_queue = {
+  mutable entries : Ref_set.t;
+  mutable live_gen : int;
+  mutable next_seq : int;
+}
+
 let ref_stale m e =
   match e.r_kind with
   | Event_queue.Arrival _ | Event_queue.Proc_down _ | Event_queue.Proc_up _ ->
@@ -599,16 +604,21 @@ let ref_stale m e =
     e.r_gen <> m.live_gen
 
 let rec ref_pop m =
-  match Heap.pop m.entries with
+  match Ref_set.min_elt_opt m.entries with
   | None -> None
-  | Some e when ref_stale m e -> ref_pop m
-  | Some e -> Some (e.r_time, e.r_kind)
+  | Some e ->
+    m.entries <- Ref_set.remove e m.entries;
+    if ref_stale m e then ref_pop m else Some (e.r_time, e.r_kind)
 
 let ref_live m =
-  List.length
-    (List.filter (fun e -> not (ref_stale m e)) (Heap.to_list m.entries))
+  Ref_set.fold (fun e n -> if ref_stale m e then n else n + 1) m.entries 0
 
-type queue_op = Push of float * Event_queue.kind | Bump | Pop | Copy
+type queue_op =
+  | Push of float * Event_queue.kind
+  | Burst of (float * Event_queue.kind) list
+  | Bump
+  | Pop
+  | Copy
 
 (* Few apps, nodes, processors and instants, so that equal times and
    equal content keys collide often. *)
@@ -619,30 +629,50 @@ let gen_queue_op =
   let procs =
     map2 (fun p wide -> if wide then [| p; p + 1 |] else [| p |]) small bool
   in
+  let announcement =
+    oneof
+      [
+        task (fun app node -> Event_queue.Task_finish { app; node });
+        task (fun app node -> Event_queue.Task_failed { app; node });
+        map (fun a -> Event_queue.Departure a) small;
+        task (fun app node -> Event_queue.Resize { app; node });
+      ]
+  in
   let kind =
     oneof
       [
         map (fun a -> Event_queue.Arrival a) small;
-        task (fun app node -> Event_queue.Task_finish { app; node });
-        task (fun app node -> Event_queue.Task_failed { app; node });
-        map (fun a -> Event_queue.Departure a) small;
+        announcement;
         map (fun ps -> Event_queue.Proc_down ps) procs;
         map (fun ps -> Event_queue.Proc_up ps) procs;
-        task (fun app node -> Event_queue.Resize { app; node });
       ]
   in
+  let timed k = map2 (fun t k -> (float_of_int t /. 2., k)) (int_range 0 4) k in
   frequency
     [
-      (6, map2 (fun t k -> Push (float_of_int t /. 2., k)) (int_range 0 4) kind);
+      (6, map (fun (t, k) -> Push (t, k)) (timed kind));
+      (* A burst outgrows the announcement buffers of one generation,
+         so buffers double while holding data, a later copy or pop
+         lands mid-growth, and a later generation reuses them. *)
+      (1, map (fun l -> Burst l) (list_size (int_range 100 400) (timed announcement)));
       (1, return Bump);
       (4, return Pop);
       (1, return Copy);
     ]
 
+let show_push (t, k) =
+  let a, b = ref_key k in
+  let width =
+    match k with
+    | Event_queue.Proc_down ps | Event_queue.Proc_up ps ->
+      Printf.sprintf "x%d" (Array.length ps)
+    | _ -> ""
+  in
+  Printf.sprintf "push %g kind%d(%d,%d)%s" t (ref_rank k) a b width
+
 let show_queue_op = function
-  | Push (t, k) ->
-    let a, b = ref_key k in
-    Printf.sprintf "push %g kind%d(%d,%d)" t (ref_rank k) a b
+  | Push (t, k) -> show_push (t, k)
+  | Burst l -> Printf.sprintf "burst [%s]" (String.concat ", " (List.map show_push l))
   | Bump -> "bump"
   | Pop -> "pop"
   | Copy -> "copy"
@@ -655,17 +685,23 @@ let qcheck_queue_matches_reference =
        QCheck.Gen.(list_size (int_range 0 80) gen_queue_op))
     (fun ops ->
       let q = ref (Event_queue.create ()) in
-      let m =
-        ref { entries = Heap.create ~cmp:ref_cmp; live_gen = 0; next_seq = 0 }
-      in
+      let m = ref { entries = Ref_set.empty; live_gen = 0; next_seq = 0 } in
       let view e = (e.Event_queue.time, e.Event_queue.kind) in
+      let push (time, kind) =
+        Event_queue.push !q ~time kind;
+        let r = !m in
+        r.entries <-
+          Ref_set.add
+            { r_time = time; r_kind = kind; r_gen = r.live_gen; r_seq = r.next_seq }
+            r.entries;
+        r.next_seq <- r.next_seq + 1
+      in
       let step = function
         | Push (time, kind) ->
-          Event_queue.push !q ~time kind;
-          let r = !m in
-          Heap.push r.entries
-            { r_time = time; r_kind = kind; r_gen = r.live_gen; r_seq = r.next_seq };
-          r.next_seq <- r.next_seq + 1;
+          push (time, kind);
+          true
+        | Burst l ->
+          List.iter push l;
           true
         | Bump ->
           Event_queue.next_generation !q;
@@ -681,7 +717,7 @@ let qcheck_queue_matches_reference =
              must not notice. *)
           let original = !q in
           q := Event_queue.copy original;
-          m := { !m with entries = Heap.copy !m.entries };
+          m := { !m with entries = !m.entries };
           Event_queue.push original ~time:0.
             (Event_queue.Task_finish { app = 9; node = 9 });
           ignore (Event_queue.pop original);
@@ -700,6 +736,51 @@ let qcheck_queue_matches_reference =
         | a, b -> a = b && drain ()
       in
       List.for_all (fun op -> step op && agrees ()) ops && drain ())
+
+(* Minor words [f] allocates, net of what measuring costs. *)
+let minor_words_of f =
+  let measure f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let base = measure ignore in
+  measure f -. base
+
+(* The announcement buffers outlive a generation: once grown, a
+   generation of announcements allocates nothing beyond the kinds the
+   caller built. A pop that empties the queue frees them, so the next
+   push grows them afresh. *)
+let test_queue_buffers () =
+  let events =
+    Array.init 1000 (fun i ->
+        {
+          Event_queue.time = float_of_int (i * 7919 mod 1000) /. 8.;
+          kind =
+            (match i mod 3 with
+            | 0 -> Event_queue.Task_finish { app = i mod 7; node = i }
+            | 1 -> Event_queue.Resize { app = i mod 5; node = i }
+            | _ -> Event_queue.Departure i);
+        })
+  in
+  let q = Event_queue.create () in
+  let generation () =
+    for i = 0 to Array.length events - 1 do
+      let e = events.(i) in
+      Event_queue.push q ~time:e.Event_queue.time e.Event_queue.kind
+    done;
+    Event_queue.next_generation q
+  in
+  generation ();
+  Alcotest.(check (float 0.))
+    "a warm generation of 1000 announcements" 0. (minor_words_of generation);
+  Alcotest.(check int) "pushes counted" 2000 (Event_queue.pushed q);
+  Alcotest.(check bool) "generation dropped" true (Event_queue.is_empty q);
+  let push () = Event_queue.push q ~time:1. events.(0).Event_queue.kind in
+  push ();
+  Alcotest.(check bool) "a pop that drains the queue" true
+    (Event_queue.pop q <> None && Event_queue.is_empty q);
+  Alcotest.(check bool) "frees the buffers" true (minor_words_of push > 0.)
 
 let test_pending_events_bounded () =
   (* Every pending event is an unfired arrival, outage or recovery, or
@@ -759,6 +840,33 @@ let test_pending_events_bounded () =
     ((stats.Engine.kills > 0 || stats.Engine.task_failures > 0)
     && stats.Engine.resizes > 0)
 
+(* What the engine allocates per remapped placement, over a whole run
+   that reschedules on every task finish, in minor words (dune's default
+   profile). The mapper's own share is pinned by [sched.mapper]
+   "allocation budget"; this pins the engine's plumbing around it:
+   pinning, availability, announcements and write-back. An engine
+   that copies its placement arrays around every map and boxes every
+   queue entry allocates 627 words here and misses the budget; this one
+   allocates 562. *)
+let test_engine_allocation_budget () =
+  let platform = Grid5000.rennes () in
+  let apps = workload 8 5 ~mean:30. in
+  let policy =
+    Policy.make ~reschedule_on_task_finish:true
+      (Strategy.Weighted (Strategy.Work, 0.7))
+  in
+  let per_remap () =
+    let s = Engine.create ~policy platform apps in
+    let words = minor_words_of (fun () -> Engine.advance s) in
+    words /. float_of_int (Engine.result s).Engine.stats.Engine.remapped_tasks
+  in
+  Mcs_obs.Obs.disable ();
+  ignore (per_remap ());
+  let per = per_remap () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per remapped placement (budget 600)" per)
+    true (per <= 600.)
+
 let suite =
   [
     ( "online.engine",
@@ -776,6 +884,8 @@ let suite =
         Alcotest.test_case "event log ordering + JSON" `Quick
           test_event_log_ordering;
         Alcotest.test_case "replayable through lib/sim" `Quick test_replayable;
+        Alcotest.test_case "allocation budget per remapped placement" `Quick
+          test_engine_allocation_budget;
       ] );
     ( "online.kernel",
       [
@@ -802,5 +912,7 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_queue_matches_reference;
         Alcotest.test_case "pending events bounded by live work" `Quick
           test_pending_events_bounded;
+        Alcotest.test_case "announcement buffers reused, freed on drain"
+          `Quick test_queue_buffers;
       ] );
   ]

@@ -986,9 +986,9 @@ let test_mapper_rejects_bad_input () =
   Alcotest.check_raises "duplicate id"
     (Invalid_argument "List_mapper.map: duplicate application id")
     (fun () ->
-      ignore
-        (List_mapper.map (List_mapper.session platform) r
-           [ (3, ptg, [| 1 |]); (3, ptg, [| 1 |]) ]))
+      List_mapper.map (List_mapper.session platform) r
+        [ (3, ptg, [| 1 |]); (3, ptg, [| 1 |]) ]
+        ~placements:[| [| None |]; [| None |] |])
 
 let qcheck_mapper_schedules_valid =
   QCheck.Test.make
@@ -1087,6 +1087,33 @@ let outcome f =
   match f () with
   | schedules -> Ok (render_schedules schedules)
   | exception Invalid_argument msg -> Error msg
+
+(* [List_mapper.map] on fresh placement arrays holding [pinned], read
+   back as schedules. The pinned options must come back physically
+   shared, not re-wrapped. *)
+let map_schedules ?options ?release ?pinned ?avail ?up ?task_floor session
+    ref_cluster ids =
+  let placements =
+    match pinned with
+    | Some pin -> Array.map Array.copy pin
+    | None ->
+      Array.of_list
+        (List.map (fun (_, ptg, _) -> Array.make (Ptg.node_count ptg) None) ids)
+  in
+  List_mapper.map ?options ?release ?avail ?up ?task_floor session ref_cluster
+    ids ~placements;
+  Option.iter
+    (Array.iteri (fun i pin ->
+         Array.iteri
+           (fun v pl ->
+             if pl <> None && not (pl == placements.(i).(v)) then
+               failwith "map re-wrapped a pinned placement")
+           pin))
+    pinned;
+  List.mapi
+    (fun i (_, ptg, _) ->
+      Schedule.make ~ptg ~placements:(Array.map Option.get placements.(i)))
+    ids
 
 let qcheck_session_matches_fresh_run =
   QCheck.Test.make ~name:"a reused session maps exactly like a fresh run"
@@ -1226,7 +1253,7 @@ let qcheck_session_matches_fresh_run =
         in
         let warm =
           outcome (fun () ->
-              List_mapper.map ~options ?release ?pinned ?avail ?up ?task_floor
+              map_schedules ~options ?release ?pinned ?avail ?up ?task_floor
                 session ref_cluster ids)
         in
         let fresh =
@@ -1288,7 +1315,12 @@ let test_mapper_allocation_budget () =
   let ids = List.mapi (fun i (ptg, alloc) -> (i, ptg, alloc)) apps in
   let warm =
     per_node (fun () ->
-        ignore (List_mapper.map ~release session ref_cluster ids))
+        List_mapper.map ~release session ref_cluster ids
+          ~placements:
+            (Array.of_list
+               (List.map
+                  (fun ptg -> Array.make (Mcs_dag.Dag.node_count ptg.Ptg.dag) None)
+                  ptgs)))
   in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words per node per warm map (budget 45)" warm)

@@ -39,41 +39,108 @@ let test_tolerant_cmp () =
   Alcotest.(check bool) "approx_eq relative" true
     (Floatx.approx_eq 1e12 (1e12 +. 1.) ~tol:1e-9)
 
+(* An int heap: the int is the first tie under a constant key. *)
+let int_heap l =
+  let h = Heap.create ~dummy:() in
+  List.iter (fun x -> Heap.push h 0. x 0 0 0 ()) l;
+  h
+
+let pop_int h =
+  let x = Heap.min_int h 0 in
+  Heap.drop_min h;
+  x
+
 let test_heap_order () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
+  let h = Heap.create ~dummy:"" in
+  List.iter
+    (fun x -> Heap.push h (float_of_int x) 0 0 0 0 (string_of_int x))
+    [ 5; 1; 4; 1; 3; 9; 2 ];
   Alcotest.(check int) "length" 7 (Heap.length h);
-  let drained = List.init 7 (fun _ -> Heap.pop_exn h) in
-  Alcotest.(check (list int)) "sorted drain" [ 1; 1; 2; 3; 4; 5; 9 ] drained;
+  let drained =
+    List.init 7 (fun _ ->
+        let v = Heap.min_value h in
+        Heap.drop_min h;
+        v)
+  in
+  Alcotest.(check (list string))
+    "sorted drain"
+    [ "1"; "1"; "2"; "3"; "4"; "5"; "9" ]
+    drained;
   Alcotest.(check bool) "empty" true (Heap.is_empty h)
 
 let test_heap_peek_clear () =
-  let h = Heap.of_list ~cmp:compare [ 3; 1; 2 ] in
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
+  let h = int_heap [ 3; 1; 2 ] in
+  Alcotest.(check int) "peek" 1 (Heap.min_int h 0);
   Alcotest.(check int) "peek does not pop" 3 (Heap.length h);
   Heap.clear h;
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h);
-  Alcotest.check_raises "pop_exn empty"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
+  Alcotest.(check bool) "cleared" true (Heap.is_empty h);
+  Alcotest.check_raises "drop_min empty"
+    (Invalid_argument "Heap.drop_min: empty heap") (fun () -> Heap.drop_min h);
+  Alcotest.check_raises "min_key empty"
+    (Invalid_argument "Heap.min_key: empty heap") (fun () ->
+      ignore (Heap.min_key h));
+  Heap.push h 1. 0 0 0 0 ();
+  Alcotest.check_raises "no fifth tie"
+    (Invalid_argument "Heap.min_int: no such int") (fun () ->
+      ignore (Heap.min_int h 4))
 
+(* The order is the key, then the four ties lexicographically; keys
+   that compare neither lower nor higher (a NaN) leave it to the ties.
+   A negated key pops the largest first. *)
 let test_heap_custom_cmp () =
-  let h = Heap.create ~cmp:(fun a b -> compare b a) in
-  List.iter (Heap.push h) [ 1; 3; 2 ];
-  Alcotest.(check int) "max first" 3 (Heap.pop_exn h)
+  let h = Heap.create ~dummy:() in
+  List.iter
+    (fun (k, a, b, c, d) -> Heap.push h k a b c d ())
+    [
+      (-3., 9, 9, 9, 9);
+      (-1., 0, 0, 0, 0);
+      (-3., 1, 2, 3, 5);
+      (-3., 1, 2, 3, 4);
+      (-3., 1, 2, 2, 9);
+      (-3., 0, 9, 9, 9);
+    ];
+  let drained =
+    List.init 6 (fun _ ->
+        let r =
+          ( Heap.min_key h,
+            List.init 4 (fun j -> Heap.min_int h j) )
+        in
+        Heap.drop_min h;
+        r)
+  in
+  Alcotest.(check (list (pair (float 0.) (list int))))
+    "key then ties"
+    [
+      (-3., [ 0; 9; 9; 9 ]);
+      (-3., [ 1; 2; 2; 9 ]);
+      (-3., [ 1; 2; 3; 4 ]);
+      (-3., [ 1; 2; 3; 5 ]);
+      (-3., [ 9; 9; 9; 9 ]);
+      (-1., [ 0; 0; 0; 0 ]);
+    ]
+    drained;
+  let a = Heap.create ~dummy:() and b = Heap.create ~dummy:() in
+  Heap.push a Float.nan 2 0 0 0 ();
+  Heap.push b 1. 1 0 0 0 ();
+  Alcotest.(check bool) "a NaN key ties" false (Heap.min_before a b);
+  Alcotest.(check bool) "and the ties decide" true (Heap.min_before b a)
 
-let test_heap_to_list () =
-  let h = Heap.of_list ~cmp:compare [ 2; 1; 3 ] in
-  Alcotest.(check (list int)) "contents" [ 1; 2; 3 ]
-    (List.sort compare (Heap.to_list h));
-  Alcotest.(check int) "unchanged" 3 (Heap.length h)
+let test_heap_copy () =
+  let h = int_heap [ 2; 1; 3 ] in
+  let c = Heap.copy h in
+  Heap.drop_min h;
+  Heap.push h 0. 0 0 0 0 ();
+  Alcotest.(check (list int)) "copy unchanged" [ 1; 2; 3 ]
+    (List.init 3 (fun _ -> pop_int c));
+  Alcotest.(check (list int)) "original" [ 0; 2; 3 ]
+    (List.init 3 (fun _ -> pop_int h))
 
 let qcheck_heap_sorts =
   QCheck.Test.make ~name:"heap drains any int list sorted" ~count:200
     QCheck.(list int)
     (fun l ->
-      let h = Heap.of_list ~cmp:compare l in
-      let drained = List.init (List.length l) (fun _ -> Heap.pop_exn h) in
+      let h = int_heap l in
+      let drained = List.init (List.length l) (fun _ -> pop_int h) in
       drained = List.sort compare l)
 
 (* Interleaved pushes and pops against a sorted-list model: every int
@@ -83,7 +150,7 @@ let qcheck_heap_interleaved =
     ~count:200
     QCheck.(list int)
     (fun ops ->
-      let h = Heap.create ~cmp:compare in
+      let h = int_heap [] in
       let model = ref [] in
       let ok = ref true in
       List.iter
@@ -96,50 +163,66 @@ let qcheck_heap_interleaved =
                 model := rest;
                 Some m
             in
-            if Heap.pop h <> expected then ok := false
+            let got = if Heap.is_empty h then None else Some (pop_int h) in
+            if got <> expected then ok := false
           end
           else begin
-            Heap.push h x;
+            Heap.push h 0. x 0 0 0 ();
             model := List.sort compare (x :: !model)
           end)
         ops;
       !ok
       && Heap.length h = List.length !model
-      && List.init (Heap.length h) (fun _ -> Heap.pop_exn h) = !model)
+      && List.init (Heap.length h) (fun _ -> pop_int h) = !model)
 
 let test_heap_pop_releases_elements () =
-  (* Regression for the pop space leak: the vacated slot used to keep
-     the last element reachable through [t.data] forever. Weak pointers
-     observe that popped (and dropped) elements become collectable. *)
-  let h = Heap.create ~cmp:(fun a b -> compare !a !b) in
-  let w = Weak.create 2 in
+  (* A removed value leaves no reference behind: vacated slots get the
+     dummy. Weak pointers observe that popped (and dropped) elements,
+     and cleared ones, become collectable. *)
+  let h = Heap.create ~dummy:(ref (-1)) in
+  let w = Weak.create 4 in
   for i = 0 to 4 do
     let r = ref i in
-    Heap.push h r;
+    Heap.push h (float_of_int i) 0 0 0 0 r;
     if i < 2 then Weak.set w i (Some r)
   done;
-  ignore (Heap.pop h);
-  ignore (Heap.pop h);
+  Heap.drop_min h;
+  Heap.drop_min h;
   Gc.full_major ();
   Alcotest.(check bool) "popped elements are collectable" true
     (Weak.get w 0 = None && Weak.get w 1 = None);
   Alcotest.(check int) "remaining elements" 3 (Heap.length h);
   Alcotest.(check (list int)) "order preserved" [ 2; 3; 4 ]
-    (List.init 3 (fun _ -> !(Heap.pop_exn h)))
+    (List.init 3 (fun _ ->
+         let v = !(Heap.min_value h) in
+         Heap.drop_min h;
+         v));
+  for i = 0 to 1 do
+    let r = ref i in
+    Heap.push h 0. i 0 0 0 r;
+    Weak.set w (2 + i) (Some r)
+  done;
+  Heap.clear h;
+  Gc.full_major ();
+  Alcotest.(check bool) "cleared elements are collectable" true
+    (Weak.get w 2 = None && Weak.get w 3 = None)
 
 let test_heap_growth_no_forced_minor () =
-  (* Growing the buffer must not force a minor collection, which
+  (* Growing the buffers must not force a minor collection, which
      [Array.make] above 256 words seeded with a young value does. *)
-  let h = Heap.create ~cmp:(fun a b -> compare !a !b) in
+  let h = Heap.create ~dummy:(ref 0) in
   Gc.minor ();
   let before = (Gc.quick_stat ()).Gc.minor_collections in
   for i = 1 to 1000 do
-    Heap.push h (ref i)
+    Heap.push h (float_of_int i) 0 0 0 0 (ref i)
   done;
   let after = (Gc.quick_stat ()).Gc.minor_collections in
   Alcotest.(check int) "minor collections while pushing" 0 (after - before);
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ]
-    (List.init 3 (fun _ -> !(Heap.pop_exn h)))
+    (List.init 3 (fun _ ->
+         let v = !(Heap.min_value h) in
+         Heap.drop_min h;
+         v))
 
 (* ---------- Availability index ---------- *)
 
@@ -330,7 +413,7 @@ let suite =
         Alcotest.test_case "ordering" `Quick test_heap_order;
         Alcotest.test_case "peek/clear" `Quick test_heap_peek_clear;
         Alcotest.test_case "custom comparison" `Quick test_heap_custom_cmp;
-        Alcotest.test_case "to_list" `Quick test_heap_to_list;
+        Alcotest.test_case "copy" `Quick test_heap_copy;
         Alcotest.test_case "pop releases elements" `Quick
           test_heap_pop_releases_elements;
         Alcotest.test_case "growth forces no minor collection" `Quick
