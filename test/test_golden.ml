@@ -117,10 +117,10 @@ let faults platform =
       horizon = 1500.;
     }
 
-(* The engine's log, the run's completions and its resize count. With
+(* The engine's log, the run's completions and its counters. With
    [split], the run stops before that virtual time, is snapshotted and
    finishes on a restored session that inherits the log sink. *)
-let engine_run ?faults ?split ~policy platform apps =
+let engine_run_events ?faults ?split ~policy platform apps =
   let events = ref [] in
   let log e = events := e :: !events in
   let s = Engine.create ~log ?faults ~policy platform apps in
@@ -133,11 +133,59 @@ let engine_run ?faults ?split ~policy platform apps =
   in
   Engine.advance s;
   let r = Engine.result s in
+  let events = List.rev !events in
   let tail b () = Array.iter (add_float b) r.Engine.completions in
-  let log b = List.iter (render_event b) (List.rev !events) in
-  (digest_of (fun b () -> log b; tail b ()) [ () ], r.Engine.stats)
+  let log b = List.iter (render_event b) events in
+  (digest_of (fun b () -> log b; tail b ()) [ () ], r.Engine.stats, events)
+
+let engine_run ?faults ?split ~policy platform apps =
+  let digest, stats, _ =
+    engine_run_events ?faults ?split ~policy platform apps
+  in
+  (digest, stats)
 
 let any (_ : Engine.stats) = true
+
+(* Whether some instant of the log has every processor of [platform]
+   down: a blackout, during which the engine can only revoke. *)
+let blacks_out platform events =
+  let down = Array.make (Mcs_platform.Platform.total_procs platform) false in
+  List.exists
+    (function
+      | Log.Proc_down { procs; _ } ->
+        Array.iter (fun p -> down.(p) <- true) procs;
+        Array.for_all Fun.id down
+      | Log.Proc_up { procs; _ } ->
+        Array.iter (fun p -> down.(p) <- false) procs;
+        false
+      | _ -> false)
+    events
+
+(* [mcs_online_cli --count 8 --site lille --seed 2 --faults
+   --fault-granularity cluster --mttf 400 --mttr 300]: whole-cluster
+   outages take every lille cluster down three times, with applications
+   active in each blackout. *)
+let blackout_scenario () =
+  let lille = Grid5000.lille () in
+  let rng = Prng.create ~seed:2 in
+  let ptgs = Workload.draw rng Workload.Random_mixed_scenarios ~count:8 in
+  let release = Workload.releases rng ~count:8 ~mean:30. in
+  let faults =
+    Fault.generate ~seed:2 lille
+      {
+        Fault.default with
+        Fault.mttf = 400.;
+        mttr = 300.;
+        granularity = Fault.Cluster;
+      }
+  in
+  (lille, List.mapi (fun i ptg -> (ptg, release.(i))) ptgs, faults)
+
+let blackout_cases =
+  [
+    ("blackout", "c9f78d08c785a3f909357df657b48a87", None);
+    ("blackout, malleable", "e7878e925c5c086e75cdaff5aed9ad34", Some malleable);
+  ]
 
 (* Name, committed digest, what the run must reach for its digest to
    pin anything, and the run itself. *)
@@ -189,7 +237,21 @@ let test_engine () =
       Alcotest.(check bool) (name ^ ": run reaches its paths") true
         (reaches stats);
       Alcotest.(check string) name expected got)
-    engine_cases
+    engine_cases;
+  let platform, apps, faults = blackout_scenario () in
+  List.iter
+    (fun (name, expected, malleability) ->
+      let got, stats, events =
+        engine_run_events ~faults ~policy:(Policy.make ?malleability wps_work)
+          platform apps
+      in
+      Alcotest.(check bool) (name ^ ": run blacks out and kills") true
+        (blacks_out platform events && stats.Engine.kills > 0);
+      if malleability <> None then
+        Alcotest.(check bool) (name ^ ": run resizes") true
+          (stats.Engine.resizes > 0);
+      Alcotest.(check string) name expected got)
+    blackout_cases
 
 (* --- policy registry, swap and what-if ----------------------------- *)
 

@@ -482,6 +482,91 @@ let test_audit_restored_session () =
     "restored audit clean" 0
     (List.length (Mcs_check.Diagnostic.errors (Engine.audit s')))
 
+(* [mcs_online_cli --count 8 --site lille --seed 2 --faults
+   --fault-granularity cluster --mttf 400 --mttr 300]: whole-cluster
+   outages black lille out from 268.6 s to 349.3 s, with seven
+   applications active. *)
+let blackout_scenario () =
+  let lille = Grid5000.lille () in
+  let rng = Prng.create ~seed:2 in
+  let ptgs =
+    Mcs_experiments.Workload.draw rng
+      Mcs_experiments.Workload.Random_mixed_scenarios ~count:8
+  in
+  let release = Mcs_experiments.Workload.releases rng ~count:8 ~mean:30. in
+  let faults =
+    Mcs_fault.Fault.generate ~seed:2 lille
+      {
+        Mcs_fault.Fault.default with
+        Mcs_fault.Fault.mttf = 400.;
+        mttr = 300.;
+        granularity = Mcs_fault.Fault.Cluster;
+      }
+  in
+  (lille, List.mapi (fun i ptg -> (ptg, release.(i))) ptgs, faults)
+
+let test_blackout_audit_and_restore () =
+  let platform, apps, faults = blackout_scenario () in
+  let policy = Policy.make (Strategy.Weighted (Strategy.Work, 0.7)) in
+  let down = Array.make (Mcs_platform.Platform.total_procs platform) false in
+  let log = function
+    | Log.Proc_down { procs; _ } -> Array.iter (fun p -> down.(p) <- true) procs
+    | Log.Proc_up { procs; _ } -> Array.iter (fun p -> down.(p) <- false) procs
+    | _ -> ()
+  in
+  let s = Engine.create ~log ~faults ~policy platform apps in
+  Engine.advance ~upto:300. s;
+  Alcotest.(check bool) "every processor is down at t = 300" true
+    (Array.for_all Fun.id down);
+  Alcotest.(check bool) "applications are active in the blackout" true
+    (Engine.active_count s > 0);
+  Alcotest.(check int) "no generation to audit mid-blackout" 0
+    (List.length (Engine.audit s));
+  List.iter
+    (fun (name, policy) ->
+      Alcotest.(check bool)
+        (name ^ ": a snapshot inside the blackout replays the log")
+        true
+        (same_outcome
+           (run_plain ~faults ~policy platform apps)
+           (run_split ~faults ~policy ~split:300. platform apps)))
+    [
+      ("moldable", policy);
+      ( "malleable",
+        Policy.make
+          ~malleability:
+            { Mcs_sched.Malleability.default with
+              Mcs_sched.Malleability.quantum = 10. }
+          (Strategy.Weighted (Strategy.Work, 0.7)) );
+    ]
+
+(* [mcs_online_cli --count 8 --seed 1 --malleable --resize-quantum 10
+   --redist-cost 5]: a 5 s redistribution window is longer than some
+   gaps between resize points, so opportunities fall inside the window
+   of the previous resize, where no work has accrued yet. Splitting
+   there would charge the overhead twice (MAL002). *)
+let test_resize_inside_redistribution_window () =
+  let platform = Grid5000.rennes () in
+  let rng = Prng.create ~seed:1 in
+  let ptgs =
+    Mcs_experiments.Workload.draw rng
+      Mcs_experiments.Workload.Random_mixed_scenarios ~count:8
+  in
+  let release = Mcs_experiments.Workload.releases rng ~count:8 ~mean:30. in
+  let malleability =
+    { Mcs_sched.Malleability.default with
+      Mcs_sched.Malleability.quantum = 10.;
+      redist_cost = 5. }
+  in
+  let r =
+    Engine.run ~check:Mcs_check.Check.fail_on_error
+      ~policy:
+        (Policy.make ~malleability (Strategy.Weighted (Strategy.Work, 0.7)))
+      platform
+      (List.mapi (fun i ptg -> (ptg, release.(i))) ptgs)
+  in
+  Alcotest.(check bool) "the run resizes" true (r.Engine.stats.Engine.resizes > 0)
+
 let test_policy_flags_and_kernel_registry () =
   Alcotest.check_raises "finish-trigger without departure-trigger"
     (Invalid_argument
@@ -904,6 +989,10 @@ let suite =
           test_copy_rederives_gauges;
         Alcotest.test_case "audit clean on restored session" `Quick
           test_audit_restored_session;
+        Alcotest.test_case "blackout: no audit, snapshot replays" `Quick
+          test_blackout_audit_and_restore;
+        Alcotest.test_case "resize inside a redistribution window" `Quick
+          test_resize_inside_redistribution_window;
         Alcotest.test_case "policy flags & kernel registry" `Quick
           test_policy_flags_and_kernel_registry;
       ] );
