@@ -130,7 +130,7 @@ let run site strategy family count seed mean_interarrival static finish_resched
           session := Engine.restore ~log ?check:check_sink snap;
           Printf.eprintf "checkpoint/restore at t=%g\n" time
         | `Swap p ->
-          Engine.set_policy ~reschedule:true !session p;
+          Engine.set_policy !session p;
           Printf.eprintf "policy swap to %s at t=%g\n" p.Policy.name time
         | `What_if p ->
           let sp = Engine.what_if !session p in

@@ -119,11 +119,28 @@ let will_fail s app v =
     end
   | Some _ | None -> false
 
+(* Arm the next legal resize point of running task [v] under model [m]:
+   one [Resize] event at its next grid point, announced under the
+   current generation so any later reschedule re-plans it. An
+   opportunity is not a commitment — the trigger is re-evaluated when
+   the point is reached. *)
+let arm_resize s m app v (pl : Schedule.placement) =
+  let at =
+    Malleability.next_resize_point m ~start:pl.Schedule.start
+      ~now:s.st.State.now
+  in
+  if at < pl.Schedule.finish -. Floatx.eps then
+    Event_queue.push s.q ~time:at
+      (Event_queue.Resize { app = app.State.index; node = v })
+
 (* Announce the future of every active application under the current
    schedule generation: one finish event per still-running or
-   not-yet-started real task, one departure per application. Callers
-   open the generation first ({!Event_queue.next_generation}), so the
-   queue holds no other announcement. *)
+   not-yet-started real task, one departure per application, and under
+   malleability the next resize point of every running real task.
+   Callers open the generation first ({!Event_queue.next_generation}),
+   so the queue holds no other announcement. No two announcements of a
+   generation share (time, kind, app, node), so the order of the pushes
+   never decides a pop. *)
 let announce s =
   let state = s.st in
   let now = state.State.now in
@@ -163,7 +180,13 @@ let announce s =
                 Event_queue.Task_failed { app = app.State.index; node = v }
               else Event_queue.Task_finish { app = app.State.index; node = v }
             in
-            Event_queue.push s.q ~time:pl.Schedule.finish kind
+            Event_queue.push s.q ~time:pl.Schedule.finish kind;
+            match s.policy.Policy.malleability with
+            | Some m
+              when pl.Schedule.start <= now +. Floatx.eps
+                   && pl.Schedule.finish > now +. Floatx.eps ->
+              arm_resize s m app v pl
+            | Some _ | None -> ()
           end;
           if v = exit && not !doomed then
             Event_queue.push s.q
@@ -171,54 +194,6 @@ let announce s =
               (Event_queue.Departure app.State.index)
       done)
     (State.active state)
-
-(* A blackout (no live processor) cannot remap anything: revoke every
-   unstarted placement and open a new generation so their announcements
-   are dropped; the recovery event will trigger the real reschedule. *)
-let blackout s =
-  let state = s.st in
-  List.iter
-    (fun app ->
-      Array.iteri
-        (fun v pl ->
-          match pl with
-          | Some pl when pl.Schedule.start > state.State.now +. Floatx.eps ->
-            app.State.placements.(v) <- None
-          | Some _ | None -> ())
-        app.State.placements)
-    (State.active state);
-  Event_queue.next_generation s.q;
-  announce s
-
-(* Arm the next legal resize opportunity of every running real task:
-   one [Resize] event per task at its next grid point, announced under
-   the current generation so any later reschedule re-plans it (the new
-   generation drops the old event). An opportunity is not a commitment —
-   the trigger is re-evaluated when the point is reached. *)
-let plan_resizes s =
-  match s.policy.Policy.malleability with
-  | None -> ()
-  | Some m ->
-    let state = s.st in
-    List.iter
-      (fun app ->
-        Array.iteri
-          (fun v pl ->
-            match pl with
-            | Some pl
-              when (not (Ptg.is_virtual app.State.ptg v))
-                   && pl.Schedule.start <= state.State.now +. Floatx.eps
-                   && pl.Schedule.finish > state.State.now +. Floatx.eps ->
-              let at =
-                Malleability.next_resize_point m ~start:pl.Schedule.start
-                  ~now:state.State.now
-              in
-              if at < pl.Schedule.finish -. Floatx.eps then
-                Event_queue.push s.q ~time:at
-                  (Event_queue.Resize { app = app.State.index; node = v })
-            | Some _ | None -> ())
-          app.State.placements)
-      (State.active state)
 
 let same_placement (a : Schedule.placement) (b : Schedule.placement) =
   a.Schedule.cluster = b.Schedule.cluster
@@ -309,7 +284,14 @@ let reschedule s ~trigger =
   let state = s.st in
   match State.active state with
   | [] -> ()
-  | _ when s.fault_on && not (State.any_up state) -> blackout s
+  | active when s.fault_on && not (State.any_up state) ->
+    (* A blackout (no live processor) cannot remap anything: pinning
+       revokes every unstarted placement, and a new generation drops
+       their announcements; the recovery event will trigger the real
+       reschedule. *)
+    ignore (pin s active);
+    Event_queue.next_generation s.q;
+    announce s
   | active ->
     let ptgs = List.map (fun a -> a.State.ptg) active in
     (* A full mask schedules exactly as the fault-free engine: the
@@ -423,7 +405,6 @@ let reschedule s ~trigger =
     Obs.incr ~by:remapped c_policy_remapped;
     if s.fault_on then State.commit_started state;
     announce s;
-    plan_resizes s;
     s.emit
       (Log.Reschedule
          {
@@ -434,6 +415,15 @@ let reschedule s ~trigger =
            remapped;
            pinned = frozen;
          })
+
+(* End the current segment of task [v] at [at] with [outcome] — a
+   failure at the attempt's finish, a kill or a resize: record the
+   execution and, under fault injection, truncate the ledger reservation
+   at [at] (a failure keeps its whole span). Returns the processor
+   reservations released. *)
+let close_attempt s app v pl ~at ~outcome =
+  State.record_execution s.st app v pl ~finish:at ~outcome;
+  if s.fault_on then State.rollback s.st app v pl ~at else 0
 
 (* Execute one resize opportunity of task [node] of application [i]
    under model [m]. The target width is decided here, at the grid point
@@ -461,12 +451,7 @@ let try_resize s m i node =
          && pl.Schedule.start <= state.State.now +. Floatx.eps
          && pl.Schedule.finish > state.State.now +. Floatx.eps ->
     let renew () =
-      let at =
-        Malleability.next_resize_point m ~start:pl.Schedule.start
-          ~now:state.State.now
-      in
-      if at < pl.Schedule.finish -. Floatx.eps then
-        Event_queue.push s.q ~time:at (Event_queue.Resize { app = i; node });
+      arm_resize s m app node pl;
       false
     in
     let width = Array.length pl.Schedule.procs in
@@ -547,14 +532,10 @@ let try_resize s m i node =
           let cost = Malleability.resize_cost m ~moved in
           let full_new = Task.time task ~gflops:cl.P.gflops ~procs:target in
           let finish = state.State.now +. cost +. (remaining *. full_new) in
-          State.record_execution state app node pl ~finish:state.State.now
-            ~outcome:Fault_check.Resized;
-          if s.fault_on then begin
-            let released =
-              State.rollback state app node pl ~at:state.State.now
-            in
-            Obs.incr ~by:released c_release
-          end;
+          Obs.incr c_release
+            ~by:
+              (close_attempt s app node pl ~at:state.State.now
+                 ~outcome:Fault_check.Resized);
           app.State.progress.(node) <- app.State.progress.(node) +. done_here;
           app.State.seg_overhead.(node) <- cost;
           app.State.placements.(node) <-
@@ -623,18 +604,12 @@ let handle s ev trigger =
     app.State.failures.(node) <- app.State.failures.(node) + 1;
     state.State.task_failures <- state.State.task_failures + 1;
     Obs.incr c_retries;
-    State.record_execution state app node pl ~finish:ev.Event_queue.time
-      ~outcome:Fault_check.Failed;
-    (* The attempt occupied its processors to the end: keep the full
-       reservation as history, then free the slot bookkeeping so the
-       retry can be committed afresh. *)
-    if not app.State.committed.(node) then
-      Array.iter
-        (fun p ->
-          Mcs_util.Timeline.reserve state.State.ledger ~proc:p
-            ~start:pl.Schedule.start ~finish:pl.Schedule.finish)
-        pl.Schedule.procs;
-    app.State.committed.(node) <- false;
+    (* The attempt occupied its processors to the end (it fails at its
+       finish): its whole span stays reserved as history, and the retry
+       is committed afresh. *)
+    ignore
+      (close_attempt s app node pl ~at:ev.Event_queue.time
+         ~outcome:Fault_check.Failed);
     app.State.placements.(node) <- None;
     (* A retry restarts the task from scratch: resize progress of the
        failed attempt is lost with it. *)
@@ -687,12 +662,10 @@ let handle s ev trigger =
                           pl.Schedule.procs ->
                 state.State.kills <- state.State.kills + 1;
                 Obs.incr c_kills;
-                State.record_execution state app v pl
-                  ~finish:ev.Event_queue.time ~outcome:Fault_check.Killed;
-                let released =
-                  State.rollback state app v pl ~at:ev.Event_queue.time
-                in
-                Obs.incr ~by:released c_release;
+                Obs.incr c_release
+                  ~by:
+                    (close_attempt s app v pl ~at:ev.Event_queue.time
+                       ~outcome:Fault_check.Killed);
                 app.State.placements.(v) <- None;
                 app.State.progress.(v) <- 0.;
                 app.State.seg_overhead.(v) <- 0.;
@@ -742,6 +715,10 @@ let handle s ev trigger =
     if s.policy.Policy.reschedule_on_departure then
       trigger := merge_trigger !trigger "departure"
   | Event_queue.Resize { app = i; node } -> (
+    (* Only a malleable policy arms resize points, and a policy swap
+       always reschedules: the new generation drops every armed point
+       (with no active application, no task is running and none is
+       armed). So a popped resize always finds a model. *)
     match s.policy.Policy.malleability with
     | None -> ()
     | Some m ->
@@ -754,23 +731,30 @@ let handle s ev trigger =
       Obs.leave ()));
   Obs.leave ()
 
+(* The one session constructor: the mapper session and the availability
+   buffer are caches, always fresh. *)
+let make_session ?log ?check ~policy ~faults ~processed st q =
+  let platform = st.State.platform in
+  {
+    st;
+    q;
+    policy;
+    policy_counters = counters_of policy;
+    platform;
+    faults;
+    fault_on = faults <> None;
+    emit = (match log with Some f -> f | None -> fun _ -> ());
+    check;
+    processed;
+    mapper = lazy (List_mapper.session platform);
+    avail = Array.make (P.total_procs platform) 0.;
+  }
+
 let create ?log ?check ?faults ~policy platform apps =
   (match faults with Some sc -> Fault.validate sc.Fault.config | None -> ());
   let s =
-    {
-      st = State.create platform apps;
-      q = Event_queue.create ();
-      policy;
-      policy_counters = counters_of policy;
-      platform;
-      faults;
-      fault_on = faults <> None;
-      emit = (match log with Some f -> f | None -> fun _ -> ());
-      check;
-      processed = 0;
-      mapper = lazy (List_mapper.session platform);
-      avail = Array.make (P.total_procs platform) 0.;
-    }
+    make_session ?log ?check ~policy ~faults ~processed:0
+      (State.create platform apps) (Event_queue.create ())
   in
   Array.iter
     (fun app ->
@@ -812,9 +796,7 @@ let app_completed s i =
 
 let alloc_cache_stats s = State.alloc_cache_stats s.st
 
-let force_reschedule = reschedule
-
-let set_policy ?(reschedule = false) s p =
+let set_policy s p =
   (* A policy carrying a different allocation procedure invalidates
      every cached trajectory (each cache binds to the procedure that
      recorded it): release them all here rather than trip the bind
@@ -829,7 +811,7 @@ let set_policy ?(reschedule = false) s p =
       s.st.State.apps;
   s.policy <- p;
   s.policy_counters <- counters_of p;
-  if reschedule then force_reschedule s ~trigger:"policy_swap"
+  reschedule s ~trigger:"policy_swap"
 
 type snapshot = {
   snap_state : State.t;
@@ -854,20 +836,9 @@ let snapshot s =
   }
 
 let restore ?log ?check snap =
-  {
-    st = State.copy snap.snap_state;
-    q = Event_queue.copy snap.snap_queue;
-    policy = snap.snap_policy;
-    policy_counters = counters_of snap.snap_policy;
-    platform = snap.snap_state.State.platform;
-    faults = snap.snap_faults;
-    fault_on = snap.snap_faults <> None;
-    emit = (match log with Some f -> f | None -> fun _ -> ());
-    check;
-    processed = snap.snap_processed;
-    mapper = lazy (List_mapper.session snap.snap_state.State.platform);
-    avail = Array.make (P.total_procs snap.snap_state.State.platform) 0.;
-  }
+  make_session ?log ?check ~policy:snap.snap_policy ~faults:snap.snap_faults
+    ~processed:snap.snap_processed (State.copy snap.snap_state)
+    (Event_queue.copy snap.snap_queue)
 
 let audit s =
   let state = s.st in
@@ -947,12 +918,12 @@ let what_if s candidate =
   let baseline = restore (snapshot s) in
   advance baseline;
   let trial = restore (snapshot s) in
-  set_policy ~reschedule:true trial candidate;
+  set_policy trial candidate;
   advance trial;
   let baseline_makespan = makespan baseline.st in
   let candidate_makespan = makespan trial.st in
   let adopted = candidate_makespan +. Floatx.eps < baseline_makespan in
-  if adopted then set_policy ~reschedule:true s candidate;
+  if adopted then set_policy s candidate;
   { adopted; baseline_makespan; candidate_makespan }
 
 let result s =

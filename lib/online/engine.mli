@@ -142,15 +142,16 @@ val create :
 val policy : session -> Policy.t
 (** The active policy. *)
 
-val set_policy : ?reschedule:bool -> session -> Policy.t -> unit
-(** Swap the active policy at the session's current virtual time — the
-    engine reads the new policy for every subsequent trigger, backoff,
-    shrink and allocation decision. If the new policy's allocation
-    {e procedure} differs, every application's trajectory cache is
-    released first (trajectories are procedure-bound). [reschedule]
-    (default [false]) additionally forces an immediate recomputation
-    under the new policy, logged with trigger ["policy_swap"] — the
-    live half of an adopted {!what_if}. *)
+val set_policy : session -> Policy.t -> unit
+(** Swap the active policy at the session's current virtual time and
+    remap at once under it, logged with trigger ["policy_swap"] — the
+    live half of an adopted {!what_if}. The engine reads the new policy
+    for every subsequent trigger, backoff, shrink and allocation
+    decision. If the new policy's allocation {e procedure} differs,
+    every application's trajectory cache is released first
+    (trajectories are procedure-bound). The remap opens a new
+    generation, so no resize point armed under the old policy
+    survives the swap. *)
 
 val app_completed : session -> int -> bool
 (** Whether application [i] has completed — lets a serving shard

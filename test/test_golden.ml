@@ -315,7 +315,7 @@ let test_swap () =
       (workload 6 42 ~mean:25.)
   in
   Engine.advance ~upto:80. s;
-  Engine.set_policy ~reschedule:true s (Policy.of_name "eager" ~base);
+  Engine.set_policy s (Policy.of_name "eager" ~base);
   Engine.advance s;
   let r = Engine.result s in
   let triggers = reschedule_triggers !events in

@@ -358,7 +358,7 @@ let test_policy_swap_deterministic () =
         platform apps
     in
     Engine.advance ~upto:60. s;
-    Engine.set_policy ~reschedule:true s (Policy.of_name "eager" ~base:policy);
+    Engine.set_policy s (Policy.of_name "eager" ~base:policy);
     Alcotest.(check string)
       "policy swapped" "eager" (Engine.policy s).Policy.name;
     Engine.advance s;
