@@ -41,10 +41,14 @@ let compute ?runs ?(betas = default_betas) ?(seed = 99) () =
               Allocation.allocate ref_cluster platform ~beta ptg
             in
             incr scenarios;
-            if
-              Allocation.respects_level_constraint ref_cluster ~beta ptg
-                alloc.Allocation.procs
-            then incr level_ok;
+            (* ALLOC002, the checker's SCRAP-MAX level rule. *)
+            let level_violated = ref false in
+            Mcs_check.Alloc_check.check_level_share
+              ~emit:(fun _ -> level_violated := true)
+              ~budget:(Allocation.budget_of ref_cluster ~beta)
+              ~beta ~dag:ptg.Mcs_ptg.Ptg.dag
+              ~is_virtual:(Mcs_ptg.Ptg.is_virtual ptg) alloc.Allocation.procs;
+            if not !level_violated then incr level_ok;
             let schedules =
               List_mapper.run platform ref_cluster
                 [ (ptg, alloc.Allocation.procs) ]

@@ -19,26 +19,6 @@ type result = {
   average_area : float;
 }
 
-let level_usage ptg procs =
-  let dag = ptg.Ptg.dag in
-  let levels = Dag.depth_levels dag in
-  let usage = Array.make (max 1 (Dag.depth dag)) 0 in
-  for v = 0 to Dag.node_count dag - 1 do
-    if not (Ptg.is_virtual ptg v) then
-      usage.(levels.(v)) <- usage.(levels.(v)) + procs.(v)
-  done;
-  usage
-
-let level_population ptg =
-  let dag = ptg.Ptg.dag in
-  let levels = Dag.depth_levels dag in
-  let pop = Array.make (max 1 (Dag.depth dag)) 0 in
-  for v = 0 to Dag.node_count dag - 1 do
-    if not (Ptg.is_virtual ptg v) then
-      pop.(levels.(v)) <- pop.(levels.(v)) + 1
-  done;
-  pop
-
 (* The epsilon guards against [beta *. procs] landing one ulp below an
    integer (e.g. 0.57 × 100 = 56.999999999999993), which would silently
    drop a whole processor from the level budget. *)
@@ -48,16 +28,6 @@ let budget_of ref_cluster ~beta =
        (Float.floor
           ((beta *. float_of_int ref_cluster.Reference_cluster.procs)
           +. Floatx.eps)))
-
-let respects_level_constraint ref_cluster ~beta ptg procs =
-  let budget = budget_of ref_cluster ~beta in
-  let usage = level_usage ptg procs in
-  let pop = level_population ptg in
-  let ok = ref true in
-  Array.iteri
-    (fun l u -> if u > max budget pop.(l) then ok := false)
-    usage;
-  !ok
 
 (* ---------------- The CPA/SCRAP increment loop ----------------
 
@@ -530,12 +500,15 @@ let record_inc_of e v ~req ~ceil =
    under [beta_power] or candidate exhaustion, appending every new
    state. The appended steps are recorded under the {e request's}
    budget — their intervals carry it, so later replays under other
-   budgets stay sound. The frontier's own state is already recorded, so
-   the first [record_state] callback (which revisits it) is dropped. *)
+   budgets stay sound. An entry with no state yet records the loop's
+   first state as its state 0; otherwise the first state is the
+   frontier, already recorded, and the loop starts from its recorded
+   area (summed incrementally: recomputing it would differ in the last
+   bits). *)
 let extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
-  let seen_frontier = ref false in
+  let skip = ref (e.e_len >= 0) in
   let record_state cp area =
-    if not !seen_frontier then seen_frontier := true
+    if !skip then skip := false
     else begin
       let i = e.e_len + 1 in
       e.e_cps <- grow_floats e.e_cps (i + 1);
@@ -545,6 +518,11 @@ let extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
       e.e_len <- i
     end
   in
+  let area0 =
+    if e.e_len < 0 then
+      initial_area e.e_exec e.e_procs (Array.length e.e_procs)
+    else e.e_areas.(e.e_len)
+  in
   let _steps, _cp, _area, closed, closed_ceil =
     (* Live loop steps (the only DAG traversals of the cached paths)
        are accounted to the same span as scratch runs. *)
@@ -552,100 +530,76 @@ let extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
     run_loop ~record_state ~record_inc:(record_inc_of e) ~procedure ~budget
       ~cap ~beta_power ~bl:(Alloc_arena.bl arena) ~tl:(Alloc_arena.tl arena)
       ~dirty:(Alloc_arena.dirty arena) ~gain:(Alloc_arena.gain arena) ~seq ~alpha ptg e.e_levels
-      ~procs:e.e_procs ~usage:e.e_usage ~exec:e.e_exec e.e_areas.(e.e_len)
+      ~procs:e.e_procs ~usage:e.e_usage ~exec:e.e_exec area0
   in
   e.e_closed <- closed;
   e.e_closed_ceil <- closed_ceil
 
-(* Full scratch run with trajectory recording — the cache-miss path.
-   Counted as an [alloc.calls]/[alloc.scrap] allocation like any other
-   scratch run. *)
-let entry_create ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
-  Obs.with_span "alloc.scrap" @@ fun () ->
-  Obs.incr c_calls;
+(* A new entry under [cap], run live until the request stops: fresh
+   (the cache-miss path, counted as an [alloc.calls] allocation like
+   any other scratch run), or sharing the first [at > 0] steps of
+   [src]. The shared states are bit-identical to what a scratch run
+   under the request's budget would visit (the replay validated their
+   intervals before diverging), so only the tail past the divergence
+   runs live. The prefix costs O(nodes + at) integer work and float
+   copies — no DAG traversals, which is what makes budget churn cheap:
+   online budgets drift a few processors per generation, so
+   trajectories diverge deep and the live tail is short. *)
+let new_entry ~prefix ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
+    ptg =
   let dag = ptg.Ptg.dag in
   let n = Dag.node_count dag in
-  let levels = Dag.depth_levels dag in
-  let procs, usage, exec =
-    initial_state ~seq ~alpha ptg levels ~depth:(max 1 (Dag.depth dag)) n
+  let src, at =
+    match prefix with
+    | Some (src, at) when at > 0 -> (Some src, at)
+    | Some _ | None ->
+      Obs.incr c_calls;
+      (None, 0)
   in
-  let e =
-    {
-      e_cap = cap;
-      e_levels = levels;
-      e_incs = Array.make 64 0;
-      e_reqs = Array.make 64 0;
-      e_ceils = Array.make 64 0;
-      e_cps = Array.make 64 0.;
-      e_areas = Array.make 64 0.;
-      e_len = -1;  (* first record_state writes state 0 *)
-      e_closed = false;
-      e_closed_ceil = max_int;
-      e_procs = procs;
-      e_usage = usage;
-      e_exec = exec;
-      e_budget = -1;
-      e_bpower = Float.nan;
-      e_res =
-        { procs = [||]; iterations = 0; critical_path = 0.; average_area = 0. };
-    }
+  let levels =
+    match src with Some src -> src.e_levels | None -> Dag.depth_levels dag
   in
-  let record_state cp area =
-    let i = e.e_len + 1 in
-    e.e_cps <- grow_floats e.e_cps (i + 1);
-    e.e_areas <- grow_floats e.e_areas (i + 1);
-    e.e_cps.(i) <- cp;
-    e.e_areas.(i) <- area;
-    e.e_len <- i
-  in
-  let _steps, _cp, _area, closed, closed_ceil =
-    run_loop ~record_state ~record_inc:(record_inc_of e) ~procedure ~budget
-      ~cap ~beta_power ~bl:(Alloc_arena.bl arena) ~tl:(Alloc_arena.tl arena)
-      ~dirty:(Alloc_arena.dirty arena) ~gain:(Alloc_arena.gain arena) ~seq ~alpha ptg levels ~procs ~usage
-      ~exec (initial_area exec procs n)
-  in
-  e.e_closed <- closed;
-  e.e_closed_ceil <- closed_ceil;
-  e
-
-(* Fork a new entry sharing the first [at] steps of [src]: the copied
-   states are bit-identical to what a scratch run under the request's
-   budget would visit (the replay validated their intervals before
-   diverging), so only the tail past the divergence runs live. The
-   prefix costs O(nodes + at) integer work and float copies — no DAG
-   traversals, which is what makes budget churn cheap: online budgets
-   drift a few processors per generation, so trajectories diverge deep
-   and the live tail is short. *)
-let fork src ~at ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
-  let n = Array.length src.e_procs in
-  let depth = Array.length src.e_usage in
-  let levels = src.e_levels in
+  (* The starting state — one processor per node — plus the shared
+     increments. *)
   let procs = Array.make n 1 in
-  let usage = Array.make depth 0 in
+  let usage = Array.make (max 1 (Dag.depth dag)) 0 in
   let exec = Array.make n 0. in
   for v = 0 to n - 1 do
     if not (Ptg.is_virtual ptg v) then
       usage.(levels.(v)) <- usage.(levels.(v)) + 1
   done;
-  for i = 0 to at - 1 do
-    let v = src.e_incs.(i) in
-    procs.(v) <- procs.(v) + 1;
-    usage.(levels.(v)) <- usage.(levels.(v)) + 1
-  done;
+  let size = max 64 (at + 1) in
+  let incs = Array.make size 0 in
+  let reqs = Array.make size 0 in
+  let ceils = Array.make size 0 in
+  let cps = Array.make size 0. in
+  let areas = Array.make size 0. in
+  Option.iter
+    (fun src ->
+      for i = 0 to at - 1 do
+        let v = src.e_incs.(i) in
+        procs.(v) <- procs.(v) + 1;
+        usage.(levels.(v)) <- usage.(levels.(v)) + 1
+      done;
+      Array.blit src.e_incs 0 incs 0 at;
+      Array.blit src.e_reqs 0 reqs 0 at;
+      Array.blit src.e_ceils 0 ceils 0 at;
+      Array.blit src.e_cps 0 cps 0 (at + 1);
+      Array.blit src.e_areas 0 areas 0 (at + 1))
+    src;
   for v = 0 to n - 1 do
     exec.(v) <- exec_at ~seq ~alpha v ~procs:procs.(v)
   done;
-  let size = max 64 (at + 1) in
   let e =
     {
-      e_cap = src.e_cap;
+      e_cap = cap;
       e_levels = levels;
-      e_incs = Array.make size 0;
-      e_reqs = Array.make size 0;
-      e_ceils = Array.make size 0;
-      e_cps = Array.make size 0.;
-      e_areas = Array.make size 0.;
-      e_len = at;
+      e_incs = incs;
+      e_reqs = reqs;
+      e_ceils = ceils;
+      e_cps = cps;
+      e_areas = areas;
+      e_len = (if src = None then -1 else at);
       e_closed = false;
       e_closed_ceil = max_int;
       e_procs = procs;
@@ -657,11 +611,6 @@ let fork src ~at ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
         { procs = [||]; iterations = 0; critical_path = 0.; average_area = 0. };
     }
   in
-  Array.blit src.e_incs 0 e.e_incs 0 at;
-  Array.blit src.e_reqs 0 e.e_reqs 0 at;
-  Array.blit src.e_ceils 0 e.e_ceils 0 at;
-  Array.blit src.e_cps 0 e.e_cps 0 (at + 1);
-  Array.blit src.e_areas 0 e.e_areas 0 (at + 1);
   extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg;
   e
 
@@ -711,21 +660,13 @@ let allocate_cached ?(procedure = Scrap_max) ?up_counts ~cache ~arena
     | [] ->
       cache.misses <- cache.misses + 1;
       Obs.incr c_misses;
-      (match best with
-      | Some (src, at) when at > 0 ->
-        let e =
-          fork src ~at ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
-            ptg
-        in
-        (* The live tail ran under exactly this β, so it stops at the
-           trajectory end (β-stopped or blocked either way). *)
-        serve e e.e_len
-      | Some _ | None ->
-        let e =
-          entry_create ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
-            ptg
-        in
-        serve e e.e_len)
+      let e =
+        new_entry ~prefix:best ~procedure ~budget ~cap ~beta_power ~arena ~seq
+          ~alpha ptg
+      in
+      (* The live run went under exactly this β, so it stops at the
+         trajectory end (β-stopped or blocked either way). *)
+      serve e e.e_len
     | e :: rest when e.e_cap = cap ->
       if e.e_budget = budget && e.e_bpower = beta_power then begin
         cache.hits <- cache.hits + 1;

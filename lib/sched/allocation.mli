@@ -34,8 +34,9 @@
     candidate). A request replays the recorded stop tests and interval
     checks — bit-identical to a scratch run by construction, at
     O(nodes + steps) instead of O(steps · (nodes + edges)) — and a
-    request whose budget escapes some step's interval {e forks}: the
-    validated prefix is copied in O(nodes + steps) and only the
+    request whose budget escapes some step's interval starts a new
+    trajectory from the same constructor as a fresh one, sharing the
+    validated prefix: it is copied in O(nodes + steps) and only the
     divergent tail runs live. The online engine's budgets drift a few
     processors per generation and the offline evaluation runs every β
     strategy on the same PTGs, so forks diverge deep and tails stay
@@ -158,19 +159,7 @@ val budget_of : Reference_cluster.t -> beta:float -> int
     one ulp below an integer (0.57 × 100 = 56.999999999999993) does not
     silently drop a processor. Every consumer of the level budget (the
     allocator, the invariant checker and the allocation cache key) must
-    use this one definition. *)
-
-val level_usage : Mcs_ptg.Ptg.t -> int array -> int array
-(** Total reference processors allocated per precedence level (virtual
-    nodes excluded) — used to audit constraint satisfaction. *)
-
-val level_population : Mcs_ptg.Ptg.t -> int array
-(** Number of real (non-virtual) tasks per precedence level — the
-    population floor of the level constraint. *)
-
-val respects_level_constraint :
-  Reference_cluster.t -> beta:float -> Mcs_ptg.Ptg.t -> int array -> bool
-(** Whether every precedence level satisfies
-    [Σ p_v ≤ max(level population, ⌊β·procs⌋)] — the population floor
-    accounts for levels whose 1-processor-per-task minimum already
-    exceeds the share. *)
+    use this one definition. The allocator's candidate filter enforces
+    the level rule; the one audit of it is the checker's ALLOC002
+    ([Mcs_check.Alloc_check.check_level_share]), which the X1
+    experiment and the tests call with this budget. *)

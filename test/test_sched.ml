@@ -87,6 +87,16 @@ let test_ref_exec_time () =
 
 (* ---------- Allocation ---------- *)
 
+(* ALLOC002's verdict on a SCRAP-MAX allocation: every precedence level
+   within max(population, budget). *)
+let level_share_ok r ~beta ptg procs =
+  let ok = ref true in
+  Mcs_check.Alloc_check.check_level_share
+    ~emit:(fun _ -> ok := false)
+    ~budget:(Allocation.budget_of r ~beta) ~beta ~dag:ptg.Ptg.dag
+    ~is_virtual:(Ptg.is_virtual ptg) procs;
+  !ok
+
 let test_allocation_respects_beta_budget () =
   let p = toy_platform ~procs:10 () in
   let r = Reference_cluster.of_platform p in
@@ -94,13 +104,13 @@ let test_allocation_respects_beta_budget () =
   let tasks = Array.init 4 (fun _ -> seconds_task ~alpha:0.05 10.) in
   let ptg = Builder.build ~id:0 ~name:"fork4" ~tasks ~edges:[] in
   let result = Allocation.allocate r p ~beta:0.5 ptg in
-  let usage = Allocation.level_usage ptg result.Allocation.procs in
-  Array.iter
-    (fun u -> Alcotest.(check bool) "level within budget" true (u <= 5))
-    usage;
+  let usage = ref 0 in
+  Array.iteri
+    (fun v procs -> if not (Ptg.is_virtual ptg v) then usage := !usage + procs)
+    result.Allocation.procs;
+  Alcotest.(check bool) "level within budget" true (!usage <= 5);
   Alcotest.(check bool) "constraint check agrees" true
-    (Allocation.respects_level_constraint r ~beta:0.5 ptg
-       result.Allocation.procs)
+    (level_share_ok r ~beta:0.5 ptg result.Allocation.procs)
 
 let test_allocation_selfish_uses_more () =
   let p = toy_platform ~procs:32 () in
@@ -162,7 +172,7 @@ let test_scrap_vs_scrap_max () =
   (* budget = 4 *)
   let smax = Allocation.allocate ~procedure:Allocation.Scrap_max r p ~beta ptg in
   Alcotest.(check bool) "scrap-max within level budget" true
-    (Allocation.respects_level_constraint r ~beta ptg smax.Allocation.procs)
+    (level_share_ok r ~beta ptg smax.Allocation.procs)
 
 let qcheck_scrap_max_levels =
   QCheck.Test.make
@@ -174,7 +184,7 @@ let qcheck_scrap_max_levels =
       let r = Reference_cluster.of_platform p in
       let ptg = random_ptg seed in
       let result = Allocation.allocate r p ~beta ptg in
-      Allocation.respects_level_constraint r ~beta ptg result.Allocation.procs)
+      level_share_ok r ~beta ptg result.Allocation.procs)
 
 let qcheck_allocation_capped =
   QCheck.Test.make
@@ -409,8 +419,7 @@ let qcheck_cache_differential =
                scratch.Allocation.critical_path
           && Float.equal cached.Allocation.average_area
                scratch.Allocation.average_area
-          && Allocation.respects_level_constraint r ~beta ptg
-               cached.Allocation.procs)
+          && level_share_ok r ~beta ptg cached.Allocation.procs)
         betas)
 
 (* One cache serving the request mix an online engine produces across
