@@ -139,40 +139,6 @@ let check_chain ~emit model platform ptg ~app ~node chain =
       | F.Resized -> ()
     end
 
-(* MAL003: per-processor overlap sweep over every execution segment —
-   the post-resize re-placements must coexist with everything else that
-   actually ran. Same sweep shape as the schedule checker's MAP004. *)
-let check_overlap ~emit execs =
-  let spans =
-    List.concat_map
-      (fun e ->
-        Array.to_list
-          (Array.map (fun p -> (p, e.F.start, e.F.finish, e.F.app, e.F.node))
-             e.F.procs))
-      execs
-  in
-  let spans =
-    List.sort
-      (fun (p, s, f, _, _) (p', s', f', _, _) ->
-        let c = compare p p' in
-        if c <> 0 then c
-        else
-          let c = Float.compare s s' in
-          if c <> 0 then c else Float.compare f f')
-      spans
-  in
-  let rec sweep = function
-    | (p, _, f, a, n) :: ((p', s', f', a', n') :: _ as rest) ->
-      if p = p' && s' <. f -. 1e-9 then
-        emit
-          (Diagnostic.error ~app:a' ~node:n' ~proc:p ~window:(s', Float.min f f')
-             Rule.Mal_overlap
-             "execution segment overlaps app %d task %d on processor %d" a n p);
-      sweep rest
-    | [ _ ] | [] -> ()
-  in
-  sweep spans
-
 let check model platform ~ptgs execs =
   Malleability.validate model;
   let napps = Array.length ptgs in
@@ -206,5 +172,21 @@ let check model platform ~ptgs execs =
             (chains segs)
       done)
     ptgs;
-  check_overlap ~emit execs;
+  (* MAL003: MAP004's sweep over every execution segment — the
+     post-resize re-placements must coexist with everything else that
+     actually ran. *)
+  Sched_check.check_overlap ~emit ~rule:Rule.Mal_overlap
+    (List.concat_map
+       (fun e ->
+         List.map
+           (fun p ->
+             {
+               Sched_check.proc = p;
+               start = e.F.start;
+               finish = e.F.finish;
+               app = e.F.app;
+               node = e.F.node;
+             })
+           (Array.to_list e.F.procs))
+       execs);
   Diagnostic.sort (List.rev !diags)

@@ -1,7 +1,5 @@
-module Ptg = Mcs_ptg.Ptg
 module Schedule = Mcs_sched.Schedule
 module Strategy = Mcs_sched.Strategy
-module Allocation = Mcs_sched.Allocation
 module Reference_cluster = Mcs_sched.Reference_cluster
 open Mcs_util.Floatx
 
@@ -85,39 +83,22 @@ let analyze platform snap =
                    actual.Schedule.start snap.now))
         a.pinned)
     snap.apps;
-  (* Static rule sets over the fresh generation. Sched_check labels
-     diagnostics by list position; translate to submission indices. *)
-  let idx = Array.of_list (List.map (fun a -> a.index) snap.apps) in
-  let emit_mapped (d : Diagnostic.t) =
-    let app =
-      Option.map
-        (fun i -> if i >= 0 && i < Array.length idx then idx.(i) else i)
-        d.Diagnostic.app
-    in
-    emit { d with Diagnostic.app }
+  (* The static rule sets over the fresh generation, from the one
+     driver. It labels diagnostics by list position: relabel them with
+     submission indices. *)
+  let field f = Array.of_list (List.map f snap.apps) in
+  let index = field (fun a -> a.index) in
+  let static =
+    Check.analyze ~strategy:snap.strategy ~procedure:snap.procedure
+      ~betas:(field (fun a -> a.beta))
+      ~allocations:(field (fun a -> a.alloc))
+      ~release:(field (fun a -> a.release))
+      ~pinned:(field (fun a -> a.pinned))
+      platform
+      (List.map (fun a -> a.schedule) snap.apps)
   in
-  let max_allocation = Reference_cluster.max_allocation ref_cluster platform in
-  List.iter
-    (fun a ->
-      Dag_check.check_ptg ~emit ~app:a.index a.ptg;
-      Alloc_check.check_beta ~emit ~app:a.index a.beta;
-      Alloc_check.check_bounds ~emit ~app:a.index ~max_allocation
-        ~is_virtual:(Ptg.is_virtual a.ptg) a.alloc;
-      if snap.procedure = Allocation.Scrap_max then
-        Alloc_check.check_level_share ~emit ~app:a.index
-          ~budget:(Allocation.budget_of ref_cluster ~beta:a.beta)
-          ~beta:a.beta ~dag:a.ptg.Ptg.dag
-          ~is_virtual:(Ptg.is_virtual a.ptg) a.alloc)
-    snap.apps;
-  (match snap.strategy with
-  | Strategy.Selfish -> ()
-  | _ ->
-    Alloc_check.check_beta_sum ~emit ~severity:Diagnostic.Error
-      (Array.of_list (List.map (fun a -> a.beta) snap.apps)));
-  Sched_check.check_schedules ~emit:emit_mapped
-    ~allocations:(Array.of_list (List.map (fun a -> a.alloc) snap.apps))
-    ~release:(Array.of_list (List.map (fun a -> a.release) snap.apps))
-    ~pinned:(Array.of_list (List.map (fun a -> a.pinned) snap.apps))
-    platform
-    (List.map (fun a -> a.schedule) snap.apps);
-  List.rev !diags
+  List.rev_append !diags
+    (List.map
+       (fun (d : Diagnostic.t) ->
+         { d with app = Option.map (Array.get index) d.Diagnostic.app })
+       static)

@@ -9,7 +9,8 @@
     work is never revoked, β is a function of the active set only, and
     no decision reaches into the past or touches an application that
     has not arrived — and re-runs the whole static rule set (allocation
-    legality and mapping soundness) over the new schedules. *)
+    legality and mapping soundness) over the new schedules through
+    {!Check.analyze}, the one driver of the static rules. *)
 
 type snapshot_app = {
   index : int;  (** submission index, for diagnostics *)
@@ -35,5 +36,7 @@ val analyze :
     reappears untouched), ON002 (recomputing β with the snapshot's
     strategy over exactly the active PTGs reproduces the assigned
     values), ON003 (unpinned placements start at or after [now]; every
-    scheduled application has arrived), plus the ALLOC and MAP rule
-    sets via {!Alloc_check} and {!Sched_check}. *)
+    scheduled application has arrived), then the DAG, ALLOC and MAP
+    rule sets of {!Check.analyze} over the active set's β, allocations,
+    releases and pinned placements, each diagnostic's application
+    relabelled from its list position to its submission index. *)

@@ -15,7 +15,7 @@ type interval = {
   node : int;
 }
 
-let check_overlap ~emit intervals =
+let check_overlap ~emit ~rule intervals =
   let sorted =
     List.sort
       (fun a b ->
@@ -38,7 +38,7 @@ let check_overlap ~emit intervals =
         emit
           (Diagnostic.error ~app:iv.app ~node:iv.node ~proc:iv.proc
              ~window:(iv.start, Float.min finish iv.finish)
-             Rule.Map_overlap
+             rule
              "runs while app %d node %d still holds the processor" app node)
       | _ -> ());
       match !cur with
@@ -240,4 +240,4 @@ let check_schedules ~emit ?allocations ?release ?pinned platform schedules =
                          })))
          schedules)
   in
-  check_overlap ~emit intervals
+  check_overlap ~emit ~rule:Rule.Map_overlap intervals

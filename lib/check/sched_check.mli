@@ -26,10 +26,14 @@ type interval = {
   node : int;
 }
 
-val check_overlap : emit:(Diagnostic.t -> unit) -> interval list -> unit
-(** MAP004 sweep-line: sort busy intervals per processor and flag every
-    pair overlapping by more than the time tolerance. Shared with the
-    trace linter, which builds intervals from parsed rows. *)
+val check_overlap :
+  emit:(Diagnostic.t -> unit) -> rule:Rule.t -> interval list -> unit
+(** The overlap sweep-line: sort busy intervals per processor, keep the
+    latest finish seen on each, and flag every interval starting more
+    than the time tolerance before it, reporting [rule]. The only
+    implementation of both overlap rules: MAP004 over schedules
+    ({!check_schedules}) and parsed trace rows ({!Trace_check}), MAL003
+    over execution segments ({!Mal_check}). *)
 
 val check_placement :
   emit:(Diagnostic.t -> unit) ->

@@ -210,5 +210,5 @@ let lint ?platform (doc : Trace.doc) =
                            })
                   else []))
   in
-  Sched_check.check_overlap ~emit intervals;
+  Sched_check.check_overlap ~emit ~rule:Rule.Map_overlap intervals;
   List.rev !diags

@@ -123,6 +123,40 @@ let test_pinned_moved () =
     [ "online-pin-stability" ]
     (Online_check.analyze platform snap)
 
+(* The static rules label diagnostics by list position; the online
+   checker reports them under the submission index. A real task
+   allocated no processor breaks ALLOC001 alone. *)
+let test_online_relabel () =
+  let platform = Grid5000.lille () in
+  let ptg =
+    Mcs_ptg.Builder.build ~id:0 ~name:"single" ~tasks:[| task () |] ~edges:[]
+  in
+  let n = Ptg.node_count ptg in
+  let snap =
+    {
+      Online_check.now = 0.;
+      strategy = Strategy.Selfish;
+      procedure = Allocation.Scrap_max;
+      apps =
+        [
+          {
+            Online_check.index = 3;
+            ptg;
+            release = 0.;
+            beta = 1.;
+            alloc = Array.init n (fun v -> if Ptg.is_virtual ptg v then 1 else 0);
+            pinned = Array.make n None;
+            schedule = Pipeline.schedule_alone platform ptg;
+          };
+        ];
+    }
+  in
+  let diags = Online_check.analyze platform snap in
+  check_ids "a real task allocated no processor" [ "alloc-bounds" ] diags;
+  Alcotest.(check (list (option int))) "reported under submission index 3"
+    [ Some 3 ]
+    (List.map (fun (d : Diagnostic.t) -> d.app) diags)
+
 (* --- one forged placement per mapping rule, run through both entry
        points: the live analyzer and the linter over the JSON export --- *)
 
@@ -444,6 +478,8 @@ let suite =
         Alcotest.test_case "precedence fixture" `Quick test_precedence;
         Alcotest.test_case "level-share fixture" `Quick test_level_share;
         Alcotest.test_case "pinned fixture" `Quick test_pinned_moved;
+        Alcotest.test_case "online relabels static rules" `Quick
+          test_online_relabel;
         Alcotest.test_case "forged schedule clean" `Quick test_forged_clean;
         Alcotest.test_case "forged MAP001 times" `Quick test_forged_structure;
         Alcotest.test_case "forged MAP002 virtual" `Quick test_forged_virtual;

@@ -378,6 +378,86 @@ let test_shrink_retry_fault_free () =
     "shrink-retry is bit-identical fault-free" true
     (same_outcome plain registry)
 
+(* --- MAL001-003 on hand-built execution logs --- *)
+
+let test_mal_rules () =
+  let module F = Mcs_check.Fault_check in
+  let module D = Mcs_check.Diagnostic in
+  let platform = Grid5000.lille () in
+  let t = Task.make ~data:1e7 ~complexity:Task.Matmul ~alpha:0.1 in
+  let ptg = Builder.build ~id:0 ~name:"single" ~tasks:[| t |] ~edges:[] in
+  let node =
+    Option.get
+      (List.find_opt
+         (fun v -> not (Ptg.is_virtual ptg v))
+         (List.init (Ptg.node_count ptg) Fun.id))
+  in
+  let model =
+    { Malleability.default with Malleability.redist_cost = 1.; min_width = 2 }
+  in
+  let full ?(cluster = 0) width =
+    Task.time t ~gflops:(Platform.cluster platform cluster).Platform.gflops
+      ~procs:width
+  in
+  let seg ?(app = 0) ?(cluster = 0) procs ~start ~finish outcome =
+    { F.app; node; cluster; procs; start; finish; outcome }
+  in
+  let check ?(apps = 1) execs =
+    Mcs_check.Mal_check.check model platform ~ptgs:(Array.make apps ptg) execs
+  in
+  let ids execs = D.rule_ids (check execs) in
+  (* Half the work on 4 processors, then a shrink to 2 (2 moved, 2 s of
+     redistribution) that completes the other half. *)
+  let half = full 4 /. 2. in
+  let first = seg [| 0; 1; 2; 3 |] ~start:0. ~finish:half F.Resized in
+  (* The continuation of [first] on [procs], [moved] processors away
+     from it: its redistribution overhead, then [work] of the task. *)
+  let rest ?(cluster = 0) ?(start = half) ?(work = 0.5) ~moved procs =
+    let overhead = Malleability.resize_cost model ~moved in
+    seg ~cluster procs ~start
+      ~finish:(start +. overhead +. (work *. full ~cluster (Array.length procs)))
+      F.Completed
+  in
+  Alcotest.(check (list string)) "clean shrink-then-complete chain" []
+    (ids [ first; rest ~moved:2 [| 0; 1 |] ]);
+  Alcotest.(check (list string)) "MAL001: width below min_width"
+    [ "mal-width-bounds" ]
+    (ids [ first; rest ~moved:3 [| 0 |] ]);
+  Alcotest.(check (list string)) "MAL001: width unchanged"
+    [ "mal-width-bounds" ]
+    (ids [ first; rest ~moved:0 [| 0; 1; 2; 3 |] ]);
+  let c1 = Platform.first_proc platform 1 in
+  Alcotest.(check (list string)) "MAL001: chain changes cluster"
+    [ "mal-width-bounds" ]
+    (ids [ first; rest ~cluster:1 ~moved:6 [| c1; c1 + 1 |] ]);
+  Alcotest.(check (list string)) "MAL002: gap between segments"
+    [ "mal-cost-accounting" ]
+    (ids [ first; rest ~start:(half +. 1.) ~moved:2 [| 0; 1 |] ]);
+  Alcotest.(check (list string))
+    "MAL002: segment shorter than its redistribution overhead"
+    [ "mal-cost-accounting" ]
+    (ids
+       [ first; seg [| 0; 1 |] ~start:half ~finish:(half +. 1.) F.Completed ]);
+  Alcotest.(check (list string)) "MAL002: dangling resize"
+    [ "mal-cost-accounting" ] (ids [ first ]);
+  Alcotest.(check (list string)) "MAL002: chain does 3/4 of the work"
+    [ "mal-cost-accounting" ]
+    (ids [ first; rest ~work:0.25 ~moved:2 [| 0; 1 |] ]);
+  (* Both B and C overlap A on processor 0, though not each other. *)
+  let overlaps =
+    check ~apps:3
+      [
+        seg ~app:0 [| 0 |] ~start:0. ~finish:10. F.Completed;
+        seg ~app:1 [| 0 |] ~start:1. ~finish:2. F.Completed;
+        seg ~app:2 [| 0 |] ~start:3. ~finish:4. F.Completed;
+      ]
+  in
+  Alcotest.(check (list string)) "MAL003: overlapping segments"
+    [ "mal-overlap" ] (D.rule_ids overlaps);
+  Alcotest.(check (list (option int)))
+    "MAL003: every segment overlapping A is reported" [ Some 1; Some 2 ]
+    (List.map (fun d -> d.D.app) overlaps)
+
 let suite =
   [
     ( "online.malleable",
@@ -399,6 +479,7 @@ let suite =
           test_malleable_snapshot_restore;
         Alcotest.test_case "malleable + faults checker-clean" `Quick
           test_malleable_faulted_checker_clean;
+        Alcotest.test_case "MAL001-003 adversarial" `Quick test_mal_rules;
         Alcotest.test_case "shrink-retry bit-identical fault-free" `Quick
           test_shrink_retry_fault_free;
       ] );
