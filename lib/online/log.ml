@@ -35,29 +35,12 @@ let time = function
   | Task_killed { time; _ }
   | Task_resized { time; _ } -> time
 
-(* Same defensive escaping as Trace: the only free strings are PTG
-   names, which the generators control. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json = function
   | Arrival { time; app; name; tasks } ->
     Printf.sprintf
-      "{\"event\":\"arrival\",\"time\":%.17g,\"app\":%d,\"name\":\"%s\",\
+      "{\"event\":\"arrival\",\"time\":%.17g,\"app\":%d,\"name\":%s,\
        \"tasks\":%d}"
-      time app (escape name) tasks
+      time app (Mcs_util.Jsonx.quote name) tasks
   | Reschedule { time; trigger; betas; remapped; pinned } ->
     Printf.sprintf
       "{\"event\":\"reschedule\",\"time\":%.17g,\"trigger\":\"%s\",\

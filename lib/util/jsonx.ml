@@ -240,6 +240,11 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+let quote s =
+  let buf = Buffer.create (String.length s + 2) in
+  escape_string buf s;
+  Buffer.contents buf
+
 let number_to_string f =
   if not (Float.is_finite f) then
     invalid_arg "Jsonx.encode: non-finite number"

@@ -1,11 +1,12 @@
-(** Minimal JSON reader.
+(** Minimal JSON reader and writer.
 
-    The repository emits JSON with hand-rolled encoders ({!Mcs_sched}
-    traces, online event logs); this is the matching hand-rolled
-    decoder, used by the trace importers and the [mcs_check] linter. It
-    accepts standard JSON (RFC 8259): objects, arrays, strings with
-    escapes, numbers, booleans and null. No dependency, no streaming —
-    documents here are at most a few megabytes. *)
+    The decoder ({!parse}) serves the trace importers and the
+    [mcs_check] linter; it accepts standard JSON (RFC 8259): objects,
+    arrays, strings with escapes, numbers, booleans and null. The
+    {!Mcs_sched} trace exports and the online event logs print their
+    records with [Printf] for speed and quote every free string with
+    {!quote}, so all of them escape strings one way. No dependency, no
+    streaming — documents here are at most a few megabytes. *)
 
 type t =
   | Null
@@ -29,6 +30,10 @@ val encode : t -> string
     precision.
     @raise Invalid_argument on a NaN or infinite [Num] (JSON has no
     representation for them). *)
+
+val quote : string -> string
+(** A JSON string literal: [s] escaped as {!encode} escapes strings,
+    between double quotes. *)
 
 (** {2 Accessors}
 

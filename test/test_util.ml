@@ -397,6 +397,18 @@ let test_table_float_row () =
      contains r "3.142");
   Alcotest.(check string) "nan formats as dash" "-" (Table.fmt_float nan)
 
+(* The one JSON string escaper: every byte comes back through the
+   parser, and the common escapes stay short. *)
+let test_jsonx_quote () =
+  let s = "we\"ird\\name\n\t\r\b\012\001 \xc3\xa9" in
+  Alcotest.(check bool) "parse (quote s) = Str s" true
+    (Jsonx.parse (Jsonx.quote s) = Ok (Jsonx.Str s));
+  Alcotest.(check string) "short escapes" "\"a\\\"b\\\\c\\nd\\u0001\""
+    (Jsonx.quote "a\"b\\c\nd\001");
+  Alcotest.(check string) "same escaping as encode"
+    (Jsonx.encode (Jsonx.Str s))
+    (Jsonx.quote s)
+
 let suite =
   [
     ( "util.floatx",
@@ -436,4 +448,6 @@ let suite =
         Alcotest.test_case "render" `Quick test_table_render;
         Alcotest.test_case "float rows" `Quick test_table_float_row;
       ] );
+    ( "util.jsonx",
+      [ Alcotest.test_case "quote round-trips" `Quick test_jsonx_quote ] );
   ]
