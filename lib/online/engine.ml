@@ -119,6 +119,12 @@ let will_fail s app v =
     end
   | Some _ | None -> false
 
+(* A placement running at [now]: started, and finishing after it. Only
+   running tasks are armed for resizes, resized or killed. *)
+let running now (pl : Schedule.placement) =
+  pl.Schedule.start <= now +. Floatx.eps
+  && pl.Schedule.finish > now +. Floatx.eps
+
 (* Arm the next legal resize point of running task [v] under model [m]:
    one [Resize] event at its next grid point, announced under the
    current generation so any later reschedule re-plans it. An
@@ -182,10 +188,7 @@ let announce s =
             in
             Event_queue.push s.q ~time:pl.Schedule.finish kind;
             match s.policy.Policy.malleability with
-            | Some m
-              when pl.Schedule.start <= now +. Floatx.eps
-                   && pl.Schedule.finish > now +. Floatx.eps ->
-              arm_resize s m app v pl
+            | Some m when running now pl -> arm_resize s m app v pl
             | Some _ | None -> ()
           end;
           if v = exit && not !doomed then
@@ -416,10 +419,9 @@ let reschedule s ~trigger =
            pinned = frozen;
          })
 
-(* End the current segment of task [v] at [at] with [outcome] — a
-   failure at the attempt's finish, a kill or a resize: record the
-   execution and, under fault injection, truncate the ledger reservation
-   at [at] (a failure keeps its whole span). Returns the processor
+(* End task [v]'s current segment at [at] — a failure at its finish, a
+   kill or a resize: record the attempt and, under fault injection,
+   truncate its ledger reservation at [at]. Returns the processor
    reservations released. *)
 let close_attempt s app v pl ~at ~outcome =
   State.record_execution s.st app v pl ~finish:at ~outcome;
@@ -432,9 +434,8 @@ let close_attempt s app v pl ~at ~outcome =
    processors idle at this instant (running placements hold theirs;
    merely planned ones are remapped by the mandatory post-resize
    reschedule). On a resize the current segment is closed as a
-   [Resized] execution record, its ledger reservation is truncated at
-   the preemption instant through the fault path's release machinery,
-   the task's progress absorbs the segment's work, and the new segment
+   [Resized] attempt ({!close_attempt}), the task's progress absorbs
+   the segment's work, and the new segment
    starts now at the new width, charged the redistribution cost and
    priced by Amdahl at that width. Returns [true] iff a resize
    happened — the caller then forces a reschedule (successors re-price,
@@ -448,8 +449,7 @@ let try_resize s m i node =
   | Some pl
     when app.State.status = State.Active
          && (not (Ptg.is_virtual app.State.ptg node))
-         && pl.Schedule.start <= state.State.now +. Floatx.eps
-         && pl.Schedule.finish > state.State.now +. Floatx.eps ->
+         && running state.State.now pl ->
     let renew () =
       arm_resize s m app node pl;
       false
@@ -655,8 +655,7 @@ let handle s ev trigger =
               match pl with
               | Some pl
                 when (not (Ptg.is_virtual app.State.ptg v))
-                     && pl.Schedule.start <= state.State.now +. Floatx.eps
-                     && pl.Schedule.finish > state.State.now +. Floatx.eps
+                     && running state.State.now pl
                      && Array.exists
                           (fun p -> not state.State.proc_up.(p))
                           pl.Schedule.procs ->
@@ -715,10 +714,9 @@ let handle s ev trigger =
     if s.policy.Policy.reschedule_on_departure then
       trigger := merge_trigger !trigger "departure"
   | Event_queue.Resize { app = i; node } -> (
-    (* Only a malleable policy arms resize points, and a policy swap
-       always reschedules: the new generation drops every armed point
-       (with no active application, no task is running and none is
-       armed). So a popped resize always finds a model. *)
+    (* Never [None]: only a malleable policy arms resize points, and a
+       policy swap always reschedules, whose new generation drops them
+       (with no active application, no task runs and none is armed). *)
     match s.policy.Policy.malleability with
     | None -> ()
     | Some m ->

@@ -548,7 +548,6 @@ let extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
 let new_entry ~prefix ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
     ptg =
   let dag = ptg.Ptg.dag in
-  let n = Dag.node_count dag in
   let src, at =
     match prefix with
     | Some (src, at) when at > 0 -> (Some src, at)
@@ -559,47 +558,21 @@ let new_entry ~prefix ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
   let levels =
     match src with Some src -> src.e_levels | None -> Dag.depth_levels dag
   in
-  (* The starting state — one processor per node — plus the shared
-     increments. *)
-  let procs = Array.make n 1 in
-  let usage = Array.make (max 1 (Dag.depth dag)) 0 in
-  let exec = Array.make n 0. in
-  for v = 0 to n - 1 do
-    if not (Ptg.is_virtual ptg v) then
-      usage.(levels.(v)) <- usage.(levels.(v)) + 1
-  done;
+  let procs, usage, exec =
+    initial_state ~seq ~alpha ptg levels ~depth:(max 1 (Dag.depth dag))
+      (Dag.node_count dag)
+  in
   let size = max 64 (at + 1) in
-  let incs = Array.make size 0 in
-  let reqs = Array.make size 0 in
-  let ceils = Array.make size 0 in
-  let cps = Array.make size 0. in
-  let areas = Array.make size 0. in
-  Option.iter
-    (fun src ->
-      for i = 0 to at - 1 do
-        let v = src.e_incs.(i) in
-        procs.(v) <- procs.(v) + 1;
-        usage.(levels.(v)) <- usage.(levels.(v)) + 1
-      done;
-      Array.blit src.e_incs 0 incs 0 at;
-      Array.blit src.e_reqs 0 reqs 0 at;
-      Array.blit src.e_ceils 0 ceils 0 at;
-      Array.blit src.e_cps 0 cps 0 (at + 1);
-      Array.blit src.e_areas 0 areas 0 (at + 1))
-    src;
-  for v = 0 to n - 1 do
-    exec.(v) <- exec_at ~seq ~alpha v ~procs:procs.(v)
-  done;
   let e =
     {
       e_cap = cap;
       e_levels = levels;
-      e_incs = incs;
-      e_reqs = reqs;
-      e_ceils = ceils;
-      e_cps = cps;
-      e_areas = areas;
-      e_len = (if src = None then -1 else at);
+      e_incs = Array.make size 0;
+      e_reqs = Array.make size 0;
+      e_ceils = Array.make size 0;
+      e_cps = Array.make size 0.;
+      e_areas = Array.make size 0.;
+      e_len = (if at = 0 then -1 else at);
       e_closed = false;
       e_closed_ceil = max_int;
       e_procs = procs;
@@ -611,6 +584,20 @@ let new_entry ~prefix ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
         { procs = [||]; iterations = 0; critical_path = 0.; average_area = 0. };
     }
   in
+  Option.iter
+    (fun src ->
+      for i = 0 to at - 1 do
+        let v = src.e_incs.(i) in
+        procs.(v) <- procs.(v) + 1;
+        usage.(levels.(v)) <- usage.(levels.(v)) + 1;
+        exec.(v) <- exec_at ~seq ~alpha v ~procs:procs.(v)
+      done;
+      Array.blit src.e_incs 0 e.e_incs 0 at;
+      Array.blit src.e_reqs 0 e.e_reqs 0 at;
+      Array.blit src.e_ceils 0 e.e_ceils 0 at;
+      Array.blit src.e_cps 0 e.e_cps 0 (at + 1);
+      Array.blit src.e_areas 0 e.e_areas 0 (at + 1))
+    src;
   extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg;
   e
 
