@@ -38,8 +38,9 @@
       ({!Mcs_sched.Reference_cluster.degrade}), allocations are capped
       by per-cluster surviving processor counts, and the mapper skips
       dead processors. Killed tasks are requeued unconditionally — a
-      kill is not a retry. If {e no} processor survives, all unstarted
-      placements are revoked and the engine idles until a recovery;
+      kill is not a retry. If {e no} processor survives, the engine
+      pins (every unstarted placement is revoked), re-announces what
+      still runs and idles until a recovery;
     - a {e recovery} restores the processors and reschedules to exploit
       the recovered capacity (a full mask schedules exactly as the
       fault-free engine);
@@ -53,21 +54,22 @@
 
     {b Malleable execution} ({!Policy.t}'s [malleability]) lets the
     engine change the width of a {e running} task at the legal resize
-    points of a {!Mcs_sched.Malleability} model: after every
-    reschedule each running real task's next grid point is armed as a
+    points of a {!Mcs_sched.Malleability} model: each generation's
+    announcements arm every running real task's next grid point as a
     resize opportunity; when reached, the target width is decided by
     the model's thresholds ({!Mcs_sched.Malleability.target_width}:
     shrink under an arrival spike, grow when the system drains) and
     clamped to the processors idle in the task's cluster at that
-    instant. A resize closes the current segment as a
-    {!Mcs_check.Fault_check.Resized} execution record, releases its
-    remaining ledger reservation, charges a redistribution overhead
-    proportional to the processors moved, re-prices the remaining work
-    by Amdahl at the new width, and forces a reschedule so successors
-    re-price and the next opportunity is planned. Resize chains are
-    audited by {!Mcs_check.Mal_check} (MAL001-003) when [?check] is
-    given. With [malleability = None] — the default — no opportunity
-    is ever planned and the engine is bit-identical to the
+    instant. A resize closes the current segment the way a failure or
+    a kill closes its attempt — a {!Mcs_check.Fault_check.Resized}
+    execution record, and under fault injection the ledger
+    reservation truncated at the resize — charges a redistribution
+    overhead proportional to the processors moved, re-prices the
+    remaining work by Amdahl at the new width, and forces a reschedule
+    so successors re-price and the next opportunity is planned. Resize
+    chains are audited by {!Mcs_check.Mal_check} (MAL001-003) when
+    [?check] is given. With [malleability = None] — the default — no
+    opportunity is ever planned and the engine is bit-identical to the
     non-malleable one, event log included.
 
     A PTG whose unique sink is a {e real} task doubles as its exit
@@ -286,7 +288,8 @@ val run :
     [check] receives, after every reschedule, the diagnostics of
     {!Mcs_check.Online_check.analyze} over a snapshot of that
     reschedule — pin stability, β-over-active-set, no time travel, plus
-    the full allocation and mapping rule sets — and, when [faults] is
+    the DAG, allocation and mapping rule sets of
+    {!Mcs_check.Check.analyze} — and, when [faults] is
     given, one final batch from {!Mcs_check.Fault_check.check} auditing
     the complete execution log against the outage process
     (FAULT001–003). An empty list means the generation is clean. Pass

@@ -4,8 +4,8 @@
     [mcs_check] linter; it accepts standard JSON (RFC 8259): objects,
     arrays, strings with escapes, numbers, booleans and null. The
     {!Mcs_sched} trace exports and the online event logs print their
-    records with [Printf] for speed and quote every free string with
-    {!quote}, so all of them escape strings one way. No dependency, no
+    records with [Printf] and quote every free string with {!quote},
+    so all of them escape strings as {!encode} does. No dependency, no
     streaming — documents here are at most a few megabytes. *)
 
 type t =
