@@ -120,7 +120,7 @@ let faults platform =
 (* The engine's log, the run's completions and its counters. With
    [split], the run stops before that virtual time, is snapshotted and
    finishes on a restored session that inherits the log sink. *)
-let engine_run_events ?faults ?split ~policy platform apps =
+let engine_run ?faults ?split ~policy platform apps =
   let events = ref [] in
   let log e = events := e :: !events in
   let s = Engine.create ~log ?faults ~policy platform apps in
@@ -137,12 +137,6 @@ let engine_run_events ?faults ?split ~policy platform apps =
   let tail b () = Array.iter (add_float b) r.Engine.completions in
   let log b = List.iter (render_event b) events in
   (digest_of (fun b () -> log b; tail b ()) [ () ], r.Engine.stats, events)
-
-let engine_run ?faults ?split ~policy platform apps =
-  let digest, stats, _ =
-    engine_run_events ?faults ?split ~policy platform apps
-  in
-  (digest, stats)
 
 let any (_ : Engine.stats) = true
 
@@ -233,7 +227,7 @@ let engine_cases =
 let test_engine () =
   List.iter
     (fun (name, expected, reaches, run) ->
-      let got, stats = run () in
+      let got, stats, _ = run () in
       Alcotest.(check bool) (name ^ ": run reaches its paths") true
         (reaches stats);
       Alcotest.(check string) name expected got)
@@ -242,7 +236,7 @@ let test_engine () =
   List.iter
     (fun (name, expected, malleability) ->
       let got, stats, events =
-        engine_run_events ~faults ~policy:(Policy.make ?malleability wps_work)
+        engine_run ~faults ~policy:(Policy.make ?malleability wps_work)
           platform apps
       in
       Alcotest.(check bool) (name ^ ": run blacks out and kills") true
@@ -285,7 +279,7 @@ let test_registry () =
     List.map
       (fun (name, expected) ->
         let policy = Policy.of_name name ~base in
-        let got, st = engine_run ~faults ~policy rennes apps in
+        let got, st, _ = engine_run ~faults ~policy rennes apps in
         Alcotest.(check bool)
           (name ^ ": run kills, retries and resizes")
           true
