@@ -1,6 +1,7 @@
 (* Golden corpus: MD5 digests of hex-float ([%h]) renderings of the
-   engine's event logs, the serving layer's merged logs and the offline
-   evaluation's metrics, at fixed seeds, compared with committed values.
+   engine's event logs, the serving layer's merged logs, the offline
+   evaluation's metrics and the allocator's results, at fixed seeds,
+   compared with committed values.
 
    A change meant to keep every schedule bit-identical must leave every
    digest here untouched; one that shifts any float by one ulp, in any
@@ -538,6 +539,122 @@ let test_evaluate () =
       Alcotest.(check string) name expected (evaluate_digest family))
     evaluate_cases
 
+(* --- allocator ----------------------------------------------------- *)
+
+module Allocation = Mcs_sched.Allocation
+module Reference_cluster = Mcs_sched.Reference_cluster
+
+let render_alloc b (r : Allocation.result) =
+  Array.iter (add_int b) r.procs;
+  add_int b r.iterations;
+  add_float b r.critical_path;
+  add_float b r.average_area
+
+(* Random, FFT and Strassen PTGs on lille, whose small clusters let the
+   allocation cap bind. *)
+let alloc_ptgs () =
+  let rng = Prng.create ~seed:13 in
+  let random tasks =
+    Mcs_ptg.Random_gen.generate rng
+      { Mcs_ptg.Random_gen.default with Mcs_ptg.Random_gen.tasks }
+  in
+  [
+    random 40;
+    random 20;
+    Mcs_ptg.Fft.generate ~points:8 rng;
+    Mcs_ptg.Strassen.generate rng;
+  ]
+
+(* Every (mask, reference cluster, β) an outage can present: the full
+   platform, halved clusters and a cluster taken out; the full and a
+   half-power reference cluster; β down to budgets of a few processors
+   per level. *)
+let alloc_requests platform =
+  let full = Reference_cluster.of_platform platform in
+  let sizes =
+    Array.init (Mcs_platform.Platform.cluster_count platform) (fun k ->
+        (Mcs_platform.Platform.cluster platform k).procs)
+  in
+  let masks =
+    [
+      None;
+      Some (Array.map (fun n -> n / 2) sizes);
+      Some (Array.mapi (fun k n -> if k = 0 then 0 else n) sizes);
+    ]
+  in
+  let refs =
+    [
+      full;
+      Reference_cluster.degrade full
+        ~power:(0.5 *. Mcs_platform.Platform.total_power platform);
+    ]
+  in
+  List.concat_map
+    (fun up_counts ->
+      List.concat_map
+        (fun r ->
+          List.map
+            (fun beta -> (up_counts, r, beta))
+            [ 1.0; 0.6; 0.3; 0.1; 0.03 ])
+        refs)
+    masks
+
+(* Scratch [allocate] under both procedures over every request, and one
+   [allocate_cached] stream per PTG and procedure that serves the same
+   requests shuffled, then once more in order. Only results are
+   digested: which path served a cached request is not pinned. *)
+let test_allocator () =
+  let platform = Grid5000.lille () in
+  let requests = alloc_requests platform in
+  let procedures = [ Allocation.Scrap; Allocation.Scrap_max ] in
+  let scratch = Buffer.create 65536 and cached = Buffer.create 65536 in
+  let budget_binds = ref false and cap_binds = ref false in
+  List.iter
+    (fun ptg ->
+      List.iter
+        (fun procedure ->
+          List.iter
+            (fun (up_counts, r, beta) ->
+              let res =
+                Allocation.allocate ~procedure ?up_counts r platform ~beta ptg
+              in
+              render_alloc scratch res;
+              (if procedure = Allocation.Scrap_max then
+                 let scrap =
+                   Allocation.allocate ~procedure:Allocation.Scrap ?up_counts
+                     r platform ~beta ptg
+                 in
+                 if scrap.procs <> res.procs then budget_binds := true);
+              if up_counts <> None then
+                let unmasked =
+                  Allocation.allocate ~procedure r platform ~beta ptg
+                in
+                if unmasked.procs <> res.procs then cap_binds := true)
+            requests)
+        procedures;
+      List.iter
+        (fun procedure ->
+          let cache = Allocation.cache_create () in
+          let arena = Mcs_sched.Alloc_arena.create () in
+          let shuffled = Array.of_list requests in
+          Prng.shuffle
+            (Prng.create ~seed:(Mcs_ptg.Ptg.node_count ptg))
+            shuffled;
+          List.iter
+            (fun (up_counts, r, beta) ->
+              render_alloc cached
+                (Allocation.allocate_cached ~procedure ?up_counts ~cache ~arena
+                   r platform ~beta ptg))
+            (Array.to_list shuffled @ requests))
+        procedures)
+    (alloc_ptgs ());
+  Alcotest.(check bool) "some level budget binds" true !budget_binds;
+  Alcotest.(check bool) "some allocation cap binds" true !cap_binds;
+  Alcotest.(check string) "scratch allocate"
+    "46b9ad08670df1922ff23285fabe51dd" (md5 scratch);
+  Alcotest.(check string) "allocate_cached stream"
+    "33b0e9d4a7f7732c54cd05aaf09d68e7" (md5 cached)
+
 let suite =
   [
     ( "golden",
@@ -549,5 +666,6 @@ let suite =
         Alcotest.test_case "serve merged logs" `Quick test_serve;
         Alcotest.test_case "mapper orderings" `Quick test_orderings;
         Alcotest.test_case "Runner.evaluate metrics" `Quick test_evaluate;
+        Alcotest.test_case "allocator" `Quick test_allocator;
       ] );
   ]
