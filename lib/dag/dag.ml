@@ -167,10 +167,8 @@ let max_width t =
     Array.fold_left max 0 counts
   end
 
-let top_levels_into t ~node_weight ~edge_weight tl =
-  if Array.length tl < t.n then
-    invalid_arg "Dag.top_levels_into: buffer shorter than node count";
-  Array.fill tl 0 t.n 0.;
+let top_levels t ~node_weight ~edge_weight =
+  let tl = Array.make t.n 0. in
   Array.iter
     (fun v ->
       Array.iter
@@ -178,16 +176,11 @@ let top_levels_into t ~node_weight ~edge_weight tl =
           let via = tl.(u) +. node_weight u +. edge_weight e in
           if via > tl.(v) then tl.(v) <- via)
         t.pred.(v))
-    t.topo
-
-let top_levels t ~node_weight ~edge_weight =
-  let tl = Array.make t.n 0. in
-  top_levels_into t ~node_weight ~edge_weight tl;
+    t.topo;
   tl
 
-let bottom_levels_into t ~node_weight ~edge_weight bl =
-  if Array.length bl < t.n then
-    invalid_arg "Dag.bottom_levels_into: buffer shorter than node count";
+let bottom_levels t ~node_weight ~edge_weight =
+  let bl = Array.make t.n 0. in
   for i = t.n - 1 downto 0 do
     let v = t.topo.(i) in
     let best = ref 0. in
@@ -197,105 +190,110 @@ let bottom_levels_into t ~node_weight ~edge_weight bl =
         if via > !best then best := via)
       t.succ.(v);
     bl.(v) <- node_weight v +. !best
-  done
-
-let bottom_levels t ~node_weight ~edge_weight =
-  let bl = Array.make t.n 0. in
-  bottom_levels_into t ~node_weight ~edge_weight bl;
+  done;
   bl
 
-(* Incremental repair after a single node weight changed. A node's
-   level only moves when the changed node's own entry, or a
-   successor/predecessor whose level already moved, feeds its max — so
-   the repair recomputes exactly the nodes a [dirty] flag reaches,
-   walking the cached topological order so every recomputation sees
-   finalised inputs. Recomputed values use the same max-fold over the
-   same operands as the full pass, and untouched nodes keep values
-   computed from identical inputs, so the repaired array is
-   bit-identical to a full recomputation. The [dirty] scratch must be
-   all-zero on entry and is restored to all-zero (every flagged node is
-   visited by the scan, which clears it). *)
+(* ---------------- Level kernel ----------------
 
-let bottom_levels_update t ~node_weight ~edge_weight ~changed ~dirty bl =
-  if Bytes.length dirty < t.n then
-    invalid_arg "Dag.bottom_levels_update: dirty scratch shorter than nodes";
-  let recompute v =
-    let best = ref 0. in
-    Array.iter
-      (fun (w, e) ->
-        let via = edge_weight e +. bl.(w) in
-        if via > !best then best := via)
-      t.succ.(v);
-    node_weight v +. !best
-  in
-  let nv = recompute changed in
-  if nv <> bl.(changed) then begin
-    bl.(changed) <- nv;
-    (* Predecessors all sit strictly before [changed] in topological
-       order, so the scan starts just below it; an outstanding-mark
-       count lets it stop as soon as the wave dies out, making the
-       repair cost proportional to the affected cone's topo span. *)
-    let pending = ref 0 in
-    let mark u =
-      if Bytes.unsafe_get dirty u = '\000' then begin
-        Bytes.unsafe_set dirty u '\001';
-        incr pending
-      end
-    in
-    Array.iter (fun (u, _) -> mark u) t.pred.(changed);
-    let i = ref (t.pos.(changed) - 1) in
-    while !pending > 0 do
-      let v = t.topo.(!i) in
-      if Bytes.unsafe_get dirty v = '\001' then begin
-        Bytes.unsafe_set dirty v '\000';
-        decr pending;
-        let nv = recompute v in
-        if nv <> bl.(v) then begin
-          bl.(v) <- nv;
-          Array.iter (fun (u, _) -> mark u) t.pred.(v)
-        end
-      end;
-      decr i
-    done
-  end
+   Bottom and top levels at zero edge weight over a node weight array,
+   for loops that recompute them thousands of times (the SCRAP
+   increment loop, the mapper's priorities). No closure is called and
+   no float is boxed: the refresh helpers fold a node's level into a
+   local, store it and return whether it moved. Their operands are
+   those {!bottom_levels} and {!top_levels} evaluate with
+   [~edge_weight:(fun _ -> 0.)], [0. +. bl.(w)] and
+   [tl.(u) +. w.(u) +. 0.], folded in the same order, so the results
+   are bit-identical. *)
 
-let top_levels_update t ~node_weight ~edge_weight ~changed ~dirty tl =
-  if Bytes.length dirty < t.n then
-    invalid_arg "Dag.top_levels_update: dirty scratch shorter than nodes";
-  let recompute v =
-    let best = ref 0. in
-    Array.iter
-      (fun (u, e) ->
-        let via = tl.(u) +. node_weight u +. edge_weight e in
-        if via > !best then best := via)
-      t.pred.(v);
-    !best
-  in
-  (* [changed]'s own top level excludes its weight, so repair starts at
-     its successors (whose max folds read the changed weight), which
-     all sit strictly after it in topological order. *)
-  let pending = ref 0 in
-  let mark s =
-    if Bytes.unsafe_get dirty s = '\000' then begin
-      Bytes.unsafe_set dirty s '\001';
-      incr pending
+let refresh_bottom t w bl v =
+  let s = t.succ.(v) in
+  let best = ref 0. in
+  for j = 0 to Array.length s - 1 do
+    let x, _ = s.(j) in
+    let via = 0. +. bl.(x) in
+    if via > !best then best := via
+  done;
+  let level = w.(v) +. !best in
+  let moved = level <> bl.(v) in
+  bl.(v) <- level;
+  moved
+
+let refresh_top t w tl v =
+  let p = t.pred.(v) in
+  let best = ref 0. in
+  for j = 0 to Array.length p - 1 do
+    let u, _ = p.(j) in
+    let via = tl.(u) +. w.(u) +. 0. in
+    if via > !best then best := via
+  done;
+  let moved = !best <> tl.(v) in
+  tl.(v) <- !best;
+  moved
+
+let check_kernel name t w levels =
+  if Array.length w < t.n || Array.length levels < t.n then
+    invalid_arg ("Dag." ^ name ^ ": array shorter than node count")
+
+let fill_bottom_levels t w bl =
+  check_kernel "fill_bottom_levels" t w bl;
+  for i = t.n - 1 downto 0 do
+    ignore (refresh_bottom t w bl t.topo.(i))
+  done
+
+let fill_top_levels t w tl =
+  check_kernel "fill_top_levels" t w tl;
+  for i = 0 to t.n - 1 do
+    ignore (refresh_top t w tl t.topo.(i))
+  done
+
+(* Flag the unflagged nodes of [adj] in [dirty]; returns how many. *)
+let mark dirty adj =
+  let added = ref 0 in
+  for j = 0 to Array.length adj - 1 do
+    let u, _ = adj.(j) in
+    if Bytes.unsafe_get dirty u = '\000' then begin
+      Bytes.unsafe_set dirty u '\001';
+      incr added
     end
-  in
-  Array.iter (fun (s, _) -> mark s) t.succ.(changed);
-  let i = ref (t.pos.(changed) + 1) in
+  done;
+  !added
+
+(* The wave after [changed]'s level inputs moved: refresh the nodes of
+   [adj.(changed)], then transitively the [adj] neighbours of every
+   node whose level moved. A node's level only moves when one of its
+   inputs did, so refreshing exactly the flagged nodes, in the cached
+   topological order walked by [step] so that every refresh sees
+   final inputs, repairs the array; untouched nodes keep values
+   computed from unchanged inputs. An outstanding-flag count stops the
+   walk as soon as the wave dies out, so the cost is proportional to
+   the affected cone's topological span, and every flag is cleared on
+   the way. *)
+let propagate t ~refresh ~adj ~step ~dirty w levels changed =
+  let pending = ref (mark dirty adj.(changed)) in
+  let i = ref (t.pos.(changed) + step) in
   while !pending > 0 do
     let v = t.topo.(!i) in
     if Bytes.unsafe_get dirty v = '\001' then begin
       Bytes.unsafe_set dirty v '\000';
       decr pending;
-      let nv = recompute v in
-      if nv <> tl.(v) then begin
-        tl.(v) <- nv;
-        Array.iter (fun (s, _) -> mark s) t.succ.(v)
-      end
+      if refresh t w levels v then pending := !pending + mark dirty adj.(v)
     end;
-    incr i
+    i := !i + step
   done
+
+let repair_levels t w ~changed ~dirty ~bl ~tl =
+  check_kernel "repair_levels" t w bl;
+  check_kernel "repair_levels" t w tl;
+  if Bytes.length dirty < t.n then
+    invalid_arg "Dag.repair_levels: dirty scratch shorter than node count";
+  (* Predecessors sit strictly before [changed] in topological order,
+     so the bottom wave walks down from it. *)
+  if refresh_bottom t w bl changed then
+    propagate t ~refresh:refresh_bottom ~adj:t.pred ~step:(-1) ~dirty w bl
+      changed;
+  (* [changed]'s own top level excludes its weight: the top wave
+     starts at its successors and walks up. *)
+  propagate t ~refresh:refresh_top ~adj:t.succ ~step:1 ~dirty w tl changed
 
 let longest_path t ~node_weight ~edge_weight =
   if t.n = 0 then (0., [])

@@ -71,53 +71,50 @@ val top_levels :
 (** [top_levels].(v): longest path length from any source up to but
     excluding [v] (0 for sources). *)
 
-val top_levels_into :
-  t -> node_weight:(int -> float) -> edge_weight:(int -> float) ->
-  float array -> unit
-(** Same as {!top_levels} but writing into a caller-owned buffer of at
-    least [node_count] entries (only the first [node_count] are
-    touched) — the allocation-free variant used by the reusable
-    allocator scratch ({!Mcs_sched.Alloc_arena} in the scheduler).
-    @raise Invalid_argument if the buffer is shorter than the graph. *)
-
 val bottom_levels :
   t -> node_weight:(int -> float) -> edge_weight:(int -> float) ->
   float array
 (** [bottom_levels].(v): longest path length from [v] (inclusive) to any
     sink — the list-scheduling priority used by the mapper. *)
 
-val bottom_levels_into :
-  t -> node_weight:(int -> float) -> edge_weight:(int -> float) ->
-  float array -> unit
-(** Same as {!bottom_levels} but writing into a caller-owned buffer of
-    at least [node_count] entries (only the first [node_count] are
-    touched).
-    @raise Invalid_argument if the buffer is shorter than the graph. *)
+(** {2 Level kernel}
 
-val bottom_levels_update :
-  t -> node_weight:(int -> float) -> edge_weight:(int -> float) ->
-  changed:int -> dirty:Bytes.t -> float array -> unit
-(** [bottom_levels_update t ~node_weight ~edge_weight ~changed ~dirty bl]
-    repairs a {!bottom_levels_into} result in place after the weight of
-    the single node [changed] moved, recomputing only the nodes whose
-    max actually changes (the changed node, then transitively the
-    predecessors its movement reaches). The result is bit-identical to
-    a full recomputation: repaired nodes apply the same max-fold to the
-    same operands, and untouched nodes keep values computed from
-    unchanged inputs. [dirty] is caller-owned scratch of at least
-    [node_count] bytes, all-zero on entry and restored to all-zero on
-    return. This is what makes the SCRAP increment loop cheap: each
-    +1-processor step changes one execution time, so levels are
-    repaired along the affected cone instead of re-traversing the DAG.
-    @raise Invalid_argument if [dirty] is shorter than the graph. *)
+    Bottom and top levels at zero edge weight over a node weight array
+    [w], written into caller-owned arrays of at least [node_count]
+    entries (only the first [node_count] are touched). The SCRAP
+    increment loop and the mapper's priorities recompute levels
+    thousands of times per call, so these passes call no closure and
+    box no float. Each is bit-identical to {!bottom_levels} or
+    {!top_levels} with [~node_weight:(fun v -> w.(v))] and
+    [~edge_weight:(fun _ -> 0.)]: the same max-folds over the same
+    operands, in the same order. *)
 
-val top_levels_update :
-  t -> node_weight:(int -> float) -> edge_weight:(int -> float) ->
-  changed:int -> dirty:Bytes.t -> float array -> unit
-(** Dual of {!bottom_levels_update} for {!top_levels_into} buffers:
-    repair starts at the successors of [changed] (a node's top level
-    excludes its own weight) and propagates forward.
-    @raise Invalid_argument if [dirty] is shorter than the graph. *)
+val fill_bottom_levels : t -> float array -> float array -> unit
+(** [fill_bottom_levels t w bl] writes every bottom level into [bl].
+    @raise Invalid_argument if [w] or [bl] is shorter than the graph. *)
+
+val fill_top_levels : t -> float array -> float array -> unit
+(** [fill_top_levels t w tl] writes every top level into [tl].
+    @raise Invalid_argument if [w] or [tl] is shorter than the graph. *)
+
+val repair_levels :
+  t -> float array -> changed:int -> dirty:Bytes.t -> bl:float array ->
+  tl:float array -> unit
+(** [repair_levels t w ~changed ~dirty ~bl ~tl] brings [bl] and [tl],
+    levels of [w] before [w.(changed)] moved, up to date with the new
+    weight. It refreshes only the nodes whose max actually changes:
+    [changed] and then the predecessors its movement reaches for [bl],
+    the successors of [changed] and then those their movement reaches
+    for [tl] (a top level excludes the node's own weight). The result
+    is bit-identical to a full pass: refreshed nodes apply the same
+    max-fold to the same operands, and untouched nodes keep values
+    computed from unchanged inputs. [dirty] is caller-owned scratch of
+    at least [node_count] bytes, all-zero on entry and restored to
+    all-zero on return. Each +1-processor step of the SCRAP loop
+    changes one execution time, so the loop repairs levels along the
+    affected cone instead of re-traversing the DAG.
+    @raise Invalid_argument if an array or [dirty] is shorter than the
+    graph. *)
 
 val reachable_from : t -> int -> bool array
 (** Nodes reachable from the given node (inclusive). *)

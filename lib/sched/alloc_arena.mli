@@ -42,7 +42,6 @@ val gain : t -> float array
     instead of once per candidate scan. *)
 
 val dirty : t -> Bytes.t
-(** Scratch for {!Mcs_dag.Dag.bottom_levels_update} /
-    [top_levels_update] (≥ [nodes] bytes). Unlike the other buffers it
-    carries an invariant {e between} uses: all-zero, which the repair
-    functions restore before returning. *)
+(** Scratch for {!Mcs_dag.Dag.repair_levels} (≥ [nodes] bytes). Unlike
+    the other buffers it carries an invariant {e between} uses:
+    all-zero, which the repair restores before returning. *)

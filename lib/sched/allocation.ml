@@ -67,7 +67,7 @@ let fill_seq_alpha ~gflops ptg ~seq ~alpha n =
     alpha.(v) <- task.Task.alpha
   done
 
-let exec_at ~seq ~alpha v ~procs =
+let[@inline] exec_at ~seq ~alpha v ~procs =
   seq.(v) *. (alpha.(v) +. ((1. -. alpha.(v)) /. float_of_int procs))
 
 (* One run of the increment loop from the state in [procs]/[usage]/
@@ -80,17 +80,23 @@ let exec_at ~seq ~alpha v ~procs =
    in the interval would make: [req] is the per-level usage consumed by
    the choice (the smallest budget that allows it), [ceil] the smallest
    budget that would have unblocked a better candidate ([max_int] when
-   none was blocked — the common case). Returns (increments done, final
-   critical path, final raw area, blocked, blocked_ceil): [blocked_ceil]
-   is, when the run ends by candidate exhaustion, the smallest budget
-   under which it would instead have continued ([max_int] when the loop
-   is exhausted under every budget). *)
+   none was blocked). Returns (increments done, final critical path,
+   final raw area, blocked, blocked_ceil): [blocked_ceil] is, when the
+   run ends by candidate exhaustion, the smallest budget under which it
+   would instead have continued ([max_int] when the loop is exhausted
+   under every budget).
+
+   The loop allocates nothing of its own: levels come from the
+   closure-free {!Dag} kernel over [exec], the scan keeps its winner in
+   an int and a float local, and the second pass below is a plain loop
+   that runs only when the scan saw a critical candidate the budget
+   excluded. *)
 let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
     ~bl ~tl ~dirty ~gain ~seq ~alpha ptg levels ~procs ~usage ~exec area0 =
   let dag = ptg.Ptg.dag in
   let n = Dag.node_count dag in
-  let node_weight v = exec.(v) in
-  let edge_weight _ = 0. in
+  let entry = Ptg.entry ptg in
+  let per_level = match procedure with Scrap -> false | Scrap_max -> true in
   let area = ref area0 in
   let steps = ref 0 in
   let max_steps = (cap * n) + 1 in
@@ -103,8 +109,8 @@ let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
      increment changes exactly one execution time, so the loop repairs
      the levels along the affected cone instead of re-traversing the
      DAG per iteration. *)
-  Dag.bottom_levels_into dag ~node_weight ~edge_weight bl;
-  Dag.top_levels_into dag ~node_weight ~edge_weight tl;
+  Dag.fill_bottom_levels dag exec bl;
+  Dag.fill_top_levels dag exec tl;
   (* A node's gain (speedup of one more processor) moves only when its
      own allocation does, so it is priced once here and re-priced per
      increment received — not per candidate scan. *)
@@ -112,97 +118,73 @@ let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
     gain.(v) <- exec.(v) -. exec_at ~seq ~alpha v ~procs:(procs.(v) + 1)
   done;
   while !continue && !steps < max_steps do
-    cp := bl.(Ptg.entry ptg);
+    cp := bl.(entry);
     record_state !cp !area;
-    let ta = !area /. beta_power in
-    if !cp <= ta +. Floatx.eps then continue := false
+    if !cp <= (!area /. beta_power) +. Floatx.eps then continue := false
     else begin
       (* Candidates: critical tasks that can still grow. Virtual nodes
          are skipped via [seq.(v) = 0.] (zero task ⇔ zero sequential
          time; a zero-seq node can never show positive gain either), a
          plain float load where [Ptg.is_virtual] is a call per node per
-         step. *)
+         step. The winner is the first maximum of the positive gains;
+         [best < 0] while there is none. *)
       let tolerance = 1e-9 *. Float.max 1. !cp in
-      let best = ref None in
-      let any_blocked = ref false in
+      let best = ref (-1) in
+      let best_gain = ref 0. in
+      let excluded = ref false in
       for v = 0 to n - 1 do
         if
           seq.(v) > 0.
           && Float.abs (tl.(v) +. bl.(v) -. !cp) <= tolerance
           && procs.(v) < cap
         then
-          if
-            match procedure with
-            | Scrap -> true
-            | Scrap_max -> usage.(levels.(v)) + 1 <= budget
-          then begin
+          if (not per_level) || usage.(levels.(v)) + 1 <= budget then begin
             let g = gain.(v) in
-            if g > 0. then
-              match !best with
-              | Some (_, best_gain) when best_gain >= g -> ()
-              | _ -> best := Some (v, g)
+            if g > !best_gain then begin
+              best := v;
+              best_gain := g
+            end
           end
-          else any_blocked := true
+          else excluded := true
       done;
       (* Smallest budget that would have changed the selection above: a
-         budget-blocked candidate [u] displaces the scan winner [c] iff
+         budget-excluded candidate [u] displaces the scan winner [c] iff
          its gain is strictly larger, or equal with [u] scanned first
-         (the loop keeps the first maximum). With no winner, any
-         blocked candidate with positive gain continues the loop.
-         Second pass only when some candidate was actually blocked —
-         the filter rarely binds, so this almost never runs. *)
-      let ceil_of best =
-        if not !any_blocked then max_int
-        else begin
-          let ceil = ref max_int in
-          for u = 0 to n - 1 do
-            if
-              seq.(u) > 0.
-              && Float.abs (tl.(u) +. bl.(u) -. !cp) <= tolerance
-              && procs.(u) < cap
-              && (match procedure with
-                 | Scrap -> false
-                 | Scrap_max -> usage.(levels.(u)) + 1 > budget)
-            then begin
-              let g = gain.(u) in
-              let beats =
-                g > 0.
-                &&
-                match best with
-                | None -> true
-                | Some (c, best_gain) ->
-                  g > best_gain || (g = best_gain && u < c)
-              in
-              if beats then ceil := min !ceil (usage.(levels.(u)) + 1)
-            end
-          done;
-          !ceil
-        end
-      in
-      match !best with
-      | None ->
+         (the scan keeps the first maximum). With no winner, any
+         excluded candidate with positive gain continues the loop. *)
+      let ceil = ref max_int in
+      if !excluded then
+        for u = 0 to n - 1 do
+          let g = gain.(u) in
+          if
+            seq.(u) > 0.
+            && Float.abs (tl.(u) +. bl.(u) -. !cp) <= tolerance
+            && procs.(u) < cap
+            && usage.(levels.(u)) + 1 > budget
+            && g > 0.
+            && (!best < 0 || g > !best_gain
+               || (g = !best_gain && u < !best))
+          then ceil := min !ceil (usage.(levels.(u)) + 1)
+        done;
+      if !best < 0 then begin
         continue := false;
         closed := true;
-        closed_ceil := ceil_of None
-      | Some (v, _gain) ->
-        let req =
-          match procedure with
-          | Scrap -> 1
-          | Scrap_max -> usage.(levels.(v)) + 1
-        in
-        record_inc v ~req ~ceil:(ceil_of !best);
+        closed_ceil := !ceil
+      end
+      else begin
+        let v = !best in
+        let req = if per_level then usage.(levels.(v)) + 1 else 1 in
+        record_inc v ~req ~ceil:!ceil;
         let before = exec.(v) *. float_of_int procs.(v) in
         procs.(v) <- procs.(v) + 1;
         usage.(levels.(v)) <- usage.(levels.(v)) + 1;
         exec.(v) <- exec_at ~seq ~alpha v ~procs:procs.(v);
         gain.(v) <- exec.(v) -. exec_at ~seq ~alpha v ~procs:(procs.(v) + 1);
         area := !area -. before +. (exec.(v) *. float_of_int procs.(v));
-        Dag.bottom_levels_update dag ~node_weight ~edge_weight ~changed:v
-          ~dirty bl;
-        Dag.top_levels_update dag ~node_weight ~edge_weight ~changed:v ~dirty
-          tl;
+        Dag.repair_levels dag exec ~changed:v ~dirty ~bl ~tl;
         Obs.incr c_increments;
         incr steps
+      end
     end
   done;
   (!steps, !cp, !area, !closed, !closed_ceil)
@@ -249,8 +231,8 @@ let allocate ?(procedure = Scrap_max) ?up_counts ref_cluster platform ~beta
   let steps, cp, area, _closed, _closed_ceil =
     run_loop ~record_state:no_state ~record_inc:no_inc ~procedure ~budget ~cap
       ~beta_power ~bl:(Alloc_arena.bl arena) ~tl:(Alloc_arena.tl arena)
-      ~dirty:(Alloc_arena.dirty arena) ~gain:(Alloc_arena.gain arena) ~seq ~alpha ptg levels ~procs ~usage
-      ~exec
+      ~dirty:(Alloc_arena.dirty arena) ~gain:(Alloc_arena.gain arena) ~seq
+      ~alpha ptg levels ~procs ~usage ~exec
       (initial_area exec procs n)
   in
   {
@@ -529,8 +511,9 @@ let extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
     Obs.with_span "alloc.scrap" @@ fun () ->
     run_loop ~record_state ~record_inc:(record_inc_of e) ~procedure ~budget
       ~cap ~beta_power ~bl:(Alloc_arena.bl arena) ~tl:(Alloc_arena.tl arena)
-      ~dirty:(Alloc_arena.dirty arena) ~gain:(Alloc_arena.gain arena) ~seq ~alpha ptg e.e_levels
-      ~procs:e.e_procs ~usage:e.e_usage ~exec:e.e_exec area0
+      ~dirty:(Alloc_arena.dirty arena) ~gain:(Alloc_arena.gain arena) ~seq
+      ~alpha ptg e.e_levels ~procs:e.e_procs ~usage:e.e_usage ~exec:e.e_exec
+      area0
   in
   e.e_closed <- closed;
   e.e_closed_ceil <- closed_ceil

@@ -96,6 +96,7 @@ type scratch = {
   mutable b_width : int;
   mutable b_cluster : int;
   f : float array;                     (* indexed by the [f_*] slots *)
+  mutable weights : float array;       (* node -> execution time, for [bl] *)
 }
 
 (* Float slots of [scratch.f]: the candidate being priced, the best
@@ -142,6 +143,7 @@ let create_scratch platform =
     b_width = 0;
     b_cluster = -1;
     f = Array.make 12 0.;
+    weights = [||];
   }
 
 (* Load the predecessors of [v] (all placed, by readiness) into the
@@ -603,12 +605,14 @@ let prepare session ref_cluster (id, ptg, alloc) =
   if not !same then begin
     Array.blit alloc 0 state.alloc 0 n;
     state.speed <- speed;
-    Dag.bottom_levels_into dag
-      ~node_weight:(fun v ->
+    let s = session.scratch in
+    if Array.length s.weights < n then s.weights <- Array.make n 0.;
+    for v = 0 to n - 1 do
+      s.weights.(v) <-
         Reference_cluster.exec_time ref_cluster ptg.Ptg.tasks.(v)
-          ~procs:alloc.(v))
-      ~edge_weight:(fun _ -> 0.)
-      state.bl
+          ~procs:alloc.(v)
+    done;
+    Dag.fill_bottom_levels dag s.weights state.bl
   end;
   for v = 0 to n - 1 do
     state.pending.(v) <- Dag.in_degree dag v

@@ -218,33 +218,42 @@ let qcheck_level_repair_bit_identical =
       let g = build_random params in
       let n = Dag.node_count g in
       let rng = Mcs_prng.Prng.create ~seed:(1 + (n * 31)) in
-      let w = Array.init n (fun v -> 1. +. float_of_int (v mod 7)) in
-      let nw v = w.(v) in
-      let ew _ = 0.25 in
-      let bl = Dag.bottom_levels g ~node_weight:nw ~edge_weight:ew in
-      let tl = Dag.top_levels g ~node_weight:nw ~edge_weight:ew in
+      let w =
+        Array.init n (fun _ -> Mcs_prng.Prng.uniform rng ~lo:0.1 ~hi:9.)
+      in
+      (* The closure passes at zero edge weight are the reference. *)
+      let same a levels =
+        let ok = ref true in
+        for u = 0 to n - 1 do
+          if not (Float.equal a.(u) levels.(u)) then ok := false
+        done;
+        !ok
+      in
+      let reference () =
+        let nw v = w.(v) and ew _ = 0. in
+        ( Dag.bottom_levels g ~node_weight:nw ~edge_weight:ew,
+          Dag.top_levels g ~node_weight:nw ~edge_weight:ew )
+      in
+      (* Stale contents must not leak into a full pass. *)
+      let bl = Array.make n Float.nan and tl = Array.make n Float.nan in
+      Dag.fill_bottom_levels g w bl;
+      Dag.fill_top_levels g w tl;
+      let bl0, tl0 = reference () in
+      let ok = ref (same bl bl0 && same tl tl0) in
       let dirty = Bytes.make n '\000' in
-      let ok = ref true in
       (* A run of single-node weight changes, each repaired in place and
          compared bit for bit against a from-scratch pass — decreases
          mimic the allocation loop, increases stress the other
          direction of the max folds. *)
       for _ = 1 to 20 do
         let v = Mcs_prng.Prng.int rng n in
-        w.(v) <- w.(v) *. (if Mcs_prng.Prng.bernoulli rng ~p:0.7 then 0.8 else 1.3);
-        Dag.bottom_levels_update g ~node_weight:nw ~edge_weight:ew ~changed:v
-          ~dirty bl;
-        Dag.top_levels_update g ~node_weight:nw ~edge_weight:ew ~changed:v
-          ~dirty tl;
-        let bl' = Dag.bottom_levels g ~node_weight:nw ~edge_weight:ew in
-        let tl' = Dag.top_levels g ~node_weight:nw ~edge_weight:ew in
-        for u = 0 to n - 1 do
-          if not (Float.equal bl.(u) bl'.(u) && Float.equal tl.(u) tl'.(u))
-          then ok := false
-        done;
-        (* The repair functions must leave the scratch all-zero. *)
-        if String.exists (fun c -> c <> '\000') (Bytes.to_string dirty) then
-          ok := false
+        w.(v) <-
+          w.(v) *. (if Mcs_prng.Prng.bernoulli rng ~p:0.7 then 0.8 else 1.3);
+        Dag.repair_levels g w ~changed:v ~dirty ~bl ~tl;
+        let bl', tl' = reference () in
+        if not (same bl bl' && same tl tl') then ok := false;
+        (* The repair must leave the scratch all-zero. *)
+        if Bytes.exists (fun c -> c <> '\000') dirty then ok := false
       done;
       !ok)
 

@@ -422,6 +422,45 @@ let qcheck_cache_differential =
           && level_share_ok r ~beta ptg cached.Allocation.procs)
         betas)
 
+(* What the increment loop allocates per increment, in minor words
+   (dune's default profile): a scratch [allocate] at β = 1 and the same
+   requests through fresh cache entries on a warm arena, on 20 random
+   50-task PTGs. The loop itself allocates nothing; the words left are
+   per-call arrays and a fresh entry's growing records. A loop that
+   passes closures and boxed floats to the level repair allocates ~940
+   words per increment here. *)
+let test_alloc_loop_budget () =
+  let p = Grid5000.rennes () in
+  let r = Reference_cluster.of_platform p in
+  let ptgs = List.init 20 (fun i -> random_ptg ~tasks:50 (100 + i)) in
+  let arena = Alloc_arena.create () in
+  let per_increment allocate =
+    ignore (allocate (List.hd ptgs));
+    let increments = ref 0 in
+    let w0 = Gc.minor_words () in
+    List.iter
+      (fun ptg ->
+        let res = allocate ptg in
+        increments := !increments + res.Allocation.iterations)
+      ptgs;
+    (Gc.minor_words () -. w0) /. float_of_int !increments
+  in
+  Obs.disable ();
+  List.iter
+    (fun (name, allocate) ->
+      let per = per_increment allocate in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words per increment (budget 32)" name
+           per)
+        true (per <= 32.))
+    [
+      ("scratch allocate", fun ptg -> Allocation.allocate r p ~beta:1. ptg);
+      ( "fresh cache entry",
+        fun ptg ->
+          Allocation.allocate_cached ~cache:(Allocation.cache_create ()) ~arena
+            r p ~beta:1. ptg );
+    ]
+
 (* One cache serving the request mix an online engine produces across
    outages: β values, allocation caps from surviving-processor counts
    and reference clusters shrunk by [Reference_cluster.degrade], drawn
@@ -1480,6 +1519,8 @@ let suite =
         Alcotest.test_case "binding guards" `Quick test_cache_binding_guards;
         Alcotest.test_case "release & copy" `Quick
           test_cache_release_and_copy;
+        Alcotest.test_case "allocation budget per increment" `Quick
+          test_alloc_loop_budget;
         QCheck_alcotest.to_alcotest qcheck_cache_differential;
         QCheck_alcotest.to_alcotest qcheck_cache_request_mix;
       ] );
