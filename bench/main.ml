@@ -642,6 +642,7 @@ let exact_counters =
     "mapper.packing_attempts";
     "mapper.packing_wins";
     "mapper.avail_reorders";
+    "alloc.calls";
     "alloc.increments";
     "alloc.cache.hits";
     "alloc.cache.rescales";

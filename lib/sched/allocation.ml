@@ -43,9 +43,9 @@ let budget_of ref_cluster ~beta =
    calls agreeing on (budget, cap) walk the {e same} increment
    trajectory and differ only in where the β-continuous stop criterion
    fires. The allocation cache sharpens this per step: each increment
-   records the budget {e interval} under which its choice is provably
-   unchanged, so one recorded trajectory serves whole ranges of budgets,
-   not just the one it ran under. *)
+   records the budget and cap {e intervals} under which its choice is
+   provably unchanged, so one recorded trajectory serves whole ranges
+   of budgets and caps, not just the pair it ran under. *)
 
 let initial_area exec procs n =
   let area = ref 0. in
@@ -75,22 +75,27 @@ let[@inline] exec_at ~seq ~alpha v ~procs =
    candidate exhaustion. [bl]/[tl] are per-iteration scratch (arena
    buffers). [record_state] observes every visited state (its critical
    path and raw area, the final one included); [record_inc] the chosen
-   node of every increment together with the {e budget interval}
-   [[req, ceil)] under which the choice is provably the one any budget
-   in the interval would make: [req] is the per-level usage consumed by
-   the choice (the smallest budget that allows it), [ceil] the smallest
-   budget that would have unblocked a better candidate ([max_int] when
-   none was blocked). Returns (increments done, final critical path,
-   final raw area, blocked, blocked_ceil): [blocked_ceil] is, when the
-   run ends by candidate exhaustion, the smallest budget under which it
-   would instead have continued ([max_int] when the loop is exhausted
-   under every budget).
+   node of every increment together with the region
+   [[req, ceil) × [clo, chi)] of (budget, cap) pairs under which the
+   choice is provably the one the loop would make:
+   - [req] is the per-level usage the choice consumes (the smallest
+     budget that allows it), [clo] its allocation plus one (the
+     smallest cap that allows it);
+   - [ceil] and [chi] are the smallest budget and cap that would admit
+     a critical candidate this run excluded and that would beat the
+     choice ([max_int] when there is none). A candidate the cap
+     excluded counts towards [chi] only, whatever its budget, so the
+     region stays a product of intervals.
+   Returns (increments done, final critical path, final raw area,
+   closed, closed_ceil, closed_chi): when the run ends by candidate
+   exhaustion, [closed_ceil] and [closed_chi] bound, the same way, the
+   budgets and caps under which it would still be exhausted.
 
    The loop allocates nothing of its own: levels come from the
    closure-free {!Dag} kernel over [exec], the scan keeps its winner in
    an int and a float local, and the second pass below is a plain loop
-   that runs only when the scan saw a critical candidate the budget
-   excluded. *)
+   that runs only when the scan saw a critical candidate the cap or the
+   budget excluded. *)
 let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
     ~bl ~tl ~dirty ~gain ~seq ~alpha ptg levels ~procs ~usage ~exec area0 =
   let dag = ptg.Ptg.dag in
@@ -103,6 +108,7 @@ let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
   let continue = ref true in
   let closed = ref false in
   let closed_ceil = ref max_int in
+  let closed_chi = ref max_int in
   let cp = ref 0. in
   (* Bottom and top levels under the starting exec times (computation
      only, as in CPA: communications are handled at mapping time). Each
@@ -133,12 +139,12 @@ let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
       let best_gain = ref 0. in
       let excluded = ref false in
       for v = 0 to n - 1 do
-        if
-          seq.(v) > 0.
-          && Float.abs (tl.(v) +. bl.(v) -. !cp) <= tolerance
-          && procs.(v) < cap
+        if seq.(v) > 0. && Float.abs (tl.(v) +. bl.(v) -. !cp) <= tolerance
         then
-          if (not per_level) || usage.(levels.(v)) + 1 <= budget then begin
+          if
+            procs.(v) < cap
+            && ((not per_level) || usage.(levels.(v)) + 1 <= budget)
+          then begin
             let g = gain.(v) in
             if g > !best_gain then begin
               best := v;
@@ -147,34 +153,37 @@ let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
           end
           else excluded := true
       done;
-      (* Smallest budget that would have changed the selection above: a
-         budget-excluded candidate [u] displaces the scan winner [c] iff
-         its gain is strictly larger, or equal with [u] scanned first
-         (the scan keeps the first maximum). With no winner, any
-         excluded candidate with positive gain continues the loop. *)
+      (* The smallest budget and cap that would have changed the
+         selection above: an excluded candidate [u] displaces the scan
+         winner [c] iff its gain is strictly larger, or equal with [u]
+         scanned first (the scan keeps the first maximum). With no
+         winner, any excluded candidate with positive gain continues
+         the loop. *)
       let ceil = ref max_int in
+      let chi = ref max_int in
       if !excluded then
         for u = 0 to n - 1 do
           let g = gain.(u) in
           if
             seq.(u) > 0.
             && Float.abs (tl.(u) +. bl.(u) -. !cp) <= tolerance
-            && procs.(u) < cap
-            && usage.(levels.(u)) + 1 > budget
             && g > 0.
-            && (!best < 0 || g > !best_gain
-               || (g = !best_gain && u < !best))
-          then ceil := min !ceil (usage.(levels.(u)) + 1)
+            && (!best < 0 || g > !best_gain || (g = !best_gain && u < !best))
+          then
+            if procs.(u) >= cap then chi := min !chi (procs.(u) + 1)
+            else if per_level && usage.(levels.(u)) + 1 > budget then
+              ceil := min !ceil (usage.(levels.(u)) + 1)
         done;
       if !best < 0 then begin
         continue := false;
         closed := true;
-        closed_ceil := !ceil
+        closed_ceil := !ceil;
+        closed_chi := !chi
       end
       else begin
         let v = !best in
         let req = if per_level then usage.(levels.(v)) + 1 else 1 in
-        record_inc v ~req ~ceil:!ceil;
+        record_inc v ~req ~ceil:!ceil ~clo:(procs.(v) + 1) ~chi:!chi;
         let before = exec.(v) *. float_of_int procs.(v) in
         procs.(v) <- procs.(v) + 1;
         usage.(levels.(v)) <- usage.(levels.(v)) + 1;
@@ -187,10 +196,13 @@ let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
       end
     end
   done;
-  (!steps, !cp, !area, !closed, !closed_ceil)
+  (!steps, !cp, !area, !closed, !closed_ceil, !closed_chi)
 
 let no_state (_ : float) (_ : float) = ()
-let no_inc (_ : int) ~req:(_ : int) ~ceil:(_ : int) = ()
+
+let no_inc (_ : int) ~req:(_ : int) ~ceil:(_ : int) ~clo:(_ : int)
+    ~chi:(_ : int) =
+  ()
 
 (* NaN fails both comparisons, so it is rejected too. *)
 let check_beta beta =
@@ -228,7 +240,7 @@ let allocate ?(procedure = Scrap_max) ?up_counts ref_cluster platform ~beta
   let cap = Reference_cluster.max_allocation ?up_counts ref_cluster platform in
   let budget = budget_of ref_cluster ~beta in
   let beta_power = beta *. float_of_int ref_cluster.Reference_cluster.procs in
-  let steps, cp, area, _closed, _closed_ceil =
+  let steps, cp, area, _closed, _closed_ceil, _closed_chi =
     run_loop ~record_state:no_state ~record_inc:no_inc ~procedure ~budget ~cap
       ~beta_power ~bl:(Alloc_arena.bl arena) ~tl:(Alloc_arena.tl arena)
       ~dirty:(Alloc_arena.dirty arena) ~gain:(Alloc_arena.gain arena) ~seq
@@ -246,46 +258,50 @@ let allocate ?(procedure = Scrap_max) ?up_counts ref_cluster platform ~beta
 
    One cache per application: per engine application online, per PTG
    in an offline evaluation. An entry materialises one increment
-   trajectory under one allocation cap: the node chosen at every step
-   plus the critical path and raw area of every visited state, together
-   with the frontier loop state so the trajectory can be extended when
-   a β wants to stop later than any β seen so far.
+   trajectory: the node chosen at every step plus the critical path and
+   raw area of every visited state, together with the frontier loop
+   state so the trajectory can be extended when a β wants to stop later
+   than any β seen so far.
 
    β enters the loop twice, and the entry captures both channels:
 
    - {e continuously}, through the stop criterion cp ≤ area/β·procs —
      replayed per request against the recorded (cp, area) pairs;
    - {e discretely}, through the integer per-level budget ⌊β·procs⌋ in
-     the candidate filter. Each recorded step carries the budget
-     interval [[req, ceil)] for which the recorded choice is provably
-     what a scratch run under that budget would choose ([req] = usage
-     the choice consumed at its level; [ceil] = smallest budget that
-     would have unblocked a better candidate, [max_int] when none was
-     blocked). A replay walks the trajectory checking the request's
-     budget against each step's interval; since the filter rarely
-     binds, one trajectory typically serves {e every} budget, and a
-     request whose budget falls outside some step's interval simply
-     diverges to a fresh scratch-recorded entry.
+     the candidate filter.
+
+   The allocation cap, which moves when the platform degrades or
+   recovers, enters through the same filter. Each recorded step carries
+   a budget interval [[req, ceil)] and a cap interval [[clo, chi)]
+   (see [run_loop]) inside which the recorded choice is provably what a
+   scratch run would choose. A replay walks the trajectory checking the
+   request's budget and cap against each step's intervals, so entries
+   are not keyed by cap: one trajectory serves every (budget, cap) pair
+   its steps admit, and a request that escapes some step's interval
+   diverges there, sharing the validated prefix.
 
    Either way a served result is bit-identical to a scratch run: the
    scratch loop would walk the same trajectory and apply the same stop
    test to the same floats. *)
 
 type entry = {
-  e_cap : int;
   e_levels : int array;
   (* Trajectory: states 0..len carry (cps, areas); step i < len turned
      state i into state i+1 by giving [incs.(i)] one more processor,
-     valid for budgets in [reqs.(i), ceils.(i)). *)
+     valid for budgets in [reqs.(i), ceils.(i)) and caps in
+     [clos.(i), chis.(i)). *)
   mutable e_incs : int array;
   mutable e_reqs : int array;
   mutable e_ceils : int array;
+  mutable e_clos : int array;
+  mutable e_chis : int array;
   mutable e_cps : float array;
   mutable e_areas : float array;
   mutable e_len : int;
   mutable e_closed : bool;  (* state [len] has no candidate left *)
   mutable e_closed_ceil : int;
       (* smallest budget that would continue past a closed [len] *)
+  mutable e_closed_chi : int;  (* the same for caps *)
   (* Frontier loop state (state [len]), for extension. *)
   e_procs : int array;
   e_usage : int array;
@@ -293,9 +309,10 @@ type entry = {
   (* Exact-hit key of the last request served from this entry, and its
      result (procs owned by the cache). β only reaches the loop through
      the integer budget and the continuous stop power β·procs, so those
-     two — not β itself — decide whether a repeat request reproduces
-     the stored result: the same β can mean a different budget and stop
-     power on a degraded reference cluster. *)
+     two — not β itself — together with the cap decide whether a repeat
+     request reproduces the stored result: the same β can mean a
+     different budget and stop power on a degraded reference cluster. *)
+  mutable e_cap : int;
   mutable e_budget : int;
   mutable e_bpower : float;
   mutable e_res : result;
@@ -317,12 +334,11 @@ type cache = {
   mutable bound_alpha : float array;
 }
 
-(* Trajectories kept per application. Budget intervals let one
-   trajectory serve whole budget ranges, so entries proliferate only
-   across genuinely divergent trajectories (distinct caps after platform
-   degradation, or budgets that unblock different candidates); a small
-   MRU list captures nearly all reuse while bounding memory at serving
-   scale. *)
+(* Trajectories kept per application. Budget and cap intervals let one
+   trajectory serve whole ranges of both, so entries proliferate only
+   across genuinely divergent trajectories (budgets or caps that admit
+   different candidates); a small MRU list captures nearly all reuse
+   while bounding memory at serving scale. *)
 let max_entries = 8
 
 let cache_create () =
@@ -357,19 +373,22 @@ let cache_entry_count cache = List.length cache.entries
 
 let entry_copy e =
   {
-    e_cap = e.e_cap;
     e_levels = Array.copy e.e_levels;
     e_incs = Array.copy e.e_incs;
     e_reqs = Array.copy e.e_reqs;
     e_ceils = Array.copy e.e_ceils;
+    e_clos = Array.copy e.e_clos;
+    e_chis = Array.copy e.e_chis;
     e_cps = Array.copy e.e_cps;
     e_areas = Array.copy e.e_areas;
     e_len = e.e_len;
     e_closed = e.e_closed;
     e_closed_ceil = e.e_closed_ceil;
+    e_closed_chi = e.e_closed_chi;
     e_procs = Array.copy e.e_procs;
     e_usage = Array.copy e.e_usage;
     e_exec = Array.copy e.e_exec;
+    e_cap = e.e_cap;
     e_budget = e.e_budget;
     e_bpower = e.e_bpower;
     e_res = { e.e_res with procs = Array.copy e.e_res.procs };
@@ -396,8 +415,8 @@ let cache_copy cache =
 (* A cache is bound to one PTG, one procedure and one reference speed
    for its whole life; mixing inputs would serve one application's
    trajectories to another. Everything else an allocation depends on
-   (β, the reference-cluster size, the degraded cap) is in the key or
-   applied at replay time. *)
+   (β, the reference-cluster size, the degraded cap) is checked at
+   replay time. *)
 let bind_guards cache ~procedure ~speed ptg =
   (match cache.bound_ptg with
   | None -> cache.bound_ptg <- Some ptg
@@ -428,24 +447,29 @@ let grow_floats a need =
     b
   end
 
-(* Replay the recorded stop tests under a request's (budget, β·procs):
-   walk the states in order, stopping at the first one whose criterion
-   fires; between states, check the step's budget interval.
-   [Diverged at] means states 0..at are valid under this budget but the
-   choice at step [at] would differ — the shared prefix a fork can
-   build on. *)
+(* Replay the recorded stop tests under a request's (budget, cap,
+   β·procs): walk the states in order, stopping at the first one whose
+   criterion fires; between states, check the step's budget and cap
+   intervals. [Diverged at] means states 0..at are valid under this
+   budget and cap but the choice at step [at] would differ — the shared
+   prefix a fork can build on. *)
 type replay = Stopped of int | Needs_extension | Diverged of int
 
-let replay_stop e ~budget ~beta_power =
+let replay_stop e ~budget ~cap ~beta_power =
   let rec scan i =
     if e.e_cps.(i) <= (e.e_areas.(i) /. beta_power) +. Floatx.eps then
       Stopped i
     else if i < e.e_len then
-      if e.e_reqs.(i) <= budget && budget < e.e_ceils.(i) then scan (i + 1)
+      if
+        e.e_reqs.(i) <= budget && budget < e.e_ceils.(i)
+        && e.e_clos.(i) <= cap && cap < e.e_chis.(i)
+      then scan (i + 1)
       else Diverged i
-    else if e.e_closed && budget < e.e_closed_ceil then
-      (* Exhausted under this budget too: blocked candidates all need
-         more than [budget] (a smaller budget only shrinks the set). *)
+    else if e.e_closed && budget < e.e_closed_ceil && cap < e.e_closed_chi
+    then
+      (* Exhausted under this budget and cap too: every excluded
+         candidate needs more than [budget] or more than [cap] (a
+         smaller budget or cap only shrinks the set). *)
       Stopped e.e_len
     else Needs_extension
   in
@@ -470,19 +494,24 @@ let result_at e ~beta_power s =
     average_area = e.e_areas.(s) /. beta_power;
   }
 
-let record_inc_of e v ~req ~ceil =
-  e.e_incs <- grow_ints e.e_incs (e.e_len + 1);
-  e.e_reqs <- grow_ints e.e_reqs (e.e_len + 1);
-  e.e_ceils <- grow_ints e.e_ceils (e.e_len + 1);
-  e.e_incs.(e.e_len) <- v;
-  e.e_reqs.(e.e_len) <- req;
-  e.e_ceils.(e.e_len) <- ceil
+let record_inc_of e v ~req ~ceil ~clo ~chi =
+  let i = e.e_len in
+  e.e_incs <- grow_ints e.e_incs (i + 1);
+  e.e_reqs <- grow_ints e.e_reqs (i + 1);
+  e.e_ceils <- grow_ints e.e_ceils (i + 1);
+  e.e_clos <- grow_ints e.e_clos (i + 1);
+  e.e_chis <- grow_ints e.e_chis (i + 1);
+  e.e_incs.(i) <- v;
+  e.e_reqs.(i) <- req;
+  e.e_ceils.(i) <- ceil;
+  e.e_clos.(i) <- clo;
+  e.e_chis.(i) <- chi
 
 (* Continue the trajectory from the frontier until the stop criterion
    under [beta_power] or candidate exhaustion, appending every new
    state. The appended steps are recorded under the {e request's}
-   budget — their intervals carry it, so later replays under other
-   budgets stay sound. An entry with no state yet records the loop's
+   budget and cap — their intervals carry them, so later replays under
+   other budgets and caps stay sound. An entry with no state yet records the loop's
    first state as its state 0; otherwise the first state is the
    frontier, already recorded, and the loop starts from its recorded
    area (summed incrementally: recomputing it would differ in the last
@@ -505,7 +534,7 @@ let extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
       initial_area e.e_exec e.e_procs (Array.length e.e_procs)
     else e.e_areas.(e.e_len)
   in
-  let _steps, _cp, _area, closed, closed_ceil =
+  let _steps, _cp, _area, closed, closed_ceil, closed_chi =
     (* Live loop steps (the only DAG traversals of the cached paths)
        are accounted to the same span as scratch runs. *)
     Obs.with_span "alloc.scrap" @@ fun () ->
@@ -516,17 +545,19 @@ let extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
       area0
   in
   e.e_closed <- closed;
-  e.e_closed_ceil <- closed_ceil
+  e.e_closed_ceil <- closed_ceil;
+  e.e_closed_chi <- closed_chi
 
-(* A new entry under [cap], run live until the request stops: fresh
-   (the cache-miss path, counted as an [alloc.calls] allocation like
-   any other scratch run), or sharing the first [at > 0] steps of
-   [src]. The shared states are bit-identical to what a scratch run
-   under the request's budget would visit (the replay validated their
-   intervals before diverging), so only the tail past the divergence
-   runs live. The prefix costs O(nodes + at) integer work and float
-   copies — no DAG traversals, which is what makes budget churn cheap:
-   online budgets drift a few processors per generation, so
+(* A new entry, run live under the request's budget and cap until the
+   request stops: fresh (the cache-miss path, counted as an
+   [alloc.calls] allocation like any other scratch run), or sharing the
+   first [at > 0] steps of [src]. The shared states are bit-identical
+   to what a scratch run under the request would visit (the replay
+   validated their intervals before diverging), so only the tail past
+   the divergence runs live. The prefix costs O(nodes + at) integer
+   work and float copies — no DAG traversals, which is what makes
+   budget and cap churn cheap: online budgets drift a few processors
+   per generation, an outage moves the cap past few recorded steps, so
    trajectories diverge deep and the live tail is short. *)
 let new_entry ~prefix ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
     ptg =
@@ -548,19 +579,22 @@ let new_entry ~prefix ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
   let size = max 64 (at + 1) in
   let e =
     {
-      e_cap = cap;
       e_levels = levels;
       e_incs = Array.make size 0;
       e_reqs = Array.make size 0;
       e_ceils = Array.make size 0;
+      e_clos = Array.make size 0;
+      e_chis = Array.make size 0;
       e_cps = Array.make size 0.;
       e_areas = Array.make size 0.;
       e_len = (if at = 0 then -1 else at);
       e_closed = false;
       e_closed_ceil = max_int;
+      e_closed_chi = max_int;
       e_procs = procs;
       e_usage = usage;
       e_exec = exec;
+      e_cap = cap;
       e_budget = -1;
       e_bpower = Float.nan;
       e_res =
@@ -578,6 +612,8 @@ let new_entry ~prefix ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
       Array.blit src.e_incs 0 e.e_incs 0 at;
       Array.blit src.e_reqs 0 e.e_reqs 0 at;
       Array.blit src.e_ceils 0 e.e_ceils 0 at;
+      Array.blit src.e_clos 0 e.e_clos 0 at;
+      Array.blit src.e_chis 0 e.e_chis 0 at;
       Array.blit src.e_cps 0 e.e_cps 0 (at + 1);
       Array.blit src.e_areas 0 e.e_areas 0 (at + 1))
     src;
@@ -612,20 +648,21 @@ let allocate_cached ?(procedure = Scrap_max) ?up_counts ~cache ~arena
   let beta_power = beta *. float_of_int ref_cluster.Reference_cluster.procs in
   let serve e stop =
     let res = result_at e ~beta_power stop in
+    e.e_cap <- cap;
     e.e_budget <- budget;
     e.e_bpower <- beta_power;
     e.e_res <- res;
     promote cache e;
     res
   in
-  (* Scan MRU-first for a same-cap entry that can serve this request: an
-     exact-β repeat is served as-is (its stored result came from a
-     sound replay); otherwise the replay decides — a divergence (the
-     request's budget falls outside some step's interval) falls through
-     to the next entry, remembering the deepest shared prefix. When no
-     entry serves, a miss forks off that prefix instead of starting
-     from scratch (or runs a fully fresh scratch recording when no
-     same-cap entry exists at all). *)
+  (* Scan MRU-first for an entry that can serve this request: an exact
+     repeat of its last request is served as-is (its stored result came
+     from a sound replay); otherwise the replay decides — a divergence
+     (the request's budget or cap falls outside some step's interval)
+     falls through to the next entry, remembering the deepest shared
+     prefix. When no entry serves, a miss forks off that prefix instead
+     of starting from scratch (or runs a fully fresh scratch recording
+     when no entry validated a step). *)
   let rec find best = function
     | [] ->
       cache.misses <- cache.misses + 1;
@@ -634,38 +671,35 @@ let allocate_cached ?(procedure = Scrap_max) ?up_counts ~cache ~arena
         new_entry ~prefix:best ~procedure ~budget ~cap ~beta_power ~arena ~seq
           ~alpha ptg
       in
-      (* The live run went under exactly this β, so it stops at the
-         trajectory end (β-stopped or blocked either way). *)
+      (* The live run went under exactly this request, so it stops at
+         the trajectory end (β-stopped or exhausted either way). *)
       serve e e.e_len
-    | e :: rest when e.e_cap = cap ->
-      if e.e_budget = budget && e.e_bpower = beta_power then begin
-        cache.hits <- cache.hits + 1;
-        Obs.incr c_hits;
-        promote cache e;
-        e.e_res
-      end
-      else begin
-        match replay_stop e ~budget ~beta_power with
-        | Diverged at ->
-          let best =
-            match best with
-            | Some (_, at') when at' >= at -> best
-            | Some _ | None -> Some (e, at)
-          in
-          find best rest
-        | Stopped s ->
-          cache.rescales <- cache.rescales + 1;
-          Obs.incr c_rescales;
-          serve e s
-        | Needs_extension ->
-          cache.rescales <- cache.rescales + 1;
-          Obs.incr c_rescales;
-          (* Continue the trajectory under this request's budget: the
-             extension either β-stops at the new frontier or exhausts —
-             both stop at the new state [len]. *)
-          extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg;
-          serve e e.e_len
-      end
-    | _ :: rest -> find best rest
+    | e :: _ when e.e_cap = cap && e.e_budget = budget
+                  && e.e_bpower = beta_power ->
+      cache.hits <- cache.hits + 1;
+      Obs.incr c_hits;
+      promote cache e;
+      e.e_res
+    | e :: rest -> (
+      match replay_stop e ~budget ~cap ~beta_power with
+      | Diverged at ->
+        let best =
+          match best with
+          | Some (_, at') when at' >= at -> best
+          | Some _ | None -> Some (e, at)
+        in
+        find best rest
+      | Stopped s ->
+        cache.rescales <- cache.rescales + 1;
+        Obs.incr c_rescales;
+        serve e s
+      | Needs_extension ->
+        cache.rescales <- cache.rescales + 1;
+        Obs.incr c_rescales;
+        (* Continue the trajectory under this request's budget and cap:
+           the extension either β-stops at the new frontier or exhausts
+           — both stop at the new state [len]. *)
+        extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg;
+        serve e e.e_len)
   in
   find None cache.entries

@@ -27,20 +27,28 @@
     loop depends on β only through the {e integer} per-level budget
     [⌊β·procs⌋] (and the allocation cap), while β proper only decides
     {e where along that trajectory} the CPA stop criterion fires. A
-    cache records trajectories keyed by cap, each step annotated with
-    the {e budget interval} under which its choice is provably what a
-    scratch run would choose (the usage the choice consumed at its
-    level, up to the smallest budget that would have unblocked a better
-    candidate). A request replays the recorded stop tests and interval
+    cache records trajectories, each step annotated with the
+    {e budget interval} and the {e cap interval} under which its choice
+    is provably what a scratch run would choose: from the usage and the
+    allocation the choice needs, up to the smallest budget and the
+    smallest cap that would have admitted a better candidate. Entries
+    are therefore not keyed by cap: a trajectory recorded before an
+    outage keeps serving after it for as long as the lower cap admits
+    its steps. A request replays the recorded stop tests and interval
     checks — bit-identical to a scratch run by construction, at
     O(nodes + steps) instead of O(steps · (nodes + edges)) — and a
-    request whose budget escapes some step's interval starts a new
-    trajectory from the same constructor as a fresh one, sharing the
-    validated prefix: it is copied in O(nodes + steps) and only the
+    request whose budget or cap escapes some step's interval starts a
+    new trajectory from the same constructor as a fresh one, sharing
+    the validated prefix: it is copied in O(nodes + steps) and only the
     divergent tail runs live. The online engine's budgets drift a few
     processors per generation and the offline evaluation runs every β
     strategy on the same PTGs, so forks diverge deep and tails stay
-    short. {!allocate} is the scratch run the cache must reproduce. *)
+    short.
+
+    The live loop allocates almost nothing: it repairs levels with the
+    closure-free kernel of {!Mcs_dag.Dag} ({!Mcs_dag.Dag.repair_levels})
+    and keeps its scan state in locals. {!allocate} is the scratch run
+    the cache must reproduce. *)
 
 type procedure = Scrap | Scrap_max
 (** Which resource constraint bounds the increment loop: the global
@@ -78,22 +86,24 @@ val allocate :
 
 type cache
 (** Per-application allocation cache: materialised increment
-    trajectories keyed by allocation cap, every step carrying its
-    validity interval over per-level budgets, with an MRU bound on
+    trajectories, every step carrying its validity intervals over
+    per-level budgets and allocation caps, with an MRU bound on
     retained trajectories. A cache binds to the first PTG, procedure
     and reference speed it serves and rejects any other — everything
     else an allocation depends on (β, the reference-cluster size, the
     degraded cap) is checked at replay time, which is how
     degraded-platform generations get correct results from the same
-    cache: their different cap selects different trajectories. *)
+    cache: a moved cap is checked against every recorded step like a
+    moved budget. *)
 
 type stats = {
   hits : int;      (** same cap, same budget and stop power as the last
                        request the entry served (β alone is not enough —
                        on a degraded reference cluster the same β means
                        a different ⌊β·procs⌋): cached result as-is *)
-  rescales : int;  (** β moved: a recorded trajectory replayed (and
-                       possibly extended) under the new budget *)
+  rescales : int;  (** β or the cap moved: a recorded trajectory
+                       replayed (and possibly extended) under the new
+                       budget and cap *)
   misses : int;    (** no trajectory survived replay: a live run was
                        needed — forked off the deepest validated prefix
                        when one exists, fully from scratch otherwise *)
@@ -143,8 +153,8 @@ val allocate_cached :
 (** Cached {!allocate}: bit-identical results — the same [procs],
     [iterations], [critical_path] and [average_area], float for float —
     at a fraction of the cost whenever a recorded trajectory's budget
-    intervals cover the request, and at the cost of only the divergent
-    tail otherwise. The returned [procs] array is owned by the cache on
+    and cap intervals cover the request, and at the cost of only the
+    divergent tail otherwise. The returned [procs] array is owned by the cache on
     the exact-hit path and must not be mutated; {!Pipeline.prepare},
     the one caller outside the tests, hands its callers a copy. The
     arena is single-owner scratch: never share one across domains.

@@ -285,6 +285,43 @@ let test_cache_matches_scratch_degraded () =
       (Some [| 3 |], 0.8); (None, 1.0); (Some [| 6 |], 0.3); (None, 0.3);
     ]
 
+(* A cap that moves without touching the trajectory: every recorded
+   step of a full-cap request admits any cap down to its largest
+   allocation, so the same β under a mask lowering the cap that far is
+   served by replay (a rescale), not a new live run. A mask one
+   processor lower excludes a recorded allocation and diverges. Both
+   equal scratch. *)
+let test_cache_cap_change () =
+  let p = toy_platform ~procs:32 () in
+  let r = Reference_cluster.of_platform p in
+  let ptg = random_ptg ~tasks:30 17 in
+  let cache = Allocation.cache_create () in
+  let arena = Alloc_arena.create () in
+  let beta = 0.5 in
+  let request up_counts =
+    let before = Allocation.cache_stats cache in
+    let cached =
+      Allocation.allocate_cached ?up_counts ~cache ~arena r p ~beta ptg
+    in
+    let cap = Reference_cluster.max_allocation ?up_counts r p in
+    check_alloc_equal (Printf.sprintf "cap %d" cap)
+      (Allocation.allocate ?up_counts r p ~beta ptg)
+      cached;
+    let after = Allocation.cache_stats cache in
+    (cached, after.Allocation.rescales - before.Allocation.rescales,
+     after.Allocation.misses - before.Allocation.misses)
+  in
+  let full, _, _ = request None in
+  let widest = Array.fold_left max 1 full.Allocation.procs in
+  Alcotest.(check bool)
+    "the mask lowers the cap" true (widest >= 2 && widest < 32);
+  let _, rescales, misses = request (Some [| widest |]) in
+  Alcotest.(check (pair int int))
+    "a cap admitting every step: rescale, no miss" (1, 0) (rescales, misses);
+  let _, rescales, misses = request (Some [| widest - 1 |]) in
+  Alcotest.(check (pair int int))
+    "a cap below a recorded allocation: miss" (0, 1) (rescales, misses)
+
 let test_cache_entry_bound () =
   let p = Grid5000.rennes () in
   let r = Reference_cluster.of_platform p in
@@ -462,10 +499,13 @@ let test_alloc_loop_budget () =
     ]
 
 (* One cache serving the request mix an online engine produces across
-   outages: β values, allocation caps from surviving-processor counts
-   and reference clusters shrunk by [Reference_cluster.degrade], drawn
-   independently. The same β under another reference size means another
-   budget and stop power, which is what an exact hit must be keyed on.
+   outages: β values, allocation caps from random per-cluster
+   surviving-processor counts (whole clusters down included) and
+   reference clusters shrunk by [Reference_cluster.degrade], drawn
+   independently, on a random, FFT or Strassen PTG under either
+   procedure. The same β under another reference size means another
+   budget and stop power, which is what an exact hit must be keyed on;
+   a cap that moves must be checked against every recorded step.
    Midway the cache is deep-copied, and the copy and the original each
    serve the rest of the stream. Every result must be bit-identical to
    a scratch run. *)
@@ -475,37 +515,49 @@ let qcheck_cache_request_mix =
   let sizes = Array.init (Platform.cluster_count p) (fun k ->
       (Platform.cluster p k).Platform.procs)
   in
-  let caps =
-    [|
-      None;
-      Some (Array.map (fun n -> n / 2) sizes);
-      Some (Array.mapi (fun k n -> if k = 0 then 0 else n) sizes);
-      Some (Array.map (fun n -> min n 3) sizes);
-    |]
+  (* Surviving quarters per cluster: 0 takes the cluster out. *)
+  let mask =
+    QCheck.(
+      option (array_of_size (Gen.return (Array.length sizes)) (int_range 0 4)))
   in
   let request =
     QCheck.(
       triple
         (oneofl [ 0.1; 0.2; 0.33; 0.5; 0.75; 1.0 ])
-        (int_range 0 (Array.length caps - 1))
+        mask
         (oneofl [ 1.0; 0.8; 0.5; 0.3 ]))
   in
+  let ptg_of kind seed =
+    let rng = Prng.create ~seed in
+    match kind with
+    | 0 -> random_ptg seed
+    | 1 -> Mcs_ptg.Fft.generate ~points:(if seed mod 2 = 0 then 4 else 8) rng
+    | _ -> Mcs_ptg.Strassen.generate rng
+  in
   QCheck.Test.make ~name:"one cache ≡ scratch over mixed degraded requests"
-    ~count:40
-    QCheck.(pair (int_range 0 5000) (list_of_size (Gen.int_range 2 14) request))
-    (fun (seed, requests) ->
-      let ptg = random_ptg seed in
+    ~count:60
+    QCheck.(
+      quad (int_range 0 2) (int_range 0 5000) bool
+        (list_of_size (Gen.int_range 2 14) request))
+    (fun (kind, seed, scrap, requests) ->
+      let ptg = ptg_of kind seed in
+      let procedure =
+        if scrap then Allocation.Scrap else Allocation.Scrap_max
+      in
       let arena = Alloc_arena.create () in
-      let serve cache (beta, cap, share) =
-        let up_counts = caps.(cap) in
+      let serve cache (beta, quarters, share) =
+        let up_counts =
+          Option.map (Array.mapi (fun k q -> sizes.(k) * q / 4)) quarters
+        in
         let r =
           Reference_cluster.degrade full
             ~power:(share *. Platform.total_power p)
         in
         let cached =
-          Allocation.allocate_cached ?up_counts ~cache ~arena r p ~beta ptg
+          Allocation.allocate_cached ~procedure ?up_counts ~cache ~arena r p
+            ~beta ptg
         in
-        let scratch = Allocation.allocate ?up_counts r p ~beta ptg in
+        let scratch = Allocation.allocate ~procedure ?up_counts r p ~beta ptg in
         cached.Allocation.procs = scratch.Allocation.procs
         && cached.Allocation.iterations = scratch.Allocation.iterations
         && Float.equal cached.Allocation.critical_path
@@ -1514,6 +1566,8 @@ let suite =
           test_cache_matches_scratch_scrap;
         Alcotest.test_case "degraded caps ≡ scratch" `Quick
           test_cache_matches_scratch_degraded;
+        Alcotest.test_case "cap change served by replay" `Quick
+          test_cache_cap_change;
         Alcotest.test_case "entry bound & clear" `Quick
           test_cache_entry_bound;
         Alcotest.test_case "binding guards" `Quick test_cache_binding_guards;
