@@ -91,11 +91,11 @@ let[@inline] exec_at ~seq ~alpha v ~procs =
    exhaustion, [closed_ceil] and [closed_chi] bound, the same way, the
    budgets and caps under which it would still be exhausted.
 
-   The loop allocates nothing of its own: levels come from the
-   closure-free {!Dag} kernel over [exec], the scan keeps its winner in
-   an int and a float local, and the second pass below is a plain loop
-   that runs only when the scan saw a critical candidate the cap or the
-   budget excluded. *)
+   Every reschedule runs this loop, so it allocates nothing of its own:
+   levels come from the closure-free {!Dag} kernel over [exec], the
+   scan keeps its winner in an int and a float local, and the second
+   pass is a plain loop that runs only when the scan saw a critical
+   candidate the cap or the budget excluded. *)
 let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
     ~bl ~tl ~dirty ~gain ~seq ~alpha ptg levels ~procs ~usage ~exec area0 =
   let dag = ptg.Ptg.dag in
@@ -287,14 +287,11 @@ let allocate ?(procedure = Scrap_max) ?up_counts ref_cluster platform ~beta
 type entry = {
   e_levels : int array;
   (* Trajectory: states 0..len carry (cps, areas); step i < len turned
-     state i into state i+1 by giving [incs.(i)] one more processor,
-     valid for budgets in [reqs.(i), ceils.(i)) and caps in
-     [clos.(i), chis.(i)). *)
-  mutable e_incs : int array;
-  mutable e_reqs : int array;
-  mutable e_ceils : int array;
-  mutable e_clos : int array;
-  mutable e_chis : int array;
+     state i into state i+1. Its record is the [step_ints] ints of
+     [steps] from [i * step_ints]: the node given one more processor,
+     then the budget interval [req, ceil) and the cap interval
+     [clo, chi) the choice is valid in. *)
+  mutable e_steps : int array;
   mutable e_cps : float array;
   mutable e_areas : float array;
   mutable e_len : int;
@@ -317,6 +314,8 @@ type entry = {
   mutable e_bpower : float;
   mutable e_res : result;
 }
+
+let step_ints = 5
 
 type stats = { hits : int; rescales : int; misses : int }
 
@@ -374,11 +373,7 @@ let cache_entry_count cache = List.length cache.entries
 let entry_copy e =
   {
     e_levels = Array.copy e.e_levels;
-    e_incs = Array.copy e.e_incs;
-    e_reqs = Array.copy e.e_reqs;
-    e_ceils = Array.copy e.e_ceils;
-    e_clos = Array.copy e.e_clos;
-    e_chis = Array.copy e.e_chis;
+    e_steps = Array.copy e.e_steps;
     e_cps = Array.copy e.e_cps;
     e_areas = Array.copy e.e_areas;
     e_len = e.e_len;
@@ -460,9 +455,10 @@ let replay_stop e ~budget ~cap ~beta_power =
     if e.e_cps.(i) <= (e.e_areas.(i) /. beta_power) +. Floatx.eps then
       Stopped i
     else if i < e.e_len then
+      let s = e.e_steps and k = i * step_ints in
       if
-        e.e_reqs.(i) <= budget && budget < e.e_ceils.(i)
-        && e.e_clos.(i) <= cap && cap < e.e_chis.(i)
+        s.(k + 1) <= budget && budget < s.(k + 2)
+        && s.(k + 3) <= cap && cap < s.(k + 4)
       then scan (i + 1)
       else Diverged i
     else if e.e_closed && budget < e.e_closed_ceil && cap < e.e_closed_chi
@@ -481,7 +477,7 @@ let result_at e ~beta_power s =
     else begin
       let p = Array.make (Array.length e.e_procs) 1 in
       for i = 0 to s - 1 do
-        let v = e.e_incs.(i) in
+        let v = e.e_steps.(i * step_ints) in
         p.(v) <- p.(v) + 1
       done;
       p
@@ -495,27 +491,24 @@ let result_at e ~beta_power s =
   }
 
 let record_inc_of e v ~req ~ceil ~clo ~chi =
-  let i = e.e_len in
-  e.e_incs <- grow_ints e.e_incs (i + 1);
-  e.e_reqs <- grow_ints e.e_reqs (i + 1);
-  e.e_ceils <- grow_ints e.e_ceils (i + 1);
-  e.e_clos <- grow_ints e.e_clos (i + 1);
-  e.e_chis <- grow_ints e.e_chis (i + 1);
-  e.e_incs.(i) <- v;
-  e.e_reqs.(i) <- req;
-  e.e_ceils.(i) <- ceil;
-  e.e_clos.(i) <- clo;
-  e.e_chis.(i) <- chi
+  let k = e.e_len * step_ints in
+  e.e_steps <- grow_ints e.e_steps (k + step_ints);
+  let s = e.e_steps in
+  s.(k) <- v;
+  s.(k + 1) <- req;
+  s.(k + 2) <- ceil;
+  s.(k + 3) <- clo;
+  s.(k + 4) <- chi
 
 (* Continue the trajectory from the frontier until the stop criterion
    under [beta_power] or candidate exhaustion, appending every new
    state. The appended steps are recorded under the {e request's}
    budget and cap — their intervals carry them, so later replays under
-   other budgets and caps stay sound. An entry with no state yet records the loop's
-   first state as its state 0; otherwise the first state is the
-   frontier, already recorded, and the loop starts from its recorded
-   area (summed incrementally: recomputing it would differ in the last
-   bits). *)
+   other budgets and caps stay sound. An entry with no state yet
+   records the loop's first state as its state 0; otherwise the first
+   state is the frontier, already recorded, and the loop starts from
+   its recorded area (summed incrementally: recomputing it would differ
+   in the last bits). *)
 let extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
   let skip = ref (e.e_len >= 0) in
   let record_state cp area =
@@ -580,11 +573,7 @@ let new_entry ~prefix ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
   let e =
     {
       e_levels = levels;
-      e_incs = Array.make size 0;
-      e_reqs = Array.make size 0;
-      e_ceils = Array.make size 0;
-      e_clos = Array.make size 0;
-      e_chis = Array.make size 0;
+      e_steps = Array.make (size * step_ints) 0;
       e_cps = Array.make size 0.;
       e_areas = Array.make size 0.;
       e_len = (if at = 0 then -1 else at);
@@ -604,16 +593,12 @@ let new_entry ~prefix ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
   Option.iter
     (fun src ->
       for i = 0 to at - 1 do
-        let v = src.e_incs.(i) in
+        let v = src.e_steps.(i * step_ints) in
         procs.(v) <- procs.(v) + 1;
         usage.(levels.(v)) <- usage.(levels.(v)) + 1;
         exec.(v) <- exec_at ~seq ~alpha v ~procs:procs.(v)
       done;
-      Array.blit src.e_incs 0 e.e_incs 0 at;
-      Array.blit src.e_reqs 0 e.e_reqs 0 at;
-      Array.blit src.e_ceils 0 e.e_ceils 0 at;
-      Array.blit src.e_clos 0 e.e_clos 0 at;
-      Array.blit src.e_chis 0 e.e_chis 0 at;
+      Array.blit src.e_steps 0 e.e_steps 0 (at * step_ints);
       Array.blit src.e_cps 0 e.e_cps 0 (at + 1);
       Array.blit src.e_areas 0 e.e_areas 0 (at + 1))
     src;
@@ -674,8 +659,8 @@ let allocate_cached ?(procedure = Scrap_max) ?up_counts ~cache ~arena
       (* The live run went under exactly this request, so it stops at
          the trajectory end (β-stopped or exhausted either way). *)
       serve e e.e_len
-    | e :: _ when e.e_cap = cap && e.e_budget = budget
-                  && e.e_bpower = beta_power ->
+    | e :: _
+      when e.e_cap = cap && e.e_budget = budget && e.e_bpower = beta_power ->
       cache.hits <- cache.hits + 1;
       Obs.incr c_hits;
       promote cache e;
