@@ -31,7 +31,7 @@ let counters =
     ( "alloc.cache.hits",
       "cached allocations served as-is (same cap, budget and stop power)" );
     ( "alloc.cache.rescales",
-      "cached trajectories replayed under a moved beta (same cap)" );
+      "cached trajectories replayed under a moved beta or cap" );
     ("alloc.cache.misses", "cache lookups that fell back to a scratch run");
     ("mapper.tasks_mapped", "task placements committed by the list mapper");
     ( "mapper.packing_attempts",

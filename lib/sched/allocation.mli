@@ -43,12 +43,7 @@
     divergent tail runs live. The online engine's budgets drift a few
     processors per generation and the offline evaluation runs every β
     strategy on the same PTGs, so forks diverge deep and tails stay
-    short.
-
-    The live loop allocates almost nothing: it repairs levels with the
-    closure-free kernel of {!Mcs_dag.Dag} ({!Mcs_dag.Dag.repair_levels})
-    and keeps its scan state in locals. {!allocate} is the scratch run
-    the cache must reproduce. *)
+    short. {!allocate} is the scratch run the cache must reproduce. *)
 
 type procedure = Scrap | Scrap_max
 (** Which resource constraint bounds the increment loop: the global
@@ -154,10 +149,11 @@ val allocate_cached :
     [iterations], [critical_path] and [average_area], float for float —
     at a fraction of the cost whenever a recorded trajectory's budget
     and cap intervals cover the request, and at the cost of only the
-    divergent tail otherwise. The returned [procs] array is owned by the cache on
-    the exact-hit path and must not be mutated; {!Pipeline.prepare},
-    the one caller outside the tests, hands its callers a copy. The
-    arena is single-owner scratch: never share one across domains.
+    divergent tail otherwise. The returned [procs] array is owned by
+    the cache on the exact-hit path and must not be mutated;
+    {!Pipeline.prepare}, the one caller outside the tests, hands its
+    callers a copy. The arena is single-owner scratch: never share one
+    across domains.
     Updates the [alloc.cache.*] observability counters.
     @raise Invalid_argument unless [0 < beta <= 1] (NaN included), or
     if the cache is reused with a different PTG, procedure or
