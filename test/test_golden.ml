@@ -655,6 +655,155 @@ let test_allocator () =
   Alcotest.(check string) "allocate_cached stream"
     "33b0e9d4a7f7732c54cd05aaf09d68e7" (md5 cached)
 
+(* --- experiment tables ----------------------------------------------- *)
+
+module E = Mcs_experiments
+module Table = Mcs_util.Table
+
+(* Each artefact at one combination per point and its smallest counts:
+   every float its points carry, then every table it renders. X8 is
+   absent: its fault process runs to the 3,600 s horizon at any size. *)
+let table_digest render points tables =
+  let b = Buffer.create 4096 in
+  List.iter (render b) points;
+  List.iter (fun t -> Buffer.add_string b (Table.render t)) tables;
+  md5 b
+
+let no_points (_ : Buffer.t) () = ()
+
+let strategy_points ~family ~counts strategies =
+  let points = E.Fig_strategies.compute ~runs:1 ~counts ~family ~strategies () in
+  table_digest
+    (fun b (p : E.Fig_strategies.point) ->
+      add_int b p.count;
+      add_tag b (Strategy.name p.strategy);
+      add_float b p.unfairness;
+      add_float b p.relative_makespan;
+      add_float b p.avg_makespan)
+    points
+    (E.Fig_strategies.tables ~family points)
+
+let fft_strategies =
+  List.map
+    (function
+      | Strategy.Weighted (Strategy.Width, _) ->
+        Strategy.Weighted (Strategy.Width, 0.3)
+      | s -> s)
+    Strategy.paper_eight
+
+let experiment_cases =
+  [
+    ( "T1", "bae9c9f01dc0ab918d209fdbf3a5e6bc",
+      fun () -> table_digest no_points [] [ E.Table1.table () ] );
+    ( "F1", "558e082f0dd65ab248334476fd7c3d72",
+      fun () ->
+        table_digest no_points []
+          [
+            E.Fig_ready_vs_global.illustration ();
+            E.Fig_ready_vs_global.aggregate ~runs:1 ~counts:[ 2 ] ();
+          ] );
+    ( "F2", "836f5df74e68306e7456c01bd69d2692",
+      fun () ->
+        let points = E.Fig_mu_sweep.compute ~runs:1 ~counts:[ 2 ] () in
+        table_digest
+          (fun b (p : E.Fig_mu_sweep.point) ->
+            add_float b p.mu;
+            add_int b p.count;
+            add_float b p.unfairness;
+            add_float b p.avg_makespan)
+          points
+          (E.Fig_mu_sweep.tables ~metric:Strategy.Work points) );
+    ( "F3", "64e99e20833eb55f9f6a53d2dbb14f5c",
+      fun () ->
+        strategy_points ~family:E.Workload.Random_mixed_scenarios
+          ~counts:[ 2; 4 ] Strategy.paper_eight );
+    ( "F4", "1402c7a096d091d06e9e13482090f60d",
+      fun () ->
+        strategy_points ~family:E.Workload.Fft_ptgs ~counts:[ 2 ]
+          fft_strategies );
+    ( "F5", "8dfd07f01dbe08e8811cf7457dd08f36",
+      fun () ->
+        strategy_points ~family:E.Workload.Strassen_ptgs ~counts:[ 2 ]
+          Strategy.paper_six );
+    ( "X1", "74f7cf469ad8bfa3c099df6d0bfcfc94",
+      fun () ->
+        table_digest
+          (fun b (s : E.Exp_constraint.stats) ->
+            add_float b s.beta;
+            add_int b s.scenarios;
+            add_int b s.level_ok;
+            add_int b s.power_ok)
+          (E.Exp_constraint.compute ~runs:1 ())
+          [ E.Exp_constraint.table ~runs:1 () ] );
+    ( "X2", "5168f693069843ca495e303eb782f129",
+      fun () ->
+        table_digest no_points []
+          [ E.Exp_ablation.packing_table ~runs:1 ~counts:[ 2 ] () ] );
+    ( "X3", "19c066a64f9eb891ac52a311a02c0917",
+      fun () ->
+        table_digest no_points []
+          [ E.Exp_ablation.procedure_table ~runs:1 ~counts:[ 2 ] () ] );
+    ( "X4", "16c1bb3fa77f9948d556fb9aa04884db",
+      fun () ->
+        table_digest
+          (fun b (s : E.Exp_validation.stats) ->
+            add_tag b (E.Workload.family_name s.family);
+            add_tag b s.platform;
+            add_int b s.runs;
+            add_float b s.mean_rel_error;
+            add_float b s.max_rel_error)
+          (E.Exp_validation.compute ~runs:1 ())
+          [ E.Exp_validation.table ~runs:1 () ] );
+    ( "X5", "55b12ac8dd9d12830d0f226f4865dc88",
+      fun () ->
+        table_digest
+          (fun b (p : E.Exp_arrivals.point) ->
+            add_tag b (Strategy.name p.strategy);
+            add_int b p.count;
+            add_float b p.unfairness;
+            add_float b p.relative_makespan)
+          (E.Exp_arrivals.compute ~runs:1 ~counts:[ 2 ] ())
+          [] );
+    ( "X6", "5489d32765ec1da06dac233e6ae5baa3",
+      fun () ->
+        table_digest
+          (fun b (s : E.Exp_single_ptg.stats) ->
+            add_tag b s.algorithm;
+            add_float b s.mean_relative_makespan;
+            add_float b s.mean_efficiency)
+          (E.Exp_single_ptg.compute ~runs:1 ())
+          [ E.Exp_single_ptg.table ~runs:1 () ] );
+    ( "X7", "09ee462131898dfe43a81af09d198c83",
+      fun () ->
+        table_digest
+          (fun b (p : E.Exp_online.point) ->
+            add_tag b (Strategy.name p.strategy);
+            add_tag b (E.Exp_online.mode_name p.mode);
+            add_int b p.count;
+            add_float b p.unfairness;
+            add_float b p.relative_makespan)
+          (E.Exp_online.compute ~runs:1 ~counts:[ 2 ] ())
+          [] );
+    ( "X9", "d10c15db985a73045e45fec83e2d86ae",
+      fun () ->
+        table_digest
+          (fun b (p : E.Exp_malleable.point) ->
+            add_tag b p.mode;
+            add_tag b p.level;
+            add_float b p.unfairness;
+            add_float b p.relative_makespan;
+            add_float b p.resizes;
+            add_float b p.win_rate)
+          (E.Exp_malleable.compute ~runs:1 ~count:2 ())
+          [] );
+  ]
+
+let test_experiment_tables () =
+  List.iter
+    (fun (name, expected, digest) ->
+      Alcotest.(check string) name expected (digest ()))
+    experiment_cases
+
 let suite =
   [
     ( "golden",
@@ -667,5 +816,6 @@ let suite =
         Alcotest.test_case "mapper orderings" `Quick test_orderings;
         Alcotest.test_case "Runner.evaluate metrics" `Quick test_evaluate;
         Alcotest.test_case "allocator" `Quick test_allocator;
+        Alcotest.test_case "experiment tables" `Quick test_experiment_tables;
       ] );
   ]
