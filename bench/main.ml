@@ -869,5 +869,5 @@ let () =
     Printf.printf
       "Full reproduction run (MCS_RUNS=%d combinations per point; set \
        MCS_RUNS to scale).\n\n%!"
-      (E.Sweep.runs_from_env ());
+      (E.Sweep.resolve_runs None);
     List.iter (fun (id, _, _) -> run_one id) artefacts

@@ -6,15 +6,23 @@ open Cmdliner
 module Artefact = Mcs_experiments.Artefact
 
 let run_experiment id runs profile profile_format =
-  Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
-  let runs = if runs <= 0 then None else Some runs in
   let id = String.lowercase_ascii id in
-  match Artefact.find id with
-  | Some a -> List.iter Mcs_util.Table.print (a.Artefact.tables ?runs ())
-  | None ->
-    Cli.die
-      (Printf.sprintf "unknown experiment %s (%s)" id
-         (String.concat " " (List.map (fun a -> a.Artefact.id) Artefact.all)))
+  let a =
+    match Artefact.find id with
+    | Some a -> a
+    | None ->
+      Cli.die
+        (Printf.sprintf "unknown experiment %s (%s)" id
+           (String.concat " "
+              (List.map (fun a -> a.Artefact.id) Artefact.all)))
+  in
+  let runs =
+    Cli.checked (fun () ->
+        Mcs_experiments.Sweep.resolve_runs
+          (if runs = 0 then None else Some runs))
+  in
+  Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
+  List.iter Mcs_util.Table.print (a.Artefact.tables ~runs ())
 
 let id =
   Arg.(value & pos 0 string "table1"
@@ -31,7 +39,8 @@ let runs =
   Arg.(value & opt int 0
        & info [ "runs" ]
            ~doc:"combinations per (count, platform) point; 0 = MCS_RUNS \
-                 env or the paper's 25")
+                 env or the paper's 25; anything else but a positive \
+                 integer, here or in MCS_RUNS, exits 2")
 
 let cmd =
   let doc = "regenerate the paper's tables and figures" in

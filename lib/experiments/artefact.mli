@@ -8,7 +8,7 @@ type t = {
   title : string;  (** the bench harness's section heading *)
   tables : ?runs:int -> unit -> Mcs_util.Table.t list;
       (** compute the artefact; [runs] scales the scenario combinations
-          per point (default: [MCS_RUNS] or the paper's 25) *)
+          per point, as in {!Sweep.resolve_runs} *)
 }
 
 val all : t list

@@ -4,70 +4,60 @@ module List_mapper = Mcs_sched.List_mapper
 module Allocation = Mcs_sched.Allocation
 module Table = Mcs_util.Table
 
-(* Compare two pipeline configurations under ES on random-PTG scenarios;
-   one table row per PTG count. *)
-let compare_configs ~title ~label_a ~label_b ~config_a ~config_b ?runs
-    ?(counts = Workload.paper_counts) ~seed () =
-  let runs =
-    match runs with Some r -> r | None -> Sweep.runs_from_env ()
+let configs_table ~title ~seed ~makespan:(makespan_label, makespan) configs
+    ?runs ?(counts = Workload.paper_counts) () =
+  let cells =
+    List.concat_map
+      (fun count ->
+        let means =
+          Sweep.compare ?runs ~family:Workload.Random_mixed_scenarios ~count
+            ~seed (fun _ platform ptgs ->
+              List.map
+                (fun (_, config) ->
+                  Sweep.of_runner
+                    (List.hd
+                       (Runner.evaluate ~config platform ptgs
+                          [ Strategy.Equal_share ])))
+                configs)
+        in
+        let column prefix get =
+          List.map2
+            (fun (label, _) m -> (count, prefix ^ " " ^ label, get m))
+            configs means
+        in
+        column "unfairness" (fun (m : Sweep.mean) -> m.unfairness)
+        @ column makespan_label makespan)
+      counts
   in
-  let table =
-    Table.create ~title
-      ~header:
-        [ "#PTGs";
-          "unfairness " ^ label_a; "unfairness " ^ label_b;
-          "makespan (s) " ^ label_a; "makespan (s) " ^ label_b ]
-  in
-  List.iter
-    (fun count ->
-      let per_scenario =
-        Mcs_util.Parmap.map
-          (fun (platform, ptgs) ->
-            let run config =
-              match
-                Runner.evaluate ~config platform ptgs
-                  [ Strategy.Equal_share ]
-              with
-              | [ r ] -> r
-              | _ -> assert false
-            in
-            (run config_a, run config_b))
-          (Sweep.scenarios ~family:Workload.Random_mixed_scenarios ~count
-             ~runs ~seed)
-      in
-      let mean f = Sweep.mean_over f per_scenario in
-      ignore
-        (Table.add_float_row table (string_of_int count)
-           [
-             mean (fun (a, _) -> a.Runner.unfairness);
-             mean (fun (_, b) -> b.Runner.unfairness);
-             mean (fun (a, _) -> a.Runner.global_makespan);
-             mean (fun (_, b) -> b.Runner.global_makespan);
-           ]))
-    counts;
-  table
+  Sweep.grid ~title ~corner:"#PTGs"
+    ~row:(fun (count, _, _) -> string_of_int count)
+    ~column:(fun (_, column, _) -> column)
+    ~cell:(fun (_, _, x) -> Table.fmt_float x)
+    cells
+
+let global_makespan = ("makespan (s)", fun (m : Sweep.mean) -> m.makespan)
 
 let packing_table ?runs ?counts () =
-  let with_packing = Pipeline.default_config in
-  let without_packing =
-    {
-      Pipeline.default_config with
-      mapper = { List_mapper.default_options with packing = false };
-    }
-  in
-  compare_configs
-    ~title:
-      "Ablation — allocation packing on/off (ES strategy, random PTGs)"
-    ~label_a:"packing" ~label_b:"no packing" ~config_a:with_packing
-    ~config_b:without_packing ?runs ?counts ~seed:106 ()
+  configs_table
+    ~title:"Ablation — allocation packing on/off (ES strategy, random PTGs)"
+    ~seed:106 ~makespan:global_makespan
+    [
+      ("packing", Pipeline.default_config);
+      ( "no packing",
+        {
+          Pipeline.default_config with
+          mapper = { List_mapper.default_options with packing = false };
+        } );
+    ]
+    ?runs ?counts ()
 
 let procedure_table ?runs ?counts () =
-  let scrap_max = Pipeline.default_config in
-  let scrap =
-    { Pipeline.default_config with procedure = Allocation.Scrap }
-  in
-  compare_configs
+  configs_table
     ~title:
       "Ablation — SCRAP vs SCRAP-MAX allocation (ES strategy, random PTGs)"
-    ~label_a:"SCRAP-MAX" ~label_b:"SCRAP" ~config_a:scrap_max ~config_b:scrap
-    ?runs ?counts ~seed:107 ()
+    ~seed:107 ~makespan:global_makespan
+    [
+      ("SCRAP-MAX", Pipeline.default_config);
+      ("SCRAP", { Pipeline.default_config with procedure = Allocation.Scrap });
+    ]
+    ?runs ?counts ()

@@ -7,6 +7,20 @@
       because SCRAP's globally-checked constraint can leave a few large
       allocations that postpone ready tasks. Compared under ES. *)
 
+val configs_table :
+  title:string ->
+  seed:int ->
+  makespan:string * (Sweep.mean -> float) ->
+  (string * Mcs_sched.Pipeline.config) list ->
+  ?runs:int ->
+  ?counts:int list ->
+  unit ->
+  Mcs_util.Table.t
+(** ES on random-PTG scenarios under each labelled pipeline
+    configuration: one row per PTG count, with every configuration's
+    mean unfairness, then its mean of the [makespan] measure under that
+    measure's column label. *)
+
 val packing_table : ?runs:int -> ?counts:int list -> unit -> Mcs_util.Table.t
 (** Mean unfairness and mean global makespan with and without packing
     (ES strategy, random PTGs). *)

@@ -1,9 +1,9 @@
 (** Staggered submissions — the paper's future-work scenario
     (Section 8): applications arrive over time instead of together.
 
-    Submission times are drawn from a Poisson process whose mean
-    inter-arrival is a fraction of the typical dedicated makespan, so
-    applications genuinely overlap. Per-application makespans are
+    Submission times are drawn from a Poisson process (mean
+    inter-arrival 30 s, a fraction of the typical dedicated makespan),
+    so applications genuinely overlap. Per-application makespans are
     response times (completion − submission) and the slowdown baseline
     M_own stays the dedicated-platform run, as in the paper. β is
     computed over the full submission set (an offline approximation of
@@ -20,13 +20,10 @@ type point = {
   relative_makespan : float;
 }
 
-val compute :
-  ?runs:int ->
-  ?counts:int list ->
-  ?seed:int ->
-  ?mean_interarrival:float ->
-  unit ->
-  point list
-(** Default mean inter-arrival: 30 s. *)
+val seed : int
+(** The scenario seed, which {!Exp_online} shares. *)
+
+val compute : ?runs:int -> ?counts:int list -> unit -> point list
+(** Defaults: the paper's counts; submissions as in {!Sweep.releases}. *)
 
 val table : ?runs:int -> unit -> Mcs_util.Table.t

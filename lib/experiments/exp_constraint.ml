@@ -15,10 +15,10 @@ type stats = {
 
 let default_betas = List.init 10 (fun i -> float_of_int (i + 1) /. 10.)
 
-let compute ?runs ?(betas = default_betas) ?(seed = 99) () =
-  let runs =
-    match runs with Some r -> r | None -> Sweep.runs_from_env ()
-  in
+let seed = 99
+
+let compute ?runs ?(betas = default_betas) () =
+  let runs = Sweep.resolve_runs runs in
   let platforms = Mcs_platform.Grid5000.all () in
   List.map
     (fun beta ->

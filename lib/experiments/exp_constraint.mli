@@ -11,7 +11,7 @@ type stats = {
   power_ok : int;      (** schedules within the average-power budget *)
 }
 
-val compute : ?runs:int -> ?betas:float list -> ?seed:int -> unit -> stats list
+val compute : ?runs:int -> ?betas:float list -> unit -> stats list
 (** Default β grid: 0.1, 0.2, …, 1.0; [runs] PTGs per (β, platform). *)
 
 val table : ?runs:int -> unit -> Mcs_util.Table.t

@@ -1,9 +1,10 @@
 (** Fault injection across the eight β strategies (experiment X8).
 
-    Same staggered-submission scenarios as {!Exp_online}, run through
-    the event-driven engine under increasing failure intensity: a
-    seeded {!Mcs_fault.Fault} scenario of processor outages
-    (exponential failure/repair) plus transient end-of-task failures.
+    Staggered-submission scenarios like {!Exp_online}'s (six
+    applications, their own seed), run through the event-driven engine
+    under increasing failure intensity: a seeded {!Mcs_fault.Fault}
+    scenario of processor outages (exponential failure/repair) plus
+    transient end-of-task failures.
     For each level the engine kills, requeues and retries per its fault
     policy and recomputes β against the surviving capacity; reported
     are the paper's unfairness (slowdown dispersion, degenerate
@@ -31,14 +32,7 @@ val levels : (string * Mcs_fault.Fault.config option) list
 val strategies : Mcs_sched.Strategy.t list
 (** {!Mcs_sched.Strategy.paper_eight}. *)
 
-val compute :
-  ?runs:int ->
-  ?count:int ->
-  ?seed:int ->
-  ?mean_interarrival:float ->
-  unit ->
-  point list
-(** Defaults: 6 applications, mean inter-arrival 30 s, [MCS_RUNS]
-    combinations per point. *)
+val compute : ?runs:int -> unit -> point list
+(** Six applications per scenario, submitted as in {!Sweep.releases}. *)
 
 val table : ?runs:int -> unit -> Mcs_util.Table.t

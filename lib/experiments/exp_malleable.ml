@@ -1,7 +1,6 @@
 module Strategy = Mcs_sched.Strategy
 module Malleability = Mcs_sched.Malleability
 module Metrics = Mcs_metrics.Metrics
-module Table = Mcs_util.Table
 module Engine = Mcs_online.Engine
 module Policy = Mcs_online.Policy
 module Fault = Mcs_fault.Fault
@@ -47,13 +46,13 @@ let strategy = Strategy.Weighted (Strategy.Work, 0.7)
    the idle processors) — the access pattern malleability exists for. *)
 let burst_release count = Array.init count (fun i -> float_of_int (i / 3) *. 150.)
 
-(* One scenario under every (mode, level) pair: virtual response times,
-   engine resize count, and the per-scenario makespan ranking between
-   the two modes at the same fault level. Every run is audited — the
+(* One scenario under every (level, mode) pair: virtual response times,
+   engine resize count, and whether the mode's makespan strictly beats
+   its rival's at the same fault level. Every run is audited — the
    per-generation online rules, the FAULT family when faults are on and
    the MAL family when malleability is on; a violation aborts the
    experiment rather than skewing it. *)
-let scenario_metrics platform ptgs ~release ~fault_seed =
+let scenario platform ptgs ~fault_seed =
   let own =
     Array.of_list
       (List.map
@@ -61,6 +60,7 @@ let scenario_metrics platform ptgs ~release ~fault_seed =
            Runner.makespan_alone ~timing:Runner.Estimated platform ptg)
          ptgs)
   in
+  let release = burst_release (List.length ptgs) in
   let apps = List.mapi (fun i ptg -> (ptg, release.(i))) ptgs in
   let results =
     List.concat_map
@@ -77,105 +77,58 @@ let scenario_metrics platform ptgs ~release ~fault_seed =
                 ~policy:(Policy.make ?malleability strategy)
                 platform apps
             in
-            let unfairness =
-              Metrics.unfairness_of_makespans ~own ~multi:r.Engine.responses
-            in
-            let global = Mcs_util.Floatx.maximum r.Engine.responses in
-            ( mode,
-              level,
-              unfairness,
-              global,
+            ( level,
+              mode,
+              Metrics.unfairness_of_makespans ~own ~multi:r.Engine.responses,
+              Mcs_util.Floatx.maximum r.Engine.responses,
               float_of_int r.Engine.stats.Engine.resizes ))
           modes)
       levels
   in
-  let best =
-    List.fold_left
-      (fun acc (_, _, _, global, _) -> Float.min acc global)
-      Float.infinity results
-  in
   List.map
-    (fun (mode, level, unfairness, global, resizes) ->
-      let rival_global =
+    (fun (level, mode, unfairness, makespan, resizes) ->
+      let rival =
         List.fold_left
-          (fun acc (m, l, _, g, _) ->
+          (fun acc (l, m, _, g, _) ->
             if l = level && m <> mode then Float.min acc g else acc)
           Float.infinity results
       in
-      ( mode,
-        level,
-        unfairness,
-        Metrics.relative_makespan global ~best,
-        resizes,
-        if global < rival_global then 1. else 0. ))
+      {
+        Sweep.unfairness;
+        makespan;
+        extras = [| resizes; (if makespan < rival then 1. else 0.) |];
+      })
     results
 
-let compute ?runs ?(count = 6) ?(seed = 911) () =
-  let runs = match runs with Some r -> r | None -> Sweep.runs_from_env () in
-  let release = burst_release count in
-  let per_scenario =
-    Mcs_util.Parmap.map
-      (fun (i, (platform, ptgs)) ->
-        scenario_metrics platform ptgs ~release
-          ~fault_seed:(seed + (257 * i) + 1))
-      (List.mapi
-         (fun i s -> (i, s))
-         (Sweep.scenarios ~family:Workload.Random_mixed_scenarios ~count ~runs
-            ~seed))
-  in
-  List.concat_map
-    (fun (level, _) ->
-      List.map
-        (fun (mode, _) ->
-          let mine =
-            List.map
-              (fun rs ->
-                let _, _, unf, rel, res, win =
-                  List.find
-                    (fun (m, l, _, _, _, _) -> m = mode && l = level)
-                    rs
-                in
-                (unf, rel, res, win))
-              per_scenario
-          in
-          {
-            mode;
-            level;
-            unfairness = Sweep.mean_over (fun (u, _, _, _) -> u) mine;
-            relative_makespan = Sweep.mean_over (fun (_, r, _, _) -> r) mine;
-            resizes = Sweep.mean_over (fun (_, _, s, _) -> s) mine;
-            win_rate = Sweep.mean_over (fun (_, _, _, w) -> w) mine;
-          })
-        modes)
-    levels
+let seed = 911
+
+let compute ?runs ?(count = 6) () =
+  List.map2
+    (fun (level, mode) (m : Sweep.mean) ->
+      {
+        mode;
+        level;
+        unfairness = m.unfairness;
+        relative_makespan = m.relative_makespan;
+        resizes = m.extras.(0);
+        win_rate = m.extras.(1);
+      })
+    (List.concat_map
+       (fun (level, _) -> List.map (fun (mode, _) -> (level, mode)) modes)
+       levels)
+    (Sweep.compare ?runs ~family:Workload.Random_mixed_scenarios ~count ~seed
+       (fun i platform ptgs ->
+         scenario platform ptgs ~fault_seed:(seed + (257 * i) + 1)))
 
 let table ?runs () =
-  let points = compute ?runs () in
-  let level_names = List.map fst levels in
-  let t =
-    Table.create
-      ~title:
-        "Malleable vs moldable execution (X9) — unfairness / relative \
-         response time (mean resizes, makespan win rate) under burst \
-         submissions"
-      ~header:("mode" :: level_names)
-  in
-  List.iter
-    (fun (mode, _) ->
-      Table.add_row t
-        (mode
-        :: List.map
-             (fun level ->
-               match
-                 List.find_opt
-                   (fun p -> p.mode = mode && p.level = level)
-                   points
-               with
-               | Some p ->
-                 Printf.sprintf "%.2f / %.2f (%.1f rsz, %.0f%% win)"
-                   p.unfairness p.relative_makespan p.resizes
-                   (100. *. p.win_rate)
-               | None -> "-")
-             level_names))
-    modes;
-  t
+  Sweep.grid
+    ~title:
+      "Malleable vs moldable execution (X9) — unfairness / relative \
+       response time (mean resizes, makespan win rate) under burst \
+       submissions"
+    ~corner:"mode" ~row:(fun p -> p.mode) ~column:(fun p -> p.level)
+    ~cell:(fun p ->
+      Printf.sprintf "%s (%.1f rsz, %.0f%% win)"
+        (Sweep.pair p.unfairness p.relative_makespan)
+        p.resizes (100. *. p.win_rate))
+    (compute ?runs ())

@@ -35,8 +35,8 @@ val model : Mcs_sched.Malleability.t
 val modes : (string * Mcs_sched.Malleability.t option) list
 val levels : (string * Mcs_fault.Fault.config option) list
 
-val compute : ?runs:int -> ?count:int -> ?seed:int -> unit -> point list
-(** Defaults: 6 applications in bursts of three every 150 s, [MCS_RUNS]
-    combinations per point. *)
+val compute : ?runs:int -> ?count:int -> unit -> point list
+(** Defaults: 6 applications in bursts of three every 150 s, [runs] as
+    in {!Sweep.resolve_runs}. *)
 
 val table : ?runs:int -> unit -> Mcs_util.Table.t

@@ -33,14 +33,8 @@ type point = {
 val strategies : Mcs_sched.Strategy.t list
 (** ES, PS-work and WPS-work(0.7) — the acceptance set. *)
 
-val compute :
-  ?runs:int ->
-  ?counts:int list ->
-  ?seed:int ->
-  ?mean_interarrival:float ->
-  unit ->
-  point list
-(** Defaults match {!Exp_arrivals}: mean inter-arrival 30 s, the
-    paper's counts, [MCS_RUNS] combinations per point. *)
+val compute : ?runs:int -> ?counts:int list -> unit -> point list
+(** Defaults match {!Exp_arrivals}: its seed and release streams, the
+    paper's counts. *)
 
 val table : ?runs:int -> unit -> Mcs_util.Table.t

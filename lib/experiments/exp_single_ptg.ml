@@ -22,48 +22,32 @@ let algorithms =
       fun platform ptg -> Pipeline.schedule_alone platform ptg );
   ]
 
-let efficiency platform _ptg sched =
+let efficiency platform sched =
   match Schedule.parallel_efficiency ~platform sched with
   | 0. -> 1. (* degenerate empty schedule: count as perfectly efficient *)
   | e -> e
 
-let compute ?runs ?(seed = 77) () =
-  let runs =
-    match runs with Some r -> r | None -> Sweep.runs_from_env ()
-  in
-  let scenarios =
-    List.concat_map
-      (fun (platform, ptgs) -> List.map (fun p -> (platform, p)) ptgs)
-      (Sweep.scenarios ~family:Workload.Random_mixed_scenarios ~count:1 ~runs
-         ~seed)
-  in
-  let per_scenario =
-    Mcs_util.Parmap.map
-      (fun (platform, ptg) ->
-        let entries =
-          List.map
-            (fun (name, algo) ->
-              let sched = algo platform ptg in
-              (name, sched.Schedule.makespan, efficiency platform ptg sched))
-            algorithms
-        in
-        let best =
-          List.fold_left (fun acc (_, m, _) -> Float.min acc m) Float.infinity
-            entries
-        in
-        List.map (fun (name, m, e) -> (name, m /. best, e)) entries)
-      scenarios
-  in
-  List.mapi
-    (fun i (name, _) ->
-      let mine = List.map (fun entries -> List.nth entries i) per_scenario in
+(* One application per scenario, which is perfectly fair by itself. *)
+let compute ?runs () =
+  List.map2
+    (fun (algorithm, _) (m : Sweep.mean) ->
       {
-        algorithm = name;
-        mean_relative_makespan =
-          Sweep.mean_over (fun (_, m, _) -> m) mine;
-        mean_efficiency = Sweep.mean_over (fun (_, _, e) -> e) mine;
+        algorithm;
+        mean_relative_makespan = m.relative_makespan;
+        mean_efficiency = m.extras.(0);
       })
     algorithms
+    (Sweep.compare ?runs ~family:Workload.Random_mixed_scenarios ~count:1
+       ~seed:77 (fun _ platform ptgs ->
+         List.map
+           (fun (_, algo) ->
+             let sched = algo platform (List.hd ptgs) in
+             {
+               Sweep.unfairness = 0.;
+               makespan = sched.Schedule.makespan;
+               extras = [| efficiency platform sched |];
+             })
+           algorithms))
 
 let table ?runs () =
   let stats = compute ?runs () in

@@ -19,6 +19,6 @@ type stats = {
   mean_efficiency : float;
 }
 
-val compute : ?runs:int -> ?seed:int -> unit -> stats list
+val compute : ?runs:int -> unit -> stats list
 
 val table : ?runs:int -> unit -> Mcs_util.Table.t

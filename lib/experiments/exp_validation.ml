@@ -17,10 +17,11 @@ let families =
   [ Workload.Random_mixed_scenarios; Workload.Fft_ptgs;
     Workload.Strassen_ptgs ]
 
-let compute ?runs ?(count = 6) ?(seed = 31) () =
-  let runs =
-    match runs with Some r -> r | None -> Sweep.runs_from_env ()
-  in
+let count = 6
+let seed = 31
+
+let compute ?runs () =
+  let runs = Sweep.resolve_runs runs in
   List.concat_map
     (fun family ->
       Mcs_util.Parmap.map

@@ -13,6 +13,7 @@ type stats = {
   max_rel_error : float;
 }
 
-val compute : ?runs:int -> ?count:int -> ?seed:int -> unit -> stats list
+val compute : ?runs:int -> unit -> stats list
+(** Six applications per scenario, [runs] per (family, platform). *)
 
 val table : ?runs:int -> unit -> Mcs_util.Table.t

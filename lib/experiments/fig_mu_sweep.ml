@@ -10,75 +10,35 @@ type point = {
 
 let paper_mus = [ 0.; 0.3; 0.5; 0.7; 0.8; 0.9; 1. ]
 
-let compute ?runs ?(counts = Workload.paper_counts) ?(mus = paper_mus)
-    ?(seed = 2008) ?(metric = Strategy.Work)
-    ?(family = Workload.Random_mixed_scenarios) () =
-  let runs =
-    match runs with Some r -> r | None -> Sweep.runs_from_env ()
+let compute ?runs ?(counts = Workload.paper_counts) ?(mus = paper_mus) () =
+  let strategies =
+    List.map (fun mu -> Strategy.Weighted (Strategy.Work, mu)) mus
   in
-  let strategies = List.map (fun mu -> Strategy.Weighted (metric, mu)) mus in
   List.concat_map
     (fun count ->
-      let scenario_results =
-        Mcs_util.Parmap.map
-          (fun (platform, ptgs) -> Runner.evaluate platform ptgs strategies)
-          (Sweep.scenarios ~family ~count ~runs ~seed)
-      in
-      List.mapi
-        (fun si mu ->
-          let per_scenario =
-            List.map (fun results -> List.nth results si) scenario_results
-          in
-          {
-            mu;
-            count;
-            unfairness =
-              Sweep.mean_over (fun r -> r.Runner.unfairness) per_scenario;
-            avg_makespan =
-              Sweep.mean_over (fun r -> r.Runner.avg_makespan) per_scenario;
-          })
-        mus)
+      List.map2
+        (fun mu (m : Sweep.mean) ->
+          { mu; count; unfairness = m.unfairness; avg_makespan = m.extras.(0) })
+        mus
+        (Sweep.compare ?runs ~family:Workload.Random_mixed_scenarios ~count
+           ~seed:2008 (fun _ platform ptgs ->
+             List.map Sweep.of_runner
+               (Runner.evaluate platform ptgs strategies))))
     counts
 
-let tables ~metric points =
-  let mus = List.sort_uniq compare (List.map (fun p -> p.mu) points) in
-  let counts = List.sort_uniq compare (List.map (fun p -> p.count) points) in
-  let header =
-    "#PTGs" :: List.map (fun mu -> Printf.sprintf "mu=%.1f" mu) mus
-  in
-  let series get title =
-    let table =
-      Table.create
-        ~title:
-          (Printf.sprintf "%s vs mu — WPS-%s, random PTGs" title
-             (match metric with
-             | Strategy.Cp -> "cp"
-             | Strategy.Width -> "width"
-             | Strategy.Work -> "work"))
-        ~header
-    in
-    List.iter
-      (fun count ->
-        let row =
-          List.map
-            (fun mu ->
-              match
-                List.find_opt (fun p -> p.mu = mu && p.count = count) points
-              with
-              | Some p -> get p
-              | None -> Float.nan)
-            mus
-        in
-        ignore
-          (Table.add_float_row table (Printf.sprintf "%d PTGs" count) row))
-      counts;
-    table
+let tables points =
+  let series metric title =
+    Sweep.grid
+      ~title:(title ^ " vs mu — WPS-work, random PTGs")
+      ~corner:"#PTGs"
+      ~row:(fun p -> Printf.sprintf "%d PTGs" p.count)
+      ~column:(fun p -> Printf.sprintf "mu=%.1f" p.mu)
+      ~cell:(fun p -> Table.fmt_float (metric p))
+      points
   in
   [
     series (fun p -> p.unfairness) "Unfairness";
     series (fun p -> p.avg_makespan) "Average makespan (s)";
   ]
 
-let figure2 ?runs () =
-  let metric = Strategy.Work in
-  tables ~metric (compute ?runs ~metric ())
+let figure2 ?runs () = tables (compute ?runs ())

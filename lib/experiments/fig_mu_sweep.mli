@@ -1,6 +1,6 @@
 (** Figure 2: evolution of unfairness and average makespan when the µ
-    parameter of a WPS strategy sweeps from 0 (pure PS) to 1 (pure ES),
-    on random PTGs.
+    parameter of the WPS-work strategy sweeps from 0 (pure PS) to 1
+    (pure ES), on random PTGs.
 
     Reproduces the calibration that led the paper to retain µ = 0.7 for
     WPS-work: unfairness decreases with µ while average makespan
@@ -17,17 +17,10 @@ val paper_mus : float list
 (** The abscissas of Figure 2: 0, 0.3, 0.5, 0.7, 0.8, 0.9, 1. *)
 
 val compute :
-  ?runs:int ->
-  ?counts:int list ->
-  ?mus:float list ->
-  ?seed:int ->
-  ?metric:Mcs_sched.Strategy.metric ->
-  ?family:Workload.family ->
-  unit ->
-  point list
-(** Defaults: paper counts and µ values, [Work] metric, random PTGs. *)
+  ?runs:int -> ?counts:int list -> ?mus:float list -> unit -> point list
+(** Defaults: the paper's counts and µ values. *)
 
-val tables : metric:Mcs_sched.Strategy.metric -> point list -> Mcs_util.Table.t list
+val tables : point list -> Mcs_util.Table.t list
 (** Two tables (unfairness, average makespan): one row per PTG count,
     one column per µ. *)
 

@@ -79,61 +79,18 @@ let illustration () =
       List_mapper.Global_backfill ];
   table
 
-let aggregate ?runs ?(counts = Workload.paper_counts) () =
-  let runs =
-    match runs with Some r -> r | None -> Sweep.runs_from_env ()
-  in
-  let table =
-    Table.create
-      ~title:
-        "Mapping ablation — ready-task vs global FCFS vs conservative \
-         backfilling (ES strategy, random PTGs)"
-      ~header:
-        [ "#PTGs"; "unfairness ready"; "unfairness fcfs";
-          "unfairness backfill"; "rel. makespan ready";
-          "rel. makespan fcfs"; "rel. makespan backfill" ]
-  in
-  List.iter
-    (fun count ->
-      let per_scenario =
-        Mcs_util.Parmap.map
-          (fun (platform, ptgs) ->
-            let run ordering =
-              match
-                Runner.evaluate ~config:(config_of ordering) platform ptgs
-                  [ Strategy.Equal_share ]
-              with
-              | [ r ] -> r
-              | _ -> assert false
-            in
-            let ready = run List_mapper.Ready_tasks in
-            let fcfs = run List_mapper.Global_fcfs in
-            let backfill = run List_mapper.Global_backfill in
-            let best =
-              Float.min ready.Runner.global_makespan
-                (Float.min fcfs.Runner.global_makespan
-                   backfill.Runner.global_makespan)
-            in
-            ( (ready.Runner.unfairness, fcfs.Runner.unfairness,
-               backfill.Runner.unfairness),
-              ( ready.Runner.global_makespan /. best,
-                fcfs.Runner.global_makespan /. best,
-                backfill.Runner.global_makespan /. best ) ))
-          (Sweep.scenarios ~family:Workload.Random_mixed_scenarios ~count
-             ~runs ~seed:105)
-      in
-      let mean f = Sweep.mean_over f per_scenario in
-      ignore
-        (Table.add_float_row table (string_of_int count)
-           [
-             mean (fun ((a, _, _), _) -> a);
-             mean (fun ((_, b, _), _) -> b);
-             mean (fun ((_, _, c), _) -> c);
-             mean (fun (_, (d, _, _)) -> d);
-             mean (fun (_, (_, e, _)) -> e);
-             mean (fun (_, (_, _, f)) -> f);
-           ]))
-    counts;
-  table
+let aggregate ?runs ?counts () =
+  Exp_ablation.configs_table
+    ~title:
+      "Mapping ablation — ready-task vs global FCFS vs conservative \
+       backfilling (ES strategy, random PTGs)"
+    ~seed:105
+    ~makespan:("rel. makespan", fun m -> m.Sweep.relative_makespan)
+    [
+      ("ready", config_of List_mapper.Ready_tasks);
+      ("fcfs", config_of List_mapper.Global_fcfs);
+      ("backfill", config_of List_mapper.Global_backfill);
+    ]
+    ?runs ?counts ()
 
 let tables ?runs () = [ illustration (); aggregate ?runs () ]

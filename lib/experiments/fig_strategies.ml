@@ -1,5 +1,4 @@
 module Strategy = Mcs_sched.Strategy
-module Metrics = Mcs_metrics.Metrics
 module Table = Mcs_util.Table
 
 type point = {
@@ -10,88 +9,34 @@ type point = {
   avg_makespan : float;
 }
 
-(* Per-scenario evaluation of all strategies, normalising makespans by
-   the best global makespan achieved on the scenario. *)
-let evaluate_scenario platform ptgs strategies =
-  let results = Runner.evaluate platform ptgs strategies in
-  let best =
-    List.fold_left
-      (fun acc r -> Float.min acc r.Runner.global_makespan)
-      Float.infinity results
-  in
-  List.map
-    (fun r ->
-      ( r.Runner.strategy,
-        r.Runner.unfairness,
-        Metrics.relative_makespan r.Runner.global_makespan ~best,
-        r.Runner.avg_makespan ))
-    results
-
-let compute ?runs ?(counts = Workload.paper_counts) ?(seed = 2008) ~family
-    ~strategies () =
-  let runs =
-    match runs with Some r -> r | None -> Sweep.runs_from_env ()
-  in
+(* Every strategy runs in one [Runner.evaluate] per scenario, so its
+   per-PTG trajectory caches are shared across strategies. *)
+let compute ?runs ?(counts = Workload.paper_counts) ~family ~strategies () =
   List.concat_map
     (fun count ->
-      let scenario_results =
-        Mcs_util.Parmap.map
-          (fun (platform, ptgs) -> evaluate_scenario platform ptgs strategies)
-          (Sweep.scenarios ~family ~count ~runs ~seed)
-      in
-      List.mapi
-        (fun si strategy ->
-          let per_scenario =
-            List.map (fun results -> List.nth results si) scenario_results
-          in
-          let mean f = Sweep.mean_over f per_scenario in
+      List.map2
+        (fun strategy (m : Sweep.mean) ->
           {
             count;
             strategy;
-            unfairness = mean (fun (_, u, _, _) -> u);
-            relative_makespan = mean (fun (_, _, m, _) -> m);
-            avg_makespan = mean (fun (_, _, _, a) -> a);
+            unfairness = m.unfairness;
+            relative_makespan = m.relative_makespan;
+            avg_makespan = m.extras.(0);
           })
-        strategies)
+        strategies
+        (Sweep.compare ?runs ~family ~count ~seed:2008 (fun _ platform ptgs ->
+             List.map Sweep.of_runner (Runner.evaluate platform ptgs strategies))))
     counts
 
 let tables ~family points =
-  let counts =
-    List.sort_uniq compare (List.map (fun p -> p.count) points)
-  in
-  let strategies =
-    List.fold_left
-      (fun acc p ->
-        if List.exists (fun s -> s = p.strategy) acc then acc
-        else acc @ [ p.strategy ])
-      [] points
-  in
-  let header =
-    "strategy" :: List.map (fun c -> string_of_int c ^ " PTGs") counts
-  in
   let series metric title =
-    let table =
-      Table.create
-        ~title:(Printf.sprintf "%s — %s" title (Workload.family_name family))
-        ~header
-    in
-    List.iter
-      (fun strategy ->
-        let row =
-          List.map
-            (fun count ->
-              match
-                List.find_opt
-                  (fun p -> p.count = count && p.strategy = strategy)
-                  points
-              with
-              | Some p -> metric p
-              | None -> Float.nan)
-            counts
-        in
-        ignore (Table.add_float_row table (Strategy.name strategy) row))
-      strategies;
-    table
+    Sweep.grid
+      ~title:(Printf.sprintf "%s — %s" title (Workload.family_name family))
+      ~corner:"strategy"
+      ~row:(fun p -> Strategy.name p.strategy)
+      ~column:(fun p -> Printf.sprintf "%d PTGs" p.count)
+      ~cell:(fun p -> Table.fmt_float (metric p))
+      points
   in
   [
     series (fun p -> p.unfairness) "Unfairness";
@@ -100,29 +45,21 @@ let tables ~family points =
 
 let figure3 ?runs () =
   let family = Workload.Random_mixed_scenarios in
-  let points =
-    compute ?runs ~family ~strategies:Strategy.paper_eight ()
-  in
-  tables ~family points
+  tables ~family (compute ?runs ~family ~strategies:Strategy.paper_eight ())
 
 let figure4 ?runs () =
   let family = Workload.Fft_ptgs in
   (* Section 7 tunes µ to 0.3 for WPS-width on FFT graphs. *)
   let strategies =
     List.map
-      (fun s ->
-        match s with
+      (function
         | Strategy.Weighted (Strategy.Width, _) ->
           Strategy.Weighted (Strategy.Width, 0.3)
         | s -> s)
       Strategy.paper_eight
   in
-  let points = compute ?runs ~family ~strategies () in
-  tables ~family points
+  tables ~family (compute ?runs ~family ~strategies ())
 
 let figure5 ?runs () =
   let family = Workload.Strassen_ptgs in
-  let points =
-    compute ?runs ~family ~strategies:Strategy.paper_six ()
-  in
-  tables ~family points
+  tables ~family (compute ?runs ~family ~strategies:Strategy.paper_six ())

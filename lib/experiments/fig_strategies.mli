@@ -18,13 +18,11 @@ type point = {
 val compute :
   ?runs:int ->
   ?counts:int list ->
-  ?seed:int ->
   family:Workload.family ->
   strategies:Mcs_sched.Strategy.t list ->
   unit ->
   point list
-(** Defaults: [runs] from {!Sweep.runs_from_env}, paper counts,
-    seed 2008. *)
+(** Defaults: [runs] as in {!Sweep.resolve_runs}, the paper's counts. *)
 
 val tables :
   family:Workload.family -> point list -> Mcs_util.Table.t list

@@ -48,6 +48,31 @@ let test_scenarios_shape_and_determinism () =
         ptgs1 ptgs2)
     s1 s2
 
+(* A bad run count names itself instead of starting the paper's 25-run
+   sweep. An unset MCS_RUNS behaves as "25", which it is left at if it
+   was unset before. *)
+let test_resolve_runs () =
+  let raises runs message =
+    Alcotest.check_raises message (Invalid_argument message) (fun () ->
+        ignore (Sweep.resolve_runs runs))
+  in
+  let saved = Sys.getenv_opt "MCS_RUNS" in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "MCS_RUNS" (Option.value saved ~default:"25"))
+    (fun () ->
+      Unix.putenv "MCS_RUNS" "7";
+      Alcotest.(check int) "explicit wins" 3 (Sweep.resolve_runs (Some 3));
+      Alcotest.(check int) "MCS_RUNS" 7 (Sweep.resolve_runs None);
+      raises (Some (-1)) "runs must be a positive integer, got -1";
+      raises (Some 0) "runs must be a positive integer, got 0";
+      List.iter
+        (fun v ->
+          Unix.putenv "MCS_RUNS" v;
+          raises None
+            (Printf.sprintf "MCS_RUNS must be a positive integer, got %S" v))
+        [ "0"; "-4"; "abc"; "" ])
+
 let test_runner_selfish_slowdowns_bounded () =
   let platform = Mcs_platform.Grid5000.lille () in
   let rng = Prng.create ~seed:3 in
@@ -234,6 +259,7 @@ let suite =
       [
         Alcotest.test_case "scenarios shape & determinism" `Quick
           test_scenarios_shape_and_determinism;
+        Alcotest.test_case "bad run counts raise" `Quick test_resolve_runs;
       ] );
     ( "experiments.runner",
       [

@@ -712,7 +712,7 @@ let experiment_cases =
             add_float b p.unfairness;
             add_float b p.avg_makespan)
           points
-          (E.Fig_mu_sweep.tables ~metric:Strategy.Work points) );
+          (E.Fig_mu_sweep.tables points) );
     ( "F3", "64e99e20833eb55f9f6a53d2dbb14f5c",
       fun () ->
         strategy_points ~family:E.Workload.Random_mixed_scenarios
