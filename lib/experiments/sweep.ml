@@ -35,9 +35,9 @@ let scenarios ~family ~count ~runs ~seed =
           (platforms.(platform_idx), ptgs)))
     (List.init runs (fun r -> r))
 
-let releases ~seed ~count _i =
+let releases ~seed ~count i =
   Workload.releases
-    (Prng.create ~seed:(seed + (count * 31) + count))
+    (Prng.create ~seed:(seed + (count * 31) + (i * 1009)))
     ~count ~mean:30.
 
 type cell = { unfairness : float; makespan : float; extras : float array }

@@ -30,8 +30,7 @@ val scenarios :
 
 val releases : seed:int -> count:int -> int -> float array
 (** [releases ~seed ~count i]: the Poisson submission times (mean 30 s)
-    replayed on scenario [i] of the point; every scenario of a point
-    replays the same stream. *)
+    of scenario [i] of the point, deterministic in (seed, count, i). *)
 
 type cell = {
   unfairness : float;

@@ -73,6 +73,28 @@ let test_resolve_runs () =
             (Printf.sprintf "MCS_RUNS must be a positive integer, got %S" v))
         [ "0"; "-4"; "abc"; "" ])
 
+(* Each scenario of a point replays its own submission stream, and X7's
+   offline rows replay X5's: the strategies both run (ES, WPS-work)
+   report the same unfairness in both tables. *)
+let test_release_streams () =
+  let stream i = Sweep.releases ~seed:Exp_arrivals.seed ~count:4 i in
+  Alcotest.(check bool) "scenarios 0 and 1 differ" false (stream 0 = stream 1);
+  Alcotest.(check bool) "deterministic" true (stream 1 = stream 1);
+  let x5 = Exp_arrivals.compute ~runs:1 ~counts:[ 2 ] () in
+  List.iter
+    (fun (p : Exp_online.point) ->
+      match
+        List.find_opt
+          (fun (q : Exp_arrivals.point) -> q.strategy = p.strategy)
+          x5
+      with
+      | Some q when p.mode = Exp_online.Offline ->
+        Alcotest.(check (float 0.))
+          (Strategy.name p.strategy ^ " offline = X5")
+          q.unfairness p.unfairness
+      | _ -> ())
+    (Exp_online.compute ~runs:1 ~counts:[ 2 ] ())
+
 let test_runner_selfish_slowdowns_bounded () =
   let platform = Mcs_platform.Grid5000.lille () in
   let rng = Prng.create ~seed:3 in
@@ -260,6 +282,8 @@ let suite =
         Alcotest.test_case "scenarios shape & determinism" `Quick
           test_scenarios_shape_and_determinism;
         Alcotest.test_case "bad run counts raise" `Quick test_resolve_runs;
+        Alcotest.test_case "release stream per scenario" `Quick
+          test_release_streams;
       ] );
     ( "experiments.runner",
       [

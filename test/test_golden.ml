@@ -754,7 +754,7 @@ let experiment_cases =
             add_float b s.max_rel_error)
           (E.Exp_validation.compute ~runs:1 ())
           [ E.Exp_validation.table ~runs:1 () ] );
-    ( "X5", "55b12ac8dd9d12830d0f226f4865dc88",
+    ( "X5", "173d50d1085d3c33d176098cd582597b",
       fun () ->
         table_digest
           (fun b (p : E.Exp_arrivals.point) ->
@@ -773,7 +773,7 @@ let experiment_cases =
             add_float b s.mean_efficiency)
           (E.Exp_single_ptg.compute ~runs:1 ())
           [ E.Exp_single_ptg.table ~runs:1 () ] );
-    ( "X7", "09ee462131898dfe43a81af09d198c83",
+    ( "X7", "160eb9a34934a3c697fbc41725b75b16",
       fun () ->
         table_digest
           (fun b (p : E.Exp_online.point) ->
