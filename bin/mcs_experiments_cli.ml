@@ -39,8 +39,8 @@ let runs =
   Arg.(value & opt int 0
        & info [ "runs" ]
            ~doc:"combinations per (count, platform) point; 0 = MCS_RUNS \
-                 env or the paper's 25; anything else but a positive \
-                 integer, here or in MCS_RUNS, exits 2")
+                 env or the paper's 25; a negative value, or an MCS_RUNS \
+                 that is not a positive integer, exits 2")
 
 let cmd =
   let doc = "regenerate the paper's tables and figures" in

@@ -3,7 +3,7 @@
     The same burst-submission scenarios run twice through the online
     engine: once purely {e moldable} (widths fixed at start, the
     baseline engine) and once {e malleable} under a
-    {!Mcs_sched.Malleability} model (quantum 15 s, redistribution cost
+    {!Mcs_sched.Malleability} model (quantum 30 s, redistribution cost
     0.05 s per moved processor) whose thresholds shrink running tasks
     when a burst spikes the active set and grow them when the system
     drains. Optionally a moderate fault level (MTTF 1500 s, 5%
