@@ -25,7 +25,8 @@ let strategies =
 
 let arms =
   List.concat_map
-    (fun strategy -> List.map (fun mode -> (strategy, mode)) [ Offline; Online ])
+    (fun strategy ->
+      List.map (fun mode -> (strategy, mode)) [ Offline; Online ])
     strategies
 
 let scenario platform ptgs ~release =

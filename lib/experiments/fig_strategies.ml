@@ -25,7 +25,8 @@ let compute ?runs ?(counts = Workload.paper_counts) ~family ~strategies () =
           })
         strategies
         (Sweep.compare ?runs ~family ~count ~seed:2008 (fun _ platform ptgs ->
-             List.map Sweep.of_runner (Runner.evaluate platform ptgs strategies))))
+             List.map Sweep.of_runner
+               (Runner.evaluate platform ptgs strategies))))
     counts
 
 let tables ~family points =

@@ -48,6 +48,30 @@ let test_scenarios_shape_and_determinism () =
         ptgs1 ptgs2)
     s1 s2
 
+(* The kernel hands each scenario its index, divides every arm's
+   makespan by the scenario's best and averages each field per arm:
+   here arm 0 is always best and arm 1 twice as slow, and unfairness and
+   the extra follow the indices 0..3 of one run's four scenarios. *)
+let test_compare_kernel () =
+  let means =
+    Sweep.compare ~runs:1 ~family:Workload.Strassen_ptgs ~count:1 ~seed:5
+      (fun i _ _ ->
+        let i = float_of_int i in
+        [
+          { Sweep.unfairness = i; makespan = 10. +. i; extras = [| 2. *. i |] };
+          { unfairness = 0.; makespan = 20. +. (2. *. i); extras = [| 1. |] };
+        ])
+  in
+  match means with
+  | [ a; b ] ->
+    Alcotest.(check (float 0.)) "mean unfairness" 1.5 a.Sweep.unfairness;
+    Alcotest.(check (float 0.)) "mean makespan" 11.5 a.Sweep.makespan;
+    Alcotest.(check (float 0.)) "best arm" 1. a.Sweep.relative_makespan;
+    Alcotest.(check (float 0.)) "twice the best" 2. b.Sweep.relative_makespan;
+    Alcotest.(check (array (float 0.))) "extras" [| 3. |] a.Sweep.extras;
+    Alcotest.(check (array (float 0.))) "extras" [| 1. |] b.Sweep.extras
+  | _ -> Alcotest.fail "one mean per arm"
+
 (* A bad run count names itself instead of starting the paper's 25-run
    sweep. An unset MCS_RUNS behaves as "25", which it is left at if it
    was unset before. *)
@@ -281,6 +305,8 @@ let suite =
       [
         Alcotest.test_case "scenarios shape & determinism" `Quick
           test_scenarios_shape_and_determinism;
+        Alcotest.test_case "kernel normalises and averages per arm" `Quick
+          test_compare_kernel;
         Alcotest.test_case "bad run counts raise" `Quick test_resolve_runs;
         Alcotest.test_case "release stream per scenario" `Quick
           test_release_streams;

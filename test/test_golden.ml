@@ -672,7 +672,9 @@ let table_digest render points tables =
 let no_points (_ : Buffer.t) () = ()
 
 let strategy_points ~family ~counts strategies =
-  let points = E.Fig_strategies.compute ~runs:1 ~counts ~family ~strategies () in
+  let points =
+    E.Fig_strategies.compute ~runs:1 ~counts ~family ~strategies ()
+  in
   table_digest
     (fun b (p : E.Fig_strategies.point) ->
       add_int b p.count;
