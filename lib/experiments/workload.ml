@@ -56,6 +56,8 @@ let draw rng family ~count =
       | Strassen_ptgs -> Mcs_ptg.Strassen.generate ~id rng)
 
 let releases rng ~count ~mean =
+  if not (mean >= 0. && Float.is_finite mean) then
+    invalid_arg (Printf.sprintf "Workload.releases: mean = %g" mean);
   let release = Array.make count 0. in
   for i = 1 to count - 1 do
     release.(i) <- release.(i - 1) +. Prng.exponential rng ~mean

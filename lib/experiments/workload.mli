@@ -27,7 +27,9 @@ val draw : Mcs_prng.Prng.t -> family -> count:int -> Mcs_ptg.Ptg.t list
 val releases : Mcs_prng.Prng.t -> count:int -> mean:float -> float array
 (** A Poisson submission stream: [count] release times, the first 0 and
     each later one an exponential gap of mean [mean] after the previous
-    one, drawn in order from [rng]. *)
+    one, drawn in order from [rng]. A mean of 0 releases every
+    application at 0.
+    @raise Invalid_argument if [mean] is negative, NaN or infinite. *)
 
 val paper_counts : int list
 (** [[2; 4; 6; 8; 10]] concurrent applications. *)

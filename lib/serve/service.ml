@@ -295,6 +295,9 @@ let close t =
   build_report t
 
 let run_stream ?(rate = 0.) config platform apps =
+  (* NaN fails the comparison, so it is rejected too. *)
+  if not (rate >= 0.) then
+    invalid_arg (Printf.sprintf "Service.run_stream: rate = %g" rate);
   Obs.with_span "serve.run" @@ fun () ->
   let t = create config platform in
   List.iter

@@ -113,7 +113,10 @@ val run_stream :
 (** [create] + one {!submit} per PTG (list order; releases must be
     nondecreasing) + {!close}, wrapped in the ["serve.run"] observation
     span. [rate > 0.] paces submissions at that many per wall-clock
-    second — the workload-driver knob of [bin/mcs_serve]. *)
+    second — the workload-driver knob of [bin/mcs_serve]; [0.] (the
+    default) does not pace them.
+    @raise Invalid_argument on a negative or NaN [rate], before any
+    shard starts, and as {!create} and {!submit} do. *)
 
 val merged_log : report -> (int * Mcs_online.Log.event) list
 (** The shard logs relabelled to global submission ids and sort-merged

@@ -28,6 +28,19 @@ let test_workload_strassen_family () =
       Alcotest.(check int) "25 tasks" 25 (Mcs_ptg.Ptg.task_count p))
     ptgs
 
+(* A negative or non-finite mean gap names itself instead of reaching
+   the engine as an ill-formed release; a mean of 0 releases everything
+   at 0. *)
+let test_releases_mean () =
+  let releases mean = Workload.releases (Prng.create ~seed:3) ~count:3 ~mean in
+  List.iter
+    (fun mean ->
+      let message = Printf.sprintf "Workload.releases: mean = %g" mean in
+      Alcotest.check_raises message (Invalid_argument message) (fun () ->
+          ignore (releases mean)))
+    [ -3.; Float.nan; Float.infinity ];
+  Alcotest.(check (array (float 0.))) "mean 0" [| 0.; 0.; 0. |] (releases 0.)
+
 let test_scenarios_shape_and_determinism () =
   let s1 =
     Sweep.scenarios ~family:Workload.Fft_ptgs ~count:3 ~runs:2 ~seed:7
@@ -300,6 +313,8 @@ let suite =
         Alcotest.test_case "draw counts" `Quick test_workload_draw_counts;
         Alcotest.test_case "strassen family" `Quick
           test_workload_strassen_family;
+        Alcotest.test_case "bad release means raise" `Quick
+          test_releases_mean;
       ] );
     ( "experiments.sweep",
       [

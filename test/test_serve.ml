@@ -437,6 +437,21 @@ let test_submit_ordering () =
     (Invalid_argument "Service.close: already closed") (fun () ->
       ignore (Service.close t))
 
+(* A negative or NaN pacing rate is refused before any shard starts;
+   an infinite one does not pace. *)
+let test_rate () =
+  let platform = Grid5000.lille () in
+  let cfg = config ~shards:1 ~mode:Service.Inline in
+  let apps = workload 2 4 ~mean:5. in
+  List.iter
+    (fun rate ->
+      let message = Printf.sprintf "Service.run_stream: rate = %g" rate in
+      Alcotest.check_raises message (Invalid_argument message) (fun () ->
+          ignore (Service.run_stream ~rate cfg platform apps)))
+    [ -1.; Float.nan ];
+  let r = Service.run_stream ~rate:Float.infinity cfg platform apps in
+  Alcotest.(check int) "both served" 2 r.Service.admitted
+
 let suite =
   [
     ( "serve",
@@ -464,5 +479,6 @@ let suite =
           test_shedding_conserves;
         Alcotest.test_case "submission ordering contract" `Quick
           test_submit_ordering;
+        Alcotest.test_case "bad pacing rates raise" `Quick test_rate;
       ] );
   ]
