@@ -42,9 +42,7 @@ let run rules site strict files =
     print_rules ();
     exit 0
   end;
-  let platform =
-    Option.map (fun name -> Cli.ok (Mcs_platform.Grid5000.by_name name)) site
-  in
+  let platform = Option.map snd site in
   if files = [] then
     Cli.die "no trace files given (try --rules for the rule list)";
   let errors = ref 0 and warnings = ref 0 in
@@ -76,7 +74,7 @@ let rules =
        & info [ "rules" ] ~doc:"print the rule registry and exit")
 
 let site =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some Flags.site_conv) None
        & info [ "site" ]
            ~doc:
              ("Grid'5000 platform the trace was scheduled on ("
@@ -92,10 +90,7 @@ let files =
   Arg.(value & pos_all string [] & info [] ~docv:"FILE"
        ~doc:"trace files exported by mcs_sched/mcs_online (.csv or .json)")
 
-let cmd =
-  let doc = "lint exported schedule traces against the paper's invariants" in
-  Cmd.v
-    (Cmd.info "mcs_check" ~doc)
+let () =
+  Cli.eval "mcs_check"
+    ~doc:"lint exported schedule traces against the paper's invariants"
     Term.(const run $ rules $ site $ strict $ files)
-
-let () = exit (Cmd.eval cmd)

@@ -5,7 +5,7 @@
 open Cmdliner
 module Artefact = Mcs_experiments.Artefact
 
-let run_experiment id runs profile profile_format =
+let run_experiment id runs profiled =
   let id = String.lowercase_ascii id in
   let a =
     match Artefact.find id with
@@ -21,7 +21,7 @@ let run_experiment id runs profile profile_format =
         Mcs_experiments.Sweep.resolve_runs
           (if runs = 0 then None else Some runs))
   in
-  Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
+  profiled @@ fun () ->
   List.iter Mcs_util.Table.print (a.Artefact.tables ~runs ())
 
 let id =
@@ -42,12 +42,6 @@ let runs =
                  env or the paper's 25; a negative value, or an MCS_RUNS \
                  that is not a positive integer, exits 2")
 
-let cmd =
-  let doc = "regenerate the paper's tables and figures" in
-  Cmd.v
-    (Cmd.info "mcs_experiments" ~doc)
-    Term.(
-      const run_experiment $ id $ runs $ Obs_cli.profile
-      $ Obs_cli.profile_format)
-
-let () = exit (Cmd.eval cmd)
+let () =
+  Cli.eval "mcs_experiments" ~doc:"regenerate the paper's tables and figures"
+    Term.(const run_experiment $ id $ runs $ Obs_cli.profiled)

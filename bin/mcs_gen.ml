@@ -50,17 +50,11 @@ let jump =
 let points =
   Arg.(value & opt int 8 & info [ "points" ] ~doc:"FFT points (power of two)")
 
-let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed")
-
 let summary =
   Arg.(value & flag & info [ "summary" ] ~doc:"print a one-line summary")
 
-let cmd =
-  let doc = "generate a parallel task graph" in
-  Cmd.v
-    (Cmd.info "mcs_gen" ~doc)
+let () =
+  Cli.eval "mcs_gen" ~doc:"generate a parallel task graph"
     Term.(
       const generate $ kind $ tasks $ width $ regularity $ density $ jump
-      $ points $ seed $ summary)
-
-let () = exit (Cmd.eval cmd)
+      $ points $ Flags.seed $ summary)

@@ -94,13 +94,8 @@ let paths =
   Arg.(value & pos_all string [] & info [] ~docv:"PATH"
        ~doc:".ml files or directories to lint (directories recurse)")
 
-let cmd =
-  let doc =
-    "lint the serve stack for lock, domain-escape and atomic races"
-  in
-  Cmd.v
-    (Cmd.info "mcs_lint" ~doc)
+let () =
+  Cli.eval "mcs_lint"
+    ~doc:"lint the serve stack for lock, domain-escape and atomic races"
     Term.(const run $ rules $ repo $ build_dir $ no_cmt $ show_waived
           $ paths)
-
-let () = exit (Cmd.eval cmd)

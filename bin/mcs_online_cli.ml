@@ -6,67 +6,23 @@
 open Cmdliner
 module Strategy = Mcs_sched.Strategy
 module Schedule = Mcs_sched.Schedule
-module Workload = Mcs_experiments.Workload
 module Engine = Mcs_online.Engine
 module Policy = Mcs_online.Policy
 module Log = Mcs_online.Log
 module Fault = Mcs_fault.Fault
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  Printf.eprintf "wrote %s\n" path
-
-let run site strategy family count seed mean_interarrival static finish_resched
-    policy_name checkpoint swap_at swap_to what_if what_if_at csv json gantt
-    check faults mttf mttr task_fail_p granularity horizon max_retries backoff
-    shrink malleable resize_quantum redist_cost min_width shrink_above
-    grow_below profile profile_format =
-  Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
-  let platform = Cli.ok (Mcs_platform.Grid5000.by_name site) in
-  let strategy = Cli.ok (Strategy.of_short_name strategy) in
-  let family = Cli.ok (Workload.family_of_string family) in
-  let rng = Mcs_prng.Prng.create ~seed in
-  let ptgs = Cli.checked (fun () -> Workload.draw rng family ~count) in
-  let release = Workload.releases rng ~count ~mean:mean_interarrival in
-  let apps = List.mapi (fun i ptg -> (ptg, release.(i))) ptgs in
+let run (sc : Flags.scenario) mean_interarrival static finish_resched
+    policy_name checkpoint swap_at swap_to what_if what_if_at exports gantt
+    check faults fault_policy malleability profiled =
+  profiled @@ fun () ->
+  let platform = sc.platform and strategy = sc.strategy in
+  let apps = Flags.stream sc ~mean:mean_interarrival in
+  let release = Array.of_list (List.map snd apps) in
   let fault_scenario =
-    if not faults then None
-    else begin
-      let granularity =
-        match granularity with
-        | "proc" -> Fault.Proc
-        | "cluster" -> Fault.Cluster
-        | g ->
-          Cli.die ("unknown fault granularity: " ^ g ^ " (proc|cluster)")
-      in
-      let config =
-        { Fault.mttf; mttr; task_fail_p; granularity; horizon }
-      in
-      Some (Cli.checked (fun () -> Fault.generate ~seed platform config))
-    end
-  in
-  let fault_policy =
-    {
-      Policy.default_faults with
-      Policy.max_retries;
-      backoff_base = backoff;
-      shrink_on_retry = shrink;
-    }
-  in
-  let malleability =
-    if not malleable then None
-    else
-      Some
-        {
-          Mcs_sched.Malleability.quantum = resize_quantum;
-          redist_cost;
-          min_width;
-          max_width = max_int;
-          shrink_active_above = shrink_above;
-          grow_active_below = grow_below;
-        }
+    Option.map
+      (fun config ->
+        Cli.checked (fun () -> Fault.generate ~seed:sc.seed platform config))
+      faults
   in
   let base =
     Cli.checked (fun () ->
@@ -177,7 +133,7 @@ let run site strategy family count seed mean_interarrival static finish_resched
      \"apps\":%d,\"releases\":[%s],\"betas\":[%s],\"responses\":[%s],\
      \"events_processed\":%d,\"events_pushed\":%d,\"reschedules\":%d,\
      \"remapped_tasks\":%d%s%s}\n"
-    (Strategy.name strategy) site count
+    (Strategy.name strategy) sc.site sc.count
     (join (Printf.sprintf "%.17g") release)
     (join (Printf.sprintf "%.17g") r.Engine.betas)
     (join (Printf.sprintf "%.17g") r.Engine.responses)
@@ -186,57 +142,14 @@ let run site strategy family count seed mean_interarrival static finish_resched
     r.Engine.stats.Engine.remapped_tasks fault_suffix resize_suffix;
   if gantt then
     prerr_string (Schedule.gantt ~platform r.Engine.schedules);
-  (match csv with
-  | Some path ->
-    write_file path (Mcs_sched.Trace.to_csv ~release r.Engine.schedules)
-  | None -> ());
-  match json with
-  | Some path ->
-    write_file path (Mcs_sched.Trace.to_json ~release r.Engine.schedules)
-  | None -> ()
-
-let site =
-  Arg.(value & opt string "rennes"
-       & info [ "site" ]
-           ~doc:(String.concat ", " Mcs_platform.Grid5000.names))
-
-let strategy =
-  Arg.(value & opt string "WPS-work"
-       & info [ "strategy" ]
-           ~doc:"S, ES, PS-cp, PS-width, PS-work, WPS-cp, WPS-width, WPS-work")
-
-let family =
-  Arg.(value & opt string "random"
-       & info [ "family" ] ~doc:"random, fft or strassen")
-
-let count =
-  Arg.(value & opt int 4 & info [ "count" ] ~doc:"submitted applications")
-
-let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed")
-
-let mean_interarrival =
-  Arg.(value & opt float 30.
-       & info [ "mean-interarrival" ]
-           ~doc:"mean of the Poisson inter-arrival times, seconds")
+  Flags.export exports
+    ~csv:(fun () -> Mcs_sched.Trace.to_csv ~release r.Engine.schedules)
+    ~json:(fun () -> Mcs_sched.Trace.to_json ~release r.Engine.schedules)
 
 let static =
   Arg.(value & flag
        & info [ "static" ]
            ~doc:"recompute beta on arrivals only (no departure backfilling)")
-
-let finish_resched =
-  Arg.(value & flag
-       & info [ "reschedule-on-finish" ]
-           ~doc:
-             "reschedule on every task finish as well as on departures \
-              (rejected when combined with --static)")
-
-let policy_name =
-  Arg.(value & opt string "default"
-       & info [ "policy" ]
-           ~doc:
-             (Printf.sprintf "named policy over the trigger and fault flags: %s"
-                (String.concat ", " Policy.names)))
 
 let checkpoint =
   Arg.(value & opt (some float) None
@@ -268,129 +181,65 @@ let what_if_at =
   Arg.(value & opt float 0.
        & info [ "what-if-at" ] ~doc:"virtual time of the --what-if trial")
 
-let csv =
-  Arg.(value & opt (some string) None
-       & info [ "csv" ] ~doc:"export the schedules as CSV to this path")
-
-let json =
-  Arg.(value & opt (some string) None
-       & info [ "json" ] ~doc:"export the schedules as JSON to this path")
-
 let gantt =
   Arg.(value & flag
        & info [ "gantt" ] ~doc:"print a text Gantt chart to stderr")
 
-let check =
-  Arg.(value & flag
-       & info [ "check" ]
-           ~doc:
-             "audit every reschedule with the invariant analyzer (plus the \
-              FAULT001-003 execution-log audit under --faults and the \
-              MAL001-003 resize audit under --malleable) and exit \
-              non-zero on any violated rule")
-
-let faults =
-  Arg.(value & flag
-       & info [ "faults" ]
-           ~doc:
-             "inject a seeded fault process: processor outages drawn from \
-              --mttf/--mttr and transient task failures from --task-fail-p \
-              (the scenario reuses --seed)")
-
-let mttf =
-  Arg.(value & opt float Float.infinity
-       & info [ "mttf" ]
-           ~doc:
-             "mean time to failure per unit, seconds ('inf' disables \
-              outages)")
-
-let mttr =
-  Arg.(value & opt float 60.
-       & info [ "mttr" ] ~doc:"mean time to repair, seconds")
-
-let task_fail_p =
-  Arg.(value & opt float 0.
-       & info [ "task-fail-p" ]
-           ~doc:"per-attempt transient task failure probability in [0,1]")
-
-let granularity =
-  Arg.(value & opt string "proc"
-       & info [ "fault-granularity" ]
-           ~doc:"failure unit: proc (independent processors) or cluster")
-
-let horizon =
-  Arg.(value & opt float 3600.
-       & info [ "fault-horizon" ]
-           ~doc:"no outage begins after this time, seconds")
-
-let max_retries =
-  Arg.(value & opt int 3
-       & info [ "max-retries" ]
-           ~doc:
-             "transient failures tolerated per task before the next attempt \
-              is carried through")
-
-let backoff =
-  Arg.(value & opt float 5.
-       & info [ "backoff" ]
-           ~doc:
-             "retry backoff base, seconds (retry k waits base*2^(k-1), or \
-              base*k under --policy linear-backoff)")
-
-let shrink =
-  Arg.(value & flag
-       & info [ "shrink-on-retry" ]
-           ~doc:"halve a task's allocation per transient failure")
-
-let malleable =
-  Arg.(value & flag
-       & info [ "malleable" ]
-           ~doc:
-             "let the engine grow/shrink running tasks at resize points \
-              (without this flag tasks are moldable: widths are fixed at \
-              start, bit-identical to the pre-malleability engine)")
-
-let resize_quantum =
-  Arg.(value & opt float Mcs_sched.Malleability.default.quantum
-       & info [ "resize-quantum" ]
-           ~doc:
-             "grid spacing of legal resize points, seconds (a running \
-              segment may only be preempted at start + k*quantum)")
-
-let redist_cost =
-  Arg.(value & opt float Mcs_sched.Malleability.default.redist_cost
-       & info [ "redist-cost" ]
-           ~doc:"redistribution overhead per moved processor, seconds")
-
-let min_width =
-  Arg.(value & opt int 1
-       & info [ "min-width" ]
-           ~doc:"no resized segment runs on fewer processors")
-
-let shrink_above =
-  Arg.(value
-       & opt int Mcs_sched.Malleability.default.shrink_active_above
-       & info [ "shrink-above" ]
-           ~doc:"shrink running tasks while more applications are active")
-
-let grow_below =
-  Arg.(value & opt int Mcs_sched.Malleability.default.grow_active_below
-       & info [ "grow-below" ]
-           ~doc:"grow running tasks while fewer applications are active")
-
-let cmd =
-  let doc =
-    "run the event-driven online scheduler and stream JSON event logs"
+(* The retry half of the fault policy: what a transient failure costs. *)
+let fault_policy =
+  let make max_retries backoff_base shrink_on_retry =
+    {
+      Policy.default_faults with
+      Policy.max_retries;
+      backoff_base;
+      shrink_on_retry;
+    }
   in
-  Cmd.v
-    (Cmd.info "mcs_online" ~doc)
-    Term.(
-      const run $ site $ strategy $ family $ count $ seed $ mean_interarrival
-      $ static $ finish_resched $ policy_name $ checkpoint $ swap_at
-      $ swap_to $ what_if $ what_if_at $ csv $ json $ gantt $ check $ faults
-      $ mttf $ mttr $ task_fail_p $ granularity $ horizon $ max_retries
-      $ backoff $ shrink $ malleable $ resize_quantum $ redist_cost
-      $ min_width $ shrink_above $ grow_below $ Obs_cli.profile
-      $ Obs_cli.profile_format)
+  Term.(
+    const make
+    $ Arg.(value & opt int 3
+           & info [ "max-retries" ]
+               ~doc:
+                 "transient failures tolerated per task before the next \
+                  attempt is carried through")
+    $ Arg.(value & opt float 5.
+           & info [ "backoff" ]
+               ~doc:
+                 "retry backoff base, seconds (retry k waits base*2^(k-1), \
+                  or base*k under --policy linear-backoff)")
+    $ Arg.(value & flag
+           & info [ "shrink-on-retry" ]
+               ~doc:"halve a task's allocation per transient failure"))
 
-let () = exit (Cmd.eval cmd)
+let () =
+  Cli.eval "mcs_online"
+    ~doc:"run the event-driven online scheduler and stream JSON event logs"
+    Term.(
+      const run
+      $ Flags.scenario ~site:"rennes" ~strategy:"WPS-work" ~count:4
+      $ Flags.mean_interarrival 30. $ static
+      $ Flags.reschedule_on_finish
+          ~doc:
+            "reschedule on every task finish as well as on departures \
+             (rejected when combined with --static)"
+      $ Flags.policy ~doc:"named policy over the trigger and fault flags"
+      $ checkpoint $ swap_at $ swap_to $ what_if $ what_if_at
+      $ Flags.exports $ gantt
+      $ Flags.check
+          ~doc:
+            "audit every reschedule with the invariant analyzer (plus the \
+             FAULT001-003 execution-log audit under --faults and the \
+             MAL001-003 resize audit under --malleable) and exit \
+             non-zero on any violated rule"
+      $ Flags.faults ~full:true
+          ~doc:
+            "inject a seeded fault process: processor outages drawn from \
+             --mttf/--mttr and transient task failures from --task-fail-p \
+             (the scenario reuses --seed)"
+      $ fault_policy
+      $ Flags.malleable ~full:true
+          ~doc:
+            "let the engine grow/shrink running tasks at resize points \
+             (without this flag tasks are moldable: widths are fixed at \
+             start, bit-identical to the pre-malleability engine)"
+      $ Obs_cli.profiled)

@@ -46,3 +46,9 @@ let scoped ~profile ~format f =
     | exception e ->
       finish ();
       raise e)
+
+(* The two flags as one wrapper: [profiled f] runs [f] under [scoped]. *)
+let profiled : ((unit -> unit) -> unit) Term.t =
+  Term.(
+    const (fun profile format f -> scoped ~profile ~format f)
+    $ profile $ profile_format)
