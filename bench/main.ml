@@ -828,46 +828,58 @@ let run_micro () =
 (* ---------- Experiment dispatch ---------- *)
 
 (* The experiment registry's artefacts (by id only: the registry's
-   aliases are the experiments CLI's), then the bench's own; [micro]
-   prints no section heading. *)
+   aliases are the experiments CLI's), each run [runs] times per point,
+   then the bench's own; [micro] prints no section heading. *)
 let artefacts =
   List.map
     (fun (a : E.Artefact.t) ->
-      (a.id, Some a.title, fun () -> print_tables (a.tables ())))
+      (a.id, Some a.title, fun runs -> print_tables (a.tables ~runs ())))
     E.Artefact.all
   @ [
       ( "online",
         Some "Online engine — event throughput and rescheduling cost",
-        run_online );
+        fun _ -> run_online () );
       ( "serve",
         Some "Serving engine — sharded multi-tenant throughput",
-        run_serve );
-      ("micro", None, run_micro);
+        fun _ -> run_serve () );
+      ("micro", None, fun _ -> run_micro ());
     ]
 
-let run_one id =
+let find id =
   match List.find_opt (fun (i, _, _) -> i = id) artefacts with
-  | Some (_, title, f) ->
-    Option.iter section title;
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Printf.printf "[%s done in %.1f s]\n\n%!" id (Unix.gettimeofday () -. t0)
+  | Some a -> a
   | None ->
     prerr_endline
       ("unknown artefact " ^ id ^ "; use one of: "
       ^ String.concat " " (List.map (fun (i, _, _) -> i) artefacts));
     exit 2
 
+let run_one runs (id, title, f) =
+  Option.iter section title;
+  let t0 = Unix.gettimeofday () in
+  f runs;
+  Printf.printf "[%s done in %.1f s]\n\n%!" id (Unix.gettimeofday () -. t0)
+
+(* Every id and the run count are checked before the first heading. *)
 let () =
+  let runs () =
+    try E.Sweep.resolve_runs None
+    with Invalid_argument m ->
+      prerr_endline m;
+      exit 2
+  in
   match Array.to_list Sys.argv with
   | [ _; "compare"; ref_path; cur_path ] -> run_compare ref_path cur_path
   | _ :: "compare" :: _ ->
     prerr_endline "usage: bench compare REFERENCE.json CURRENT.json";
     exit 2
-  | _ :: (_ :: _ as ids) -> List.iter run_one ids
+  | _ :: (_ :: _ as ids) ->
+    let selected = List.map find ids in
+    List.iter (run_one (runs ())) selected
   | [ _ ] | [] ->
+    let runs = runs () in
     Printf.printf
       "Full reproduction run (MCS_RUNS=%d combinations per point; set \
        MCS_RUNS to scale).\n\n%!"
-      (E.Sweep.resolve_runs None);
-    List.iter (fun (id, _, _) -> run_one id) artefacts
+      runs;
+    List.iter (run_one runs) artefacts
