@@ -641,6 +641,7 @@ let exact_counters =
     "mapper.tasks_mapped";
     "mapper.packing_attempts";
     "mapper.packing_wins";
+    "mapper.candidates_priced";
     "mapper.avail_reorders";
     "alloc.calls";
     "alloc.increments";

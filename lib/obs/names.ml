@@ -36,7 +36,11 @@ let counters =
     ("mapper.tasks_mapped", "task placements committed by the list mapper");
     ( "mapper.packing_attempts",
       "shrunk widths considered, including those the start bound ruled out" );
-    ("mapper.packing_wins", "packing candidates that beat the full allocation");
+    ( "mapper.packing_wins",
+      "placements won by a width below the full one priced on their cluster"
+    );
+    ( "mapper.candidates_priced",
+      "(cluster, width) candidates priced, full and packing widths" );
     ("mapper.ready_peak", "high-water mark of the ready-task queue");
     ( "mapper.avail_reorders",
       "processor entries repositioned in the availability index" );

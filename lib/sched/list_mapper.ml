@@ -10,6 +10,7 @@ module Obs = Mcs_obs.Obs
 let c_tasks_mapped = Obs.counter "mapper.tasks_mapped"
 let c_packing_attempts = Obs.counter "mapper.packing_attempts"
 let c_packing_wins = Obs.counter "mapper.packing_wins"
+let c_candidates_priced = Obs.counter "mapper.candidates_priced"
 let c_ready_peak = Obs.counter "mapper.ready_peak"
 let c_avail_reorders = Obs.counter "mapper.avail_reorders"
 let c_backfill_slots = Obs.counter "mapper.backfill_slots"
@@ -89,19 +90,23 @@ type scratch = {
   mutable agg_senders : int;
   (* The best candidate so far: the window
      [b_order.(b_lo) .. b_order.(b_lo + b_width - 1)] of cluster
-     [b_cluster], with [b_cluster < 0] while there is none. Losing
-     candidates never materialise their processor set. *)
+     [b_cluster], with [b_cluster < 0] while there is none, and whether
+     it is a packing candidate (narrower than the full width priced on
+     its cluster). Losing candidates never materialise their processor
+     set. *)
   mutable b_order : int array;
   mutable b_lo : int;
   mutable b_width : int;
   mutable b_cluster : int;
+  mutable b_packed : bool;
   f : float array;                     (* indexed by the [f_*] slots *)
   mutable weights : float array;       (* node -> execution time, for [bl] *)
 }
 
 (* Float slots of [scratch.f]: the candidate being priced, the best
-   one, the per-task inputs of the pricing, and the Global_fcfs
-   no-backfilling bound (the latest start of a real task so far). *)
+   one, the per-task inputs of the pricing, the Global_fcfs
+   no-backfilling bound (the latest start of a real task so far), and
+   the packing search's data-ready bound. *)
 let f_start = 0
 let f_finish = 1
 let f_best_start = 2
@@ -114,6 +119,7 @@ let f_pred_finish = 8
 let f_agg_total = 9
 let f_agg_last = 10
 let f_fcfs = 11
+let f_data_ready = 12
 
 let create_scratch platform =
   let nc = P.cluster_count platform in
@@ -142,7 +148,8 @@ let create_scratch platform =
     b_lo = 0;
     b_width = 0;
     b_cluster = -1;
-    f = Array.make 12 0.;
+    b_packed = false;
+    f = Array.make 13 0.;
     weights = [||];
   }
 
@@ -191,10 +198,11 @@ let load_preds s ptg placements v =
   np
 
 (* Offer the candidate in [f_start]/[f_finish] — the window
-   [order.(lo) .. order.(lo + width - 1)] of cluster [k] — against the
-   best so far. Earliest finish, then earliest start, then widest
-   allocation; on a full tie the earlier offer stays. *)
-let offer s order k lo width =
+   [order.(lo) .. order.(lo + width - 1)] of cluster [k], a packing
+   candidate if [packed] — against the best so far. Earliest finish,
+   then earliest start, then widest allocation; on a full tie the
+   earlier offer stays. *)
+let offer s order k lo width ~packed =
   let f = s.f in
   let wins =
     s.b_cluster < 0
@@ -213,6 +221,7 @@ let offer s order k lo width =
     s.b_lo <- lo;
     s.b_width <- width;
     s.b_cluster <- k;
+    s.b_packed <- packed;
     f.(f_best_start) <- f.(f_start);
     f.(f_best_finish) <- f.(f_finish)
   end
@@ -281,6 +290,7 @@ let data_ready s k np p' =
    return the start [lo] of its window in [order], the cluster's
    processors in (availability, id) order. *)
 let price s proc_avail order k np p' =
+  Obs.incr c_candidates_priced;
   let f = s.f in
   let floor = f.(f_floor) in
   data_ready s k np p';
@@ -375,6 +385,83 @@ let virtual_placement s v np =
   let start = !start in
   { Schedule.node = v; cluster = 0; procs = [||]; start; finish = start }
 
+(* The earliest start of a candidate on a cluster whose processors are
+   [order], data-ready no earlier than [ready] and with a window ending
+   at or after [order.(j)]: [price] starts it at [max floor (max
+   data_ready avail)], its window's availability is at least
+   [order.(j)]'s ([order] is availability-sorted), and a [Float.max]
+   rounds nothing. *)
+let[@inline] start_bound floor ready proc_avail order j =
+  Float.max floor (Float.max ready (Float.max 0. proc_avail.(order.(j))))
+
+(* The packing search on cluster [k], once its full width [needed] is
+   priced into [f_start]/[f_finish]/[f_ready] and offered. The
+   allocation may shrink only if the task then starts strictly earlier
+   and finishes no later than with its original allocation (Section 5),
+   and a narrower candidate still has to win [offer]. Three bounds skip
+   the widths that cannot do both (DESIGN.md section 10); every width
+   considered counts as an attempt, priced or not. *)
+let pack s task state proc_avail order k np slot needed =
+  let f = s.f in
+  let floor = f.(f_floor) in
+  let full_start = f.(f_start) and full_finish = f.(f_finish) in
+  (* No narrower width is data-ready before the full width's pessimistic
+     data-ready time: every transfer cost and the aggregate-NIC term
+     only grow as the width shrinks. The exception is a predecessor that
+     sent data from fewer processors of [k], whose transfer the in-place
+     rule may cancel; then only the latest predecessor finish bounds
+     it. *)
+  let in_place = ref false in
+  for i = 0 to np - 1 do
+    if
+      s.p_bytes.(i) > 0. && s.p_cluster.(i) = k
+      && Array.length s.p_procs.(i) < needed
+    then in_place := true
+  done;
+  f.(f_data_ready) <- (if !in_place then f.(f_pred_finish) else f.(f_ready));
+  let lb = start_bound floor f.(f_data_ready) proc_avail order 0 in
+  if lb >= full_start -. Floatx.eps then add c_packing_attempts (needed - 1)
+  else begin
+    Obs.enter "mapper.packing";
+    match
+      let p' = ref (needed - 1) in
+      while !p' >= 1 do
+        Task.time_of_seq_into task ~procs:!p' state.seq slot f f_exec;
+        (* The execution time does not fall as the width falls, so a
+           width that finishes after the full one, or loses [offer] to
+           the best so far, rules out every narrower one too. *)
+        let finish = lb +. f.(f_exec) in
+        if
+          finish > full_finish +. Floatx.eps
+          || f.(f_best_finish) < finish -. Floatx.eps
+        then begin
+          add c_packing_attempts !p';
+          p' := 0
+        end
+        else begin
+          Obs.incr c_packing_attempts;
+          (* A width whose window cannot start strictly earlier is not
+             priced. *)
+          if
+            start_bound floor f.(f_data_ready) proc_avail order (!p' - 1)
+            < full_start -. Floatx.eps
+          then begin
+            let lo = price s proc_avail order k np !p' in
+            if
+              f.(f_start) < full_start -. Floatx.eps
+              && f.(f_finish) <= full_finish +. Floatx.eps
+            then offer s order k lo !p' ~packed:true
+          end;
+          decr p'
+        end
+      done
+    with
+    | () -> Obs.leave ()
+    | exception e ->
+      Obs.leave ();
+      raise e
+  end
+
 (* Map one task and return its placement. [f_floor] bounds the start of
    real tasks (submission time, plus the FCFS no-backfilling bound in
    Global_fcfs mode); [f_virtual_floor] bounds virtual entry/exit nodes
@@ -386,12 +473,13 @@ let virtual_placement s v np =
    array shared with it. Everything that does not depend on the
    candidate width p' (route bandwidths, the aggregate NIC sums, the
    task's sequential time on each cluster) is computed once per session,
-   entry or task and reused across all clusters and packing candidates,
-   and the packing loop stops as soon as a start-time lower bound
-   proves that no narrower width can win (DESIGN.md section 10); the
-   resulting placements are bit-identical to the exhaustive search.
-   The winner is a window of its cluster's view, and committing it
-   moves that window alone. *)
+   entry or task and reused across all clusters and packing candidates.
+   Clusters are visited in index order, as [offer] keeps the earlier of
+   two tied candidates, and a cluster or width is priced only if a
+   lower bound leaves it a chance to win (DESIGN.md section 10): the
+   placements are bit-identical to the exhaustive search. The winner is
+   a window of its cluster's view, and committing it moves that window
+   alone. *)
 let place_task s platform ref_cluster avail_idx proc_avail state placements v
     ~packing =
   let ptg = state.ptg in
@@ -417,58 +505,29 @@ let place_task s platform ref_cluster avail_idx proc_avail state placements v
                state.alloc.(v))
         in
         Task.time_of_seq_into task ~procs:needed state.seq slot f f_exec;
-        let lo = price s proc_avail order k np needed in
-        offer s order k lo needed;
-        if packing && needed > 1 then begin
-          (* The allocation may shrink only if the task then starts
-             strictly earlier and finishes no later than with its
-             original allocation (Section 5). No candidate starts before
-             [lb] (a transfer cost is never negative), and the execution
-             time does not increase with the width, so a width whose
-             [lb + exec] already misses the full allocation's finish
-             rules out every narrower one too. Widths ruled out by the
-             bound are still counted as attempts. *)
-          let full_start = f.(f_start) and full_finish = f.(f_finish) in
-          let lb =
-            Float.max floor
-              (Float.max f.(f_pred_finish)
-                 (Float.max 0. proc_avail.(order.(0))))
-          in
-          if lb >= full_start -. Floatx.eps then
-            add c_packing_attempts (needed - 1)
-          else begin
-            Obs.enter "mapper.packing";
-            match
-              let p' = ref (needed - 1) in
-              while !p' >= 1 do
-                Task.time_of_seq_into task ~procs:!p' state.seq slot f f_exec;
-                if lb +. f.(f_exec) > full_finish +. Floatx.eps then begin
-                  add c_packing_attempts !p';
-                  p' := 0
-                end
-                else begin
-                  Obs.incr c_packing_attempts;
-                  let lo = price s proc_avail order k np !p' in
-                  if
-                    f.(f_start) < full_start -. Floatx.eps
-                    && f.(f_finish) <= full_finish +. Floatx.eps
-                  then begin
-                    Obs.incr c_packing_wins;
-                    offer s order k lo !p'
-                  end;
-                  decr p'
-                end
-              done
-            with
-            | () -> Obs.leave ()
-            | exception e ->
-              Obs.leave ();
-              raise e
-          end
+        (* No candidate on k is data-ready before the latest predecessor
+           finish (a transfer cost is never negative), and none runs
+           shorter than the full width. When even that loses [offer] to
+           the best so far, so does every candidate on k: the cluster is
+           not priced, and its packing widths count as attempts. *)
+        if
+          s.b_cluster >= 0
+          && f.(f_best_finish)
+             < start_bound floor f.(f_pred_finish) proc_avail order 0
+               +. f.(f_exec) -. Floatx.eps
+        then begin
+          if packing && needed > 1 then add c_packing_attempts (needed - 1)
+        end
+        else begin
+          let lo = price s proc_avail order k np needed in
+          offer s order k lo needed ~packed:false;
+          if packing && needed > 1 then
+            pack s task state proc_avail order k np slot needed
         end
       end
     done;
     let pl = best_placement s v in
+    if s.b_packed then Obs.incr c_packing_wins;
     (* The window's availabilities are at most the task's start. *)
     Avail_index.commit avail_idx s.b_cluster ~lo:s.b_lo ~width:s.b_width
       pl.Schedule.finish;
@@ -515,7 +574,7 @@ let place_task_backfill s platform ref_cluster timeline subsets state
         Obs.incr c_backfill_slots;
         s.f.(f_start) <- start;
         s.f.(f_finish) <- start +. exec;
-        offer s procs k 0 (Array.length procs))
+        offer s procs k 0 (Array.length procs) ~packed:false)
       end
     done;
     let pl = best_placement s v in

@@ -822,11 +822,10 @@ let test_mapper_packing_shrinks_delayed_task () =
   Alcotest.(check bool) "no packing: delayed" true
     ((seq_pl without_packing).Schedule.start > 0.)
 
-(* Maps [apps] on a 4-processor toy cluster with the recorder on and
-   returns the schedules, the packing counters and the number of
-   [mapper.packing] spans entered. *)
-let packing_run ?avail apps =
-  let platform = toy_platform ~procs:4 () in
+(* Maps [apps] on [platform] (a 4-processor toy cluster by default)
+   with the recorder on and returns the schedules, the packing counters
+   and the number of [mapper.packing] spans entered. *)
+let packing_run ?(platform = toy_platform ~procs:4 ()) ?avail apps =
   let r = Reference_cluster.of_platform platform in
   Obs.enable ();
   let schedules =
@@ -915,22 +914,73 @@ let test_mapper_packing_bound_rules_out_all () =
 
 let test_mapper_packing_bound_stops_partway () =
   (* A 40 s task allocated 4 processors, one of which is busy until 12:
-     the full width runs [12, 22]. Widths 3 and 2 start at 1 and win
-     (3 finishes first); width 1 needs 40 s from the bound 0, past 22, so
-     the loop stops there — the skipped width still counts. *)
+     the full width runs [12, 22]. Width 3 starts at 1 and finishes at
+     14.33, the one packed placement. Width 2 would start at 1 too, but
+     it runs 20 s from the bound 0, past width 3's finish, so it cannot
+     win and the loop stops there without pricing it or width 1 — the
+     skipped widths still count. *)
   let ptg = chain [ 40. ] in
   let schedules, attempts, wins, spans =
     packing_run ~avail:[| 0.; 1.; 1.; 12. |]
       [ (ptg, Array.make (Ptg.node_count ptg) 4) ]
   in
   Alcotest.(check int) "attempts" 3 attempts;
-  Alcotest.(check int) "wins" 2 wins;
+  Alcotest.(check int) "wins" 1 wins;
   Alcotest.(check int) "packing loops entered" 1 spans;
   let sched = List.hd schedules in
   check_exact "makespan" 14.333333333333332 sched.Schedule.makespan;
   check_placement "task" ~procs:[| 0; 1; 2 |] ~start:1.
     ~finish:14.333333333333332
     (Schedule.placement sched 0)
+
+let candidates_priced () = Obs.value (Obs.counter "mapper.candidates_priced")
+
+let test_mapper_cluster_bound_skips_cluster () =
+  (* An 8 s task (alpha 0.5) allocated 4 reference processors: 2 on the
+     fast cluster 0, where it runs [0, 3], and 4 on the slow cluster 1,
+     where no candidate can finish before 0 + 5. So cluster 1 is never
+     priced, and its three packing widths still count as attempts. *)
+  let platform =
+    Platform.make ~name:"fast-first"
+      [
+        { Platform.cluster_name = "fast"; procs = 4; gflops = 2.; switch = 0 };
+        { Platform.cluster_name = "slow"; procs = 4; gflops = 1.; switch = 0 };
+      ]
+  in
+  let ptg = chain ~alpha:0.5 [ 8. ] in
+  let schedules, attempts, wins, spans =
+    packing_run ~platform [ (ptg, Array.make (Ptg.node_count ptg) 4) ]
+  in
+  Alcotest.(check int) "priced: the full width on cluster 0" 1
+    (candidates_priced ());
+  Alcotest.(check int) "attempts" 4 attempts;
+  Alcotest.(check int) "wins" 0 wins;
+  Alcotest.(check int) "packing loops entered" 0 spans;
+  let pl = Schedule.placement (List.hd schedules) 0 in
+  Alcotest.(check int) "cluster" 0 pl.Schedule.cluster;
+  check_placement "task" ~procs:[| 2; 3 |] ~start:0. ~finish:3. pl
+
+let test_mapper_packing_keeps_in_place_width () =
+  (* A 4 s task on 2 processors, then an 8 s successor allocated 4 that
+     receives 2.5 GB from it. At width 4 the transfer takes 10 s, and
+     width 3 pays it too; on the predecessor's own 2 processors the
+     in-place rule cancels it, so width 2 starts at 2 and wins. The
+     data-ready bound must not rule out the narrower widths here:
+     widths 3 and 2 are priced, width 1 cannot beat width 2. *)
+  let tasks = [| seconds_task 4.; seconds_task 8. |] in
+  let ptg =
+    Builder.build ~id:0 ~name:"in-place" ~tasks ~edges:[ (0, 1, 2.5e9) ]
+  in
+  let schedules, attempts, wins, spans = packing_run [ (ptg, [| 2; 4 |]) ] in
+  Alcotest.(check int) "priced" 4 (candidates_priced ());
+  Alcotest.(check int) "attempts" 4 attempts;
+  Alcotest.(check int) "wins" 1 wins;
+  Alcotest.(check int) "packing loops entered" 1 spans;
+  let sched = List.hd schedules in
+  check_placement "predecessor" ~procs:[| 2; 3 |] ~start:0. ~finish:2.
+    (Schedule.placement sched 0);
+  check_placement "in place" ~procs:[| 2; 3 |] ~start:2. ~finish:6.
+    (Schedule.placement sched 1)
 
 let test_mapper_backfill_best_fit_ties () =
   (* Four single-task applications on a 4-processor cluster. Placement
@@ -1616,6 +1666,10 @@ let suite =
           test_mapper_packing_bound_rules_out_all;
         Alcotest.test_case "packing bound stops partway" `Quick
           test_mapper_packing_bound_stops_partway;
+        Alcotest.test_case "cluster bound skips a losing cluster" `Quick
+          test_mapper_cluster_bound_skips_cluster;
+        Alcotest.test_case "packing keeps the in-place width" `Quick
+          test_mapper_packing_keeps_in_place_width;
         Alcotest.test_case "backfill best-fit ties" `Quick
           test_mapper_backfill_best_fit_ties;
         Alcotest.test_case "prefers faster cluster" `Quick
