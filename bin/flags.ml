@@ -37,6 +37,27 @@ let granularity_conv =
       | g -> Error ("unknown fault granularity: " ^ g ^ " (proc|cluster)"))
     (function Fault.Proc -> "proc" | Fault.Cluster -> "cluster")
 
+(* A policy registry name, kept as given: the policy itself is built
+   from the other flags. *)
+let policy_conv =
+  conv
+    (fun name ->
+      if List.mem name Policy.names then Ok name
+      else
+        Error
+          (Printf.sprintf "unknown policy %S (expected %s)" name
+             (String.concat ", " Policy.names)))
+    Fun.id
+
+(* A virtual time: a float, and finite. *)
+let time_conv =
+  Arg.conv
+    ( (fun s ->
+        Result.bind (Arg.conv_parser Arg.float s) (fun t ->
+            if Float.is_finite t then Ok t
+            else Error (`Msg ("not a finite virtual time: " ^ s)))),
+      Arg.conv_printer Arg.float )
+
 let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed")
 
 type scenario = {
@@ -98,7 +119,7 @@ let mean_interarrival default =
 
 let policy ~doc =
   Arg.(
-    value & opt string "default"
+    value & opt policy_conv "default"
     & info [ "policy" ] ~doc:(doc ^ ": " ^ String.concat ", " Policy.names))
 
 let reschedule_on_finish ~doc =

@@ -50,24 +50,17 @@ let run (sc : Flags.scenario) mean_interarrival static finish_resched
      restored copy — output identical to an uninterrupted run, which CI
      diffs), a policy swap ([set_policy] with an immediate remap), and
      a what-if speculation (adopt the candidate policy only if the
-     cloned trial improves the makespan). Names and times are checked
-     here, before the first event is logged. *)
-  let at flag t =
-    if not (Float.is_finite t) then
-      Cli.die (Printf.sprintf "%s: not a finite virtual time: %g" flag t);
-    t
-  in
+     cloned trial improves the makespan). Names and times were checked
+     when the command line was parsed. *)
   let actions =
     List.sort (fun (a, _) (b, _) -> Float.compare a b)
-      ((match checkpoint with
-       | Some t -> [ (at "--checkpoint" t, `Checkpoint) ]
-       | None -> [])
+      ((match checkpoint with Some t -> [ (t, `Checkpoint) ] | None -> [])
       @ (match swap_at with
-        | Some t -> [ (at "--swap-at" t, `Swap (policy_of swap_to)) ]
+        | Some t -> [ (t, `Swap (policy_of swap_to)) ]
         | None -> [])
       @
       match what_if with
-      | Some n -> [ (at "--what-if-at" what_if_at, `What_if (policy_of n)) ]
+      | Some n -> [ (what_if_at, `What_if (policy_of n)) ]
       | None -> [])
   in
   let r =
@@ -152,7 +145,7 @@ let static =
            ~doc:"recompute beta on arrivals only (no departure backfilling)")
 
 let checkpoint =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some Flags.time_conv) None
        & info [ "checkpoint" ]
            ~doc:
              "snapshot the engine at this virtual time and continue on the \
@@ -160,25 +153,25 @@ let checkpoint =
               uninterrupted run (CI diffs it)")
 
 let swap_at =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some Flags.time_conv) None
        & info [ "swap-at" ]
            ~doc:
              "swap the active policy to --swap-to at this virtual time \
               (with an immediate remap, logged as 'policy_swap')")
 
 let swap_to =
-  Arg.(value & opt string "eager"
+  Arg.(value & opt Flags.policy_conv "eager"
        & info [ "swap-to" ] ~doc:"policy name --swap-at switches to")
 
 let what_if =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some Flags.policy_conv) None
        & info [ "what-if" ]
            ~doc:
              "speculatively try this policy at --what-if-at on a cloned \
               session and adopt it only if it improves the makespan")
 
 let what_if_at =
-  Arg.(value & opt float 0.
+  Arg.(value & opt Flags.time_conv 0.
        & info [ "what-if-at" ] ~doc:"virtual time of the --what-if trial")
 
 let gantt =
