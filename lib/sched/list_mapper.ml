@@ -398,9 +398,10 @@ let[@inline] start_bound floor ready proc_avail order j =
    priced into [f_start]/[f_finish]/[f_ready] and offered. The
    allocation may shrink only if the task then starts strictly earlier
    and finishes no later than with its original allocation (Section 5),
-   and a narrower candidate still has to win [offer]. Three bounds skip
-   the widths that cannot do both (DESIGN.md section 10); every width
-   considered counts as an attempt, priced or not. *)
+   and a narrower candidate still has to win [offer]. A data-ready bound
+   and a finish stop skip the widths that cannot do both (DESIGN.md
+   section 10); every width considered counts as an attempt, priced or
+   not. *)
 let pack s task state proc_avail order k np slot needed =
   let f = s.f in
   let floor = f.(f_floor) in

@@ -25,7 +25,10 @@
     finish times, and redistribution estimates). When [packing] is on
     and a task is delayed by processor availability, its allocation is
     reduced if and only if the reduction makes it start strictly earlier
-    and finish no later than with its original allocation.
+    and finish no later than with its original allocation. The search
+    prices only the (cluster, width) candidates that lower bounds leave
+    a chance to win, so its placements are those of pricing every one in
+    cluster index order.
 
     The working state lives in a {!session}: the availability index,
     the ready heap's scalar buffers, a placement scratch reused by every
