@@ -2,17 +2,17 @@
 
    - `dune exec bench/main.exe` runs everything: Table 1, Figures 1-5,
      the extra experiments X1-X9 (see DESIGN.md section 5), the online
-     and serve throughput artefacts and the bechamel microbenchmarks of
-     the kernels behind each figure.
+     and serve throughput artefacts and the pipeline phase baseline.
    - `dune exec bench/main.exe -- fig3` runs a single artefact: an id
      of the experiment registry (Mcs_experiments.Artefact: table1,
-     fig1..fig5, x1..x9) or online, serve, micro.
+     fig1..fig5, x1..x9) or online, serve, pipeline.
    - The MCS_RUNS environment variable scales the number of scenario
-     combinations per point (the paper uses 25). *)
+     combinations per point (the paper uses 25).
+   - `dune exec bench/main.exe -- compare REF.json CUR.json` is the CI
+     gate over the BENCH_pipeline.json and BENCH_serve.json baselines. *)
 
 module E = Mcs_experiments
 module Strategy = Mcs_sched.Strategy
-module Pipeline = Mcs_sched.Pipeline
 
 let section title =
   let bar = String.make 72 '=' in
@@ -20,143 +20,23 @@ let section title =
 
 let print_tables tables = List.iter Mcs_util.Table.print tables
 
-(* ---------- Bechamel microbenchmarks ---------- *)
-
-(* One benchmark per moving part of the reproduction: DAG generation and
-   analysis (all figures), SCRAP-MAX allocation (allocation step of every
-   figure), concurrent mapping (mapping step), discrete-event replay
-   (the timing source of Figures 2-5), and the full per-scenario
-   pipeline. *)
-(* 20 applications x 100 tasks: the scale where the mapper's former
-   per-task re-sorting dominated (DESIGN.md section 10). *)
-let large_workload platform ref_cluster =
-  let rng = Mcs_prng.Prng.create ~seed:3 in
-  let ptgs =
-    List.init 20 (fun id ->
-        Mcs_ptg.Random_gen.generate ~id rng
-          { Mcs_ptg.Random_gen.default with tasks = 100 })
-  in
-  List.map
-    (fun ptg ->
-      let a =
-        Mcs_sched.Allocation.allocate ref_cluster platform ~beta:0.05 ptg
-      in
-      (ptg, a.Mcs_sched.Allocation.procs))
-    ptgs
-
-let micro_tests () =
-  let open Bechamel in
-  let platform = Mcs_platform.Grid5000.rennes () in
-  let ref_cluster = Mcs_sched.Reference_cluster.of_platform platform in
-  let rng = Mcs_prng.Prng.create ~seed:1 in
-  let ptg50 =
-    Mcs_ptg.Random_gen.generate rng
-      { Mcs_ptg.Random_gen.default with tasks = 50 }
-  in
-  let ptgs =
-    List.init 6 (fun id ->
-        Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
-  in
-  let allocations =
-    List.map
-      (fun ptg ->
-        let a =
-          Mcs_sched.Allocation.allocate ref_cluster platform ~beta:(1. /. 6.)
-            ptg
-        in
-        (ptg, a.Mcs_sched.Allocation.procs))
-      ptgs
-  in
-  let schedules =
-    Pipeline.schedule_concurrent ~strategy:Strategy.Equal_share platform ptgs
-  in
-  let gen_seed = ref 0 in
-  Test.make_grouped ~name:"mcs"
-    [
-      Test.make ~name:"ptg-generate-50tasks"
-        (Staged.stage (fun () ->
-             incr gen_seed;
-             let rng = Mcs_prng.Prng.create ~seed:!gen_seed in
-             ignore
-               (Mcs_ptg.Random_gen.generate rng
-                  { Mcs_ptg.Random_gen.default with tasks = 50 })));
-      Test.make ~name:"fft-generate-16pt"
-        (Staged.stage (fun () ->
-             incr gen_seed;
-             let rng = Mcs_prng.Prng.create ~seed:!gen_seed in
-             ignore (Mcs_ptg.Fft.generate ~points:16 rng)));
-      Test.make ~name:"allocation-scrapmax-beta0.2"
-        (Staged.stage (fun () ->
-             ignore
-               (Mcs_sched.Allocation.allocate ref_cluster platform ~beta:0.2
-                  ptg50)));
-      Test.make ~name:"allocation-scrapmax-selfish"
-        (Staged.stage (fun () ->
-             ignore
-               (Mcs_sched.Allocation.allocate ref_cluster platform ~beta:1.
-                  ptg50)));
-      (* 200-task PTG: the scale where the allocation loop's former
-         per-iteration area re-sum was quadratic (DESIGN.md section
-         14) — the scratch run now maintains the area incrementally. *)
-      Test.make ~name:"allocation-scrapmax-200tasks"
-        (Staged.stage
-           (let big =
-              incr gen_seed;
-              let rng = Mcs_prng.Prng.create ~seed:!gen_seed in
-              Mcs_ptg.Random_gen.generate rng
-                { Mcs_ptg.Random_gen.default with tasks = 200 }
-            in
-            fun () ->
-              ignore
-                (Mcs_sched.Allocation.allocate ref_cluster platform ~beta:0.2
-                   big)));
-      (* Cache fast paths (DESIGN.md section 14): an exact-β repeat is
-         served without touching the DAG; a moved β of the same
-         (budget, cap) key replays the recorded stop tests. *)
-      Test.make ~name:"allocation-cached-hit"
-        (Staged.stage
-           (let cache = Mcs_sched.Allocation.cache_create () in
-            let arena = Mcs_sched.Alloc_arena.create () in
-            fun () ->
-              ignore
-                (Mcs_sched.Allocation.allocate_cached ~cache ~arena ref_cluster
-                   platform ~beta:0.2 ptg50)));
-      Test.make ~name:"allocation-cached-rescale"
-        (Staged.stage
-           (let cache = Mcs_sched.Allocation.cache_create () in
-            let arena = Mcs_sched.Alloc_arena.create () in
-            let flip = ref false in
-            (* Both βs floor to the same per-level budget, so each call
-               after the first is a rescale replay, never a miss. *)
-            fun () ->
-              flip := not !flip;
-              let beta = if !flip then 0.2 else 0.2000001 in
-              ignore
-                (Mcs_sched.Allocation.allocate_cached ~cache ~arena ref_cluster
-                   platform ~beta ptg50)));
-      Test.make ~name:"mapping-6apps"
-        (Staged.stage (fun () ->
-             ignore (Mcs_sched.List_mapper.run platform ref_cluster allocations)));
-      Test.make ~name:"mapping-20apps-100tasks"
-        (Staged.stage
-           (let large = large_workload platform ref_cluster in
-            fun () ->
-              ignore (Mcs_sched.List_mapper.run platform ref_cluster large)));
-      Test.make ~name:"replay-6apps"
-        (Staged.stage (fun () -> ignore (Mcs_sim.Replay.run platform schedules)));
-      Test.make ~name:"pipeline-6apps-es"
-        (Staged.stage (fun () ->
-             ignore
-               (Pipeline.schedule_concurrent ~strategy:Strategy.Equal_share
-                  platform ptgs)));
-      Test.make ~name:"online-engine-6apps-es"
-        (Staged.stage
-           (let apps = List.mapi (fun i p -> (p, 15. *. float_of_int i)) ptgs in
-            let policy = Mcs_online.Policy.make Strategy.Equal_share in
-            fun () -> ignore (Mcs_online.Engine.run ~policy platform apps)));
-    ]
-
 (* ---------- Online engine throughput ---------- *)
+
+(* The events/s the online sweep's peak must clear, from
+   MCS_ONLINE_EVENTS_FLOOR (unset: no floor). Forced with MCS_RUNS,
+   before the first heading, so a bad value prints nothing to stdout.
+   NaN would clear every comparison, so only a finite value passes. *)
+let events_floor =
+  lazy
+    (match Sys.getenv_opt "MCS_ONLINE_EVENTS_FLOOR" with
+    | None -> None
+    | Some s -> (
+      match float_of_string_opt s with
+      | Some v when Float.is_finite v && v >= 0. -> Some v
+      | Some _ | None ->
+        invalid_arg
+          (Printf.sprintf
+             "MCS_ONLINE_EVENTS_FLOOR must be a finite number >= 0, got %S" s)))
 
 (* Events/sec and rescheduling cost of the event-driven online engine
    (lib/online) on Poisson-arrival scenarios of growing size. Each row
@@ -260,29 +140,97 @@ let run_online () =
   (* Regression floor for CI: the peak events/s of the sweep must clear
      MCS_ONLINE_EVENTS_FLOOR when set (the committed CI value assumes
      the allocation cache; see DESIGN.md section 14). *)
-  match Sys.getenv_opt "MCS_ONLINE_EVENTS_FLOOR" with
-  | None -> ()
-  | Some v ->
-    let floor_rate = float_of_string v in
-    if !peak_rate < floor_rate then begin
-      Printf.eprintf "online: peak %.0f events/s below floor %.0f\n" !peak_rate
-        floor_rate;
-      exit 1
-    end;
-    Printf.printf "online: peak %.0f events/s clears floor %.0f\n\n%!"
-      !peak_rate floor_rate
+  Option.iter
+    (fun floor_rate ->
+      if !peak_rate < floor_rate then begin
+        Printf.eprintf "online: peak %.0f events/s below floor %.0f\n"
+          !peak_rate floor_rate;
+        exit 1
+      end;
+      Printf.printf "online: peak %.0f events/s clears floor %.0f\n\n%!"
+        !peak_rate floor_rate)
+    (Lazy.force events_floor)
 
-(* ---------- Serving engine (serve table + BENCH_serve.json) ---------- *)
+(* ---------- Baseline files (BENCH_pipeline.json, BENCH_serve.json) ---------- *)
 
 module Obs = Mcs_obs.Obs
 module Export = Mcs_obs.Export
 module Names = Mcs_obs.Names
 module Jsonx = Mcs_util.Jsonx
+
+(* The one reader of a baseline file: the writer's read-back and both
+   sides of [compare]. A file that does not parse stops the run. *)
+let load_json path =
+  match Jsonx.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok doc -> doc
+  | Error m ->
+    Printf.eprintf "%s does not parse: %s\n" path m;
+    exit 2
+
+(* The names a baseline lists under [key]: the phases of a profile
+   section, or the counters. *)
+let names key doc =
+  match Jsonx.member key doc with
+  | Some (Jsonx.Arr rows) -> List.filter_map (Jsonx.get_string "name") rows
+  | Some (Jsonx.Obj kvs) -> List.map fst kvs
+  | Some _ | None -> []
+
+(* The spans recorded since the last [Obs.enable], one row per phase. *)
+let phase_rows () =
+  Jsonx.Arr
+    (List.map
+       (fun (r : Export.row) ->
+         Jsonx.Obj
+           [
+             ("name", Jsonx.Str r.Export.phase);
+             ("calls", Jsonx.Num (float_of_int r.Export.calls));
+             ("total_s", Jsonx.Num r.Export.total_s);
+             ("self_s", Jsonx.Num r.Export.self_s);
+             ("alloc_words", Jsonx.Num r.Export.alloc_w);
+           ])
+       (Export.profile_rows ()))
+
+(* The recorder's [phases] and [counters] fields. *)
+let profile () =
+  [
+    ("phases", phase_rows ());
+    ( "counters",
+      Jsonx.Obj
+        (List.map
+           (fun (name, v) -> (name, Jsonx.Num (float_of_int v)))
+           (Obs.counter_values ())) );
+  ]
+
+(* Writes [fields] as the baseline [path], reads the file back and
+   checks that it lists every name of [required] under its key: the CI
+   smoke steps rely on the exit code. *)
+let write_baseline path ~required fields =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Jsonx.encode (Jsonx.Obj fields));
+      output_char oc '\n');
+  let doc = load_json path in
+  List.iter
+    (fun (key, wanted) ->
+      let present = names key doc in
+      match List.filter (fun n -> not (List.mem n present)) wanted with
+      | [] -> ()
+      | missing ->
+        Printf.eprintf "%s: %s misses %s\n" path key
+          (String.concat " " missing);
+        exit 1)
+    required;
+  Printf.printf "wrote %s (%s)\n\n%!" path
+    (String.concat ", "
+       (List.map
+          (fun (key, _) ->
+            Printf.sprintf "%d %s" (List.length (names key doc)) key)
+          required))
+
+(* ---------- Serving engine (serve table + BENCH_serve.json) ---------- *)
+
 module Service = Mcs_serve.Service
 module Admission = Mcs_serve.Admission
 module Serve_stats = Mcs_serve.Stats
-
-let serve_baseline_file = "BENCH_serve.json"
 
 (* Poisson stream at mean 1 s virtual inter-arrival: dense enough that
    hundreds of applications are in service at once — the serving
@@ -367,38 +315,23 @@ let run_serve () =
       platform apps
   in
   Obs.disable ();
-  let phases =
-    Jsonx.Arr
-      (List.map
-         (fun (r : Export.row) ->
-           Jsonx.Obj
-             [
-               ("name", Jsonx.Str r.Export.phase);
-               ("calls", Jsonx.Num (float_of_int r.Export.calls));
-               ("total_s", Jsonx.Num r.Export.total_s);
-               ("self_s", Jsonx.Num r.Export.self_s);
-               ("alloc_words", Jsonx.Num r.Export.alloc_w);
-             ])
-         (Export.profile_rows ()))
-  in
-  let counters =
-    Jsonx.Obj
-      (List.map
-         (fun (name, v) -> (name, Jsonx.Num (float_of_int v)))
-         (Obs.counter_values ()))
-  in
+  if ri.Service.admitted <> count || r4.Service.wall_s <= 0. then begin
+    Printf.eprintf "serve: degenerate baseline run\n";
+    exit 1
+  end;
   let p p_ = Serve_stats.percentile r4.Service.responses ~p:p_ in
-  let doc =
-    Jsonx.Obj
-      [
-        ("schema", Jsonx.Str "mcs-bench-serve/1");
-        ("site", Jsonx.Str "grid");
-        ("apps", Jsonx.Num (float_of_int count));
-        ("seed", Jsonx.Num 23.);
-        ("shards", Jsonx.Num 4.);
-        ("window_s", Jsonx.Num 5.);
-        ("phases", phases);
-        ("counters", counters);
+  write_baseline "BENCH_serve.json"
+    ~required:[ ("phases", [ "serve.run"; "serve.pickup"; "serve.step" ]) ]
+    ([
+       ("schema", Jsonx.Str "mcs-bench-serve/1");
+       ("site", Jsonx.Str "grid");
+       ("apps", Jsonx.Num (float_of_int count));
+       ("seed", Jsonx.Num 23.);
+       ("shards", Jsonx.Num 4.);
+       ("window_s", Jsonx.Num 5.);
+     ]
+    @ profile ()
+    @ [
         ( "summary",
           Jsonx.Obj
             [
@@ -414,53 +347,15 @@ let run_serve () =
               ("minor_collections", Jsonx.Num (float_of_int minors4));
               ("minor_words", Jsonx.Num minor_words4);
             ] );
-      ]
-  in
-  let oc = open_out serve_baseline_file in
-  output_string oc (Jsonx.encode doc);
-  output_char oc '\n';
-  close_out oc;
-  (* Re-read and validate like the pipeline baseline: the CI serve
-     smoke step relies on the exit code. *)
-  let contents =
-    let ic = open_in serve_baseline_file in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  (match Jsonx.parse contents with
-  | Error m ->
-    Printf.eprintf "%s does not parse: %s\n" serve_baseline_file m;
-    exit 1
-  | Ok doc ->
-    let present =
-      match Jsonx.get_list "phases" doc with
-      | None -> []
-      | Some l -> List.filter_map (Jsonx.get_string "name") l
-    in
-    let required = [ "serve.run"; "serve.pickup"; "serve.step" ] in
-    let missing = List.filter (fun p -> not (List.mem p present)) required in
-    if missing <> [] then begin
-      Printf.eprintf "%s: missing phases: %s\n" serve_baseline_file
-        (String.concat " " missing);
-      exit 1
-    end);
-  if ri.Service.admitted <> count || r4.Service.wall_s <= 0. then begin
-    Printf.eprintf "serve: degenerate baseline run\n";
-    exit 1
-  end;
-  Printf.printf "wrote %s\n\n%!" serve_baseline_file
+      ])
 
 (* ---------- Pipeline phase baseline (BENCH_pipeline.json) ---------- *)
 
-let pipeline_baseline_file = "BENCH_pipeline.json"
-
-(* One profiled offline evaluation plus one online run: between them
-   they exercise every phase registered in [Mcs_obs.Names]. The
-   aggregated per-phase self-times become the committed
-   BENCH_pipeline.json baseline. The emitter re-reads the file and fails
-   when it does not parse or any registered phase is missing — the CI
-   smoke step relies on that exit code. *)
+(* One profiled offline evaluation, plain, faulted and malleable online
+   runs and an inline serve run: between them they exercise every phase
+   and counter registered in [Mcs_obs.Names], which the written file
+   must list. The aggregated per-phase self-times and the counters
+   become the committed BENCH_pipeline.json baseline. *)
 let emit_pipeline_baseline () =
   let platform = Mcs_platform.Grid5000.rennes () in
   let ref_cluster = Mcs_sched.Reference_cluster.of_platform platform in
@@ -469,20 +364,6 @@ let emit_pipeline_baseline () =
   let ptgs =
     List.init 6 (fun id ->
         Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
-  in
-  let phase_rows () =
-    Jsonx.Arr
-      (List.map
-         (fun (r : Export.row) ->
-           Jsonx.Obj
-             [
-               ("name", Jsonx.Str r.Export.phase);
-               ("calls", Jsonx.Num (float_of_int r.Export.calls));
-               ("total_s", Jsonx.Num r.Export.total_s);
-               ("self_s", Jsonx.Num r.Export.self_s);
-               ("alloc_words", Jsonx.Num r.Export.alloc_w);
-             ])
-         (Export.profile_rows ()))
   in
   Obs.enable ();
   ignore (E.Runner.evaluate platform ptgs [ Strategy.Equal_share ]);
@@ -526,31 +407,41 @@ let emit_pipeline_baseline () =
        }
        platform apps);
   Obs.disable ();
-  let phases = phase_rows () in
-  let counters =
-    Jsonx.Obj
-      (List.map
-         (fun (name, v) -> (name, Jsonx.Num (float_of_int v)))
-         (Obs.counter_values ()))
+  let profile = profile () in
+  (* Second profile at mapper-dominated scale, 20 applications x 100
+     tasks, where the mapper's former per-task re-sorting dominated
+     (DESIGN.md section 10): only the mapping step is inside the
+     recorder window, so [large_phases] isolates its cost. *)
+  let large =
+    let rng = Mcs_prng.Prng.create ~seed:3 in
+    List.init 20 (fun id ->
+        Mcs_ptg.Random_gen.generate ~id rng
+          { Mcs_ptg.Random_gen.default with tasks = 100 })
+    |> List.map (fun ptg ->
+           let a =
+             Mcs_sched.Allocation.allocate ref_cluster platform ~beta:0.05 ptg
+           in
+           (ptg, a.Mcs_sched.Allocation.procs))
   in
-  (* Second profile at mapper-dominated scale: only the mapping step is
-     inside the recorder window, so [large_phases] isolates its cost
-     (DESIGN.md section 10; the compare gate below also covers it). *)
-  let large = large_workload platform ref_cluster in
   Obs.enable ();
   ignore (Mcs_sched.List_mapper.run platform ref_cluster large);
   Obs.disable ();
-  let large_phases = phase_rows () in
-  let doc =
-    Jsonx.Obj
+  write_baseline "BENCH_pipeline.json"
+    ~required:
       [
-        ("schema", Jsonx.Str "mcs-bench-pipeline/1");
-        ("site", Jsonx.Str "rennes");
-        ("apps", Jsonx.Num (float_of_int (List.length ptgs)));
-        ("seed", Jsonx.Num (float_of_int seed));
-        ("strategy", Jsonx.Str (Strategy.name Strategy.Equal_share));
-        ("phases", phases);
-        ("counters", counters);
+        ("phases", Names.phase_names);
+        ("counters", Names.counter_names);
+        ("large_phases", [ "mapper.place" ]);
+      ]
+    ([
+       ("schema", Jsonx.Str "mcs-bench-pipeline/1");
+       ("site", Jsonx.Str "rennes");
+       ("apps", Jsonx.Num (float_of_int (List.length ptgs)));
+       ("seed", Jsonx.Num (float_of_int seed));
+       ("strategy", Jsonx.Str (Strategy.name Strategy.Equal_share));
+     ]
+    @ profile
+    @ [
         ( "large_workload",
           Jsonx.Obj
             [
@@ -559,71 +450,8 @@ let emit_pipeline_baseline () =
               ("seed", Jsonx.Num 3.);
               ("beta", Jsonx.Num 0.05);
             ] );
-        ("large_phases", large_phases);
-      ]
-  in
-  let oc = open_out pipeline_baseline_file in
-  output_string oc (Jsonx.encode doc);
-  output_char oc '\n';
-  close_out oc;
-  let contents =
-    let ic = open_in pipeline_baseline_file in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  match Jsonx.parse contents with
-  | Error m ->
-    Printf.eprintf "%s does not parse: %s\n" pipeline_baseline_file m;
-    exit 1
-  | Ok doc ->
-    let present =
-      match Jsonx.get_list "phases" doc with
-      | None -> []
-      | Some l -> List.filter_map (Jsonx.get_string "name") l
-    in
-    let missing =
-      List.filter (fun p -> not (List.mem p present)) Names.phase_names
-    in
-    if missing <> [] then begin
-      Printf.eprintf "%s: missing phases: %s\n" pipeline_baseline_file
-        (String.concat " " missing);
-      exit 1
-    end;
-    (* Counters get the same coverage guarantee as phases: every name
-       registered in [Mcs_obs.Names] must appear in the committed
-       baseline (the offline + online + faulted + serve runs above are
-       chosen to touch them all). *)
-    let counters_present =
-      match Jsonx.member "counters" doc with
-      | Some (Jsonx.Obj kvs) -> List.map fst kvs
-      | Some _ | None -> []
-    in
-    let missing_counters =
-      List.filter
-        (fun c -> not (List.mem c counters_present))
-        Names.counter_names
-    in
-    if missing_counters <> [] then begin
-      Printf.eprintf "%s: missing counters: %s\n" pipeline_baseline_file
-        (String.concat " " missing_counters);
-      exit 1
-    end;
-    let large_present =
-      match Jsonx.get_list "large_phases" doc with
-      | None -> []
-      | Some l -> List.filter_map (Jsonx.get_string "name") l
-    in
-    if not (List.mem "mapper.place" large_present) then begin
-      Printf.eprintf "%s: large_phases misses mapper.place\n"
-        pipeline_baseline_file;
-      exit 1
-    end;
-    Printf.printf "wrote %s (%d phases, %d large-workload phases, %d \
-                   counters)\n\n%!"
-      pipeline_baseline_file (List.length present)
-      (List.length large_present)
-      (List.length (Obs.counter_values ()))
+        ("large_phases", phase_rows ());
+      ])
 
 (* ---------- Baseline comparison (CI regression gate) ---------- *)
 
@@ -633,7 +461,7 @@ let compare_floor_s = 1e-3
 let compare_tolerance = 0.30
 
 (* Counters that repeat exactly from run to run of the baseline
-   emitters (checked across repeated [micro] and [serve] runs), so
+   emitters (checked across repeated [pipeline] and [serve] runs), so
    [compare] requires equality rather than a tolerance. The engine's
    counters pin the handled-event stream. *)
 let exact_counters =
@@ -657,19 +485,6 @@ let exact_counters =
     "online.fault_events";
     "mapper.release";
   ]
-
-let load_json path =
-  let contents =
-    let ic = open_in path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  match Jsonx.parse contents with
-  | Ok doc -> doc
-  | Error m ->
-    Printf.eprintf "%s does not parse: %s\n" path m;
-    exit 2
 
 let self_times key doc =
   match Jsonx.get_list key doc with
@@ -720,16 +535,19 @@ let run_compare ref_path cur_path =
   (* Exact work gate: these counters depend only on the code and the
      fixed baseline workloads, never on timing, so any difference from
      the reference means the build maps, allocates or remaps differently.
-     A counter the reference predates is skipped. *)
+     A reference without one of them gates nothing on it, so it fails
+     too. *)
   List.iter
     (fun key ->
       match (counter key ref_doc, counter key cur_doc) with
-      | None, _ -> ()
       | Some r, Some c when r = c ->
         Printf.printf "ok   counters/%s: %d\n" key c
       | Some r, Some c ->
         incr failures;
         Printf.printf "FAIL counters/%s: %d, reference %d\n" key c r
+      | None, _ ->
+        incr failures;
+        Printf.printf "FAIL counters/%s: missing from %s\n" key ref_path
       | Some r, None ->
         incr failures;
         Printf.printf "FAIL counters/%s: missing from %s (reference %d)\n"
@@ -784,66 +602,26 @@ let run_compare ref_path cur_path =
     "no phase regressed beyond %.0f%%, work counters identical\n"
     (100. *. compare_tolerance)
 
-let run_micro () =
-  let open Bechamel in
-  section "Microbenchmarks (bechamel; one per pipeline stage)";
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.) () in
-  let raw =
-    Benchmark.all cfg
-      [ Toolkit.Instance.monotonic_clock ]
-      (micro_tests ())
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0
-      ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (t :: _) -> t
-        | Some [] | None -> Float.nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  let table =
-    Mcs_util.Table.create ~title:"kernel timings"
-      ~header:[ "benchmark"; "time per run" ]
-  in
-  List.iter
-    (fun (name, ns) ->
-      let human =
-        if Float.is_nan ns then "-"
-        else if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-        else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      Mcs_util.Table.add_row table [ name; human ])
-    (List.sort compare !rows);
-  Mcs_util.Table.print table;
-  emit_pipeline_baseline ()
-
 (* ---------- Experiment dispatch ---------- *)
 
 (* The experiment registry's artefacts (by id only: the registry's
    aliases are the experiments CLI's), each run [runs] times per point,
-   then the bench's own; [micro] prints no section heading. *)
+   then the bench's own. *)
 let artefacts =
   List.map
     (fun (a : E.Artefact.t) ->
-      (a.id, Some a.title, fun runs -> print_tables (a.tables ~runs ())))
+      (a.id, a.title, fun runs -> print_tables (a.tables ~runs ())))
     E.Artefact.all
   @ [
       ( "online",
-        Some "Online engine — event throughput and rescheduling cost",
+        "Online engine — event throughput and rescheduling cost",
         fun _ -> run_online () );
       ( "serve",
-        Some "Serving engine — sharded multi-tenant throughput",
+        "Serving engine — sharded multi-tenant throughput",
         fun _ -> run_serve () );
-      ("micro", None, fun _ -> run_micro ());
+      ( "pipeline",
+        "Pipeline phase baseline — every registered phase and counter",
+        fun _ -> emit_pipeline_baseline () );
     ]
 
 let find id =
@@ -856,15 +634,18 @@ let find id =
     exit 2
 
 let run_one runs (id, title, f) =
-  Option.iter section title;
+  section title;
   let t0 = Unix.gettimeofday () in
   f runs;
   Printf.printf "[%s done in %.1f s]\n\n%!" id (Unix.gettimeofday () -. t0)
 
-(* Every id and the run count are checked before the first heading. *)
+(* Every id, the run count and the online floor are checked before the
+   first heading. *)
 let () =
   let runs () =
-    try E.Sweep.resolve_runs None
+    try
+      ignore (Lazy.force events_floor);
+      E.Sweep.resolve_runs None
     with Invalid_argument m ->
       prerr_endline m;
       exit 2
