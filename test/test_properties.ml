@@ -60,6 +60,44 @@ let qcheck_allocation_beta_monotone =
       let tight = cp 0.2 and loose = cp 0.8 in
       loose <= tight +. 1e-9)
 
+(* The allocator prices widths with its own copy of Amdahl's law
+   ([Allocation.exec_at]), so the critical path it returns, scratch or
+   cached, must be the bottom level that [Task]'s kernel gives over the
+   returned [procs], float for float. The βs cover a miss, a fork, a
+   rescale pair (0.2 and 0.2000001 share their per-level budget) and an
+   exact hit. *)
+let qcheck_allocator_amdahl_matches_task =
+  QCheck.Test.make
+    ~name:"allocated critical paths equal Task-priced bottom levels"
+    ~count:150
+    QCheck.(triple (int_range 0 100_000) (int_range 0 3) (int_range 0 59))
+    (fun (seed, platform_idx, extra_tasks) ->
+      let platform = List.nth (Grid5000.all ()) platform_idx in
+      let r = Reference_cluster.of_platform platform in
+      let ptg = random_ptg ~tasks:(1 + extra_tasks) seed in
+      let matches (a : Allocation.result) =
+        let bl =
+          Mcs_dag.Dag.bottom_levels ptg.Ptg.dag
+            ~node_weight:(fun v ->
+              Reference_cluster.exec_time r ptg.Ptg.tasks.(v)
+                ~procs:a.Allocation.procs.(v))
+            ~edge_weight:(fun _ -> 0.)
+        in
+        Float.equal a.Allocation.critical_path bl.(Ptg.entry ptg)
+      in
+      List.for_all
+        (fun procedure ->
+          let cache = Allocation.cache_create () in
+          let arena = Alloc_arena.create () in
+          List.for_all
+            (fun beta ->
+              matches (Allocation.allocate ~procedure r platform ~beta ptg)
+              && matches
+                   (Allocation.allocate_cached ~procedure ~cache ~arena r
+                      platform ~beta ptg))
+            [ 0.05; 0.2; 0.2000001; 0.5; 0.5; 1.0 ])
+        [ Allocation.Scrap; Allocation.Scrap_max ])
+
 let qcheck_selfish_dominates_constrained_alone =
   QCheck.Test.make
     ~name:"alone, a selfish allocation is at least as fast as a constrained one"
@@ -166,6 +204,7 @@ let suite =
       [
         QCheck_alcotest.to_alcotest qcheck_makespan_above_lower_bound;
         QCheck_alcotest.to_alcotest qcheck_allocation_beta_monotone;
+        QCheck_alcotest.to_alcotest qcheck_allocator_amdahl_matches_task;
         QCheck_alcotest.to_alcotest qcheck_selfish_dominates_constrained_alone;
         QCheck_alcotest.to_alcotest qcheck_strategy_ps_ratios;
         QCheck_alcotest.to_alcotest qcheck_replay_matches_estimate_without_comm;
