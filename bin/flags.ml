@@ -37,8 +37,8 @@ let granularity_conv =
       | g -> Error ("unknown fault granularity: " ^ g ^ " (proc|cluster)"))
     (function Fault.Proc -> "proc" | Fault.Cluster -> "cluster")
 
-(* A policy registry name, kept as given: the policy itself is built
-   from the other flags. *)
+(* A policy registry name, kept as given: each tool builds the named
+   policy over [Policy.make]'s default triggers. *)
 let policy_conv =
   conv
     (fun name ->
@@ -117,13 +117,10 @@ let mean_interarrival default =
     & info [ "mean-interarrival" ]
         ~doc:"mean of the Poisson inter-arrival times, virtual seconds")
 
-let policy ~doc =
+let policy ~default ~doc =
   Arg.(
-    value & opt policy_conv "default"
+    value & opt policy_conv default
     & info [ "policy" ] ~doc:(doc ^ ": " ^ String.concat ", " Policy.names))
-
-let reschedule_on_finish ~doc =
-  Arg.(value & flag & info [ "reschedule-on-finish" ] ~doc)
 
 let check ~doc = Arg.(value & flag & info [ "check" ] ~doc)
 

@@ -11,9 +11,8 @@ module Policy = Mcs_online.Policy
 module Log = Mcs_online.Log
 module Fault = Mcs_fault.Fault
 
-let run (sc : Flags.scenario) mean_interarrival static finish_resched
-    policy_name checkpoint swap_at swap_to what_if what_if_at exports gantt
-    check faults fault_policy malleability profiled =
+let run (sc : Flags.scenario) mean_interarrival policy_name plan exports
+    gantt check faults fault_policy malleability profiled =
   profiled @@ fun () ->
   let platform = sc.platform and strategy = sc.strategy in
   let apps = Flags.stream sc ~mean:mean_interarrival in
@@ -26,9 +25,7 @@ let run (sc : Flags.scenario) mean_interarrival static finish_resched
   in
   let base =
     Cli.checked (fun () ->
-        Policy.make ~faults:fault_policy ?malleability
-          ~reschedule_on_departure:(not static)
-          ~reschedule_on_task_finish:finish_resched strategy)
+        Policy.make ~faults:fault_policy ?malleability strategy)
   in
   let policy_of name = Cli.checked (fun () -> Policy.of_name name ~base) in
   let policy = policy_of policy_name in
@@ -44,25 +41,6 @@ let run (sc : Flags.scenario) mean_interarrival static finish_resched
       !violations + List.length (Mcs_check.Diagnostic.errors diags)
   in
   let check_sink = if check then Some checker else None in
-  (* The session runs through an ordered list of mid-run interventions,
-     each applied once its virtual time is reached: a checkpoint (the
-     session is snapshotted, dropped, and the run continues on the
-     restored copy — output identical to an uninterrupted run, which CI
-     diffs), a policy swap ([set_policy] with an immediate remap), and
-     a what-if speculation (adopt the candidate policy only if the
-     cloned trial improves the makespan). Names and times were checked
-     when the command line was parsed. *)
-  let actions =
-    List.sort (fun (a, _) (b, _) -> Float.compare a b)
-      ((match checkpoint with Some t -> [ (t, `Checkpoint) ] | None -> [])
-      @ (match swap_at with
-        | Some t -> [ (t, `Swap (policy_of swap_to)) ]
-        | None -> [])
-      @
-      match what_if with
-      | Some n -> [ (what_if_at, `What_if (policy_of n)) ]
-      | None -> [])
-  in
   let r =
     Cli.checked @@ fun () ->
     let session =
@@ -78,17 +56,16 @@ let run (sc : Flags.scenario) mean_interarrival static finish_resched
           let snap = Engine.snapshot !session in
           session := Engine.restore ~log ?check:check_sink snap;
           Printf.eprintf "checkpoint/restore at t=%g\n" time
-        | `Swap p ->
-          Engine.set_policy !session p;
-          Printf.eprintf "policy swap to %s at t=%g\n" p.Policy.name time
-        | `What_if p ->
-          let sp = Engine.what_if !session p in
+        | `Swap name ->
+          Engine.set_policy !session (policy_of name);
+          Printf.eprintf "policy swap to %s at t=%g\n" name time
+        | `What_if name ->
+          let sp = Engine.what_if !session (policy_of name) in
           Printf.eprintf
-            "what-if %s at t=%g: baseline=%.17g candidate=%.17g %s\n"
-            p.Policy.name time sp.Engine.baseline_makespan
-            sp.Engine.candidate_makespan
+            "what-if %s at t=%g: baseline=%.17g candidate=%.17g %s\n" name
+            time sp.Engine.baseline_makespan sp.Engine.candidate_makespan
             (if sp.Engine.adopted then "adopted" else "kept incumbent"))
-      actions;
+      plan;
     Engine.advance !session;
     Engine.result !session
   in
@@ -139,54 +116,55 @@ let run (sc : Flags.scenario) mean_interarrival static finish_resched
     ~csv:(fun () -> Mcs_sched.Trace.to_csv ~release r.Engine.schedules)
     ~json:(fun () -> Mcs_sched.Trace.to_json ~release r.Engine.schedules)
 
-let static =
-  Arg.(value & flag
-       & info [ "static" ]
-           ~doc:"recompute beta on arrivals only (no departure backfilling)")
-
-let checkpoint =
-  Arg.(value & opt (some Flags.time_conv) None
-       & info [ "checkpoint" ]
-           ~doc:
-             "snapshot the engine at this virtual time and continue on the \
-              restored copy — the output is bit-identical to an \
-              uninterrupted run (CI diffs it)")
-
-let swap_at =
-  Arg.(value & opt (some Flags.time_conv) None
-       & info [ "swap-at" ]
-           ~doc:
-             "swap the active policy to --swap-to at this virtual time \
-              (with an immediate remap, logged as 'policy_swap')")
-
-let swap_to =
-  Arg.(value & opt Flags.policy_conv "eager"
-       & info [ "swap-to" ] ~doc:"policy name --swap-at switches to")
-
-let what_if =
-  Arg.(value & opt (some Flags.policy_conv) None
-       & info [ "what-if" ]
-           ~doc:
-             "speculatively try this policy at --what-if-at on a cloned \
-              session and adopt it only if it improves the makespan")
-
-let what_if_at =
-  Arg.(value & opt Flags.time_conv 0.
-       & info [ "what-if-at" ] ~doc:"virtual time of the --what-if trial")
+(* The mid-run interventions, sorted by virtual time; the session
+   applies each once that time is reached: a checkpoint (the session is
+   snapshotted, dropped, and the run continues on the restored copy —
+   output identical to an uninterrupted run, which CI diffs), a policy
+   swap ([set_policy] with an immediate remap), and a what-if
+   speculation (adopt the candidate policy only if the cloned trial
+   improves the makespan). Names and times are checked here, at parse
+   time, even when their switch is off. *)
+let plan =
+  let make checkpoint swap_at swap_to what_if what_if_at =
+    List.sort (fun (a, _) (b, _) -> Float.compare a b)
+      (List.filter_map Fun.id
+         [
+           Option.map (fun t -> (t, `Checkpoint)) checkpoint;
+           Option.map (fun t -> (t, `Swap swap_to)) swap_at;
+           Option.map (fun n -> (what_if_at, `What_if n)) what_if;
+         ])
+  in
+  Term.(
+    const make
+    $ Arg.(value & opt (some Flags.time_conv) None
+           & info [ "checkpoint" ]
+               ~doc:
+                 "snapshot the engine at this virtual time and continue on \
+                  the restored copy — the output is bit-identical to an \
+                  uninterrupted run (CI diffs it)")
+    $ Arg.(value & opt (some Flags.time_conv) None
+           & info [ "swap-at" ]
+               ~doc:
+                 "swap the active policy to --swap-to at this virtual time \
+                  (with an immediate remap, logged as 'policy_swap')")
+    $ Arg.(value & opt Flags.policy_conv "eager"
+           & info [ "swap-to" ] ~doc:"policy name --swap-at switches to")
+    $ Arg.(value & opt (some Flags.policy_conv) None
+           & info [ "what-if" ]
+               ~doc:
+                 "speculatively try this policy at --what-if-at on a cloned \
+                  session and adopt it only if it improves the makespan")
+    $ Arg.(value & opt Flags.time_conv 0.
+           & info [ "what-if-at" ] ~doc:"virtual time of the --what-if trial"))
 
 let gantt =
   Arg.(value & flag
        & info [ "gantt" ] ~doc:"print a text Gantt chart to stderr")
 
-(* The retry half of the fault policy: what a transient failure costs. *)
+(* The retry budget of the fault policy; --policy picks its shape. *)
 let fault_policy =
-  let make max_retries backoff_base shrink_on_retry =
-    {
-      Policy.default_faults with
-      Policy.max_retries;
-      backoff_base;
-      shrink_on_retry;
-    }
+  let make max_retries backoff_base =
+    { Policy.default_faults with Policy.max_retries; backoff_base }
   in
   Term.(
     const make
@@ -199,10 +177,7 @@ let fault_policy =
            & info [ "backoff" ]
                ~doc:
                  "retry backoff base, seconds (retry k waits base*2^(k-1), \
-                  or base*k under --policy linear-backoff)")
-    $ Arg.(value & flag
-           & info [ "shrink-on-retry" ]
-               ~doc:"halve a task's allocation per transient failure"))
+                  or base*k under --policy linear-backoff)"))
 
 let () =
   Cli.eval "mcs_online"
@@ -210,14 +185,10 @@ let () =
     Term.(
       const run
       $ Flags.scenario ~site:"rennes" ~strategy:"WPS-work" ~count:4
-      $ Flags.mean_interarrival 30. $ static
-      $ Flags.reschedule_on_finish
-          ~doc:
-            "reschedule on every task finish as well as on departures \
-             (rejected when combined with --static)"
-      $ Flags.policy ~doc:"named policy over the trigger and fault flags"
-      $ checkpoint $ swap_at $ swap_to $ what_if $ what_if_at
-      $ Flags.exports $ gantt
+      $ Flags.mean_interarrival 30.
+      $ Flags.policy ~default:"default"
+          ~doc:"rescheduling policy, which picks the triggers and retry shape"
+      $ plan $ Flags.exports $ gantt
       $ Flags.check
           ~doc:
             "audit every reschedule with the invariant analyzer (plus the \

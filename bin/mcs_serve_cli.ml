@@ -21,18 +21,14 @@ let router_name = function
   | Router.Least_work -> "work"
   | Router.Least_loaded -> "load"
 
-let run (sc : Flags.scenario) mean_interarrival shards inline dynamic
-    finish_resched policy_name checkpoint_every kill_shard kill_after router
-    admission rate check faults malleability log_path profiled =
+let run (sc : Flags.scenario) mean_interarrival shards inline policy_name
+    checkpoint_every kill_shard kill_after router admission rate check faults
+    malleability log_path profiled =
   profiled @@ fun () ->
   let strategy = sc.strategy in
   let policy =
     Cli.checked (fun () ->
-        Policy.of_name policy_name
-          ~base:
-            (Policy.make ?malleability
-               ~reschedule_on_departure:(dynamic || finish_resched)
-               ~reschedule_on_task_finish:finish_resched strategy))
+        Policy.of_name policy_name ~base:(Policy.make ?malleability strategy))
   in
   let config =
     {
@@ -121,13 +117,6 @@ let inline =
              "deterministic single-domain fallback: run every shard on the \
               calling domain (pickups on mailbox pressure and at close)")
 
-let dynamic =
-  Arg.(value & flag
-       & info [ "dynamic" ]
-           ~doc:
-             "reschedule on departures too (the serving default is \
-              arrival-only: static beta per generation)")
-
 let checkpoint_every =
   Arg.(value & opt int 0
        & info [ "checkpoint-every" ]
@@ -142,7 +131,8 @@ let kill_shard =
              "fault-tolerance drill: kill this shard's serving domain \
               mid-stream and restore it from its latest checkpoint (the \
               recovered merged log is bit-identical to the no-kill run \
-              when shedding is off)")
+              when shedding is off); rejected with --inline, which has no \
+              serving domain")
 
 let kill_after =
   Arg.(value & opt int 0
@@ -209,14 +199,12 @@ let () =
     Term.(
       const run
       $ Flags.scenario ~site:"grid" ~strategy:"WPS-work" ~count:1000
-      $ Flags.mean_interarrival 1. $ shards $ inline $ dynamic
-      $ Flags.reschedule_on_finish
+      $ Flags.mean_interarrival 1. $ shards $ inline
+      $ Flags.policy ~default:"static"
           ~doc:
-            "reschedule on every task finish as well as on departures \
-             (implies the dynamic departure policy; the most reactive — \
-             and most expensive — built-in policy)"
-      $ Flags.policy
-          ~doc:"named policy over the trigger flags, for every shard"
+            "every shard's rescheduling policy, which picks the triggers \
+             and retry shape (the serving default is arrival-only: static \
+             beta per generation)"
       $ checkpoint_every $ kill_shard $ kill_after $ router $ admission $ rate
       $ Flags.check
           ~doc:

@@ -336,61 +336,6 @@ let has_path t ~src ~dst =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then false
   else (reachable_from t src).(dst)
 
-let map_nodes t ~f = Array.init t.n f
-
-(* Reachability matrix as per-node boolean rows, computed in reverse
-   topological order: row(v) = {v} ∪ ⋃ row(succ). O(V·E/word) via
-   Bytes-backed rows would be possible; plain bool arrays are fine at
-   the sizes this library targets. *)
-let reachability_rows t =
-  let rows = Array.init t.n (fun _ -> [||]) in
-  for i = t.n - 1 downto 0 do
-    let v = t.topo.(i) in
-    let row = Array.make t.n false in
-    row.(v) <- true;
-    Array.iter
-      (fun (w, _e) ->
-        let rw = rows.(w) in
-        for x = 0 to t.n - 1 do
-          if rw.(x) then row.(x) <- true
-        done)
-      t.succ.(v);
-    rows.(v) <- row
-  done;
-  rows
-
-let transitive_closure t =
-  let rows = reachability_rows t in
-  let edges = ref [] in
-  for u = 0 to t.n - 1 do
-    for v = 0 to t.n - 1 do
-      if u <> v && rows.(u).(v) then edges := (u, v) :: !edges
-    done
-  done;
-  of_edges ~n:t.n !edges
-
-let is_transitively_redundant t e =
-  let u, v = t.edges.(e) in
-  (* Redundant iff some direct successor of [u] other than [v] still
-     reaches [v]. *)
-  Array.exists
-    (fun (w, e') -> e' <> e && w <> v && (reachable_from t w).(v))
-    t.succ.(u)
-
-let transitive_reduction t =
-  let rows = reachability_rows t in
-  let keep = ref [] in
-  Array.iteri
-    (fun e (u, v) ->
-      let redundant =
-        Array.exists
-          (fun (w, e') -> e' <> e && w <> v && rows.(w).(v))
-          t.succ.(u)
-      in
-      if not redundant then keep := (u, v) :: !keep)
-    t.edges;
-  of_edges ~n:t.n !keep
-
 let to_dot ?(graph_name = "dag") ?node_label ?edge_label t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" graph_name);

@@ -124,22 +124,6 @@ val is_edge : t -> src:int -> dst:int -> bool
 val has_path : t -> src:int -> dst:int -> bool
 (** True when a directed path (possibly empty) links [src] to [dst]. *)
 
-val map_nodes : t -> f:(int -> 'a) -> 'a array
-(** Convenience: array of [f v] for each node. *)
-
-val transitive_closure : t -> t
-(** DAG with an edge [u -> v] for every non-trivial path of [t]. Edge
-    identifiers are renumbered. *)
-
-val transitive_reduction : t -> t
-(** Smallest sub-DAG with the same reachability: edges implied by a
-    longer path are removed (unique for DAGs). Edge identifiers are
-    renumbered. *)
-
-val is_transitively_redundant : t -> int -> bool
-(** Whether edge [e] is implied by a longer path from its source to its
-    destination. *)
-
 val to_dot :
   ?graph_name:string ->
   ?node_label:(int -> string) ->

@@ -31,8 +31,6 @@ let create ~id ~name ~dag ~tasks ~edge_bytes =
       (Printf.sprintf "Ptg.create %s: %d sources and %d sinks (need 1 and 1)"
          name (List.length srcs) (List.length snks))
 
-let with_id t id = { t with id }
-
 let node_count t = Dag.node_count t.dag
 
 let is_virtual t v = Task.is_zero t.tasks.(v)

@@ -27,9 +27,6 @@ val create :
     when the DAG does not have exactly one source and one sink, or when
     a byte volume is negative. *)
 
-val with_id : t -> int -> t
-(** Same PTG under a different scenario identifier. *)
-
 val task_count : t -> int
 (** Number of real (non-virtual) tasks. *)
 

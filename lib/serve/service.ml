@@ -84,7 +84,9 @@ let create config platform =
   (match config.kill with
   | Some (k, n) ->
     if k < 0 || k >= config.shards || n < 0 then
-      invalid_arg "Service.create: ill-formed kill spec"
+      invalid_arg "Service.create: ill-formed kill spec";
+    if config.mode = Inline then
+      invalid_arg "Service.create: a kill drill needs Domains mode"
   | None -> ());
   let parts = Shard.partition platform ~shards:config.shards in
   let shards =
@@ -96,8 +98,8 @@ let create config platform =
             config.faults
         in
         let crash_after =
-          match (config.mode, config.kill) with
-          | Domains, Some (kk, n) when kk = k -> Some n
+          match config.kill with
+          | Some (kk, n) when kk = k -> Some n
           | _ -> None
         in
         Shard.make ~index:k ~platform:sub ~clusters

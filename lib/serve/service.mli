@@ -49,7 +49,7 @@ type config = {
           detects it, rebuilds the shard from its latest checkpoint +
           journal and respawns the loop. The recovered run's merged
           log is bit-identical to the no-kill run (shedding off).
-          Ignored in [Inline] mode *)
+          [Domains] mode only: {!create} rejects it in [Inline] mode *)
   capture_logs : bool;  (** per-shard event logs, for merge/export *)
   check : bool;  (** per-generation ON/ALLOC/MAP + post-run FAULT audit *)
   faults : Mcs_fault.Fault.config option;
@@ -91,7 +91,8 @@ type t
 val create : config -> Mcs_platform.Platform.t -> t
 (** Partition, spawn (in [Domains] mode) and stand ready.
     @raise Invalid_argument on an ill-formed config (shard count,
-    admission policy, fault config). *)
+    admission policy, fault config, a kill spec out of range or in
+    [Inline] mode). *)
 
 val submit : t -> Mcs_ptg.Ptg.t -> release:float -> outcome
 (** Route one submission. Releases must be nondecreasing — the

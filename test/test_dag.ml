@@ -314,79 +314,3 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_longest_path_is_max;
       ] );
   ]
-
-(* ---------- Transitive closure / reduction ---------- *)
-
-let test_closure_diamond () =
-  let g = diamond () in
-  let c = Dag.transitive_closure g in
-  (* 0 reaches 1 2 3 4; 1 -> 3 4; 2 -> 3 4; 3 -> 4: 4+2+2+1 edges. *)
-  Alcotest.(check int) "edge count" 9 (Dag.edge_count c);
-  Alcotest.(check bool) "0->4 direct" true (Dag.is_edge c ~src:0 ~dst:4)
-
-let test_reduction_removes_shortcut () =
-  (* 0 -> 1 -> 2 plus a shortcut 0 -> 2. *)
-  let g = Dag.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ] in
-  Alcotest.(check bool) "shortcut redundant" true
-    (Dag.is_transitively_redundant g
-       (Option.get (Dag.edge_id g ~src:0 ~dst:2)));
-  Alcotest.(check bool) "chain edge essential" false
-    (Dag.is_transitively_redundant g
-       (Option.get (Dag.edge_id g ~src:0 ~dst:1)));
-  let r = Dag.transitive_reduction g in
-  Alcotest.(check int) "two edges left" 2 (Dag.edge_count r);
-  Alcotest.(check bool) "shortcut gone" false (Dag.is_edge r ~src:0 ~dst:2)
-
-let test_reduction_keeps_diamond () =
-  (* No diamond edge is redundant. *)
-  let g = diamond () in
-  let r = Dag.transitive_reduction g in
-  Alcotest.(check int) "unchanged" 5 (Dag.edge_count r)
-
-let qcheck_reduction_preserves_reachability =
-  QCheck.Test.make
-    ~name:"transitive reduction preserves reachability; closure contains both"
-    ~count:60 (QCheck.make random_dag_gen) (fun params ->
-      let g = build_random params in
-      let r = Dag.transitive_reduction g in
-      let c = Dag.transitive_closure g in
-      let n = Dag.node_count g in
-      let ok = ref true in
-      for u = 0 to n - 1 do
-        let from_g = Dag.reachable_from g u in
-        let from_r = Dag.reachable_from r u in
-        for v = 0 to n - 1 do
-          if from_g.(v) <> from_r.(v) then ok := false;
-          if u <> v && from_g.(v) && not (Dag.is_edge c ~src:u ~dst:v) then
-            ok := false
-        done
-      done;
-      !ok
-      && Dag.edge_count r <= Dag.edge_count g
-      && Dag.edge_count g <= Dag.edge_count c)
-
-let qcheck_reduction_minimal =
-  QCheck.Test.make
-    ~name:"no edge of the transitive reduction is redundant" ~count:60
-    (QCheck.make random_dag_gen) (fun params ->
-      let g = build_random params in
-      let r = Dag.transitive_reduction g in
-      let ok = ref true in
-      for e = 0 to Dag.edge_count r - 1 do
-        if Dag.is_transitively_redundant r e then ok := false
-      done;
-      !ok)
-
-let closure_cases =
-  ( "dag.transitive",
-    [
-      Alcotest.test_case "closure diamond" `Quick test_closure_diamond;
-      Alcotest.test_case "reduction shortcut" `Quick
-        test_reduction_removes_shortcut;
-      Alcotest.test_case "reduction keeps diamond" `Quick
-        test_reduction_keeps_diamond;
-      QCheck_alcotest.to_alcotest qcheck_reduction_preserves_reachability;
-      QCheck_alcotest.to_alcotest qcheck_reduction_minimal;
-    ] )
-
-let suite = suite @ [ closure_cases ]

@@ -54,9 +54,9 @@ let test_domain_count_positive () =
 
 let qcheck_parmap_equals_map =
   QCheck.Test.make ~name:"Parmap.map agrees with List.map" ~count:50
-    QCheck.(pair (list small_int) (int_range 1 6))
-    (fun (l, domains) ->
-      Parmap.map ~domains (fun x -> (2 * x) - 1) l
+    QCheck.(pair (list small_int) (int_range 0 5))
+    (fun (l, extra_domains) ->
+      Parmap.map ~domains:(1 + extra_domains) (fun x -> (2 * x) - 1) l
       = List.map (fun x -> (2 * x) - 1) l)
 
 let suite =

@@ -321,6 +321,20 @@ let test_kill_restore_bit_identical () =
   Alcotest.(check bool) "log nonempty" true (lb <> []);
   Alcotest.(check bool) "merged logs bit-identical" true (lb = lk)
 
+(* Inline mode has no serving domain to kill: a drill is refused, not
+   silently skipped. *)
+let test_kill_refused_inline () =
+  let cfg =
+    {
+      (config ~shards:2 ~mode:Service.Inline) with
+      Service.checkpoint_every = 5;
+      kill = Some (1, 10);
+    }
+  in
+  let message = "Service.create: a kill drill needs Domains mode" in
+  Alcotest.check_raises "inline kill" (Invalid_argument message) (fun () ->
+      ignore (Service.create cfg (Grid5000.lille ())))
+
 (* --- queue-full semantics ------------------------------------------ *)
 
 let test_reject_never_drops () =
@@ -471,6 +485,8 @@ let suite =
           test_deterministic_replay;
         Alcotest.test_case "kill → restore is bit-identical" `Quick
           test_kill_restore_bit_identical;
+        Alcotest.test_case "kill drill refused inline" `Quick
+          test_kill_refused_inline;
         Alcotest.test_case "reject: explicit, never silent" `Quick
           test_reject_never_drops;
         Alcotest.test_case "block: backpressure admits everything" `Quick

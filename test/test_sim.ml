@@ -108,8 +108,9 @@ let test_caps_below_fair_share () =
 let qcheck_work_conservation =
   QCheck.Test.make
     ~name:"max-min: at least one link saturated when flows exist" ~count:50
-    QCheck.(int_range 1 8)
-    (fun nflows ->
+    QCheck.(int_range 0 7)
+    (fun extra_flows ->
+      let nflows = 1 + extra_flows in
       let net = Flow_network.create ~capacities:[| 50.; 80. |] in
       let rng = Prng.create ~seed:nflows in
       let routes =

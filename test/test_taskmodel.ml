@@ -111,16 +111,18 @@ let test_mixed_covers_classes () =
 
 let qcheck_amdahl_monotone =
   QCheck.Test.make ~name:"Amdahl time decreases with processors" ~count:300
-    QCheck.(triple (float_range 0. 1.) (float_range 1e5 1e8) (int_range 1 100))
-    (fun (alpha, data, procs) ->
+    QCheck.(triple (float_range 0. 1.) (float_range 1e5 1e8) (int_range 0 99))
+    (fun (alpha, data, extra_procs) ->
+      let procs = 1 + extra_procs in
       let t = Task.make ~data ~complexity:Matmul ~alpha in
       Task.time t ~gflops:3. ~procs:(procs + 1)
       <= Task.time t ~gflops:3. ~procs +. 1e-12)
 
 let qcheck_speedup_bounded =
   QCheck.Test.make ~name:"speedup is between 1 and p" ~count:300
-    QCheck.(pair (float_range 0. 1.) (int_range 1 64))
-    (fun (alpha, procs) ->
+    QCheck.(pair (float_range 0. 1.) (int_range 0 63))
+    (fun (alpha, extra_procs) ->
+      let procs = 1 + extra_procs in
       let t = Task.make ~data:1e6 ~complexity:Matmul ~alpha in
       let s = Task.speedup t ~procs in
       s >= 1. -. 1e-12 && s <= float_of_int procs +. 1e-9)

@@ -125,9 +125,11 @@ let qcheck_find_slot_is_free_and_earliest =
   QCheck.Test.make
     ~name:"find_slot returns a free window and no earlier candidate works"
     ~count:150
-    QCheck.(quad (int_range 1 4) (int_range 1 20) (float_range 0.5 5.)
+    QCheck.(quad (int_range 0 3) (int_range 0 19) (float_range 0.5 5.)
               (int_range 0 10_000))
-    (fun (nb_procs, reservations, duration, seed) ->
+    (fun (extra_procs, extra_reservations, duration, seed) ->
+      let nb_procs = 1 + extra_procs
+      and reservations = 1 + extra_reservations in
       let rng = Mcs_prng.Prng.create ~seed in
       let t = Timeline.create ~procs:nb_procs in
       (* Random non-overlapping reservations per proc. *)
