@@ -1,6 +1,5 @@
 (* Concurrency linter: run the lib/analysis rule families (LOCK /
-   ESCAPE / ATOM) over OCaml sources — preferably the .cmt trees from
-   [dune build @check], falling back to parsing the source text. Exit
+   ESCAPE / ATOM) over OCaml sources, parsed from the text on disk. Exit
    status mirrors mcs_check_cli: 0 clean, 1 non-waived findings, 2 on
    unreadable input or bad usage, so CI can gate on the repo itself. *)
 
@@ -23,7 +22,7 @@ let print_rules () =
    are seeded violations, linted one at a time by CI. *)
 let repo_roots = [ "lib"; "bin"; "test"; "bench"; "examples" ]
 
-let run rules repo build_dir no_cmt show_waived paths =
+let run rules repo show_waived paths =
   if rules then begin
     print_rules ();
     exit 0
@@ -40,9 +39,7 @@ let run rules repo build_dir no_cmt show_waived paths =
     prerr_endline "no .ml files found under the given paths";
     exit 2
   end;
-  let report =
-    Analysis.over_paths ~build_dir ~prefer_cmt:(not no_cmt) files
-  in
+  let report = Analysis.over_paths files in
   List.iter
     (fun (path, msg) -> Printf.eprintf "%s: %s\n" path msg)
     report.Analysis.errors;
@@ -51,9 +48,8 @@ let run rules repo build_dir no_cmt show_waived paths =
     else Finding.active report.Analysis.findings
   in
   List.iter (fun f -> print_endline (Finding.to_string f)) shown;
-  Printf.printf "%d unit%s (%d from .cmt): %s\n" report.Analysis.units
+  Printf.printf "%d unit%s: %s\n" report.Analysis.units
     (if report.Analysis.units = 1 then "" else "s")
-    report.Analysis.from_cmt
     (Finding.summary report.Analysis.findings);
   if report.Analysis.errors <> [] then exit 2;
   if not (Analysis.clean report) then exit 1
@@ -69,20 +65,6 @@ let repo =
              "lint the whole repository: lib, bin, test, bench and \
               examples (seeded fixtures stay excluded)")
 
-let build_dir =
-  Arg.(value & opt string "_build/default"
-       & info [ "build-dir" ] ~docv:"DIR"
-           ~doc:
-             "dune context to read .cmt files from; populate it with \
-              $(b,dune build @check)")
-
-let no_cmt =
-  Arg.(value & flag
-       & info [ "no-cmt" ]
-           ~doc:
-             "skip .cmt lookup and parse source text directly (no \
-              build needed; ppx-expanded code is not seen)")
-
 let show_waived =
   Arg.(value & flag
        & info [ "show-waived" ]
@@ -97,5 +79,4 @@ let paths =
 let () =
   Cli.eval "mcs_lint"
     ~doc:"lint the serve stack for lock, domain-escape and atomic races"
-    Term.(const run $ rules $ repo $ build_dir $ no_cmt $ show_waived
-          $ paths)
+    Term.(const run $ rules $ repo $ show_waived $ paths)

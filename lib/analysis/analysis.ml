@@ -17,25 +17,18 @@ let run units =
 type report = {
   findings : Finding.t list;  (** sorted; waived included *)
   units : int;
-  from_cmt : int;  (** units recovered from [dune build @check] .cmt *)
   errors : (string * string) list;  (** unreadable/unparsable inputs *)
 }
 
 let clean report = Finding.active report.findings = []
 
-let over_paths ?build_dir ?prefer_cmt paths =
+let over_paths paths =
   let units = ref [] and errors = ref [] in
   List.iter
     (fun p ->
-      match Source.load ?build_dir ?prefer_cmt p with
+      match Source.load p with
       | Ok u -> units := u :: !units
       | Error msg -> errors := (p, msg) :: !errors)
     paths;
   let units = List.rev !units in
-  {
-    findings = run units;
-    units = List.length units;
-    from_cmt =
-      List.length (List.filter (fun u -> u.Source.from_cmt) units);
-    errors = List.rev !errors;
-  }
+  { findings = run units; units = List.length units; errors = List.rev !errors }

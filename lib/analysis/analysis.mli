@@ -16,14 +16,12 @@ val run : Source.t list -> Finding.t list
 type report = {
   findings : Finding.t list;  (** sorted; waived included *)
   units : int;
-  from_cmt : int;  (** units recovered from [dune build @check] .cmt *)
   errors : (string * string) list;  (** unreadable/unparsable inputs *)
 }
 
 val clean : report -> bool
 (** No non-waived findings. *)
 
-val over_paths :
-  ?build_dir:string -> ?prefer_cmt:bool -> string list -> report
-(** Load each path ({!Source.load}) and {!run} the analyzer; loading
+val over_paths : string list -> report
+(** Parse each path ({!Source.load}) and {!run} the analyzer; loading
     failures are collected, not fatal. *)

@@ -1,15 +1,9 @@
-(* Analysis units: one per .ml file. The preferred road is the typed
-   tree dune already built — read the .cmt produced by [dune build
-   @check], untype it back to a parsetree (locations and attributes
-   survive) and analyze that, so the linter always sees exactly what
-   the compiler type-checked. Files outside the build (seeded-violation
-   fixtures) fall back to parsing the source directly. *)
+(* Analysis units: one per .ml file, parsed from the text on disk. *)
 
 type t = {
   path : string;
   modname : string;
   structure : Parsetree.structure;
-  from_cmt : bool;
 }
 
 let modname_of_path path =
@@ -21,83 +15,26 @@ let parse_string ~filename contents =
   Lexing.set_filename lexbuf filename;
   match Parse.implementation lexbuf with
   | structure ->
-    Ok { path = filename; modname = modname_of_path filename; structure;
-         from_cmt = false }
+    Ok { path = filename; modname = modname_of_path filename; structure }
   | exception Syntaxerr.Error _ -> Error (filename ^ ": syntax error")
   | exception e -> Error (filename ^ ": " ^ Printexc.to_string e)
 
-let parse_file path =
+let load path =
   match In_channel.with_open_bin path In_channel.input_all with
   | contents -> parse_string ~filename:path contents
   | exception Sys_error msg -> Error msg
 
-(* Find the .cmt dune wrote for [dir/base.ml]: some
-   [dir/.<lib>.objs/byte/<lib>__Base.cmt] (wrapped library),
-   [.../base.cmt] (unwrapped or main module), or the executables'
-   [.eobjs] flavour. Searching only under the build mirror of the
-   file's own directory keeps same-named modules in different
-   libraries apart. *)
-let find_cmt ~build_dir path =
-  let modname = modname_of_path path in
-  let dir = Filename.dirname path in
-  let root = Filename.concat build_dir dir in
-  let matches base =
-    let b = Filename.remove_extension base in
-    String.equal (String.lowercase_ascii b) (String.lowercase_ascii modname)
-    ||
-    let suffix = "__" ^ modname in
-    String.length b > String.length suffix
-    && String.equal suffix
-         (String.sub b
-            (String.length b - String.length suffix)
-            (String.length suffix))
-  in
-  let found = ref [] in
-  let rec scan d =
-    match Sys.readdir d with
-    | entries ->
-      Array.sort compare entries;
-      Array.iter
-        (fun e ->
-          let p = Filename.concat d e in
-          if Sys.is_directory p then scan p
-          else if Filename.check_suffix e ".cmt" && matches e then
-            found := p :: !found)
-        entries
-    | exception Sys_error _ -> ()
-  in
-  scan root;
-  match List.sort compare !found with p :: _ -> Some p | [] -> None
+(* Path substrings a directory sweep prunes: build trees and the seeded
+   fixtures. *)
+let excluded p =
+  List.exists
+    (fun x ->
+      let lx = String.length x and lp = String.length p in
+      let rec at i = i + lx <= lp && (String.sub p i lx = x || at (i + 1)) in
+      at 0)
+    [ "_build"; "fixtures" ]
 
-let of_cmt ~path cmt_path =
-  match Cmt_format.read_cmt cmt_path with
-  | { Cmt_format.cmt_annots = Cmt_format.Implementation tstr; _ } ->
-    let structure = Untypeast.untype_structure tstr in
-    Some { path; modname = modname_of_path path; structure; from_cmt = true }
-  | _ -> None
-  | exception _ -> None
-
-let load ?(build_dir = "_build/default") ?(prefer_cmt = true) path =
-  let via_cmt =
-    if not prefer_cmt then None
-    else
-      match find_cmt ~build_dir path with
-      | Some cmt -> of_cmt ~path cmt
-      | None -> None
-  in
-  match via_cmt with Some u -> Ok u | None -> parse_file path
-
-(* Expand files/directories into a sorted .ml list; [exclude] prunes
-   path substrings (build trees, seeded fixtures). *)
-let scan ?(exclude = [ "_build"; "fixtures" ]) roots =
-  let excluded p =
-    List.exists
-      (fun x ->
-        let lx = String.length x and lp = String.length p in
-        let rec at i = i + lx <= lp && (String.sub p i lx = x || at (i + 1)) in
-        lx > 0 && at 0)
-      exclude
-  in
+let scan roots =
   let acc = ref [] in
   let rec visit p =
     if not (excluded p) then
@@ -109,8 +46,8 @@ let scan ?(exclude = [ "_build"; "fixtures" ]) roots =
         | exception Sys_error _ -> ())
       else if Filename.check_suffix p ".ml" then acc := p :: !acc
   in
-  (* [exclude] prunes the recursive sweep only: a root the caller named
-     explicitly is always taken — that is how CI lints one seeded
+  (* The exclusions prune the recursive sweep only: a root the caller
+     named explicitly is always taken — that is how CI lints one seeded
      fixture at a time. *)
   List.iter
     (fun r ->

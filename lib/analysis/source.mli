@@ -1,34 +1,22 @@
-(** Analysis units: the typed trees the repo already builds.
+(** Analysis units: the repo's own sources, parsed from disk.
 
-    The preferred input is the [.cmt] dune wrote during [dune build
-    @check] — untyped back to a parsetree with locations and attributes
-    intact, so the linter analyzes exactly what the compiler
-    type-checked. Sources outside the build (seeded-violation fixtures)
-    are parsed directly. *)
+    The linter reads the text on disk, never a build product, so an edit
+    is linted whether or not it has been rebuilt. The repo uses no ppx,
+    so the parsetree is exactly what the compiler sees. *)
 
 type t = {
   path : string;  (** the .ml path the unit was requested as *)
   modname : string;  (** capitalized basename, used to qualify locks *)
   structure : Parsetree.structure;
-  from_cmt : bool;  (** true when recovered from a [.cmt] *)
 }
-
-val modname_of_path : string -> string
 
 val parse_string : filename:string -> string -> (t, string) result
 (** Parse an implementation from a string (tests, fixtures). *)
 
-val parse_file : string -> (t, string) result
+val load : string -> (t, string) result
+(** Parse the [.ml] file at the path. *)
 
-val find_cmt : build_dir:string -> string -> string option
-(** The [.cmt] for [dir/base.ml], searched only under the build mirror
-    of [dir] so same-named modules in other libraries cannot leak in. *)
-
-val load : ?build_dir:string -> ?prefer_cmt:bool -> string -> (t, string) result
-(** Load one unit: the [.cmt] when present (default
-    [build_dir = "_build/default"]), else the source text. *)
-
-val scan : ?exclude:string list -> string list -> string list
-(** Expand files and directories into a sorted list of [.ml] paths,
-    pruning path substrings in [exclude] (default: build trees and the
-    seeded [fixtures]). *)
+val scan : string list -> string list
+(** Expand files and directories into a sorted list of [.ml] paths.
+    Directory sweeps skip build trees and the seeded [fixtures]; a file
+    named explicitly is always taken. *)

@@ -16,7 +16,6 @@ type snapshot_app = {
 type snapshot = {
   now : float;
   strategy : Mcs_sched.Strategy.t;
-  procedure : Mcs_sched.Allocation.procedure;
   apps : snapshot_app list;
 }
 
@@ -89,7 +88,7 @@ let analyze platform snap =
   let field f = Array.of_list (List.map f snap.apps) in
   let index = field (fun a -> a.index) in
   let static =
-    Check.analyze ~strategy:snap.strategy ~procedure:snap.procedure
+    Check.analyze ~strategy:snap.strategy
       ~betas:(field (fun a -> a.beta))
       ~allocations:(field (fun a -> a.alloc))
       ~release:(field (fun a -> a.release))

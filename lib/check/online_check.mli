@@ -26,7 +26,6 @@ type snapshot_app = {
 type snapshot = {
   now : float;  (** virtual time of the reschedule *)
   strategy : Mcs_sched.Strategy.t;
-  procedure : Mcs_sched.Allocation.procedure;
   apps : snapshot_app list;  (** the active set, in submission order *)
 }
 

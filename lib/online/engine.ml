@@ -266,7 +266,6 @@ let online_check s apps =
     {
       Mcs_check.Online_check.now = s.st.State.now;
       strategy = s.policy.Policy.strategy;
-      procedure = s.policy.Policy.config.Pipeline.procedure;
       apps =
         List.map
           (fun (app, pinned, schedule) ->
@@ -309,8 +308,7 @@ let reschedule s ~trigger =
     in
     let up_counts = if degraded then Some (State.up_counts state) else None in
     let prepared =
-      Pipeline.prepare ~config:s.policy.Policy.config ~ref_cluster
-        ?up_counts
+      Pipeline.prepare ~ref_cluster ?up_counts
         ~caches:(List.map (fun app -> app.State.alloc_cache) active)
         ~arena:state.State.arena ~strategy:s.policy.Policy.strategy
         s.platform ptgs
@@ -367,8 +365,8 @@ let reschedule s ~trigger =
     in
     (* A map that raises may leave the arrays partly filled; the engine
        cannot go on from there, and lets the exception end the run. *)
-    List_mapper.map ~options:s.policy.Policy.config.Pipeline.mapper ~release
-      ~avail:s.avail ?up ?task_floor (Lazy.force s.mapper) ref_cluster inputs
+    List_mapper.map ~release ~avail:s.avail ?up ?task_floor
+      (Lazy.force s.mapper) ref_cluster inputs
       ~placements:
         (Array.of_list (List.map (fun app -> app.State.placements) active));
     if Obs.enabled () then
@@ -795,18 +793,6 @@ let app_completed s i =
 let alloc_cache_stats s = State.alloc_cache_stats s.st
 
 let set_policy s p =
-  (* A policy carrying a different allocation procedure invalidates
-     every cached trajectory (each cache binds to the procedure that
-     recorded it): release them all here rather than trip the bind
-     guard on the next allocation. β/strategy changes need nothing —
-     the budget is part of the replay key. *)
-  if
-    s.policy.Policy.config.Pipeline.procedure
-    <> p.Policy.config.Pipeline.procedure
-  then
-    Array.iter
-      (fun app -> Allocation.cache_release app.State.alloc_cache)
-      s.st.State.apps;
   s.policy <- p;
   s.policy_counters <- counters_of p;
   reschedule s ~trigger:"policy_swap"

@@ -13,8 +13,8 @@
     {e unstarted} task is remapped by the concurrent list mapper onto
     the partially-occupied platform. Tasks that have started are pinned:
     their placements are frozen and their processors stay busy until
-    their estimated finish ({!Mcs_sched.List_mapper.run}'s [pinned] /
-    [avail] extension). Departures free processors, so with
+    their estimated finish ({!Mcs_sched.List_mapper.map}'s pinned
+    placements and [avail] profile). Departures free processors, so with
     [reschedule_on_departure] the survivors' unstarted tasks backfill
     onto the released share. Each session maps through one
     {!Mcs_sched.List_mapper.session}, built on its first reschedule, so
@@ -149,9 +149,7 @@ val set_policy : session -> Policy.t -> unit
     remap at once under it, logged with trigger ["policy_swap"] — the
     live half of an adopted {!what_if}. The engine reads the new policy
     for every subsequent trigger, backoff, shrink and allocation
-    decision. If the new policy's allocation {e procedure} differs,
-    every application's trajectory cache is released first
-    (trajectories are procedure-bound). The remap opens a new
+    decision. The remap opens a new
     generation, so no resize point armed under the old policy
     survives the swap. *)
 

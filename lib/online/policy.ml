@@ -18,15 +18,13 @@ let default_faults =
 type t = {
   name : string;
   strategy : Mcs_sched.Strategy.t;
-  config : Mcs_sched.Pipeline.config;
   reschedule_on_departure : bool;
   reschedule_on_task_finish : bool;
   faults : fault_policy;
   malleability : Mcs_sched.Malleability.t option;
 }
 
-let make ?(config = Mcs_sched.Pipeline.default_config)
-    ?(faults = default_faults)
+let make ?(faults = default_faults)
     ?(reschedule_on_departure = true) ?(reschedule_on_task_finish = false)
     ?malleability strategy =
   if faults.max_retries < 0 then
@@ -54,7 +52,6 @@ let make ?(config = Mcs_sched.Pipeline.default_config)
   {
     name = "default";
     strategy;
-    config;
     reschedule_on_departure;
     reschedule_on_task_finish;
     faults;
@@ -67,9 +64,9 @@ let retry_delay f ~failures =
   | Linear -> f.backoff_base *. float_of_int failures
 
 (* The registry behind the CLIs' [--policy NAME]. Every entry keeps the
-   caller's strategy, mapper options and fault budget; the name
-   overrides one group of fields. Every override keeps [make]'s
-   invariants, so the result needs no re-validation. *)
+   caller's strategy and fault budget; the name overrides one group of
+   fields. Every override keeps [make]'s invariants, so the result needs
+   no re-validation. *)
 let names = [ "default"; "static"; "eager"; "linear-backoff"; "shrink-retry" ]
 
 let of_name name ~base =

@@ -17,8 +17,9 @@
       completion. Much more aggressive (O(tasks) reschedules per run);
       off by default, exposed for experimentation.
 
-    [config] carries the allocation procedure and mapper options, as in
-    the offline {!Mcs_sched.Pipeline}.
+    Allocation and mapping always run the paper's configuration,
+    {!Mcs_sched.Pipeline.default_config}: SCRAP-MAX, then the ready-list
+    mapper with packing.
 
     [faults] governs recovery under fault injection (it is inert when
     the engine runs without a fault scenario). A task killed by a
@@ -55,7 +56,6 @@ val default_faults : fault_policy
 type t = {
   name : string;
   strategy : Mcs_sched.Strategy.t;
-  config : Mcs_sched.Pipeline.config;
   reschedule_on_departure : bool;
   reschedule_on_task_finish : bool;
   faults : fault_policy;
@@ -69,7 +69,6 @@ type t = {
 }
 
 val make :
-  ?config:Mcs_sched.Pipeline.config ->
   ?faults:fault_policy ->
   ?reschedule_on_departure:bool ->
   ?reschedule_on_task_finish:bool ->
@@ -98,9 +97,9 @@ val names : string list
 
 val of_name : string -> base:t -> t
 (** The registry policy [name] over [base], named [name]. Strategy,
-    mapper options, fault budget and malleability carry over from
-    [base]; the name overrides at most one group of fields:
-    ["default"] (none: [base]'s own flags), ["static"] (both trigger
-    flags off), ["eager"] (both on), ["linear-backoff"] ([backoff] is
-    [Linear]) and ["shrink-retry"] ([shrink_on_retry] on).
+    fault budget and malleability carry over from [base]; the name
+    overrides at most one group of fields: ["default"] (none: [base]'s
+    own flags), ["static"] (both trigger flags off), ["eager"] (both
+    on), ["linear-backoff"] ([backoff] is [Linear]) and
+    ["shrink-retry"] ([shrink_on_retry] on).
     @raise Invalid_argument on an unknown name. *)

@@ -682,8 +682,10 @@ let prepare session ref_cluster (id, ptg, alloc) =
 (* Every map writes its placements into the caller's [placements]:
    [placements.(i).(v) = Some pl] on entry pins node [v] of application
    [i], and every [None] is filled. *)
-let map_body ~options ?release ?avail ?up ?task_floor session ref_cluster
-    apps placements =
+let map ?(options = default_options) ?release ?avail ?up ?task_floor session
+    ref_cluster apps ~placements =
+  if apps = [] then invalid_arg "List_mapper.run: no applications";
+  Obs.with_span "mapper.run" @@ fun () ->
   let platform = session.platform in
   session.maps <- session.maps + 1;
   (match up with
@@ -877,30 +879,15 @@ let map_body ~options ?release ?avail ?up ?task_floor session ref_cluster
     end
   done
 
-let map ?(options = default_options) ?release ?avail ?up ?task_floor session
-    ref_cluster apps ~placements =
-  if apps = [] then invalid_arg "List_mapper.run: no applications";
-  Obs.with_span "mapper.run" @@ fun () ->
-  map_body ~options ?release ?avail ?up ?task_floor session ref_cluster apps
-    placements
-
-(* A fresh session per call, created inside the span as the per-run
-   state it replaces was, writing into fresh placement arrays. *)
-let run ?(options = default_options) ?release ?pinned ?avail ?up ?task_floor
-    platform ref_cluster apps =
-  if apps = [] then invalid_arg "List_mapper.run: no applications";
-  Obs.with_span "mapper.run" @@ fun () ->
+(* A map on a fresh session, writing into fresh placement arrays. *)
+let run ?options ?release platform ref_cluster apps =
   let placements =
-    match pinned with
-    | Some pin -> Array.map Array.copy pin
-    | None ->
-      Array.of_list
-        (List.map (fun (ptg, _) -> Array.make (Ptg.node_count ptg) None) apps)
+    Array.of_list
+      (List.map (fun (ptg, _) -> Array.make (Ptg.node_count ptg) None) apps)
   in
-  map_body ~options ?release ?avail ?up ?task_floor (session platform)
-    ref_cluster
+  map ?options ?release (session platform) ref_cluster
     (List.mapi (fun i (ptg, alloc) -> (i, ptg, alloc)) apps)
-    placements;
+    ~placements;
   List.mapi
     (fun i (ptg, _) ->
       let placements =

@@ -2,7 +2,7 @@
 
     Tasks from all applications are mapped by a list scheduler whose
     priority is the bottom level (distance to the application's exit in
-    reference execution times under the chosen allocations). Two
+    reference execution times under the chosen allocations). Three
     orderings are provided:
 
     - [Ready_tasks] — the paper's proposal: only tasks whose
@@ -37,8 +37,8 @@
     (DESIGN.md section 10). A session has one owner: the online engine
     keeps one for its whole life, so a reschedule reuses what the
     previous generation built, and never shares it across domains.
-    {!run} still owns its own state, on a fresh session per call, so
-    shard domains and [Parmap] workers may run it concurrently. Pricing
+    {!run} maps on a fresh session per call, so shard domains and
+    [Parmap] workers may run it concurrently. Pricing
     a candidate allocates nothing, and the ready heap keeps its buffers
     from map to map; a map allocates the placements it writes. *)
 
@@ -55,44 +55,18 @@ val default_options : options
 val run :
   ?options:options ->
   ?release:float array ->
-  ?pinned:Schedule.placement option array array ->
-  ?avail:float array ->
-  ?up:bool array ->
-  ?task_floor:float array array ->
   Mcs_platform.Platform.t ->
   Reference_cluster.t ->
   (Mcs_ptg.Ptg.t * int array) list ->
   Schedule.t list
 (** [run platform ref apps] maps the applications (each given with its
     per-node reference allocation) and returns their schedules in input
-    order. [release] gives per-application submission times (the paper
-    submits everything at 0, its future-work section motivates staggered
+    order: {!map} on a fresh session with nothing pinned. [release]
+    gives per-application submission times (the paper submits
+    everything at 0, its future-work section motivates staggered
     arrivals): no task of application [i] may start before
     [release.(i)].
-
-    [pinned] and [avail] support partial rescheduling by the online
-    engine ({!Mcs_online.Engine}): [pinned.(i).(v) = Some pl] freezes
-    node [v] of application [i] at placement [pl] — it is not remapped,
-    it feeds its successors' data-ready times and the in-place
-    redistribution rule, and its processor occupancy is assumed to be
-    reflected in [avail]. [avail.(p)] is the time from which processor
-    [p] may receive new work (default 0 everywhere): the availability
-    profile of a partially-occupied platform. A predecessor of an
-    unpinned node must be pinned or belong to the mapped set.
-
-    [up] and [task_floor] support fault recovery. [up.(p) = false]
-    masks processor [p] out: no new placement may use it, a translated
-    width is capped to a cluster's surviving processors, and a cluster
-    with no live processor offers no candidate (pinned history is
-    untouched — completed work may legitimately sit on processors that
-    died later). [task_floor.(i).(v)] is an extra per-task start floor
-    (retry backoff), max'd with [release.(i)].
-    @raise Invalid_argument on an empty list, an allocation array of
-    the wrong length, an ill-sized [release] or [avail] or one with a
-    negative or non-finite (NaN, infinite) entry, ill-sized
-    [pinned]/[up]/[task_floor], a negative or non-finite (NaN, infinite)
-    [task_floor] entry, or when [up] leaves no live cluster able to host
-    some task. *)
+    @raise Invalid_argument as {!map}. *)
 
 type session
 (** A mapper's working state kept from one map to the next, bound to
@@ -114,22 +88,46 @@ val map :
   (int * Mcs_ptg.Ptg.t * int array) list ->
   placements:Schedule.placement option array array ->
   unit
-(** [map session ref apps ~placements] is {!run} on the session's
-    platform, each application given with an id of the caller's
-    choosing, with its output written in place. On entry
-    [placements.(i)] is application [i]'s [pinned] array: a [Some] entry
-    is frozen and shared as it is, never re-wrapped. The map fills every
-    [None] with the placement {!run} would return, so on return every
-    entry is [Some]. The session keeps per id the topological ranks of
-    its PTG and its tasks' sequential times on each cluster, valid
-    while the id maps to the same PTG (physical equality), and its
-    bottom levels, recomputed only when the allocation or the reference
-    speed differs from the previous map's. The cluster groups and the
-    availability index are rebuilt only when the [up] mask changes. A
-    map that raises leaves the session usable, but may leave
-    [placements] partly filled.
-    @raise Invalid_argument as {!run} (with [placements] as [pinned]),
-    or on an id given twice. *)
+(** [map session ref apps ~placements] maps the applications on the
+    session's platform, each given with an id of the caller's choosing
+    and its per-node reference allocation, and writes the placements in
+    place. [release] is as in {!run}.
+
+    The other arguments support partial rescheduling by the online
+    engine ({!Mcs_online.Engine}). On entry [placements.(i)] is
+    application [i]'s pinned array: [placements.(i).(v) = Some pl]
+    freezes node [v] at [pl] — it is not remapped, it feeds its
+    successors' data-ready times and the in-place redistribution rule,
+    it is shared as it is (never re-wrapped), and its processor
+    occupancy is assumed to be reflected in [avail]. A predecessor of an
+    unpinned node must be pinned or belong to the mapped set. The map
+    fills every [None], so on return every entry is [Some].
+    [avail.(p)] is the time from which processor [p] may receive new
+    work (default 0 everywhere): the availability profile of a
+    partially-occupied platform.
+
+    [up] and [task_floor] support fault recovery. [up.(p) = false]
+    masks processor [p] out: no new placement may use it, a translated
+    width is capped to a cluster's surviving processors, and a cluster
+    with no live processor offers no candidate (pinned history is
+    untouched — completed work may legitimately sit on processors that
+    died later). [task_floor.(i).(v)] is an extra per-task start floor
+    (retry backoff), max'd with [release.(i)].
+
+    The session keeps per id the topological ranks of its PTG and its
+    tasks' sequential times on each cluster, valid while the id maps to
+    the same PTG (physical equality), and its bottom levels, recomputed
+    only when the allocation or the reference speed differs from the
+    previous map's. The cluster groups and the availability index are
+    rebuilt only when the [up] mask changes. A map that raises leaves
+    the session usable, but may leave [placements] partly filled.
+    @raise Invalid_argument on an empty list, an id given twice, an
+    allocation array of the wrong length, an ill-sized [release] or
+    [avail] or one with a negative or non-finite (NaN, infinite) entry,
+    ill-sized [placements]/[up]/[task_floor], a mislabeled pinned
+    placement, a negative or non-finite (NaN, infinite) [task_floor]
+    entry, or when [up] leaves no live cluster able to host some
+    task. *)
 
 val forget : session -> int -> unit
 (** [forget session id] drops the memo of application [id] (a no-op for

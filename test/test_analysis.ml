@@ -204,7 +204,7 @@ let fixture_expectations =
 let test_fixtures () =
   List.iter
     (fun (path, code) ->
-      let report = Analysis.over_paths ~prefer_cmt:false [ path ] in
+      let report = Analysis.over_paths [ path ] in
       Alcotest.(check (list string)) (path ^ " load errors") []
         (List.map snd report.Analysis.errors);
       let codes =

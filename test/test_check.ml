@@ -104,7 +104,6 @@ let test_pinned_moved () =
     {
       Online_check.now = sched.Schedule.makespan;
       strategy = Strategy.Selfish;
-      procedure = Allocation.Scrap_max;
       apps =
         [
           {
@@ -136,7 +135,6 @@ let test_online_relabel () =
     {
       Online_check.now = 0.;
       strategy = Strategy.Selfish;
-      procedure = Allocation.Scrap_max;
       apps =
         [
           {

@@ -457,16 +457,14 @@ let reschedule_cases =
 let test_orderings () =
   let platform, apps, release = mapper_scenario () in
   let ref_cluster = Mcs_sched.Reference_cluster.of_platform platform in
-  let run ?pinned ?avail ?up ordering packing =
-    placements_digest
-      (List_mapper.run ~options:{ List_mapper.ordering; packing } ~release
-         ?pinned ?avail ?up platform ref_cluster apps)
-  in
   List.iter
     (fun (ordering, packing, expected) ->
       Alcotest.(check string)
         (Printf.sprintf "%s, packing %b" (ordering_name ordering) packing)
-        expected (run ordering packing))
+        expected
+        (placements_digest
+           (List_mapper.run ~options:{ List_mapper.ordering; packing }
+              ~release platform ref_cluster apps)))
     ordering_cases;
   let fresh = List_mapper.run ~release platform ref_cluster apps in
   let pinned =
@@ -502,12 +500,26 @@ let test_orderings () =
   let up =
     Array.init total (fun p -> p < base + (width / 2) || p >= base + width)
   in
+  (* A map on a fresh session, over copies of the pinned arrays. *)
+  let remap ordering =
+    let placements = Array.map Array.copy pinned in
+    List_mapper.map ~options:{ List_mapper.ordering; packing = true }
+      ~release ~avail ~up
+      (List_mapper.session platform)
+      ref_cluster
+      (List.mapi (fun i (ptg, alloc) -> (i, ptg, alloc)) apps)
+      ~placements;
+    placements_digest
+      (List.map2
+         (fun (ptg, _) pls ->
+           Schedule.make ~ptg ~placements:(Array.map Option.get pls))
+         apps (Array.to_list placements))
+  in
   List.iter
     (fun (ordering, expected) ->
       Alcotest.(check string)
         (ordering_name ordering ^ ", pinned prefix, profile and mask")
-        expected
-        (run ~pinned ~avail ~up ordering true))
+        expected (remap ordering))
     reschedule_cases
 
 (* --- offline evaluation -------------------------------------------- *)

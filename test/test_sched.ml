@@ -708,6 +708,41 @@ let qcheck_betas_in_range =
 
 (* ---------- Mapper & Schedule ---------- *)
 
+(* [List_mapper.map] on fresh placement arrays holding [pinned], read
+   back as schedules. The pinned options must come back physically
+   shared, not re-wrapped. *)
+let map_schedules ?options ?release ?pinned ?avail ?up ?task_floor session
+    ref_cluster ids =
+  let placements =
+    match pinned with
+    | Some pin -> Array.map Array.copy pin
+    | None ->
+      Array.of_list
+        (List.map (fun (_, ptg, _) -> Array.make (Ptg.node_count ptg) None) ids)
+  in
+  List_mapper.map ?options ?release ?avail ?up ?task_floor session ref_cluster
+    ids ~placements;
+  Option.iter
+    (Array.iteri (fun i pin ->
+         Array.iteri
+           (fun v pl ->
+             if pl <> None && not (pl == placements.(i).(v)) then
+               failwith "map re-wrapped a pinned placement")
+           pin))
+    pinned;
+  List.mapi
+    (fun i (_, ptg, _) ->
+      Schedule.make ~ptg ~placements:(Array.map Option.get placements.(i)))
+    ids
+
+(* [map_schedules] on a fresh session, the applications numbered in
+   list order. *)
+let map_fresh ?options ?release ?pinned ?avail ?up ?task_floor platform
+    ref_cluster apps =
+  map_schedules ?options ?release ?pinned ?avail ?up ?task_floor
+    (List_mapper.session platform) ref_cluster
+    (List.mapi (fun i (ptg, alloc) -> (i, ptg, alloc)) apps)
+
 let schedule_random ?(options = List_mapper.default_options) ?(napps = 3)
     ~platform seed =
   let ptgs = List.init napps (fun i -> random_ptg ((seed * 10) + i)) in
@@ -831,7 +866,7 @@ let packing_run ?(platform = toy_platform ~procs:4 ()) ?avail apps =
   let schedules =
     Fun.protect
       ~finally:(fun () -> Obs.disable ())
-      (fun () -> List_mapper.run ?avail platform r apps)
+      (fun () -> map_fresh ?avail platform r apps)
   in
   let spans =
     List.length
@@ -1087,7 +1122,7 @@ let test_mapper_rejects_bad_input () =
      with Invalid_argument _ -> true);
   let rejects ?release ?avail () =
     try
-      ignore (List_mapper.run ?release ?avail platform r [ (ptg, [| 1 |]) ]);
+      ignore (map_fresh ?release ?avail platform r [ (ptg, [| 1 |]) ]);
       false
     with Invalid_argument _ -> true
   in
@@ -1122,7 +1157,7 @@ let test_mapper_rejects_bad_input () =
             (Invalid_argument "List_mapper.run: ill-formed task floor")
             (fun () ->
               ignore
-                (List_mapper.run
+                (map_fresh
                    ~options:{ List_mapper.default_options with ordering }
                    ~task_floor platform r apps)))
         [
@@ -1237,33 +1272,6 @@ let outcome f =
   match f () with
   | schedules -> Ok (render_schedules schedules)
   | exception Invalid_argument msg -> Error msg
-
-(* [List_mapper.map] on fresh placement arrays holding [pinned], read
-   back as schedules. The pinned options must come back physically
-   shared, not re-wrapped. *)
-let map_schedules ?options ?release ?pinned ?avail ?up ?task_floor session
-    ref_cluster ids =
-  let placements =
-    match pinned with
-    | Some pin -> Array.map Array.copy pin
-    | None ->
-      Array.of_list
-        (List.map (fun (_, ptg, _) -> Array.make (Ptg.node_count ptg) None) ids)
-  in
-  List_mapper.map ?options ?release ?avail ?up ?task_floor session ref_cluster
-    ids ~placements;
-  Option.iter
-    (Array.iteri (fun i pin ->
-         Array.iteri
-           (fun v pl ->
-             if pl <> None && not (pl == placements.(i).(v)) then
-               failwith "map re-wrapped a pinned placement")
-           pin))
-    pinned;
-  List.mapi
-    (fun i (_, ptg, _) ->
-      Schedule.make ~ptg ~placements:(Array.map Option.get placements.(i)))
-    ids
 
 let qcheck_session_matches_fresh_run =
   QCheck.Test.make ~name:"a reused session maps exactly like a fresh run"
@@ -1386,7 +1394,7 @@ let qcheck_session_matches_fresh_run =
         let pinned =
           if step = blackout || Prng.bool rng then None
           else begin
-            let schedules = List_mapper.run ~options ?avail platform ref_cluster apps in
+            let schedules = map_fresh ~options ?avail platform ref_cluster apps in
             let horizon =
               List.fold_left (fun acc s -> Float.max acc s.Schedule.makespan) 0. schedules
             in
@@ -1408,7 +1416,7 @@ let qcheck_session_matches_fresh_run =
         in
         let fresh =
           outcome (fun () ->
-              List_mapper.run ~options ?release ?pinned ?avail ?up ?task_floor
+              map_fresh ~options ?release ?pinned ?avail ?up ?task_floor
                 platform ref_cluster apps)
         in
         if warm <> fresh then ok := false;
