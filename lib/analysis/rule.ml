@@ -32,7 +32,6 @@ let id = function
   | Escape_captured_container -> "escape-captured-container"
   | Atom_get_set_rmw -> "atomic-get-set-rmw"
 
-let of_code s = List.find_opt (fun r -> code r = s) all
 let of_id s = List.find_opt (fun r -> id r = s) all
 
 let describe = function

@@ -22,7 +22,6 @@ val code : t -> string
 val id : t -> string
 (** Kebab-case identifier ([guarded-field-unlocked], ...). *)
 
-val of_code : string -> t option
 val of_id : string -> t option
 
 val describe : t -> string

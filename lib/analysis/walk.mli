@@ -5,12 +5,7 @@ open Parsetree
 val lid_names : Longident.t -> string list
 (** Flattened path with a leading [Stdlib] dropped. *)
 
-val ident_names : expression -> string list option
-val suffix_matches : target:string list -> string list -> bool
 val unparen : expression -> expression
-
-val app_parts : expression -> (expression * expression list) option
-(** Application flattened through [@@] and [|>]; positional args only. *)
 
 val is_call : target:string list -> expression -> expression list option
 (** The argument list when [e] is an application of an identifier whose
@@ -28,10 +23,6 @@ val lock_name : expression -> string
 (** The per-module lock class: the last segment of {!path_key}. *)
 
 val last_of_lid : Longident.t -> string
-
-val attr_named : string -> attributes -> attribute option
-val has_attr : string -> attributes -> bool
-val attr_ident : string -> attributes -> string option
 
 val guarded_by_attr : attributes -> string option
 (** [[@guarded_by m]] on a record field or [[@@guarded_by m]] on a
@@ -53,5 +44,4 @@ val no_lock_needed_attr : attributes -> bool
 
 module StringSet : Set.S with type elt = string
 
-val pattern_binders : string list -> pattern -> string list
 val bind_pattern : StringSet.t -> pattern -> StringSet.t

@@ -78,13 +78,6 @@ let compare_t a b =
 let sort diags = List.stable_sort compare_t diags
 let compare = compare_t
 
-let rule_ids diags =
-  List.filter_map
-    (fun r ->
-      if List.exists (fun d -> d.rule = r) diags then Some (Rule.id r)
-      else None)
-    Rule.all
-
 let summary diags =
   let count sev = List.length (List.filter (fun d -> d.severity = sev) diags) in
   let plural n word =

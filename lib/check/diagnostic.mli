@@ -31,8 +31,6 @@ val info :
   ?app:int -> ?node:int -> ?proc:int -> ?window:float * float ->
   Rule.t -> ('a, unit, string, t) format4 -> 'a
 
-val severity_name : severity -> string
-
 val to_string : t -> string
 (** ["ERROR MAP004 map-overlap [app 1, node 3, proc 17, 4.2..5.1]: ..."] *)
 
@@ -49,9 +47,6 @@ val sort : t list -> t list
 (** Sorted under {!compare}: errors first, then warnings, then infos,
     same-severity diagnostics in a stable location order — CI output is
     byte-diffable across runs. *)
-
-val rule_ids : t list -> string list
-(** Distinct rule ids present, in registry order — what tests assert. *)
 
 val summary : t list -> string
 (** ["2 errors, 1 warning"] / ["clean"]. *)

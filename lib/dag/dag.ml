@@ -123,8 +123,6 @@ let edge_id t ~src ~dst =
       (fun acc (d, e) -> if d = dst then Some e else acc)
       None t.succ.(src)
 
-let is_edge t ~src ~dst = edge_id t ~src ~dst <> None
-
 let sources t =
   let acc = ref [] in
   for v = t.n - 1 downto 0 do
@@ -166,18 +164,6 @@ let max_width t =
     Array.iter (fun l -> counts.(l) <- counts.(l) + 1) t.level;
     Array.fold_left max 0 counts
   end
-
-let top_levels t ~node_weight ~edge_weight =
-  let tl = Array.make t.n 0. in
-  Array.iter
-    (fun v ->
-      Array.iter
-        (fun (u, e) ->
-          let via = tl.(u) +. node_weight u +. edge_weight e in
-          if via > tl.(v) then tl.(v) <- via)
-        t.pred.(v))
-    t.topo;
-  tl
 
 let bottom_levels t ~node_weight ~edge_weight =
   let bl = Array.make t.n 0. in
@@ -295,32 +281,6 @@ let repair_levels t w ~changed ~dirty ~bl ~tl =
      starts at its successors and walks up. *)
   propagate t ~refresh:refresh_top ~adj:t.succ ~step:1 ~dirty w tl changed
 
-let longest_path t ~node_weight ~edge_weight =
-  if t.n = 0 then (0., [])
-  else begin
-    let bl = bottom_levels t ~node_weight ~edge_weight in
-    let start = ref 0 in
-    for v = 0 to t.n - 1 do
-      if bl.(v) > bl.(!start) then start := v
-    done;
-    (* Follow the successor that realises the bottom level at each hop. *)
-    let rec follow v acc =
-      let next =
-        Array.fold_left
-          (fun best (w, e) ->
-            let via = edge_weight e +. bl.(w) in
-            match best with
-            | Some (_, best_via) when best_via >= via -. 1e-12 -> best
-            | _ -> Some (w, via))
-          None t.succ.(v)
-      in
-      match next with
-      | None -> List.rev (v :: acc)
-      | Some (w, _) -> follow w (v :: acc)
-    in
-    (bl.(!start), follow !start [])
-  end
-
 let reachable_from t v =
   let seen = Array.make t.n false in
   let rec visit u =
@@ -331,10 +291,6 @@ let reachable_from t v =
   in
   if v >= 0 && v < t.n then visit v;
   seen
-
-let has_path t ~src ~dst =
-  if src < 0 || src >= t.n || dst < 0 || dst >= t.n then false
-  else (reachable_from t src).(dst)
 
 let to_dot ?(graph_name = "dag") ?node_label ?edge_label t =
   let buf = Buffer.create 1024 in

@@ -31,7 +31,6 @@ val succs : t -> int -> (int * int) array
 val preds : t -> int -> (int * int) array
 (** [preds t v] is the [(src, edge_id)] pairs entering [v]. Do not mutate. *)
 
-val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
 val sources : t -> int list
@@ -56,20 +55,6 @@ val depth : t -> int
 
 val max_width : t -> int
 (** Size of the largest precedence level ([0] for the empty graph). *)
-
-val longest_path :
-  t -> node_weight:(int -> float) -> edge_weight:(int -> float) ->
-  float * int list
-(** [longest_path t ~node_weight ~edge_weight] is the length and node
-    sequence of a longest (critical) path, where path length is the sum
-    of node weights plus connecting edge weights. Returns [(0., [])] on
-    the empty graph. *)
-
-val top_levels :
-  t -> node_weight:(int -> float) -> edge_weight:(int -> float) ->
-  float array
-(** [top_levels].(v): longest path length from any source up to but
-    excluding [v] (0 for sources). *)
 
 val bottom_levels :
   t -> node_weight:(int -> float) -> edge_weight:(int -> float) ->
@@ -118,11 +103,6 @@ val repair_levels :
 
 val reachable_from : t -> int -> bool array
 (** Nodes reachable from the given node (inclusive). *)
-
-val is_edge : t -> src:int -> dst:int -> bool
-
-val has_path : t -> src:int -> dst:int -> bool
-(** True when a directed path (possibly empty) links [src] to [dst]. *)
 
 val to_dot :
   ?graph_name:string ->

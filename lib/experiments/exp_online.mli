@@ -20,8 +20,6 @@
 
 type mode = Offline | Online
 
-val mode_name : mode -> string
-
 type point = {
   strategy : Mcs_sched.Strategy.t;
   mode : mode;

@@ -13,9 +13,6 @@ type point = {
   avg_makespan : float;  (** plain average over runs, in seconds *)
 }
 
-val paper_mus : float list
-(** The abscissas of Figure 2: 0, 0.3, 0.5, 0.7, 0.8, 0.9, 1. *)
-
 val compute :
   ?runs:int -> ?counts:int list -> ?mus:float list -> unit -> point list
 (** Defaults: the paper's counts and µ values. *)

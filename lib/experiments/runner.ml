@@ -29,10 +29,10 @@ let own_makespan ?config ?cache ?arena ~timing platform ptg =
   | Estimated -> sched.Schedule.makespan
   | Simulated -> (simulated_makespans platform [ sched ]).(0)
 
-let makespan_alone ?config ?(timing = Simulated) platform ptg =
-  own_makespan ?config ~timing platform ptg
+let makespan_alone ?(timing = Simulated) platform ptg =
+  own_makespan ~timing platform ptg
 
-let evaluate ?config ?(timing = Simulated) ?release platform ptgs strategies =
+let evaluate ?config ?release platform ptgs strategies =
   if ptgs = [] then invalid_arg "Runner.evaluate: no applications";
   Obs.with_span "runner.evaluate" @@ fun () ->
   (* One trajectory cache per PTG, shared by the baseline and every
@@ -45,7 +45,7 @@ let evaluate ?config ?(timing = Simulated) ?release platform ptgs strategies =
     Array.of_list
       (List.map2
          (fun ptg cache ->
-           own_makespan ?config ~cache ~arena ~timing platform ptg)
+           own_makespan ?config ~cache ~arena ~timing:Simulated platform ptg)
          ptgs caches)
   in
   let response completions =
@@ -69,11 +69,7 @@ let evaluate ?config ?(timing = Simulated) ?release platform ptgs strategies =
           ~caches ~arena ~strategy platform ptgs
       in
       let makespans =
-        response
-          (match timing with
-          | Estimated ->
-            Array.of_list (List.map (fun s -> s.Schedule.makespan) schedules)
-          | Simulated -> simulated_makespans ?release platform schedules)
+        response (simulated_makespans ?release platform schedules)
       in
       let slowdowns =
         Array.mapi

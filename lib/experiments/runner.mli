@@ -3,9 +3,10 @@
     baselines computed once and shared.
 
     Makespans are, as in the paper, taken from the discrete-event
-    simulation of the produced schedules; [timing = Estimated] falls
-    back to the mapper's estimates (used by the validation experiment
-    comparing both). *)
+    simulation of the produced schedules. A dedicated-platform baseline
+    may instead take the mapper's estimate ([timing = Estimated]): the
+    fault and malleability experiments compare it with engine runs,
+    which report estimated times too. *)
 
 type timing = Estimated | Simulated
 
@@ -19,23 +20,22 @@ type run_metrics = {
 }
 
 val makespan_alone :
-  ?config:Mcs_sched.Pipeline.config ->
   ?timing:timing ->
   Mcs_platform.Platform.t ->
   Mcs_ptg.Ptg.t ->
   float
-(** Dedicated-platform makespan M_own of one application. *)
+(** Dedicated-platform makespan M_own of one application (default
+    timing: [Simulated]). *)
 
 val evaluate :
   ?config:Mcs_sched.Pipeline.config ->
-  ?timing:timing ->
   ?release:float array ->
   Mcs_platform.Platform.t ->
   Mcs_ptg.Ptg.t list ->
   Mcs_sched.Strategy.t list ->
   run_metrics list
-(** Evaluate every strategy on the scenario (default timing:
-    [Simulated]). The M_own baselines are computed once. Every
+(** Evaluate every strategy on the scenario, with simulated makespans.
+    The M_own baselines are computed once. Every
     allocation of a PTG — its baseline and one per strategy — goes
     through the same trajectory cache, so later β values replay what
     earlier ones recorded; results are those of scratch allocation. With

@@ -23,8 +23,6 @@ let default =
 type outage = { procs : int array; down_at : float; up_at : float }
 type scenario = { seed : int; config : config; outages : outage list }
 
-let no_faults = { seed = 0; config = default; outages = [] }
-
 let is_empty s = s.outages = [] && s.config.task_fail_p <= 0.
 
 let validate config =

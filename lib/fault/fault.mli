@@ -66,10 +66,6 @@ val generate : seed:int -> Mcs_platform.Platform.t -> config -> scenario
     non-finite [mttr], [task_fail_p] outside [0, 1], or a non-positive
     horizon. *)
 
-val no_faults : scenario
-(** The empty scenario (seed 0, {!default} config, no outages): faults
-    plumbing enabled, fault process empty. *)
-
 val is_empty : scenario -> bool
 (** No outages and a zero transient-failure probability: the engine run
     is equivalent to an un-faulted one. *)

@@ -10,15 +10,10 @@ let degenerate m = not (Float.is_finite m) || m <= 0.
 let slowdown ~own ~multi =
   if degenerate own || degenerate multi then 1. else own /. multi
 
-let average_slowdown slowdowns =
-  if Array.length slowdowns = 0 then
-    invalid_arg "Metrics.average_slowdown: no applications";
-  Floatx.mean slowdowns
-
 let unfairness slowdowns =
   if Array.length slowdowns = 0 then 0.
   else
-    let avg = average_slowdown slowdowns in
+    let avg = Floatx.mean slowdowns in
     Floatx.sum (Array.map (fun s -> Float.abs (s -. avg)) slowdowns)
 
 let unfairness_of_makespans ~own ~multi =

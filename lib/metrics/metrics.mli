@@ -22,9 +22,6 @@ val slowdown : own:float -> multi:float -> float
 (** [M_own / M_multi]. Saturates to [1.] when either makespan is zero,
     negative or non-finite (degenerate application — see above). *)
 
-val average_slowdown : float array -> float
-(** Eq. 4. @raise Invalid_argument on the empty array. *)
-
 val unfairness : float array -> float
 (** Eq. 5: [Σ_a |slowdown a − average|]. [0.] on the empty array (no
     applications disagree about their treatment). *)

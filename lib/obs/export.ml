@@ -5,11 +5,6 @@ type format = Chrome | Jsonl | Table
 
 let format_names = [ ("chrome", Chrome); ("jsonl", Jsonl); ("table", Table) ]
 
-let format_of_string s =
-  match List.assoc_opt (String.lowercase_ascii s) format_names with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "unknown profile format %S" s)
-
 type row = {
   phase : string;
   calls : int;

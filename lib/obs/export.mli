@@ -20,9 +20,6 @@ val format_names : (string * format) list
 (** [("chrome", Chrome); ("jsonl", Jsonl); ("table", Table)] — ready
     for [Cmdliner.Arg.enum]. *)
 
-val format_of_string : string -> (format, string) result
-(** Case-insensitive lookup in {!format_names}. *)
-
 type row = {
   phase : string;   (** span name *)
   calls : int;      (** number of completed spans with this name *)
@@ -35,15 +32,9 @@ val profile_rows : unit -> row list
 (** Spans aggregated by name, sorted by decreasing self time — the data
     behind the table exporter and [BENCH_pipeline.json]. *)
 
-val profile_table : unit -> Mcs_util.Table.t
-(** The self-time profile as a renderable table. *)
-
-val chrome_json : unit -> Mcs_util.Jsonx.t
-(** The Chrome trace document as a JSON value (round-trips through
-    {!Mcs_util.Jsonx.parse}). *)
-
 val chrome : unit -> string
-(** [Jsonx.encode (chrome_json ())]. *)
+(** The Chrome trace document, encoded (round-trips through
+    {!Mcs_util.Jsonx.parse}). *)
 
 val jsonl : unit -> string
 (** The JSONL stream, one object per line, trailing newline included. *)

@@ -66,9 +66,6 @@ val up_power : t -> up:bool array -> float
 val min_speed : t -> float
 (** Speed of the slowest processor (GFlop/s). *)
 
-val max_speed : t -> float
-(** Speed of the fastest processor (GFlop/s). *)
-
 val heterogeneity : t -> float
 (** [max_speed/min_speed - 1]: 0.202 for the Lille subset, etc. *)
 

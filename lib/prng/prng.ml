@@ -84,23 +84,3 @@ let exponential t ~mean =
 let choose t a =
   if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
   a.(int t (Array.length a))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let pick_distinct t n ~count =
-  if count < 0 || count > n then invalid_arg "Prng.pick_distinct";
-  (* Floyd's algorithm: O(count) expected draws, then sort. *)
-  let seen = Hashtbl.create (2 * count) in
-  for j = n - count to n - 1 do
-    let r = int t (j + 1) in
-    if Hashtbl.mem seen r then Hashtbl.replace seen j ()
-    else Hashtbl.replace seen r ()
-  done;
-  Hashtbl.fold (fun k () acc -> k :: acc) seen []
-  |> List.sort compare

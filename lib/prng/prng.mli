@@ -20,9 +20,6 @@ val split : t -> t
 (** Child generator whose stream is independent of the parent's
     subsequent draws. Advances the parent. *)
 
-val bits64 : t -> int64
-(** Next raw 64 bits. *)
-
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).
     @raise Invalid_argument if [bound <= 0]. *)
@@ -49,11 +46,3 @@ val exponential : t -> mean:float -> float
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on the empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val pick_distinct : t -> int -> count:int -> int list
-(** [pick_distinct t n ~count] draws [count] distinct integers from
-    [0, n), in increasing order. @raise Invalid_argument if
-    [count > n] or [count < 0]. *)

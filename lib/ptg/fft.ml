@@ -14,8 +14,6 @@ let task_count ~points =
   let k = log2_exact points in
   (2 * points) - 1 + (points * k)
 
-let paper_sizes = [ 4; 8; 16 ]
-
 let generate ?(id = 0) ?data ~points rng =
   let k = log2_exact points in
   let d =

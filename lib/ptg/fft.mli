@@ -25,6 +25,3 @@ val generate :
     fraction is drawn per level (all tasks of a level share it, keeping
     per-level costs identical).
     @raise Invalid_argument unless [points] is a power of two ≥ 2. *)
-
-val paper_sizes : int list
-(** [[4; 8; 16]] — the three FFT configurations of Section 7. *)

@@ -72,11 +72,6 @@ let critical_path_seq t ~gflops =
   let bl = bottom_levels_seq t ~gflops in
   bl.(entry t)
 
-let edge_bytes_between t ~src ~dst =
-  match Dag.edge_id t.dag ~src ~dst with
-  | None -> 0.
-  | Some e -> t.edge_bytes.(e)
-
 let pp ppf t =
   Format.fprintf ppf "%s#%d: %d tasks, depth %d, width %d, %.3g Gflop" t.name
     t.id (task_count t) (Dag.depth t.dag) (max_width t) (work t /. 1e9)

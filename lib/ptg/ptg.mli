@@ -54,13 +54,6 @@ val critical_path_seq : t -> gflops:float -> float
     single processor of speed [gflops], communications excluded — the γ
     of the [cp] strategies. *)
 
-val bottom_levels_seq : t -> gflops:float -> float array
-(** Bottom levels under 1-processor execution times, communications
-    excluded. *)
-
-val edge_bytes_between : t -> src:int -> dst:int -> float
-(** Bytes on the edge [src -> dst]; 0. when no such edge exists. *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_dot : t -> string

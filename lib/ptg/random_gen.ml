@@ -101,33 +101,3 @@ let generate ?(id = 0) ?name rng p =
       done
     done;
   Builder.build ~id ~name ~tasks ~edges:!edges
-
-let paper_grid class_ =
-  let tasks = [ 10; 20; 50 ] in
-  let widths = [ 0.2; 0.5; 0.8 ] in
-  let regs = [ 0.2; 0.8 ] in
-  let dens = [ 0.2; 0.8 ] in
-  let jumps = [ 1; 2; 4 ] in
-  List.concat_map
-    (fun t ->
-      List.concat_map
-        (fun w ->
-          List.concat_map
-            (fun r ->
-              List.concat_map
-                (fun d ->
-                  List.map
-                    (fun j ->
-                      {
-                        tasks = t;
-                        width = w;
-                        regularity = r;
-                        density = d;
-                        jump = j;
-                        class_;
-                      })
-                    jumps)
-                dens)
-            regs)
-        widths)
-    tasks

@@ -31,8 +31,3 @@ val validate : params -> unit
 
 val generate : ?id:int -> ?name:string -> Mcs_prng.Prng.t -> params -> Ptg.t
 (** Draw a PTG. Deterministic in the generator state. *)
-
-val paper_grid : Mcs_taskmodel.Task.complexity_class -> params list
-(** The paper's synthetic-workload grid: tasks ∈ {10, 20, 50}, width ∈
-    {0.2, 0.5, 0.8}, regularity and density ∈ {0.2, 0.8}, jump ∈
-    {1, 2, 4} — 108 combinations for a given cost scenario. *)

@@ -24,15 +24,6 @@ let make ~ptg ~placements =
 
 let placement t v = t.placements.(v)
 
-let busy_time t =
-  let acc = ref 0. in
-  Array.iter
-    (fun pl ->
-      acc :=
-        !acc +. ((pl.finish -. pl.start) *. float_of_int (Array.length pl.procs)))
-    t.placements;
-  !acc
-
 let cluster_busy_time ~platform schedules =
   let busy = Array.make (P.cluster_count platform) 0. in
   List.iter
@@ -75,7 +66,8 @@ let used_power_avg t ~platform =
     !acc /. t.makespan
   end
 
-let gantt ~platform ?(width = 78) schedules =
+let gantt ~platform schedules =
+  let width = 78 in
   let horizon =
     List.fold_left (fun acc s -> Float.max acc s.makespan) 0. schedules
   in

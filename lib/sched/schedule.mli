@@ -27,10 +27,6 @@ val make : ptg:Mcs_ptg.Ptg.t -> placements:placement array -> t
 val placement : t -> int -> placement
 (** Placement of one DAG node ([placements.(node)]). *)
 
-val busy_time : t -> float
-(** Σ over placements of [(finish − start) × |procs|] — processor time
-    consumed by the application. *)
-
 val cluster_busy_time :
   platform:Mcs_platform.Platform.t -> t list -> float array
 (** Processor-seconds consumed per cluster over a set of concurrent
@@ -47,7 +43,7 @@ val used_power_avg : t -> platform:Mcs_platform.Platform.t -> float
     Σ (duration × Σ proc speeds) / makespan. Compared against
     [β × total power] in the constraint-audit experiment. *)
 
-val gantt :
-  platform:Mcs_platform.Platform.t -> ?width:int -> t list -> string
-(** Text Gantt chart of the concurrent schedules (one line per cluster,
-    applications lettered), for the examples and CLI. *)
+val gantt : platform:Mcs_platform.Platform.t -> t list -> string
+(** Text Gantt chart of the concurrent schedules, 78 columns wide (one
+    line per cluster, applications lettered), for the examples and
+    CLI. *)

@@ -44,9 +44,6 @@ val paper_six : t list
 (** The six strategies of Figure 5 (width-based ones excluded, as all
     Strassen PTGs share one width). *)
 
-val gamma : metric -> ref_speed:float -> Mcs_ptg.Ptg.t -> float
-(** The characteristic γ of one PTG. *)
-
 val betas :
   t -> ref_speed:float -> Mcs_ptg.Ptg.t list -> float array
 (** Resource constraints for a set of concurrent applications, in list

@@ -8,11 +8,6 @@
     pure function of its own submission sub-stream and the merge order
     [(time, shard, per-shard position)] is interleaving-independent. *)
 
-val gauge_update : float Atomic.t -> (float -> float) -> unit
-(** Raceproof read-modify-write of a float gauge: compare_and_set retry
-    loop on the boxed read (floats have no [fetch_and_add]). [f] may
-    run more than once and must be pure. *)
-
 val gauge_add : float Atomic.t -> float -> unit
 val gauge_sub_floor : float Atomic.t -> float -> unit
 (** [gauge_sub_floor g d] subtracts [d], clamping at [0.] — the shape

@@ -4,7 +4,6 @@ type rate = { mutable bytes_per_s : float }
 
 type 'a flow = {
   route : int array;
-  cap : float;
   data : 'a;
   rate : rate;
   mutable index : int;  (* position in [active]; -1 once removed *)
@@ -50,15 +49,14 @@ let link_count t = Array.length t.capacities
 let rate f = f.rate.bytes_per_s
 let data f = f.data
 
-let add_flow t ?(cap = max_rate) route data =
-  if cap <= 0. then invalid_arg "Flow_network.add_flow: non-positive cap";
+let add_flow t route data =
   List.iter
     (fun l ->
       if l < 0 || l >= link_count t then
         invalid_arg (Printf.sprintf "Flow_network.add_flow: link %d" l))
     route;
   let route = Array.of_list (List.sort_uniq Int.compare route) in
-  let f = { route; cap; data; rate = { bytes_per_s = 0. }; index = t.size } in
+  let f = { route; data; rate = { bytes_per_s = 0. }; index = t.size } in
   if t.size = Array.length t.active then begin
     let n = max 8 (2 * t.size) in
     let active = Array.make n f in
@@ -88,11 +86,11 @@ let iter t fn =
     fn t.active.(i)
   done
 
-(* Progressive filling with per-flow caps: repeatedly find the smallest
-   binding constraint — either a link's equal share or a flow's cap —
-   freeze the flows it binds at that rate, and subtract the frozen
-   bandwidth from their links. This yields the max-min fair allocation
-   under rate bounds.
+(* Progressive filling: repeatedly find the smallest binding
+   constraint — a link's equal share, or [max_rate], the bound every
+   flow has — freeze the flows it binds at that rate, and subtract the
+   frozen bandwidth from their links. This yields the max-min fair
+   allocation.
 
    Only the links some active flow crosses are visited. A round decides
    its whole binding set against the shares at its start, then freezes
@@ -128,11 +126,7 @@ let update t =
         link_share := Float.min !link_share s
       end
     done;
-    let cap_bound = ref Float.infinity in
-    for k = 0 to !nu - 1 do
-      cap_bound := Float.min !cap_bound t.active.(t.unfrozen.(k)).cap
-    done;
-    let bound = Float.min !link_share !cap_bound in
+    let bound = !link_share in
     if bound >= max_rate then begin
       (* Nothing binds: the remaining flows are unbounded. *)
       for k = 0 to !nu - 1 do
@@ -147,7 +141,8 @@ let update t =
       for k = 0 to !nu - 1 do
         let i = t.unfrozen.(k) in
         let f = t.active.(i) in
-        let binds = ref (f.cap <= limit) in
+        (* Within tolerance, the [max_rate] bound binds every flow. *)
+        let binds = ref (max_rate <= limit) in
         let j = ref 0 in
         while (not !binds) && !j < Array.length f.route do
           if t.share.(f.route.(!j)) <= limit then binds := true;
@@ -166,11 +161,10 @@ let update t =
       assert (!nf > 0);
       for k = 0 to !nf - 1 do
         let f = t.active.(t.freeze.(k)) in
-        let r = Float.min bound f.cap in
-        f.rate.bytes_per_s <- r;
+        f.rate.bytes_per_s <- bound;
         for j = 0 to Array.length f.route - 1 do
           let l = f.route.(j) in
-          t.remaining.(l) <- Float.max 0. (t.remaining.(l) -. r);
+          t.remaining.(l) <- Float.max 0. (t.remaining.(l) -. bound);
           t.count.(l) <- t.count.(l) - 1
         done
       done;

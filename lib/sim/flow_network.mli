@@ -22,14 +22,11 @@ val link_count : 'a t -> int
 type 'a flow
 (** Handle on a flow, carrying its payload and its current rate. *)
 
-val add_flow : 'a t -> ?cap:float -> int list -> 'a -> 'a flow
-(** [add_flow t ?cap route data] registers a flow traversing the given
-    links (duplicates ignored), optionally bounded by a per-flow rate
-    cap — used to model the aggregate NIC capacity of the endpoints,
-    independent of fabric contention. An empty route with no cap means
-    the flow is only bounded by [max_rate]. Its rate is 0 until the next
-    {!update}.
-    @raise Invalid_argument on an unknown link id or non-positive cap. *)
+val add_flow : 'a t -> int list -> 'a -> 'a flow
+(** [add_flow t route data] registers a flow traversing the given links
+    (duplicates ignored). A flow with an empty route is only bounded by
+    [max_rate]. Its rate is 0 until the next {!update}.
+    @raise Invalid_argument on an unknown link id. *)
 
 val remove_flow : 'a t -> 'a flow -> unit
 (** Unregister; the other flows keep their insertion order. Removing
@@ -55,5 +52,5 @@ val iter : 'a t -> ('a flow -> unit) -> unit
     remove flows. *)
 
 val max_rate : float
-(** Rate cap for flows with an empty route (1e18 — effectively
-    unbounded). *)
+(** The rate bound of every flow (1e18 — effectively unbounded); only a
+    flow with an empty route reaches it. *)

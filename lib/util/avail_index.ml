@@ -79,8 +79,6 @@ let create ~avail ~groups =
   reset t;
   t
 
-let group_count t = Array.length t.views
-
 let sorted t g = t.views.(g)
 
 let avail t id = t.avail.(id)

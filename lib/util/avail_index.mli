@@ -36,8 +36,6 @@ val reset : t -> unit
     new availability profile without being rebuilt. The array must hold
     no NaN. *)
 
-val group_count : t -> int
-
 val sorted : t -> int -> int array
 (** [sorted t g] is group [g]'s ids in increasing [(avail, id)] order.
     The returned array is the index's internal state: treat it as

@@ -30,15 +30,6 @@ let mean a =
   let n = Array.length a in
   if n = 0 then 0. else sum a /. float_of_int n
 
-let stddev a =
-  let n = Array.length a in
-  if n < 2 then 0.
-  else begin
-    let m = mean a in
-    let acc = Array.map (fun x -> (x -. m) *. (x -. m)) a in
-    sqrt (sum acc /. float_of_int (n - 1))
-  end
-
 let median a =
   let n = Array.length a in
   if n = 0 then 0.

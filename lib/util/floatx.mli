@@ -34,10 +34,6 @@ val sum_list : float list -> float
 val mean : float array -> float
 (** Arithmetic mean; 0 on the empty array. *)
 
-val stddev : float array -> float
-(** Sample standard deviation (n-1 denominator); 0 for fewer than two
-    elements. *)
-
 val median : float array -> float
 (** Median (average of the middle pair for even sizes); 0 on empty. *)
 

@@ -12,14 +12,6 @@
     stderr (once — the verdict is cached for the process) instead of
     being silently ignored. *)
 
-val parse_domains : string -> (int, string) result
-(** Validate one [MCS_DOMAINS] value: [Ok n] for an integer [n >= 1],
-    otherwise a human-readable error (non-numeric, zero or negative). *)
-
-val domain_count : unit -> int
-(** The effective parallelism used by {!map}, computed once per process
-    (first call reads and validates [MCS_DOMAINS]). *)
-
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f l] is [List.map f l] computed on several domains. The first
     exception raised by any worker is re-raised — with that worker's

@@ -16,10 +16,6 @@ let add_row t row =
 let fmt_float ?(digits = 4) x =
   if Float.is_nan x then "-" else Printf.sprintf "%.*g" digits x
 
-let add_float_row t ?(fmt = fmt_float ?digits:None) label xs =
-  add_row t (label :: List.map fmt xs);
-  t
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.header :: rows in

@@ -12,10 +12,6 @@ val add_row : t -> string list -> unit
 (** Append a row. @raise Invalid_argument if the row width differs from
     the header width. *)
 
-val add_float_row : t -> ?fmt:(float -> string) -> string -> float list -> t
-(** [add_float_row t label xs] appends [label :: map fmt xs] and returns
-    [t] for chaining. Default format is ["%.4g"]. *)
-
 val render : t -> string
 (** Render with a title line, a separator, and padded columns. *)
 

@@ -47,16 +47,6 @@ val release : t -> proc:int -> start:float -> finish:float -> unit
 val is_free : t -> proc:int -> start:float -> finish:float -> bool
 (** Whether [proc] is idle during the whole interval. *)
 
-val free_at : t -> proc:int -> at:float -> duration:float -> bool
-(** [is_free] convenience on [at, at + duration). *)
-
-val next_candidates : ?procs_subset:int array -> t -> after:float -> float list
-(** The release points of the availability profile at or after [after]:
-    [after] itself plus every reservation end beyond it (on the
-    processors of [procs_subset] when given, all of them otherwise),
-    sorted and deduplicated. The earliest feasible start of any new
-    reservation on those processors is one of these. *)
-
 val find_slot :
   ?procs_subset:int array -> t -> count:int -> duration:float ->
   after:float -> (float * int array) option

@@ -220,10 +220,6 @@ let test_registry () =
   List.iter
     (fun r ->
       Alcotest.(check (option string))
-        (Rule.code r ^ " roundtrips by code")
-        (Some (Rule.code r))
-        (Option.map Rule.code (Rule.of_code (Rule.code r)));
-      Alcotest.(check (option string))
         (Rule.id r ^ " roundtrips by id")
         (Some (Rule.id r))
         (Option.map Rule.id (Rule.of_id (Rule.id r))))

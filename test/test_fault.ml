@@ -19,6 +19,18 @@ module Task = Mcs_taskmodel.Task
 module Ptg = Mcs_ptg.Ptg
 module Timeline = Mcs_util.Timeline
 
+(* Distinct rule ids present, in registry order. *)
+let rule_ids diags =
+  List.filter_map
+    (fun r ->
+      if List.exists (fun d -> d.Mcs_check.Diagnostic.rule = r) diags then
+        Some (Mcs_check.Rule.id r)
+      else None)
+    Mcs_check.Rule.all
+
+(* A scenario with no outage and no transient failure. *)
+let no_faults = { Fault.seed = 0; config = Fault.default; outages = [] }
+
 (* --- event queue: canonical order at equal timestamps --- *)
 
 let test_event_queue_order () =
@@ -109,8 +121,8 @@ let test_generator_determinism () =
     (a.Fault.outages <> []);
   Alcotest.(check bool) "empty only without outages and failures" false
     (Fault.is_empty a);
-  Alcotest.(check bool) "no_faults is empty" true
-    (Fault.is_empty Fault.no_faults)
+  Alcotest.(check bool) "the default config generates an empty scenario" true
+    (Fault.is_empty (Fault.generate ~seed:42 platform Fault.default))
 
 let check_outage_shape platform config s =
   let total = Platform.total_procs platform in
@@ -203,7 +215,7 @@ let test_roll_failure () =
     (!hits > 400 && !hits < 600);
   for attempt = 0 to 9 do
     Alcotest.(check bool) "p = 0 never fails" false
-      (Fault.roll_failure Fault.no_faults ~app:0 ~node:1 ~attempt)
+      (Fault.roll_failure no_faults ~app:0 ~node:1 ~attempt)
   done
 
 (* --- engine under faults --- *)
@@ -238,7 +250,7 @@ let test_zero_fault_equivalence () =
   let platform = Grid5000.lille () in
   let apps = apps_of 5 21 ~mean:25. in
   let logs0, r0 = run_logged platform apps in
-  let logs1, r1 = run_logged ~faults:Fault.no_faults platform apps in
+  let logs1, r1 = run_logged ~faults:no_faults platform apps in
   Alcotest.(check (list string)) "identical event logs" logs0 logs1;
   Alcotest.(check bool) "identical betas" true (r0.Engine.betas = r1.Engine.betas);
   Alcotest.(check bool) "identical responses" true
@@ -331,7 +343,7 @@ let test_real_exit_records () =
   let sink = Ptg.exit ptg in
   Alcotest.(check bool) "sink reused as exit" false (Ptg.is_virtual ptg sink);
   let r =
-    Engine.run ~faults:Fault.no_faults ~policy:(Policy.make Strategy.Equal_share)
+    Engine.run ~faults:no_faults ~policy:(Policy.make Strategy.Equal_share)
       platform
       [ (ptg, 0.) ]
   in
@@ -372,7 +384,7 @@ let test_fault_rules () =
       outcome }
   in
   let ids ?(max_retries = 3) ?(down = no_down) execs =
-    Diagnostic.rule_ids
+    rule_ids
       (Fault_check.check ~max_retries ~down platform ~ptgs:[| ptg |] execs)
   in
   Alcotest.(check (list string)) "clean single completion" []
@@ -414,6 +426,15 @@ let test_fault_rules () =
     (ids [ exec ~finish:(full /. 2.) Fault_check.Completed ])
 
 (* --- Timeline release rollback ≡ fresh build --- *)
+
+(* Fisher-Yates over [Prng.int]. *)
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Prng.int rng (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done
 
 let test_timeline_release_replace () =
   let rng = Prng.create ~seed:9 in
@@ -458,7 +479,7 @@ let test_timeline_release_replace () =
     (* Replacing the released intervals (in a different order) restores
        the original timeline exactly. *)
     let back = Array.of_list drop in
-    Prng.shuffle rng back;
+    shuffle rng back;
     Array.iter
       (fun (proc, start, finish) -> Timeline.reserve tl ~proc ~start ~finish)
       back;

@@ -611,6 +611,15 @@ let alloc_requests platform =
         refs)
     masks
 
+(* Fisher-Yates over [Prng.int]. *)
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Prng.int rng (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done
+
 (* Scratch [allocate] under both procedures over every request, and one
    [allocate_cached] stream per PTG and procedure that serves the same
    requests shuffled, then once more in order. Only results are
@@ -649,9 +658,7 @@ let test_allocator () =
           let cache = Allocation.cache_create () in
           let arena = Mcs_sched.Alloc_arena.create () in
           let shuffled = Array.of_list requests in
-          Prng.shuffle
-            (Prng.create ~seed:(Mcs_ptg.Ptg.node_count ptg))
-            shuffled;
+          shuffle (Prng.create ~seed:(Mcs_ptg.Ptg.node_count ptg)) shuffled;
           List.iter
             (fun (up_counts, r, beta) ->
               render_alloc cached
@@ -792,7 +799,10 @@ let experiment_cases =
         table_digest
           (fun b (p : E.Exp_online.point) ->
             add_tag b (Strategy.name p.strategy);
-            add_tag b (E.Exp_online.mode_name p.mode);
+            add_tag b
+              (match p.mode with
+              | E.Exp_online.Offline -> "offline"
+              | Online -> "online");
             add_int b p.count;
             add_float b p.unfairness;
             add_float b p.relative_makespan)

@@ -50,7 +50,8 @@ let test_fail_fast_skips_remaining () =
     (started < 64)
 
 let test_domain_count_positive () =
-  Alcotest.(check bool) "at least one" true (Parmap.domain_count () >= 1)
+  Alcotest.(check (list int)) "at least one" [ 2; 3 ]
+    (Parmap.map ~domains:0 succ [ 1; 2 ])
 
 let qcheck_parmap_equals_map =
   QCheck.Test.make ~name:"Parmap.map agrees with List.map" ~count:50

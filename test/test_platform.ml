@@ -39,7 +39,8 @@ let test_total_power () =
 let test_speeds () =
   let rennes = Grid5000.rennes () in
   check_float "min" 3.364 (Platform.min_speed rennes);
-  check_float "max" 4.603 (Platform.max_speed rennes)
+  check_float "max over min" ((4.603 /. 3.364) -. 1.)
+    (Platform.heterogeneity rennes)
 
 let test_proc_numbering () =
   let lille = Grid5000.lille () in

@@ -3,23 +3,23 @@ open Mcs_prng
 let test_determinism () =
   let a = Prng.create ~seed:123 and b = Prng.create ~seed:123 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Prng.bits64 a) (Prng.bits64 b)
+    Alcotest.(check (float 0.)) "same stream" (Prng.float a 1.) (Prng.float b 1.)
   done
 
 let test_seed_sensitivity () =
   let a = Prng.create ~seed:1 and b = Prng.create ~seed:2 in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Prng.bits64 a = Prng.bits64 b then incr same
+    if Prng.float a 1. = Prng.float b 1. then incr same
   done;
   Alcotest.(check bool) "streams differ" true (!same < 4)
 
 let test_copy () =
   let a = Prng.create ~seed:9 in
-  ignore (Prng.bits64 a);
+  ignore (Prng.float a 1.);
   let b = Prng.copy a in
   for _ = 1 to 50 do
-    Alcotest.(check int64) "copy tracks" (Prng.bits64 a) (Prng.bits64 b)
+    Alcotest.(check (float 0.)) "copy tracks" (Prng.float a 1.) (Prng.float b 1.)
   done
 
 let test_split_independence () =
@@ -28,7 +28,7 @@ let test_split_independence () =
   (* The child must not replay the parent's stream. *)
   let collisions = ref 0 in
   for _ = 1 to 64 do
-    if Prng.bits64 parent = Prng.bits64 child then incr collisions
+    if Prng.float parent 1. = Prng.float child 1. then incr collisions
   done;
   Alcotest.(check bool) "no lockstep" true (!collisions < 4)
 
@@ -101,30 +101,13 @@ let test_exponential () =
   let mean = !acc /. float_of_int n in
   Alcotest.(check bool) "mean near 4" true (abs_float (mean -. 4.) < 0.15)
 
-let test_choose_shuffle () =
+let test_choose () =
   let rng = Prng.create ~seed:18 in
   let arr = [| 1; 2; 3; 4; 5 |] in
   for _ = 1 to 100 do
     Alcotest.(check bool) "chosen from array" true
       (Array.mem (Prng.choose rng arr) arr)
-  done;
-  let a = Array.init 20 Fun.id in
-  Prng.shuffle rng a;
-  Alcotest.(check (list int)) "permutation" (List.init 20 Fun.id)
-    (List.sort compare (Array.to_list a))
-
-let test_pick_distinct () =
-  let rng = Prng.create ~seed:19 in
-  for _ = 1 to 200 do
-    let picks = Prng.pick_distinct rng 10 ~count:4 in
-    Alcotest.(check int) "count" 4 (List.length picks);
-    Alcotest.(check bool) "distinct & sorted & in range" true
-      (List.sort_uniq compare picks = picks
-      && List.for_all (fun x -> x >= 0 && x < 10) picks)
-  done;
-  Alcotest.(check (list int)) "all of them" [ 0; 1; 2 ]
-    (Prng.pick_distinct rng 3 ~count:3);
-  Alcotest.(check (list int)) "none" [] (Prng.pick_distinct rng 3 ~count:0)
+  done
 
 let qcheck_int_uniformish =
   QCheck.Test.make ~name:"Prng.int frequencies are roughly uniform" ~count:5
@@ -158,8 +141,7 @@ let suite =
         Alcotest.test_case "uniform mean" `Quick test_uniform_mean;
         Alcotest.test_case "bernoulli" `Quick test_bernoulli;
         Alcotest.test_case "exponential" `Quick test_exponential;
-        Alcotest.test_case "choose/shuffle" `Quick test_choose_shuffle;
-        Alcotest.test_case "pick_distinct" `Quick test_pick_distinct;
+        Alcotest.test_case "choose" `Quick test_choose;
         QCheck_alcotest.to_alcotest qcheck_int_uniformish;
       ] );
   ]

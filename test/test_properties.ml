@@ -16,7 +16,11 @@ let random_ptg ?(tasks = 20) seed =
    path every task needs at least its non-parallelizable fraction on the
    fastest processor. *)
 let makespan_lower_bound platform ptg =
-  let speed = P.max_speed platform in
+  let speed =
+    Array.fold_left
+      (fun acc c -> Float.max acc c.P.gflops)
+      0. (P.clusters platform)
+  in
   let bl =
     Mcs_dag.Dag.bottom_levels ptg.Ptg.dag
       ~node_weight:(fun v ->
@@ -123,9 +127,14 @@ let qcheck_strategy_ps_ratios =
     (fun (seed, metric) ->
       let ptgs = List.init 4 (fun i -> random_ptg ((seed * 4) + i)) in
       let betas = Strategy.betas (Strategy.Proportional metric) ~ref_speed:3. ptgs in
-      let gammas =
-        Array.of_list (List.map (Strategy.gamma metric ~ref_speed:3.) ptgs)
+      (* The paper's characteristics, at the reference speed. *)
+      let gamma ptg =
+        match metric with
+        | Strategy.Cp -> Ptg.critical_path_seq ptg ~gflops:3.
+        | Width -> float_of_int (Ptg.max_width ptg)
+        | Work -> Ptg.work ptg
       in
+      let gammas = Array.of_list (List.map gamma ptgs) in
       let ok = ref true in
       for i = 0 to 3 do
         for j = 0 to 3 do

@@ -6,6 +6,10 @@ module Prng = Mcs_prng.Prng
 let real_task seconds =
   Task.make ~data:(seconds *. 1e9) ~complexity:(Stencil 1.) ~alpha:0.5
 
+(* Bytes on the edge [src -> dst]. *)
+let edge_bytes ptg ~src ~dst =
+  ptg.Ptg.edge_bytes.(Option.get (Dag.edge_id ptg.Ptg.dag ~src ~dst))
+
 let test_builder_single_chain () =
   (* Already single entry/exit: no virtual node added. *)
   let tasks = [| real_task 1.; real_task 2. |] in
@@ -14,8 +18,7 @@ let test_builder_single_chain () =
   Alcotest.(check int) "tasks" 2 (Ptg.task_count ptg);
   Alcotest.(check int) "entry" 0 (Ptg.entry ptg);
   Alcotest.(check int) "exit" 1 (Ptg.exit ptg);
-  Alcotest.(check (float 0.)) "edge bytes" 42.
-    (Ptg.edge_bytes_between ptg ~src:0 ~dst:1)
+  Alcotest.(check (float 0.)) "edge bytes" 42. (edge_bytes ptg ~src:0 ~dst:1)
 
 let test_builder_adds_virtuals () =
   (* Two parallel tasks: needs both a virtual entry and a virtual exit. *)
@@ -33,7 +36,7 @@ let test_builder_merges_duplicates () =
     Builder.build ~id:2 ~name:"dup" ~tasks ~edges:[ (0, 1, 10.); (0, 1, 30.) ]
   in
   Alcotest.(check (float 0.)) "max volume kept" 30.
-    (Ptg.edge_bytes_between ptg ~src:0 ~dst:1)
+    (edge_bytes ptg ~src:0 ~dst:1)
 
 let test_builder_rejects_empty () =
   Alcotest.(check bool) "no tasks" true
@@ -196,10 +199,6 @@ let test_random_validate_params () =
   Alcotest.(check bool) "NaN density" true
     (raises { Random_gen.default with density = Float.nan })
 
-let test_paper_grid_size () =
-  Alcotest.(check int) "108 combinations" 108
-    (List.length (Random_gen.paper_grid Task.Class_mixed))
-
 (* ---------- Strassen ---------- *)
 
 let test_strassen_shape () =
@@ -252,7 +251,7 @@ let test_fft_task_counts () =
       Alcotest.(check int)
         (Printf.sprintf "generated %d-point count" points)
         (Fft.task_count ~points) (Ptg.task_count ptg))
-    Fft.paper_sizes
+    [ 4; 8; 16 ]
 
 let test_fft_structure () =
   let rng = Prng.create ~seed:5 in
@@ -317,7 +316,7 @@ let qcheck_fft_acyclic_connected =
       let exit = Ptg.exit ptg in
       let ok = ref true in
       for v = 0 to Dag.node_count dag - 1 do
-        if not (Dag.has_path dag ~src:v ~dst:exit) then ok := false
+        if not (Dag.reachable_from dag v).(exit) then ok := false
       done;
       !ok)
 
@@ -356,7 +355,6 @@ let suite =
         Alcotest.test_case "jump edges" `Quick test_jump_edges_skip_levels;
         Alcotest.test_case "parameter validation" `Quick
           test_random_validate_params;
-        Alcotest.test_case "paper grid" `Quick test_paper_grid_size;
       ] );
     ( "ptg.strassen",
       [

@@ -1486,9 +1486,18 @@ let test_mapper_allocation_budget () =
 
 (* ---------- Schedule validation itself ---------- *)
 
+(* Distinct rule ids present, in registry order. *)
+let rule_ids diags =
+  List.filter_map
+    (fun r ->
+      if List.exists (fun d -> d.Mcs_check.Diagnostic.rule = r) diags then
+        Some (Mcs_check.Rule.id r)
+      else None)
+    Mcs_check.Rule.all
+
 let check_rules what expected platform schedules =
   Alcotest.(check (list string)) what expected
-    Mcs_check.(Diagnostic.rule_ids (Check.analyze platform schedules))
+    (rule_ids (Mcs_check.Check.analyze platform schedules))
 
 let test_validate_catches_overlap () =
   let platform = toy_platform ~procs:2 () in
@@ -1558,7 +1567,6 @@ let test_busy_time_and_power () =
     |]
   in
   let sched = Schedule.make ~ptg ~placements in
-  check_float "busy" 6. (Schedule.busy_time sched);
   (* 3 s on 2 procs of 2 GFlop/s over a 3 s makespan -> 4 GFlop/s. *)
   check_float "avg power" 4. (Schedule.used_power_avg sched ~platform)
 

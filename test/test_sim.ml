@@ -77,34 +77,6 @@ let test_flow_network_validation () =
        false
      with Invalid_argument _ -> true)
 
-let test_per_flow_cap () =
-  let net = Flow_network.create ~capacities:[| 100. |] in
-  let capped = Flow_network.add_flow net ~cap:10. [ 0 ] () in
-  let free = Flow_network.add_flow net [ 0 ] () in
-  Flow_network.update net;
-  check_float "capped at 10" 10. (Flow_network.rate capped);
-  check_float "the rest goes to the other" 90. (Flow_network.rate free)
-
-let test_cap_only_flow () =
-  let net = Flow_network.create ~capacities:[| 100. |] in
-  let f = Flow_network.add_flow net ~cap:7. [] () in
-  Flow_network.update net;
-  check_float "cap binds with empty route" 7. (Flow_network.rate f);
-  Alcotest.(check bool) "non-positive cap rejected" true
-    (try
-       ignore (Flow_network.add_flow net ~cap:0. [ 0 ] ());
-       false
-     with Invalid_argument _ -> true)
-
-let test_caps_below_fair_share () =
-  (* Three flows capped at 20 on a 100-capacity link: no contention. *)
-  let net = Flow_network.create ~capacities:[| 100. |] in
-  let fs =
-    List.init 3 (fun _ -> Flow_network.add_flow net ~cap:20. [ 0 ] ())
-  in
-  Flow_network.update net;
-  List.iter (fun f -> check_float "at cap" 20. (Flow_network.rate f)) fs
-
 let qcheck_work_conservation =
   QCheck.Test.make
     ~name:"max-min: at least one link saturated when flows exist" ~count:50
@@ -137,7 +109,7 @@ let qcheck_work_conservation =
 (* The list-based progressive filling [Flow_network.update] replaced,
    kept as the reference: it recounts every link each round and scans
    all of them. [flows] is newest first, the order the network kept. *)
-type ref_flow = { id : int; route : int array; cap : float }
+type ref_flow = { id : int; route : int array }
 
 let reference_rates capacities flows =
   let max_rate = Flow_network.max_rate in
@@ -158,12 +130,7 @@ let reference_rates capacities flows =
         link_share :=
           Float.min !link_share (remaining.(l) /. float_of_int count.(l))
     done;
-    (* Smallest cap among unfrozen flows. *)
-    let cap_bound =
-      List.fold_left (fun acc f -> Float.min acc f.cap) Float.infinity
-        !unfrozen
-    in
-    let bound = Float.min !link_share cap_bound in
+    let bound = Float.min !link_share max_rate in
     if bound >= max_rate then begin
       (* Nothing binds: the remaining flows are unbounded. *)
       List.iter (fun f -> Hashtbl.replace result f.id max_rate) !unfrozen;
@@ -172,7 +139,7 @@ let reference_rates capacities flows =
     else begin
       let tol = 1e-12 *. Float.max 1. bound in
       let binds f =
-        f.cap <= bound +. tol
+        max_rate <= bound +. tol
         || Array.exists
              (fun l ->
                count.(l) > 0
@@ -184,10 +151,9 @@ let reference_rates capacities flows =
       assert (freeze <> []);
       List.iter
         (fun f ->
-          let r = Float.min bound f.cap in
-          Hashtbl.replace result f.id r;
+          Hashtbl.replace result f.id bound;
           Array.iter
-            (fun l -> remaining.(l) <- Float.max 0. (remaining.(l) -. r))
+            (fun l -> remaining.(l) <- Float.max 0. (remaining.(l) -. bound))
             f.route)
         freeze;
       unfrozen := keep
@@ -195,8 +161,8 @@ let reference_rates capacities flows =
   done;
   List.map (fun f -> (f, Hashtbl.find result f.id)) flows
 
-(* Tie-prone random networks: capacities and caps from a few values,
-   some a few 1e-13 apart so that shares land inside the freeze
+(* Tie-prone random networks: capacities from a few values, some a few
+   1e-13 apart so that shares land inside the freeze
    tolerance without being equal, duplicate links in routes, empty
    routes, and adds interleaved with removes. After every step each
    active flow's rate must equal the reference bit for bit. *)
@@ -222,20 +188,9 @@ let qcheck_update_matches_reference =
          end
          else
            let route = List.init (Prng.int rng 5) (fun _ -> Prng.int rng nl) in
-           let cap =
-             if Prng.bernoulli rng ~p:0.3 then
-               Some
-                 (Prng.choose rng
-                    [| 5.; 7.5; 10.; 12.5; 30. *. (1. +. 5e-13); 40. |])
-             else None
-           in
-           let handle = Flow_network.add_flow net ?cap route () in
+           let handle = Flow_network.add_flow net route () in
            let reference =
-             {
-               id = step;
-               route = Array.of_list (List.sort_uniq compare route);
-               cap = Option.value cap ~default:Flow_network.max_rate;
-             }
+             { id = step; route = Array.of_list (List.sort_uniq compare route) }
            in
            active := (handle, reference) :: !active);
         Flow_network.update net;
@@ -261,9 +216,8 @@ let test_iter_newest_first () =
 
 let test_update_allocates_nothing () =
   let net = Flow_network.create ~capacities:[| 30.; 50.; 80.; 1e3 |] in
-  List.iteri
-    (fun i route ->
-      ignore (Flow_network.add_flow net ~cap:(float_of_int (10 + i)) route ()))
+  List.iter
+    (fun route -> ignore (Flow_network.add_flow net route ()))
     [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 0; 3 ]; [ 1 ]; []; [ 3 ] ];
   Flow_network.update net;
   let before = Gc.minor_words () in
@@ -610,10 +564,6 @@ let suite =
           test_bottleneck_propagation;
         Alcotest.test_case "empty route" `Quick test_empty_route_unbounded;
         Alcotest.test_case "validation" `Quick test_flow_network_validation;
-        Alcotest.test_case "per-flow cap" `Quick test_per_flow_cap;
-        Alcotest.test_case "cap-only flow" `Quick test_cap_only_flow;
-        Alcotest.test_case "caps below fair share" `Quick
-          test_caps_below_fair_share;
         QCheck_alcotest.to_alcotest qcheck_work_conservation;
         QCheck_alcotest.to_alcotest qcheck_update_matches_reference;
         Alcotest.test_case "iter newest first" `Quick test_iter_newest_first;

@@ -167,7 +167,11 @@ let qcheck_find_slot_is_free_and_earliest =
                 (List.init nb_procs Fun.id)
             in
             List.length free < count)
-          (Timeline.next_candidates t ~after:0.))
+          (* The release points: 0 and every reservation end. *)
+          (0.
+          :: List.concat_map
+               (fun p -> List.map snd (Timeline.busy_intervals t ~proc:p))
+               (List.init nb_procs Fun.id)))
 
 let suite =
   [
