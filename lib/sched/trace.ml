@@ -52,7 +52,7 @@ let to_csv ?release schedules =
     schedules;
   Buffer.contents buf
 
-let add_task buf ?preds ptg pl =
+let add_task buf ~preds ptg pl =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"node\":%d,\"virtual\":%b,\"cluster\":%d,\"procs\":[%s],\
@@ -63,24 +63,19 @@ let add_task buf ?preds ptg pl =
        (String.concat ","
           (Array.to_list (Array.map string_of_int pl.Schedule.procs)))
        pl.Schedule.start pl.Schedule.finish);
-  (match preds with
-  | None -> ()
-  | Some preds ->
-    Buffer.add_string buf ",\"preds\":[";
-    Array.iteri
-      (fun j (u, bytes) ->
-        if j > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "{\"node\":%d,\"bytes\":%.17g}" u bytes))
-      preds;
-    Buffer.add_char buf ']');
-  Buffer.add_char buf '}'
+  Buffer.add_string buf ",\"preds\":[";
+  Array.iteri
+    (fun j (u, bytes) ->
+      if j > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf
+        (Printf.sprintf "{\"node\":%d,\"bytes\":%.17g}" u bytes))
+    preds;
+  Buffer.add_string buf "]}"
 
-let to_json ?release ?betas ?alloc ?pinned schedules =
+let to_json ?release ?betas ?alloc schedules =
   let release = checked_release release schedules in
   let betas = checked_meta "betas" betas schedules in
   let alloc = checked_meta "alloc" alloc schedules in
-  let pinned = checked_meta "pinned" pinned schedules in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"applications\":[";
   List.iteri
@@ -117,18 +112,7 @@ let to_json ?release ?betas ?alloc ?pinned schedules =
           in
           add_task buf ~preds ptg pl)
         sched.Schedule.placements;
-      Buffer.add_char buf ']';
-      (match pinned with
-      | Some p ->
-        Buffer.add_string buf ",\"pinned\":[";
-        Array.iteri
-          (fun j pl ->
-            if j > 0 then Buffer.add_char buf ',';
-            add_task buf ptg pl)
-          p.(i);
-        Buffer.add_char buf ']'
-      | None -> ());
-      Buffer.add_char buf '}')
+      Buffer.add_string buf "]}")
     schedules;
   Buffer.add_string buf "]}";
   Buffer.contents buf

@@ -28,7 +28,6 @@ val to_json :
   ?release:float array ->
   ?betas:float array ->
   ?alloc:int array array ->
-  ?pinned:Schedule.placement array array ->
   Schedule.t list ->
   string
 (** One JSON object with an [applications] array. Numbers are printed
@@ -44,10 +43,7 @@ val to_json :
     - [betas] — the resource constraint β each application was
       allocated under (a [beta] field);
     - [alloc] — the reference allocation, processors per DAG node (an
-      [alloc] array);
-    - [pinned] — placements frozen by the online engine at its last
-      reschedule (a [pinned] array of task objects); [mcs_check]
-      verifies pinned tasks did not move.
+      [alloc] array).
     @raise Invalid_argument on a metadata array of the wrong length. *)
 
 (** {2 Parsed traces} *)

@@ -31,8 +31,10 @@ let default_config =
     router = Router.Least_work;
     admission = Admission.default;
     policy =
-      Policy.make ~reschedule_on_departure:false
-        (Mcs_sched.Strategy.Weighted (Mcs_sched.Strategy.Work, 0.7));
+      Policy.of_name "static"
+        ~base:
+          (Policy.make
+             (Mcs_sched.Strategy.Weighted (Mcs_sched.Strategy.Work, 0.7)));
     checkpoint_every = 0;
     kill = None;
     capture_logs = false;

@@ -59,10 +59,10 @@ type config = {
 
 val default_config : config
 (** 4 shards, [Domains], [Least_work] routing, {!Admission.default},
-    arrival-only rescheduling ({!Mcs_online.Policy.make} with
-    [reschedule_on_departure] off — the serving default; dynamic
-    policies are opt-in), no checkpoints, no kill, no logs, no checker,
-    no faults. *)
+    arrival-only rescheduling (the registry policy ["static"] over
+    {!Mcs_online.Policy.make}, as [mcs_serve_cli]'s default
+    [--policy static]: its work counts under [policy.static.*]), no
+    checkpoints, no kill, no logs, no checker, no faults. *)
 
 type outcome =
   | Admitted of int  (** accepted, routed to the returned shard *)

@@ -13,8 +13,7 @@ let add_row t row =
          (List.length row) (List.length t.header));
   t.rows <- row :: t.rows
 
-let fmt_float ?(digits = 4) x =
-  if Float.is_nan x then "-" else Printf.sprintf "%.*g" digits x
+let fmt_float x = if Float.is_nan x then "-" else Printf.sprintf "%.4g" x
 
 let render t =
   let rows = List.rev t.rows in

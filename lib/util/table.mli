@@ -18,6 +18,6 @@ val render : t -> string
 val print : t -> unit
 (** [render] to stdout followed by a blank line. *)
 
-val fmt_float : ?digits:int -> float -> string
-(** Fixed-precision float formatting helper (default 4 significant
-    digits, ["-"] for NaN). *)
+val fmt_float : float -> string
+(** Fixed-precision float formatting helper (4 significant digits,
+    ["-"] for NaN). *)

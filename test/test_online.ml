@@ -249,16 +249,24 @@ let run_plain ?faults ~policy platform apps =
   Engine.advance s;
   (List.rev !logs, Engine.result s)
 
-(* Interrupted run: advance to [split], snapshot, abandon the original
-   session and finish on a restore of the snapshot. The log sink is
-   handed to the restored session, so the combined stream must equal
-   the uninterrupted one bit for bit. *)
-let run_split ?faults ~policy ~split platform apps =
+(* Interrupted run: advance to [split], snapshot, and finish on a restore
+   of the snapshot. The log sink is handed to the restored session, so
+   the combined stream must equal the uninterrupted one bit for bit.
+   The original session is abandoned, or with [source_first] run on to
+   quiescence first with its log discarded: a snapshot that shares any
+   state with its source then diverges. *)
+let run_split ?faults ?(source_first = false) ~policy ~split platform apps =
   let logs = ref [] in
   let log e = logs := Log.to_json e :: !logs in
   let s = Engine.create ~log ?faults ~policy platform apps in
   Engine.advance ~upto:split s;
-  let s' = Engine.restore ~log (Engine.snapshot s) in
+  let snap = Engine.snapshot s in
+  if source_first then begin
+    let kept = !logs in
+    Engine.advance s;
+    logs := kept
+  end;
+  let s' = Engine.restore ~log snap in
   Engine.advance s';
   (List.rev !logs, Engine.result s')
 
@@ -299,10 +307,15 @@ let test_snapshot_restore_identical_faults () =
     || (snd plain).Engine.stats.Engine.task_failures > 0);
   List.iter
     (fun split ->
-      Alcotest.(check bool)
-        (Printf.sprintf "faulted split at %g is bit-identical" split)
-        true
-        (same_outcome plain (run_split ~faults ~policy ~split platform apps)))
+      List.iter
+        (fun source_first ->
+          Alcotest.(check bool)
+            (Printf.sprintf "faulted split at %g is bit-identical%s" split
+               (if source_first then ", source run first" else ""))
+            true
+            (same_outcome plain
+               (run_split ~faults ~source_first ~policy ~split platform apps)))
+        [ false; true ])
     [ 30.; 120. ]
 
 let strategies =
@@ -342,7 +355,11 @@ let qcheck_snapshot_restore =
       in
       let plain = run_plain ?faults ~policy platform apps in
       let split = float_of_int percent /. 100. *. makespan (snd plain) in
-      same_outcome plain (run_split ?faults ~policy ~split platform apps))
+      List.for_all
+        (fun source_first ->
+          same_outcome plain
+            (run_split ?faults ~source_first ~policy ~split platform apps))
+        [ false; true ])
 
 let test_policy_swap_deterministic () =
   let platform = Grid5000.rennes () in
