@@ -186,10 +186,10 @@ let bottom_levels t ~node_weight ~edge_weight =
    increment loop, the mapper's priorities). No closure is called and
    no float is boxed: the refresh helpers fold a node's level into a
    local, store it and return whether it moved. Their operands are
-   those {!bottom_levels} and {!top_levels} evaluate with
-   [~edge_weight:(fun _ -> 0.)], [0. +. bl.(w)] and
-   [tl.(u) +. w.(u) +. 0.], folded in the same order, so the results
-   are bit-identical. *)
+   those the closure passes evaluate with [~edge_weight:(fun _ -> 0.)],
+   [0. +. bl.(w)] and [tl.(u) +. w.(u) +. 0.], folded in the same
+   order, so the results are bit-identical (the tests keep the top
+   pass's closure form as the reference). *)
 
 let refresh_bottom t w bl v =
   let s = t.succ.(v) in

@@ -69,10 +69,10 @@ val bottom_levels :
     entries (only the first [node_count] are touched). The SCRAP
     increment loop and the mapper's priorities recompute levels
     thousands of times per call, so these passes call no closure and
-    box no float. Each is bit-identical to {!bottom_levels} or
-    {!top_levels} with [~node_weight:(fun v -> w.(v))] and
-    [~edge_weight:(fun _ -> 0.)]: the same max-folds over the same
-    operands, in the same order. *)
+    box no float. The bottom pass is bit-identical to {!bottom_levels}
+    with [~node_weight:(fun v -> w.(v))] and [~edge_weight:(fun _ -> 0.)],
+    and the top pass to the same closure formulation over predecessors:
+    the same max-folds over the same operands, in the same order. *)
 
 val fill_bottom_levels : t -> float array -> float array -> unit
 (** [fill_bottom_levels t w bl] writes every bottom level into [bl].
