@@ -24,8 +24,7 @@ type t = {
   malleability : Mcs_sched.Malleability.t option;
 }
 
-let make ?(faults = default_faults)
-    ?(reschedule_on_departure = true) ?(reschedule_on_task_finish = false)
+let make ?(faults = default_faults) ?(reschedule_on_task_finish = false)
     ?malleability strategy =
   if faults.max_retries < 0 then
     invalid_arg "Policy.make: negative max_retries";
@@ -38,21 +37,13 @@ let make ?(faults = default_faults)
       && Float.is_finite
            (Float.ldexp faults.backoff_base (faults.max_retries - 1)))
   then invalid_arg "Policy.make: ill-formed backoff_base";
-  (* Validate the trigger combination here, once: task-finish triggers
-     subsume departures (a departure is the finish of the exit task),
-     so reacting to every finish while ignoring the completions that
-     free whole β shares is incoherent — reject it rather than let the
-     engine run a policy nobody can have meant. *)
-  if reschedule_on_task_finish && not reschedule_on_departure then
-    invalid_arg "Policy.make: reschedule_on_task_finish without \
-                 reschedule_on_departure";
   (match malleability with
   | Some m -> Mcs_sched.Malleability.validate m
   | None -> ());
   {
     name = "default";
     strategy;
-    reschedule_on_departure;
+    reschedule_on_departure = true;
     reschedule_on_task_finish;
     faults;
     malleability;

@@ -10,9 +10,10 @@
 
     - [reschedule_on_departure] — when an application completes, its β
       share is redistributed among the survivors and their unstarted
-      tasks are remapped onto the freed processors (backfilling). On by
-      default; turning it off makes the t=0-arrivals case coincide
-      exactly with the offline pipeline (see {!Engine.run}).
+      tasks are remapped onto the freed processors (backfilling). On in
+      {!make}; the registry's ["static"] turns it off, which makes the
+      t=0-arrivals case coincide exactly with the offline pipeline (see
+      {!Engine.run}).
     - [reschedule_on_task_finish] — additionally remap after every task
       completion. Much more aggressive (O(tasks) reschedules per run);
       off by default, exposed for experimentation.
@@ -70,23 +71,17 @@ type t = {
 
 val make :
   ?faults:fault_policy ->
-  ?reschedule_on_departure:bool ->
   ?reschedule_on_task_finish:bool ->
   ?malleability:Mcs_sched.Malleability.t ->
   Mcs_sched.Strategy.t -> t
-(** Dynamic-β policy named ["default"]. [reschedule_on_departure]
-    defaults to [true], [reschedule_on_task_finish] to [false] — the
-    historical hardwired combination. Trigger combinations are
-    validated here, once: rescheduling on every task finish while
-    ignoring departures is rejected (a departure {e is} the finish of
-    the exit task, so the finer trigger subsumes the coarser one).
-    [malleability] (default [None], i.e. moldable tasks) is validated
-    with {!Mcs_sched.Malleability.validate}.
+(** Dynamic-β policy named ["default"]: it reschedules on departures,
+    and on task finishes when [reschedule_on_task_finish] (default
+    [false]) is set. [malleability] (default [None], i.e. moldable
+    tasks) is validated with {!Mcs_sched.Malleability.validate}.
     @raise Invalid_argument on a negative [max_retries], an ill-formed
     [backoff_base] (negative, NaN, or so large that the longest
     exponential backoff [backoff_base·2^(max_retries−1)] is not
-    finite), an ill-formed malleability model, or
-    [reschedule_on_task_finish] without [reschedule_on_departure]. *)
+    finite), or an ill-formed malleability model. *)
 
 val retry_delay : fault_policy -> failures:int -> float
 (** Seconds a task waits before retry number [failures] (≥ 1). *)

@@ -585,14 +585,6 @@ let test_resize_inside_redistribution_window () =
   Alcotest.(check bool) "the run resizes" true (r.Engine.stats.Engine.resizes > 0)
 
 let test_policy_flags_and_kernel_registry () =
-  Alcotest.check_raises "finish-trigger without departure-trigger"
-    (Invalid_argument
-       "Policy.make: reschedule_on_task_finish without \
-        reschedule_on_departure")
-    (fun () ->
-      ignore
-        (Policy.make ~reschedule_on_departure:false
-           ~reschedule_on_task_finish:true Strategy.Equal_share));
   (* The longest default backoff, base·2^(max_retries−1), must be
      finite: an infinite one never lets the task restart. *)
   List.iter
