@@ -137,12 +137,13 @@ let update t =
     else begin
       let tol = 1e-12 *. Float.max 1. bound in
       let limit = bound +. tol in
+      (* Within tolerance, the [max_rate] bound binds every flow. *)
+      let at_max_rate = max_rate <= limit in
       let nf = ref 0 and nk = ref 0 in
       for k = 0 to !nu - 1 do
         let i = t.unfrozen.(k) in
         let f = t.active.(i) in
-        (* Within tolerance, the [max_rate] bound binds every flow. *)
-        let binds = ref (max_rate <= limit) in
+        let binds = ref at_max_rate in
         let j = ref 0 in
         while (not !binds) && !j < Array.length f.route do
           if t.share.(f.route.(!j)) <= limit then binds := true;
