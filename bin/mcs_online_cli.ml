@@ -191,10 +191,9 @@ let () =
       $ plan $ Flags.exports $ gantt
       $ Flags.check
           ~doc:
-            "audit every reschedule with the invariant analyzer (plus the \
-             FAULT001-003 execution-log audit under --faults and the \
-             MAL001-003 resize audit under --malleable) and exit \
-             non-zero on any violated rule"
+            "audit every reschedule with the invariant analyzer, then \
+             the execution log (FAULT001-003 and MAL001-003, in every \
+             mode), and exit non-zero on any violated rule"
       $ Flags.faults ~full:true
           ~doc:
             "inject a seeded fault process: processor outages drawn from \

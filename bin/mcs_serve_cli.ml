@@ -208,9 +208,9 @@ let () =
       $ checkpoint_every $ kill_shard $ kill_after $ router $ admission $ rate
       $ Flags.check
           ~doc:
-            "audit every shard generation with the invariant analyzer \
-             (plus the FAULT audit under --faults); exit non-zero on any \
-             violation"
+            "audit every shard generation with the invariant analyzer, \
+             then each shard's execution log (FAULT001-003 and \
+             MAL001-003); exit non-zero on any violation"
       $ Flags.faults ~full:false
           ~doc:
             "inject a seeded per-shard fault process (shard k draws from \

@@ -47,6 +47,20 @@ let check_overlap ~emit ~rule intervals =
       | _ -> cur := Some (iv.proc, iv.finish, iv.app, iv.node))
     sorted
 
+let busy ~app (pl : Schedule.placement) =
+  let { Schedule.node; procs; start; finish; _ } = pl in
+  List.map (fun proc -> { proc; start; finish; app; node }) (Array.to_list procs)
+
+let check_precedence ~emit ~app ~node ~start ~pred ~pred_finish ~cost =
+  let ready = pred_finish +. cost in
+  if Float.is_finite start && Float.is_finite ready && not (start >=. ready)
+  then
+    emit
+      (Diagnostic.error ~app ~node ~window:(start, ready) Rule.Map_precedence
+         "starts at %g but predecessor %d finishes at %g (+%g \
+          redistribution)"
+         start pred pred_finish cost)
+
 let check_placement ~emit ?platform ~app ~virt ~release
     (pl : Schedule.placement) =
   let { Schedule.node; cluster; procs; start; finish } = pl in
@@ -193,15 +207,8 @@ let check_one ~emit ?alloc ~release ~is_pinned platform ref_cluster ~app
                 ~src_procs:pu.Schedule.procs ~dst_cluster:pv.Schedule.cluster
                 ~dst_procs:pv.Schedule.procs ~bytes:ptg.Ptg.edge_bytes.(e)
           in
-          let ready = pu.Schedule.finish +. cost in
-          if not (pv.Schedule.start >=. ready) then
-            emit
-              (Diagnostic.error ~app ~node:v
-                 ~window:(pv.Schedule.start, ready)
-                 Rule.Map_precedence
-                 "starts at %g but predecessor %d finishes at %g (+%g \
-                  redistribution)"
-                 pv.Schedule.start u pu.Schedule.finish cost))
+          check_precedence ~emit ~app ~node:v ~start:pv.Schedule.start
+            ~pred:u ~pred_finish:pu.Schedule.finish ~cost)
         (Dag.preds dag v)
     done
   end
@@ -223,21 +230,9 @@ let check_schedules ~emit ?allocations ?release ?pinned platform schedules =
       check_one ~emit ?alloc ~release:release.(i) ~is_pinned platform
         ref_cluster ~app:i s)
     schedules;
-  let intervals =
-    List.concat
-      (List.mapi
-         (fun i s ->
-           Array.to_list s.Schedule.placements
-           |> List.concat_map (fun (pl : Schedule.placement) ->
-                  Array.to_list pl.Schedule.procs
-                  |> List.map (fun p ->
-                         {
-                           proc = p;
-                           start = pl.Schedule.start;
-                           finish = pl.Schedule.finish;
-                           app = i;
-                           node = pl.Schedule.node;
-                         })))
-         schedules)
-  in
-  check_overlap ~emit ~rule:Rule.Map_overlap intervals
+  check_overlap ~emit ~rule:Rule.Map_overlap
+    (List.concat
+       (List.mapi
+          (fun app s ->
+            List.concat_map (busy ~app) (Array.to_list s.Schedule.placements))
+          schedules))

@@ -8,10 +8,11 @@
     packing only ever shrank an allocation, and nothing starts before
     its submission.
 
-    The per-placement rules ({!check_placement}, {!check_packing}) and
-    the overlap sweep ({!check_overlap}) are the only implementations
-    of their rules: the trace linter ({!Trace_check}) calls them on
-    parsed rows. The precedence bound is
+    The per-placement rules ({!check_placement}, {!check_packing}), the
+    per-edge precedence rule ({!check_precedence}) and the overlap
+    sweep with its input builder ({!check_overlap}, {!busy}) are the
+    only implementations of their rules: the trace linter
+    ({!Trace_check}) calls them on parsed rows. The precedence bound is
     {!Mcs_taskmodel.Redistribution.estimate}, the delay the mapper
     charges without its aggregate destination-NIC bound — which can
     only delay starts further — so a schedule the mapper accepts is
@@ -30,10 +31,34 @@ val check_overlap :
   emit:(Diagnostic.t -> unit) -> rule:Rule.t -> interval list -> unit
 (** The overlap sweep-line: sort busy intervals per processor, keep the
     latest finish seen on each, and flag every interval starting more
-    than the time tolerance before it, reporting [rule]. The only
+    than the time tolerance before it, reporting [rule]. The sort is
+    stable, so among intervals tied on processor, start and finish the
+    first in [intervals] is the holder a diagnostic names. The only
     implementation of both overlap rules: MAP004 over schedules
     ({!check_schedules}) and parsed trace rows ({!Trace_check}), MAL003
-    over execution segments ({!Mal_check}). *)
+    over execution attempts ({!Exec_check}). *)
+
+val busy : app:int -> Mcs_sched.Schedule.placement -> interval list
+(** The busy intervals of one placement of application [app]: one per
+    processor, in the placement's processor order. The one builder of
+    {!check_overlap}'s input, for schedules, trace rows and execution
+    attempts alike. *)
+
+val check_precedence :
+  emit:(Diagnostic.t -> unit) ->
+  app:int ->
+  node:int ->
+  start:float ->
+  pred:int ->
+  pred_finish:float ->
+  cost:float ->
+  unit
+(** MAP005 on one edge: task [node] starts no earlier than its
+    predecessor [pred]'s finish plus the redistribution [cost]. Skips
+    non-finite times, which MAP001 reports. The one implementation of
+    the rule, for schedules ({!check_schedules}) and trace rows
+    ({!Trace_check}); each caller prices [cost] with the model its
+    inputs allow. *)
 
 val check_placement :
   emit:(Diagnostic.t -> unit) ->

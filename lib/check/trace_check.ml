@@ -99,19 +99,10 @@ let check_app ~emit ?platform ?ref_cluster (a : Trace.app) =
               (Diagnostic.error ~app ~node:rv.Trace.node Rule.Map_structure
                  "predecessor %d has no row" p.Trace.pred_node)
           | Some ru ->
-            let cost = precedence_cost ?platform ru rv ~bytes:p.Trace.bytes in
-            let ready = ru.Trace.finish +. cost in
-            if
-              Float.is_finite rv.Trace.start
-              && Float.is_finite ready
-              && not (rv.Trace.start >=. ready)
-            then
-              emit
-                (Diagnostic.error ~app ~node:rv.Trace.node
-                   ~window:(rv.Trace.start, ready) Rule.Map_precedence
-                   "starts at %g but predecessor %d finishes at %g (+%g \
-                    redistribution)"
-                   rv.Trace.start p.Trace.pred_node ru.Trace.finish cost))
+            Sched_check.check_precedence ~emit ~app ~node:rv.Trace.node
+              ~start:rv.Trace.start ~pred:p.Trace.pred_node
+              ~pred_finish:ru.Trace.finish
+              ~cost:(precedence_cost ?platform ru rv ~bytes:p.Trace.bytes))
         rv.Trace.preds)
     rows;
   (* β and allocation metadata, when the trace carries them. *)
@@ -190,25 +181,12 @@ let lint ?platform (doc : Trace.doc) =
          (Array.to_list doc))
   in
   Alloc_check.check_beta_sum ~emit ~severity:Diagnostic.Warning betas;
-  let intervals =
-    Array.to_list doc
+  Sched_check.check_overlap ~emit ~rule:Rule.Map_overlap
+    (Array.to_list doc
     |> List.concat_map (fun (a : Trace.app) ->
            Array.to_list a.Trace.rows
            |> List.concat_map (fun (r : Trace.row) ->
-                  if
-                    Float.is_finite r.Trace.start
-                    && Float.is_finite r.Trace.finish
-                  then
-                    Array.to_list r.Trace.procs
-                    |> List.map (fun p ->
-                           {
-                             Sched_check.proc = p;
-                             start = r.Trace.start;
-                             finish = r.Trace.finish;
-                             app = a.Trace.app;
-                             node = r.Trace.node;
-                           })
-                  else []))
-  in
-  Sched_check.check_overlap ~emit ~rule:Rule.Map_overlap intervals;
+                  if Float.is_finite r.Trace.start && Float.is_finite r.Trace.finish
+                  then Sched_check.busy ~app:a.Trace.app (placement_of r)
+                  else [])));
   List.rev !diags

@@ -48,8 +48,8 @@ let strategies = Strategy.paper_eight
    engine's own virtual times: the fluid replay knows nothing of
    outages, so estimated timing is the consistent yardstick across
    levels (the level-"none" column is the fault-free engine). Every
-   reschedule generation and the final fault audit run under the
-   invariant analyzer — a violated FAULT/ON/MAP rule aborts the
+   reschedule generation and the final execution audit run under the
+   invariant analyzer — a violated FAULT/MAL/ON/MAP rule aborts the
    experiment instead of skewing it. *)
 let scenario platform ptgs ~release ~fault_seed =
   let own =

@@ -13,8 +13,10 @@
     the scenario across every (strategy, level) pair.
 
     Every reschedule generation is audited by the online invariant
-    analyzer and the full execution log by the FAULT001–003 checker;
-    any violation raises instead of skewing the numbers. *)
+    analyzer and the full execution log by the execution audit
+    ({!Mcs_check.Exec_check}: FAULT001-003 and MAL001-003, the fault-free
+    level included); any violation raises instead of skewing the
+    numbers. *)
 
 type point = {
   strategy : Mcs_sched.Strategy.t;

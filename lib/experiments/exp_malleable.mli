@@ -14,9 +14,10 @@
     response time normalised by the best across all pairs, the mean
     number of resizes actually executed, and the fraction of scenarios
     in which the mode achieved the strictly better makespan than its
-    rival at the same level. Every run is audited (online rules, FAULT
-    family under faults, MAL001-003 under malleability); a violation
-    raises instead of skewing the numbers. *)
+    rival at the same level. Every run is audited (online rules per
+    generation, then the execution audit {!Mcs_check.Exec_check}:
+    FAULT001-003 and MAL001-003 over every attempt, moldable runs
+    included); a violation raises instead of skewing the numbers. *)
 
 type point = {
   mode : string;  (** ["moldable"] or ["malleable"] *)

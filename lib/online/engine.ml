@@ -7,7 +7,7 @@ module Reference_cluster = Mcs_sched.Reference_cluster
 module Malleability = Mcs_sched.Malleability
 module Task = Mcs_taskmodel.Task
 module Fault = Mcs_fault.Fault
-module Fault_check = Mcs_check.Fault_check
+module Exec_check = Mcs_check.Exec_check
 module P = Mcs_platform.Platform
 module Floatx = Mcs_util.Floatx
 module Obs = Mcs_obs.Obs
@@ -41,7 +41,7 @@ type result = {
   betas : float array;
   completions : float array;
   responses : float array;
-  executions : Fault_check.execution list;
+  executions : Exec_check.execution list;
   stats : stats;
 }
 
@@ -533,7 +533,7 @@ let try_resize s m i node =
           Obs.incr c_release
             ~by:
               (close_attempt s app node pl ~at:state.State.now
-                 ~outcome:Fault_check.Resized);
+                 ~outcome:Exec_check.Resized);
           app.State.progress.(node) <- app.State.progress.(node) +. done_here;
           app.State.seg_overhead.(node) <- cost;
           app.State.placements.(node) <-
@@ -591,7 +591,7 @@ let handle s ev trigger =
   | Event_queue.Task_finish { app = i; node } ->
     let app = state.State.apps.(i) in
     State.record_execution state app node (placement_of s "finish" i node)
-      ~finish:ev.Event_queue.time ~outcome:Fault_check.Completed;
+      ~finish:ev.Event_queue.time ~outcome:Exec_check.Completed;
     s.emit (Log.Task_finish { time = ev.Event_queue.time; app = i; node });
     if s.policy.Policy.reschedule_on_task_finish then
       trigger := merge_trigger !trigger "task_finish"
@@ -607,7 +607,7 @@ let handle s ev trigger =
        is committed afresh. *)
     ignore
       (close_attempt s app node pl ~at:ev.Event_queue.time
-         ~outcome:Fault_check.Failed);
+         ~outcome:Exec_check.Failed);
     app.State.placements.(node) <- None;
     (* A retry restarts the task from scratch: resize progress of the
        failed attempt is lost with it. *)
@@ -662,7 +662,7 @@ let handle s ev trigger =
                 Obs.incr c_release
                   ~by:
                     (close_attempt s app v pl ~at:ev.Event_queue.time
-                       ~outcome:Fault_check.Killed);
+                       ~outcome:Exec_check.Killed);
                 app.State.placements.(v) <- None;
                 app.State.progress.(v) <- 0.;
                 app.State.seg_overhead.(v) <- 0.;
@@ -913,24 +913,24 @@ let what_if s candidate =
 let result s =
   let state = s.st in
   let executions = List.rev state.State.executions in
-  (* Post-mortem fault audit: replay every recorded attempt against the
-     outage intervals and retry budget (FAULT001–003). *)
-  (match (s.faults, s.check) with
-  | Some sc, Some f ->
-    let ptgs = Array.map (fun app -> app.State.ptg) state.State.apps in
-    let down = Fault.down_intervals sc ~procs:(P.total_procs s.platform) in
-    f
-      (Fault_check.check ~max_retries:s.policy.Policy.faults.Policy.max_retries
-         ~down s.platform ~ptgs executions)
-  | (Some _ | None), _ -> ());
-  (* Malleable runs additionally audit the resize chains (MAL001-003),
-     fault scenario or not. *)
-  (match (s.policy.Policy.malleability, s.check) with
-  | Some m, Some f ->
-    let ptgs = Array.map (fun app -> app.State.ptg) state.State.apps in
-    f (Mcs_check.Mal_check.check m s.platform ~ptgs executions)
-  | (Some _ | None), _ -> ());
   let apps = state.State.apps in
+  (* Post-mortem audit of every recorded attempt against the outage
+     intervals, the retry budget and the malleability model
+     (FAULT001-003, MAL001-003), in every mode. *)
+  Option.iter
+    (fun f ->
+      let procs = P.total_procs s.platform in
+      f
+        (Exec_check.check ~malleability:s.policy.Policy.malleability
+           ~max_retries:s.policy.Policy.faults.Policy.max_retries
+           ~down:
+             (match s.faults with
+             | Some sc -> Fault.down_intervals sc ~procs
+             | None -> Array.make procs [])
+           s.platform
+           ~ptgs:(Array.map (fun app -> app.State.ptg) apps)
+           executions))
+    s.check;
   let alloc_hits, alloc_rescales, alloc_misses =
     State.alloc_cache_stats state
   in

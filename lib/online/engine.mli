@@ -61,16 +61,22 @@
     shrink under an arrival spike, grow when the system drains) and
     clamped to the processors idle in the task's cluster at that
     instant. A resize closes the current segment the way a failure or
-    a kill closes its attempt — a {!Mcs_check.Fault_check.Resized}
+    a kill closes its attempt — a {!Mcs_check.Exec_check.Resized}
     execution record, and under fault injection the ledger
     reservation truncated at the resize — charges a redistribution
     overhead proportional to the processors moved, re-prices the
     remaining work by Amdahl at the new width, and forces a reschedule
-    so successors re-price and the next opportunity is planned. Resize
-    chains are audited by {!Mcs_check.Mal_check} (MAL001-003) when
-    [?check] is given. With [malleability = None] — the default — no
-    opportunity is ever planned and the engine is bit-identical to the
-    non-malleable one, event log included.
+    so successors re-price and the next opportunity is planned. With
+    [malleability = None] — the default — no opportunity is ever
+    planned and the engine is bit-identical to the non-malleable one,
+    event log included.
+
+    {b The execution audit.} Every attempt of every real task is
+    recorded ({!result}'s [executions]). A moldable attempt is a resize
+    chain of one segment, so with [?check] set {!result} audits the
+    whole log in one pass of {!Mcs_check.Exec_check.check}
+    (FAULT001-003, MAL001-003) in every mode: plain, faulted, malleable
+    or both.
 
     A PTG whose unique sink is a {e real} task doubles as its exit
     node: the engine announces both its task finish (it records an
@@ -112,7 +118,7 @@ type result = {
   betas : float array;        (** final β of each application *)
   completions : float array;  (** virtual completion times *)
   responses : float array;    (** completion − release *)
-  executions : Mcs_check.Fault_check.execution list;
+  executions : Mcs_check.Exec_check.execution list;
       (** every attempt of every real task, chronological *)
   stats : stats;
 }
@@ -182,9 +188,12 @@ val advance : ?upto:float -> session -> unit
 
 val result : session -> result
 (** Snapshot the per-application outcome arrays (submission order) and
-    engine counters; with [faults] and [check] set, first runs the
-    FAULT001–003 post-mortem audit over the execution log. Meaningful
-    once the session is quiescent (every application completed).
+    engine counters; with [check] set, first passes it one batch from
+    {!Mcs_check.Exec_check.check}: the post-mortem audit of the
+    execution log (FAULT001-003, MAL001-003) against the fault
+    scenario's down intervals (none without [faults]), the policy's
+    retry bound and its malleability model. Meaningful once the session
+    is quiescent (every application completed).
     @raise Invalid_argument if some application was never fully
     scheduled. *)
 
@@ -287,10 +296,10 @@ val run :
     {!Mcs_check.Online_check.analyze} over a snapshot of that
     reschedule — pin stability, β-over-active-set, no time travel, plus
     the DAG, allocation and mapping rule sets of
-    {!Mcs_check.Check.analyze} — and, when [faults] is
-    given, one final batch from {!Mcs_check.Fault_check.check} auditing
-    the complete execution log against the outage process
-    (FAULT001–003). An empty list means the generation is clean. Pass
+    {!Mcs_check.Check.analyze} — and one final batch from
+    {!Mcs_check.Exec_check.check} auditing the complete execution log
+    (FAULT001-003, MAL001-003; see {!result}). An empty list means the
+    batch is clean. Pass
     [fun d -> Mcs_check.Check.fail_on_error d] to turn any violation
     into an exception.
     @raise Invalid_argument on an empty list, an ill-formed release

@@ -37,7 +37,7 @@ type t = {
   arena : Mcs_sched.Alloc_arena.t;
   proc_up : bool array;
   ledger : Timeline.t;
-  mutable executions : Mcs_check.Fault_check.execution list;
+  mutable executions : Mcs_check.Exec_check.execution list;
   mutable kills : int;
   mutable task_failures : int;
   mutable fault_events : int;
@@ -192,7 +192,7 @@ let record_execution t (app : app) v (pl : Schedule.placement)
     ~(finish : float) ~outcome =
   t.executions <-
     {
-      Mcs_check.Fault_check.app = app.index;
+      Mcs_check.Exec_check.app = app.index;
       node = v;
       cluster = pl.Schedule.cluster;
       procs = pl.Schedule.procs;

@@ -78,7 +78,7 @@ type t = {
           hence one serving shard) never shares it across domains *)
   proc_up : bool array;  (** liveness per global processor id *)
   ledger : Mcs_util.Timeline.t;  (** started placements, fault runs only *)
-  mutable executions : Mcs_check.Fault_check.execution list;
+  mutable executions : Mcs_check.Exec_check.execution list;
       (** every attempt of every real task, most recent first *)
   mutable kills : int;  (** attempts killed by processor outages *)
   mutable task_failures : int;  (** transient failures observed *)
@@ -140,7 +140,7 @@ val all_up : t -> bool
 
 val record_execution :
   t -> app -> int -> Mcs_sched.Schedule.placement ->
-  finish:float -> outcome:Mcs_check.Fault_check.outcome -> unit
+  finish:float -> outcome:Mcs_check.Exec_check.outcome -> unit
 (** Append one attempt record ([finish] overrides the placement's
     nominal finish — a killed attempt ends at the outage instant). *)
 

@@ -51,7 +51,9 @@ type config = {
           log is bit-identical to the no-kill run (shedding off).
           [Domains] mode only: {!create} rejects it in [Inline] mode *)
   capture_logs : bool;  (** per-shard event logs, for merge/export *)
-  check : bool;  (** per-generation ON/ALLOC/MAP + post-run FAULT audit *)
+  check : bool;
+      (** per-generation ON/ALLOC/MAP + post-run FAULT/MAL execution
+          audit *)
   faults : Mcs_fault.Fault.config option;
       (** per-shard outage process on its sub-platform *)
   fault_seed : int;  (** shard [k] uses [fault_seed + k] *)

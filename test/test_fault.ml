@@ -12,7 +12,7 @@ module Engine = Mcs_online.Engine
 module Policy = Mcs_online.Policy
 module Log = Mcs_online.Log
 module Event_queue = Mcs_online.Event_queue
-module Fault_check = Mcs_check.Fault_check
+module Exec_check = Mcs_check.Exec_check
 module Diagnostic = Mcs_check.Diagnostic
 module Strategy = Mcs_sched.Strategy
 module Task = Mcs_taskmodel.Task
@@ -324,10 +324,10 @@ let test_kill_conservation () =
     Fault.down_intervals faults ~procs:(Platform.total_procs platform)
   in
   let ptgs = Array.of_list (List.map fst apps) in
-  Alcotest.(check (list string)) "standalone FAULT audit clean" []
+  Alcotest.(check (list string)) "standalone execution audit clean" []
     (List.map Diagnostic.to_string
-       (Fault_check.check ~max_retries:3 ~down platform ~ptgs
-          rc.Engine.executions))
+       (Exec_check.check ~malleability:None ~max_retries:3 ~down platform
+          ~ptgs rc.Engine.executions))
 
 let test_real_exit_records () =
   (* A PTG whose unique sink is a real task reuses it as the exit node;
@@ -351,14 +351,14 @@ let test_real_exit_records () =
     (List.length
        (List.filter
           (fun e ->
-            e.Fault_check.node = sink
-            && e.Fault_check.outcome = Fault_check.Completed)
+            e.Exec_check.node = sink
+            && e.Exec_check.outcome = Exec_check.Completed)
           r.Engine.executions));
   let down = Array.make (Platform.total_procs platform) [] in
   Alcotest.(check (list string)) "conservation audit clean" []
     (List.map Diagnostic.to_string
-       (Fault_check.check ~max_retries:0 ~down platform ~ptgs:[| ptg |]
-          r.Engine.executions))
+       (Exec_check.check ~malleability:None ~max_retries:0 ~down platform
+          ~ptgs:[| ptg |] r.Engine.executions))
 
 (* --- FAULT001-003 on hand-built execution logs --- *)
 
@@ -380,50 +380,51 @@ let test_fault_rules () =
   let total = Platform.total_procs platform in
   let no_down = Array.make total [] in
   let exec ?(start = 0.) ?(finish = full) outcome =
-    { Fault_check.app = 0; node; cluster = 0; procs = [| 0 |]; start; finish;
+    { Exec_check.app = 0; node; cluster = 0; procs = [| 0 |]; start; finish;
       outcome }
   in
   let ids ?(max_retries = 3) ?(down = no_down) execs =
     rule_ids
-      (Fault_check.check ~max_retries ~down platform ~ptgs:[| ptg |] execs)
+      (Exec_check.check ~malleability:None ~max_retries ~down platform
+         ~ptgs:[| ptg |] execs)
   in
   Alcotest.(check (list string)) "clean single completion" []
-    (ids [ exec Fault_check.Completed ]);
+    (ids [ exec Exec_check.Completed ]);
   let down = Array.make total [] in
   down.(0) <- [ (full /. 4., full /. 2.) ];
   Alcotest.(check (list string)) "FAULT001: attempt overlaps a down interval"
     [ "fault-down-overlap" ]
-    (ids ~down [ exec Fault_check.Completed ]);
+    (ids ~down [ exec Exec_check.Completed ]);
   Alcotest.(check (list string)) "kill truncated at the outage is legal" []
     (ids ~down
        [
-         exec ~finish:(full /. 4.) Fault_check.Killed;
+         exec ~finish:(full /. 4.) Exec_check.Killed;
          exec ~start:(full /. 2.) ~finish:(full /. 2. +. full)
-           Fault_check.Completed;
+           Exec_check.Completed;
        ]);
   Alcotest.(check (list string)) "FAULT002: failures exceed max-retries"
     [ "fault-retry-bound" ]
     (ids ~max_retries:1
        [
-         exec Fault_check.Failed;
+         exec Exec_check.Failed;
          exec ~start:(full +. 1.) ~finish:(2. *. full +. 1.)
-           Fault_check.Failed;
+           Exec_check.Failed;
          exec ~start:(2. *. full +. 2.) ~finish:(3. *. full +. 2.)
-           Fault_check.Completed;
+           Exec_check.Completed;
        ]);
   Alcotest.(check (list string)) "FAULT003: task never completed"
     [ "fault-conservation" ]
-    (ids [ exec Fault_check.Failed ]);
+    (ids [ exec Exec_check.Failed ]);
   Alcotest.(check (list string)) "FAULT003: completion not last"
     [ "fault-conservation" ]
     (ids
        [
-         exec Fault_check.Completed;
-         exec ~start:(full +. 1.) ~finish:(full +. 2.) Fault_check.Killed;
+         exec Exec_check.Completed;
+         exec ~start:(full +. 1.) ~finish:(full +. 2.) Exec_check.Killed;
        ]);
   Alcotest.(check (list string)) "FAULT003: short completion"
     [ "fault-conservation" ]
-    (ids [ exec ~finish:(full /. 2.) Fault_check.Completed ])
+    (ids [ exec ~finish:(full /. 2.) Exec_check.Completed ])
 
 (* --- Timeline release rollback ≡ fresh build --- *)
 

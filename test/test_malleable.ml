@@ -319,7 +319,7 @@ let test_shrink_on_spike () =
   let shrank =
     List.exists
       (fun e ->
-        e.Mcs_check.Fault_check.outcome = Mcs_check.Fault_check.Resized)
+        e.Mcs_check.Exec_check.outcome = Mcs_check.Exec_check.Resized)
       r.Engine.executions
   in
   Alcotest.(check bool) "a resized segment is recorded" true shrank
@@ -390,7 +390,7 @@ let test_shrink_retry_fault_free () =
 (* --- MAL001-003 on hand-built execution logs --- *)
 
 let test_mal_rules () =
-  let module F = Mcs_check.Fault_check in
+  let module F = Mcs_check.Exec_check in
   let module D = Mcs_check.Diagnostic in
   let platform = Grid5000.lille () in
   let t = Task.make ~data:1e7 ~complexity:Task.Matmul ~alpha:0.1 in
@@ -412,7 +412,9 @@ let test_mal_rules () =
     { F.app; node; cluster; procs; start; finish; outcome }
   in
   let check ?(apps = 1) execs =
-    Mcs_check.Mal_check.check model platform ~ptgs:(Array.make apps ptg) execs
+    F.check ~malleability:(Some model) ~max_retries:3
+      ~down:(Array.make (Platform.total_procs platform) [])
+      platform ~ptgs:(Array.make apps ptg) execs
   in
   let ids execs = rule_ids (check execs) in
   (* Half the work on 4 processors, then a shrink to 2 (2 moved, 2 s of
@@ -447,18 +449,40 @@ let test_mal_rules () =
     [ "mal-cost-accounting" ]
     (ids
        [ first; seg [| 0; 1 |] ~start:half ~finish:(half +. 1.) F.Completed ]);
+  (* A chain left open never completes the task either (FAULT003). *)
   Alcotest.(check (list string)) "MAL002: dangling resize"
-    [ "mal-cost-accounting" ] (ids [ first ]);
+    [ "fault-conservation"; "mal-cost-accounting" ] (ids [ first ]);
   Alcotest.(check (list string)) "MAL002: chain does 3/4 of the work"
     [ "mal-cost-accounting" ]
     (ids [ first; rest ~work:0.25 ~moved:2 [| 0; 1 |] ]);
-  (* Both B and C overlap A on processor 0, though not each other. *)
+  (* A chain that does exactly one task's work, shrinking from 4 to 2
+     processors and then failing, followed by a retry that completes on
+     1 processor but lasts twice the task's full time: the retry is a
+     chain of one segment, held to its full execution time (FAULT003)
+     although the task was resized before. *)
+  let failed = { (rest ~moved:2 [| 0; 1 |]) with F.outcome = F.Failed } in
+  Alcotest.(check (list string)) "FAULT003: slow retry after a resize chain"
+    [ "fault-conservation" ]
+    (ids
+       [
+         first;
+         failed;
+         seg [| 0 |] ~start:(failed.F.finish +. 1.)
+           ~finish:(failed.F.finish +. 1. +. (2. *. full 1))
+           F.Completed;
+       ]);
+  (* Each segment lasts its full time, so only the overlaps remain: B
+     and C, on 4 processors, both overlap A on processor 0, though not
+     each other. *)
   let overlaps =
+    let on4 app start =
+      seg ~app [| 0; 1; 2; 3 |] ~start ~finish:(start +. full 4) F.Completed
+    in
     check ~apps:3
       [
-        seg ~app:0 [| 0 |] ~start:0. ~finish:10. F.Completed;
-        seg ~app:1 [| 0 |] ~start:1. ~finish:2. F.Completed;
-        seg ~app:2 [| 0 |] ~start:3. ~finish:4. F.Completed;
+        seg ~app:0 [| 0 |] ~start:0. ~finish:(full 1) F.Completed;
+        on4 1 (full 1 /. 8.);
+        on4 2 (full 1 /. 2.);
       ]
   in
   Alcotest.(check (list string)) "MAL003: overlapping segments"
