@@ -199,22 +199,23 @@ let load_preds s ptg placements v =
 
 (* Offer the candidate in [f_start]/[f_finish] — the window
    [order.(lo) .. order.(lo + width - 1)] of cluster [k], a packing
-   candidate if [packed] — against the best so far. Earliest finish,
-   then earliest start, then widest allocation; on a full tie the
-   earlier offer stays. *)
+   candidate if [packed] — against the best so far. An exact order:
+   smaller finish, then smaller start, then the wider allocation, then
+   the lower cluster index. No two candidates tie on all four, so the
+   winner does not depend on the order they are offered in. *)
 let offer s order k lo width ~packed =
   let f = s.f in
   let wins =
     s.b_cluster < 0
     ||
     let cf = f.(f_finish) and bf = f.(f_best_finish) in
-    if cf < bf -. Floatx.eps then true
-    else if bf < cf -. Floatx.eps then false
-    else
-      let cs = f.(f_start) and bs = f.(f_best_start) in
-      if cs < bs -. Floatx.eps then true
-      else if bs < cs -. Floatx.eps then false
-      else width > s.b_width
+    cf < bf
+    || cf = bf
+       &&
+       let cs = f.(f_start) and bs = f.(f_best_start) in
+       cs < bs
+       || cs = bs
+          && (width > s.b_width || (width = s.b_width && k < s.b_cluster))
   in
   if wins then begin
     s.b_order <- order;
@@ -475,10 +476,10 @@ let pack s task state proc_avail order k np slot needed =
    candidate width p' (route bandwidths, the aggregate NIC sums, the
    task's sequential time on each cluster) is computed once per session,
    entry or task and reused across all clusters and packing candidates.
-   Clusters are visited in index order, as [offer] keeps the earlier of
-   two tied candidates, and a cluster or width is priced only if a
-   lower bound leaves it a chance to win (DESIGN.md section 10): the
-   placements are bit-identical to the exhaustive search. The winner is
+   [offer]'s order is exact, so the winner does not depend on the
+   order clusters are visited in, and a cluster or width is priced only
+   if a lower bound leaves it a chance to win (DESIGN.md section 10):
+   the placements are bit-identical to the exhaustive search. The winner is
    a window of its cluster's view, and committing it moves that window
    alone. *)
 let place_task s platform ref_cluster avail_idx proc_avail state placements v
