@@ -367,7 +367,7 @@ let add c n = if Obs.enabled () then Obs.incr ~by:n c
    live processor (allocations are capped to fit a cluster). *)
 let best_placement s v =
   if s.b_cluster < 0 then
-    invalid_arg "List_mapper.run: no live cluster can host a task";
+    invalid_arg "List_mapper.map: no live cluster can host a task";
   {
     Schedule.node = v;
     cluster = s.b_cluster;
@@ -643,9 +643,9 @@ let prepare session ref_cluster (id, ptg, alloc) =
   let dag = ptg.Ptg.dag in
   let n = Dag.node_count dag in
   if Array.length alloc <> n then
-    invalid_arg "List_mapper.run: allocation length differs from node count";
+    invalid_arg "List_mapper.map: allocation length differs from node count";
   Array.iter
-    (fun a -> if a < 1 then invalid_arg "List_mapper.run: allocation < 1")
+    (fun a -> if a < 1 then invalid_arg "List_mapper.map: allocation < 1")
     alloc;
   let state =
     match Hashtbl.find session.memo id with
@@ -685,24 +685,24 @@ let prepare session ref_cluster (id, ptg, alloc) =
    [i], and every [None] is filled. *)
 let map ?(options = default_options) ?release ?avail ?up ?task_floor session
     ref_cluster apps ~placements =
-  if apps = [] then invalid_arg "List_mapper.run: no applications";
+  if apps = [] then invalid_arg "List_mapper.map: no applications";
   Obs.with_span "mapper.run" @@ fun () ->
   let platform = session.platform in
   session.maps <- session.maps + 1;
   (match up with
   | Some u when Array.length u <> P.total_procs platform ->
-    invalid_arg "List_mapper.run: up length differs from platform"
+    invalid_arg "List_mapper.map: up length differs from platform"
   | _ -> ());
   let release =
     match release with
     | None -> Array.make (List.length apps) 0.
     | Some r ->
       if Array.length r <> List.length apps then
-        invalid_arg "List_mapper.run: release length differs from apps";
+        invalid_arg "List_mapper.map: release length differs from apps";
       Array.iter
         (fun t ->
           if not (Float.is_finite t) || t < 0. then
-            invalid_arg "List_mapper.run: negative or non-finite release")
+            invalid_arg "List_mapper.map: negative or non-finite release")
         r;
       Array.copy r
   in
@@ -716,15 +716,15 @@ let map ?(options = default_options) ?release ?avail ?up ?task_floor session
   | None -> ()
   | Some f ->
     if Array.length f <> Array.length states then
-      invalid_arg "List_mapper.run: task_floor length differs from apps";
+      invalid_arg "List_mapper.map: task_floor length differs from apps";
     Array.iteri
       (fun i state ->
         if Array.length f.(i) <> Dag.node_count state.ptg.Ptg.dag then
-          invalid_arg "List_mapper.run: task_floor node count differs from DAG";
+          invalid_arg "List_mapper.map: task_floor node count differs from DAG";
         Array.iter
           (fun t ->
             if not (Float.is_finite t) || t < 0. then
-              invalid_arg "List_mapper.run: ill-formed task floor")
+              invalid_arg "List_mapper.map: ill-formed task floor")
           f.(i))
       states);
   let node_floor i v =
@@ -734,18 +734,18 @@ let map ?(options = default_options) ?release ?avail ?up ?task_floor session
      pending counts drop) but are never (re)placed, and their processor
      occupancy is carried by [avail] rather than re-reserved here. *)
   if Array.length placements <> Array.length states then
-    invalid_arg "List_mapper.run: pinned length differs from apps";
+    invalid_arg "List_mapper.map: pinned length differs from apps";
   Array.iteri
     (fun i state ->
       let dag = state.ptg.Ptg.dag and pls = placements.(i) in
       if Array.length pls <> Dag.node_count dag then
-        invalid_arg "List_mapper.run: pinned node count differs from DAG";
+        invalid_arg "List_mapper.map: pinned node count differs from DAG";
       for v = 0 to Array.length pls - 1 do
         match pls.(v) with
         | None -> ()
         | Some pl ->
           if pl.Schedule.node <> v then
-            invalid_arg "List_mapper.run: pinned placement mislabeled";
+            invalid_arg "List_mapper.map: pinned placement mislabeled";
           let succs = Dag.succs dag v in
           for j = 0 to Array.length succs - 1 do
             let w, _e = succs.(j) in
@@ -762,13 +762,13 @@ let map ?(options = default_options) ?release ?avail ?up ?task_floor session
   | None -> Array.fill proc_avail 0 (Array.length proc_avail) 0.
   | Some a ->
     if Array.length a <> Array.length proc_avail then
-      invalid_arg "List_mapper.run: avail length differs from platform";
+      invalid_arg "List_mapper.map: avail length differs from platform";
     (* Finite availabilities are what the packing bound and the index's
        sort rely on. *)
     Array.iter
       (fun t ->
         if not (Float.is_finite t) || t < 0. then
-          invalid_arg "List_mapper.run: negative or non-finite avail")
+          invalid_arg "List_mapper.map: negative or non-finite avail")
       a;
     Array.blit a 0 proc_avail 0 (Array.length a));
   (* The groups and the index follow the mask: rebuilt when it differs

@@ -68,7 +68,8 @@ val run :
     everything at 0, its future-work section motivates staggered
     arrivals): no task of application [i] may start before
     [release.(i)].
-    @raise Invalid_argument as {!map}. *)
+    @raise Invalid_argument as {!map}, with [map]'s name in the
+    message. *)
 
 type session
 (** A mapper's working state kept from one map to the next, bound to

@@ -1154,7 +1154,7 @@ let test_mapper_rejects_bad_input () =
                  apps)
           in
           Alcotest.check_raises ("task_floor " ^ name)
-            (Invalid_argument "List_mapper.run: ill-formed task floor")
+            (Invalid_argument "List_mapper.map: ill-formed task floor")
             (fun () ->
               ignore
                 (map_fresh
