@@ -47,7 +47,8 @@ let check_down_overlap ~emit ~down platform execs =
             emit
               (Diagnostic.error ~app:e.app ~node:e.node
                  Rule.Fault_down_overlap "processor %d out of range" p)
-          else if not (Timeline.is_free tl ~proc:p ~start:e.start ~finish:e.finish)
+          else if
+            not (Timeline.is_free tl ~proc:p ~start:e.start ~finish:e.finish)
           then
             emit
               (Diagnostic.error ~app:e.app ~node:e.node ~proc:p

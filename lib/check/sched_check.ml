@@ -49,7 +49,8 @@ let check_overlap ~emit ~rule intervals =
 
 let busy ~app (pl : Schedule.placement) =
   let { Schedule.node; procs; start; finish; _ } = pl in
-  List.map (fun proc -> { proc; start; finish; app; node }) (Array.to_list procs)
+  List.map (fun proc -> { proc; start; finish; app; node })
+    (Array.to_list procs)
 
 let check_precedence ~emit ~app ~node ~start ~pred ~pred_finish ~cost =
   let ready = pred_finish +. cost in

@@ -186,7 +186,9 @@ let lint ?platform (doc : Trace.doc) =
     |> List.concat_map (fun (a : Trace.app) ->
            Array.to_list a.Trace.rows
            |> List.concat_map (fun (r : Trace.row) ->
-                  if Float.is_finite r.Trace.start && Float.is_finite r.Trace.finish
+                  if
+                    Float.is_finite r.Trace.start
+                    && Float.is_finite r.Trace.finish
                   then Sched_check.busy ~app:a.Trace.app (placement_of r)
                   else [])));
   List.rev !diags
