@@ -235,6 +235,7 @@ let check_chain ~emit ~malleability platform ptg ~app ~node chain =
          Rule.Mal_cost_accounting
          "resized segment at %g..%g has no continuation segment" last.start
          last.finish);
+  (* A chain on a cluster the platform lacks cannot be priced. *)
   if List.for_all known chain then
     match (chain, malleability) with
     | [ e ], _ -> check_attempt ~emit platform ptg ~app ~node e

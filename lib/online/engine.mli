@@ -157,7 +157,10 @@ val set_policy : session -> Policy.t -> unit
     for every subsequent trigger, backoff, shrink and allocation
     decision. The remap opens a new
     generation, so no resize point armed under the old policy
-    survives the swap. *)
+    survives the swap. {!result}'s execution audit checks every resize
+    chain against the final policy's malleability model, so a swap
+    that changes or drops the model misjudges the chains recorded
+    before it. *)
 
 val app_completed : session -> int -> bool
 (** Whether application [i] has completed — lets a serving shard
