@@ -22,8 +22,8 @@ let router_name = function
   | Router.Least_loaded -> "load"
 
 let run (sc : Flags.scenario) mean_interarrival shards inline policy_name
-    checkpoint_every kill_shard kill_after router admission rate check faults
-    malleability log_path profiled =
+    kill_shard kill_after router admission rate check faults malleability
+    log_path profiled =
   profiled @@ fun () ->
   let strategy = sc.strategy in
   let policy =
@@ -37,7 +37,6 @@ let run (sc : Flags.scenario) mean_interarrival shards inline policy_name
       router;
       admission;
       policy;
-      checkpoint_every;
       kill = Option.map (fun k -> (k, kill_after)) kill_shard;
       capture_logs = log_path <> None;
       check;
@@ -117,22 +116,15 @@ let inline =
              "deterministic single-domain fallback: run every shard on the \
               calling domain (pickups on mailbox pressure and at close)")
 
-let checkpoint_every =
-  Arg.(value & opt int 0
-       & info [ "checkpoint-every" ]
-           ~doc:
-             "checkpoint each shard every N injections (engine snapshot + \
-              injection journal; 0 = off) — enables crash recovery")
-
 let kill_shard =
   Arg.(value & opt (some int) None
        & info [ "kill-shard" ]
            ~doc:
              "fault-tolerance drill: kill this shard's serving domain \
-              mid-stream and restore it from its latest checkpoint (the \
-              recovered merged log is bit-identical to the no-kill run \
-              when shedding is off); rejected with --inline, which has no \
-              serving domain")
+              mid-stream and rebuild it from its fresh session and a \
+              journal of its injections (the recovered merged log is \
+              bit-identical to the no-kill run when shedding is off); \
+              rejected with --inline, which has no serving domain")
 
 let kill_after =
   Arg.(value & opt int 0
@@ -205,7 +197,7 @@ let () =
             "every shard's rescheduling policy, which picks the triggers \
              and retry shape (the serving default is arrival-only: static \
              beta per generation)"
-      $ checkpoint_every $ kill_shard $ kill_after $ router $ admission $ rate
+      $ kill_shard $ kill_after $ router $ admission $ rate
       $ Flags.check
           ~doc:
             "audit every shard generation with the invariant analyzer, \

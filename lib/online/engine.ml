@@ -45,6 +45,22 @@ type result = {
   stats : stats;
 }
 
+(* A call that changed a session: what a restore repeats. *)
+type call =
+  | Submit of { ptg : Ptg.t; release : float; at : float }
+  | Advance of float option
+  | Set_policy of Policy.t
+
+(* What [create] was given, and every call that changed the session
+   since, newest first. Immutable: a session replaces it on each call. *)
+type snapshot = {
+  origin_faults : Fault.scenario option;
+  origin_policy : Policy.t;
+  origin_platform : P.t;
+  origin_apps : (Ptg.t * float) list;
+  calls : call list;
+}
+
 type session = {
   st : State.t;
   q : Event_queue.t;
@@ -59,10 +75,11 @@ type session = {
   check : (Mcs_check.Diagnostic.t list -> unit) option;
   mutable processed : int;
   mapper : List_mapper.session Lazy.t;
-      (** built on the first reschedule; a cache, never copied *)
+      (** built on the first reschedule *)
   avail : float array;
       (** per-processor availability, refilled by every reschedule and
-          resize opportunity; scratch, never copied *)
+          resize opportunity *)
+  mutable history : snapshot;
 }
 
 (* Per-policy counters are interned by policy name, so two policies of
@@ -98,8 +115,7 @@ let may_fail s =
 (* Under fault injection each attempt's outcome is pre-rolled — the
    roll is a pure function of (seed, app, node, attempt), so
    re-announcing the same attempt after an unrelated reschedule rolls
-   the same verdict, and the state memoises it per attempt. The retry
-   budget is tested outside the memo: a policy swap can move it. *)
+   the same verdict, and the state memoises it per attempt. *)
 let will_fail s app v =
   match s.faults with
   | Some sc
@@ -727,30 +743,31 @@ let handle s ev trigger =
       Obs.leave ()));
   Obs.leave ()
 
-(* The one session constructor: the mapper session and the availability
-   buffer are caches, always fresh. *)
-let make_session ?log ?check ~policy ~faults ~processed st q =
-  let platform = st.State.platform in
-  {
-    st;
-    q;
-    policy;
-    policy_counters = counters_of policy;
-    platform;
-    faults;
-    fault_on = faults <> None;
-    emit = (match log with Some f -> f | None -> fun _ -> ());
-    check;
-    processed;
-    mapper = lazy (List_mapper.session platform);
-    avail = Array.make (P.total_procs platform) 0.;
-  }
-
 let create ?log ?check ?faults ~policy platform apps =
   (match faults with Some sc -> Fault.validate sc.Fault.config | None -> ());
   let s =
-    make_session ?log ?check ~policy ~faults ~processed:0
-      (State.create platform apps) (Event_queue.create ())
+    {
+      st = State.create platform apps;
+      q = Event_queue.create ();
+      policy;
+      policy_counters = counters_of policy;
+      platform;
+      faults;
+      fault_on = faults <> None;
+      emit = Option.value log ~default:ignore;
+      check;
+      processed = 0;
+      mapper = lazy (List_mapper.session platform);
+      avail = Array.make (P.total_procs platform) 0.;
+      history =
+        {
+          origin_faults = faults;
+          origin_policy = policy;
+          origin_platform = platform;
+          origin_apps = apps;
+          calls = [];
+        };
+    }
   in
   Array.iter
     (fun app ->
@@ -769,6 +786,20 @@ let create ?log ?check ?faults ~policy platform apps =
       sc.Fault.outages);
   s
 
+(* With no call between two advances, how far the second gets depends
+   only on the queue, so they share one entry: the larger bound, or
+   none if either had none. *)
+let record s call =
+  let h = s.history in
+  let calls =
+    match (call, h.calls) with
+    | Advance (Some b), Advance (Some b0) :: rest ->
+      Advance (Some (Float.max_num b0 b)) :: rest
+    | Advance _, Advance _ :: rest -> Advance None :: rest
+    | _ -> call :: h.calls
+  in
+  s.history <- { h with calls }
+
 let submit s ptg ~release ~at =
   if not (Float.is_finite at) || at < release then
     invalid_arg "Engine.submit: admission before release (or non-finite)";
@@ -776,6 +807,7 @@ let submit s ptg ~release ~at =
     invalid_arg "Engine.submit: admission in the processed past";
   let app = State.add_app s.st ptg ~release in
   Event_queue.push s.q ~time:at (Event_queue.Arrival app.State.index);
+  record s (Submit { ptg; release; at });
   app.State.index
 
 let now s = s.st.State.now
@@ -785,44 +817,23 @@ let peak_active s = s.st.State.peak_active
 let in_service s = Array.length s.st.State.apps - s.st.State.completed_apps
 let policy s = s.policy
 
-let app_completed s i =
-  if i < 0 || i >= Array.length s.st.State.apps then
-    invalid_arg "Engine.app_completed: no such application";
-  s.st.State.apps.(i).State.status = State.Completed
-
 let alloc_cache_stats s = State.alloc_cache_stats s.st
 
+(* [result] audits the whole execution log against the final policy's
+   malleability model and retry bound, so a swap may not change
+   either. *)
 let set_policy s p =
+  if
+    p.Policy.malleability <> s.policy.Policy.malleability
+    || p.Policy.faults.Policy.max_retries
+       <> s.policy.Policy.faults.Policy.max_retries
+  then
+    invalid_arg
+      "Engine.set_policy: the malleability model and retry bound are fixed";
   s.policy <- p;
   s.policy_counters <- counters_of p;
+  record s (Set_policy p);
   reschedule s ~trigger:"policy_swap"
-
-type snapshot = {
-  snap_state : State.t;
-  snap_queue : Event_queue.t;
-  snap_policy : Policy.t;
-  snap_faults : Fault.scenario option;
-  snap_processed : int;
-}
-
-(* Both directions deep-copy, so one snapshot value can seed any number
-   of restores and is never aliased by a live session. The policy and
-   fault scenario are shared: the policy is an immutable record, and
-   the scenario is immutable with pre-rolled (pure) failure outcomes —
-   there is no mutable PRNG stream to clone. *)
-let snapshot s =
-  {
-    snap_state = State.copy s.st;
-    snap_queue = Event_queue.copy s.q;
-    snap_policy = s.policy;
-    snap_faults = s.faults;
-    snap_processed = s.processed;
-  }
-
-let restore ?log ?check snap =
-  make_session ?log ?check ~policy:snap.snap_policy ~faults:snap.snap_faults
-    ~processed:snap.snap_processed (State.copy snap.snap_state)
-    (Event_queue.copy snap.snap_queue)
 
 let audit s =
   let state = s.st in
@@ -849,6 +860,7 @@ let audit s =
 
 let advance ?upto s =
   Obs.with_span "online.run" @@ fun () ->
+  record s (Advance upto);
   let state = s.st in
   let bounded t = match upto with None -> true | Some b -> t < b in
   let rec loop () =
@@ -878,6 +890,25 @@ let advance ?upto s =
       loop ()
   in
   loop ()
+
+let snapshot s = s.history
+
+(* The session again from its origin, then its calls oldest first,
+   with no sinks attached: the engine is deterministic, so the replay
+   rebuilds every structure the calls left behind, and it records the
+   calls again. *)
+let restore ?log ?check snap =
+  let s =
+    create ?faults:snap.origin_faults ~policy:snap.origin_policy
+      snap.origin_platform snap.origin_apps
+  in
+  List.iter
+    (function
+      | Submit { ptg; release; at } -> ignore (submit s ptg ~release ~at : int)
+      | Advance upto -> advance ?upto s
+      | Set_policy p -> set_policy s p)
+    (List.rev snap.calls);
+  { s with emit = Option.value log ~default:ignore; check }
 
 type speculation = {
   adopted : bool;

@@ -157,15 +157,11 @@ val set_policy : session -> Policy.t -> unit
     for every subsequent trigger, backoff, shrink and allocation
     decision. The remap opens a new
     generation, so no resize point armed under the old policy
-    survives the swap. {!result}'s execution audit checks every resize
-    chain against the final policy's malleability model, so a swap
-    that changes or drops the model misjudges the chains recorded
-    before it. *)
-
-val app_completed : session -> int -> bool
-(** Whether application [i] has completed — lets a serving shard
-    re-derive its in-flight load from restored engine state.
-    @raise Invalid_argument on an out-of-range index. *)
+    survives the swap.
+    @raise Invalid_argument if the new policy's [malleability] or
+    [faults.max_retries] differs from the active one's: {!result}'s
+    execution audit judges the whole run by them. {!Policy.of_name}
+    keeps both. *)
 
 val alloc_cache_stats : session -> int * int * int
 (** Summed allocation-cache [(hits, rescales, misses)] across all
@@ -221,38 +217,43 @@ val pending_events : session -> int
     live work. *)
 
 type snapshot
-(** A deep, self-contained copy of a session's whole mutable world:
-    state (placements, fault bookkeeping and memoised failure verdicts,
-    per-application allocation caches, ledger, liveness mask), event
-    queue (announcement buffers and insertion sequence included) and
-    active policy. Immutable structure is shared — PTGs
-    (the caches bind to them by physical equality), the policy and the
-    fault scenario (outage list plus a {e pure} pre-rolled failure
-    function of the seed; there is no mutable PRNG stream to
-    capture).
+(** What a session was given and every call that changed it since:
+    the fault scenario, policy, platform and application list of
+    {!create}, then each {!submit} (the PTG, its release and its
+    admission instant), {!advance} (its bound) and {!set_policy} (the
+    policy), in order. Read-only calls record nothing, and two
+    advances with no call between them share one entry. A snapshot
+    holds no mutable engine structure: PTGs, platforms, policies and
+    fault scenarios are immutable, and the failure outcomes a scenario
+    rolls are a pure function of its seed.
 
     {b Bit-identity bar.} [restore (snapshot s)] continued to
-    quiescence replays the exact event log the uninterrupted [s] would
-    have produced — float for float, tiebreak for tiebreak, fault
-    scenarios included. The snapshot/restore qcheck property and the CI
-    checkpoint job enforce this. The mapper session and the
-    availability buffer are caches and are not captured: a restored
-    session starts with fresh ones. *)
+    quiescence emits the exact event log the uninterrupted [s] would
+    have emitted — float for float, tiebreak for tiebreak, fault
+    scenarios included. The snapshot/restore qcheck property and the
+    CI checkpoint job enforce this. *)
 
 val snapshot : session -> snapshot
-(** Capture the session mid-run. O(state); the session is untouched and
-    the snapshot is immune to its further progress. *)
+(** Capture the session mid-run, in O(1): the snapshot shares the
+    session's record of calls, so it is immune to the session's
+    further progress and can seed any number of restores. *)
 
 val restore :
   ?log:(Log.event -> unit) ->
   ?check:(Mcs_check.Diagnostic.t list -> unit) ->
   snapshot ->
   session
-(** A fresh live session at the snapshot's instant, with fresh [log] /
-    [check] sinks (a restored shard re-wires its own). Deep-copies
-    again, so one snapshot can seed any number of restores. Gauges
-    ([active_count], {!peak_active}) are re-derived from the restored
-    statuses, never inherited from the (possibly crashed) source. *)
+(** A fresh live session at the snapshot's instant: {!create} over the
+    snapshot's origin, then its calls repeated in order with no sinks
+    attached, then [log] and [check] attached (a restored shard wires
+    its own). The engine is deterministic, so the replay rebuilds
+    everything the calls left behind: placements, allocation caches
+    and their statistics, the queue's insertion sequence, memoised
+    failure verdicts, armed resizes, the ledger and the gauges. It
+    costs the session's work so far, and the {!Mcs_obs.Obs} counters
+    (a [--profile]) count the replayed work too; logs, results and
+    {!stats} do not change. The restored session records the calls it
+    repeated, so a snapshot of it restores the same run. *)
 
 val audit : session -> Mcs_check.Diagnostic.t list
 (** Run the static rule sets (DAG, ALLOC incl. the SCRAP-MAX level
@@ -274,14 +275,16 @@ type speculation = {
 
 val what_if : session -> Policy.t -> speculation
 (** Speculative rescheduling: clone the session twice
-    ({!snapshot}/{!restore}), run the incumbent policy and the
+    ({!snapshot}/{!restore}, so each clone replays the session's
+    prefix), run the incumbent policy and the
     candidate (the latter with an immediate ["policy_swap"] remap) to
     quiescence over everything currently queued, and compare makespans
     (latest completion). The candidate is adopted on the live session —
     {!set_policy} with an immediate remap — {e only} if it strictly
     improves the makespan; otherwise the live session is left exactly
     as it was. The clones are silent and isolated: no log, no checker,
-    no effect on the live run beyond the adoption decision. *)
+    no effect on the live run beyond the adoption decision.
+    @raise Invalid_argument as {!set_policy} does. *)
 
 val run :
   ?log:(Log.event -> unit) ->

@@ -58,17 +58,6 @@ type t = {
 let create () =
   { fixed = Heap.create ~dummy; current = Heap.create ~dummy; next_seq = 0 }
 
-(* Kinds are immutable, so sharing them across the copied heaps is
-   safe; preserving [next_seq] keeps the insertion-sequence tiebreak —
-   and hence every future pop order — bit-identical between the copy
-   and the original. *)
-let copy t =
-  {
-    fixed = Heap.copy t.fixed;
-    current = Heap.copy t.current;
-    next_seq = t.next_seq;
-  }
-
 let push t ~time kind =
   if not (Float.is_finite time) || time < 0. then
     invalid_arg "Event_queue.push: ill-formed time";

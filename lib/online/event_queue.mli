@@ -58,13 +58,6 @@ type t
 val create : unit -> t
 (** Fresh empty queue with the insertion sequence at zero. *)
 
-val copy : t -> t
-(** Self-contained clone: same pending events, same insertion sequence,
-    buffers of the same sizes.
-    Pushes, pops and generation changes on either queue never affect the
-    other, and — the snapshot/restore contract — the clone pops the
-    exact sequence the original would, tiebreaks included. *)
-
 val push : t -> time:float -> kind -> unit
 (** Queue one event. An announcement (finish, failure, departure,
     resize) belongs to the current generation.

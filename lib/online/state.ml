@@ -91,68 +91,6 @@ let create platform apps =
     resizes = 0;
   }
 
-let copy_app (a : app) =
-  {
-    index = a.index;
-    (* The PTG is shared, not cloned: it is immutable, and the copied
-       allocation cache binds to it by physical equality — a cloned PTG
-       would invalidate every cached trajectory. *)
-    ptg = a.ptg;
-    release = a.release;
-    status = a.status;
-    beta = a.beta;
-    placements = Array.copy a.placements;
-    completion = a.completion;
-    failures = Array.copy a.failures;
-    retry_at = Array.copy a.retry_at;
-    committed = Array.copy a.committed;
-    progress = Array.copy a.progress;
-    seg_overhead = Array.copy a.seg_overhead;
-    verdicts = Array.copy a.verdicts;
-    last_alloc = Array.copy a.last_alloc;
-    alloc_cache = Mcs_sched.Allocation.cache_copy a.alloc_cache;
-  }
-
-let copy t =
-  let apps = Array.map copy_app t.apps in
-  (* Gauges are re-derived from the copied statuses, never inherited:
-     a consistent source state reproduces them exactly (so the copy
-     stays bit-identical), and a gauge that somehow drifted — e.g. a
-     dead serving domain's stale counters — is repaired rather than
-     propagated. The peak keeps the recorded high-water mark, floored
-     by what the statuses prove. *)
-  let active = ref 0 and completed = ref 0 in
-  Array.iter
-    (fun app ->
-      match app.status with
-      | Active -> incr active
-      | Completed -> incr completed
-      | Pending -> ())
-    apps;
-  {
-    platform = t.platform;
-    ref_cluster = t.ref_cluster;
-    apps;
-    now = t.now;
-    reschedules = t.reschedules;
-    remapped_tasks = t.remapped_tasks;
-    active_apps = !active;
-    completed_apps = !completed;
-    peak_active = max t.peak_active !active;
-    (* Fresh arena: it is pure per-call scratch, fully refilled by every
-       allocation run, so the copy must simply not share buffers with
-       the original's domain. *)
-    arena = Mcs_sched.Alloc_arena.create ();
-    proc_up = Array.copy t.proc_up;
-    ledger = Timeline.copy t.ledger;
-    (* Persistent list — sharing the spine is safe, prepends diverge. *)
-    executions = t.executions;
-    kills = t.kills;
-    task_failures = t.task_failures;
-    fault_events = t.fault_events;
-    resizes = t.resizes;
-  }
-
 (* Appending is O(apps) per call; submissions reach the engine in
    batches (the serving layer drains its mailbox before stepping), so
    the quadratic worst case never materialises in practice. *)

@@ -15,7 +15,12 @@
     placement so that outage recovery exercises the real
     release/re-reserve path ([committed] marks placements currently
     reserved in the ledger). All of it is inert — never read, never
-    written — when the engine runs without a fault scenario. *)
+    written — when the engine runs without a fault scenario.
+
+    A state is never copied. {!Engine.restore} builds a new one by
+    creating the session again and replaying the calls that changed
+    it, so every structure here, allocation caches and ledger
+    included, is rebuilt by the code that built it the first time. *)
 
 type status = Pending | Active | Completed
 
@@ -47,7 +52,7 @@ type app = {
           the first roll; [[||]] until the engine rolls one and again
           once the application departs. A pure
           function of the scenario seed, the application, the node and
-          the attempt, so a copy or a cold memo rolls the same *)
+          the attempt, so a cold memo rolls the same *)
   mutable last_alloc : int array;
       (** reference allocation of the last reschedule that covered this
           application ([[||]] before the first) — what the mid-run
@@ -91,19 +96,6 @@ val create : Mcs_platform.Platform.t -> (Mcs_ptg.Ptg.t * float) list -> t
     list may be empty — a serving session starts blank and grows by
     {!add_app}). All processors start up, all counters at zero.
     @raise Invalid_argument on a negative/non-finite release time. *)
-
-val copy : t -> t
-(** Deep, self-contained copy — the substance of {!Engine.snapshot}.
-    Every mutable structure (placements, fault bookkeeping, the
-    per-application allocation caches, the ledger, the liveness mask)
-    is cloned; PTGs are shared (immutable, and the cache binding is by
-    physical equality); the arena is fresh (pure per-call scratch); the
-    executions list shares its persistent spine. The [active_apps] /
-    [completed_apps] / [peak_active] gauges are {e re-derived} from the
-    copied statuses rather than inherited, so a copy taken from a
-    drifted source (a crashed serving domain's stale counters) is
-    self-consistent; on a consistent source this reproduces the gauges
-    exactly, keeping the copy bit-identical. *)
 
 val add_app : t -> Mcs_ptg.Ptg.t -> release:float -> app
 (** Append one application (index = current count, status [Pending]).

@@ -370,43 +370,6 @@ let cache_stats cache =
   { hits = cache.hits; rescales = cache.rescales; misses = cache.misses }
 let cache_entry_count cache = List.length cache.entries
 
-let entry_copy e =
-  {
-    e_levels = Array.copy e.e_levels;
-    e_steps = Array.copy e.e_steps;
-    e_cps = Array.copy e.e_cps;
-    e_areas = Array.copy e.e_areas;
-    e_len = e.e_len;
-    e_closed = e.e_closed;
-    e_closed_ceil = e.e_closed_ceil;
-    e_closed_chi = e.e_closed_chi;
-    e_procs = Array.copy e.e_procs;
-    e_usage = Array.copy e.e_usage;
-    e_exec = Array.copy e.e_exec;
-    e_cap = e.e_cap;
-    e_budget = e.e_budget;
-    e_bpower = e.e_bpower;
-    e_res = { e.e_res with procs = Array.copy e.e_res.procs };
-  }
-
-(* Snapshot-grade deep copy. Every mutable array is cloned, so extend/
-   fork/rescale on either side never leaks into the other. The PTG
-   binding is {e shared} — deliberately: the binding is checked by
-   physical equality, and a restored engine re-allocates the very same
-   PTG values, so a cloned binding must keep pointing at them. *)
-let cache_copy cache =
-  {
-    entries = List.map entry_copy cache.entries;
-    hits = cache.hits;
-    rescales = cache.rescales;
-    misses = cache.misses;
-    bound_ptg = cache.bound_ptg;
-    bound_procedure = cache.bound_procedure;
-    bound_speed = cache.bound_speed;
-    bound_seq = Array.copy cache.bound_seq;
-    bound_alpha = Array.copy cache.bound_alpha;
-  }
-
 (* A cache is bound to one PTG, one procedure and one reference speed
    for its whole life; mixing inputs would serve one application's
    trajectories to another. Everything else an allocation depends on
@@ -616,9 +579,9 @@ let allocate_cached ?(procedure = Scrap_max) ?up_counts ~cache ~arena
   bind_guards cache ~procedure
     ~speed:ref_cluster.Reference_cluster.speed ptg;
   let n = Dag.node_count ptg.Ptg.dag in
-  (* Reserve here, for every path: a warm cache in front of a fresh
-     arena (a restored engine's State.copy pairs copied caches with new
-     scratch) can take the extend/fork paths on its very first call. *)
+  (* Reserve here, for every path: a caller may pass a warm cache with
+     a fresh arena, and the extend/fork paths then run on its very
+     first call. *)
   Alloc_arena.reserve arena ~nodes:n;
   if Array.length cache.bound_seq < n then begin
     cache.bound_seq <- Array.make n 0.;

@@ -120,14 +120,6 @@ val cache_release : cache -> unit
     so releasing one never evicts a still-active neighbour's
     trajectories. Statistics survive. *)
 
-val cache_copy : cache -> cache
-(** Deep, self-contained copy: entries, frontier state and statistics
-    are cloned (mutation on either side is invisible to the other); the
-    PTG binding is shared, as the binding is by physical equality and a
-    snapshot-restored engine keeps allocating the same PTG values.
-    Serving the same request sequence to the copy and the original
-    yields bit-identical results — the snapshot/restore bar. *)
-
 val cache_stats : cache -> stats
 (** Lifetime hit/rescale/miss counts. *)
 

@@ -16,7 +16,6 @@ type config = {
   router : Router.choice;
   admission : Admission.t;
   policy : Policy.t;
-  checkpoint_every : int;
   kill : (int * int) option;
   capture_logs : bool;
   check : bool;
@@ -35,7 +34,6 @@ let default_config =
         ~base:
           (Policy.make
              (Mcs_sched.Strategy.Weighted (Mcs_sched.Strategy.Work, 0.7)));
-    checkpoint_every = 0;
     kill = None;
     capture_logs = false;
     check = false;
@@ -105,8 +103,7 @@ let create config platform =
           | _ -> None
         in
         Shard.make ~index:k ~platform:sub ~clusters
-          ~admission:config.admission ~policy:config.policy
-          ~checkpoint_every:config.checkpoint_every ~crash_after
+          ~admission:config.admission ~policy:config.policy ~crash_after
           ~capture_log:config.capture_logs ~check:config.check ~faults)
       parts
   in
@@ -141,7 +138,7 @@ let create config platform =
 
 (* Detect-and-heal: any shard whose serving loop died at its scripted
    crash point is joined (making its last state fully visible), rebuilt
-   from its checkpoint + journal, and its loop respawned. Called at the
+   from its creation-time snapshot + journal, and its loop respawned. Called at the
    top of every [submit] — before any push, so a Block-mode submitter
    never backpressures against a dead consumer — and at [close]. Under
    the service lock: the flag is only ever cleared here, so concurrent

@@ -39,16 +39,13 @@ type config = {
   router : Router.choice;
   admission : Admission.t;
   policy : Mcs_online.Policy.t;  (** every shard's engine policy *)
-  checkpoint_every : int;
-      (** [> 0]: checkpoint every shard every that-many injections
-          (plus once at creation) — engine snapshot + bookkeeping +
-          an injection journal, the substrate of crash recovery *)
   kill : (int * int) option;
       (** [Some (k, n)]: scripted fault-tolerance drill — shard [k]'s
           serving domain dies after ≥ [n] injections; the service
-          detects it, rebuilds the shard from its latest checkpoint +
-          journal and respawns the loop. The recovered run's merged
-          log is bit-identical to the no-kill run (shedding off).
+          detects it, rebuilds the shard from the snapshot of its
+          fresh session and a journal of every injection, and
+          respawns the loop. The recovered run's merged log is
+          bit-identical to the no-kill run (shedding off).
           [Domains] mode only: {!create} rejects it in [Inline] mode *)
   capture_logs : bool;  (** per-shard event logs, for merge/export *)
   check : bool;
@@ -63,8 +60,8 @@ val default_config : config
 (** 4 shards, [Domains], [Least_work] routing, {!Admission.default},
     arrival-only rescheduling (the registry policy ["static"] over
     {!Mcs_online.Policy.make}, as [mcs_serve_cli]'s default
-    [--policy static]: its work counts under [policy.static.*]), no
-    checkpoints, no kill, no logs, no checker, no faults. *)
+    [--policy static]: its work counts under [policy.static.*]), no kill,
+    no logs, no checker, no faults. *)
 
 type outcome =
   | Admitted of int  (** accepted, routed to the returned shard *)
@@ -83,7 +80,7 @@ type report = {
   events : int;  (** engine events processed, all shards *)
   reschedules : int;
   remapped : int;
-  restores : int;  (** checkpoint restores after scripted crashes *)
+  restores : int;  (** restores after scripted crashes *)
   violations : int;  (** checker errors, all shards *)
   wall_s : float;  (** create → close, seconds *)
 }

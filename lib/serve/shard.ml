@@ -19,19 +19,6 @@ type msg = { global : int; ptg : Ptg.t; release : float; handoff : bool }
    would admit hand-offs earlier than the original run did. *)
 type jentry = { jn_msg : msg; jn_at : float }
 
-type ckpt = {
-  ck_snapshot : Engine.snapshot;
-  ck_globals : int array;
-  ck_works : float array;
-  ck_log_rev : Log.event list;
-  ck_violations : int;
-  ck_diags_rev : Mcs_check.Diagnostic.t list;
-  ck_injected : int;
-  ck_handoffs_in : int;
-  ck_handoffs_out : int;
-  ck_last_wm : float;
-}
-
 type t = {
   index : int;
   clusters : int array;
@@ -51,10 +38,9 @@ type t = {
   mutable injected : int;
   mutable handoffs_in : int;
   mutable handoffs_out : int;
-  journaling : bool;  (** checkpoints on, or a crash is scripted *)
-  checkpoint_every : int;
-  mutable ckpt : ckpt option;
-  mutable journal : jentry list;  (** injections since [ckpt], reversed *)
+  origin : Engine.snapshot;  (** the fresh session *)
+  mutable journal : jentry list;
+      (** every injection, reversed, while a crash is scripted *)
   mutable crash_after : int option;
   crashed : bool Atomic.t;  (** published by the dying serving loop *)
   mutable restores : int;
@@ -124,31 +110,8 @@ let partition platform ~shards =
       (sub, clusters))
     bins
 
-(* A checkpoint captures everything a restored shard needs and nothing
-   it can recompute: the engine snapshot plus copies of the bookkeeping
-   the dying domain may have advanced past it. The journal is cleared —
-   it only ever describes injections after the latest checkpoint. *)
-let take_checkpoint t =
-  t.ckpt <-
-    Some
-      {
-        ck_snapshot = Engine.snapshot t.session;
-        ck_globals = Array.copy t.globals;
-        ck_works = Array.copy !(t.works);
-        ck_log_rev = !(t.log_rev);
-        ck_violations = !(t.violations);
-        ck_diags_rev = !(t.diags_rev);
-        ck_injected = t.injected;
-        ck_handoffs_in = t.handoffs_in;
-        ck_handoffs_out = t.handoffs_out;
-        ck_last_wm = t.last_wm;
-      };
-  t.journal <- []
-
-let make ~index ~platform ~clusters ~admission ~policy ~checkpoint_every
-    ~crash_after ~capture_log ~check ~faults =
-  if checkpoint_every < 0 then
-    invalid_arg "Shard.make: checkpoint_every < 0";
+let make ~index ~platform ~clusters ~admission ~policy ~crash_after
+    ~capture_log ~check ~faults =
   let load_gauge = Atomic.make 0. in
   let works = ref [||] in
   let log_rev = ref [] in
@@ -199,9 +162,7 @@ let make ~index ~platform ~clusters ~admission ~policy ~checkpoint_every
       injected = 0;
       handoffs_in = 0;
       handoffs_out = 0;
-      journaling = checkpoint_every > 0 || crash_after <> None;
-      checkpoint_every;
-      ckpt = None;
+      origin = Engine.snapshot session;
       journal = [];
       crash_after;
       crashed = Atomic.make false;
@@ -211,7 +172,6 @@ let make ~index ~platform ~clusters ~admission ~policy ~checkpoint_every
       hb_state = Hb.loc "shard.state";
     }
   in
-  if t.journaling then take_checkpoint t;
   (* The creating domain publishes the initial state to whichever
      domain first runs the serving loop. *)
   Hb.release t.hb_boot;
@@ -245,7 +205,8 @@ let inject_one t m =
       (Engine.now t.session)
   in
   ignore (Engine.submit t.session m.ptg ~release:m.release ~at : int);
-  if t.journaling then t.journal <- { jn_msg = m; jn_at = at } :: t.journal;
+  if t.crash_after <> None then
+    t.journal <- { jn_msg = m; jn_at = at } :: t.journal;
   t.injected <- t.injected + 1;
   Obs.incr c_injected;
   (m.global, Ptg.work m.ptg)
@@ -312,7 +273,7 @@ let crash_now t =
   match t.crash_after with Some n -> t.injected >= n | None -> false
 
 (* Scripted crash (test/CI facility): the domain dies right here,
-   abandoning everything since the last checkpoint. The mailbox is
+   abandoning everything since the shard was made. The mailbox is
    untouched — undrained messages survive the crash and are served by
    the restored loop (or the close-time sweep). [hb_done] carries this
    domain's clock out (the healer joins the domain and acquires it
@@ -335,12 +296,6 @@ let rec serve_loop t =
       t.last_wm <- b.Squeue.watermark;
       step t ~upto:b.Squeue.watermark;
       sample t;
-      (match t.ckpt with
-      | Some ck
-        when t.checkpoint_every > 0
-             && t.injected - ck.ck_injected >= t.checkpoint_every ->
-        Obs.with_span "serve.checkpoint" (fun () -> take_checkpoint t)
-      | Some _ | None -> ());
       serve_loop t
     end
   end
@@ -352,56 +307,47 @@ let serve_loop t =
 let crashed t = Atomic.get t.crashed
 
 (* Runs on the service's domain, strictly after the crashed domain was
-   joined. Rebuilds the shard at its last checkpoint and replays the
-   journal: every journaled message is re-submitted at its {e recorded}
+   joined. Rebuilds the shard as it was made and replays the journal:
+   every journaled message is re-submitted at its {e recorded}
    admission instant, which is ≥ every watermark the dead loop ever
    advanced to (the watermark protocol guarantees [at ≥ wm] at push
    time), so inject-all-then-advance reproduces the original
    interleaving of injections and steps event for event. The log and
-   violation sinks are rolled back with the engine, so re-advancing
-   re-emits exactly the abandoned suffix. *)
+   violation sinks restart empty, so re-advancing re-emits the whole
+   log. [handoffs_out] stays: the messages shed before the crash sit
+   in peers' mailboxes, and the journal holds only what was kept. *)
 let restore_crashed t =
-  match t.ckpt with
-  | None -> invalid_arg "Shard.restore_crashed: shard has no checkpoint"
-  | Some ck ->
-    Hb.write t.hb_state;
-    t.session <- Engine.restore ~log:t.log_cb ?check:t.check_cb ck.ck_snapshot;
-    t.globals <- Array.copy ck.ck_globals;
-    t.works := Array.copy ck.ck_works;
-    t.log_rev := ck.ck_log_rev;
-    t.violations := ck.ck_violations;
-    t.diags_rev := ck.ck_diags_rev;
-    t.injected <- ck.ck_injected;
-    t.handoffs_in <- ck.ck_handoffs_in;
-    t.handoffs_out <- ck.ck_handoffs_out;
-    t.last_wm <- ck.ck_last_wm;
-    let journal = List.rev t.journal in
-    t.journal <- [];
-    List.iter
-      (fun j ->
-        if j.jn_msg.handoff then t.handoffs_in <- t.handoffs_in + 1;
-        ignore
-          (Engine.submit t.session j.jn_msg.ptg ~release:j.jn_msg.release
-             ~at:j.jn_at
-            : int);
-        t.injected <- t.injected + 1;
-        t.globals <- Array.append t.globals [| j.jn_msg.global |];
-        t.works := Array.append !(t.works) [| Ptg.work j.jn_msg.ptg |])
-      journal;
-    (* The in-flight gauge is re-derived from the restored engine state
-       — never inherited from the dead domain, whose last published
-       value reflects departures the restore just rolled back. *)
-    let load = ref 0. in
-    Array.iteri
-      (fun i w -> if not (Engine.app_completed t.session i) then load := !load +. w)
-      !(t.works);
-    Atomic.set t.load_gauge !load;
-    t.crash_after <- None;
-    t.restores <- t.restores + 1;
-    Obs.incr c_restores;
-    Atomic.set t.crashed false;
-    (* Publish the rebuilt state to the respawned serving loop. *)
-    Hb.release t.hb_boot
+  if t.crash_after = None then
+    invalid_arg "Shard.restore_crashed: no crash was scripted";
+  Hb.write t.hb_state;
+  let journal = List.rev t.journal in
+  t.session <- Engine.restore ~log:t.log_cb ?check:t.check_cb t.origin;
+  List.iter
+    (fun j ->
+      ignore
+        (Engine.submit t.session j.jn_msg.ptg ~release:j.jn_msg.release
+           ~at:j.jn_at
+          : int))
+    journal;
+  t.globals <- Array.of_list (List.map (fun j -> j.jn_msg.global) journal);
+  t.works := Array.of_list (List.map (fun j -> Ptg.work j.jn_msg.ptg) journal);
+  t.log_rev := [];
+  t.violations := 0;
+  t.diags_rev := [];
+  t.injected <- List.length journal;
+  t.handoffs_in <- List.length (List.filter (fun j -> j.jn_msg.handoff) journal);
+  t.last_wm <- 0.;
+  (* Nothing has departed yet, so everything injected is in flight:
+     the dead domain's last published load reflects departures the
+     restore rolled back. *)
+  Atomic.set t.load_gauge (Array.fold_left ( +. ) 0. !(t.works));
+  t.journal <- [];
+  t.crash_after <- None;
+  t.restores <- t.restores + 1;
+  Obs.incr c_restores;
+  Atomic.set t.crashed false;
+  (* Publish the rebuilt state to the respawned serving loop. *)
+  Hb.release t.hb_boot
 
 type report = {
   shard : int;

@@ -64,20 +64,19 @@ val make :
   clusters:int array ->
   admission:Admission.t ->
   policy:Mcs_online.Policy.t ->
-  checkpoint_every:int ->
   crash_after:int option ->
   capture_log:bool ->
   check:bool ->
   faults:Mcs_fault.Fault.scenario option ->
   t
 (** A fresh shard over its sub-platform, mailbox capacity and fault
-    scenario per the arguments, its engine under [policy].
-    [checkpoint_every > 0] checkpoints the shard every that-many
-    injections (plus once at creation); [crash_after = Some n] scripts
-    a crash of the serving loop after at least [n] injections (see
-    {!restore_crashed}). Peers must be installed with {!set_peers}
-    before any pickup can shed.
-    @raise Invalid_argument on a negative [checkpoint_every]. *)
+    scenario per the arguments, its engine under [policy]. The shard
+    keeps {!Mcs_online.Engine.snapshot} of its fresh session.
+    [crash_after = Some n] scripts a crash of the serving loop after at
+    least [n] injections, and the shard then journals every injection
+    with its admission instant (see {!restore_crashed}); otherwise it
+    journals nothing. Peers must be installed with {!set_peers} before
+    any pickup can shed. *)
 
 val set_peers : t -> t array -> unit
 (** Install the full shard array (self included) — hand-off targets. *)
@@ -106,9 +105,9 @@ val pickup : t -> unit
 val serve_loop : t -> unit
 (** Blocking serving loop: pickup on every mailbox signal until the
     queue closes, then drain what remains and advance to quiescence.
-    The body of the shard's domain. Checkpoints per [checkpoint_every];
-    exits early — publishing {!crashed} — when the scripted
-    [crash_after] threshold is reached. *)
+    The body of the shard's domain. Exits early — publishing
+    {!crashed} — when the scripted [crash_after] threshold is
+    reached. *)
 
 val crashed : t -> bool
 (** Whether the serving loop died at its scripted crash point (readable
@@ -116,16 +115,21 @@ val crashed : t -> bool
     {!restore_crashed} and respawns the loop. *)
 
 val restore_crashed : t -> unit
-(** Rebuild the shard at its latest checkpoint and replay the journal
-    of injections made since (each at its {e recorded} admission
-    instant). Everything the dead loop did after the checkpoint —
-    engine progress, log suffix, violation counts, gauges — is rolled
-    back and will be re-derived by the respawned loop; by the watermark
-    argument the re-run is bit-identical to the run that did not crash.
-    The in-flight load gauge is re-derived from the restored engine
-    state (injected, not completed), never inherited. Must be called on
-    the service's domain, after the crashed domain was joined.
-    @raise Invalid_argument if the shard has no checkpoint. *)
+(** Rebuild the shard from the snapshot {!make} took of its fresh
+    session, and re-submit the whole journal, each injection at its
+    {e recorded} admission instant. The shard's records go back to
+    their creation values first — id maps, work table, captured log,
+    violation count and diagnostics, injection and hand-in counts,
+    watermark — and the respawned loop re-derives them as it advances,
+    re-emitting the log; by the watermark argument the re-run is
+    bit-identical to the run that did not crash. [handoffs_out] is
+    kept: what the shard shed before it died already sits in peers'
+    mailboxes. The in-flight load gauge is re-derived from the
+    re-submitted work, never inherited. No crash is scripted after a
+    restore, so the shard drops its journal. Must be called on the
+    service's domain, after the crashed domain was joined.
+    @raise Invalid_argument if no crash is scripted (the shard keeps
+    no journal). *)
 
 val restores : t -> int
 (** Completed {!restore_crashed} calls over this shard's lifetime. *)
@@ -148,7 +152,7 @@ type report = {
   handoffs_out : int;
   queue_peak : int;
   peak_active : int;
-  restores : int;  (** checkpoint restores after scripted crashes *)
+  restores : int;  (** restores after scripted crashes *)
   violations : int;  (** checker errors across all generations + audit *)
   diagnostics : Mcs_check.Diagnostic.t list;  (** first few, for reports *)
   log : Mcs_online.Log.event list;

@@ -17,15 +17,6 @@ let create ~dummy = { dummy; keys = [||]; ints = [||]; vals = [||]; size = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
-let copy t =
-  {
-    dummy = t.dummy;
-    keys = Array.copy t.keys;
-    ints = Array.copy t.ints;
-    vals = Array.copy t.vals;
-    size = t.size;
-  }
-
 (* Whether slot [i] of ([ka], [ia]) sorts strictly before slot [j] of
    ([kb], [ib]). Keys that compare neither lower nor higher (equal, or
    a NaN) tie, and the ints decide. *)

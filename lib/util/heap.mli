@@ -20,11 +20,6 @@ val create : dummy:'a -> 'a t
     holds no element, so the heap never keeps a removed value alive;
     pass an immediate or a long-lived value. *)
 
-val copy : 'a t -> 'a t
-(** Independent heap with the same contents and buffer sizes: pushes
-    and pops on either side never affect the other. Values are shared,
-    not cloned. O(capacity). *)
-
 val length : 'a t -> int
 (** Number of elements. *)
 

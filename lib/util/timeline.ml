@@ -26,20 +26,6 @@ let create ~procs =
 
 let procs t = t.nb_procs
 
-let copy t =
-  {
-    nb_procs = t.nb_procs;
-    lines =
-      Array.map
-        (fun l ->
-          {
-            starts = Array.copy l.starts;
-            finishes = Array.copy l.finishes;
-            len = l.len;
-          })
-        t.lines;
-  }
-
 let check_proc t proc =
   if proc < 0 || proc >= t.nb_procs then
     invalid_arg (Printf.sprintf "Timeline: processor %d out of range" proc)

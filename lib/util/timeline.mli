@@ -23,11 +23,6 @@ val create : procs:int -> t
 
 val procs : t -> int
 
-val copy : t -> t
-(** Deep copy: the clone's reservations evolve independently of the
-    original's — the snapshot path of the online engine clones the
-    fault ledger with this. O(total reservations). *)
-
 val reserve : t -> proc:int -> start:float -> finish:float -> unit
 (** Mark [proc] busy on [start, finish). Zero-length reservations are
     ignored.

@@ -249,24 +249,55 @@ let run_plain ?faults ~policy platform apps =
   Engine.advance s;
   (List.rev !logs, Engine.result s)
 
+(* What [run_split] does around its snapshot. [Source_first] runs the
+   source on to quiescence before the restore, its log discarded: a
+   snapshot that shares any state with its source then diverges.
+   [Chained] advances the restored session to twice the split,
+   snapshots it in turn and finishes on a restore of that: a restored
+   session must record the calls it repeated. Its source is created
+   empty and given the applications by [submit], so those calls are
+   the ones that matter. *)
+type split_mode = Abandon | Source_first | Chained
+
+let split_modes = [ Abandon; Source_first; Chained ]
+
+let split_mode_name = function
+  | Abandon -> "source abandoned"
+  | Source_first -> "source run first"
+  | Chained -> "restore restored"
+
 (* Interrupted run: advance to [split], snapshot, and finish on a restore
    of the snapshot. The log sink is handed to the restored session, so
-   the combined stream must equal the uninterrupted one bit for bit.
-   The original session is abandoned, or with [source_first] run on to
-   quiescence first with its log discarded: a snapshot that shares any
-   state with its source then diverges. *)
-let run_split ?faults ?(source_first = false) ~policy ~split platform apps =
+   the combined stream must equal the uninterrupted one bit for bit. *)
+let run_split ?faults ?(mode = Abandon) ~policy ~split platform apps =
   let logs = ref [] in
   let log e = logs := Log.to_json e :: !logs in
-  let s = Engine.create ~log ?faults ~policy platform apps in
+  let s =
+    if mode = Chained then begin
+      let s = Engine.create ~log ?faults ~policy platform [] in
+      List.iter
+        (fun (ptg, release) ->
+          ignore (Engine.submit s ptg ~release ~at:release : int))
+        apps;
+      s
+    end
+    else Engine.create ~log ?faults ~policy platform apps
+  in
   Engine.advance ~upto:split s;
   let snap = Engine.snapshot s in
-  if source_first then begin
+  if mode = Source_first then begin
     let kept = !logs in
     Engine.advance s;
     logs := kept
   end;
   let s' = Engine.restore ~log snap in
+  let s' =
+    if mode = Chained then begin
+      Engine.advance ~upto:(2. *. split) s';
+      Engine.restore ~log (Engine.snapshot s')
+    end
+    else s'
+  in
   Engine.advance s';
   (List.rev !logs, Engine.result s')
 
@@ -308,14 +339,14 @@ let test_snapshot_restore_identical_faults () =
   List.iter
     (fun split ->
       List.iter
-        (fun source_first ->
+        (fun mode ->
           Alcotest.(check bool)
-            (Printf.sprintf "faulted split at %g is bit-identical%s" split
-               (if source_first then ", source run first" else ""))
+            (Printf.sprintf "faulted split at %g is bit-identical, %s" split
+               (split_mode_name mode))
             true
             (same_outcome plain
-               (run_split ~faults ~source_first ~policy ~split platform apps)))
-        [ false; true ])
+               (run_split ~faults ~mode ~policy ~split platform apps)))
+        split_modes)
     [ 30.; 120. ]
 
 let strategies =
@@ -356,10 +387,10 @@ let qcheck_snapshot_restore =
       let plain = run_plain ?faults ~policy platform apps in
       let split = float_of_int percent /. 100. *. makespan (snd plain) in
       List.for_all
-        (fun source_first ->
+        (fun mode ->
           same_outcome plain
-            (run_split ?faults ~source_first ~policy ~split platform apps))
-        [ false; true ])
+            (run_split ?faults ~mode ~policy ~split platform apps))
+        split_modes)
 
 let test_policy_swap_deterministic () =
   let platform = Grid5000.rennes () in
@@ -390,7 +421,36 @@ let test_policy_swap_deterministic () =
     (Array.for_all2 Float.equal r1.Engine.completions r2.Engine.completions);
   Alcotest.(check bool)
     "the swap remap is logged" true
-    (List.exists (fun line -> contains_sub line "policy_swap") l1)
+    (List.exists (fun line -> contains_sub line "policy_swap") l1);
+  (* The execution audit judges the whole run by the final policy's
+     malleability model and retry bound, so a swap may change neither:
+     a swap from a malleable session to a moldable policy would make the
+     audit report MAL001 for every resized segment run before it. *)
+  let malleable =
+    Policy.make
+      ~malleability:
+        { Mcs_sched.Malleability.default with
+          Mcs_sched.Malleability.quantum = 10. }
+      Strategy.Equal_share
+  in
+  let fewer_retries =
+    Policy.make
+      ~faults:{ Policy.default_faults with Policy.max_retries = 1 }
+      (Strategy.Weighted (Strategy.Work, 0.7))
+  in
+  List.iter
+    (fun (name, from, into) ->
+      let s = Engine.create ~policy:from platform apps in
+      Engine.advance ~upto:60. s;
+      Alcotest.check_raises name
+        (Invalid_argument
+           "Engine.set_policy: the malleability model and retry bound are \
+            fixed")
+        (fun () -> Engine.set_policy s into))
+    [
+      ("malleable to moldable", malleable, Policy.make Strategy.Equal_share);
+      ("another retry bound", policy, fewer_retries);
+    ]
 
 let test_what_if_speculation () =
   let platform = Grid5000.rennes () in
@@ -461,27 +521,6 @@ let test_departure_scoped_invalidation () =
   Alcotest.(check bool)
     "survivor reallocations served from their caches" true
     (h2 + r2 > h1 + r1)
-
-let test_copy_rederives_gauges () =
-  (* A crashed shard's stale gauges must not leak through State.copy:
-     the concurrency gauges are re-derived from the copied statuses. *)
-  let platform = Grid5000.rennes () in
-  let apps = workload 4 3 ~mean:10. in
-  let st = State.create platform apps in
-  st.State.apps.(0).State.status <- State.Completed;
-  st.State.apps.(1).State.status <- State.Active;
-  st.State.active_apps <- 7;
-  st.State.completed_apps <- 5;
-  st.State.peak_active <- 0;
-  let c = State.copy st in
-  Alcotest.(check int) "active_apps re-derived" 1 c.State.active_apps;
-  Alcotest.(check int) "completed_apps re-derived" 1 c.State.completed_apps;
-  Alcotest.(check bool)
-    "peak floored by the derived gauge" true
-    (c.State.peak_active >= c.State.active_apps);
-  st.State.peak_active <- 5;
-  Alcotest.(check int)
-    "recorded peak kept when higher" 5 (State.copy st).State.peak_active
 
 let test_audit_restored_session () =
   let platform = Grid5000.rennes () in
@@ -712,7 +751,6 @@ type queue_op =
   | Burst of (float * Event_queue.kind) list
   | Bump
   | Pop
-  | Copy
 
 (* Few apps, nodes, processors and instants, so that equal times and
    equal content keys collide often. *)
@@ -746,12 +784,11 @@ let gen_queue_op =
     [
       (6, map (fun (t, k) -> Push (t, k)) (timed kind));
       (* A burst outgrows the announcement buffers of one generation,
-         so buffers double while holding data, a later copy or pop
-         lands mid-growth, and a later generation reuses them. *)
+         so buffers double while holding data, a later pop lands
+         mid-growth, and a later generation reuses them. *)
       (1, map (fun l -> Burst l) (list_size (int_range 100 400) (timed announcement)));
       (1, return Bump);
       (4, return Pop);
-      (1, return Copy);
     ]
 
 let show_push (t, k) =
@@ -769,7 +806,6 @@ let show_queue_op = function
   | Burst l -> Printf.sprintf "burst [%s]" (String.concat ", " (List.map show_push l))
   | Bump -> "bump"
   | Pop -> "pop"
-  | Copy -> "copy"
 
 let qcheck_queue_matches_reference =
   QCheck.Test.make ~name:"queue pops the live sequence of a stamped heap"
@@ -778,17 +814,16 @@ let qcheck_queue_matches_reference =
        ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
        QCheck.Gen.(list_size (int_range 0 80) gen_queue_op))
     (fun ops ->
-      let q = ref (Event_queue.create ()) in
-      let m = ref { entries = Ref_set.empty; live_gen = 0; next_seq = 0 } in
+      let q = Event_queue.create () in
+      let m = { entries = Ref_set.empty; live_gen = 0; next_seq = 0 } in
       let view e = (e.Event_queue.time, e.Event_queue.kind) in
       let push (time, kind) =
-        Event_queue.push !q ~time kind;
-        let r = !m in
-        r.entries <-
+        Event_queue.push q ~time kind;
+        m.entries <-
           Ref_set.add
-            { r_time = time; r_kind = kind; r_gen = r.live_gen; r_seq = r.next_seq }
-            r.entries;
-        r.next_seq <- r.next_seq + 1
+            { r_time = time; r_kind = kind; r_gen = m.live_gen; r_seq = m.next_seq }
+            m.entries;
+        m.next_seq <- m.next_seq + 1
       in
       let step = function
         | Push (time, kind) ->
@@ -798,34 +833,22 @@ let qcheck_queue_matches_reference =
           List.iter push l;
           true
         | Bump ->
-          Event_queue.next_generation !q;
-          let r = !m in
-          r.live_gen <- r.live_gen + 1;
+          Event_queue.next_generation q;
+          m.live_gen <- m.live_gen + 1;
           true
         | Pop ->
-          let peeked = Option.map view (Event_queue.peek !q) in
-          let popped = Option.map view (Event_queue.pop !q) in
-          peeked = popped && popped = ref_pop !m
-        | Copy ->
-          (* Continue on the copy and disturb the original: the copy
-             must not notice. *)
-          let original = !q in
-          q := Event_queue.copy original;
-          m := { !m with entries = !m.entries };
-          Event_queue.push original ~time:0.
-            (Event_queue.Task_finish { app = 9; node = 9 });
-          ignore (Event_queue.pop original);
-          Event_queue.next_generation original;
-          true
+          let peeked = Option.map view (Event_queue.peek q) in
+          let popped = Option.map view (Event_queue.pop q) in
+          peeked = popped && popped = ref_pop m
       in
       let agrees () =
-        let live = ref_live !m in
-        Event_queue.length !q = live
-        && Event_queue.is_empty !q = (live = 0)
-        && Event_queue.pushed !q = !m.next_seq
+        let live = ref_live m in
+        Event_queue.length q = live
+        && Event_queue.is_empty q = (live = 0)
+        && Event_queue.pushed q = m.next_seq
       in
       let rec drain () =
-        match (Option.map view (Event_queue.pop !q), ref_pop !m) with
+        match (Option.map view (Event_queue.pop q), ref_pop m) with
         | None, None -> true
         | a, b -> a = b && drain ()
       in
@@ -996,8 +1019,6 @@ let suite =
           test_what_if_speculation;
         Alcotest.test_case "departure-scoped cache invalidation" `Quick
           test_departure_scoped_invalidation;
-        Alcotest.test_case "State.copy re-derives gauges" `Quick
-          test_copy_rederives_gauges;
         Alcotest.test_case "audit clean on restored session" `Quick
           test_audit_restored_session;
         Alcotest.test_case "blackout: no audit, snapshot replays" `Quick

@@ -380,39 +380,19 @@ let test_cache_binding_guards () =
     (rejected (fun () ->
          Allocation.allocate_cached ~cache ~arena r2 p2 ~beta:0.5 ptg))
 
-let test_cache_release_and_copy () =
+let test_cache_release_and_fresh_arena () =
   let p = toy_platform ~procs:8 () in
   let r = Reference_cluster.of_platform p in
   let ptg = random_ptg ~tasks:10 29 in
   let arena = Alloc_arena.create () in
   let cache = Allocation.cache_create () in
   ignore (Allocation.allocate_cached ~cache ~arena r p ~beta:0.5 ptg);
-  (* A deep copy serves independently and inherits the statistics. *)
-  let copy = Allocation.cache_copy cache in
-  let s0 = Allocation.cache_stats copy in
-  Alcotest.(check int)
-    "copy inherits misses"
-    (Allocation.cache_stats cache).Allocation.misses s0.Allocation.misses;
-  let from_copy =
-    Allocation.allocate_cached ~cache:copy ~arena r p ~beta:0.5 ptg
-  in
-  check_alloc_equal "copy serves bit-identically"
-    (Allocation.allocate r p ~beta:0.5 ptg)
-    from_copy;
-  Alcotest.(check int)
-    "repeat on the copy is a hit" (s0.Allocation.hits + 1)
-    (Allocation.cache_stats copy).Allocation.hits;
-  Alcotest.(check int)
-    "serving the copy leaves the original untouched" s0.Allocation.hits
-    (Allocation.cache_stats cache).Allocation.hits;
-  (* A warm copy in front of a fresh arena: this is exactly what a
-     snapshot-restored engine presents on its first reschedule, and the
-     β-extension path must reserve the arena's scratch itself
-     (regression for the restored-run [bottom_levels_into] crash). *)
+  (* A warm cache in front of a fresh arena, which any caller may pass:
+     the β-extension path must reserve the arena's scratch itself
+     (regression for a [bottom_levels_into] crash). *)
   let fresh_arena = Alloc_arena.create () in
   let grown =
-    Allocation.allocate_cached ~cache:copy ~arena:fresh_arena r p ~beta:1.0
-      ptg
+    Allocation.allocate_cached ~cache ~arena:fresh_arena r p ~beta:1.0 ptg
   in
   check_alloc_equal "β-extension on a fresh arena"
     (Allocation.allocate r p ~beta:1.0 ptg)
@@ -506,9 +486,7 @@ let test_alloc_loop_budget () =
    procedure. The same β under another reference size means another
    budget and stop power, which is what an exact hit must be keyed on;
    a cap that moves must be checked against every recorded step.
-   Midway the cache is deep-copied, and the copy and the original each
-   serve the rest of the stream. Every result must be bit-identical to
-   a scratch run. *)
+   Every result must be bit-identical to a scratch run. *)
 let qcheck_cache_request_mix =
   let p = Grid5000.lille () in
   let full = Reference_cluster.of_platform p in
@@ -545,7 +523,8 @@ let qcheck_cache_request_mix =
         if scrap then Allocation.Scrap else Allocation.Scrap_max
       in
       let arena = Alloc_arena.create () in
-      let serve cache (beta, quarters, share) =
+      let cache = Allocation.cache_create () in
+      let serve (beta, quarters, share) =
         let up_counts =
           Option.map (Array.mapi (fun k q -> sizes.(k) * q / 4)) quarters
         in
@@ -565,14 +544,7 @@ let qcheck_cache_request_mix =
         && Float.equal cached.Allocation.average_area
              scratch.Allocation.average_area
       in
-      let half = List.length requests / 2 in
-      let first = List.filteri (fun i _ -> i < half) requests in
-      let rest = List.filteri (fun i _ -> i >= half) requests in
-      let cache = Allocation.cache_create () in
-      List.for_all (serve cache) first
-      &&
-      let copy = Allocation.cache_copy cache in
-      List.for_all (serve copy) rest && List.for_all (serve cache) rest)
+      List.for_all serve requests)
 
 (* ---------- Strategy ---------- *)
 
@@ -1637,8 +1609,8 @@ let suite =
         Alcotest.test_case "entry bound & clear" `Quick
           test_cache_entry_bound;
         Alcotest.test_case "binding guards" `Quick test_cache_binding_guards;
-        Alcotest.test_case "release & copy" `Quick
-          test_cache_release_and_copy;
+        Alcotest.test_case "release & fresh arena" `Quick
+          test_cache_release_and_fresh_arena;
         Alcotest.test_case "allocation budget per increment" `Quick
           test_alloc_loop_budget;
         QCheck_alcotest.to_alcotest qcheck_cache_differential;

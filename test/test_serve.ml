@@ -287,12 +287,12 @@ let test_deterministic_replay () =
   Alcotest.(check bool) "merged logs equal (domains)" true (l1 = l2);
   Alcotest.(check bool) "merged logs equal (inline)" true (l1 = l3)
 
-(* --- checkpoint / crash recovery ----------------------------------- *)
+(* --- crash recovery ------------------------------------------------ *)
 
 let test_kill_restore_bit_identical () =
   (* Scripted crash drill: shard 1's domain dies right after its 5th
      injection, the service joins the corpse, restores the shard from
-     its latest checkpoint (replaying the journalled suffix at the
+     the snapshot of its fresh session (re-submitting the journal at the
      recorded admission instants) and respawns it. The bar is total
      transparency: merged log, response vector and checker verdict all
      bit-identical to the run that never crashed. *)
@@ -304,7 +304,6 @@ let test_kill_restore_bit_identical () =
       c with
       Service.admission =
         { c.Service.admission with Admission.batch_window = 5. };
-      Service.checkpoint_every = 3;
       Service.kill;
     }
   in
@@ -327,8 +326,7 @@ let test_kill_refused_inline () =
   let cfg =
     {
       (config ~shards:2 ~mode:Service.Inline) with
-      Service.checkpoint_every = 5;
-      kill = Some (1, 10);
+      Service.kill = Some (1, 10);
     }
   in
   let message = "Service.create: a kill drill needs Domains mode" in
@@ -399,37 +397,67 @@ let test_block_admits_everything () =
 
 (* --- shedding ------------------------------------------------------ *)
 
+(* Two inputs: four [Inline] shards, and two [Domains] shards where
+   shard 1 dies at its third injection. In the second, every release
+   lies within half a second, so nothing departs before the stream
+   ends, and each shard sheds every message of its own but the first.
+   At most one hand-off (shard 0's second message) can precede shard
+   1's second message, so shard 1 sheds that message before it dies,
+   and the restore must not forget it. *)
 let test_shedding_conserves () =
   let platform = Grid5000.grid () in
-  let apps = workload 24 9 ~mean:1. in
-  let cfg = config ~shards:4 ~mode:Service.Inline in
-  let cfg =
+  let shedding ~shards ~mode ~capacity ~shed_above =
+    let cfg = config ~shards ~mode in
     {
       cfg with
       Service.router = Router.Round_robin;
       Service.admission =
         {
-          Admission.capacity = 2;  (* tiny: forces mid-stream pickups *)
+          Admission.capacity;
           on_full = Admission.Block;
-          shed_above = Some 2;
+          shed_above = Some shed_above;
           batch_window = 0.;
         };
     }
   in
-  let r = Service.run_stream cfg platform apps in
-  Alcotest.(check bool) "hand-offs happened" true (r.Service.handoffs > 0);
-  Alcotest.(check int) "no violations" 0 r.Service.violations;
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 r.Service.shards in
-  Alcotest.(check int) "conservation across hand-offs" r.Service.admitted
-    (sum (fun s -> Array.length s.Shard.global_ids));
-  Alcotest.(check int) "every hand-off received"
-    (sum (fun s -> s.Shard.handoffs_out))
-    (sum (fun s -> s.Shard.handoffs_in));
-  (* Every submission answered: the hand-off path loses nothing. *)
-  Array.iter
-    (fun x ->
-      Alcotest.(check bool) "response finite" true (Float.is_finite x))
-    r.Service.responses
+  List.iter
+    (fun (name, cfg, apps, rate, restores) ->
+      let r = Service.run_stream ~rate cfg platform apps in
+      let check what = Alcotest.(check int) (name ^ ": " ^ what) in
+      Alcotest.(check bool)
+        (name ^ ": hand-offs happened") true (r.Service.handoffs > 0);
+      check "no violations" 0 r.Service.violations;
+      check "restores" restores r.Service.restores;
+      let sum f = Array.fold_left (fun acc s -> acc + f s) 0 r.Service.shards in
+      check "conservation across hand-offs" r.Service.admitted
+        (sum (fun s -> Array.length s.Shard.global_ids));
+      check "every hand-off received"
+        (sum (fun s -> s.Shard.handoffs_out))
+        (sum (fun s -> s.Shard.handoffs_in));
+      (* Every submission answered: the hand-off path loses nothing. *)
+      Array.iter
+        (fun x ->
+          Alcotest.(check bool) (name ^ ": response finite") true
+            (Float.is_finite x))
+        r.Service.responses)
+    [
+      ( "inline",
+        (* tiny mailboxes force mid-stream pickups *)
+        shedding ~shards:4 ~mode:Service.Inline ~capacity:2 ~shed_above:2,
+        workload 24 9 ~mean:1.,
+        0.,
+        0 );
+      ( "domains, shard 1 killed",
+        {
+          (shedding ~shards:2 ~mode:Service.Domains ~capacity:1024
+             ~shed_above:1)
+          with
+          Service.kill = Some (1, 3);
+        },
+        workload 40 9 ~mean:0.01,
+        400.,
+        1 );
+    ]
 
 (* --- API misuse ----------------------------------------------------- *)
 

@@ -123,16 +123,6 @@ let test_heap_custom_cmp () =
   Alcotest.(check bool) "a NaN key ties" false (Heap.min_before a b);
   Alcotest.(check bool) "and the ties decide" true (Heap.min_before b a)
 
-let test_heap_copy () =
-  let h = int_heap [ 2; 1; 3 ] in
-  let c = Heap.copy h in
-  Heap.drop_min h;
-  Heap.push h 0. 0 0 0 0 ();
-  Alcotest.(check (list int)) "copy unchanged" [ 1; 2; 3 ]
-    (List.init 3 (fun _ -> pop_int c));
-  Alcotest.(check (list int)) "original" [ 0; 2; 3 ]
-    (List.init 3 (fun _ -> pop_int h))
-
 let qcheck_heap_sorts =
   QCheck.Test.make ~name:"heap drains any int list sorted" ~count:200
     QCheck.(list int)
@@ -422,7 +412,6 @@ let suite =
         Alcotest.test_case "ordering" `Quick test_heap_order;
         Alcotest.test_case "peek/clear" `Quick test_heap_peek_clear;
         Alcotest.test_case "custom comparison" `Quick test_heap_custom_cmp;
-        Alcotest.test_case "copy" `Quick test_heap_copy;
         Alcotest.test_case "pop releases elements" `Quick
           test_heap_pop_releases_elements;
         Alcotest.test_case "growth forces no minor collection" `Quick
