@@ -9,8 +9,6 @@ type point = {
   level : string;
   unfairness : float;
   relative_makespan : float;
-  kills : float;
-  retries : float;
 }
 
 let levels =
@@ -77,11 +75,7 @@ let scenario platform ptgs ~release ~fault_seed =
             Sweep.unfairness =
               Metrics.unfairness_of_makespans ~own ~multi:r.Engine.responses;
             makespan = Mcs_util.Floatx.maximum r.Engine.responses;
-            extras =
-              [|
-                float_of_int r.Engine.stats.Engine.kills;
-                float_of_int r.Engine.stats.Engine.task_failures;
-              |];
+            extras = [||];
           })
         strategies)
     levels
@@ -97,8 +91,6 @@ let compute ?runs () =
         level;
         unfairness = m.unfairness;
         relative_makespan = m.relative_makespan;
-        kills = m.extras.(0);
-        retries = m.extras.(1);
       })
     (List.concat_map
        (fun (level, _) -> List.map (fun s -> (level, s)) strategies)

@@ -18,23 +18,4 @@
     level included); any violation raises instead of skewing the
     numbers. *)
 
-type point = {
-  strategy : Mcs_sched.Strategy.t;
-  level : string;  (** failure level, see {!levels} *)
-  unfairness : float;
-  relative_makespan : float;
-  kills : float;  (** mean outage kills per run *)
-  retries : float;  (** mean transient failures per run *)
-}
-
-val levels : (string * Mcs_fault.Fault.config option) list
-(** none (fault-free baseline), mild, moderate, severe — MTTF 3000, 1500
-    and 750 s with transient failure probabilities 2, 5 and 10%. *)
-
-val strategies : Mcs_sched.Strategy.t list
-(** {!Mcs_sched.Strategy.paper_eight}. *)
-
-val compute : ?runs:int -> unit -> point list
-(** Six applications per scenario, submitted as in {!Sweep.releases}. *)
-
 val table : ?runs:int -> unit -> Mcs_util.Table.t

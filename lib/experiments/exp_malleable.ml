@@ -49,8 +49,8 @@ let burst_release count = Array.init count (fun i -> float_of_int (i / 3) *. 150
 (* One scenario under every (level, mode) pair: virtual response times,
    engine resize count, and whether the mode's makespan strictly beats
    its rival's at the same fault level. Every run is audited — the
-   per-generation online rules, the FAULT family when faults are on and
-   the MAL family when malleability is on; a violation aborts the
+   per-generation online rules, then the execution audit, which checks
+   the FAULT and MAL families in every mode; a violation aborts the
    experiment rather than skewing it. *)
 let scenario platform ptgs ~fault_seed =
   let own =

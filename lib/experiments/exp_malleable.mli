@@ -21,7 +21,7 @@
 
 type point = {
   mode : string;  (** ["moldable"] or ["malleable"] *)
-  level : string;  (** fault level, see {!levels} *)
+  level : string;  (** fault level: ["none"] or ["moderate"] *)
   unfairness : float;
   relative_makespan : float;
   resizes : float;  (** mean resize operations per run *)
@@ -29,12 +29,6 @@ type point = {
       (** fraction of scenarios with the strictly best makespan at this
           level *)
 }
-
-val model : Mcs_sched.Malleability.t
-(** The malleability model the experiment runs under. *)
-
-val modes : (string * Mcs_sched.Malleability.t option) list
-val levels : (string * Mcs_fault.Fault.config option) list
 
 val compute : ?runs:int -> ?count:int -> unit -> point list
 (** Defaults: 6 applications in bursts of three every 150 s, [runs] as

@@ -16,6 +16,7 @@ type point = {
   relative_makespan : float;
 }
 
+(* The acceptance set. *)
 let strategies =
   [
     Strategy.Equal_share;

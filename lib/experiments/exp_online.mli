@@ -28,9 +28,6 @@ type point = {
   relative_makespan : float;
 }
 
-val strategies : Mcs_sched.Strategy.t list
-(** ES, PS-work and WPS-work(0.7) — the acceptance set. *)
-
 val compute : ?runs:int -> ?counts:int list -> unit -> point list
 (** Defaults match {!Exp_arrivals}: its seed and release streams, the
     paper's counts. *)
