@@ -178,10 +178,8 @@ let make ~index ~platform ~clusters ~admission ~policy ~crash_after
   t
 
 let set_peers t peers = t.peers <- peers
-let restores t = t.restores
 let queue t = t.queue
 let hb_done t = t.hb_done
-let index t = t.index
 let load t = Atomic.get t.load_gauge
 
 let least_loaded_peer t =

@@ -90,9 +90,6 @@ val hb_done : t -> Hb.sync
     {!Hb.acquire} it to model the join's visibility edge (race
     profile; no-op when the tracker is disabled). *)
 
-val index : t -> int
-(** Position of this shard in the service's shard array. *)
-
 val load : t -> float
 (** Live in-flight gauge: GFlop injected minus GFlop departed.
     Readable from any domain. *)
@@ -130,9 +127,6 @@ val restore_crashed : t -> unit
     service's domain, after the crashed domain was joined.
     @raise Invalid_argument if no crash is scripted (the shard keeps
     no journal). *)
-
-val restores : t -> int
-(** Completed {!restore_crashed} calls over this shard's lifetime. *)
 
 val finish : t -> unit
 (** Advance the session to quiescence (close-time sweep step). *)
