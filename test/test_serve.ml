@@ -455,7 +455,7 @@ let test_shedding_conserves () =
           Service.kill = Some (1, 3);
         },
         workload 40 9 ~mean:0.01,
-        400.,
+        200.,
         1 );
     ]
 
