@@ -23,7 +23,7 @@ type result = {
    integer (e.g. 0.57 × 100 = 56.999999999999993), which would silently
    drop a whole processor from the level budget. *)
 let budget_of ref_cluster ~beta =
-  max 1
+  Int.max 1
     (int_of_float
        (Float.floor
           ((beta *. float_of_int ref_cluster.Reference_cluster.procs)
@@ -134,7 +134,7 @@ let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
          plain float load where [Ptg.is_virtual] is a call per node per
          step. The winner is the first maximum of the positive gains;
          [best < 0] while there is none. *)
-      let tolerance = 1e-9 *. Float.max 1. !cp in
+      let tolerance = 1e-9 *. (if !cp > 1. then !cp else 1.) in
       let best = ref (-1) in
       let best_gain = ref 0. in
       let excluded = ref false in
@@ -170,9 +170,9 @@ let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
             && g > 0.
             && (!best < 0 || g > !best_gain || (g = !best_gain && u < !best))
           then
-            if procs.(u) >= cap then chi := min !chi (procs.(u) + 1)
+            if procs.(u) >= cap then chi := Int.min !chi (procs.(u) + 1)
             else if per_level && usage.(levels.(u)) + 1 > budget then
-              ceil := min !ceil (usage.(levels.(u)) + 1)
+              ceil := Int.min !ceil (usage.(levels.(u)) + 1)
         done;
       if !best < 0 then begin
         continue := false;
@@ -235,7 +235,7 @@ let allocate ?(procedure = Scrap_max) ?up_counts ref_cluster platform ~beta
   let alpha = Array.make n 0. in
   fill_seq_alpha ~gflops:ref_cluster.Reference_cluster.speed ptg ~seq ~alpha n;
   let procs, usage, exec =
-    initial_state ~seq ~alpha ptg levels ~depth:(max 1 (Dag.depth dag)) n
+    initial_state ~seq ~alpha ptg levels ~depth:(Int.max 1 (Dag.depth dag)) n
   in
   let cap = Reference_cluster.max_allocation ?up_counts ref_cluster platform in
   let budget = budget_of ref_cluster ~beta in
@@ -392,7 +392,7 @@ let bind_guards cache ~procedure ~speed ptg =
 let grow_ints a need =
   if Array.length a >= need then a
   else begin
-    let b = Array.make (max need ((2 * Array.length a) + 64)) 0 in
+    let b = Array.make (Int.max need ((2 * Array.length a) + 64)) 0 in
     Array.blit a 0 b 0 (Array.length a);
     b
   end
@@ -400,7 +400,7 @@ let grow_ints a need =
 let grow_floats a need =
   if Array.length a >= need then a
   else begin
-    let b = Array.make (max need ((2 * Array.length a) + 64)) 0. in
+    let b = Array.make (Int.max need ((2 * Array.length a) + 64)) 0. in
     Array.blit a 0 b 0 (Array.length a);
     b
   end
@@ -529,10 +529,10 @@ let new_entry ~prefix ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
     match src with Some src -> src.e_levels | None -> Dag.depth_levels dag
   in
   let procs, usage, exec =
-    initial_state ~seq ~alpha ptg levels ~depth:(max 1 (Dag.depth dag))
+    initial_state ~seq ~alpha ptg levels ~depth:(Int.max 1 (Dag.depth dag))
       (Dag.node_count dag)
   in
-  let size = max 64 (at + 1) in
+  let size = Int.max 64 (at + 1) in
   let e =
     {
       e_levels = levels;

@@ -100,6 +100,13 @@ type scratch = {
   mutable b_cluster : int;
   mutable b_packed : bool;
   f : float array;                     (* indexed by the [f_*] slots *)
+  (* The live clusters in the order [place_task] visits them, ascending
+     by their lower bound on finish, with each one's full width, its
+     execution time and the bound. *)
+  visit : int array;
+  visit_needed : int array;
+  visit_exec : float array;
+  visit_lb : float array;
   mutable weights : float array;       (* node -> execution time, for [bl] *)
 }
 
@@ -150,8 +157,33 @@ let create_scratch platform =
     b_cluster = -1;
     b_packed = false;
     f = Array.make 13 0.;
+    visit = Array.make nc 0;
+    visit_needed = Array.make nc 0;
+    visit_exec = Array.make nc 0.;
+    visit_lb = Array.make nc 0.;
     weights = [||];
   }
+
+(* [Float.max] and [Float.min] without their runtime calls: the
+   stdlib's inlined versions test sign bits through [caml_signbit], a C
+   call, whenever the first comparison fails. Each helper returns one of
+   its operands and equals the [Float] function bit for bit on every
+   non-NaN pair, signed zeros included ([fmax] takes [+0.] from two
+   zeros, [fmin] takes [-0.]). No NaN reaches them: [map] rejects
+   non-finite releases, availabilities and task floors. They stay local
+   because under the dev profile's [-opaque] a helper in another module
+   is a real call that boxes its floats. *)
+let[@inline] fmax (x : float) y =
+  if y > x then y
+  else if x > y || x <> 0. then x
+  else if 1. /. x < 0. then y
+  else x
+
+let[@inline] fmin (x : float) y =
+  if y < x then y
+  else if x < y || y <> 0. then x
+  else if 1. /. y < 0. then y
+  else x
 
 (* Load the predecessors of [v] (all placed, by readiness) into the
    scratch, growing its arrays to the largest in-degree seen, and
@@ -162,7 +194,7 @@ let load_preds s ptg placements v =
   let preds = Dag.preds ptg.Ptg.dag v in
   let np = Array.length preds in
   if np > Array.length s.p_finish then begin
-    let cap = max np (2 * Array.length s.p_finish) in
+    let cap = Int.max np (2 * Array.length s.p_finish) in
     s.p_finish <- Array.make cap 0.;
     s.p_bytes <- Array.make cap 0.;
     s.p_cluster <- Array.make cap 0;
@@ -184,10 +216,10 @@ let load_preds s ptg placements v =
   let finish = ref 0. in
   let total = ref 0. and last = ref 0. and senders = ref 0 in
   for i = 0 to np - 1 do
-    finish := Float.max !finish s.p_finish.(i);
+    finish := fmax !finish s.p_finish.(i);
     if s.p_bytes.(i) > 0. then begin
       total := !total +. s.p_bytes.(i);
-      last := Float.max !last s.p_finish.(i);
+      last := fmax !last s.p_finish.(i);
       incr senders
     end
   done;
@@ -234,8 +266,9 @@ let[@inline] cost s k i p' =
   if bytes <= 0. then 0.
   else
     let rate =
-      Float.min
-        (float_of_int (min (max 1 (Array.length s.p_procs.(i))) p') *. s.nic)
+      fmin
+        (float_of_int (Int.min (Int.max 1 (Array.length s.p_procs.(i))) p')
+        *. s.nic)
         s.route.((s.p_cluster.(i) * s.nc) + k)
     in
     s.latency +. (bytes /. rate)
@@ -282,9 +315,9 @@ let data_ready s k np p' =
   in
   let acc = ref 0. in
   for i = 0 to np - 1 do
-    acc := Float.max !acc (s.p_finish.(i) +. cost s k i p')
+    acc := fmax !acc (s.p_finish.(i) +. cost s k i p')
   done;
-  f.(f_ready) <- Float.max aggregate !acc
+  f.(f_ready) <- fmax aggregate !acc
 
 (* Price [p'] processors of cluster [k] for a task running [f_exec]
    seconds: write its start and finish to [f_start]/[f_finish] and
@@ -297,7 +330,7 @@ let price s proc_avail order k np p' =
   data_ready s k np p';
   let data_ready0 = f.(f_ready) in
   let start0 =
-    Float.max floor (Float.max data_ready0 proc_avail.(order.(p' - 1)))
+    fmax floor (fmax data_ready0 proc_avail.(order.(p' - 1)))
   in
   (* Best fit: among the processors available by start0, take the
      latest-available ones, leaving the most idle processors free for
@@ -335,7 +368,7 @@ let price s proc_avail order k np p' =
       for i = 0 to np - 1 do
         if s.p_bytes.(i) > 0. && not s.p_in_place.(i) then begin
           total := !total +. s.p_bytes.(i);
-          last := Float.max !last s.p_finish.(i);
+          last := fmax !last s.p_finish.(i);
           incr senders
         end
       done;
@@ -345,15 +378,15 @@ let price s proc_avail order k np p' =
       let acc = ref 0. in
       for i = 0 to np - 1 do
         let ci = if s.p_in_place.(i) then 0. else cost s k i p' in
-        acc := Float.max !acc (s.p_finish.(i) +. ci)
+        acc := fmax !acc (s.p_finish.(i) +. ci)
       done;
-      Float.max aggregate !acc
+      fmax aggregate !acc
     end
   in
   (* The window is availability-sorted, so its availability maximum is
      its last element's. *)
-  let avail = Float.max 0. proc_avail.(order.(fits_until - 1)) in
-  let start = Float.max floor (Float.max data_ready avail) in
+  let avail = fmax 0. proc_avail.(order.(fits_until - 1)) in
+  let start = fmax floor (fmax data_ready avail) in
   f.(f_start) <- start;
   f.(f_finish) <- start +. f.(f_exec);
   lo
@@ -381,7 +414,7 @@ let best_placement s v =
 let virtual_placement s v np =
   let start = ref s.f.(f_virtual_floor) in
   for i = 0 to np - 1 do
-    start := Float.max !start s.p_finish.(i)
+    start := fmax !start s.p_finish.(i)
   done;
   let start = !start in
   { Schedule.node = v; cluster = 0; procs = [||]; start; finish = start }
@@ -390,10 +423,10 @@ let virtual_placement s v np =
    [order], data-ready no earlier than [ready] and with a window ending
    at or after [order.(j)]: [price] starts it at [max floor (max
    data_ready avail)], its window's availability is at least
-   [order.(j)]'s ([order] is availability-sorted), and a [Float.max]
-   rounds nothing. *)
+   [order.(j)]'s ([order] is availability-sorted), and [fmax] rounds
+   nothing: it returns one of its operands. *)
 let[@inline] start_bound floor ready proc_avail order j =
-  Float.max floor (Float.max ready (Float.max 0. proc_avail.(order.(j))))
+  fmax floor (fmax ready (fmax 0. proc_avail.(order.(j))))
 
 (* The packing search on cluster [k], once its full width [needed] is
    priced into [f_start]/[f_finish]/[f_ready] and offered. The
@@ -479,9 +512,11 @@ let pack s task state proc_avail order k np slot needed =
    [offer]'s order is exact, so the winner does not depend on the
    order clusters are visited in, and a cluster or width is priced only
    if a lower bound leaves it a chance to win (DESIGN.md section 10):
-   the placements are bit-identical to the exhaustive search. The winner is
-   a window of its cluster's view, and committing it moves that window
-   alone. *)
+   the placements are bit-identical to the exhaustive search. Clusters
+   are visited in ascending order of their bound, so a good candidate is
+   held early and the bound skips the clusters that cannot beat it. The
+   winner is a window of its cluster's view, and committing it moves
+   that window alone. *)
 let place_task s platform ref_cluster avail_idx proc_avail state placements v
     ~packing =
   let ptg = state.ptg in
@@ -491,41 +526,64 @@ let place_task s platform ref_cluster avail_idx proc_avail state placements v
     let task = ptg.Ptg.tasks.(v) in
     let f = s.f in
     let floor = f.(f_floor) in
-    s.b_cluster <- -1;
+    (* Bound every live cluster and insert it into the visit order. The
+       processors of cluster k are ordered by (availability, id) — a
+       read-only view maintained incrementally across commits. Under a
+       fault mask the view holds the live processors only; a width is
+       capped to what survives, and a fully-down cluster offers no
+       candidate at all. No candidate on k is data-ready before the
+       latest predecessor finish (a transfer cost is never negative),
+       and none runs shorter than the full width, so [lb] bounds the
+       finish of each. The insertion is stable: equal bounds keep index
+       order. *)
+    let live = ref 0 in
     for k = 0 to s.nc - 1 do
-      (* Processors of cluster k ordered by (availability, id) — a
-         read-only view maintained incrementally across commits. Under a
-         fault mask the view holds the live processors only; a width is
-         capped to what survives, and a fully-down cluster offers no
-         candidate at all. *)
       let order = Avail_index.sorted avail_idx k in
       if Array.length order > 0 then begin
-        let slot = (v * s.nc) + k in
         let needed =
-          min (Array.length order)
+          Int.min (Array.length order)
             (Reference_cluster.translate ref_cluster platform ~cluster:k
                state.alloc.(v))
         in
-        Task.time_of_seq_into task ~procs:needed state.seq slot f f_exec;
-        (* No candidate on k is data-ready before the latest predecessor
-           finish (a transfer cost is never negative), and none runs
-           shorter than the full width. When even that loses [offer] to
-           the best so far, so does every candidate on k: the cluster is
-           not priced, and its packing widths count as attempts. *)
-        if
-          s.b_cluster >= 0
-          && f.(f_best_finish)
-             < start_bound floor f.(f_pred_finish) proc_avail order 0
-               +. f.(f_exec) -. Floatx.eps
-        then begin
-          if packing && needed > 1 then add c_packing_attempts (needed - 1)
-        end
-        else begin
-          let lo = price s proc_avail order k np needed in
-          offer s order k lo needed ~packed:false;
-          if packing && needed > 1 then
-            pack s task state proc_avail order k np slot needed
-        end
+        Task.time_of_seq_into task ~procs:needed state.seq ((v * s.nc) + k)
+          f f_exec;
+        let exec = f.(f_exec) in
+        let lb =
+          start_bound floor f.(f_pred_finish) proc_avail order 0 +. exec
+        in
+        let j = ref !live in
+        while !j > 0 && s.visit_lb.(!j - 1) > lb do
+          let i = !j - 1 in
+          s.visit.(!j) <- s.visit.(i);
+          s.visit_needed.(!j) <- s.visit_needed.(i);
+          s.visit_exec.(!j) <- s.visit_exec.(i);
+          s.visit_lb.(!j) <- s.visit_lb.(i);
+          j := i
+        done;
+        s.visit.(!j) <- k;
+        s.visit_needed.(!j) <- needed;
+        s.visit_exec.(!j) <- exec;
+        s.visit_lb.(!j) <- lb;
+        incr live
+      end
+    done;
+    s.b_cluster <- -1;
+    for i = 0 to !live - 1 do
+      let k = s.visit.(i) and needed = s.visit_needed.(i) in
+      (* When even the bound loses [offer] to the best so far, so does
+         every candidate on k: the cluster is not priced, and its
+         packing widths count as attempts. *)
+      if s.b_cluster >= 0 && f.(f_best_finish) < s.visit_lb.(i) -. Floatx.eps
+      then begin
+        if packing && needed > 1 then add c_packing_attempts (needed - 1)
+      end
+      else begin
+        let order = Avail_index.sorted avail_idx k in
+        f.(f_exec) <- s.visit_exec.(i);
+        let lo = price s proc_avail order k np needed in
+        offer s order k lo needed ~packed:false;
+        if packing && needed > 1 then
+          pack s task state proc_avail order k np ((v * s.nc) + k) needed
       end
     done;
     let pl = best_placement s v in
@@ -557,7 +615,7 @@ let place_task_backfill s platform ref_cluster timeline subsets state
       let subset = subsets.(k) in
       if Array.length subset > 0 then begin
       let needed =
-        min
+        Int.min
           (Array.length subset)
           (Reference_cluster.translate ref_cluster platform ~cluster:k
              state.alloc.(v))
@@ -566,7 +624,7 @@ let place_task_backfill s platform ref_cluster timeline subsets state
         s.f f_exec;
       let exec = s.f.(f_exec) in
       data_ready s k np needed;
-      let after = Float.max floor s.f.(f_ready) in
+      let after = fmax floor s.f.(f_ready) in
       (match
          Mcs_util.Timeline.find_slot ~procs_subset:subset timeline
            ~count:needed ~duration:exec ~after
@@ -813,13 +871,13 @@ let map ?(options = default_options) ?release ?avail ?up ?task_floor session
     let pl =
       match options.ordering with
       | Global_backfill ->
-        f.(f_floor) <- Float.max release.(i) (node_floor i v);
+        f.(f_floor) <- fmax release.(i) (node_floor i v);
         place_task_backfill s platform ref_cluster (Lazy.force timeline)
           groups state placements.(i) v
       | Ready_tasks | Global_fcfs ->
         (* [f_fcfs] only moves in Global_fcfs mode. *)
         f.(f_floor) <-
-          Float.max release.(i) (Float.max f.(f_fcfs) (node_floor i v));
+          fmax release.(i) (fmax f.(f_fcfs) (node_floor i v));
         place_task s platform ref_cluster avail_idx proc_avail state
           placements.(i) v ~packing:options.packing
     in
@@ -830,7 +888,7 @@ let map ?(options = default_options) ?release ?avail ?up ?task_floor session
       (* No backfilling: later queue entries may not start earlier than
          this task did. Virtual tasks are bookkeeping, not queue jobs. *)
       if not (Ptg.is_virtual state.ptg v) then
-        f.(f_fcfs) <- Float.max f.(f_fcfs) pl.Schedule.start
+        f.(f_fcfs) <- fmax f.(f_fcfs) pl.Schedule.start
     | Ready_tasks | Global_backfill -> ())
   in
   (* Bare enter/leave rather than a closure per task; the handler still

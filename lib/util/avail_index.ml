@@ -17,7 +17,7 @@ let sort_view (avail : float array) view tmp =
     let s = !src and d = !dst and w = !width in
     let lo = ref 0 in
     while !lo < n do
-      let mid = min (!lo + w) n and hi = min (!lo + (2 * w)) n in
+      let mid = Int.min (!lo + w) n and hi = Int.min (!lo + (2 * w)) n in
       let i = ref !lo and j = ref mid in
       for k = !lo to hi - 1 do
         if !i < mid && (!j >= hi || avail.(s.(!i)) <= avail.(s.(!j))) then begin
@@ -66,14 +66,14 @@ let create ~avail ~groups =
     v
   in
   let max_len =
-    Array.fold_left (fun acc ids -> max acc (Array.length ids)) 0 groups
+    Array.fold_left (fun acc ids -> Int.max acc (Array.length ids)) 0 groups
   in
   let t =
     {
       avail;
       views = Array.map Array.copy groups;
       by_id = Array.map by_id groups;
-      buf = Array.make (max 1 max_len) 0;
+      buf = Array.make (Int.max 1 max_len) 0;
     }
   in
   reset t;

@@ -944,28 +944,36 @@ let candidates_priced () = Obs.value (Obs.counter "mapper.candidates_priced")
 
 let test_mapper_cluster_bound_skips_cluster () =
   (* An 8 s task (alpha 0.5) allocated 4 reference processors: 2 on the
-     fast cluster 0, where it runs [0, 3], and 4 on the slow cluster 1,
-     where no candidate can finish before 0 + 5. So cluster 1 is never
-     priced, and its three packing widths still count as attempts. *)
-  let platform =
-    Platform.make ~name:"fast-first"
-      [
-        { Platform.cluster_name = "fast"; procs = 4; gflops = 2.; switch = 0 };
-        { Platform.cluster_name = "slow"; procs = 4; gflops = 1.; switch = 0 };
-      ]
+     fast cluster, where it runs [0, 3], and 4 on the slow one, where no
+     candidate can finish before 0 + 5. The fast cluster's bound is the
+     lower, so it is visited first whatever its index: the slow cluster
+     is never priced, and its three packing widths still count as
+     attempts. *)
+  let fast =
+    { Platform.cluster_name = "fast"; procs = 4; gflops = 2.; switch = 0 }
+  and slow =
+    { Platform.cluster_name = "slow"; procs = 4; gflops = 1.; switch = 0 }
   in
-  let ptg = chain ~alpha:0.5 [ 8. ] in
-  let schedules, attempts, wins, spans =
-    packing_run ~platform [ (ptg, Array.make (Ptg.node_count ptg) 4) ]
-  in
-  Alcotest.(check int) "priced: the full width on cluster 0" 1
-    (candidates_priced ());
-  Alcotest.(check int) "attempts" 4 attempts;
-  Alcotest.(check int) "wins" 0 wins;
-  Alcotest.(check int) "packing loops entered" 0 spans;
-  let pl = Schedule.placement (List.hd schedules) 0 in
-  Alcotest.(check int) "cluster" 0 pl.Schedule.cluster;
-  check_placement "task" ~procs:[| 2; 3 |] ~start:0. ~finish:3. pl
+  List.iter
+    (fun (name, clusters, cluster, procs) ->
+      let platform = Platform.make ~name clusters in
+      let ptg = chain ~alpha:0.5 [ 8. ] in
+      let schedules, attempts, wins, spans =
+        packing_run ~platform [ (ptg, Array.make (Ptg.node_count ptg) 4) ]
+      in
+      Alcotest.(check int)
+        (name ^ ": priced, the full width on the fast cluster")
+        1 (candidates_priced ());
+      Alcotest.(check int) (name ^ ": attempts") 4 attempts;
+      Alcotest.(check int) (name ^ ": wins") 0 wins;
+      Alcotest.(check int) (name ^ ": packing loops entered") 0 spans;
+      let pl = Schedule.placement (List.hd schedules) 0 in
+      Alcotest.(check int) (name ^ ": cluster") cluster pl.Schedule.cluster;
+      check_placement name ~procs ~start:0. ~finish:3. pl)
+    [
+      ("fast-first", [ fast; slow ], 0, [| 2; 3 |]);
+      ("slow-first", [ slow; fast ], 1, [| 6; 7 |]);
+    ]
 
 let test_mapper_packing_keeps_in_place_width () =
   (* A 4 s task on 2 processors, then an 8 s successor allocated 4 that
