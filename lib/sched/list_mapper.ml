@@ -168,11 +168,11 @@ let create_scratch platform =
    stdlib's inlined versions test sign bits through [caml_signbit], a C
    call, whenever the first comparison fails. Each helper returns one of
    its operands and equals the [Float] function bit for bit on every
-   non-NaN pair, signed zeros included ([fmax] takes [+0.] from two
-   zeros, [fmin] takes [-0.]). No NaN reaches them: [map] rejects
-   non-finite releases, availabilities and task floors. They stay local
-   because under the dev profile's [-opaque] a helper in another module
-   is a real call that boxes its floats. *)
+   non-NaN pair, signed zeros included (of [-0.] and [+0.], in either
+   order, [fmax] returns [+0.] and [fmin] [-0.]). No NaN reaches them:
+   [map] rejects non-finite releases, availabilities and task floors.
+   They stay local because under the dev profile's [-opaque] a helper in
+   another module is a real call that boxes its floats. *)
 let[@inline] fmax (x : float) y =
   if y > x then y
   else if x > y || x <> 0. then x
