@@ -27,6 +27,26 @@ type 'a t = {
 
 let max_rate = 1e18
 
+(* [Float.max] and [Float.min] without their runtime calls: the stdlib's
+   inlined versions test sign bits through [caml_signbit], a C call,
+   whenever the first comparison fails. Each returns the operand the
+   [Float] function returns, signed zeros and a single NaN included.
+   Local, because under the dev profile's [-opaque] a helper in another
+   module is a real call that boxes its floats. *)
+let[@inline] fmax (x : float) y =
+  if y > x then y
+  else if x > y then x
+  else if x = y then if x = 0. && 1. /. x < 0. then y else x
+  else if y <> y then y
+  else x
+
+let[@inline] fmin (x : float) y =
+  if y < x then y
+  else if x < y then x
+  else if x = y then if y = 0. && 1. /. y < 0. then y else x
+  else if y <> y then y
+  else x
+
 let create ~capacities =
   Array.iter
     (fun c ->
@@ -58,7 +78,7 @@ let add_flow t route data =
   let route = Array.of_list (List.sort_uniq Int.compare route) in
   let f = { route; data; rate = { bytes_per_s = 0. }; index = t.size } in
   if t.size = Array.length t.active then begin
-    let n = max 8 (2 * t.size) in
+    let n = Int.max 8 (2 * t.size) in
     let active = Array.make n f in
     Array.blit t.active 0 active 0 t.size;
     t.active <- active;
@@ -123,7 +143,7 @@ let update t =
       if t.count.(l) > 0 then begin
         let s = t.remaining.(l) /. float_of_int t.count.(l) in
         t.share.(l) <- s;
-        link_share := Float.min !link_share s
+        link_share := fmin !link_share s
       end
     done;
     let bound = !link_share in
@@ -135,7 +155,7 @@ let update t =
       nu := 0
     end
     else begin
-      let tol = 1e-12 *. Float.max 1. bound in
+      let tol = 1e-12 *. fmax 1. bound in
       let limit = bound +. tol in
       (* Within tolerance, the [max_rate] bound binds every flow. *)
       let at_max_rate = max_rate <= limit in
@@ -165,7 +185,7 @@ let update t =
         f.rate.bytes_per_s <- bound;
         for j = 0 to Array.length f.route - 1 do
           let l = f.route.(j) in
-          t.remaining.(l) <- Float.max 0. (t.remaining.(l) -. bound);
+          t.remaining.(l) <- fmax 0. (t.remaining.(l) -. bound);
           t.count.(l) <- t.count.(l) - 1
         done
       done;

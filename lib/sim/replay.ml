@@ -2,7 +2,6 @@ module Dag = Mcs_dag.Dag
 module Ptg = Mcs_ptg.Ptg
 module P = Mcs_platform.Platform
 module Schedule = Mcs_sched.Schedule
-module Redistribution = Mcs_taskmodel.Redistribution
 
 type result = {
   makespans : float array;
@@ -13,28 +12,53 @@ type result = {
   events_processed : int;
 }
 
+(* [Float.max] without its runtime call: the stdlib's inlined version
+   tests sign bits through [caml_signbit], a C call, whenever the first
+   comparison fails. It returns the operand [Float.max] returns, signed
+   zeros and a single NaN included. Local, because under the dev
+   profile's [-opaque] a helper in another module is a real call that
+   boxes its floats. *)
+let[@inline] fmax (x : float) y =
+  if y > x then y
+  else if x > y then x
+  else if x = y then if x = 0. && 1. /. x < 0. then y else x
+  else if y <> y then y
+  else x
+
+(* A flow's floats, in an all-float record stored flat, so that writing
+   them allocates nothing. [rate] is the rate the last recompute read,
+   which the network still holds until the next [Flow_network.update]. *)
+type clock = {
+  mutable remaining : float;  (* bytes left to send at [last_update] *)
+  mutable last_update : float;
+  mutable rate : float;
+  mutable due : float;  (* predicted completion *)
+}
+
 type flow_state = {
   f_app : int;
   f_node : int;  (* destination node whose dependency this flow carries *)
   route : int list;  (* fabric links plus both task-endpoint NIC groups *)
-  mutable remaining : float;  (* bytes left to send at [last_update] *)
-  mutable last_update : float;
-  mutable slot : int;  (* queue position of its completion; -1 when none *)
+  clock : clock;
+  mutable seq : int;  (* the queue seq its prediction took *)
+  mutable handle : flow_state Flow_network.flow option;  (* once active *)
 }
 
 type event =
   | Task_finish of int * int
   | Flow_activate of flow_state
-  | Flow_finish of flow_state Flow_network.flow
   | App_release of int
 
 (* The event queue: a binary min-heap on (time, seq) over parallel
-   arrays. Every insertion takes the next seq, so same-time events pop
-   in insertion order. A flow owns at most one slot, its predicted
-   completion: a new prediction re-keys that slot with the next seq and
-   sifts it up or down. The queue thus holds exactly the live entries,
-   with the keys, of a queue that appended every prediction and skipped
-   superseded ones when popped, and pops them in the same order. *)
+   arrays, holding task finishes, flow activations and releases. Every
+   push takes the next seq, so same-time events pop in insertion order.
+   Flow completions stay out of it: every recompute re-predicts every
+   active flow, taking the next seq from the same counter, so between
+   recomputes each flow holds exactly one live prediction, kept in its
+   [flow_state]. The run loop pops whichever of the queue's minimum and
+   the flows' minimum sorts first. The keys are those of one queue
+   holding both, unique and totally ordered, so the pops are that
+   queue's pops. *)
 type queue = {
   mutable times : float array;
   mutable seqs : int array;
@@ -45,51 +69,13 @@ type queue = {
 
 let filler = App_release (-1)
 
-let earlier q i j =
-  let c = Float.compare q.times.(i) q.times.(j) in
-  c < 0 || (c = 0 && q.seqs.(i) < q.seqs.(j))
-
-let note_slot q i =
-  match q.events.(i) with
-  | Flow_finish h -> (Flow_network.data h).slot <- i
-  | Task_finish _ | Flow_activate _ | App_release _ -> ()
-
-let move q ~src ~dst =
-  q.times.(dst) <- q.times.(src);
-  q.seqs.(dst) <- q.seqs.(src);
-  q.events.(dst) <- q.events.(src);
-  note_slot q dst
-
-let swap q i j =
-  let time = q.times.(i) and seq = q.seqs.(i) and ev = q.events.(i) in
-  move q ~src:j ~dst:i;
-  q.times.(j) <- time;
-  q.seqs.(j) <- seq;
-  q.events.(j) <- ev;
-  note_slot q j
-
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if earlier q i parent then begin
-      swap q i parent;
-      sift_up q parent
-    end
-  end
-
-let rec sift_down q i =
-  let l = (2 * i) + 1 in
-  if l < q.size then begin
-    let c = if l + 1 < q.size && earlier q (l + 1) l then l + 1 else l in
-    if earlier q c i then begin
-      swap q i c;
-      sift_down q c
-    end
-  end
+(* No NaN reaches the keys: release validation keeps every event time
+   finite. *)
+let[@inline] before (t1 : float) (s1 : int) t2 s2 = t1 < t2 || (t1 = t2 && s1 < s2)
 
 let push q time ev =
   if q.size = Array.length q.times then begin
-    let n = max 64 (2 * q.size) in
+    let n = Int.max 64 (2 * q.size) in
     let grow a x =
       let b = Array.make n x in
       Array.blit a 0 b 0 q.size;
@@ -99,49 +85,81 @@ let push q time ev =
     q.seqs <- grow q.seqs 0;
     q.events <- grow q.events filler
   end;
-  let i = q.size in
-  q.size <- i + 1;
   q.last_seq <- q.last_seq + 1;
-  q.times.(i) <- time;
-  q.seqs.(i) <- q.last_seq;
-  q.events.(i) <- ev;
-  note_slot q i;
-  sift_up q i
+  let seq = q.last_seq in
+  let i = ref q.size in
+  q.size <- q.size + 1;
+  while
+    !i > 0
+    &&
+    let p = (!i - 1) / 2 in
+    before time seq q.times.(p) q.seqs.(p)
+  do
+    let p = (!i - 1) / 2 in
+    q.times.(!i) <- q.times.(p);
+    q.seqs.(!i) <- q.seqs.(p);
+    q.events.(!i) <- q.events.(p);
+    i := p
+  done;
+  q.times.(!i) <- time;
+  q.seqs.(!i) <- seq;
+  q.events.(!i) <- ev
 
-(* Queue flow [h]'s completion at [time], re-keying its slot if it has
-   one. *)
-let predict q time h =
-  let i = (Flow_network.data h).slot in
-  if i < 0 then push q time (Flow_finish h)
-  else begin
-    q.last_seq <- q.last_seq + 1;
-    q.times.(i) <- time;
-    q.seqs.(i) <- q.last_seq;
-    if i > 0 && earlier q i ((i - 1) / 2) then sift_up q i else sift_down q i
-  end
-
-(* Remove the earliest event, which the caller has read from slot 0. *)
+(* Remove the earliest event, which the caller has read from slot 0:
+   the last slot's entry sifts down from the root as a hole. *)
 let drop_min q =
-  (match q.events.(0) with
-  | Flow_finish h -> (Flow_network.data h).slot <- -1
-  | Task_finish _ | Flow_activate _ | App_release _ -> ());
-  q.size <- q.size - 1;
-  if q.size > 0 then begin
-    move q ~src:q.size ~dst:0;
-    sift_down q 0
+  let n = q.size - 1 in
+  q.size <- n;
+  if n > 0 then begin
+    let time = q.times.(n) and seq = q.seqs.(n) and ev = q.events.(n) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let c =
+          if l + 1 < n && before q.times.(l + 1) q.seqs.(l + 1) q.times.(l) q.seqs.(l)
+          then l + 1
+          else l
+        in
+        if before q.times.(c) q.seqs.(c) time seq then begin
+          q.times.(!i) <- q.times.(c);
+          q.seqs.(!i) <- q.seqs.(c);
+          q.events.(!i) <- q.events.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    q.times.(!i) <- time;
+    q.seqs.(!i) <- seq;
+    q.events.(!i) <- ev
+  end;
+  q.events.(n) <- filler
+
+(* [a] sorted ascending: itself when it already is, else a sorted
+   copy. *)
+let sorted (a : int array) =
+  let i = ref 1 in
+  while !i < Array.length a && a.(!i - 1) <= a.(!i) do
+    incr i
+  done;
+  if !i >= Array.length a then a
+  else begin
+    let b = Array.copy a in
+    Array.sort Int.compare b;
+    b
   end
 
-(* The mapper's planned order on one processor: start, finish, then
-   application and node — the order [compare] gives these tuples. *)
-let by_plan (s1, f1, i1, v1) (s2, f2, i2, v2) =
-  let c = Float.compare s1 s2 in
-  if c <> 0 then c
-  else
-    let c = Float.compare f1 f2 in
-    if c <> 0 then c
-    else
-      let c = Int.compare i1 i2 in
-      if c <> 0 then c else Int.compare v1 v2
+let same_sorted (a : int array) (b : int array) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = n
 
 let run ?release platform schedules =
   if schedules = [] then invalid_arg "Replay.run: no schedules";
@@ -162,8 +180,40 @@ let run ?release platform schedules =
   in
   let topology = Topology.of_platform platform in
   let latency = Topology.latency topology in
+  let max_rate = Flow_network.max_rate in
   let dag i = schedules.(i).Schedule.ptg.Ptg.dag in
   let node_count i = Dag.node_count (dag i) in
+
+  (* Placement ids: node [v] of application [i] is [base.(i) + v], so
+     ids order placements by (application, node). *)
+  let base = Array.make (napps + 1) 0 in
+  for i = 0 to napps - 1 do
+    base.(i + 1) <- base.(i) + node_count i
+  done;
+  let placement_count = base.(napps) in
+  let id_app = Array.make placement_count 0 in
+  let id_node = Array.make placement_count 0 in
+  let id_start = Array.make placement_count 0. in
+  let id_finish = Array.make placement_count 0. in
+  (* Each placement's processors, sorted once for the in-place test. *)
+  let id_procs = Array.make placement_count [||] in
+  let total_procs = P.total_procs platform in
+  let fifo_length = Array.make total_procs 0 in
+  Array.iteri
+    (fun i sched ->
+      Array.iteri
+        (fun v pl ->
+          let id = base.(i) + v in
+          id_app.(id) <- i;
+          id_node.(id) <- v;
+          id_start.(id) <- pl.Schedule.start;
+          id_finish.(id) <- pl.Schedule.finish;
+          id_procs.(id) <- sorted pl.Schedule.procs;
+          Array.iter
+            (fun p -> fifo_length.(p) <- fifo_length.(p) + 1)
+            pl.Schedule.procs)
+        sched.Schedule.placements)
+    schedules;
 
   (* Links: the topology's fabrics and backbone, plus one "NIC group"
      link per task placement holding processors (capacity |procs|·nic),
@@ -201,35 +251,28 @@ let run ?release platform schedules =
   let start_times = Array.init napps (fun i -> Array.make (node_count i) nan) in
   let finish_times = Array.init napps (fun i -> Array.make (node_count i) nan) in
 
-  (* Per-processor FIFO queues of (application, node) following the
-     schedule's per-processor order (the mapper's planned start times). *)
-  let total_procs = P.total_procs platform in
-  let queue_build = Array.make total_procs [] in
-  Array.iteri
-    (fun i sched ->
-      Array.iter
-        (fun pl ->
-          Array.iter
-            (fun p ->
-              queue_build.(p) <-
-                (pl.Schedule.start, pl.Schedule.finish, i, pl.Schedule.node)
-                :: queue_build.(p))
-            pl.Schedule.procs)
-        sched.Schedule.placements)
-    schedules;
-  let queues =
-    Array.map
-      (fun l ->
-        Array.of_list
-          (List.map (fun (_, _, i, v) -> (i, v)) (List.sort by_plan l)))
-      queue_build
+  (* Per-processor FIFO queues of placement ids in the mapper's planned
+     order: start, finish, then application and node. *)
+  let queues = Array.map (fun n -> Array.make n 0) fifo_length in
+  let fill = Array.make total_procs 0 in
+  for id = 0 to placement_count - 1 do
+    Array.iter
+      (fun p ->
+        queues.(p).(fill.(p)) <- id;
+        fill.(p) <- fill.(p) + 1)
+      id_procs.(id)
+  done;
+  let by_plan a b =
+    let c = Float.compare id_start.(a) id_start.(b) in
+    if c <> 0 then c
+    else
+      let c = Float.compare id_finish.(a) id_finish.(b) in
+      if c <> 0 then c else Int.compare a b
   in
+  Array.iter (Array.sort by_plan) queues;
   let head = Array.make total_procs 0 in
-  let at_head p i v =
-    head.(p) < Array.length queues.(p)
-    &&
-    let qi, qv = queues.(p).(head.(p)) in
-    qi = i && qv = v
+  let at_head p id =
+    head.(p) < Array.length queues.(p) && queues.(p).(head.(p)) = id
   in
 
   let q =
@@ -237,34 +280,54 @@ let run ?release platform schedules =
   in
   let flows_created = ref 0 in
   let events_processed = ref 0 in
+  (* The active flow whose prediction sorts first, [none] without one. *)
+  let none =
+    {
+      f_app = -1;
+      f_node = -1;
+      route = [];
+      clock = { remaining = 0.; last_update = 0.; rate = 0.; due = 0. };
+      seq = -1;
+      handle = None;
+    }
+  in
+  let soonest = ref none in
 
-  (* Flow-rate bookkeeping: advance transferred bytes to [now] at the
-     old rates, assign the fresh max-min rates and re-predict every
-     completion, newest flow first. *)
+  (* Flow-rate bookkeeping: assign the fresh max-min rates, then, newest
+     flow first, advance each flow's bytes to [now] at its old rate and
+     re-predict its completion with the next seq. *)
   let recompute now =
-    Flow_network.iter network (fun h ->
-        let fs = Flow_network.data h in
-        fs.remaining <-
-          Float.max 0.
-            (fs.remaining -. (Flow_network.rate h *. (now -. fs.last_update)));
-        fs.last_update <- now);
     Flow_network.update network;
+    soonest := none;
     Flow_network.iter network (fun h ->
         let fs = Flow_network.data h in
+        let c = fs.clock in
+        c.remaining <-
+          fmax 0. (c.remaining -. (c.rate *. (now -. c.last_update)));
+        c.last_update <- now;
         let rate = Flow_network.rate h in
-        let eta =
-          if rate >= Flow_network.max_rate then 0. else fs.remaining /. rate
-        in
-        predict q (now +. eta) h)
+        c.rate <- rate;
+        let eta = if rate >= max_rate then 0. else c.remaining /. rate in
+        c.due <- now +. eta;
+        q.last_seq <- q.last_seq + 1;
+        fs.seq <- q.last_seq;
+        (* Seqs grow along the pass, so only a strictly earlier time
+           displaces the first flow found. *)
+        if !soonest == none || c.due < !soonest.clock.due then soonest := fs)
   in
 
   let rec task_ready i v =
     (* All dependencies in, and at the head of each processor FIFO. *)
     deps.(i).(v) = 0
     && (not started.(i).(v))
-    && Array.for_all
-         (fun p -> at_head p i v)
-         schedules.(i).Schedule.placements.(v).Schedule.procs
+    &&
+    let id = base.(i) + v in
+    let procs = schedules.(i).Schedule.placements.(v).Schedule.procs in
+    let k = ref 0 in
+    while !k < Array.length procs && at_head procs.(!k) id do
+      incr k
+    done;
+    !k = Array.length procs
 
   and try_start now i v =
     if task_ready i v then begin
@@ -286,14 +349,16 @@ let run ?release platform schedules =
     let sched = schedules.(i) in
     let ptg = sched.Schedule.ptg in
     let pl = sched.Schedule.placements.(v) in
+    let id = base.(i) + v in
     (* Release processors and wake the next tasks in their FIFOs. *)
     Array.iter
       (fun p ->
-        assert (at_head p i v);
-        head.(p) <- head.(p) + 1;
-        if head.(p) < Array.length queues.(p) then begin
-          let ni, nv = queues.(p).(head.(p)) in
-          try_start now ni nv
+        assert (at_head p id);
+        let h = head.(p) + 1 in
+        head.(p) <- h;
+        if h < Array.length queues.(p) then begin
+          let next = queues.(p).(h) in
+          try_start now id_app.(next) id_node.(next)
         end)
       pl.Schedule.procs;
     (* Feed successors: instant dependency or network flow. *)
@@ -304,7 +369,7 @@ let run ?release platform schedules =
         let in_place =
           bytes <= 0.
           || pl.Schedule.cluster = pw.Schedule.cluster
-             && Redistribution.same_procs pl.Schedule.procs pw.Schedule.procs
+             && same_sorted id_procs.(id) id_procs.(base.(i) + w)
         in
         if in_place then dep_done now i w
         else begin
@@ -317,9 +382,10 @@ let run ?release platform schedules =
                 endpoint.(i).(v) :: endpoint.(i).(w)
                 :: Topology.route topology ~src_cluster:pl.Schedule.cluster
                      ~dst_cluster:pw.Schedule.cluster;
-              remaining = bytes;
-              last_update = now;
-              slot = -1;
+              clock =
+                { remaining = bytes; last_update = now; rate = 0.; due = 0. };
+              seq = 0;
+              handle = None;
             }
           in
           push q (now +. latency) (Flow_activate fs)
@@ -346,28 +412,35 @@ let run ?release platform schedules =
     done
   done;
 
-  while q.size > 0 do
-    let now = q.times.(0) and ev = q.events.(0) in
-    drop_min q;
+  while q.size > 0 || !soonest != none do
     incr events_processed;
-    match ev with
-    | Task_finish (i, v) -> finish_task now i v
-    | App_release i ->
-      for v = 0 to node_count i - 1 do
-        if deps.(i).(v) = 1 && Dag.in_degree (dag i) v = 0 then
-          dep_done now i v
-      done
-    | Flow_activate fs ->
-      ignore (Flow_network.add_flow network fs.route fs);
-      fs.last_update <- now;
-      recompute now
-    | Flow_finish h ->
-      (* Its one queued prediction is its completion: every recompute
-         since re-keyed it, so no bytes are left to wait for. *)
-      Flow_network.remove_flow network h;
+    let fs = !soonest in
+    if
+      fs != none
+      && (q.size = 0 || before fs.clock.due fs.seq q.times.(0) q.seqs.(0))
+    then begin
+      (* Its prediction is its completion: every recompute since its
+         activation re-predicted it, so no bytes are left to wait for. *)
+      let now = fs.clock.due in
+      Flow_network.remove_flow network (Option.get fs.handle);
       recompute now;
-      let fs = Flow_network.data h in
       dep_done now fs.f_app fs.f_node
+    end
+    else begin
+      let now = q.times.(0) and ev = q.events.(0) in
+      drop_min q;
+      match ev with
+      | Task_finish (i, v) -> finish_task now i v
+      | App_release i ->
+        for v = 0 to node_count i - 1 do
+          if deps.(i).(v) = 1 && Dag.in_degree (dag i) v = 0 then
+            dep_done now i v
+        done
+      | Flow_activate fs ->
+        fs.handle <- Some (Flow_network.add_flow network fs.route fs);
+        fs.clock.last_update <- now;
+        recompute now
+    end
   done;
 
   (* Every task must have completed. *)
@@ -386,7 +459,7 @@ let run ?release platform schedules =
   in
   {
     makespans;
-    global_makespan = Array.fold_left Float.max 0. makespans;
+    global_makespan = Array.fold_left fmax 0. makespans;
     finish_times;
     start_times;
     flows_created = !flows_created;
