@@ -303,16 +303,10 @@ let check ~malleability ~max_retries ~down platform ~ptgs execs =
   (* MAL003: MAP004's sweep over every recorded attempt — re-placements
      after a resize or a retry must coexist with everything else that
      actually ran. *)
-  Sched_check.check_overlap ~emit ~rule:Rule.Mal_overlap
-    (List.concat_map
-       (fun e ->
-         Sched_check.busy ~app:e.app
-           {
-             Mcs_sched.Schedule.node = e.node;
-             cluster = e.cluster;
-             procs = e.procs;
-             start = e.start;
-             finish = e.finish;
-           })
-       execs);
+  Sched_check.check_overlap ~emit ~rule:Rule.Mal_overlap (fun add ->
+      List.iter
+        (fun e ->
+          add ~app:e.app ~node:e.node ~procs:e.procs ~start:e.start
+            ~finish:e.finish)
+        execs);
   Diagnostic.sort (List.rev !diags)

@@ -7,50 +7,120 @@ module Reference_cluster = Mcs_sched.Reference_cluster
 module Floatx = Mcs_util.Floatx
 open Floatx
 
-type interval = {
-  proc : int;
-  start : float;
-  finish : float;
-  app : int;
-  node : int;
-}
+(* [Float.min] without its runtime call: the stdlib's inlined version
+   tests sign bits through [caml_signbit], a C call, whenever the first
+   comparison fails. It returns the operand [Float.min] returns, signed
+   zeros and a single NaN included. Local, because under the dev
+   profile's [-opaque] a helper in another module is a real call that
+   boxes its floats. *)
+let[@inline] fmin (x : float) y =
+  if y < x then y
+  else if x < y then x
+  else if x = y then if y = 0. && 1. /. y < 0. then y else x
+  else if y <> y then y
+  else x
+
+type feed =
+  app:int -> node:int -> procs:int array -> start:float -> finish:float -> unit
+
+(* Whether interval [i] sorts strictly before [j]: by processor, then
+   start, then finish, where [Float.compare] puts NaN first. *)
+let[@inline] before (proc : int array) (start : float array)
+    (finish : float array) i j =
+  let p = proc.(i) and q = proc.(j) in
+  p < q
+  || p = q
+     &&
+     let c = Float.compare start.(i) start.(j) in
+     c < 0 || (c = 0 && Float.compare finish.(i) finish.(j) < 0)
+
+(* Stable merge sort of the interval indices in [order] under
+   [before]: insertion-sorted runs of 8, then bottom-up merges that take
+   from the left run on ties, between [order] and a scratch twin. *)
+let sort_intervals proc start finish order =
+  let n = Array.length order in
+  let a = ref 0 in
+  while !a < n do
+    let b = Int.min n (!a + 8) in
+    for i = !a + 1 to b - 1 do
+      let x = order.(i) in
+      let j = ref (i - 1) in
+      while !j >= !a && before proc start finish x order.(!j) do
+        order.(!j + 1) <- order.(!j);
+        decr j
+      done;
+      order.(!j + 1) <- x
+    done;
+    a := b
+  done;
+  let src = ref order and dst = ref (Array.make n 0) and width = ref 8 in
+  while !width < n do
+    let s = !src and d = !dst in
+    let a = ref 0 in
+    while !a < n do
+      let mid = Int.min n (!a + !width) in
+      let b = Int.min n (mid + !width) in
+      let i = ref !a and j = ref mid and k = ref !a in
+      while !i < mid && !j < b do
+        if before proc start finish s.(!j) s.(!i) then begin
+          d.(!k) <- s.(!j);
+          incr j
+        end
+        else begin
+          d.(!k) <- s.(!i);
+          incr i
+        end;
+        incr k
+      done;
+      Array.blit s !i d !k (mid - !i);
+      Array.blit s !j d (!k + mid - !i) (b - !j);
+      a := b
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  if !src != order then Array.blit !src 0 order 0 n
 
 let check_overlap ~emit ~rule intervals =
-  let sorted =
-    List.sort
-      (fun a b ->
-        let c = compare a.proc b.proc in
-        if c <> 0 then c
-        else
-          let c = Float.compare a.start b.start in
-          if c <> 0 then c else Float.compare a.finish b.finish)
-      intervals
-  in
-  (* Per processor, track the latest finish seen so far: any later
-     interval starting strictly before it races with the one that set
-     it. *)
-  let cur = ref None in
-  List.iter
-    (fun iv ->
-      (match !cur with
-      | Some (proc, finish, app, node)
-        when proc = iv.proc && iv.start <. finish ->
-        emit
-          (Diagnostic.error ~app:iv.app ~node:iv.node ~proc:iv.proc
-             ~window:(iv.start, Float.min finish iv.finish)
-             rule
-             "runs while app %d node %d still holds the processor" app node)
-      | _ -> ());
-      match !cur with
-      | Some (proc, finish, _, _) when proc = iv.proc && finish >= iv.finish ->
-        ()
-      | _ -> cur := Some (iv.proc, iv.finish, iv.app, iv.node))
-    sorted
-
-let busy ~app (pl : Schedule.placement) =
-  let { Schedule.node; procs; start; finish; _ } = pl in
-  List.map (fun proc -> { proc; start; finish; app; node })
-    (Array.to_list procs)
+  (* One interval per (placement, processor), in flat arrays sized by a
+     counting pass. *)
+  let n = ref 0 in
+  intervals (fun ~app:_ ~node:_ ~procs ~start:_ ~finish:_ ->
+      n := !n + Array.length procs);
+  let n = !n in
+  let proc = Array.make n 0 and app = Array.make n 0 and node = Array.make n 0 in
+  let start = Array.make n 0. and finish = Array.make n 0. in
+  let order = Array.make n 0 in
+  let k = ref 0 in
+  intervals (fun ~app:a ~node:v ~procs ~start:s ~finish:f ->
+      for j = 0 to Array.length procs - 1 do
+        let i = !k in
+        proc.(i) <- procs.(j);
+        app.(i) <- a;
+        node.(i) <- v;
+        start.(i) <- s;
+        finish.(i) <- f;
+        order.(i) <- i;
+        k := i + 1
+      done);
+  sort_intervals proc start finish order;
+  (* Per processor, track the interval with the latest finish seen so
+     far: any later interval starting strictly before that finish races
+     with it. *)
+  let cur = ref (-1) in
+  for k = 0 to n - 1 do
+    let i = order.(k) in
+    let c = !cur in
+    let same = c >= 0 && proc.(c) = proc.(i) in
+    if same && start.(i) <. finish.(c) then
+      emit
+        (Diagnostic.error ~app:app.(i) ~node:node.(i) ~proc:proc.(i)
+           ~window:(start.(i), fmin finish.(c) finish.(i))
+           rule "runs while app %d node %d still holds the processor" app.(c)
+           node.(c));
+    if not (same && finish.(c) >= finish.(i)) then cur := i
+  done
 
 let check_precedence ~emit ~app ~node ~start ~pred ~pred_finish ~cost =
   let ready = pred_finish +. cost in
@@ -231,9 +301,11 @@ let check_schedules ~emit ?allocations ?release ?pinned platform schedules =
       check_one ~emit ?alloc ~release:release.(i) ~is_pinned platform
         ref_cluster ~app:i s)
     schedules;
-  check_overlap ~emit ~rule:Rule.Map_overlap
-    (List.concat
-       (List.mapi
-          (fun app s ->
-            List.concat_map (busy ~app) (Array.to_list s.Schedule.placements))
-          schedules))
+  check_overlap ~emit ~rule:Rule.Map_overlap (fun add ->
+      List.iteri
+        (fun app s ->
+          Array.iter
+            (fun { Schedule.node; procs; start; finish; _ } ->
+              add ~app ~node ~procs ~start ~finish)
+            s.Schedule.placements)
+        schedules)

@@ -10,39 +10,34 @@
 
     The per-placement rules ({!check_placement}, {!check_packing}), the
     per-edge precedence rule ({!check_precedence}) and the overlap
-    sweep with its input builder ({!check_overlap}, {!busy}) are the
-    only implementations of their rules: the trace linter
-    ({!Trace_check}) calls them on parsed rows. The precedence bound is
+    sweep ({!check_overlap}) are the only implementations of their
+    rules: the trace linter ({!Trace_check}) calls them on parsed rows.
+    The precedence bound is
     {!Mcs_taskmodel.Redistribution.estimate}, the delay the mapper
     charges without its aggregate destination-NIC bound — which can
     only delay starts further — so a schedule the mapper accepts is
     never falsely flagged, while a forged start time below the
     physical transfer bound is. *)
 
-type interval = {
-  proc : int;
-  start : float;
-  finish : float;
-  app : int;
-  node : int;
-}
+type feed =
+  app:int -> node:int -> procs:int array -> start:float -> finish:float -> unit
+(** [add ~app ~node ~procs ~start ~finish] adds one busy interval per
+    processor of [procs], in [procs]' order, for node [node] of
+    application [app]. *)
 
 val check_overlap :
-  emit:(Diagnostic.t -> unit) -> rule:Rule.t -> interval list -> unit
-(** The overlap sweep-line: sort busy intervals per processor, keep the
-    latest finish seen on each, and flag every interval starting more
-    than the time tolerance before it, reporting [rule]. The sort is
-    stable, so among intervals tied on processor, start and finish the
-    first in [intervals] is the holder a diagnostic names. The only
-    implementation of both overlap rules: MAP004 over schedules
-    ({!check_schedules}) and parsed trace rows ({!Trace_check}), MAL003
-    over execution attempts ({!Exec_check}). *)
-
-val busy : app:int -> Mcs_sched.Schedule.placement -> interval list
-(** The busy intervals of one placement of application [app]: one per
-    processor, in the placement's processor order. The one builder of
-    {!check_overlap}'s input, for schedules, trace rows and execution
-    attempts alike. *)
+  emit:(Diagnostic.t -> unit) -> rule:Rule.t -> (feed -> unit) -> unit
+(** [check_overlap ~emit ~rule intervals] is the overlap sweep-line:
+    [intervals add] feeds the busy intervals through [add]; the sweep
+    sorts them per processor, keeps the latest finish seen on each, and
+    flags every interval starting more than the time tolerance before
+    it, reporting [rule]. [intervals] runs twice, once to count and once
+    to fill flat arrays, and must feed the same intervals both times;
+    nothing outlives the call. The sort is stable, so among intervals
+    tied on processor, start and finish the first fed is the holder a
+    diagnostic names. The only implementation of both overlap rules:
+    MAP004 over schedules ({!check_schedules}) and parsed trace rows
+    ({!Trace_check}), MAL003 over execution attempts ({!Exec_check}). *)
 
 val check_precedence :
   emit:(Diagnostic.t -> unit) ->

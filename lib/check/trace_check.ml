@@ -181,14 +181,13 @@ let lint ?platform (doc : Trace.doc) =
          (Array.to_list doc))
   in
   Alloc_check.check_beta_sum ~emit ~severity:Diagnostic.Warning betas;
-  Sched_check.check_overlap ~emit ~rule:Rule.Map_overlap
-    (Array.to_list doc
-    |> List.concat_map (fun (a : Trace.app) ->
-           Array.to_list a.Trace.rows
-           |> List.concat_map (fun (r : Trace.row) ->
-                  if
-                    Float.is_finite r.Trace.start
-                    && Float.is_finite r.Trace.finish
-                  then Sched_check.busy ~app:a.Trace.app (placement_of r)
-                  else [])));
+  Sched_check.check_overlap ~emit ~rule:Rule.Map_overlap (fun add ->
+      Array.iter
+        (fun (a : Trace.app) ->
+          Array.iter
+            (fun { Trace.node; procs; start; finish; _ } ->
+              if Float.is_finite start && Float.is_finite finish then
+                add ~app:a.Trace.app ~node ~procs ~start ~finish)
+            a.Trace.rows)
+        doc);
   List.rev !diags

@@ -478,6 +478,104 @@ let test_runner_fail_fast () =
   Alcotest.(check int) "one analysis per strategy" 2
     (Obs.value (Obs.counter "check.analyses"))
 
+(* --- the overlap sweep against its list-based original --- *)
+
+(* The sweep before it ran on flat arrays, kept as the reference: one
+   boxed record per (placement, processor) in a list, stably sorted
+   with a closure. *)
+type ref_interval = {
+  proc : int;
+  start : float;
+  finish : float;
+  app : int;
+  node : int;
+}
+
+let reference_overlap ~emit ~rule intervals =
+  let open Mcs_util.Floatx in
+  let sorted =
+    List.sort
+      (fun a b ->
+        let c = compare a.proc b.proc in
+        if c <> 0 then c
+        else
+          let c = Float.compare a.start b.start in
+          if c <> 0 then c else Float.compare a.finish b.finish)
+      intervals
+  in
+  let cur = ref None in
+  List.iter
+    (fun iv ->
+      (match !cur with
+      | Some (proc, finish, app, node)
+        when proc = iv.proc && iv.start <. finish ->
+        emit
+          (Diagnostic.error ~app:iv.app ~node:iv.node ~proc:iv.proc
+             ~window:(iv.start, Float.min finish iv.finish)
+             rule "runs while app %d node %d still holds the processor" app node)
+      | _ -> ());
+      match !cur with
+      | Some (proc, finish, _, _) when proc = iv.proc && finish >= iv.finish ->
+        ()
+      | _ -> cur := Some (iv.proc, iv.finish, iv.app, iv.node))
+    sorted
+
+(* Every field, the window's floats in hex. *)
+let render (d : Diagnostic.t) =
+  let opt = function None -> "-" | Some x -> string_of_int x in
+  Printf.sprintf "%s %s %s %s %s %s" (Rule.id d.Diagnostic.rule)
+    (opt d.Diagnostic.app) (opt d.Diagnostic.node) (opt d.Diagnostic.proc)
+    (match d.Diagnostic.window with
+    | None -> "-"
+    | Some (a, b) -> Printf.sprintf "%h..%h" a b)
+    d.Diagnostic.message
+
+(* Random busy intervals from a few values, so that processor, start
+   and finish tie often; NaN and infinite times; negative processor ids
+   and ids repeated within a placement. Under both overlap rules the
+   flat sweep must emit the reference's diagnostics in its order. *)
+let qcheck_overlap_matches_reference =
+  let times = [| 0.; -0.; 1e-10; 1.; 2.; 2.5; 3.; nan; infinity; neg_infinity |] in
+  QCheck.Test.make ~name:"overlap sweep matches the list reference" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let placements =
+        List.init (Prng.int rng 40) (fun _ ->
+            let start = Prng.choose rng times in
+            let finish =
+              if Prng.bernoulli rng ~p:0.5 then Prng.choose rng times
+              else start +. Prng.choose rng [| 0.; 1.; 2. |]
+            in
+            ( Prng.int rng 3,
+              Prng.int rng 4,
+              Array.init (Prng.int rng 4) (fun _ -> Prng.int rng 5 - 2),
+              start,
+              finish ))
+      in
+      List.for_all
+        (fun rule ->
+          let got = ref [] and want = ref [] in
+          Sched_check.check_overlap
+            ~emit:(fun d -> got := d :: !got)
+            ~rule
+            (fun add ->
+              List.iter
+                (fun (app, node, procs, start, finish) ->
+                  add ~app ~node ~procs ~start ~finish)
+                placements);
+          reference_overlap
+            ~emit:(fun d -> want := d :: !want)
+            ~rule
+            (List.concat_map
+               (fun (app, node, procs, start, finish) ->
+                 List.map
+                   (fun proc -> { proc; start; finish; app; node })
+                   (Array.to_list procs))
+               placements);
+          List.map render !got = List.map render !want)
+        [ Rule.Map_overlap; Rule.Mal_overlap ])
+
 let suite =
   [
     ( "check.rules",
@@ -497,6 +595,7 @@ let suite =
         Alcotest.test_case "forged MAP007 release" `Quick test_forged_release;
         Alcotest.test_case "fixture files via trace lint" `Quick
           test_fixture_files;
+        QCheck_alcotest.to_alcotest qcheck_overlap_matches_reference;
       ] );
     ( "check.clean",
       [
