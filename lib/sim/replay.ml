@@ -137,20 +137,6 @@ let drop_min q =
   end;
   q.events.(n) <- filler
 
-(* [a] sorted ascending: itself when it already is, else a sorted
-   copy. *)
-let sorted (a : int array) =
-  let i = ref 1 in
-  while !i < Array.length a && a.(!i - 1) <= a.(!i) do
-    incr i
-  done;
-  if !i >= Array.length a then a
-  else begin
-    let b = Array.copy a in
-    Array.sort Int.compare b;
-    b
-  end
-
 let same_sorted (a : int array) (b : int array) =
   let n = Array.length a in
   n = Array.length b
@@ -208,7 +194,9 @@ let run ?release platform schedules =
           id_node.(id) <- v;
           id_start.(id) <- pl.Schedule.start;
           id_finish.(id) <- pl.Schedule.finish;
-          id_procs.(id) <- sorted pl.Schedule.procs;
+          let procs = Array.copy pl.Schedule.procs in
+          Array.sort Int.compare procs;
+          id_procs.(id) <- procs;
           Array.iter
             (fun p -> fifo_length.(p) <- fifo_length.(p) + 1)
             pl.Schedule.procs)
