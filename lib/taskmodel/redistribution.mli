@@ -48,4 +48,6 @@ val estimate :
     already in place). *)
 
 val same_procs : int array -> int array -> bool
-(** Set equality of two processor arrays (order-insensitive). *)
+(** Set equality of two processor arrays (order-insensitive). Arrays
+    equal in order, and arrays whose sums or xors differ, are decided
+    without allocating. *)

@@ -184,7 +184,13 @@ let test_same_procs () =
     (Redistribution.same_procs [| 1 |] [| 1; 2 |]);
   Alcotest.(check bool) "different members" false
     (Redistribution.same_procs [| 1; 4 |] [| 1; 2 |]);
-  Alcotest.(check bool) "empty" true (Redistribution.same_procs [||] [||])
+  Alcotest.(check bool) "empty" true (Redistribution.same_procs [||] [||]);
+  Alcotest.(check bool) "equal prefix, permuted rest" true
+    (Redistribution.same_procs [| 5; 9; 1; 2 |] [| 5; 9; 2; 1 |]);
+  Alcotest.(check bool) "equal sums and xors, different members" false
+    (Redistribution.same_procs [| 0; 3; 5; 6 |] [| 1; 2; 4; 7 |]);
+  Alcotest.(check bool) "repeated members" false
+    (Redistribution.same_procs [| 1; 1; 4; 4 |] [| 2; 2; 3; 3 |])
 
 let suite =
   [
