@@ -2,6 +2,7 @@ module Dag = Mcs_dag.Dag
 module Ptg = Mcs_ptg.Ptg
 module P = Mcs_platform.Platform
 module Schedule = Mcs_sched.Schedule
+module Heap = Mcs_util.Heap
 
 type result = {
   makespans : float array;
@@ -48,94 +49,6 @@ type event =
   | Task_finish of int * int
   | Flow_activate of flow_state
   | App_release of int
-
-(* The event queue: a binary min-heap on (time, seq) over parallel
-   arrays, holding task finishes, flow activations and releases. Every
-   push takes the next seq, so same-time events pop in insertion order.
-   Flow completions stay out of it: every recompute re-predicts every
-   active flow, taking the next seq from the same counter, so between
-   recomputes each flow holds exactly one live prediction, kept in its
-   [flow_state]. The run loop pops whichever of the queue's minimum and
-   the flows' minimum sorts first. The keys are those of one queue
-   holding both, unique and totally ordered, so the pops are that
-   queue's pops. *)
-type queue = {
-  mutable times : float array;
-  mutable seqs : int array;
-  mutable events : event array;
-  mutable size : int;
-  mutable last_seq : int;
-}
-
-let filler = App_release (-1)
-
-(* No NaN reaches the keys: release validation keeps every event time
-   finite. *)
-let[@inline] before (t1 : float) (s1 : int) t2 s2 = t1 < t2 || (t1 = t2 && s1 < s2)
-
-let push q time ev =
-  if q.size = Array.length q.times then begin
-    let n = Int.max 64 (2 * q.size) in
-    let grow a x =
-      let b = Array.make n x in
-      Array.blit a 0 b 0 q.size;
-      b
-    in
-    q.times <- grow q.times 0.;
-    q.seqs <- grow q.seqs 0;
-    q.events <- grow q.events filler
-  end;
-  q.last_seq <- q.last_seq + 1;
-  let seq = q.last_seq in
-  let i = ref q.size in
-  q.size <- q.size + 1;
-  while
-    !i > 0
-    &&
-    let p = (!i - 1) / 2 in
-    before time seq q.times.(p) q.seqs.(p)
-  do
-    let p = (!i - 1) / 2 in
-    q.times.(!i) <- q.times.(p);
-    q.seqs.(!i) <- q.seqs.(p);
-    q.events.(!i) <- q.events.(p);
-    i := p
-  done;
-  q.times.(!i) <- time;
-  q.seqs.(!i) <- seq;
-  q.events.(!i) <- ev
-
-(* Remove the earliest event, which the caller has read from slot 0:
-   the last slot's entry sifts down from the root as a hole. *)
-let drop_min q =
-  let n = q.size - 1 in
-  q.size <- n;
-  if n > 0 then begin
-    let time = q.times.(n) and seq = q.seqs.(n) and ev = q.events.(n) in
-    let i = ref 0 and sifting = ref true in
-    while !sifting do
-      let l = (2 * !i) + 1 in
-      if l >= n then sifting := false
-      else begin
-        let c =
-          if l + 1 < n && before q.times.(l + 1) q.seqs.(l + 1) q.times.(l) q.seqs.(l)
-          then l + 1
-          else l
-        in
-        if before q.times.(c) q.seqs.(c) time seq then begin
-          q.times.(!i) <- q.times.(c);
-          q.seqs.(!i) <- q.seqs.(c);
-          q.events.(!i) <- q.events.(c);
-          i := c
-        end
-        else sifting := false
-      end
-    done;
-    q.times.(!i) <- time;
-    q.seqs.(!i) <- seq;
-    q.events.(!i) <- ev
-  end;
-  q.events.(n) <- filler
 
 let same_sorted (a : int array) (b : int array) =
   let n = Array.length a in
@@ -263,8 +176,21 @@ let run ?release platform schedules =
     head.(p) < Array.length queues.(p) && queues.(p).(head.(p)) = id
   in
 
-  let q =
-    { times = [||]; seqs = [||]; events = [||]; size = 0; last_seq = 0 }
+  (* The event queue holds task finishes, flow activations and
+     releases, keyed on (time, seq). Every push takes the next seq, so
+     same-time events pop in insertion order. Flow completions stay out
+     of it: every recompute re-predicts every active flow, taking the
+     next seq from the same counter, so between recomputes each flow
+     holds exactly one live prediction, kept in its [flow_state]. The
+     run loop pops whichever of the queue's minimum and the flows'
+     minimum sorts first. The keys are those of one queue holding both,
+     unique and totally ordered (every event time is finite), so the
+     pops are that queue's pops. *)
+  let q = Heap.create ~dummy:(App_release (-1)) in
+  let last_seq = ref 0 in
+  let push time ev =
+    incr last_seq;
+    Heap.push q time !last_seq 0 0 0 ev
   in
   let flows_created = ref 0 in
   let events_processed = ref 0 in
@@ -297,8 +223,8 @@ let run ?release platform schedules =
         c.rate <- rate;
         let eta = if rate >= max_rate then 0. else c.remaining /. rate in
         c.due <- now +. eta;
-        q.last_seq <- q.last_seq + 1;
-        fs.seq <- q.last_seq;
+        incr last_seq;
+        fs.seq <- !last_seq;
         (* Seqs grow along the pass, so only a strictly earlier time
            displaces the first flow found. *)
         if !soonest == none || c.due < !soonest.clock.due then soonest := fs)
@@ -323,7 +249,7 @@ let run ?release platform schedules =
       start_times.(i).(v) <- now;
       let pl = schedules.(i).Schedule.placements.(v) in
       let duration = pl.Schedule.finish -. pl.Schedule.start in
-      push q (now +. duration) (Task_finish (i, v))
+      push (now +. duration) (Task_finish (i, v))
     end
 
   and dep_done now i v =
@@ -376,7 +302,7 @@ let run ?release platform schedules =
               handle = None;
             }
           in
-          push q (now +. latency) (Flow_activate fs)
+          push (now +. latency) (Flow_activate fs)
         end)
       (Dag.succs ptg.Ptg.dag v)
   in
@@ -389,7 +315,7 @@ let run ?release platform schedules =
       for v = 0 to node_count i - 1 do
         if deps.(i).(v) = 0 then deps.(i).(v) <- 1
       done;
-      push q release.(i) (App_release i)
+      push release.(i) (App_release i)
     end
   done;
 
@@ -400,13 +326,17 @@ let run ?release platform schedules =
     done
   done;
 
-  while q.size > 0 || !soonest != none do
+  while (not (Heap.is_empty q)) || !soonest != none do
     incr events_processed;
     let fs = !soonest in
-    if
+    let flow_first =
       fs != none
-      && (q.size = 0 || before fs.clock.due fs.seq q.times.(0) q.seqs.(0))
-    then begin
+      && (Heap.is_empty q
+         ||
+         let t = Heap.min_key q in
+         fs.clock.due < t || (fs.clock.due = t && fs.seq < Heap.min_int q 0))
+    in
+    if flow_first then begin
       (* Its prediction is its completion: every recompute since its
          activation re-predicted it, so no bytes are left to wait for. *)
       let now = fs.clock.due in
@@ -415,8 +345,8 @@ let run ?release platform schedules =
       dep_done now fs.f_app fs.f_node
     end
     else begin
-      let now = q.times.(0) and ev = q.events.(0) in
-      drop_min q;
+      let now = Heap.min_key q and ev = Heap.min_value q in
+      Heap.drop_min q;
       match ev with
       | Task_finish (i, v) -> finish_task now i v
       | App_release i ->
