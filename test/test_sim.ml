@@ -883,7 +883,7 @@ module Reference_replay = struct
 end
 
 (* Random replays against the reference: any site (the multi-switch
-   [nancy] and [sophia], and [grid] with its five clusters), family and
+   [nancy] and [sophia], and [grid] with its 11 clusters), family and
    strategy, 1-6 applications, releases none, distinct or on repeated
    instants. Each placement's processors are shuffled, since the replay
    treats them as a set: a successor on the same set in another order
