@@ -12,12 +12,11 @@
     per-edge precedence rule ({!check_precedence}) and the overlap
     sweep ({!check_overlap}) are the only implementations of their
     rules: the trace linter ({!Trace_check}) calls them on parsed rows.
-    The precedence bound is
-    {!Mcs_taskmodel.Redistribution.estimate}, the delay the mapper
-    charges without its aggregate destination-NIC bound — which can
-    only delay starts further — so a schedule the mapper accepts is
-    never falsely flagged, while a forged start time below the
-    physical transfer bound is. *)
+    The precedence bound is {!Mcs_taskmodel.Redistribution.estimate},
+    the delay the mapper charges without its aggregate destination-NIC
+    bound — which can only delay starts further — so a schedule the
+    mapper accepts is never falsely flagged, while a forged start time
+    below the physical transfer bound is. *)
 
 type feed =
   app:int -> node:int -> procs:int array -> start:float -> finish:float -> unit

@@ -236,12 +236,9 @@ let run ?release platform schedules =
     && (not started.(i).(v))
     &&
     let id = base.(i) + v in
-    let procs = schedules.(i).Schedule.placements.(v).Schedule.procs in
-    let k = ref 0 in
-    while !k < Array.length procs && at_head procs.(!k) id do
-      incr k
-    done;
-    !k = Array.length procs
+    Array.for_all
+      (fun p -> at_head p id)
+      schedules.(i).Schedule.placements.(v).Schedule.procs
 
   and try_start now i v =
     if task_ready i v then begin
