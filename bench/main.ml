@@ -371,7 +371,7 @@ let emit_pipeline_baseline () =
   let policy = Mcs_online.Policy.make Strategy.Equal_share in
   ignore (Mcs_online.Engine.run ~policy platform apps);
   (* A short faulted run exercises the online.fault phase and the fault
-     counters (kills, retries, ledger releases) so the committed
+     counters (kills, retries, released processors) so the committed
      baseline covers every registered name. *)
   let faults =
     Mcs_fault.Fault.generate ~seed platform

@@ -55,7 +55,8 @@ let counters =
     ("online.retries", "transient task failures (each costs one retry)");
     ("online.fault_events", "outage/recovery events processed");
     ("online.resizes", "malleable grow/shrink operations executed");
-    ("mapper.release", "ledger reservations released by outage rollbacks");
+    ( "mapper.release",
+      "processors released by kills and resizes under fault injection" );
     ("check.analyses", "invariant analyzer passes");
     ("check.rules", "rules evaluated across analyzer passes");
     ("check.diagnostics", "diagnostics emitted by the analyzer");

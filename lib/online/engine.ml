@@ -420,7 +420,6 @@ let reschedule s ~trigger =
     let c_policy_reschedules, c_policy_remapped = s.policy_counters in
     Obs.incr c_policy_reschedules;
     Obs.incr ~by:remapped c_policy_remapped;
-    if s.fault_on then State.commit_started state;
     announce s;
     s.emit
       (Log.Reschedule
@@ -434,12 +433,12 @@ let reschedule s ~trigger =
          })
 
 (* End task [v]'s current segment at [at] — a failure at its finish, a
-   kill or a resize: record the attempt and, under fault injection,
-   truncate its ledger reservation at [at]. Returns the processor
-   reservations released. *)
+   kill or a resize: record the attempt. Returns the processors it
+   releases under fault injection, 0 without a fault scenario (the
+   [mapper.release] counter). *)
 let close_attempt s app v pl ~at ~outcome =
   State.record_execution s.st app v pl ~finish:at ~outcome;
-  if s.fault_on then State.rollback s.st app v pl ~at else 0
+  if s.fault_on then Array.length pl.Schedule.procs else 0
 
 (* Execute one resize opportunity of task [node] of application [i]
    under model [m]. The target width is decided here, at the grid point
@@ -453,7 +452,7 @@ let close_attempt s app v pl ~at ~outcome =
    starts now at the new width, charged the redistribution cost and
    priced by Amdahl at that width. Returns [true] iff a resize
    happened — the caller then forces a reschedule (successors re-price,
-   the new segment commits, the next opportunity is planned). A
+   the new segment is re-announced, the next opportunity is planned). A
    declined opportunity re-arms the next grid point directly, since no
    reschedule may happen in between to re-plan it. *)
 let try_resize s m i node =
@@ -619,8 +618,7 @@ let handle s ev trigger =
     state.State.task_failures <- state.State.task_failures + 1;
     Obs.incr c_retries;
     (* The attempt occupied its processors to the end (it fails at its
-       finish): its whole span stays reserved as history, and the retry
-       is committed afresh. *)
+       finish): it is recorded whole, and the retry is mapped afresh. *)
     ignore
       (close_attempt s app node pl ~at:ev.Event_queue.time
          ~outcome:Exec_check.Failed);
@@ -656,9 +654,6 @@ let handle s ev trigger =
     Obs.enter "online.fault";
     state.State.fault_events <- state.State.fault_events + 1;
     Obs.incr c_fault_events;
-    (* Commit running placements first so the kills below exercise the
-       real release path of the ledger. *)
-    State.commit_started state;
     Array.iter (fun p -> state.State.proc_up.(p) <- false) procs;
     s.emit (Log.Proc_down { time = ev.Event_queue.time; procs });
     Array.iter
@@ -737,8 +732,8 @@ let handle s ev trigger =
       Obs.enter "online.resize";
       if try_resize s m i node then
         (* Mandatory, policy-independent: the resized segment must be
-           committed and re-announced and its successors re-priced, or
-           the stale finish events of the old width would fire. *)
+           re-announced and its successors re-priced, or the stale
+           finish events of the old width would fire. *)
         trigger := merge_trigger !trigger "resize";
       Obs.leave ()));
   Obs.leave ()

@@ -31,10 +31,10 @@
     scenario:
 
     - a processor {e outage} kills every attempt running on a failed
-      processor (the elapsed work is lost; the kill is recorded and the
-      ledger reservation truncated at the outage instant) and triggers a
-      reschedule on the {e degraded} platform: the reference cluster is
-      resized to the surviving aggregate GFlop/s
+      processor (the elapsed work is lost; the kill is recorded as an
+      attempt ending at the outage instant) and triggers a reschedule
+      on the {e degraded} platform: the reference cluster is resized
+      to the surviving aggregate GFlop/s
       ({!Mcs_sched.Reference_cluster.degrade}), allocations are capped
       by per-cluster surviving processor counts, and the mapper skips
       dead processors. Killed tasks are requeued unconditionally — a
@@ -62,8 +62,7 @@
     clamped to the processors idle in the task's cluster at that
     instant. A resize closes the current segment the way a failure or
     a kill closes its attempt — a {!Mcs_check.Exec_check.Resized}
-    execution record, and under fault injection the ledger
-    reservation truncated at the resize — charges a redistribution
+    execution record ending at the resize — charges a redistribution
     overhead proportional to the processors moved, re-prices the
     remaining work by Amdahl at the new width, and forces a reschedule
     so successors re-price and the next opportunity is planned. With
@@ -249,7 +248,7 @@ val restore :
     its own). The engine is deterministic, so the replay rebuilds
     everything the calls left behind: placements, allocation caches
     and their statistics, the queue's insertion sequence, memoised
-    failure verdicts, armed resizes, the ledger and the gauges. It
+    failure verdicts, armed resizes and the gauges. It
     costs the session's work so far, and the {!Mcs_obs.Obs} counters
     (a [--profile]) count the replayed work too; logs, results and
     {!stats} do not change. The restored session records the calls it

@@ -1,7 +1,6 @@
 module Ptg = Mcs_ptg.Ptg
 module P = Mcs_platform.Platform
 module Schedule = Mcs_sched.Schedule
-module Timeline = Mcs_util.Timeline
 module Floatx = Mcs_util.Floatx
 
 type status = Pending | Active | Completed
@@ -16,7 +15,6 @@ type app = {
   mutable completion : float;
   failures : int array;
   retry_at : float array;
-  committed : bool array;
   progress : float array;
   seg_overhead : float array;
   mutable verdicts : int array;
@@ -36,7 +34,6 @@ type t = {
   mutable peak_active : int;
   arena : Mcs_sched.Alloc_arena.t;
   proc_up : bool array;
-  ledger : Timeline.t;
   mutable executions : Mcs_check.Exec_check.execution list;
   mutable kills : int;
   mutable task_failures : int;
@@ -58,7 +55,6 @@ let make_app index ptg release =
     completion = Float.nan;
     failures = Array.make n 0;
     retry_at = Array.make n 0.;
-    committed = Array.make n false;
     progress = Array.make n 0.;
     seg_overhead = Array.make n 0.;
     verdicts = [||];
@@ -83,7 +79,6 @@ let create platform apps =
     peak_active = 0;
     arena = Mcs_sched.Alloc_arena.create ();
     proc_up = Array.make (P.total_procs platform) true;
-    ledger = Timeline.create ~procs:(P.total_procs platform);
     executions = [];
     kills = 0;
     task_failures = 0;
@@ -139,53 +134,6 @@ let record_execution t (app : app) v (pl : Schedule.placement)
       outcome;
     }
     :: t.executions
-
-(* Ledger bookkeeping (fault runs only): every started placement is
-   reserved on its processors, so outage recovery exercises the real
-   release/re-reserve path and double-booking surfaces as a loud
-   [Timeline.reserve] failure instead of silent corruption. *)
-
-let commit_started t =
-  Array.iter
-    (fun app ->
-      if app.status <> Pending then
-        Array.iteri
-          (fun v pl ->
-            match pl with
-            | Some pl
-              when (not app.committed.(v))
-                   && (not (Ptg.is_virtual app.ptg v))
-                   && pl.Schedule.start <= t.now +. Floatx.eps ->
-              Array.iter
-                (fun p ->
-                  Timeline.reserve t.ledger ~proc:p ~start:pl.Schedule.start
-                    ~finish:pl.Schedule.finish)
-                pl.Schedule.procs;
-              app.committed.(v) <- true
-            | Some _ | None -> ())
-          app.placements)
-    t.apps
-
-let rollback t app v (pl : Schedule.placement) ~at =
-  let released =
-    if app.committed.(v) then begin
-      Array.iter
-        (fun p ->
-          Timeline.release t.ledger ~proc:p ~start:pl.Schedule.start
-            ~finish:pl.Schedule.finish)
-        pl.Schedule.procs;
-      Array.length pl.Schedule.procs
-    end
-    else 0
-  in
-  (* Keep the truncated prefix as history: the processors were busy
-     from the start to the kill instant. *)
-  Array.iter
-    (fun p ->
-      Timeline.reserve t.ledger ~proc:p ~start:pl.Schedule.start ~finish:at)
-    pl.Schedule.procs;
-  app.committed.(v) <- false;
-  released
 
 let schedules t =
   Array.to_list

@@ -9,18 +9,16 @@
     longer be revoked; everything strictly in the future is up for
     rescheduling.
 
-    Fault injection adds a second layer: a per-processor liveness mask
-    ([proc_up]), per-task retry bookkeeping ([failures], [retry_at]),
-    and a {!Mcs_util.Timeline} {e ledger} mirroring every started
-    placement so that outage recovery exercises the real
-    release/re-reserve path ([committed] marks placements currently
-    reserved in the ledger). All of it is inert — never read, never
-    written — when the engine runs without a fault scenario.
+    Fault injection adds a per-processor liveness mask ([proc_up]) and
+    per-task retry bookkeeping ([failures], [retry_at]). Both are inert
+    — never read, never written — when the engine runs without a fault
+    scenario. What ran, in every mode, is the attempt log
+    ([executions]).
 
     A state is never copied. {!Engine.restore} builds a new one by
     creating the session again and replaying the calls that changed
-    it, so every structure here, allocation caches and ledger
-    included, is rebuilt by the code that built it the first time. *)
+    it, so every structure here, allocation caches included, is
+    rebuilt by the code that built it the first time. *)
 
 type status = Pending | Active | Completed
 
@@ -34,7 +32,6 @@ type app = {
   mutable completion : float;  (** exit finish time; [nan] until done *)
   failures : int array;  (** transient failures per node, cumulative *)
   retry_at : float array;  (** backoff floor: node may not start before *)
-  committed : bool array;  (** placement currently reserved in the ledger *)
   progress : float array;
       (** fraction of each task's total work completed by the segments
           {e before} the current one — 0 everywhere unless the task was
@@ -82,7 +79,6 @@ type t = {
           reschedule of this engine — single-owner, so one engine (and
           hence one serving shard) never shares it across domains *)
   proc_up : bool array;  (** liveness per global processor id *)
-  ledger : Mcs_util.Timeline.t;  (** started placements, fault runs only *)
   mutable executions : Mcs_check.Exec_check.execution list;
       (** every attempt of every real task, most recent first *)
   mutable kills : int;  (** attempts killed by processor outages *)
@@ -135,19 +131,6 @@ val record_execution :
   finish:float -> outcome:Mcs_check.Exec_check.outcome -> unit
 (** Append one attempt record ([finish] overrides the placement's
     nominal finish — a killed attempt ends at the outage instant). *)
-
-val commit_started : t -> unit
-(** Reserve in the ledger every started, not-yet-committed real
-    placement. Called once per reschedule under fault injection.
-    @raise Invalid_argument if a placement double-books a processor —
-    a scheduling invariant violation that must not pass silently. *)
-
-val rollback : t -> app -> int -> Mcs_sched.Schedule.placement ->
-  at:float -> int
-(** Kill the running attempt of node [v]: release its full reservation
-    from the ledger (if committed), re-reserve the elapsed prefix
-    [[start, at)] as history, and clear the committed flag. Returns the
-    number of processor-reservations released (0 if uncommitted). *)
 
 val schedules : t -> Mcs_sched.Schedule.t list
 (** Final schedules in submission order.

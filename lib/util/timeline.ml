@@ -24,8 +24,6 @@ let create ~procs =
       Array.init procs (fun _ -> { starts = [||]; finishes = [||]; len = 0 });
   }
 
-let procs t = t.nb_procs
-
 let check_proc t proc =
   if proc < 0 || proc >= t.nb_procs then
     invalid_arg (Printf.sprintf "Timeline: processor %d out of range" proc)
@@ -71,34 +69,6 @@ let reserve t ~proc ~start ~finish =
     line.starts.(i) <- start;
     line.finishes.(i) <- finish;
     line.len <- line.len + 1
-  end
-
-(* Rollback of a committed reservation: the fault-recovery path revokes
-   placements killed by a processor outage. The interval must match an
-   existing reservation exactly — releasing "roughly that slot" would
-   silently corrupt the profile. *)
-let release t ~proc ~start ~finish =
-  check_proc t proc;
-  if Float.is_nan start || Float.is_nan finish || finish < start then
-    invalid_arg "Timeline.release: ill-formed interval";
-  if finish -. start <= eps then ()
-  else begin
-    let line = t.lines.(proc) in
-    let i = first_finishing_after line (start +. eps) in
-    if
-      i >= line.len
-      || Float.abs (line.starts.(i) -. start) > eps
-      || Float.abs (line.finishes.(i) -. finish) > eps
-    then
-      invalid_arg
-        (Printf.sprintf
-           "Timeline.release: no reservation [%g, %g) on processor %d" start
-           finish proc)
-    else begin
-      Array.blit line.starts (i + 1) line.starts i (line.len - i - 1);
-      Array.blit line.finishes (i + 1) line.finishes i (line.len - i - 1);
-      line.len <- line.len - 1
-    end
   end
 
 let is_free t ~proc ~start ~finish =

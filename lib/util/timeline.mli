@@ -7,7 +7,8 @@
     already reserved on each. {!find_slot} returns the earliest time at
     or after a release time at which a given number of processors are
     simultaneously free for a given duration, together with a best-fit
-    choice of processors. Reservations never move once placed.
+    choice of processors. Reservations are only ever added: none moves
+    or goes away once placed.
 
     Each processor's reservations are stored as parallel sorted arrays
     of starts and finishes, so point queries ({!is_free}, the best-fit
@@ -21,23 +22,11 @@ val create : procs:int -> t
 (** Timeline for processors [0 .. procs-1], initially all idle.
     @raise Invalid_argument if [procs < 1]. *)
 
-val procs : t -> int
-
 val reserve : t -> proc:int -> start:float -> finish:float -> unit
 (** Mark [proc] busy on [start, finish). Zero-length reservations are
     ignored.
     @raise Invalid_argument if the interval is ill-formed, out of range,
     or overlaps an existing reservation on that processor. *)
-
-val release : t -> proc:int -> start:float -> finish:float -> unit
-(** Remove the reservation [start, finish) from [proc] — the rollback of
-    a previous {!reserve}, used when fault recovery revokes a committed
-    placement. Zero-length intervals are ignored. After a release the
-    timeline is indistinguishable from one where the reservation was
-    never made.
-    @raise Invalid_argument if the interval is ill-formed, out of range,
-    or does not match an existing reservation exactly (within the
-    internal epsilon). *)
 
 val is_free : t -> proc:int -> start:float -> finish:float -> bool
 (** Whether [proc] is idle during the whole interval. *)

@@ -1,8 +1,8 @@
 (* Fault injection & recovery: seeded generator determinism, the pure
    transient-failure draws, the engine's kill/requeue/retry handling
    under outages, the FAULT001-003 execution audit, the event queue's
-   canonical equal-time ordering, and Timeline's release (rollback)
-   path. *)
+   canonical equal-time ordering, and the [mapper.release] counter
+   read against the attempt log. *)
 
 module Grid5000 = Mcs_platform.Grid5000
 module Platform = Mcs_platform.Platform
@@ -17,7 +17,8 @@ module Diagnostic = Mcs_check.Diagnostic
 module Strategy = Mcs_sched.Strategy
 module Task = Mcs_taskmodel.Task
 module Ptg = Mcs_ptg.Ptg
-module Timeline = Mcs_util.Timeline
+module Malleability = Mcs_sched.Malleability
+module Obs = Mcs_obs.Obs
 
 (* Distinct rule ids present, in registry order. *)
 let rule_ids diags =
@@ -245,7 +246,7 @@ let run_logged ?faults ?policy platform apps =
 
 let test_zero_fault_equivalence () =
   (* [faults:(Some no_faults)] routes through the full fault plumbing
-     (ledger, fail rolls, degraded-β guard) yet must replay the exact
+     (fail rolls, degraded-β guard) yet must replay the exact
      un-faulted run: same event log, same schedules, same stats. *)
   let platform = Grid5000.lille () in
   let apps = apps_of 5 21 ~mean:25. in
@@ -426,66 +427,62 @@ let test_fault_rules () =
     [ "fault-conservation" ]
     (ids [ exec ~finish:(full /. 2.) Exec_check.Completed ])
 
-(* --- Timeline release rollback ≡ fresh build --- *)
+(* --- mapper.release ≡ what the attempt log says was released --- *)
 
-(* Fisher-Yates over [Prng.int]. *)
-let shuffle rng a =
-  for i = Array.length a - 1 downto 1 do
-    let j = Prng.int rng (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let test_timeline_release_replace () =
-  let rng = Prng.create ~seed:9 in
-  for _trial = 1 to 25 do
-    let procs = 1 + Prng.int rng 4 in
-    (* Non-overlapping reservations per processor, random gaps. *)
-    let all = ref [] in
-    for proc = 0 to procs - 1 do
-      let t = ref 0. in
-      for _ = 1 to Prng.int rng 6 do
-        let start = !t +. Prng.uniform rng ~lo:0.1 ~hi:5. in
-        let finish = start +. Prng.uniform rng ~lo:0.5 ~hi:10. in
-        t := finish;
-        all := (proc, start, finish) :: !all
-      done
-    done;
-    let all = List.rev !all in
-    let tl = Timeline.create ~procs in
-    List.iter
-      (fun (proc, start, finish) -> Timeline.reserve tl ~proc ~start ~finish)
-      all;
-    let keep, drop = List.partition (fun _ -> Prng.bool rng) all in
-    List.iter
-      (fun (proc, start, finish) -> Timeline.release tl ~proc ~start ~finish)
-      drop;
-    let fresh intervals =
-      let f = Timeline.create ~procs in
-      List.iter
-        (fun (proc, start, finish) -> Timeline.reserve f ~proc ~start ~finish)
-        intervals;
-      f
-    in
-    let same what a b =
-      for proc = 0 to procs - 1 do
-        Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-          what
-          (Timeline.busy_intervals a ~proc)
-          (Timeline.busy_intervals b ~proc)
-      done
-    in
-    same "release ≡ never reserved" tl (fresh keep);
-    (* Replacing the released intervals (in a different order) restores
-       the original timeline exactly. *)
-    let back = Array.of_list drop in
-    shuffle rng back;
-    Array.iter
-      (fun (proc, start, finish) -> Timeline.reserve tl ~proc ~start ~finish)
-      back;
-    same "release then replace ≡ fresh build" tl (fresh all)
-  done
+(* Small random engine runs on every site: with or without a fault
+   scenario, malleable or not, under the default or the eager policy.
+   Cluster-granularity outages with a short MTTF black out a whole
+   site now and then. Under a fault scenario every kill and every
+   resize releases the processors of the attempt it closes, so the
+   counter is the summed widths of the Killed and Resized records;
+   without one it stays 0. *)
+let qcheck_release_counter =
+  QCheck.Test.make ~name:"mapper.release = widths of killed and resized attempts"
+    ~count:25
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let sites = Array.of_list (Grid5000.all ()) in
+      let platform = sites.(Prng.int rng (Array.length sites)) in
+      let apps = apps_of (2 + Prng.int rng 3) seed ~mean:20. in
+      let malleability =
+        if Prng.bool rng then
+          Some { Malleability.default with Malleability.quantum = 10. }
+        else None
+      in
+      let base = Policy.make ?malleability Strategy.Equal_share in
+      let policy =
+        Policy.of_name (if Prng.bool rng then "eager" else "default") ~base
+      in
+      let faults =
+        if Prng.bool rng then
+          Some
+            (Fault.generate ~seed platform
+               {
+                 Fault.mttf = Prng.uniform rng ~lo:50. ~hi:1000.;
+                 mttr = Prng.uniform rng ~lo:20. ~hi:200.;
+                 task_fail_p = Prng.uniform rng ~lo:0. ~hi:0.2;
+                 granularity = (if Prng.bool rng then Cluster else Proc);
+                 horizon = 1000.;
+               })
+        else None
+      in
+      let c = Obs.counter "mapper.release" in
+      Obs.enable ();
+      let r =
+        Fun.protect ~finally:Obs.disable (fun () ->
+            Engine.run ?faults ~policy platform apps)
+      in
+      let released =
+        List.fold_left
+          (fun acc e ->
+            match e.Exec_check.outcome with
+            | Exec_check.Killed | Exec_check.Resized ->
+              acc + Array.length e.Exec_check.procs
+            | Exec_check.Completed | Exec_check.Failed -> acc)
+          0 r.Engine.executions
+      in
+      Obs.value c = if Option.is_some faults then released else 0)
 
 let suite =
   [
@@ -510,7 +507,6 @@ let suite =
         Alcotest.test_case "real exit node records execution" `Quick
           test_real_exit_records;
         Alcotest.test_case "FAULT001-003 adversarial" `Quick test_fault_rules;
-        Alcotest.test_case "timeline release-then-replace" `Quick
-          test_timeline_release_replace;
+        QCheck_alcotest.to_alcotest qcheck_release_counter;
       ] );
   ]
