@@ -166,7 +166,6 @@ let malleable ~doc ~full =
     if on then
       Some
         {
-          d with
           Malleability.quantum;
           redist_cost;
           min_width;

@@ -157,13 +157,6 @@ let check_resize_chain ~emit model platform ptg ~app ~node chain =
              "resized segment runs on %d processors, below the malleability \
               floor of %d"
              wn model.Malleability.min_width);
-      if wn > model.Malleability.max_width then
-        emit
-          (Diagnostic.error ~app ~node ~window:(next.start, next.finish)
-             Rule.Mal_width_bounds
-             "resized segment runs on %d processors, above the malleability \
-              ceiling of %d"
-             wn model.Malleability.max_width);
       if wn = wp then
         emit
           (Diagnostic.error ~app ~node ~window:(next.start, next.finish)

@@ -24,10 +24,10 @@
       segment pays the task's full execution time on its cluster and
       width when it completes or fails, and never more when killed.
     - {b MAL001} ([Rule.Mal_width_bounds]): in a chain of two or more
-      segments, every post-resize segment's width lies within
-      [\[min_width, max_width\]], differs from the previous segment's
-      width, and stays inside the task's cluster. Without a
-      malleability model a {!Resized} record is itself a violation.
+      segments, every post-resize segment's width is at least
+      [min_width], differs from the previous segment's width, and
+      stays inside the task's cluster. Without a malleability model a
+      {!Resized} record is itself a violation.
     - {b MAL002} ([Rule.Mal_cost_accounting]): a chain never ends in a
       resized segment; in a chain of two or more segments, each
       continuation abuts its predecessor and pays at least its

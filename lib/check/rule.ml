@@ -157,7 +157,7 @@ let describe = function
      or transiently-failed attempt pays the full execution time, and a \
      killed attempt never exceeds it"
   | Mal_width_bounds ->
-    "every resized segment stays within the malleability width bounds, \
+    "every resized segment keeps at least the malleability width floor, \
      actually changes width, and stays inside its cluster"
   | Mal_cost_accounting ->
     "resize overhead is charged per moved processor and the segments of \

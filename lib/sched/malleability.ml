@@ -4,7 +4,6 @@ type t = {
   quantum : float;
   redist_cost : float;
   min_width : int;
-  max_width : int;
   shrink_active_above : int;
   grow_active_below : int;
 }
@@ -14,7 +13,6 @@ let default =
     quantum = 30.;
     redist_cost = 0.05;
     min_width = 1;
-    max_width = max_int;
     shrink_active_above = 2;
     grow_active_below = 2;
   }
@@ -25,8 +23,6 @@ let validate t =
   if not (Float.is_finite t.redist_cost) || t.redist_cost < 0. then
     invalid_arg "Malleability: redist_cost must be non-negative and finite";
   if t.min_width < 1 then invalid_arg "Malleability: min_width must be >= 1";
-  if t.max_width < t.min_width then
-    invalid_arg "Malleability: max_width must be >= min_width";
   if t.shrink_active_above < 0 then
     invalid_arg "Malleability: shrink_active_above must be >= 0";
   if t.grow_active_below < 0 then
@@ -45,7 +41,7 @@ let next_resize_point t ~start ~now =
 let resize_cost t ~moved = t.redist_cost *. float_of_int moved
 
 let target_width t ~active ~width ~cap =
-  let clamp w = max t.min_width (min w (min cap t.max_width)) in
+  let clamp w = max t.min_width (min w cap) in
   if active > t.shrink_active_above then clamp (max 1 (width / 2))
   else if active < t.grow_active_below then clamp (width * 2)
   else width

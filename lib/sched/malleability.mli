@@ -18,16 +18,16 @@
       before the resized segment makes progress, modelling the data
       redistribution of the moved block rows.
 
-    Width bounds ([min_width], [max_width]) bound any resized segment;
-    the trigger thresholds ([shrink_active_above], [grow_active_below])
-    parameterize the default policy-kernel decision of {e when} to
-    resize. The model itself is pure and engine-agnostic. *)
+    A width floor ([min_width]) bounds any resized segment from below
+    (the task's cluster bounds it from above); the trigger thresholds
+    ([shrink_active_above], [grow_active_below]) parameterize the
+    default policy-kernel decision of {e when} to resize. The model
+    itself is pure and engine-agnostic. *)
 
 type t = {
   quantum : float;  (** grid spacing of legal resize points, seconds *)
   redist_cost : float;  (** seconds charged per moved processor *)
   min_width : int;  (** no resized segment runs on fewer processors *)
-  max_width : int;  (** no resized segment runs on more processors *)
   shrink_active_above : int;
       (** default trigger: shrink while more applications are active *)
   grow_active_below : int;
@@ -35,14 +35,13 @@ type t = {
 }
 
 val default : t
-(** [quantum = 30], [redist_cost = 0.05], widths unbounded
-    ([min_width = 1], [max_width = max_int]), shrink above 2 active
-    applications, grow below 2. *)
+(** [quantum = 30], [redist_cost = 0.05], [min_width = 1], shrink
+    above 2 active applications, grow below 2. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on a non-positive or non-finite quantum, a
-    negative or non-finite cost, [min_width < 1],
-    [max_width < min_width], or a negative trigger threshold. *)
+    negative or non-finite cost, [min_width < 1], or a negative trigger
+    threshold. *)
 
 val next_resize_point : t -> start:float -> now:float -> float
 (** First grid point [start + k·quantum] ([k ≥ 1]) strictly after
@@ -58,5 +57,5 @@ val target_width : t -> active:int -> width:int -> cap:int -> int
     while [active] applications are in the system: halve under an
     arrival spike ([active > shrink_active_above]), double when the
     platform drains ([active < grow_active_below]), hold otherwise.
-    The result is clamped to [\[min_width, min cap max_width\]]; equal
-    to [width] means "no resize". *)
+    The result is clamped to [\[min_width, cap\]]; equal to [width]
+    means "no resize". *)

@@ -86,9 +86,6 @@ let test_model_validation () =
     (raises { Malleability.default with Malleability.redist_cost = -1. });
   Alcotest.(check bool) "zero min width" true
     (raises { Malleability.default with Malleability.min_width = 0 });
-  Alcotest.(check bool) "max below min" true
-    (raises
-       { Malleability.default with Malleability.min_width = 4; max_width = 2 });
   Alcotest.(check bool) "negative threshold" true
     (raises
        { Malleability.default with Malleability.shrink_active_above = -1 })
@@ -116,7 +113,6 @@ let test_model_grid_and_targets () =
       Malleability.shrink_active_above = 2;
       grow_active_below = 2;
       min_width = 2;
-      max_width = 12;
     }
   in
   Alcotest.(check int) "spike halves" 4
@@ -127,8 +123,6 @@ let test_model_grid_and_targets () =
     (Malleability.target_width m ~active:1 ~width:4 ~cap:16);
   Alcotest.(check int) "growth clamps to cap" 5
     (Malleability.target_width m ~active:1 ~width:4 ~cap:5);
-  Alcotest.(check int) "growth clamps to max_width" 12
-    (Malleability.target_width m ~active:1 ~width:8 ~cap:16);
   Alcotest.(check int) "steady width untouched" 6
     (Malleability.target_width m ~active:2 ~width:6 ~cap:16)
 
