@@ -17,18 +17,25 @@ type t = {
   total_procs : int;
 }
 
+let positive x = Float.is_finite x && x > 0.
+
 let make ~name ?(nic_bandwidth = 1.25e8) ?(link_bandwidth = 1.25e9)
     ?(backbone_bandwidth = 1.25e9) ?(latency = 1e-4) cluster_list =
   if cluster_list = [] then invalid_arg "Platform.make: no clusters";
   List.iter
     (fun c ->
       if c.procs <= 0 then invalid_arg "Platform.make: cluster with no processors";
-      if c.gflops <= 0. then invalid_arg "Platform.make: non-positive speed";
+      if not (positive c.gflops) then
+        invalid_arg "Platform.make: speed not finite and positive";
       if c.switch < 0 then invalid_arg "Platform.make: negative switch id")
     cluster_list;
-  if nic_bandwidth <= 0. || link_bandwidth <= 0. || backbone_bandwidth <= 0.
-  then invalid_arg "Platform.make: non-positive bandwidth";
-  if latency < 0. then invalid_arg "Platform.make: negative latency";
+  if
+    not
+      (positive nic_bandwidth && positive link_bandwidth
+     && positive backbone_bandwidth)
+  then invalid_arg "Platform.make: bandwidth not finite and positive";
+  if not (Float.is_finite latency && latency >= 0.) then
+    invalid_arg "Platform.make: latency not finite and non-negative";
   let clusters = Array.of_list cluster_list in
   let nc = Array.length clusters in
   let first_proc = Array.make nc 0 in

@@ -32,8 +32,10 @@ val make :
     the cluster (default 1.25e9, i.e., 10 Gb/s); [backbone_bandwidth]
     is the inter-switch backbone capacity (default 1.25e9); [latency]
     is the one-way LAN latency in seconds (default 1e-4).
-    @raise Invalid_argument on an empty cluster list, non-positive
-    sizes/speeds/bandwidths, or negative switch ids. *)
+    @raise Invalid_argument on an empty cluster list, a non-positive
+    size, a speed or bandwidth that is not finite and positive, a
+    latency that is not finite and non-negative, or a negative switch
+    id. *)
 
 val name : t -> string
 val clusters : t -> cluster array

@@ -93,7 +93,29 @@ let test_make_validation () =
     (raises (fun () -> Platform.make ~name:"x" [ c "a" 4 1. (-1) ]));
   Alcotest.(check bool) "zero bandwidth" true
     (raises (fun () ->
-         Platform.make ~name:"x" ~link_bandwidth:0. [ c "a" 4 1. 0 ]))
+         Platform.make ~name:"x" ~link_bandwidth:0. [ c "a" 4 1. 0 ]));
+  (* NaN fails every ordered comparison, so [x <= 0.] lets it through;
+     an infinite speed or bandwidth prices every transfer at zero. *)
+  List.iter
+    (fun (what, x) ->
+      let rejects field f =
+        Alcotest.(check bool) (field ^ " " ^ what) true (raises f)
+      in
+      let ok = [ c "a" 4 1. 0 ] in
+      rejects "speed" (fun () -> Platform.make ~name:"x" [ c "a" 4 x 0 ]);
+      rejects "nic bandwidth" (fun () ->
+          Platform.make ~name:"x" ~nic_bandwidth:x ok);
+      rejects "link bandwidth" (fun () ->
+          Platform.make ~name:"x" ~link_bandwidth:x ok);
+      rejects "backbone bandwidth" (fun () ->
+          Platform.make ~name:"x" ~backbone_bandwidth:x ok);
+      rejects "latency" (fun () -> Platform.make ~name:"x" ~latency:x ok))
+    [ ("nan", Float.nan); ("inf", Float.infinity);
+      ("-inf", Float.neg_infinity) ];
+  Alcotest.(check bool) "negative latency" true
+    (raises (fun () -> Platform.make ~name:"x" ~latency:(-1e-4) [ c "a" 4 1. 0 ]));
+  Alcotest.(check bool) "zero latency accepted" false
+    (raises (fun () -> Platform.make ~name:"x" ~latency:0. [ c "a" 4 1. 0 ]))
 
 let test_describe () =
   let s = Platform.describe (Grid5000.sophia ()) in
