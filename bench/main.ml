@@ -463,7 +463,8 @@ let compare_tolerance = 0.30
 (* Counters that repeat exactly from run to run of the baseline
    emitters (checked across repeated [pipeline] and [serve] runs), so
    [compare] requires equality rather than a tolerance. The engine's
-   counters pin the handled-event stream. *)
+   counters pin the handled-event stream, and the replay's its
+   solver's work. *)
 let exact_counters =
   [
     "mapper.tasks_mapped";
@@ -484,6 +485,11 @@ let exact_counters =
     "online.resizes";
     "online.fault_events";
     "mapper.release";
+    "sim.updates";
+    "sim.rounds";
+    "sim.links_visited";
+    "sim.flows";
+    "sim.events";
   ]
 
 let self_times key doc =

@@ -57,6 +57,11 @@ let counters =
     ("online.resizes", "malleable grow/shrink operations executed");
     ( "mapper.release",
       "processors released by kills and resizes under fault injection" );
+    ("sim.updates", "max-min rate recomputations run by replays");
+    ("sim.rounds", "progressive-filling rounds across those recomputations");
+    ("sim.links_visited", "links scanned for a share across those rounds");
+    ("sim.flows", "network flows created by replays");
+    ("sim.events", "events acted on by replays");
     ("check.analyses", "invariant analyzer passes");
     ("check.rules", "rules evaluated across analyzer passes");
     ("check.diagnostics", "diagnostics emitted by the analyzer");

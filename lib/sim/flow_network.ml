@@ -9,20 +9,31 @@ type 'a flow = {
   mutable index : int;  (* position in [active]; -1 once removed *)
 }
 
-(* [count], [remaining] and [share] are per-link scratch for [update]:
-   [count] is all zero between calls, and only the links listed in
-   [touched] hold meaningful [remaining] and [share] values during one.
+type work = { updates : int; rounds : int; links_visited : int }
+
+(* [flows] counts the active flows crossing each link. The links with a
+   non-zero count, the live links, sit in [live] in [0, live_size), and
+   [live_pos] holds each live link's position there; [add_flow] and
+   [remove_flow] keep the three in step. [remaining], [count] (a link's
+   unfrozen flows) and [share] are scratch for [update], which starts
+   them from [capacities] and [flows] on the live links only.
    [unfrozen] and [freeze] hold indices into [active]. *)
 type 'a t = {
   capacities : float array;
+  flows : int array;
+  live : int array;
+  live_pos : int array;
+  mutable live_size : int;
   remaining : float array;
   count : int array;
   share : float array;
-  touched : int array;
   mutable active : 'a flow array;  (* oldest first, valid in [0, size) *)
   mutable size : int;
   mutable unfrozen : int array;
   mutable freeze : int array;
+  mutable updates : int;
+  mutable rounds : int;
+  mutable links_visited : int;
 }
 
 let max_rate = 1e18
@@ -50,24 +61,34 @@ let[@inline] fmin (x : float) y =
 let create ~capacities =
   Array.iter
     (fun c ->
-      if c <= 0. then invalid_arg "Flow_network.create: non-positive capacity")
+      if not (Float.is_finite c && c > 0.) then
+        invalid_arg "Flow_network.create: capacity not finite and positive")
     capacities;
   let nl = Array.length capacities in
   {
     capacities = Array.copy capacities;
+    flows = Array.make nl 0;
+    live = Array.make nl 0;
+    live_pos = Array.make nl 0;
+    live_size = 0;
     remaining = Array.make nl 0.;
     count = Array.make nl 0;
     share = Array.make nl 0.;
-    touched = Array.make nl 0;
     active = [||];
     size = 0;
     unfrozen = [||];
     freeze = [||];
+    updates = 0;
+    rounds = 0;
+    links_visited = 0;
   }
 
 let link_count t = Array.length t.capacities
 let rate f = f.rate.bytes_per_s
 let data f = f.data
+
+let work t =
+  { updates = t.updates; rounds = t.rounds; links_visited = t.links_visited }
 
 let add_flow t route data =
   List.iter
@@ -87,6 +108,15 @@ let add_flow t route data =
   end;
   t.active.(t.size) <- f;
   t.size <- t.size + 1;
+  for j = 0 to Array.length route - 1 do
+    let l = route.(j) in
+    if t.flows.(l) = 0 then begin
+      t.live.(t.live_size) <- l;
+      t.live_pos.(l) <- t.live_size;
+      t.live_size <- t.live_size + 1
+    end;
+    t.flows.(l) <- t.flows.(l) + 1
+  done;
   f
 
 let remove_flow t f =
@@ -99,7 +129,19 @@ let remove_flow t f =
     g.index <- k
   done;
   t.size <- t.size - 1;
-  f.index <- -1
+  f.index <- -1;
+  for j = 0 to Array.length f.route - 1 do
+    let l = f.route.(j) in
+    let n = t.flows.(l) - 1 in
+    t.flows.(l) <- n;
+    if n = 0 then begin
+      (* The last live link takes the dead one's place. *)
+      let last = t.live.(t.live_size - 1) in
+      t.live.(t.live_pos.(l)) <- last;
+      t.live_pos.(last) <- t.live_pos.(l);
+      t.live_size <- t.live_size - 1
+    end
+  done
 
 let iter t fn =
   for i = t.size - 1 downto 0 do
@@ -112,34 +154,31 @@ let iter t fn =
    frozen bandwidth from their links. This yields the max-min fair
    allocation.
 
-   Only the links some active flow crosses are visited. A round decides
-   its whole binding set against the shares at its start, then freezes
-   that set newest flow first, subtracting from each link in that order
-   and decrementing its unfrozen count. Every float is the same
-   operation on the same operands, in the same order, as the textbook
+   Only the live links are visited, in whatever order [live] holds
+   them: the smallest share is order-free. A round decides its whole
+   binding set against the shares at its start, then freezes that set
+   newest flow first, subtracting from each link in that order and
+   decrementing its unfrozen count. Every float is the same operation
+   on the same operands, in the same order, as the textbook
    formulation that recounts every link each round (kept in the tests
    as the reference). *)
 let update t =
-  let nt = ref 0 in
+  t.updates <- t.updates + 1;
+  for k = 0 to t.live_size - 1 do
+    let l = t.live.(k) in
+    t.remaining.(l) <- t.capacities.(l);
+    t.count.(l) <- t.flows.(l)
+  done;
   for k = 0 to t.size - 1 do
-    let i = t.size - 1 - k in
-    t.unfrozen.(k) <- i;
-    let route = t.active.(i).route in
-    for j = 0 to Array.length route - 1 do
-      let l = route.(j) in
-      if t.count.(l) = 0 then begin
-        t.touched.(!nt) <- l;
-        incr nt;
-        t.remaining.(l) <- t.capacities.(l)
-      end;
-      t.count.(l) <- t.count.(l) + 1
-    done
+    t.unfrozen.(k) <- t.size - 1 - k
   done;
   let nu = ref t.size in
   while !nu > 0 do
+    t.rounds <- t.rounds + 1;
+    t.links_visited <- t.links_visited + t.live_size;
     let link_share = ref Float.infinity in
-    for k = 0 to !nt - 1 do
-      let l = t.touched.(k) in
+    for k = 0 to t.live_size - 1 do
+      let l = t.live.(k) in
       if t.count.(l) > 0 then begin
         let s = t.remaining.(l) /. float_of_int t.count.(l) in
         t.share.(l) <- s;
@@ -191,7 +230,4 @@ let update t =
       done;
       nu := !nk
     end
-  done;
-  for k = 0 to !nt - 1 do
-    t.count.(t.touched.(k)) <- 0
   done

@@ -15,7 +15,8 @@ type 'a t
 
 val create : capacities:float array -> 'a t
 (** One network with [Array.length capacities] links and no flows.
-    @raise Invalid_argument on a non-positive capacity. *)
+    @raise Invalid_argument on a capacity that is not finite and
+    positive. *)
 
 val link_count : 'a t -> int
 
@@ -25,7 +26,9 @@ type 'a flow
 val add_flow : 'a t -> int list -> 'a -> 'a flow
 (** [add_flow t route data] registers a flow traversing the given links
     (duplicates ignored). A flow with an empty route is only bounded by
-    [max_rate]. Its rate is 0 until the next {!update}.
+    [max_rate]. Its rate is 0 until the next {!update}. The network
+    counts the flows crossing each link, so adding and removing keep
+    the set of links that {!update} visits.
     @raise Invalid_argument on an unknown link id. *)
 
 val remove_flow : 'a t -> 'a flow -> unit
@@ -40,6 +43,15 @@ val update : 'a t -> unit
     flow are visited, and the call allocates nothing. Rates are
     bit-for-bit those of the textbook progressive filling that recounts
     every link each round. *)
+
+type work = {
+  updates : int;  (** calls to {!update} *)
+  rounds : int;  (** progressive-filling rounds across those calls *)
+  links_visited : int;  (** links scanned for a share, summed over rounds *)
+}
+
+val work : 'a t -> work
+(** The work {!update} has done on this network since {!create}. *)
 
 val rate : 'a flow -> float
 (** Rate assigned by the last {!update} that saw the flow (0 before). *)

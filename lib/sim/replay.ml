@@ -3,6 +3,13 @@ module Ptg = Mcs_ptg.Ptg
 module P = Mcs_platform.Platform
 module Schedule = Mcs_sched.Schedule
 module Heap = Mcs_util.Heap
+module Obs = Mcs_obs.Obs
+
+let c_updates = Obs.counter "sim.updates"
+let c_rounds = Obs.counter "sim.rounds"
+let c_links_visited = Obs.counter "sim.links_visited"
+let c_flows = Obs.counter "sim.flows"
+let c_events = Obs.counter "sim.events"
 
 type result = {
   makespans : float array;
@@ -11,6 +18,7 @@ type result = {
   start_times : float array array;
   flows_created : int;
   events_processed : int;
+  updates : int;
 }
 
 (* [Float.max] without its runtime call: the stdlib's inlined version
@@ -50,16 +58,6 @@ type event =
   | Flow_activate of flow_state
   | App_release of int
 
-let same_sorted (a : int array) (b : int array) =
-  let n = Array.length a in
-  n = Array.length b
-  &&
-  let i = ref 0 in
-  while !i < n && a.(!i) = b.(!i) do
-    incr i
-  done;
-  !i = n
-
 let run ?release platform schedules =
   if schedules = [] then invalid_arg "Replay.run: no schedules";
   let schedules = Array.of_list schedules in
@@ -94,7 +92,6 @@ let run ?release platform schedules =
   let id_node = Array.make placement_count 0 in
   let id_start = Array.make placement_count 0. in
   let id_finish = Array.make placement_count 0. in
-  (* Each placement's processors, sorted once for the in-place test. *)
   let id_procs = Array.make placement_count [||] in
   let total_procs = P.total_procs platform in
   let fifo_length = Array.make total_procs 0 in
@@ -107,9 +104,7 @@ let run ?release platform schedules =
           id_node.(id) <- v;
           id_start.(id) <- pl.Schedule.start;
           id_finish.(id) <- pl.Schedule.finish;
-          let procs = Array.copy pl.Schedule.procs in
-          Array.sort Int.compare procs;
-          id_procs.(id) <- procs;
+          id_procs.(id) <- pl.Schedule.procs;
           Array.iter
             (fun p -> fifo_length.(p) <- fifo_length.(p) + 1)
             pl.Schedule.procs)
@@ -153,16 +148,8 @@ let run ?release platform schedules =
   let finish_times = Array.init napps (fun i -> Array.make (node_count i) nan) in
 
   (* Per-processor FIFO queues of placement ids in the mapper's planned
-     order: start, finish, then application and node. *)
-  let queues = Array.map (fun n -> Array.make n 0) fifo_length in
-  let fill = Array.make total_procs 0 in
-  for id = 0 to placement_count - 1 do
-    Array.iter
-      (fun p ->
-        queues.(p).(fill.(p)) <- id;
-        fill.(p) <- fill.(p) + 1)
-      id_procs.(id)
-  done;
+     order: start, finish, then application and node. The ids are
+     sorted once in that order and dealt out to their processors. *)
   let by_plan a b =
     let c = Float.compare id_start.(a) id_start.(b) in
     if c <> 0 then c
@@ -170,10 +157,49 @@ let run ?release platform schedules =
       let c = Float.compare id_finish.(a) id_finish.(b) in
       if c <> 0 then c else Int.compare a b
   in
-  Array.iter (Array.sort by_plan) queues;
+  let plan = Array.init placement_count Fun.id in
+  Array.sort by_plan plan;
+  let queues = Array.map (fun n -> Array.make n 0) fifo_length in
+  let fill = Array.make total_procs 0 in
+  Array.iter
+    (fun id ->
+      Array.iter
+        (fun p ->
+          queues.(p).(fill.(p)) <- id;
+          fill.(p) <- fill.(p) + 1)
+        id_procs.(id))
+    plan;
   let head = Array.make total_procs 0 in
   let at_head p id =
     head.(p) < Array.length queues.(p) && queues.(p).(head.(p)) = id
+  in
+  (* Whether two placements hold the same processors, as multisets: a
+     per-processor tally, zero between calls. *)
+  let tally = Array.make total_procs 0 in
+  let same_procs (a : int array) (b : int array) =
+    Array.length a = Array.length b
+    && begin
+      for k = 0 to Array.length a - 1 do
+        tally.(a.(k)) <- tally.(a.(k)) + 1
+      done;
+      let same = ref true in
+      for k = 0 to Array.length b - 1 do
+        let n = tally.(b.(k)) - 1 in
+        tally.(b.(k)) <- n;
+        if n < 0 then same := false
+      done;
+      (* Equal lengths and no negative tally leave every tally at zero;
+         otherwise clear the ones [a] and [b] touched. *)
+      if not !same then begin
+        for k = 0 to Array.length a - 1 do
+          tally.(a.(k)) <- 0
+        done;
+        for k = 0 to Array.length b - 1 do
+          tally.(b.(k)) <- 0
+        done
+      end;
+      !same
+    end
   in
 
   (* The event queue holds task finishes, flow activations and
@@ -206,6 +232,15 @@ let run ?release platform schedules =
     }
   in
   let soonest = ref none in
+  (* Whether the flows' minimum sorts before the queue's. *)
+  let flow_first () =
+    let fs = !soonest in
+    fs != none
+    && (Heap.is_empty q
+       ||
+       let t = Heap.min_key q in
+       fs.clock.due < t || (fs.clock.due = t && fs.seq < Heap.min_int q 0))
+  in
 
   (* Flow-rate bookkeeping: assign the fresh max-min rates, then, newest
      flow first, advance each flow's bytes to [now] at its old rate and
@@ -280,7 +315,7 @@ let run ?release platform schedules =
         let in_place =
           bytes <= 0.
           || pl.Schedule.cluster = pw.Schedule.cluster
-             && same_sorted id_procs.(id) id_procs.(base.(i) + w)
+             && same_procs pl.Schedule.procs pw.Schedule.procs
         in
         if in_place then dep_done now i w
         else begin
@@ -325,17 +360,10 @@ let run ?release platform schedules =
 
   while (not (Heap.is_empty q)) || !soonest != none do
     incr events_processed;
-    let fs = !soonest in
-    let flow_first =
-      fs != none
-      && (Heap.is_empty q
-         ||
-         let t = Heap.min_key q in
-         fs.clock.due < t || (fs.clock.due = t && fs.seq < Heap.min_int q 0))
-    in
-    if flow_first then begin
+    if flow_first () then begin
       (* Its prediction is its completion: every recompute since its
          activation re-predicted it, so no bytes are left to wait for. *)
+      let fs = !soonest in
       let now = fs.clock.due in
       Flow_network.remove_flow network (Option.get fs.handle);
       recompute now;
@@ -354,7 +382,21 @@ let run ?release platform schedules =
       | Flow_activate fs ->
         fs.handle <- Some (Flow_network.add_flow network fs.route fs);
         fs.clock.last_update <- now;
-        recompute now
+        (* If the next pop is another activation at [now], its
+           recompute advances every flow by [rate *. 0.] and overwrites
+           every rate, prediction and seq this one would set, so this
+           one is skipped. The guard is the run loop's test: that
+           activation pops next, as it does after a recompute, which
+           re-predicts every flow at [now] or later with a later seq. *)
+        let batched =
+          (not (Heap.is_empty q))
+          && Heap.min_key q = now
+          && (match Heap.min_value q with
+             | Flow_activate _ -> true
+             | Task_finish _ | App_release _ -> false)
+          && not (flow_first ())
+        in
+        if not batched then recompute now
     end
   done;
 
@@ -372,6 +414,12 @@ let run ?release platform schedules =
       (fun i sched -> finish_times.(i).(Ptg.exit sched.Schedule.ptg))
       schedules
   in
+  let work = Flow_network.work network in
+  Obs.incr ~by:work.Flow_network.updates c_updates;
+  Obs.incr ~by:work.Flow_network.rounds c_rounds;
+  Obs.incr ~by:work.Flow_network.links_visited c_links_visited;
+  Obs.incr ~by:!flows_created c_flows;
+  Obs.incr ~by:!events_processed c_events;
   {
     makespans;
     global_makespan = Array.fold_left fmax 0. makespans;
@@ -379,4 +427,5 @@ let run ?release platform schedules =
     start_times;
     flows_created = !flows_created;
     events_processed = !events_processed;
+    updates = work.Flow_network.updates;
   }

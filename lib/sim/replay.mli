@@ -32,6 +32,10 @@ type result = {
       (** events acted on: one finish per task, an activation and a
           completion per flow, and one release per application
           submitted after 0 *)
+  updates : int;
+      (** max-min rate recomputations: one per flow completion, and one
+          per activation unless the next event is another activation
+          at the same instant *)
 }
 
 val run :
@@ -41,6 +45,7 @@ val run :
     gives per-application submission times: no task of application [i]
     runs before [release.(i)] (default: all 0, as in the paper).
     Each call keeps all its state to itself, so replays may run
-    concurrently on several domains.
+    concurrently on several domains. Each call adds its flows, events
+    and solver work to the [sim.*] counters of {!Mcs_obs.Names}.
     @raise Invalid_argument on an empty list, a [release] whose length
     differs from the list, or a negative or non-finite release time. *)

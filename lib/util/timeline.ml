@@ -148,8 +148,3 @@ let find_slot ?procs_subset t ~count ~duration ~after =
     in
     try_times times
   end
-
-let busy_intervals t ~proc =
-  check_proc t proc;
-  let line = t.lines.(proc) in
-  List.init line.len (fun i -> (line.starts.(i), line.finishes.(i)))

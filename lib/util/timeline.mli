@@ -41,6 +41,3 @@ val find_slot :
     latest). [None] only when [count] exceeds the processors considered.
     With finite reservations a slot always exists after the last
     release. *)
-
-val busy_intervals : t -> proc:int -> (float * float) list
-(** Sorted reservations of one processor (inspection/tests). *)

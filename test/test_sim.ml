@@ -71,11 +71,13 @@ let test_flow_network_validation () =
        Flow_network.remove_flow net f;
        false
      with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad capacity" true
-    (try
-       ignore (Flow_network.create ~capacities:[| 0. |]);
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun c ->
+      Alcotest.check_raises (Printf.sprintf "capacity %h" c)
+        (Invalid_argument
+           "Flow_network.create: capacity not finite and positive")
+        (fun () -> ignore (Flow_network.create ~capacities:[| 10.; c |])))
+    [ nan; infinity; neg_infinity; 0.; -1. ]
 
 let qcheck_work_conservation =
   QCheck.Test.make
@@ -165,7 +167,9 @@ let reference_rates capacities flows =
    1e-13 apart so that shares land inside the freeze
    tolerance without being equal, duplicate links in routes, empty
    routes, and adds interleaved with removes. After every step each
-   active flow's rate must equal the reference bit for bit. *)
+   active flow's rate must equal the reference bit for bit, and the
+   update's rounds must each have scanned exactly the links some
+   active flow crosses. *)
 let qcheck_update_matches_reference =
   QCheck.Test.make ~name:"update matches the reference bit for bit"
     ~count:300 QCheck.(int_range 0 1_000_000)
@@ -180,6 +184,7 @@ let qcheck_update_matches_reference =
       let net = Flow_network.create ~capacities in
       let active = ref [] (* (handle, reference flow), newest first *) in
       let ok = ref true in
+      let work = ref (Flow_network.work net) in
       for step = 0 to Prng.int rng 40 do
         (if !active <> [] && Prng.bernoulli rng ~p:0.3 then begin
            let victim = List.nth !active (Prng.int rng (List.length !active)) in
@@ -194,6 +199,17 @@ let qcheck_update_matches_reference =
            in
            active := (handle, reference) :: !active);
         Flow_network.update net;
+        let before = !work and after = Flow_network.work net in
+        work := after;
+        let crossed =
+          List.sort_uniq Int.compare
+            (List.concat_map (fun (_, f) -> Array.to_list f.route) !active)
+        in
+        if
+          after.updates <> before.updates + 1
+          || after.links_visited - before.links_visited
+             <> (after.rounds - before.rounds) * List.length crossed
+        then ok := false;
         let expected = reference_rates capacities (List.map snd !active) in
         List.iter2
           (fun (handle, _) (_, r) ->
@@ -879,16 +895,124 @@ module Reference_replay = struct
       start_times;
       flows_created = !flows_created;
       events_processed = !events_processed;
+      updates = (Flow_network.work network).Flow_network.updates;
     }
 end
+
+(* The batching guard, on a hand-built case where every time is exact:
+   a 1 s latency, one cluster of 1024 B/s NICs behind a 4096 B/s
+   fabric, each task alone on its processor (so each NIC group holds
+   1024 B/s) and power-of-two bytes. Nodes 8 and 9 are the virtual
+   entry and exit.
+   - t = 2: P (0) finishes and pushes its flow G to W (4); Q (2)
+     finishes and starts Y (3), its in-place successor.
+   - t = 3: X (1) finishes and pushes its flow FX to U (5); G activates
+     alone, 1024 bytes at 1024 B/s, and is predicted at exactly 4; Y
+     finishes and pushes FY1 and FY2 to V1 (6) and V2 (7).
+   - t = 4: FX's activation sorts before G's prediction and FY1's
+     after it, so FX may not wait for FY1. Its recompute re-predicts G
+     at 4 with a later seq; FY1 then waits for FY2, whose recompute
+     serves both, and G completes.
+   Updates: G's, FX's and FY2's activations, then the completions of G
+   at 4, FX at 6 (2048 bytes at 1024 B/s) and FY1 and FY2 at 8 (2048
+   bytes each through Y's NIC group): 7. The unbatched reference runs
+   8; a batch that skipped the guard would pop G's stale prediction
+   before FY1 and run 6. *)
+let test_replay_batching_guard () =
+  let platform =
+    Platform.make ~name:"pow2" ~nic_bandwidth:1024. ~link_bandwidth:4096.
+      ~latency:1.
+      [ { Platform.cluster_name = "c0"; procs = 8; gflops = 1.; switch = 0 } ]
+  in
+  let ptg =
+    Builder.build ~id:0 ~name:"guard"
+      ~tasks:(Array.make 8 (seconds_task 1.))
+      ~edges:
+        [ (0, 4, 1024.); (1, 5, 2048.); (2, 3, 0.); (3, 6, 2048.);
+          (3, 7, 2048.) ]
+  in
+  let placement node procs start finish =
+    { Schedule.node; cluster = 0; procs; start; finish }
+  in
+  let placements =
+    [|
+      placement 0 [| 0 |] 0. 2.;
+      placement 1 [| 1 |] 0. 3.;
+      placement 2 [| 2 |] 0. 2.;
+      placement 3 [| 2 |] 2. 3.;
+      placement 4 [| 3 |] 4. 5.;
+      placement 5 [| 4 |] 6. 7.;
+      placement 6 [| 5 |] 8. 9.;
+      placement 7 [| 6 |] 8. 9.;
+      placement 8 [||] 0. 0.;
+      placement 9 [||] 9. 9.;
+    |]
+  in
+  let schedules = [ Schedule.make ~ptg ~placements ] in
+  let r = Replay.run platform schedules in
+  let expected = Reference_replay.run platform schedules in
+  Alcotest.(check (array (float 0.))) "starts"
+    [| 0.; 0.; 0.; 2.; 4.; 6.; 8.; 8.; 0.; 9. |]
+    r.Replay.start_times.(0);
+  Alcotest.(check string) "times as the reference" (replay_digest expected)
+    (replay_digest r);
+  Alcotest.(check int) "flows" 4 r.Replay.flows_created;
+  Alcotest.(check int) "events" 18 r.Replay.events_processed;
+  Alcotest.(check int) "reference updates" 8 expected.Replay.updates;
+  Alcotest.(check int) "updates" 7 r.Replay.updates
+
+(* A tie-prone variant of a replay: the site's clusters under
+   power-of-two bandwidths and a 1 s latency, every placement time
+   replaced by its rank among the case's times (which keeps every
+   comparison, so the processor FIFOs keep their order) and every
+   edge's bytes rounded to a power of two, so that finishes,
+   activations and completions share instants. *)
+let tie_prone_platform site =
+  Platform.make ~name:"pow2" ~nic_bandwidth:0x1p27 ~link_bandwidth:0x1p30
+    ~backbone_bandwidth:0x1p30 ~latency:1.
+    (Array.to_list (Platform.clusters site))
+
+let tie_prone_schedules schedules =
+  let rank = Hashtbl.create 64 in
+  List.concat_map
+    (fun s ->
+      List.concat_map
+        (fun pl -> [ pl.Schedule.start; pl.Schedule.finish ])
+        (Array.to_list s.Schedule.placements))
+    schedules
+  |> List.sort_uniq Float.compare
+  |> List.iteri (fun k t -> Hashtbl.replace rank t (float_of_int k));
+  let pow2 b =
+    if b > 0. then Float.ldexp 1. (int_of_float (Float.round (Float.log2 b)))
+    else b
+  in
+  List.map
+    (fun s ->
+      let ptg = s.Schedule.ptg in
+      Schedule.make
+        ~ptg:
+          (Mcs_ptg.Ptg.create ~id:ptg.Mcs_ptg.Ptg.id ~name:ptg.Mcs_ptg.Ptg.name
+             ~dag:ptg.Mcs_ptg.Ptg.dag ~tasks:ptg.Mcs_ptg.Ptg.tasks
+             ~edge_bytes:(Array.map pow2 ptg.Mcs_ptg.Ptg.edge_bytes))
+        ~placements:
+          (Array.map
+             (fun pl ->
+               { pl with
+                 Schedule.start = Hashtbl.find rank pl.Schedule.start;
+                 finish = Hashtbl.find rank pl.Schedule.finish;
+               })
+             s.Schedule.placements))
+    schedules
 
 (* Random replays against the reference: any site (the multi-switch
    [nancy] and [sophia], and [grid] with its 11 clusters), family and
    strategy, 1-6 applications, releases none, distinct or on repeated
-   instants. Each placement's processors are shuffled, since the replay
-   treats them as a set: a successor on the same set in another order
-   must still receive its data in place. Hex digests of every time, the
-   flow count and the event count must agree. *)
+   instants, and one case in three made tie-prone. Each placement's
+   processors are shuffled, since the replay treats them as a set: a
+   successor on the same set in another order must still receive its
+   data in place. Hex digests of every time, the flow count and the
+   event count must agree, and the replay may not update more often
+   than the reference. *)
 let qcheck_replay_matches_reference =
   let sites =
     [|
@@ -921,6 +1045,11 @@ let qcheck_replay_matches_reference =
         Pipeline.schedule_concurrent ?release
           ~strategy:(Prng.choose rng strategies) platform ptgs
       in
+      let platform, schedules =
+        if Prng.int rng 3 = 0 then
+          (tie_prone_platform platform, tie_prone_schedules schedules)
+        else (platform, schedules)
+      in
       let shuffled =
         List.map
           (fun s ->
@@ -943,7 +1072,51 @@ let qcheck_replay_matches_reference =
       let expected = Reference_replay.run ?release platform shuffled in
       replay_digest r = replay_digest expected
       && r.Replay.flows_created = expected.Replay.flows_created
-      && r.Replay.events_processed = expected.Replay.events_processed)
+      && r.Replay.events_processed = expected.Replay.events_processed
+      && r.Replay.updates <= expected.Replay.updates)
+
+(* The [sim.*] counters add each replay's flows, events and updates,
+   and repeat exactly: across two sweeps of the pinned cases, and
+   across one and two domains. *)
+let test_replay_counters () =
+  let names =
+    [ "sim.updates"; "sim.rounds"; "sim.links_visited"; "sim.flows";
+      "sim.events" ]
+  in
+  let sweep domains =
+    Mcs_obs.Obs.enable ();
+    Fun.protect ~finally:Mcs_obs.Obs.disable @@ fun () ->
+    let results =
+      Mcs_util.Parmap.map ~domains
+        (fun case ->
+          let _, _, r = run_pinned case in
+          r)
+        pinned_cases
+    in
+    let sum field = List.fold_left (fun acc r -> acc + field r) 0 results in
+    let values =
+      List.map
+        (fun name -> (name, Mcs_obs.Obs.value (Mcs_obs.Obs.counter name)))
+        names
+    in
+    Alcotest.(check (list int)) "result totals"
+      [
+        sum (fun r -> r.Replay.updates);
+        sum (fun r -> r.Replay.flows_created);
+        sum (fun r -> r.Replay.events_processed);
+      ]
+      (List.map
+         (fun name -> List.assoc name values)
+         [ "sim.updates"; "sim.flows"; "sim.events" ]);
+    values
+  in
+  let first = sweep 1 in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool) (name ^ " counted") true (v > 0))
+    first;
+  Alcotest.(check (list (pair string int))) "two runs" first (sweep 1);
+  Alcotest.(check (list (pair string int))) "two domains" first (sweep 2)
 
 let suite =
   [
@@ -986,6 +1159,8 @@ let suite =
         Alcotest.test_case "event accounting" `Quick
           test_replay_event_accounting;
         QCheck_alcotest.to_alcotest qcheck_replay_close_to_estimate;
+        Alcotest.test_case "batching guard" `Quick test_replay_batching_guard;
         QCheck_alcotest.to_alcotest qcheck_replay_matches_reference;
+        Alcotest.test_case "work counters" `Quick test_replay_counters;
       ] );
   ]

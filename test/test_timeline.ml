@@ -24,8 +24,15 @@ let test_reserve_overlap_rejected () =
   (* Touching intervals are fine. *)
   Timeline.reserve t ~proc:0 ~start:3. ~finish:4.;
   Timeline.reserve t ~proc:0 ~start:0. ~finish:1.;
-  Alcotest.(check int) "three reservations" 3
-    (List.length (Timeline.busy_intervals t ~proc:0))
+  List.iter
+    (fun (start, finish) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "[%g, %g) held" start finish)
+        false
+        (Timeline.is_free t ~proc:0 ~start ~finish))
+    [ (0., 1.); (1., 3.); (3., 4.) ];
+  Alcotest.(check bool) "free after the three" true
+    (Timeline.is_free t ~proc:0 ~start:4. ~finish:9.)
 
 let test_reserve_validation () =
   let t = Timeline.create ~procs:1 in
@@ -132,7 +139,9 @@ let qcheck_find_slot_is_free_and_earliest =
       and reservations = 1 + extra_reservations in
       let rng = Mcs_prng.Prng.create ~seed in
       let t = Timeline.create ~procs:nb_procs in
-      (* Random non-overlapping reservations per proc. *)
+      (* Random non-overlapping reservations per proc; [ends] keeps
+         their finishes. *)
+      let ends = ref [] in
       for proc = 0 to nb_procs - 1 do
         let clock = ref 0. in
         for _ = 1 to reservations / nb_procs do
@@ -140,7 +149,8 @@ let qcheck_find_slot_is_free_and_earliest =
           let len = Mcs_prng.Prng.uniform rng ~lo:0.5 ~hi:4. in
           Timeline.reserve t ~proc ~start:(!clock +. gap)
             ~finish:(!clock +. gap +. len);
-          clock := !clock +. gap +. len
+          clock := !clock +. gap +. len;
+          ends := !clock :: !ends
         done
       done;
       let count = 1 + Mcs_prng.Prng.int rng nb_procs in
@@ -168,10 +178,7 @@ let qcheck_find_slot_is_free_and_earliest =
             in
             List.length free < count)
           (* The release points: 0 and every reservation end. *)
-          (0.
-          :: List.concat_map
-               (fun p -> List.map snd (Timeline.busy_intervals t ~proc:p))
-               (List.init nb_procs Fun.id)))
+          (0. :: !ends))
 
 let suite =
   [
