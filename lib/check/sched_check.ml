@@ -132,7 +132,37 @@ let check_precedence ~emit ~app ~node ~start ~pred ~pred_finish ~cost =
           redistribution)"
          start pred pred_finish cost)
 
-let check_placement ~emit ?platform ~app ~virt ~release
+type tags = { seen : int array; mutable stamp : int }
+
+let tags platform = { seen = Array.make (P.total_procs platform) 0; stamp = 0 }
+
+(* Whether every id in [procs] is in range and listed once: one pass
+   that stamps each id's slot with a number no earlier call used. *)
+let distinct tags (procs : int array) =
+  tags.stamp <- tags.stamp + 1;
+  let stamp = tags.stamp and seen = tags.seen in
+  let n = Array.length seen in
+  let ok = ref true and j = ref 0 in
+  while !ok && !j < Array.length procs do
+    let p = procs.(!j) in
+    if p < 0 || p >= n || seen.(p) = stamp then ok := false
+    else seen.(p) <- stamp;
+    incr j
+  done;
+  !ok
+
+(* MAP003's duplicate report: each repeat once, in ascending id order. *)
+let report_duplicates ~emit ~app ~node procs =
+  let sorted = Array.copy procs in
+  Array.sort compare sorted;
+  for i = 1 to Array.length sorted - 1 do
+    if sorted.(i) = sorted.(i - 1) then
+      emit
+        (Diagnostic.error ~app ~node ~proc:sorted.(i) Rule.Map_cluster
+           "processor listed twice")
+  done
+
+let check_placement ~emit ?platform ?tags ~app ~virt ~release
     (pl : Schedule.placement) =
   let { Schedule.node; cluster; procs; start; finish } = pl in
   let finite = Float.is_finite start && Float.is_finite finish in
@@ -161,15 +191,12 @@ let check_placement ~emit ?platform ~app ~virt ~release
       (Diagnostic.error ~app ~node Rule.Map_virtual
          "real task holds no processor")
   else begin
-    (* MAP003: one real cluster, distinct in-range processors. *)
-    let sorted = Array.copy procs in
-    Array.sort compare sorted;
-    for i = 1 to Array.length sorted - 1 do
-      if sorted.(i) = sorted.(i - 1) then
-        emit
-          (Diagnostic.error ~app ~node ~proc:sorted.(i) Rule.Map_cluster
-             "processor listed twice")
-    done;
+    (* MAP003: one real cluster, distinct in-range processors. The
+       sort that reports duplicates runs only when the tag pass finds
+       a repeat or an id it cannot tag. *)
+    (match tags with
+    | Some t when distinct t procs -> ()
+    | Some _ | None -> report_duplicates ~emit ~app ~node procs);
     match platform with
     | None ->
       Array.iter
@@ -220,8 +247,8 @@ let check_packing ~emit platform ref_cluster ~app ~alloc
            (Array.length procs) limit)
   end
 
-let check_one ~emit ?alloc ~release ~is_pinned platform ref_cluster ~app
-    (s : Schedule.t) =
+let check_one ~emit ?alloc ~release ~is_pinned ~tags platform ref_cluster
+    ~app (s : Schedule.t) =
   let ptg = s.Schedule.ptg in
   let dag = ptg.Ptg.dag in
   let n = Dag.node_count dag in
@@ -250,7 +277,7 @@ let check_one ~emit ?alloc ~release ~is_pinned platform ref_cluster ~app
           end
         in
         let virt = Ptg.is_virtual ptg v in
-        check_placement ~emit ~platform ~app ~virt ~release pl;
+        check_placement ~emit ~platform ~tags ~app ~virt ~release pl;
         (* MAP006: pinned placements may carry an allocation from an
            earlier β generation, so they are exempt. *)
         match alloc with
@@ -290,6 +317,7 @@ let check_schedules ~emit ?allocations ?release ?pinned platform schedules =
   let release =
     match release with Some r -> r | None -> Array.make count 0.
   in
+  let tags = tags platform in
   List.iteri
     (fun i s ->
       let alloc = Option.map (fun a -> a.(i)) allocations in
@@ -298,7 +326,7 @@ let check_schedules ~emit ?allocations ?release ?pinned platform schedules =
         | Some pin -> pin.(i).(v) <> None
         | None -> false
       in
-      check_one ~emit ?alloc ~release:release.(i) ~is_pinned platform
+      check_one ~emit ?alloc ~release:release.(i) ~is_pinned ~tags platform
         ref_cluster ~app:i s)
     schedules;
   check_overlap ~emit ~rule:Rule.Map_overlap (fun add ->

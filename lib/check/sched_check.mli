@@ -54,9 +54,18 @@ val check_precedence :
     ({!Trace_check}); each caller prices [cost] with the model its
     inputs allow. *)
 
+type tags
+(** Scratch for MAP003's distinctness test: one slot per processor of a
+    platform. Mutable and single-owner: each audit call makes its own,
+    so audits on several domains share nothing. *)
+
+val tags : Mcs_platform.Platform.t -> tags
+(** Fresh scratch for the platform's processors. *)
+
 val check_placement :
   emit:(Diagnostic.t -> unit) ->
   ?platform:Mcs_platform.Platform.t ->
+  ?tags:tags ->
   app:int ->
   virt:bool ->
   release:float ->
@@ -68,7 +77,11 @@ val check_placement :
     processors of the task's cluster) and MAP007 (no start before
     [release]). The duration and release checks skip non-finite times,
     which MAP001 reports. Without a [platform], MAP003 only checks that
-    processor ids are non-negative. *)
+    processor ids are non-negative. With [tags] (made for the same
+    platform), MAP003 tests distinctness in one pass over the ids and
+    sorts a copy of them only when one repeats or lies outside the
+    platform; the diagnostics and their order are the same either
+    way. *)
 
 val check_packing :
   emit:(Diagnostic.t -> unit) ->

@@ -46,14 +46,14 @@ let precedence_cost ?platform (ru : Trace.row) (rv : Trace.row) ~bytes =
       ~dst_procs:rv.Trace.procs ~bytes
   | Some _ | None -> 0.
 
-let check_app ~emit ?platform ?ref_cluster (a : Trace.app) =
+let check_app ~emit ?platform ?ref_cluster ?tags (a : Trace.app) =
   let app = a.Trace.app in
   let rows = a.Trace.rows in
   let tbl = row_map ~emit ~app rows in
   Array.iter
     (fun (r : Trace.row) ->
-      Sched_check.check_placement ~emit ?platform ~app ~virt:r.Trace.virt
-        ~release:a.Trace.release (placement_of r))
+      Sched_check.check_placement ~emit ?platform ?tags ~app
+        ~virt:r.Trace.virt ~release:a.Trace.release (placement_of r))
     rows;
   (* MAP001: the recorded makespan is the last finish. *)
   (match a.Trace.makespan with
@@ -174,7 +174,8 @@ let lint ?platform (doc : Trace.doc) =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   let ref_cluster = Option.map Reference_cluster.of_platform platform in
-  Array.iter (fun a -> check_app ~emit ?platform ?ref_cluster a) doc;
+  let tags = Option.map Sched_check.tags platform in
+  Array.iter (fun a -> check_app ~emit ?platform ?ref_cluster ?tags a) doc;
   let betas =
     Array.of_list
       (List.filter_map (fun (a : Trace.app) -> a.Trace.beta)

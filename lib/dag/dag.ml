@@ -88,6 +88,12 @@ let compute_levels n topo pred =
     topo;
   level
 
+(* Lexicographic order on int pairs: the order the polymorphic
+   [compare] gives them, without its runtime call. *)
+let compare_pairs ((a, b) : int * int) ((c, d) : int * int) =
+  let first = Int.compare a c in
+  if first <> 0 then first else Int.compare b d
+
 let of_edges ~n edge_list =
   if n < 0 then invalid_arg "Dag.of_edges: negative node count";
   List.iter
@@ -99,7 +105,7 @@ let of_edges ~n edge_list =
     edge_list;
   (* Deduplicate, then fix edge ids by the sorted (src, dst) order so the
      graph (and its edge ids) are independent of input list order. *)
-  let dedup = List.sort_uniq compare edge_list in
+  let dedup = List.sort_uniq compare_pairs edge_list in
   let edges = Array.of_list dedup in
   let succ = Array.make n [] and pred = Array.make n [] in
   Array.iteri
@@ -107,7 +113,7 @@ let of_edges ~n edge_list =
       succ.(s) <- (d, e) :: succ.(s);
       pred.(d) <- (s, e) :: pred.(d))
     edges;
-  let finalize l = Array.of_list (List.sort compare l) in
+  let finalize l = Array.of_list (List.sort compare_pairs l) in
   let succ = Array.map finalize (Array.map (fun x -> x) succ) in
   let pred = Array.map finalize (Array.map (fun x -> x) pred) in
   let topo = compute_topo n succ pred in

@@ -43,7 +43,15 @@ val evaluate :
     per-application makespan is its response time (completion −
     submission).
 
-    The invariant analyzer audits every produced schedule set and
-    raises {!Mcs_check.Check.Violation} on any error-severity
-    diagnostic — metrics are never computed from an illegal
-    schedule. *)
+    Mapping and replay depend on a strategy only through its allocation
+    vector, so each distinct vector is mapped and replayed once per
+    call: a strategy whose allocations equal an earlier one's, node by
+    node, takes its schedules and makespans (on Strassen, PS-width and
+    WPS-width repeat ES, and PS-work repeats PS-cp). The metrics are
+    bit-identical to one call per strategy, and each result has arrays
+    of its own.
+
+    The invariant analyzer audits every strategy's schedule set, with
+    that strategy's β and allocations, and raises
+    {!Mcs_check.Check.Violation} on any error-severity diagnostic —
+    metrics are never computed from an illegal schedule. *)

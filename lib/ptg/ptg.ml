@@ -9,7 +9,24 @@ type t = {
   edge_bytes : float array;
   entry : int;
   exit : int;
+  work : float;
+  max_width : int;
 }
+
+(* The largest number of real tasks on one precedence level. *)
+let level_width dag tasks =
+  let levels = Dag.depth_levels dag in
+  let d = Dag.depth dag in
+  if d = 0 then 0
+  else begin
+    let counts = Array.make d 0 in
+    Array.iteri
+      (fun v task ->
+        if not (Task.is_zero task) then
+          counts.(levels.(v)) <- counts.(levels.(v)) + 1)
+      tasks;
+    Array.fold_left max 0 counts
+  end
 
 let create ~id ~name ~dag ~tasks ~edge_bytes =
   let n = Dag.node_count dag in
@@ -25,7 +42,10 @@ let create ~id ~name ~dag ~tasks ~edge_bytes =
     (fun b -> if b < 0. then invalid_arg "Ptg.create: negative edge volume")
     edge_bytes;
   match (Dag.sources dag, Dag.sinks dag) with
-  | [ entry ], [ exit ] -> { id; name; dag; tasks; edge_bytes; entry; exit }
+  | [ entry ], [ exit ] ->
+    let work = Mcs_util.Floatx.sum (Array.map Task.flops tasks) in
+    let max_width = level_width dag tasks in
+    { id; name; dag; tasks; edge_bytes; entry; exit; work; max_width }
   | srcs, snks ->
     invalid_arg
       (Printf.sprintf "Ptg.create %s: %d sources and %d sinks (need 1 and 1)"
@@ -46,21 +66,9 @@ let entry t = t.entry
 
 let exit t = t.exit
 
-let work t =
-  Mcs_util.Floatx.sum (Array.map Task.flops t.tasks)
+let work t = t.work
 
-let max_width t =
-  let levels = Dag.depth_levels t.dag in
-  let d = Dag.depth t.dag in
-  if d = 0 then 0
-  else begin
-    let counts = Array.make d 0 in
-    for v = 0 to node_count t - 1 do
-      if not (is_virtual t v) then
-        counts.(levels.(v)) <- counts.(levels.(v)) + 1
-    done;
-    Array.fold_left max 0 counts
-  end
+let max_width t = t.max_width
 
 let bottom_levels_seq t ~gflops =
   Dag.bottom_levels t.dag

@@ -14,6 +14,8 @@ type t = private {
   edge_bytes : float array;            (** per edge id, bytes *)
   entry : int;                         (** the single source node *)
   exit : int;                          (** the single sink node *)
+  work : float;                        (** see {!work} *)
+  max_width : int;                     (** see {!max_width} *)
 }
 
 val create :
@@ -23,7 +25,9 @@ val create :
   tasks:Mcs_taskmodel.Task.t array ->
   edge_bytes:float array ->
   t
-(** @raise Invalid_argument when array lengths disagree with the DAG,
+(** Computes {!work} and {!max_width} once, for the strategies that read
+    them on every reschedule.
+    @raise Invalid_argument when array lengths disagree with the DAG,
     when the DAG does not have exactly one source and one sink, or when
     a byte volume is negative. *)
 
@@ -43,11 +47,11 @@ val is_virtual : t -> int -> bool
 (** True for the zero-cost entry/exit nodes added by generators. *)
 
 val work : t -> float
-(** Total flops over all tasks — the γ of the [work] strategies. *)
+(** Total flops over all tasks — the γ of the [work] strategies. O(1). *)
 
 val max_width : t -> int
 (** Largest precedence-level population counting only real tasks — the
-    γ of the [width] strategies. *)
+    γ of the [width] strategies. O(1). *)
 
 val critical_path_seq : t -> gflops:float -> float
 (** Length (seconds) of the critical path when every task runs on a

@@ -8,6 +8,7 @@ type t = {
   mutable bl : float array;  (* bottom levels, one slot per DAG node *)
   mutable tl : float array;  (* top levels *)
   mutable gain : float array;  (* per-node gain of one more processor *)
+  mutable excluded : int array;  (* a scan's excluded candidates *)
   mutable dirty : Bytes.t;  (* level-repair scratch, all-zero between uses *)
 }
 
@@ -16,6 +17,7 @@ let create () =
     bl = [||];
     tl = [||];
     gain = [||];
+    excluded = [||];
     dirty = Bytes.empty;
   }
 
@@ -27,9 +29,11 @@ let reserve t ~nodes =
   t.bl <- grow_floats t.bl nodes;
   t.tl <- grow_floats t.tl nodes;
   t.gain <- grow_floats t.gain nodes;
+  if Array.length t.excluded < nodes then t.excluded <- Array.make nodes 0;
   if Bytes.length t.dirty < nodes then t.dirty <- Bytes.make nodes '\000'
 
 let bl t = t.bl
 let tl t = t.tl
 let gain t = t.gain
+let excluded t = t.excluded
 let dirty t = t.dirty

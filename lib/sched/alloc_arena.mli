@@ -41,6 +41,12 @@ val gain : t -> float array
     does, so the loop prices each node once per increment it receives
     instead of once per candidate scan. *)
 
+val excluded : t -> int array
+(** Per-scan buffer (≥ [nodes] slots) for the critical candidates with
+    a positive gain that the budget or the cap excluded: the loop
+    revisits only these to bound the budgets and caps its choice is
+    valid under. *)
+
 val dirty : t -> Bytes.t
 (** Scratch for {!Mcs_dag.Dag.repair_levels} (≥ [nodes] bytes). Unlike
     the other buffers it carries an invariant {e between} uses:

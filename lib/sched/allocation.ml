@@ -72,12 +72,12 @@ let[@inline] exec_at ~seq ~alpha v ~procs =
 
 (* One run of the increment loop from the state in [procs]/[usage]/
    [exec]/[area0] until the stop criterion (cp ≤ area/β·procs) or
-   candidate exhaustion. [bl]/[tl] are per-iteration scratch (arena
-   buffers). [record_state] observes every visited state (its critical
-   path and raw area, the final one included); [record_inc] the chosen
-   node of every increment together with the region
-   [[req, ceil) × [clo, chi)] of (budget, cap) pairs under which the
-   choice is provably the one the loop would make:
+   candidate exhaustion. The levels, gains and excluded candidates
+   live in [arena]'s buffers. [record_state] observes every visited
+   state (its critical path and raw area, the final one included);
+   [record_inc] the chosen node of every increment together with the
+   region [[req, ceil) × [clo, chi)] of (budget, cap) pairs under which
+   the choice is provably the one the loop would make:
    - [req] is the per-level usage the choice consumes (the smallest
      budget that allows it), [clo] its allocation plus one (the
      smallest cap that allows it);
@@ -93,11 +93,13 @@ let[@inline] exec_at ~seq ~alpha v ~procs =
 
    Every reschedule runs this loop, so it allocates nothing of its own:
    levels come from the closure-free {!Dag} kernel over [exec], the
-   scan keeps its winner in an int and a float local, and the second
-   pass is a plain loop that runs only when the scan saw a critical
-   candidate the cap or the budget excluded. *)
+   scan keeps its winner in an int and a float local, and the bounds
+   come from a walk over the [excluded] buffer the scan filled. *)
 let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
-    ~bl ~tl ~dirty ~gain ~seq ~alpha ptg levels ~procs ~usage ~exec area0 =
+    ~arena ~seq ~alpha ptg levels ~procs ~usage ~exec area0 =
+  let bl = Alloc_arena.bl arena and tl = Alloc_arena.tl arena in
+  let gain = Alloc_arena.gain arena and dirty = Alloc_arena.dirty arena in
+  let excluded = Alloc_arena.excluded arena in
   let dag = ptg.Ptg.dag in
   let n = Dag.node_count dag in
   let entry = Ptg.entry ptg in
@@ -133,11 +135,13 @@ let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
          time; a zero-seq node can never show positive gain either), a
          plain float load where [Ptg.is_virtual] is a call per node per
          step. The winner is the first maximum of the positive gains;
-         [best < 0] while there is none. *)
+         [best < 0] while there is none. A critical candidate the cap
+         or the budget excludes goes to [excluded] if its gain is
+         positive: only those can bound the choice below. *)
       let tolerance = 1e-9 *. (if !cp > 1. then !cp else 1.) in
       let best = ref (-1) in
       let best_gain = ref 0. in
-      let excluded = ref false in
+      let n_excluded = ref 0 in
       for v = 0 to n - 1 do
         if seq.(v) > 0. && Float.abs (tl.(v) +. bl.(v) -. !cp) <= tolerance
         then
@@ -151,29 +155,27 @@ let run_loop ~record_state ~record_inc ~procedure ~budget ~cap ~beta_power
               best_gain := g
             end
           end
-          else excluded := true
+          else if gain.(v) > 0. then begin
+            excluded.(!n_excluded) <- v;
+            incr n_excluded
+          end
       done;
       (* The smallest budget and cap that would have changed the
          selection above: an excluded candidate [u] displaces the scan
          winner [c] iff its gain is strictly larger, or equal with [u]
          scanned first (the scan keeps the first maximum). With no
-         winner, any excluded candidate with positive gain continues
-         the loop. *)
+         winner, any excluded candidate continues the loop. A candidate
+         the cap admits was excluded by the budget, so it bounds the
+         budget. *)
       let ceil = ref max_int in
       let chi = ref max_int in
-      if !excluded then
-        for u = 0 to n - 1 do
-          let g = gain.(u) in
-          if
-            seq.(u) > 0.
-            && Float.abs (tl.(u) +. bl.(u) -. !cp) <= tolerance
-            && g > 0.
-            && (!best < 0 || g > !best_gain || (g = !best_gain && u < !best))
-          then
-            if procs.(u) >= cap then chi := Int.min !chi (procs.(u) + 1)
-            else if per_level && usage.(levels.(u)) + 1 > budget then
-              ceil := Int.min !ceil (usage.(levels.(u)) + 1)
-        done;
+      for k = 0 to !n_excluded - 1 do
+        let u = excluded.(k) in
+        let g = gain.(u) in
+        if !best < 0 || g > !best_gain || (g = !best_gain && u < !best) then
+          if procs.(u) >= cap then chi := Int.min !chi (procs.(u) + 1)
+          else ceil := Int.min !ceil (usage.(levels.(u)) + 1)
+      done;
       if !best < 0 then begin
         continue := false;
         closed := true;
@@ -242,9 +244,7 @@ let allocate ?(procedure = Scrap_max) ?up_counts ref_cluster platform ~beta
   let beta_power = beta *. float_of_int ref_cluster.Reference_cluster.procs in
   let steps, cp, area, _closed, _closed_ceil, _closed_chi =
     run_loop ~record_state:no_state ~record_inc:no_inc ~procedure ~budget ~cap
-      ~beta_power ~bl:(Alloc_arena.bl arena) ~tl:(Alloc_arena.tl arena)
-      ~dirty:(Alloc_arena.dirty arena) ~gain:(Alloc_arena.gain arena) ~seq
-      ~alpha ptg levels ~procs ~usage ~exec
+      ~beta_power ~arena ~seq ~alpha ptg levels ~procs ~usage ~exec
       (initial_area exec procs n)
   in
   {
@@ -495,10 +495,8 @@ let extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg =
        are accounted to the same span as scratch runs. *)
     Obs.with_span "alloc.scrap" @@ fun () ->
     run_loop ~record_state ~record_inc:(record_inc_of e) ~procedure ~budget
-      ~cap ~beta_power ~bl:(Alloc_arena.bl arena) ~tl:(Alloc_arena.tl arena)
-      ~dirty:(Alloc_arena.dirty arena) ~gain:(Alloc_arena.gain arena) ~seq
-      ~alpha ptg e.e_levels ~procs:e.e_procs ~usage:e.e_usage ~exec:e.e_exec
-      area0
+      ~cap ~beta_power ~arena ~seq ~alpha ptg e.e_levels ~procs:e.e_procs
+      ~usage:e.e_usage ~exec:e.e_exec area0
   in
   e.e_closed <- closed;
   e.e_closed_ceil <- closed_ceil;
@@ -567,6 +565,34 @@ let new_entry ~prefix ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha
     src;
   extend e ~procedure ~budget ~cap ~beta_power ~arena ~seq ~alpha ptg;
   e
+
+type trajectory = {
+  steps : int array;
+  cps : float array;
+  areas : float array;
+  closed : bool;
+  closed_ceil : int;
+  closed_chi : int;
+}
+
+let trajectory ~procedure ~budget ~cap ~beta_power ref_cluster ptg =
+  let n = Dag.node_count ptg.Ptg.dag in
+  let seq = Array.make n 0. and alpha = Array.make n 0. in
+  fill_seq_alpha ~gflops:ref_cluster.Reference_cluster.speed ptg ~seq ~alpha n;
+  let arena = Alloc_arena.create () in
+  Alloc_arena.reserve arena ~nodes:n;
+  let e =
+    new_entry ~prefix:None ~procedure ~budget ~cap ~beta_power ~arena ~seq
+      ~alpha ptg
+  in
+  {
+    steps = Array.sub e.e_steps 0 (e.e_len * step_ints);
+    cps = Array.sub e.e_cps 0 (e.e_len + 1);
+    areas = Array.sub e.e_areas 0 (e.e_len + 1);
+    closed = e.e_closed;
+    closed_ceil = e.e_closed_ceil;
+    closed_chi = e.e_closed_chi;
+  }
 
 let promote cache e =
   let rest = List.filter (fun x -> x != e) cache.entries in

@@ -151,6 +151,33 @@ val allocate_cached :
     if the cache is reused with a different PTG, procedure or
     reference speed. *)
 
+type trajectory = {
+  steps : int array;
+      (** five ints per increment: the node given one more processor,
+          then the budget interval [[req, ceil)] and the cap interval
+          [[clo, chi)] its choice is valid in *)
+  cps : float array;    (** critical path of every visited state *)
+  areas : float array;  (** raw area Σ exec·procs of every visited state *)
+  closed : bool;        (** the run ended with no candidate left *)
+  closed_ceil : int;    (** smallest budget that would continue it *)
+  closed_chi : int;     (** smallest cap that would continue it *)
+}
+(** What a cache entry records of one live run of the increment loop. *)
+
+val trajectory :
+  procedure:procedure ->
+  budget:int ->
+  cap:int ->
+  beta_power:float ->
+  Reference_cluster.t ->
+  Mcs_ptg.Ptg.t ->
+  trajectory
+(** The record of a fresh live run under an explicit per-level
+    [budget], allocation [cap] and stop power [beta_power] (β·procs),
+    from one processor per node: the states and steps a cache entry
+    keeps and replays. A test hook, kept so the tests can hold the loop
+    against a reference copy of it step by step, bounds included. *)
+
 val budget_of : Reference_cluster.t -> beta:float -> int
 (** [max 1 ⌊β·procs⌋] — the per-level reference-processor budget of
     SCRAP-MAX (Eq. 2). The floor is epsilon-guarded so a product landing

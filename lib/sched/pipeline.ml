@@ -44,21 +44,21 @@ let prepare ?(config = default_config) ?ref_cluster ?up_counts ?caches
   in
   { betas; allocations }
 
-let schedule_concurrent ?(config = default_config) ?release ?check ?caches
-    ?arena ~strategy platform ptgs =
-  Mcs_obs.Obs.with_span "pipeline.schedule" @@ fun () ->
-  let ref_cluster = Reference_cluster.of_platform platform in
-  let prepared =
-    prepare ~config ~ref_cluster ?caches ?arena ~strategy platform ptgs
-  in
+let map ?(config = default_config) ?release platform ptgs prepared =
   let apps =
     List.mapi
       (fun i ptg -> (ptg, prepared.allocations.(i).Allocation.procs))
       ptgs
   in
-  let schedules =
-    List_mapper.run ~options:config.mapper ?release platform ref_cluster apps
-  in
+  List_mapper.run ~options:config.mapper ?release platform
+    (Reference_cluster.of_platform platform)
+    apps
+
+let schedule_concurrent ?(config = default_config) ?release ?check ?caches
+    ?arena ~strategy platform ptgs =
+  Mcs_obs.Obs.with_span "pipeline.schedule" @@ fun () ->
+  let prepared = prepare ~config ?caches ?arena ~strategy platform ptgs in
+  let schedules = map ~config ?release platform ptgs prepared in
   (match check with Some f -> f ~prepared schedules | None -> ());
   schedules
 

@@ -46,6 +46,20 @@ val prepare :
     @raise Invalid_argument if [caches] and the PTG list differ in
     length, or as {!Allocation.allocate_cached} does. *)
 
+val map :
+  ?config:config ->
+  ?release:float array ->
+  Mcs_platform.Platform.t ->
+  Mcs_ptg.Ptg.t list ->
+  prepared ->
+  Schedule.t list
+(** The mapping step: map every PTG concurrently under its allocation
+    in [prepared] (in list order), with submission times [release]
+    (default all 0). The schedules are a function of the platform,
+    [release], the mapper options in [config], the PTGs and the
+    allocations alone, so two [prepared] values with equal allocations
+    map to equal schedules. *)
+
 val schedule_concurrent :
   ?config:config ->
   ?release:float array ->
@@ -58,8 +72,8 @@ val schedule_concurrent :
   Schedule.t list
 (** Allocate each PTG under its strategy-determined β ({!prepare},
     which takes [caches] and [arena]), then map all of them
-    concurrently. Schedules are returned in input order. [release]
-    gives per-application submission times (default all 0).
+    concurrently ({!map}). Schedules are returned in input order.
+    [release] gives per-application submission times (default all 0).
 
     [check] is called once with the allocation step's output and the
     final schedules, before they are returned — a seam for the

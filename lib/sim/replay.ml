@@ -59,6 +59,7 @@ type event =
   | App_release of int
 
 let run ?release platform schedules =
+  Obs.with_span "sim.replay" @@ fun () ->
   if schedules = [] then invalid_arg "Replay.run: no schedules";
   let schedules = Array.of_list schedules in
   let napps = Array.length schedules in

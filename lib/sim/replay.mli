@@ -45,7 +45,8 @@ val run :
     gives per-application submission times: no task of application [i]
     runs before [release.(i)] (default: all 0, as in the paper).
     Each call keeps all its state to itself, so replays may run
-    concurrently on several domains. Each call adds its flows, events
-    and solver work to the [sim.*] counters of {!Mcs_obs.Names}.
+    concurrently on several domains. Each call is one [sim.replay]
+    span and adds its flows, events and solver work to the [sim.*]
+    counters of {!Mcs_obs.Names}.
     @raise Invalid_argument on an empty list, a [release] whose length
     differs from the list, or a negative or non-finite release time. *)

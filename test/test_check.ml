@@ -576,6 +576,110 @@ let qcheck_overlap_matches_reference =
           List.map render !got = List.map render !want)
         [ Rule.Map_overlap; Rule.Mal_overlap ])
 
+(* --- MAP003 against its sort-based original --- *)
+
+(* MAP003 as it ran before the tag pass, kept as the reference: sort a
+   copy of the ids and report each repeat, then check each id's range
+   and cluster. *)
+let reference_map003 ~emit platform ~app (pl : Schedule.placement) =
+  let module P = Mcs_platform.Platform in
+  let { Schedule.node; cluster; procs; _ } = pl in
+  let sorted = Array.copy procs in
+  Array.sort compare sorted;
+  for i = 1 to Array.length sorted - 1 do
+    if sorted.(i) = sorted.(i - 1) then
+      emit
+        (Diagnostic.error ~app ~node ~proc:sorted.(i) Rule.Map_cluster
+           "processor listed twice")
+  done;
+  if cluster < 0 || cluster >= P.cluster_count platform then
+    emit
+      (Diagnostic.error ~app ~node Rule.Map_cluster
+         "cluster %d does not exist on %s" cluster (P.name platform))
+  else
+    Array.iter
+      (fun p ->
+        if p < 0 || p >= P.total_procs platform then
+          emit
+            (Diagnostic.error ~app ~node ~proc:p Rule.Map_cluster
+               "processor id outside 0..%d" (P.total_procs platform - 1))
+        else if P.cluster_of_proc platform p <> cluster then
+          emit
+            (Diagnostic.error ~app ~node ~proc:p Rule.Map_cluster
+               "processor belongs to cluster %d, task is on %d"
+               (P.cluster_of_proc platform p) cluster))
+      procs
+
+(* Forged processor lists for the two tasks of one graph: adjacent,
+   distant and triple repeats, ids below and past the platform, a
+   foreign cluster's, and a second task reusing the first one's ids
+   (the tags of one placement must not leak into the next). Both audit
+   entry points, the analyzer and the trace linter, must report MAP003
+   exactly as the reference does, in the same order. *)
+let test_map003_matches_sort () =
+  let platform = Grid5000.lille () in
+  let total = Mcs_platform.Platform.total_procs platform in
+  let foreign = Mcs_platform.Platform.first_proc platform 1 in
+  let ptg =
+    Mcs_ptg.Builder.build ~id:0 ~name:"par2"
+      ~tasks:[| task (); task () |]
+      ~edges:[]
+  in
+  let map003 diags =
+    List.filter_map
+      (fun (d : Diagnostic.t) ->
+        if d.Diagnostic.rule = Rule.Map_cluster then
+          Some (Diagnostic.to_string d)
+        else None)
+      diags
+  in
+  List.iter
+    (fun (what, first, second) ->
+      let lists = ref [ first; second ] in
+      let placements =
+        Array.init (Ptg.node_count ptg) (fun v ->
+            let procs =
+              if Ptg.is_virtual ptg v then [||]
+              else
+                match !lists with
+                | p :: rest ->
+                  lists := rest;
+                  p
+                | [] -> assert false
+            in
+            { Schedule.node = v; cluster = 0; procs; start = 5.; finish = 5. })
+      in
+      let sched = Schedule.make ~ptg ~placements in
+      let want = ref [] in
+      Array.iteri
+        (fun v pl ->
+          if not (Ptg.is_virtual ptg v) then
+            reference_map003
+              ~emit:(fun d -> want := d :: !want)
+              platform ~app:0 pl)
+        placements;
+      let want = map003 (List.rev !want) in
+      Alcotest.(check (list string))
+        (what ^ " (analyze)") want
+        (map003 (Check.analyze platform [ sched ]));
+      match Trace.of_json (Trace.to_json [ sched ]) with
+      | Error m -> Alcotest.failf "%s: export does not parse: %s" what m
+      | Ok doc ->
+        Alcotest.(check (list string))
+          (what ^ " (lint)") want
+          (map003 (Check.lint_trace ~platform doc)))
+    [
+      ("distinct", [| 0; 1; 2 |], [| 2; 1; 0 |]);
+      ("adjacent repeat", [| 3; 3; 5 |], [| 5 |]);
+      ("distant repeat", [| 2; 7; 4; 2 |], [| 7; 2 |]);
+      ("triple", [| 6; 1; 6; 9; 6 |], [| 1 |]);
+      ("two repeats", [| 8; 4; 8; 4 |], [| 4; 8 |]);
+      ("negative ids", [| -1; 2; -1 |], [| 2; -4 |]);
+      ("ids past the platform", [| total; 1; total + 5; total |], [| 1 |]);
+      ("foreign repeat", [| foreign; 0; foreign |], [| 0 |]);
+      ("mixed", [| 5; -2; 5; total; foreign |], [| 5; 5; total - 1 |]);
+    ]
+
 let suite =
   [
     ( "check.rules",
@@ -591,6 +695,8 @@ let suite =
         Alcotest.test_case "forged MAP001 times" `Quick test_forged_structure;
         Alcotest.test_case "forged MAP002 virtual" `Quick test_forged_virtual;
         Alcotest.test_case "forged MAP003 cluster" `Quick test_forged_cluster;
+        Alcotest.test_case "MAP003 ≡ its sort-based original" `Quick
+          test_map003_matches_sort;
         Alcotest.test_case "forged MAP006 packing" `Quick test_forged_packing;
         Alcotest.test_case "forged MAP007 release" `Quick test_forged_release;
         Alcotest.test_case "fixture files via trace lint" `Quick

@@ -159,6 +159,107 @@ let test_runner_single_app_slowdown_one () =
     Alcotest.(check (float 1e-6)) "unfairness 0" 0. r.Runner.unfairness
   | _ -> Alcotest.fail "expected one result"
 
+(* One [evaluate] over a strategy list equals one [evaluate] per
+   strategy, bit for bit, although it maps and replays each distinct
+   allocation vector once: every strategy is still audited, and the
+   mapper places the tasks of the baselines plus one concurrent mapping
+   per distinct vector. On Strassen, where every graph has one width,
+   PS-width and WPS-width repeat ES's allocations. *)
+let test_runner_shares_equal_allocations () =
+  let module Obs = Mcs_obs.Obs in
+  let module Pipeline = Mcs_sched.Pipeline in
+  let module Allocation = Mcs_sched.Allocation in
+  let mapped = Obs.counter "mapper.tasks_mapped" in
+  let analyses = Obs.counter "check.analyses" in
+  let counted f =
+    Obs.enable ();
+    let r = f () in
+    Obs.disable ();
+    (r, Obs.value mapped, Obs.value analyses)
+  in
+  let same (a : Runner.run_metrics) (b : Runner.run_metrics) =
+    let floats x y =
+      Array.length x = Array.length y && Array.for_all2 Float.equal x y
+    in
+    a.Runner.strategy = b.Runner.strategy
+    && floats a.Runner.makespans b.Runner.makespans
+    && floats a.Runner.slowdowns b.Runner.slowdowns
+    && Float.equal a.Runner.unfairness b.Runner.unfairness
+    && Float.equal a.Runner.global_makespan b.Runner.global_makespan
+    && Float.equal a.Runner.avg_makespan b.Runner.avg_makespan
+  in
+  let platform = Mcs_platform.Grid5000.rennes () in
+  let strassen =
+    Workload.draw (Prng.create ~seed:6) Workload.Strassen_ptgs ~count:3
+  in
+  let random =
+    let rng = Prng.create ~seed:7 in
+    List.init 3 (fun id ->
+        Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
+  in
+  let repeated =
+    Strategy.[ Equal_share; Selfish; Equal_share; Proportional Cp; Selfish ]
+  in
+  List.iter
+    (fun (what, ptgs, strategies, shares) ->
+      let distinct =
+        List.length
+          (List.sort_uniq compare
+             (List.map
+                (fun strategy ->
+                  Array.map
+                    (fun (r : Allocation.result) -> r.Allocation.procs)
+                    (Pipeline.prepare ~strategy platform ptgs)
+                      .Pipeline.allocations)
+                strategies))
+      in
+      Alcotest.(check bool)
+        (what ^ ": some strategies share an allocation vector")
+        shares
+        (distinct < List.length strategies);
+      let _, per_mapping, _ =
+        counted (fun () ->
+            Pipeline.schedule_concurrent ~strategy:Strategy.Equal_share
+              platform ptgs)
+      in
+      let _, baselines, _ =
+        counted (fun () -> List.map (Pipeline.schedule_alone platform) ptgs)
+      in
+      let runs, tasks_mapped, audits =
+        counted (fun () -> Runner.evaluate platform ptgs strategies)
+      in
+      Alcotest.(check int) (what ^ ": one audit per strategy")
+        (List.length strategies) audits;
+      Alcotest.(check int)
+        (what ^ ": one mapping per distinct vector")
+        (baselines + (distinct * per_mapping))
+        tasks_mapped;
+      List.iter2
+        (fun strategy (run : Runner.run_metrics) ->
+          match Runner.evaluate platform ptgs [ strategy ] with
+          | [ alone ] ->
+            Alcotest.(check bool)
+              (what ^ ": " ^ Strategy.name strategy ^ " as if alone")
+              true (same run alone)
+          | _ -> Alcotest.fail "expected one result")
+        strategies runs;
+      List.iteri
+        (fun i (a : Runner.run_metrics) ->
+          List.iteri
+            (fun j (b : Runner.run_metrics) ->
+              if i < j then
+                Alcotest.(check bool)
+                  (what ^ ": makespan arrays not shared")
+                  true
+                  (a.Runner.makespans != b.Runner.makespans))
+            runs)
+        runs)
+    [
+      ("strassen", strassen, Strategy.paper_eight, true);
+      ("random", random, Strategy.paper_eight, false);
+      ("repeated strategies", random, repeated, true);
+    ]
+
 let test_runner_estimated_timing () =
   let platform = Mcs_platform.Grid5000.rennes () in
   let rng = Prng.create ~seed:5 in
@@ -325,6 +426,8 @@ let suite =
         Alcotest.test_case "single app slowdown 1" `Quick
           test_runner_single_app_slowdown_one;
         Alcotest.test_case "estimated timing" `Quick test_runner_estimated_timing;
+        Alcotest.test_case "one mapping per allocation vector" `Quick
+          test_runner_shares_equal_allocations;
       ] );
     ( "experiments.figures",
       [

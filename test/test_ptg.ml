@@ -327,6 +327,41 @@ let test_to_dot_ptg () =
   Alcotest.(check bool) "dot contains label" true
     (String.length dot > 100)
 
+(* [create] computes the strategies' γs once: they equal, bit for bit,
+   the flops summed over the tasks and the widest level of real tasks
+   recomputed from the graph. *)
+let test_work_and_width_cached () =
+  let recomputed ptg =
+    let levels = Dag.depth_levels ptg.Ptg.dag in
+    let counts = Array.make (Dag.depth ptg.Ptg.dag + 1) 0 in
+    Array.iteri
+      (fun v t ->
+        if not (Task.is_zero t) then
+          counts.(levels.(v)) <- counts.(levels.(v)) + 1)
+      ptg.Ptg.tasks;
+    ( Mcs_util.Floatx.sum (Array.map Task.flops ptg.Ptg.tasks),
+      Array.fold_left max 0 counts )
+  in
+  List.iter
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      List.iter
+        (fun (what, ptg) ->
+          let work, width = recomputed ptg in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %d: work bit-equal" what seed)
+            true
+            (Float.equal work (Ptg.work ptg));
+          Alcotest.(check int)
+            (Printf.sprintf "%s %d: width" what seed)
+            width (Ptg.max_width ptg))
+        [
+          ("random", Random_gen.generate rng Random_gen.default);
+          ("fft", Fft.generate ~points:(4 lsl (seed mod 3)) rng);
+          ("strassen", Strassen.generate rng);
+        ])
+    [ 1; 2; 3; 4; 5 ]
+
 let suite =
   [
     ( "ptg.builder",
@@ -341,6 +376,8 @@ let suite =
     ( "ptg.core",
       [
         Alcotest.test_case "work & width" `Quick test_work_and_width;
+        Alcotest.test_case "work & width computed once" `Quick
+          test_work_and_width_cached;
         Alcotest.test_case "sequential critical path" `Quick
           test_critical_path_seq;
         Alcotest.test_case "create validation" `Quick test_create_validation;

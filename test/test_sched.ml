@@ -546,6 +546,172 @@ let qcheck_cache_request_mix =
       in
       List.for_all serve requests)
 
+(* ---------- Increment loop against its two-pass original ---------- *)
+
+(* The SCRAP(-MAX) increment loop as it ran before its scan collected
+   the excluded candidates, kept as the reference: the scan only notes
+   that the cap or the budget excluded some critical candidate, and a
+   second pass over every node re-tests criticality, the gain and the
+   displacement of the winner to find the smallest budget and cap that
+   would change the choice. It records what {!Allocation.trajectory}
+   returns. *)
+let two_pass_trajectory ~procedure ~budget ~cap ~beta_power ref_cluster ptg =
+  let dag = ptg.Ptg.dag in
+  let n = Mcs_dag.Dag.node_count dag in
+  let gflops = ref_cluster.Reference_cluster.speed in
+  let seq =
+    Array.map
+      (fun t -> if Task.is_zero t then 0. else Task.seq_time t ~gflops)
+      ptg.Ptg.tasks
+  in
+  let alpha = Array.map (fun t -> t.Task.alpha) ptg.Ptg.tasks in
+  let exec_at v p =
+    seq.(v) *. (alpha.(v) +. ((1. -. alpha.(v)) /. float_of_int p))
+  in
+  let levels = Mcs_dag.Dag.depth_levels dag in
+  let procs = Array.make n 1 in
+  let usage = Array.make (max 1 (Mcs_dag.Dag.depth dag)) 0 in
+  let exec = Array.init n (fun v -> exec_at v 1) in
+  for v = 0 to n - 1 do
+    if not (Ptg.is_virtual ptg v) then
+      usage.(levels.(v)) <- usage.(levels.(v)) + 1
+  done;
+  let area = ref 0. in
+  for v = 0 to n - 1 do
+    area := !area +. (exec.(v) *. float_of_int procs.(v))
+  done;
+  let bl = Array.make n 0. and tl = Array.make n 0. in
+  let dirty = Bytes.make n '\000' in
+  Mcs_dag.Dag.fill_bottom_levels dag exec bl;
+  Mcs_dag.Dag.fill_top_levels dag exec tl;
+  let gain = Array.init n (fun v -> exec.(v) -. exec_at v (procs.(v) + 1)) in
+  let per_level = procedure = Allocation.Scrap_max in
+  let steps = ref [] and cps = ref [] and areas = ref [] in
+  let closed = ref false in
+  let closed_ceil = ref max_int and closed_chi = ref max_int in
+  let continue = ref true and count = ref 0 in
+  while !continue && !count < (cap * n) + 1 do
+    let cp = bl.(Ptg.entry ptg) in
+    cps := cp :: !cps;
+    areas := !area :: !areas;
+    if cp <= (!area /. beta_power) +. Mcs_util.Floatx.eps then
+      continue := false
+    else begin
+      let tolerance = 1e-9 *. if cp > 1. then cp else 1. in
+      let critical v =
+        seq.(v) > 0. && Float.abs (tl.(v) +. bl.(v) -. cp) <= tolerance
+      in
+      let best = ref (-1) and best_gain = ref 0. in
+      let excluded = ref false in
+      for v = 0 to n - 1 do
+        if critical v then
+          if
+            procs.(v) < cap
+            && ((not per_level) || usage.(levels.(v)) + 1 <= budget)
+          then begin
+            if gain.(v) > !best_gain then begin
+              best := v;
+              best_gain := gain.(v)
+            end
+          end
+          else excluded := true
+      done;
+      let ceil = ref max_int and chi = ref max_int in
+      if !excluded then
+        for u = 0 to n - 1 do
+          let g = gain.(u) in
+          if
+            critical u && g > 0.
+            && (!best < 0 || g > !best_gain || (g = !best_gain && u < !best))
+          then
+            if procs.(u) >= cap then chi := min !chi (procs.(u) + 1)
+            else if per_level && usage.(levels.(u)) + 1 > budget then
+              ceil := min !ceil (usage.(levels.(u)) + 1)
+        done;
+      if !best < 0 then begin
+        continue := false;
+        closed := true;
+        closed_ceil := !ceil;
+        closed_chi := !chi
+      end
+      else begin
+        let v = !best in
+        let req = if per_level then usage.(levels.(v)) + 1 else 1 in
+        steps := [ v; req; !ceil; procs.(v) + 1; !chi ] :: !steps;
+        let before = exec.(v) *. float_of_int procs.(v) in
+        procs.(v) <- procs.(v) + 1;
+        usage.(levels.(v)) <- usage.(levels.(v)) + 1;
+        exec.(v) <- exec_at v procs.(v);
+        gain.(v) <- exec.(v) -. exec_at v (procs.(v) + 1);
+        area := !area -. before +. (exec.(v) *. float_of_int procs.(v));
+        Mcs_dag.Dag.repair_levels dag exec ~changed:v ~dirty ~bl ~tl;
+        incr count
+      end
+    end
+  done;
+  {
+    Allocation.steps = Array.of_list (List.concat (List.rev !steps));
+    cps = Array.of_list (List.rev !cps);
+    areas = Array.of_list (List.rev !areas);
+    closed = !closed;
+    closed_ceil = !closed_ceil;
+    closed_chi = !closed_chi;
+  }
+
+(* The single-scan loop records the trajectory of the two-pass one:
+   every step's node, budget interval and cap interval, every state's
+   critical path and area bit for bit, and how the run closed. Small
+   budgets and caps exclude critical candidates; tasks made fully
+   sequential (α = 1) have zero gain, so they are critical candidates
+   that must never bound a choice. *)
+let qcheck_loop_matches_two_pass =
+  let p = Grid5000.lille () in
+  let r = Reference_cluster.of_platform p in
+  let sequential ptg every =
+    let tasks =
+      Array.mapi
+        (fun v t ->
+          if every > 0 && v mod every = 0 && not (Task.is_zero t) then
+            { t with Task.alpha = 1. }
+          else t)
+        ptg.Ptg.tasks
+    in
+    Ptg.create ~id:ptg.Ptg.id ~name:ptg.Ptg.name ~dag:ptg.Ptg.dag ~tasks
+      ~edge_bytes:ptg.Ptg.edge_bytes
+  in
+  QCheck.Test.make ~name:"increment loop ≡ its two-pass original"
+    ~count:150
+    QCheck.(
+      quad
+        (pair (int_range 0 5000) (int_range 0 3))
+        (pair bool (int_range 0 11))
+        (int_range 0 15)
+        (oneofl [ 0.05; 0.2; 0.5; 1.0 ]))
+    (fun ((seed, every), (scrap, b), c, beta) ->
+      let ptg =
+        sequential (random_ptg ~tasks:(10 + (seed mod 40)) seed) every
+      in
+      let procedure =
+        if scrap then Allocation.Scrap else Allocation.Scrap_max
+      in
+      let budget = 1 + b and cap = 1 + c in
+      let beta_power = beta *. float_of_int r.Reference_cluster.procs in
+      let got =
+        Allocation.trajectory ~procedure ~budget ~cap ~beta_power r ptg
+      in
+      let want =
+        two_pass_trajectory ~procedure ~budget ~cap ~beta_power r ptg
+      in
+      let floats_equal a b =
+        Array.length a = Array.length b && Array.for_all2 Float.equal a b
+      in
+      got.Allocation.steps = want.Allocation.steps
+      && floats_equal got.Allocation.cps want.Allocation.cps
+      && floats_equal got.Allocation.areas want.Allocation.areas
+      && got.Allocation.closed = want.Allocation.closed
+      && got.Allocation.closed_ceil = want.Allocation.closed_ceil
+      && got.Allocation.closed_chi = want.Allocation.closed_chi)
+
 (* ---------- Strategy ---------- *)
 
 let sample_ptgs () = [ random_ptg 1; random_ptg 2; random_ptg ~tasks:50 3 ]
@@ -1623,6 +1789,7 @@ let suite =
           test_alloc_loop_budget;
         QCheck_alcotest.to_alcotest qcheck_cache_differential;
         QCheck_alcotest.to_alcotest qcheck_cache_request_mix;
+        QCheck_alcotest.to_alcotest qcheck_loop_matches_two_pass;
       ] );
     ( "sched.strategy",
       [

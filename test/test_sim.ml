@@ -1118,6 +1118,28 @@ let test_replay_counters () =
   Alcotest.(check (list (pair string int))) "two runs" first (sweep 1);
   Alcotest.(check (list (pair string int))) "two domains" first (sweep 2)
 
+(* Each replay is one [sim.replay] span, wherever it is called from:
+   here two calls outside any experiment runner, as X4, X7 and the
+   scheduling CLI make them. *)
+let test_replay_span () =
+  let module Obs = Mcs_obs.Obs in
+  let _, platform, family, strategy, release = List.hd pinned_cases in
+  let ptgs =
+    Mcs_experiments.Workload.draw (Prng.create ~seed:17) family ~count:4
+  in
+  let schedules =
+    Pipeline.schedule_concurrent ?release ~strategy platform ptgs
+  in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      for _ = 1 to 2 do
+        ignore (Replay.run ?release platform schedules)
+      done);
+  Alcotest.(check (list (pair string int)))
+    "one root span per call"
+    [ ("sim.replay", 0); ("sim.replay", 0) ]
+    (List.map (fun (s : Obs.span) -> (s.Obs.name, s.Obs.depth)) (Obs.spans ()))
+
 let suite =
   [
     ( "sim.flow_network",
@@ -1162,5 +1184,6 @@ let suite =
         Alcotest.test_case "batching guard" `Quick test_replay_batching_guard;
         QCheck_alcotest.to_alcotest qcheck_replay_matches_reference;
         Alcotest.test_case "work counters" `Quick test_replay_counters;
+        Alcotest.test_case "one span per replay" `Quick test_replay_span;
       ] );
   ]
