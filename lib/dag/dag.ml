@@ -28,8 +28,8 @@ let compute_topo n succ pred =
   done;
   (* The frontier pops the lowest node id first: its key is constant
      and the id is its first tie. *)
-  let frontier = Mcs_util.Heap.create ~dummy:() in
-  let add v = Mcs_util.Heap.push frontier 0. v 0 0 0 () in
+  let frontier = Mcs_util.Heap.create () in
+  let add v = Mcs_util.Heap.push frontier 0. v 0 0 0 in
   for v = 0 to n - 1 do
     if indeg.(v) = 0 then add v
   done;
@@ -147,7 +147,7 @@ let topological_order t = Array.copy t.topo
 let depth_levels t = Array.copy t.level
 
 let depth t =
-  if t.n = 0 then 0 else 1 + Array.fold_left max 0 t.level
+  if t.n = 0 then 0 else 1 + Array.fold_left Int.max 0 t.level
 
 let level_members t =
   let d = depth t in
@@ -168,7 +168,7 @@ let max_width t =
     let d = depth t in
     let counts = Array.make d 0 in
     Array.iter (fun l -> counts.(l) <- counts.(l) + 1) t.level;
-    Array.fold_left max 0 counts
+    Array.fold_left Int.max 0 counts
   end
 
 let bottom_levels t ~node_weight ~edge_weight =

@@ -42,33 +42,49 @@ let key_minor = function
   | Proc_down _ | Proc_up _ -> -2
 
 (* A slot of either heap is keyed by (time, kind rank, content key,
-   insertion sequence) and holds the kind the caller pushed: the event
-   record is built only when it is peeked or popped. Sequence numbers
-   are unique, so the order is total. *)
-let dummy = Departure (-1)
+   insertion sequence), and sequence numbers are unique, so the order
+   is total. The slot holds no value: every kind but the processor
+   events is rebuilt from its rank and content key, and a processor
+   event's array waits in [procs] under its sequence number until it is
+   popped. The event record is built only when it is peeked or
+   popped. *)
 
 (* [fixed] holds the events no reschedule revokes; [current] holds the
-   announcements of the live schedule generation only. *)
+   announcements of the live schedule generation only. [procs] exists
+   while a processor event is queued, so a fault-free queue keeps no
+   table. *)
 type t = {
-  fixed : kind Heap.t;
-  current : kind Heap.t;
+  fixed : Heap.t;
+  current : Heap.t;
+  mutable procs : (int, int array) Hashtbl.t option;
   mutable next_seq : int;
 }
 
 let create () =
-  { fixed = Heap.create ~dummy; current = Heap.create ~dummy; next_seq = 0 }
+  { fixed = Heap.create (); current = Heap.create (); procs = None; next_seq = 0 }
+
+let procs t =
+  match t.procs with
+  | Some table -> table
+  | None ->
+    let table = Hashtbl.create 16 in
+    t.procs <- Some table;
+    table
 
 let push t ~time kind =
   if not (Float.is_finite time) || time < 0. then
     invalid_arg "Event_queue.push: ill-formed time";
+  let seq = t.next_seq in
   let heap =
     match kind with
-    | Arrival _ | Proc_down _ | Proc_up _ -> t.fixed
+    | Arrival _ -> t.fixed
+    | Proc_down ps | Proc_up ps ->
+      Hashtbl.replace (procs t) seq ps;
+      t.fixed
     | Task_finish _ | Task_failed _ | Departure _ | Resize _ -> t.current
   in
-  Heap.push heap time (kind_rank kind) (key_major kind) (key_minor kind)
-    t.next_seq kind;
-  t.next_seq <- t.next_seq + 1
+  Heap.push heap time (kind_rank kind) (key_major kind) (key_minor kind) seq;
+  t.next_seq <- seq + 1
 
 (* The buffers stay for the next generation's announcements. *)
 let next_generation t = Heap.clear t.current
@@ -82,21 +98,40 @@ let front t =
     t.current
   else t.fixed
 
+(* The kind of [h]'s minimum, the inverse of [kind_rank], [key_major]
+   and [key_minor] on its ties. *)
+let min_kind t h =
+  let major = Heap.min_int h 1 and minor = Heap.min_int h 2 in
+  match Heap.min_int h 0 with
+  | 0 -> Task_finish { app = major; node = minor }
+  | 1 -> Task_failed { app = major; node = minor }
+  | 2 -> Departure major
+  | 3 -> Arrival major
+  | 4 -> Proc_down (Hashtbl.find (procs t) (Heap.min_int h 3))
+  | 5 -> Proc_up (Hashtbl.find (procs t) (Heap.min_int h 3))
+  | _ -> Resize { app = major; node = minor }
+
 let peek t =
   let h = front t in
   if Heap.is_empty h then None
-  else Some { time = Heap.min_key h; kind = Heap.min_value h }
+  else Some { time = Heap.min_key h; kind = min_kind t h }
 
-(* A pop that empties a heap frees its buffers: an engine whose queue
-   has drained keeps none, and a warm one regrows them on its next
-   reschedule. *)
+(* A pop that empties a heap frees its buffers, and the fixed side
+   its table too: an engine whose queue has drained keeps none, and a
+   warm one regrows them on its next reschedule. *)
 let pop t =
   let h = front t in
   if Heap.is_empty h then None
   else begin
-    let ev = { time = Heap.min_key h; kind = Heap.min_value h } in
+    let ev = { time = Heap.min_key h; kind = min_kind t h } in
+    (match ev.kind with
+    | Proc_down _ | Proc_up _ -> Hashtbl.remove (procs t) (Heap.min_int h 3)
+    | Arrival _ | Task_finish _ | Task_failed _ | Departure _ | Resize _ -> ());
     Heap.drop_min h;
-    if Heap.is_empty h then Heap.release h;
+    if Heap.is_empty h then begin
+      Heap.release h;
+      if h == t.fixed then t.procs <- None
+    end;
     Some ev
   end
 

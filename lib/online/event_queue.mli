@@ -27,13 +27,15 @@
     recoveries), and {!next_generation} drops them all at once. Nothing
     revoked is ever popped or counted.
 
-    Each side is one {!Mcs_util.Heap} whose slots hold the ordering key
-    in scalar buffers and the pushed kind as the value; the event record
-    is built only by {!peek} and {!pop}. Most announcements are dropped
-    unpopped, so the kind the caller built is the only allocation an
-    announcement costs. The buffers survive {!next_generation}, so a
-    warm generation allocates nothing else, and a pop that empties a
-    side frees its buffers, so a drained queue keeps none. *)
+    Each side is one {!Mcs_util.Heap} whose slots hold only the
+    ordering key, in scalar buffers. {!peek} and {!pop} rebuild a kind
+    from its rank and content key; an outage's or recovery's processor
+    array waits in a table under its insertion sequence and comes back
+    physically equal. An announcement's kind is dead once pushed, and
+    the event record is built only by {!peek} and {!pop}. The buffers
+    survive {!next_generation}, so a warm generation allocates nothing
+    else, and a pop that empties a side frees its buffers, so a drained
+    queue keeps none. *)
 
 type kind =
   | Arrival of int  (** application index *)

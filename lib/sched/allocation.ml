@@ -594,9 +594,14 @@ let trajectory ~procedure ~budget ~cap ~beta_power ref_cluster ptg =
     closed_chi = e.e_closed_chi;
   }
 
+(* An entry already at the head stays there, and the list, which no
+   promotion lets grow past [max_entries], is left as it is. *)
 let promote cache e =
-  let rest = List.filter (fun x -> x != e) cache.entries in
-  cache.entries <- e :: List.filteri (fun i _ -> i < max_entries - 1) rest
+  match cache.entries with
+  | head :: _ when head == e -> ()
+  | entries ->
+    let rest = List.filter (fun x -> x != e) entries in
+    cache.entries <- e :: List.filteri (fun i _ -> i < max_entries - 1) rest
 
 let allocate_cached ?(procedure = Scrap_max) ?up_counts ~cache ~arena
     ref_cluster platform ~beta ptg =

@@ -25,12 +25,18 @@ type options = {
 let default_options = { ordering = Ready_tasks; packing = true }
 
 (* One application's memo entry, kept by a session under the caller's
-   id. [topo_rank] is a function of the DAG alone and [seq] of the PTG
-   and the session's platform, so both hold as long as the entry does;
-   [bl] is a function of the DAG, the allocation and the reference
-   speed, and is recomputed only when [alloc] or [speed] differ from
-   the map's. [pending] is per-map state, reset by every map; the
-   placements are the caller's. *)
+   id. [topo_rank] is a function of the DAG alone, and [seq] and
+   [virt] of the PTG and the session's platform, so they hold as long
+   as the entry does; [bl] is a function of the DAG, the allocation and
+   the reference speed, and is recomputed only when [alloc] or [speed]
+   differ from the map's. Node [v]'s width row, [width] and [exec] at
+   [v * nc + k], holds the width its allocation [row_alloc.(v)]
+   translates to on each cluster and the execution time at that width:
+   a function of the allocation, the reference speed, the task and the
+   platform. [refresh_row] refreshes a row whose [row_alloc] differs
+   from [alloc] when the node is placed, and [prepare] marks every row
+   stale when the speed changes. [pending] is per-map state, reset by every
+   map; the placements are the caller's. *)
 type app_state = {
   ptg : Ptg.t;
   alloc : int array;                    (* the allocation of [bl] *)
@@ -38,6 +44,10 @@ type app_state = {
   bl : float array;                     (* bottom levels (priorities) *)
   topo_rank : int array;
   seq : float array;                    (* [v * nc + k] -> sequential time *)
+  virt : bool array;                    (* [Ptg.is_virtual] per node *)
+  width : int array;                    (* [v * nc + k] -> translated width *)
+  exec : float array;                   (* [v * nc + k] -> time at [width] *)
+  row_alloc : int array;                (* the allocation of a row, 0: none *)
   pending : int array;                  (* unmapped predecessor count *)
   mutable map_id : int;                 (* the last map that used it *)
 }
@@ -63,9 +73,29 @@ let new_state platform ptg =
     bl = Array.make n 0.;
     topo_rank;
     seq;
+    virt = Array.init n (Ptg.is_virtual ptg);
+    width = Array.make (n * nc) 0;
+    exec = Array.make (n * nc) 0.;
+    row_alloc = Array.make n 0;
     pending = Array.make n 0;
     map_id = -1;
   }
+
+(* Bring node [v]'s width row up to date with its allocation: the same
+   [Reference_cluster.translate] and [Task.time_of_seq_into] the
+   placement would otherwise call per cluster, stored in float and int
+   arrays, which hold them exactly. *)
+let refresh_row platform ref_cluster nc state v =
+  let a = state.alloc.(v) in
+  if state.row_alloc.(v) <> a then begin
+    let task = state.ptg.Ptg.tasks.(v) and o = v * nc in
+    for k = 0 to nc - 1 do
+      let w = Reference_cluster.translate ref_cluster platform ~cluster:k a in
+      state.width.(o + k) <- w;
+      Task.time_of_seq_into task ~procs:w state.seq (o + k) state.exec (o + k)
+    done;
+    state.row_alloc.(v) <- a
+  end
 
 (* Placement scratch. [place_task] prices every ready task on every
    cluster, and the mapper runs on every reschedule: allocating that
@@ -127,6 +157,20 @@ let f_agg_total = 9
 let f_agg_last = 10
 let f_fcfs = 11
 let f_data_ready = 12
+
+(* The width of a task on a cluster with [live] processors up, from
+   its row at [slot], and its execution time into [f_exec]. A width the
+   mask caps is timed here. *)
+let capped_width s state task slot live =
+  let width = state.width.(slot) in
+  if live >= width then begin
+    s.f.(f_exec) <- state.exec.(slot);
+    width
+  end
+  else begin
+    Task.time_of_seq_into task ~procs:live state.seq slot s.f f_exec;
+    live
+  end
 
 let create_scratch platform =
   let nc = P.cluster_count platform in
@@ -475,11 +519,18 @@ let pack s task state proc_avail order k np slot needed =
         end
         else begin
           Obs.incr c_packing_attempts;
-          (* A width whose window cannot start strictly earlier is not
-             priced. *)
-          if
+          (* A width is not priced if its window cannot start strictly
+             earlier, or if, started at its own bound [sb], it would
+             lose [offer]: [price] starts it at or after [sb], and float
+             addition is monotone. The best finish is at most the full
+             width's, so a width that finishes too late loses [offer]
+             too. [sb] falls as the width falls, so the loop goes on. *)
+          let sb =
             start_bound floor f.(f_data_ready) proc_avail order (!p' - 1)
-            < full_start -. Floatx.eps
+          in
+          if
+            sb < full_start -. Floatx.eps
+            && not (f.(f_best_finish) < sb +. f.(f_exec))
           then begin
             let lo = price s proc_avail order k np !p' in
             if
@@ -521,9 +572,11 @@ let place_task s platform ref_cluster avail_idx proc_avail state placements v
     ~packing =
   let ptg = state.ptg in
   let np = load_preds s ptg placements v in
-  if Ptg.is_virtual ptg v then virtual_placement s v np
+  if state.virt.(v) then virtual_placement s v np
   else begin
     let task = ptg.Ptg.tasks.(v) in
+    refresh_row platform ref_cluster s.nc state v;
+    let o = v * s.nc in
     let f = s.f in
     let floor = f.(f_floor) in
     (* Bound every live cluster and insert it into the visit order. The
@@ -540,13 +593,7 @@ let place_task s platform ref_cluster avail_idx proc_avail state placements v
     for k = 0 to s.nc - 1 do
       let order = Avail_index.sorted avail_idx k in
       if Array.length order > 0 then begin
-        let needed =
-          Int.min (Array.length order)
-            (Reference_cluster.translate ref_cluster platform ~cluster:k
-               state.alloc.(v))
-        in
-        Task.time_of_seq_into task ~procs:needed state.seq ((v * s.nc) + k)
-          f f_exec;
+        let needed = capped_width s state task (o + k) (Array.length order) in
         let exec = f.(f_exec) in
         let lb =
           start_bound floor f.(f_pred_finish) proc_avail order 0 +. exec
@@ -583,7 +630,7 @@ let place_task s platform ref_cluster avail_idx proc_avail state placements v
         let lo = price s proc_avail order k np needed in
         offer s order k lo needed ~packed:false;
         if packing && needed > 1 then
-          pack s task state proc_avail order k np ((v * s.nc) + k) needed
+          pack s task state proc_avail order k np (o + k) needed
       end
     done;
     let pl = best_placement s v in
@@ -604,9 +651,11 @@ let place_task_backfill s platform ref_cluster timeline subsets state
     placements v =
   let ptg = state.ptg in
   let np = load_preds s ptg placements v in
-  if Ptg.is_virtual ptg v then virtual_placement s v np
+  if state.virt.(v) then virtual_placement s v np
   else begin
     let task = ptg.Ptg.tasks.(v) in
+    refresh_row platform ref_cluster s.nc state v;
+    let o = v * s.nc in
     let floor = s.f.(f_floor) in
     s.b_cluster <- -1;
     for k = 0 to s.nc - 1 do
@@ -614,14 +663,7 @@ let place_task_backfill s platform ref_cluster timeline subsets state
          the subset, capping the width exactly as in [place_task]. *)
       let subset = subsets.(k) in
       if Array.length subset > 0 then begin
-      let needed =
-        Int.min
-          (Array.length subset)
-          (Reference_cluster.translate ref_cluster platform ~cluster:k
-             state.alloc.(v))
-      in
-      Task.time_of_seq_into task ~procs:needed state.seq ((v * s.nc) + k)
-        s.f f_exec;
+      let needed = capped_width s state task (o + k) (Array.length subset) in
       let exec = s.f.(f_exec) in
       data_ready s k np needed;
       let after = fmax floor s.f.(f_ready) in
@@ -652,7 +694,7 @@ let place_task_backfill s platform ref_cluster timeline subsets state
 type session = {
   platform : P.t;
   scratch : scratch;
-  heap : unit Mcs_util.Heap.t;          (* see [map_body] *)
+  heap : Mcs_util.Heap.t;               (* the ready heap, see [map] *)
   avail : float array;                  (* shared with [index] *)
   live : bool array;                    (* the mask [groups] were built for *)
   mutable groups : int array array;     (* live processors per cluster *)
@@ -679,7 +721,7 @@ let session platform =
   {
     platform;
     scratch = create_scratch platform;
-    heap = Mcs_util.Heap.create ~dummy:();
+    heap = Mcs_util.Heap.create ();
     avail;
     live;
     groups;
@@ -718,6 +760,8 @@ let prepare session ref_cluster (id, ptg, alloc) =
   state.map_id <- session.maps;
   let speed = ref_cluster.Reference_cluster.speed in
   let same = ref (state.speed = speed) in
+  (* A new speed translates every allocation anew. *)
+  if not !same then Array.fill state.row_alloc 0 n 0;
   for v = 0 to n - 1 do
     if state.alloc.(v) <> alloc.(v) then same := false
   done;
@@ -882,12 +926,12 @@ let map ?(options = default_options) ?release ?avail ?up ?task_floor session
           placements.(i) v ~packing:options.packing
     in
     placements.(i).(v) <- Some pl;
-    if not (Ptg.is_virtual state.ptg v) then Obs.incr c_tasks_mapped;
+    if not state.virt.(v) then Obs.incr c_tasks_mapped;
     (match options.ordering with
     | Global_fcfs ->
       (* No backfilling: later queue entries may not start earlier than
          this task did. Virtual tasks are bookkeeping, not queue jobs. *)
-      if not (Ptg.is_virtual state.ptg v) then
+      if not state.virt.(v) then
         f.(f_fcfs) <- fmax f.(f_fcfs) pl.Schedule.start
     | Ready_tasks | Global_backfill -> ())
   in
@@ -913,7 +957,7 @@ let map ?(options = default_options) ?release ?avail ?up ?task_floor session
   let global = options.ordering <> Ready_tasks in
   let push i v =
     let state = states.(i) in
-    Mcs_util.Heap.push heap (-.state.bl.(v)) i state.topo_rank.(v) v 0 ();
+    Mcs_util.Heap.push heap (-.state.bl.(v)) i state.topo_rank.(v) v 0;
     if not global then Obs.record_max c_ready_peak (Mcs_util.Heap.length heap)
   in
   Array.iteri

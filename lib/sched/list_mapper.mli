@@ -35,8 +35,9 @@
     The working state lives in a {!session}: the availability index,
     the ready heap's scalar buffers, a placement scratch reused by every
     (task, cluster, width) pricing, and a memo of each application's
-    topological ranks, sequential times per cluster and bottom levels
-    (DESIGN.md section 10). A session has one owner: the online engine
+    topological ranks, sequential times per cluster, bottom levels and
+    per-node translated widths with their times (DESIGN.md section
+    10). A session has one owner: the online engine
     keeps one for its whole life, so a reschedule reuses what the
     previous generation built, and never shares it across domains.
     {!run} maps on a fresh session per call, so shard domains and
@@ -121,7 +122,9 @@ val map :
     tasks' sequential times on each cluster, valid while the id maps to
     the same PTG (physical equality), and its bottom levels, recomputed
     only when the allocation or the reference speed differs from the
-    previous map's. The cluster groups and the availability index are
+    previous map's. A node's width on each cluster and its time there
+    are recomputed when the node is placed under another allocation or
+    reference speed than last time. The cluster groups and the availability index are
     rebuilt only when the [up] mask changes. A map that raises leaves
     the session usable, but may leave [placements] partly filled.
     @raise Invalid_argument on an empty list, an id given twice, an

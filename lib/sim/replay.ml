@@ -53,10 +53,10 @@ type flow_state = {
   mutable handle : flow_state Flow_network.flow option;  (* once active *)
 }
 
-type event =
-  | Task_finish of int * int
-  | Flow_activate of flow_state
-  | App_release of int
+(* Event kinds, the second tie of a queue slot (see [run]). *)
+let task_finish = 0
+let flow_activate = 1
+let app_release = 2
 
 let run ?release platform schedules =
   Obs.with_span "sim.replay" @@ fun () ->
@@ -205,19 +205,23 @@ let run ?release platform schedules =
 
   (* The event queue holds task finishes, flow activations and
      releases, keyed on (time, seq). Every push takes the next seq, so
-     same-time events pop in insertion order. Flow completions stay out
-     of it: every recompute re-predicts every active flow, taking the
-     next seq from the same counter, so between recomputes each flow
-     holds exactly one live prediction, kept in its [flow_state]. The
-     run loop pops whichever of the queue's minimum and the flows'
-     minimum sorts first. The keys are those of one queue holding both,
-     unique and totally ordered (every event time is finite), so the
-     pops are that queue's pops. *)
-  let q = Heap.create ~dummy:(App_release (-1)) in
+     same-time events pop in insertion order. A slot's other three ties
+     are the event's kind and its two indices: (app, node) for a finish,
+     the flow's number for an activation, the app for a release. No
+     comparison reaches them, because seqs are unique. A flow waits for
+     its activation in [waiting], under its number. Flow completions
+     stay out of the queue: every recompute re-predicts every active
+     flow, taking the next seq from the same counter, so between
+     recomputes each flow holds exactly one live prediction, kept in its
+     [flow_state]. The run loop pops whichever of the queue's minimum
+     and the flows' minimum sorts first. The keys are those of one queue
+     holding both, unique and totally ordered (every event time is
+     finite), so the pops are that queue's pops. *)
+  let q = Heap.create () in
   let last_seq = ref 0 in
-  let push time ev =
+  let push time kind a b =
     incr last_seq;
-    Heap.push q time !last_seq 0 0 0 ev
+    Heap.push q time !last_seq kind a b
   in
   let flows_created = ref 0 in
   let events_processed = ref 0 in
@@ -233,6 +237,9 @@ let run ?release platform schedules =
     }
   in
   let soonest = ref none in
+  (* Flows created and not yet activated, by flow number; a doubling
+     copies with [Array.append], which forces no minor collection. *)
+  let waiting = ref (Array.make 16 none) in
   (* Whether the flows' minimum sorts before the queue's. *)
   let flow_first () =
     let fs = !soonest in
@@ -282,7 +289,7 @@ let run ?release platform schedules =
       start_times.(i).(v) <- now;
       let pl = schedules.(i).Schedule.placements.(v) in
       let duration = pl.Schedule.finish -. pl.Schedule.start in
-      push (now +. duration) (Task_finish (i, v))
+      push (now +. duration) task_finish i v
     end
 
   and dep_done now i v =
@@ -320,6 +327,7 @@ let run ?release platform schedules =
         in
         if in_place then dep_done now i w
         else begin
+          let n = !flows_created in
           incr flows_created;
           let fs =
             {
@@ -335,7 +343,14 @@ let run ?release platform schedules =
               handle = None;
             }
           in
-          push (now +. latency) (Flow_activate fs)
+          let w = !waiting in
+          if n = Array.length w then begin
+            let w = Array.append w w in
+            Array.fill w n n none;
+            waiting := w
+          end;
+          !waiting.(n) <- fs;
+          push (now +. latency) flow_activate n 0
         end)
       (Dag.succs ptg.Ptg.dag v)
   in
@@ -348,7 +363,7 @@ let run ?release platform schedules =
       for v = 0 to node_count i - 1 do
         if deps.(i).(v) = 0 then deps.(i).(v) <- 1
       done;
-      push release.(i) (App_release i)
+      push release.(i) app_release i 0
     end
   done;
 
@@ -371,16 +386,19 @@ let run ?release platform schedules =
       dep_done now fs.f_app fs.f_node
     end
     else begin
-      let now = Heap.min_key q and ev = Heap.min_value q in
+      let now = Heap.min_key q and kind = Heap.min_int q 1 in
+      let a = Heap.min_int q 2 and b = Heap.min_int q 3 in
       Heap.drop_min q;
-      match ev with
-      | Task_finish (i, v) -> finish_task now i v
-      | App_release i ->
-        for v = 0 to node_count i - 1 do
-          if deps.(i).(v) = 1 && Dag.in_degree (dag i) v = 0 then
-            dep_done now i v
+      if kind = task_finish then finish_task now a b
+      else if kind = app_release then begin
+        for v = 0 to node_count a - 1 do
+          if deps.(a).(v) = 1 && Dag.in_degree (dag a) v = 0 then
+            dep_done now a v
         done
-      | Flow_activate fs ->
+      end
+      else begin
+        let fs = !waiting.(a) in
+        !waiting.(a) <- none;
         fs.handle <- Some (Flow_network.add_flow network fs.route fs);
         fs.clock.last_update <- now;
         (* If the next pop is another activation at [now], its
@@ -392,12 +410,11 @@ let run ?release platform schedules =
         let batched =
           (not (Heap.is_empty q))
           && Heap.min_key q = now
-          && (match Heap.min_value q with
-             | Flow_activate _ -> true
-             | Task_finish _ | App_release _ -> false)
+          && Heap.min_int q 1 = flow_activate
           && not (flow_first ())
         in
         if not batched then recompute now
+      end
     end
   done;
 

@@ -5,21 +5,21 @@ type t = {
   buf : int array;              (* scratch, one group long *)
 }
 
-(* Stable bottom-up merge sort of [view] by availability, ping-ponging
-   between [view] and [tmp]. [view] starts id-sorted and a run's left
-   element wins ties, so the result is the (avail, id) order. With no
-   NaN, [<=] orders exactly as [Float.compare] does, -0. and +0.
-   included. *)
-let sort_view (avail : float array) view tmp =
+(* Stable bottom-up merge sort of [view.(lo) .. view.(n - 1)] by
+   availability, ping-ponging between [view] and [tmp] over the same
+   positions. The range starts id-sorted and a run's left element wins
+   ties, so the result is the (avail, id) order. With no NaN, [<=]
+   orders exactly as [Float.compare] does, -0. and +0. included. *)
+let sort_view (avail : float array) view tmp lo =
   let n = Array.length view in
   let src = ref view and dst = ref tmp and width = ref 1 in
-  while !width < n do
+  while !width < n - lo do
     let s = !src and d = !dst and w = !width in
-    let lo = ref 0 in
-    while !lo < n do
-      let mid = Int.min (!lo + w) n and hi = Int.min (!lo + (2 * w)) n in
-      let i = ref !lo and j = ref mid in
-      for k = !lo to hi - 1 do
+    let start = ref lo in
+    while !start < n do
+      let mid = Int.min (!start + w) n and hi = Int.min (!start + (2 * w)) n in
+      let i = ref !start and j = ref mid in
+      for k = !start to hi - 1 do
         if !i < mid && (!j >= hi || avail.(s.(!i)) <= avail.(s.(!j))) then begin
           d.(k) <- s.(!i);
           incr i
@@ -29,19 +29,46 @@ let sort_view (avail : float array) view tmp =
           incr j
         end
       done;
-      lo := hi
+      start := hi
     done;
     src := d;
     dst := s;
     width := 2 * w
   done;
-  if !src != view then Array.blit !src 0 view 0 n
+  if !src != view then Array.blit !src lo view lo (n - lo)
 
+(* The ids at the group's least availability come first, in id order:
+   every other id sorts after them, so only those are merge-sorted.
+   After the engine pins its profile, the least availability is the
+   current time, so a rebuild pays for the busy processors alone. *)
 let reset t =
+  let avail = t.avail and rest = t.buf in
   Array.iteri
     (fun g view ->
-      Array.blit t.by_id.(g) 0 view 0 (Array.length view);
-      sort_view t.avail view t.buf)
+      let ids = t.by_id.(g) in
+      let n = Array.length ids in
+      if n > 0 then begin
+        let least = ref avail.(ids.(0)) in
+        for i = 1 to n - 1 do
+          let a = avail.(ids.(i)) in
+          if a < !least then least := a
+        done;
+        let least = !least in
+        let m = ref 0 and r = ref 0 in
+        for i = 0 to n - 1 do
+          let id = ids.(i) in
+          if avail.(id) = least then begin
+            view.(!m) <- id;
+            incr m
+          end
+          else begin
+            rest.(!r) <- id;
+            incr r
+          end
+        done;
+        Array.blit rest 0 view !m !r;
+        sort_view avail view rest !m
+      end)
     t.views
 
 let create ~avail ~groups =

@@ -33,8 +33,11 @@ val reset : t -> unit
     the caller rewrote any of its entries directly. The result is the
     view {!create} would build over the same array and groups (the
     [(avail, id)] order is unique), so a long-lived index can follow a
-    new availability profile without being rebuilt. The array must hold
-    no NaN. *)
+    new availability profile without being rebuilt. A view starts with
+    the ids at its group's least availability, in id order, and only
+    the others are merge-sorted: a profile whose idle processors share
+    one availability costs a sort of the busy ones alone. The array
+    must hold no NaN. *)
 
 val sorted : t -> int -> int array
 (** [sorted t g] is group [g]'s ids in increasing [(avail, id)] order.

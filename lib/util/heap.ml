@@ -1,19 +1,15 @@
-(* Slot [i] is the key [keys.(i)], the ties [ints.(4i) .. ints.(4i + 3)]
-   and the value [vals.(i)]. The buffers hold [capacity + 1] slots: the
-   last one is a register that holds the slot being sifted, so that
-   every comparison and every move is between two slots and sifting
-   moves a hole instead of swapping. Slots outside [0, size) hold
-   [dummy] as their value, so the heap never keeps a removed value
-   alive. *)
-type 'a t = {
-  dummy : 'a;
+(* Slot [i] is the key [keys.(i)] and the ties [ints.(4i) .. ints.(4i +
+   3)]. The buffers hold [capacity + 1] slots: the last one is a
+   register that holds the slot being sifted, so that every comparison
+   and every move is between two slots and sifting moves a hole instead
+   of swapping. Both buffers are unboxed, so no move writes a pointer. *)
+type t = {
   mutable keys : float array;
   mutable ints : int array;
-  mutable vals : 'a array;
   mutable size : int;
 }
 
-let create ~dummy = { dummy; keys = [||]; ints = [||]; vals = [||]; size = 0 }
+let create () = { keys = [||]; ints = [||]; size = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
@@ -44,34 +40,18 @@ let[@inline] move t src dst =
   t.ints.(d) <- t.ints.(s);
   t.ints.(d + 1) <- t.ints.(s + 1);
   t.ints.(d + 2) <- t.ints.(s + 2);
-  t.ints.(d + 3) <- t.ints.(s + 3);
-  t.vals.(dst) <- t.vals.(src)
+  t.ints.(d + 3) <- t.ints.(s + 3)
 
-(* The value buffer is doubled with [Array.append], not
-   [Array.make (2 * cap) dummy]: above 256 words OCaml 5's
-   [caml_make_vect] first empties the minor heap whenever its seed is
-   young, and with several domains running every minor collection is a
-   stop-the-world barrier. [Array.append] and [Array.fill] only record
-   the young pointers. The scalar buffers have no such cost. *)
 let grow t =
   let slots = Array.length t.keys in
   let n = if slots = 0 then 16 else 2 * slots in
   let keys = Array.make n 0. and ints = Array.make (4 * n) 0 in
   Array.blit t.keys 0 keys 0 t.size;
   Array.blit t.ints 0 ints 0 (4 * t.size);
-  let vals =
-    if slots = 0 then Array.make n t.dummy
-    else begin
-      let v = Array.append t.vals t.vals in
-      Array.fill v t.size (n - t.size) t.dummy;
-      v
-    end
-  in
   t.keys <- keys;
-  t.ints <- ints;
-  t.vals <- vals
+  t.ints <- ints
 
-let push t key a b c d v =
+let push t key a b c d =
   if t.size + 1 >= Array.length t.keys then grow t;
   let r = Array.length t.keys - 1 in
   t.keys.(r) <- key;
@@ -80,7 +60,6 @@ let push t key a b c d v =
   t.ints.(o + 1) <- b;
   t.ints.(o + 2) <- c;
   t.ints.(o + 3) <- d;
-  t.vals.(r) <- v;
   let i = ref t.size in
   t.size <- t.size + 1;
   while !i > 0 && before t r ((!i - 1) / 2) do
@@ -88,8 +67,7 @@ let push t key a b c d v =
     move t p !i;
     i := p
   done;
-  move t r !i;
-  t.vals.(r) <- t.dummy
+  move t r !i
 
 let empty name = invalid_arg ("Heap." ^ name ^ ": empty heap")
 
@@ -101,10 +79,6 @@ let min_int t j =
   if t.size = 0 then empty "min_int";
   if j < 0 || j > 3 then invalid_arg "Heap.min_int: no such int";
   t.ints.(j)
-
-let min_value t =
-  if t.size = 0 then empty "min_value";
-  t.vals.(0)
 
 let min_before a b =
   if a.size = 0 || b.size = 0 then empty "min_before";
@@ -130,17 +104,12 @@ let drop_min t =
         else sifting := false
       end
     done;
-    move t r !i;
-    t.vals.(r) <- t.dummy
-  end;
-  t.vals.(n) <- t.dummy
+    move t r !i
+  end
 
-let clear t =
-  Array.fill t.vals 0 t.size t.dummy;
-  t.size <- 0
+let clear t = t.size <- 0
 
 let release t =
   t.keys <- [||];
   t.ints <- [||];
-  t.vals <- [||];
   t.size <- 0

@@ -256,8 +256,14 @@ let test_forged_release () =
 (* --- the committed fixture files drive the same rules through the
        trace parser, as mcs_check does in CI --- *)
 
+(* The test's [deps] put the fixtures beside the test executable, so
+   the path does not depend on the working directory. *)
 let lint_fixture name =
-  let path = Filename.concat "fixtures" name in
+  let path =
+    Filename.concat
+      (Filename.concat (Filename.dirname Sys.executable_name) "fixtures")
+      name
+  in
   let text = In_channel.with_open_bin path In_channel.input_all in
   let doc =
     match Trace.of_json text with

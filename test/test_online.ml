@@ -854,6 +854,88 @@ let qcheck_queue_matches_reference =
       in
       List.for_all (fun op -> step op && agrees ()) ops && drain ())
 
+(* The same operations against a plain list: a push appends, a new
+   generation drops the announcements, and a pop takes the least
+   (time, kind rank, content key, sequence). The queue's slots keep no
+   value, so every popped kind is one it rebuilt: the (time, kind)
+   sequences must be equal, and a processor event must return the very
+   array pushed, also when two of them share their first id (the
+   generator draws [[|p|]] and [[|p; p + 1|]]). *)
+let qcheck_queue_matches_list =
+  QCheck.Test.make ~name:"queue rebuilds every kind, processor arrays shared"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
+       QCheck.Gen.(list_size (int_range 0 80) gen_queue_op))
+    (fun ops ->
+      let q = Event_queue.create () in
+      (* Sorted before a pop whenever a push came since the last. *)
+      let pending = ref [] and sorted = ref true and seq = ref 0 in
+      let push (time, kind) =
+        Event_queue.push q ~time kind;
+        pending := (time, ref_rank kind, ref_key kind, !seq, kind) :: !pending;
+        sorted := false;
+        incr seq
+      in
+      let announcement (_, _, _, _, kind) =
+        match kind with
+        | Event_queue.Task_finish _ | Event_queue.Task_failed _
+        | Event_queue.Departure _ | Event_queue.Resize _ ->
+          true
+        | Event_queue.Arrival _ | Event_queue.Proc_down _
+        | Event_queue.Proc_up _ ->
+          false
+      in
+      let key (t, r, k, n, _) = (t, r, k, n) in
+      let list_pop () =
+        if not !sorted then begin
+          pending := List.sort (fun a b -> compare (key a) (key b)) !pending;
+          sorted := true
+        end;
+        match !pending with
+        | [] -> None
+        | (time, _, _, _, kind) :: rest ->
+          pending := rest;
+          Some (time, kind)
+      in
+      let same expected got =
+        match (expected, got) with
+        | None, None -> true
+        | Some (time, kind), Some e ->
+          time = e.Event_queue.time
+          && kind = e.Event_queue.kind
+          && (match (kind, e.Event_queue.kind) with
+             | Event_queue.Proc_down a, Event_queue.Proc_down b
+             | Event_queue.Proc_up a, Event_queue.Proc_up b ->
+               a == b
+             | _ -> true)
+        | _ -> false
+      in
+      let step = function
+        | Push (time, kind) -> push (time, kind)
+        | Burst l -> List.iter push l
+        | Bump ->
+          Event_queue.next_generation q;
+          pending := List.filter (fun e -> not (announcement e)) !pending
+        | Pop -> ()
+      in
+      let rec drain () =
+        let expected = list_pop () in
+        same expected (Event_queue.pop q) && (expected = None || drain ())
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Pop ->
+            let expected = list_pop () in
+            let peeked = Event_queue.peek q in
+            same expected peeked && same expected (Event_queue.pop q)
+          | op ->
+            step op;
+            Event_queue.length q = List.length !pending)
+        ops
+      && drain ())
+
 (* Minor words [f] allocates, net of what measuring costs. *)
 let minor_words_of f =
   let measure f =
@@ -1031,6 +1113,7 @@ let suite =
     ( "online.queue",
       [
         QCheck_alcotest.to_alcotest qcheck_queue_matches_reference;
+        QCheck_alcotest.to_alcotest qcheck_queue_matches_list;
         Alcotest.test_case "pending events bounded by live work" `Quick
           test_pending_events_bounded;
         Alcotest.test_case "announcement buffers reused, freed on drain"

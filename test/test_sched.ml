@@ -1570,6 +1570,339 @@ let qcheck_session_matches_fresh_run =
       done;
       !ok)
 
+(* ---------- Exhaustive reference mapper ---------- *)
+
+(* An unpruned Ready_tasks mapper: it places the tasks in the ready
+   heap's order (highest bottom level, then application, then
+   topological rank), and prices each one on every live cluster at its
+   full width and, with packing, at every narrower width, keeping the
+   best by [offer]'s exact order. A cluster's processors are re-sorted
+   by (availability, id) for every task, and the in-place rule is
+   always evaluated. Every float is the mapper's expression on the same
+   operands in the same order ([Float.max]/[Float.min] equal the
+   mapper's local ones on non-NaN floats, and [Task.time] its
+   [Task.time_of_seq_into]), so the pruned mapper must return these
+   placements bit for bit. *)
+let exhaustive_map ~packing ?release ?avail ?up ?task_floor platform
+    ref_cluster apps =
+  let eps = Mcs_util.Floatx.eps in
+  let apps = Array.of_list apps in
+  let napps = Array.length apps in
+  let nc = Platform.cluster_count platform in
+  let release =
+    match release with None -> Array.make napps 0. | Some r -> r
+  in
+  let avail =
+    match avail with
+    | None -> Array.make (Platform.total_procs platform) 0.
+    | Some a -> Array.copy a
+  in
+  let groups =
+    Array.init nc (fun k ->
+        let first = Platform.first_proc platform k in
+        List.filter
+          (fun p -> match up with None -> true | Some u -> u.(p))
+          (List.init (Platform.cluster platform k).Platform.procs (fun i ->
+               first + i)))
+  in
+  let view k =
+    let v = Array.of_list groups.(k) in
+    Array.stable_sort
+      (fun p q ->
+        let c = Float.compare avail.(p) avail.(q) in
+        if c <> 0 then c else Int.compare p q)
+      v;
+    v
+  in
+  let nic = Platform.nic_bandwidth platform
+  and latency = Platform.latency platform in
+  let placements =
+    Array.map (fun (ptg, _) -> Array.make (Ptg.node_count ptg) None) apps
+  in
+  let bl =
+    Array.map
+      (fun (ptg, alloc) ->
+        let n = Ptg.node_count ptg in
+        let w =
+          Array.init n (fun v ->
+              Reference_cluster.exec_time ref_cluster ptg.Ptg.tasks.(v)
+                ~procs:alloc.(v))
+        in
+        let bl = Array.make n 0. in
+        Mcs_dag.Dag.fill_bottom_levels ptg.Ptg.dag w bl;
+        bl)
+      apps
+  in
+  let rank =
+    Array.map
+      (fun (ptg, _) ->
+        let r = Array.make (Ptg.node_count ptg) 0 in
+        Array.iteri (fun i v -> r.(v) <- i)
+          (Mcs_dag.Dag.topological_order ptg.Ptg.dag);
+        r)
+      apps
+  in
+  let place i v =
+    let ptg, alloc = apps.(i) in
+    let preds =
+      Array.map
+        (fun (u, e) -> (Option.get placements.(i).(u), ptg.Ptg.edge_bytes.(e)))
+        (Mcs_dag.Dag.preds ptg.Ptg.dag v)
+    in
+    let pred_finish (pu, _) = pu.Schedule.finish in
+    if Ptg.is_virtual ptg v then begin
+      let start =
+        Array.fold_left (fun acc p -> Float.max acc (pred_finish p))
+          release.(i) preds
+      in
+      { Schedule.node = v; cluster = 0; procs = [||]; start; finish = start }
+    end
+    else begin
+      let floor =
+        Float.max release.(i)
+          (Float.max 0.
+             (match task_floor with None -> 0. | Some f -> f.(i).(v)))
+      in
+      let cost k p' (pu, bytes) =
+        if bytes <= 0. then 0.
+        else
+          latency
+          +. bytes
+             /. Float.min
+                  (float_of_int
+                     (Int.min (Int.max 1 (Array.length pu.Schedule.procs)) p')
+                  *. nic)
+                  (Mcs_taskmodel.Redistribution.route_bandwidth platform
+                     ~src_cluster:pu.Schedule.cluster ~dst_cluster:k)
+      in
+      (* The data-ready time at width [p'] when the predecessors for
+         which [skip] holds send nothing. *)
+      let ready k p' skip =
+        let total = ref 0. and last = ref 0. and senders = ref 0 in
+        Array.iteri
+          (fun j (pu, bytes) ->
+            if bytes > 0. && not (skip j) then begin
+              total := !total +. bytes;
+              last := Float.max !last pu.Schedule.finish;
+              incr senders
+            end)
+          preds;
+        let aggregate =
+          if !senders <= 1 then 0.
+          else !last +. latency +. (!total /. (float_of_int p' *. nic))
+        in
+        let acc = ref 0. in
+        Array.iteri
+          (fun j p ->
+            let c = if skip j then 0. else cost k p' p in
+            acc := Float.max !acc (pred_finish p +. c))
+          preds;
+        Float.max aggregate !acc
+      in
+      let best = ref None in
+      let offer ((finish, start, width, k, _, _) as c) =
+        match !best with
+        | Some (bf, bs, bw, bk, _, _)
+          when not
+                 (finish < bf
+                 || finish = bf
+                    && (start < bs
+                       || start = bs && (width > bw || (width = bw && k < bk))))
+          ->
+          ()
+        | _ -> best := Some c
+      in
+      let price k order p' =
+        let exec =
+          Task.time ptg.Ptg.tasks.(v)
+            ~gflops:(Platform.cluster platform k).Platform.gflops ~procs:p'
+        in
+        let start0 =
+          Float.max floor
+            (Float.max (ready k p' (fun _ -> false)) avail.(order.(p' - 1)))
+        in
+        let fits = ref p' in
+        while
+          !fits < Array.length order && avail.(order.(!fits)) <= start0 +. eps
+        do
+          incr fits
+        done;
+        let lo = !fits - p' in
+        let window =
+          List.sort Int.compare (Array.to_list (Array.sub order lo p'))
+        in
+        let in_place j =
+          let pu, bytes = preds.(j) in
+          bytes > 0.
+          && pu.Schedule.cluster = k
+          && List.sort Int.compare (Array.to_list pu.Schedule.procs) = window
+        in
+        let start =
+          Float.max floor
+            (Float.max (ready k p' in_place)
+               (Float.max 0. avail.(order.(!fits - 1))))
+        in
+        (start +. exec, start, p', k, lo, order)
+      in
+      for k = 0 to nc - 1 do
+        let order = view k in
+        if Array.length order > 0 then begin
+          let needed =
+            Int.min (Array.length order)
+              (Reference_cluster.translate ref_cluster platform ~cluster:k
+                 alloc.(v))
+          in
+          let ((full_finish, full_start, _, _, _, _) as full) =
+            price k order needed
+          in
+          offer full;
+          if packing then
+            for p' = needed - 1 downto 1 do
+              let ((finish, start, _, _, _, _) as c) = price k order p' in
+              if start < full_start -. eps && finish <= full_finish +. eps
+              then offer c
+            done
+        end
+      done;
+      let finish, start, width, k, lo, order = Option.get !best in
+      let procs = Array.sub order lo width in
+      Array.iter (fun p -> avail.(p) <- finish) procs;
+      { Schedule.node = v; cluster = k; procs; start; finish }
+    end
+  in
+  let pending =
+    Array.map
+      (fun (ptg, _) ->
+        Array.init (Ptg.node_count ptg) (Mcs_dag.Dag.in_degree ptg.Ptg.dag))
+      apps
+  in
+  let ready = ref [] in
+  let push i v = ready := (-.bl.(i).(v), i, rank.(i).(v), v) :: !ready in
+  Array.iteri
+    (fun i p -> Array.iteri (fun v n -> if n = 0 then push i v) p)
+    pending;
+  while !ready <> [] do
+    let ((_, i, _, v) as first) =
+      List.fold_left
+        (fun ((k, i, r, _) as m) ((k', i', r', _) as e) ->
+          if k' < k || (k' = k && (i', r') < (i, r)) then e else m)
+        (List.hd !ready) (List.tl !ready)
+    in
+    ready := List.filter (fun e -> e != first) !ready;
+    placements.(i).(v) <- Some (place i v);
+    let ptg, _ = apps.(i) in
+    Array.iter
+      (fun (w, _) ->
+        pending.(i).(w) <- pending.(i).(w) - 1;
+        if pending.(i).(w) = 0 then push i w)
+      (Mcs_dag.Dag.succs ptg.Ptg.dag v)
+  done;
+  Array.to_list
+    (Array.mapi
+       (fun i (ptg, _) ->
+         Schedule.make ~ptg ~placements:(Array.map Option.get placements.(i)))
+       apps)
+
+(* Platforms of one to three clusters whose speeds repeat, and PTGs of
+   whole-second tasks with a few Amdahl fractions, on availabilities of
+   whole seconds: finishes tie exactly, or differ by an ulp, often
+   enough to reach every comparison the mapper's bounds make, their ε
+   included. Every fifth PTG is a generated random one. *)
+let qcheck_mapper_matches_exhaustive =
+  QCheck.Test.make ~name:"the pruned mapper places as the exhaustive search"
+    ~count:300 QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let clusters =
+        List.init (Prng.int_in rng ~lo:1 ~hi:3) (fun k ->
+            {
+              Platform.cluster_name = Printf.sprintf "c%d" k;
+              procs = Prng.int_in rng ~lo:1 ~hi:6;
+              gflops = Prng.choose rng [| 1.; 1.; 1.5; 1.5; 2.; 3. |];
+              switch = Prng.int rng 2;
+            })
+      in
+      let platform = Platform.make ~name:"random" clusters in
+      let total = Platform.total_procs platform in
+      let ref_cluster = Reference_cluster.of_platform platform in
+      let whole_ptg id =
+        let n = Prng.int_in rng ~lo:1 ~hi:7 in
+        let tasks =
+          Array.init n (fun _ ->
+              seconds_task
+                ~alpha:(Prng.choose rng [| 0.; 0.; 0.1; 0.2; 0.25; 0.5; 1. |])
+                (Prng.choose rng [| 1.; 2.; 3.; 4.; 5.; 6.; 8.; 10.; 12. |]))
+        in
+        let edges =
+          List.concat
+            (List.init n (fun a ->
+                 List.filter_map
+                   (fun b ->
+                     if Prng.bernoulli rng ~p:0.35 then
+                       Some (a, b, Prng.choose rng [| 0.; 0.; 1e8; 2.5e9 |])
+                     else None)
+                   (List.init (n - a - 1) (fun j -> a + j + 1))))
+        in
+        Builder.build ~id ~name:"whole" ~tasks ~edges
+      in
+      let apps =
+        List.init (Prng.int_in rng ~lo:1 ~hi:4) (fun id ->
+            let ptg =
+              if Prng.int rng 5 = 0 then
+                random_ptg ~tasks:(Prng.int_in rng ~lo:2 ~hi:8) (Prng.int rng 1_000_000)
+              else whole_ptg id
+            in
+            (ptg, Array.init (Ptg.node_count ptg) (fun _ -> Prng.int_in rng ~lo:1 ~hi:6)))
+      in
+      let packing = Prng.bernoulli rng ~p:0.75 in
+      let avail =
+        if Prng.bool rng then None
+        else
+          Some
+            (Array.init total (fun _ ->
+                 float_of_int (Prng.choose rng [| 0; 0; 1; 2; 3; 4; 5; 7; 8 |])))
+      in
+      let up =
+        if Prng.bool rng then None
+        else begin
+          let u = Array.init total (fun _ -> Prng.bernoulli rng ~p:0.7) in
+          u.(Prng.int rng total) <- true;
+          Some u
+        end
+      in
+      let release =
+        if Prng.bool rng then None
+        else
+          Some
+            (Array.of_list
+               (List.map (fun _ -> float_of_int (Prng.int rng 4)) apps))
+      in
+      let task_floor =
+        if Prng.bool rng then None
+        else
+          Some
+            (Array.of_list
+               (List.map
+                  (fun (ptg, _) ->
+                    Array.init (Ptg.node_count ptg) (fun _ ->
+                        if Prng.bernoulli rng ~p:0.3 then
+                          float_of_int (Prng.int rng 6)
+                        else 0.))
+                  apps))
+      in
+      let options = { List_mapper.ordering = Ready_tasks; packing } in
+      let mapped =
+        if avail = None && up = None && task_floor = None then
+          List_mapper.run ~options ?release platform ref_cluster apps
+        else
+          map_fresh ~options ?release ?avail ?up ?task_floor platform
+            ref_cluster apps
+      in
+      render_schedules mapped
+      = render_schedules
+          (exhaustive_map ~packing ?release ?avail ?up ?task_floor platform
+             ref_cluster apps))
+
 (* The mapper runs on every reschedule, and in the serving layer's
    multi-domain mode each minor collection it triggers is a
    stop-the-world barrier across all shard domains: pin its allocation
@@ -1845,6 +2178,7 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_packing_never_hurts_makespan;
         QCheck_alcotest.to_alcotest qcheck_task_time_monotone;
         QCheck_alcotest.to_alcotest qcheck_session_matches_fresh_run;
+        QCheck_alcotest.to_alcotest qcheck_mapper_matches_exhaustive;
         Alcotest.test_case "allocation budget" `Quick
           test_mapper_allocation_budget;
       ] );

@@ -39,8 +39,8 @@ let test_tolerant_cmp () =
 
 (* An int heap: the int is the first tie under a constant key. *)
 let int_heap l =
-  let h = Heap.create ~dummy:() in
-  List.iter (fun x -> Heap.push h 0. x 0 0 0 ()) l;
+  let h = Heap.create () in
+  List.iter (fun x -> Heap.push h 0. x 0 0 0) l;
   h
 
 let pop_int h =
@@ -49,21 +49,13 @@ let pop_int h =
   x
 
 let test_heap_order () =
-  let h = Heap.create ~dummy:"" in
+  let h = Heap.create () in
   List.iter
-    (fun x -> Heap.push h (float_of_int x) 0 0 0 0 (string_of_int x))
+    (fun x -> Heap.push h (float_of_int x) x 0 0 0)
     [ 5; 1; 4; 1; 3; 9; 2 ];
   Alcotest.(check int) "length" 7 (Heap.length h);
-  let drained =
-    List.init 7 (fun _ ->
-        let v = Heap.min_value h in
-        Heap.drop_min h;
-        v)
-  in
-  Alcotest.(check (list string))
-    "sorted drain"
-    [ "1"; "1"; "2"; "3"; "4"; "5"; "9" ]
-    drained;
+  let drained = List.init 7 (fun _ -> pop_int h) in
+  Alcotest.(check (list int)) "sorted drain" [ 1; 1; 2; 3; 4; 5; 9 ] drained;
   Alcotest.(check bool) "empty" true (Heap.is_empty h)
 
 let test_heap_peek_clear () =
@@ -77,7 +69,7 @@ let test_heap_peek_clear () =
   Alcotest.check_raises "min_key empty"
     (Invalid_argument "Heap.min_key: empty heap") (fun () ->
       ignore (Heap.min_key h));
-  Heap.push h 1. 0 0 0 0 ();
+  Heap.push h 1. 0 0 0 0;
   Alcotest.check_raises "no fifth tie"
     (Invalid_argument "Heap.min_int: no such int") (fun () ->
       ignore (Heap.min_int h 4))
@@ -86,9 +78,9 @@ let test_heap_peek_clear () =
    that compare neither lower nor higher (a NaN) leave it to the ties.
    A negated key pops the largest first. *)
 let test_heap_custom_cmp () =
-  let h = Heap.create ~dummy:() in
+  let h = Heap.create () in
   List.iter
-    (fun (k, a, b, c, d) -> Heap.push h k a b c d ())
+    (fun (k, a, b, c, d) -> Heap.push h k a b c d)
     [
       (-3., 9, 9, 9, 9);
       (-1., 0, 0, 0, 0);
@@ -117,9 +109,9 @@ let test_heap_custom_cmp () =
       (-1., [ 0; 0; 0; 0 ]);
     ]
     drained;
-  let a = Heap.create ~dummy:() and b = Heap.create ~dummy:() in
-  Heap.push a Float.nan 2 0 0 0 ();
-  Heap.push b 1. 1 0 0 0 ();
+  let a = Heap.create () and b = Heap.create () in
+  Heap.push a Float.nan 2 0 0 0;
+  Heap.push b 1. 1 0 0 0;
   Alcotest.(check bool) "a NaN key ties" false (Heap.min_before a b);
   Alcotest.(check bool) "and the ties decide" true (Heap.min_before b a)
 
@@ -131,86 +123,76 @@ let qcheck_heap_sorts =
       let drained = List.init (List.length l) (fun _ -> pop_int h) in
       drained = List.sort compare l)
 
-(* Interleaved pushes and pops against a sorted-list model: every int
-   [x] is a push of [x] except multiples of 3, which are pops. *)
+(* The key of a slot whose first tie is [a]: a non-decreasing step
+   function of [a] with both infinities and both zeros among its
+   values, or a NaN when [nan] holds. Every pair of slots then compares
+   as their ties do (a NaN key ties with every key, and unequal non-NaN
+   keys order their slots as the ties do), so the ties alone give the
+   model's order. *)
+let model_key a ~nan ~neg =
+  if nan then Float.nan
+  else if a < -6 then Float.neg_infinity
+  else if a > 6 then Float.infinity
+  else if a = 0 then if neg then -0. else 0.
+  else float_of_int (a / 2)
+
+(* Interleaved pushes and pops against a sorted-list model: every draw
+   [(x, nan, neg)] is a push of a slot with first tie [x mod 16] and
+   its [model_key], a NaN when both flags hold, except when [x] is a
+   multiple of 3, which is a pop. The last tie is the push's sequence
+   number, so every slot is unique and a pop must return exactly the
+   key bits and ties the model expects. *)
 let qcheck_heap_interleaved =
   QCheck.Test.make ~name:"heap matches a sorted-list model under push/pop mix"
     ~count:200
-    QCheck.(list int)
+    QCheck.(list (triple int bool bool))
     (fun ops ->
-      let h = int_heap [] in
+      let h = Heap.create () in
+      (* [(a, b, seq), expected slot], sorted by the ties. *)
       let model = ref [] in
+      let rec insert (((a, b, n), _) as e) = function
+        | (((a', b', n'), _) as x) :: rest
+          when a' < a || (a' = a && (b' < b || (b' = b && n' < n))) ->
+          x :: insert e rest
+        | l -> e :: l
+      in
+      let seq = ref 0 in
+      let pop () =
+        let slot =
+          ( Int64.bits_of_float (Heap.min_key h),
+            List.init 4 (fun j -> Heap.min_int h j) )
+        in
+        Heap.drop_min h;
+        slot
+      in
       let ok = ref true in
       List.iter
-        (fun x ->
+        (fun (x, nan, neg) ->
           if x mod 3 = 0 then begin
             let expected =
               match !model with
               | [] -> None
-              | m :: rest ->
+              | (_, m) :: rest ->
                 model := rest;
                 Some m
             in
-            let got = if Heap.is_empty h then None else Some (pop_int h) in
+            let got = if Heap.is_empty h then None else Some (pop ()) in
             if got <> expected then ok := false
           end
           else begin
-            Heap.push h 0. x 0 0 0 ();
-            model := List.sort compare (x :: !model)
+            let a = x mod 16 and b = x land 3 in
+            let key = model_key a ~nan:(nan && neg) ~neg in
+            incr seq;
+            Heap.push h key a b 0 !seq;
+            model :=
+              insert
+                ((a, b, !seq), (Int64.bits_of_float key, [ a; b; 0; !seq ]))
+                !model
           end)
         ops;
       !ok
       && Heap.length h = List.length !model
-      && List.init (Heap.length h) (fun _ -> pop_int h) = !model)
-
-let test_heap_pop_releases_elements () =
-  (* A removed value leaves no reference behind: vacated slots get the
-     dummy. Weak pointers observe that popped (and dropped) elements,
-     and cleared ones, become collectable. *)
-  let h = Heap.create ~dummy:(ref (-1)) in
-  let w = Weak.create 4 in
-  for i = 0 to 4 do
-    let r = ref i in
-    Heap.push h (float_of_int i) 0 0 0 0 r;
-    if i < 2 then Weak.set w i (Some r)
-  done;
-  Heap.drop_min h;
-  Heap.drop_min h;
-  Gc.full_major ();
-  Alcotest.(check bool) "popped elements are collectable" true
-    (Weak.get w 0 = None && Weak.get w 1 = None);
-  Alcotest.(check int) "remaining elements" 3 (Heap.length h);
-  Alcotest.(check (list int)) "order preserved" [ 2; 3; 4 ]
-    (List.init 3 (fun _ ->
-         let v = !(Heap.min_value h) in
-         Heap.drop_min h;
-         v));
-  for i = 0 to 1 do
-    let r = ref i in
-    Heap.push h 0. i 0 0 0 r;
-    Weak.set w (2 + i) (Some r)
-  done;
-  Heap.clear h;
-  Gc.full_major ();
-  Alcotest.(check bool) "cleared elements are collectable" true
-    (Weak.get w 2 = None && Weak.get w 3 = None)
-
-let test_heap_growth_no_forced_minor () =
-  (* Growing the buffers must not force a minor collection, which
-     [Array.make] above 256 words seeded with a young value does. *)
-  let h = Heap.create ~dummy:(ref 0) in
-  Gc.minor ();
-  let before = (Gc.quick_stat ()).Gc.minor_collections in
-  for i = 1 to 1000 do
-    Heap.push h (float_of_int i) 0 0 0 0 (ref i)
-  done;
-  let after = (Gc.quick_stat ()).Gc.minor_collections in
-  Alcotest.(check int) "minor collections while pushing" 0 (after - before);
-  Alcotest.(check (list int)) "order" [ 1; 2; 3 ]
-    (List.init 3 (fun _ ->
-         let v = !(Heap.min_value h) in
-         Heap.drop_min h;
-         v))
+      && List.init (Heap.length h) (fun _ -> pop ()) = List.map snd !model)
 
 (* ---------- Availability index ---------- *)
 
@@ -307,15 +289,19 @@ let test_avail_index_commit_edge_cases () =
 
 (* Operation 3 rewrites the shared array behind the index's back, with
    equal keys and both zeros among the values, then resets it, which
-   also leaves windows out of id order. The others commit a window of
-   group [a mod 2] at [v] past its last availability (operation 0), at
-   the availability of a survivor after it, so that it ties (1), or at
-   exactly its last availability, a zero taking the sign of [v] (2). *)
+   also leaves windows out of id order. Operation 4 rewrites the whole
+   profile and resets it: most ids at the least availability [v], both
+   zeros among them when [v] is a zero ([b mod 3 = 0]), every id at it
+   (1), or every id at its own availability (2). The others commit a
+   window of group [a mod 2] at [v] past its last availability
+   (operation 0), at the availability of a survivor after it, so that
+   it ties (1), or at exactly its last availability, a zero taking the
+   sign of [v] (2). *)
 let qcheck_avail_index_matches_resort =
   QCheck.Test.make
     ~name:"avail index view equals a full (avail, id) re-sort after commits"
     ~count:200
-    QCheck.(list (quad (int_range 0 3) (int_range 0 19) (int_range 0 19)
+    QCheck.(list (quad (int_range 0 4) (int_range 0 19) (int_range 0 19)
                     (oneof [ oneofl [ 0.; -0.; 7. ]; float_range 0. 50. ])))
     (fun ops ->
       let avail = Array.make 20 0. in
@@ -350,9 +336,21 @@ let qcheck_avail_index_matches_resort =
             in
             Avail_index.commit idx g ~lo ~width v
           end
-          else begin
+          else if op = 3 then begin
             avail.(a) <- v;
             avail.(b) <- (if v = 0. then -.v else v);
+            Avail_index.reset idx
+          end
+          else begin
+            for i = 0 to 19 do
+              let least = if v = 0. && i mod 2 = 1 then -.v else v in
+              let spread = float_of_int (((7 * i) + a) mod 20) in
+              avail.(i) <-
+                (match b mod 3 with
+                | 0 -> if (i + a) mod 5 = 0 then v +. 1. +. spread else least
+                | 1 -> least
+                | _ -> v +. spread)
+            done;
             Avail_index.reset idx
           end;
           Avail_index.sorted idx 0 = reference 0
@@ -412,10 +410,6 @@ let suite =
         Alcotest.test_case "ordering" `Quick test_heap_order;
         Alcotest.test_case "peek/clear" `Quick test_heap_peek_clear;
         Alcotest.test_case "custom comparison" `Quick test_heap_custom_cmp;
-        Alcotest.test_case "pop releases elements" `Quick
-          test_heap_pop_releases_elements;
-        Alcotest.test_case "growth forces no minor collection" `Quick
-          test_heap_growth_no_forced_minor;
         QCheck_alcotest.to_alcotest qcheck_heap_sorts;
         QCheck_alcotest.to_alcotest qcheck_heap_interleaved;
       ] );
